@@ -24,10 +24,6 @@ class ExcitationSet:
     singles: tuple
     doubles: tuple
 
-    @property
-    def n_excitations(self) -> int:
-        return len(self.singles) + len(self.doubles)
-
 
 def build_hardware_efficient(n_qubits: int, reps: int) -> Circuit:
     """RotY layer, then ``reps`` blocks of [linear CZ chain, RotY layer].

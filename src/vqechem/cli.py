@@ -17,7 +17,6 @@ from .exactdiag import ground_state_energy
 from .exceptions import VqeChemError
 from .fcidump import write_fcidump
 from .fermions import build_second_quantized, jordan_wigner
-from .integrals import Molecule, compute_ao_integrals, run_rhf, transform_to_mo
 from .optimize import OptimizerConfig
 from .workflows import (
     ScanPoint,
@@ -26,6 +25,7 @@ from .workflows import (
     dissociation_energy,
     fit_equilibrium,
     integrals_for_point,
+    integrals_from_geometry,
     load_manifest,
     parse_scan_csv,
     run_scan,
@@ -103,14 +103,7 @@ def _run_point_from_args(args):
 
 def cmd_fcidump_gen(args) -> int:
     with open(args.geometry, "r", encoding="utf-8") as fh:
-        molecule = Molecule.from_geometry_dict(json.load(fh))
-    ao = compute_ao_integrals(molecule)
-    rhf = run_rhf(ao, molecule.n_electrons - molecule.n_electrons % 2)
-    integrals = transform_to_mo(ao, rhf)
-    if molecule.n_electrons % 2:
-        from dataclasses import replace
-
-        integrals = replace(integrals, n_electrons=molecule.n_electrons)
+        integrals, rhf = integrals_from_geometry(json.load(fh))
     _write_text(args.out, write_fcidump(integrals))
     _emit(
         {
@@ -132,7 +125,7 @@ def cmd_vqe(args) -> int:
             "command": "vqe",
             "e_vqe": result.vqe.final_energy,
             "e_fci": result.e_fci,
-            "error_mha": (result.vqe.final_energy - result.e_fci) * 1000.0,
+            "error_mha": result.error_mha,
             "n_qubits": result.n_qubits,
             "n_pauli_terms": result.n_pauli_terms,
             "n_groups": result.n_groups,

@@ -119,8 +119,8 @@ def parse_fcidump(text: str) -> MolecularIntegrals:
     )
 
 
-def write_fcidump(integrals: MolecularIntegrals, zero_tol: float = 0.0) -> str:
-    """Serialize to FCIDUMP text; ``zero_tol`` drops |value| <= tol entries."""
+def write_fcidump(integrals: MolecularIntegrals) -> str:
+    """Serialize to FCIDUMP text; entries that are exactly zero are not written."""
     n = integrals.n_spatial_orbitals
     ms2 = integrals.n_electrons % 2
     out = [
@@ -139,12 +139,12 @@ def write_fcidump(integrals: MolecularIntegrals, zero_tol: float = 0.0) -> str:
                 l_max = j if k == i else k
                 for l in range(l_max + 1):
                     v = float(integrals.g[i, j, k, l])
-                    if abs(v) > zero_tol:
+                    if abs(v) > 0.0:
                         out.append(fmt(v, i + 1, j + 1, k + 1, l + 1))
     for i in range(n):
         for j in range(i + 1):
             v = float(integrals.h[i, j])
-            if abs(v) > zero_tol:
+            if abs(v) > 0.0:
                 out.append(fmt(v, i + 1, j + 1, 0, 0))
     out.append(fmt(float(integrals.constant_energy), 0, 0, 0, 0))
     return "\n".join(out) + "\n"

@@ -64,12 +64,15 @@ class Molecule:
         "charge": int}`` with positions in Bohr.
         """
         atoms = []
-        for entry in doc["atoms"]:
-            symbol = entry["symbol"]
-            if symbol not in ELEMENT_Z:
-                raise UnsupportedElementError(f"unknown element symbol {symbol!r}")
-            atoms.append((symbol, ELEMENT_Z[symbol], np.asarray(entry["xyz_bohr"], dtype=float)))
-        charge = int(doc.get("charge", 0))
+        try:
+            for entry in doc["atoms"]:
+                symbol = entry["symbol"]
+                if symbol not in ELEMENT_Z:
+                    raise UnsupportedElementError(f"unknown element symbol {symbol!r}")
+                atoms.append((symbol, ELEMENT_Z[symbol], np.asarray(entry["xyz_bohr"], dtype=float)))
+            charge = int(doc.get("charge", 0))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ShapeError(f"malformed geometry: {type(exc).__name__}: {exc}") from None
         n_electrons = sum(z for _, z, _ in atoms) - charge
         return cls(tuple(atoms), n_electrons)
 
@@ -303,6 +306,12 @@ def run_rhf(ao: AOIntegrals, n_electrons: int) -> RhfResult:
         eps, c_prime = np.linalg.eigh(x.T @ fock @ x)
         return eps, x @ c_prime
 
+    def fock_and_energy(density):
+        coulomb = np.einsum("pqrs,rs->pq", ao.eri, density)
+        exchange = np.einsum("prqs,rs->pq", ao.eri, density)
+        fock = h_core + coulomb - 0.5 * exchange
+        return fock, 0.5 * np.einsum("pq,pq->", density, h_core + fock) + ao.e_nuc
+
     if n_electrons == 0:
         eps, c = solve_fock(h_core)
         return RhfResult(ao.e_nuc, eps, c, 0, True, 0, (ao.e_nuc,))
@@ -312,10 +321,7 @@ def run_rhf(ao: AOIntegrals, n_electrons: int) -> RhfResult:
     density = 2.0 * c[:, :n_occ] @ c[:, :n_occ].T
     trace = []
     for iteration in range(1, SCF_MAX_ITERATIONS + 1):
-        coulomb = np.einsum("pqrs,rs->pq", ao.eri, density)
-        exchange = np.einsum("prqs,rs->pq", ao.eri, density)
-        fock = h_core + coulomb - 0.5 * exchange
-        energy = 0.5 * np.einsum("pq,pq->", density, h_core + fock) + ao.e_nuc
+        fock, energy = fock_and_energy(density)
         trace.append(float(energy))
 
         eps, c = solve_fock(fock)
@@ -323,10 +329,7 @@ def run_rhf(ao: AOIntegrals, n_electrons: int) -> RhfResult:
         delta = np.abs(new_density - density).max()
         density = new_density
         if delta < SCF_DENSITY_TOLERANCE:
-            coulomb = np.einsum("pqrs,rs->pq", ao.eri, density)
-            exchange = np.einsum("prqs,rs->pq", ao.eri, density)
-            fock = h_core + coulomb - 0.5 * exchange
-            energy = 0.5 * np.einsum("pq,pq->", density, h_core + fock) + ao.e_nuc
+            _, energy = fock_and_energy(density)
             trace.append(float(energy))
             return RhfResult(
                 float(energy), eps, c, iteration, True, n_electrons, tuple(trace)

@@ -8,8 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ShapeError
-from .paulis import QubitHamiltonian, commutes_qubitwise
-from .simulator import Statevector, apply_single_qubit
+from .paulis import QubitHamiltonian, _bit_parity, commutes_qubitwise
+from .simulator import Statevector, apply_single_qubit, sample_counts
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 # rotate the measurement axis onto Z: H for X, H S^+ for Y
@@ -94,29 +94,7 @@ def _group_probabilities(state: Statevector, basis: str) -> np.ndarray:
     for q, letter in enumerate(basis):
         if letter in _BASIS_CHANGE:
             amplitudes = apply_single_qubit(amplitudes, q, _BASIS_CHANGE[letter])
-    probs = np.abs(amplitudes) ** 2
-    return probs / probs.sum()
-
-
-def _shot_allocation(hamiltonian, groups, shots_per_group, allocation):
-    """Per-group shot counts; 'uniform' or 'variance_weighted'."""
-    if allocation == "uniform":
-        return [shots_per_group] * len(groups)
-    if allocation != "variance_weighted":
-        raise ShapeError(f"unknown allocation {allocation!r}")
-    weights = []
-    for group in groups:
-        w2 = sum(
-            hamiltonian.terms[i][0] ** 2
-            for i in group.term_indices
-            if not hamiltonian.terms[i][1].is_identity
-        )
-        weights.append(math.sqrt(w2))
-    total = shots_per_group * len(groups)
-    scale = sum(weights)
-    if scale <= 0.0:
-        return [shots_per_group] * len(groups)
-    return [max(1, round(total * w / scale)) for w in weights]
+    return np.abs(amplitudes) ** 2
 
 
 def estimate_energy_sampled(
@@ -125,7 +103,6 @@ def estimate_energy_sampled(
     groups,
     shots_per_group: int,
     seed: int,
-    allocation: str = "uniform",
 ) -> EnergyEstimate:
     """Monte-Carlo energy estimate from per-group basis measurements.
 
@@ -144,7 +121,6 @@ def estimate_energy_sampled(
 
     dim = 1 << hamiltonian.n_qubits
     indices = np.arange(dim, dtype=np.uint32)
-    group_shots = _shot_allocation(hamiltonian, groups, shots_per_group, allocation)
 
     energy = 0.0
     variance = 0.0
@@ -155,26 +131,16 @@ def estimate_energy_sampled(
         energy += sum(w for w, p in weights_strings if p.is_identity)
         if not sampled:
             continue
-        n_shots = group_shots[gid]
-        probs = _group_probabilities(state, group.basis)
-        rng = np.random.default_rng(seed + gid)
-        counts = rng.multinomial(n_shots, probs)
-        shots_used += n_shots
+        counts = sample_counts(
+            _group_probabilities(state, group.basis), shots_per_group, seed + gid
+        )
+        shots_used += shots_per_group
         occupied = np.nonzero(counts)[0]
         for weight, pauli in sampled:
             support = np.uint32(pauli.support_mask)
-            parity = 1.0 - 2.0 * _parity_bits(indices[occupied] & support)
-            mean = float(np.dot(counts[occupied], parity)) / n_shots
+            parity = 1.0 - 2.0 * _bit_parity(indices[occupied] & support)
+            mean = float(np.dot(counts[occupied], parity)) / shots_per_group
             energy += weight * mean
-            variance += weight**2 * max(0.0, 1.0 - mean**2) / n_shots
+            variance += weight**2 * max(0.0, 1.0 - mean**2) / shots_per_group
     return EnergyEstimate(float(energy), math.sqrt(variance), shots_used)
 
-
-def _parity_bits(values: np.ndarray) -> np.ndarray:
-    v = values.astype(np.uint32)
-    v ^= v >> np.uint32(16)
-    v ^= v >> np.uint32(8)
-    v ^= v >> np.uint32(4)
-    v ^= v >> np.uint32(2)
-    v ^= v >> np.uint32(1)
-    return (v & np.uint32(1)).astype(np.float64)

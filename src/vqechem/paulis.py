@@ -138,27 +138,6 @@ class QubitHamiltonian:
                 return w
         return 0.0
 
-    def to_lines(self) -> str:
-        """One term per line: ``<coefficient> <letters>``, qubit 0 leftmost."""
-        return "\n".join(f"{w!r} {p.to_letters()}" for w, p in self.terms)
-
-    @classmethod
-    def from_lines(cls, text: str) -> QubitHamiltonian:
-        coeffs = {}
-        n_qubits = None
-        for raw in text.splitlines():
-            line = raw.strip()
-            if not line:
-                continue
-            w_str, letters = line.split()
-            if n_qubits is None:
-                n_qubits = len(letters)
-            p = PauliString.from_letters(letters)
-            coeffs[(p.x_mask, p.z_mask)] = coeffs.get((p.x_mask, p.z_mask), 0.0) + float(w_str)
-        if n_qubits is None:
-            raise ShapeError("no terms in serialized Hamiltonian")
-        return cls.from_term_dict(n_qubits, coeffs)
-
 
 def _bit_parity(values: np.ndarray) -> np.ndarray:
     """Parity of the set bits of each entry (entries < 2**32)."""

@@ -17,7 +17,7 @@ from .paulis import PauliString, QubitHamiltonian, pauli_action
 
 MAX_QUBITS = 24  # 2**24 complex amplitudes = 256 MiB; hard memory guard
 
-GATE_KINDS = ("x", "ry", "rz", "cnot", "cz", "pauli_rot")
+GATE_KINDS = ("ry", "cz", "pauli_rot")
 
 
 @dataclass(frozen=True)
@@ -36,13 +36,6 @@ class Statevector:
 
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
-
-    def to_csv(self) -> str:
-        """Debug dump: one ``index,re,im`` row per amplitude."""
-        rows = ["index,re,im"]
-        for i, a in enumerate(self.amplitudes):
-            rows.append(f"{i},{float(a.real)!r},{float(a.imag)!r}")
-        return "\n".join(rows) + "\n"
 
 
 @dataclass(frozen=True)
@@ -111,16 +104,6 @@ class Circuit:
             depth = max(depth, layer)
         return depth
 
-    def to_lines(self) -> str:
-        """Debug form, one gate per line: kind, qubits, slot or angle, letters."""
-        rows = []
-        for g in self.gates:
-            qubits = ",".join(str(q) for q in g.qubits)
-            param = f"slot{g.slot}*{g.angle!r}" if g.slot is not None else repr(g.angle)
-            extra = f" {g.pauli.to_letters()}" if g.pauli is not None else ""
-            rows.append(f"{g.kind} {qubits} {param}{extra}")
-        return "\n".join(rows) + "\n"
-
 
 def prepare_hf(n_qubits: int, occupied) -> Statevector:
     """Computational basis state with 1s at the occupied qubit positions."""
@@ -143,31 +126,17 @@ def apply_single_qubit(amplitudes: np.ndarray, qubit: int, matrix: np.ndarray) -
 
 
 def _apply_gate(amplitudes: np.ndarray, gate: Gate, parameters) -> np.ndarray:
-    if gate.kind == "x":
-        (q,) = gate.qubits
-        return apply_single_qubit(amplitudes, q, np.array([[0, 1], [1, 0]], dtype=np.complex128))
     if gate.kind == "ry":
         (q,) = gate.qubits
         half = 0.5 * gate.resolved_angle(parameters)
         c, s = np.cos(half), np.sin(half)
         return apply_single_qubit(amplitudes, q, np.array([[c, -s], [s, c]], dtype=np.complex128))
-    if gate.kind == "rz":
-        (q,) = gate.qubits
-        half = 0.5 * gate.resolved_angle(parameters)
-        return apply_single_qubit(
-            amplitudes, q, np.array([[np.exp(-1j * half), 0], [0, np.exp(1j * half)]])
-        )
-    if gate.kind in ("cnot", "cz"):
+    if gate.kind == "cz":
         control, target = gate.qubits
         idx = np.arange(amplitudes.shape[0])
-        ctrl_on = (idx >> control) & 1 == 1
+        both = ((idx >> control) & 1 == 1) & ((idx >> target) & 1 == 1)
         out = amplitudes.copy()
-        if gate.kind == "cnot":
-            src = idx[ctrl_on] ^ (1 << target)
-            out[idx[ctrl_on]] = amplitudes[src]
-        else:
-            both = ctrl_on & ((idx >> target) & 1 == 1)
-            out[both] *= -1.0
+        out[both] *= -1.0
         return out
     # pauli_rot: exp(-i angle/2 P) = cos(angle/2) I - i sin(angle/2) P
     half = 0.5 * gate.resolved_angle(parameters)
@@ -203,6 +172,12 @@ def expectation(state: Statevector, hamiltonian: QubitHamiltonian) -> float:
     return float(value.real)
 
 
+def sample_counts(probabilities: np.ndarray, n_shots: int, seed: int) -> np.ndarray:
+    """Seeded multinomial draw of ``n_shots`` outcomes; one count per index."""
+    probabilities = probabilities / probabilities.sum()
+    return np.random.default_rng(seed).multinomial(n_shots, probabilities)
+
+
 def sample(state: Statevector, n_shots: int, seed: int) -> dict[str, int]:
     """Seeded computational-basis sampling; returns bitstring -> count.
 
@@ -210,10 +185,7 @@ def sample(state: Statevector, n_shots: int, seed: int) -> dict[str, int]:
     """
     if n_shots < 1:
         raise ShapeError("n_shots must be >= 1")
-    probs = state.probabilities()
-    probs = probs / probs.sum()
-    rng = np.random.default_rng(seed)
-    counts = rng.multinomial(n_shots, probs)
+    counts = sample_counts(state.probabilities(), n_shots, seed)
     n = state.n_qubits
     result = {}
     for index in np.nonzero(counts)[0]:

@@ -7,5 +7,4 @@ but is stored in Bohr.
 
 HARTREE_TO_KCALMOL = 627.509474
 ANGSTROM_TO_BOHR = 1.8897259886
-BOHR_TO_ANGSTROM = 1.0 / ANGSTROM_TO_BOHR
 MILLIHARTREE_PER_HARTREE = 1000.0

@@ -11,21 +11,27 @@ and reorderable.
 
 from __future__ import annotations
 
-import json
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .ansatz import build_hardware_efficient, build_uccsd
 from .exactdiag import ground_state_energy
-from .exceptions import FitBracketError, BarrierError, CurveAlignmentError, ManifestError
+from .exceptions import (
+    BarrierError,
+    CurveAlignmentError,
+    FitBracketError,
+    ManifestError,
+    VqeChemError,
+)
 from .fcidump import parse_fcidump
 from .fermions import build_second_quantized, jordan_wigner
 from .integrals import (
     ActiveSpaceSpec,
     Molecule,
     MolecularIntegrals,
+    RhfResult,
     compute_ao_integrals,
     freeze_core,
     run_rhf,
@@ -33,7 +39,7 @@ from .integrals import (
 )
 from .measurement import group_commuting
 from .optimize import OptimizerConfig, VqeResult, run_vqe
-from .units import ANGSTROM_TO_BOHR, HARTREE_TO_KCALMOL
+from .units import ANGSTROM_TO_BOHR, HARTREE_TO_KCALMOL, MILLIHARTREE_PER_HARTREE
 
 
 @dataclass(frozen=True)
@@ -74,6 +80,11 @@ class ScanManifest:
             raise ManifestError(f"unknown ansatz {self.ansatz!r}")
         if self.mode not in ("exact", "sampled"):
             raise ManifestError(f"unknown mode {self.mode!r}")
+        for name, least in (("restarts", 1), ("shots", 1), ("reps", 0)):
+            if getattr(self, name) < least:
+                raise ManifestError(f"{name} must be >= {least}, got {getattr(self, name)}")
+        if not all(isinstance(i, int) for i in self.freeze):
+            raise ManifestError(f"freeze must list orbital indices, got {list(self.freeze)}")
 
 
 @dataclass(frozen=True)
@@ -94,6 +105,10 @@ class SinglePointResult:
     n_qubits: int
     n_pauli_terms: int
     n_groups: int
+
+    @property
+    def error_mha(self) -> float:
+        return (self.vqe.final_energy - self.e_fci) * MILLIHARTREE_PER_HARTREE
 
 
 def load_manifest(doc: dict, base_dir: str = ".") -> ScanManifest:
@@ -116,7 +131,9 @@ def load_manifest(doc: dict, base_dir: str = ".") -> ScanManifest:
     import os
 
     points = []
-    for entry in doc.get("points", []):
+    for n, entry in enumerate(doc.get("points", [])):
+        if "label" not in entry:
+            raise ManifestError(f"point {n} has no label")
         fcidump_path = entry.get("fcidump")
         if fcidump_path is not None:
             fcidump_path = os.path.join(base_dir, fcidump_path)
@@ -128,6 +145,9 @@ def load_manifest(doc: dict, base_dir: str = ".") -> ScanManifest:
                 fcidump_path=fcidump_path,
             )
         )
+    unknown = set(doc.get("optimizer", {})) - {f.name for f in fields(OptimizerConfig)}
+    if unknown:
+        raise ManifestError(f"unknown optimizer keys: {sorted(unknown)}")
     optimizer = OptimizerConfig(**doc.get("optimizer", {}))
     return ScanManifest(
         label=str(doc.get("label", "scan")),
@@ -149,24 +169,29 @@ def point_seed(base_seed: int, label: str) -> int:
     return (base_seed + zlib.crc32(label.encode("utf-8"))) % (2**31)
 
 
-def integrals_for_point(point: ScanPoint, freeze: tuple = ()) -> MolecularIntegrals:
-    """Resolve a scan point to (optionally frozen-core) MO integrals.
+def integrals_from_geometry(geometry: dict) -> tuple[MolecularIntegrals, RhfResult]:
+    """Built-in STO-3G + RHF pipeline: geometry document -> MO integrals.
 
-    Inline hydrogen geometries run the built-in STO-3G + RHF pipeline; for
-    an odd electron count the orbitals come from the largest even count
+    For an odd electron count the orbitals come from the largest even count
     (full CI is invariant to this orbital choice, and the extra electron
     occupies the next alpha spin orbital of the reference).
     """
+    molecule = Molecule.from_geometry_dict(geometry)
+    ao = compute_ao_integrals(molecule)
+    rhf = run_rhf(ao, molecule.n_electrons - molecule.n_electrons % 2)
+    integrals = transform_to_mo(ao, rhf)
+    if molecule.n_electrons % 2:
+        integrals = replace(integrals, n_electrons=molecule.n_electrons)
+    return integrals, rhf
+
+
+def integrals_for_point(point: ScanPoint, freeze: tuple = ()) -> MolecularIntegrals:
+    """Resolve a scan point to (optionally frozen-core) MO integrals."""
     if point.fcidump_path is not None:
         with open(point.fcidump_path, "r", encoding="utf-8") as fh:
             integrals = parse_fcidump(fh.read())
     else:
-        molecule = Molecule.from_geometry_dict(point.geometry)
-        ao = compute_ao_integrals(molecule)
-        rhf = run_rhf(ao, molecule.n_electrons - molecule.n_electrons % 2)
-        integrals = transform_to_mo(ao, rhf)
-        if molecule.n_electrons % 2:
-            integrals = replace(integrals, n_electrons=molecule.n_electrons)
+        integrals, _ = integrals_from_geometry(point.geometry)
     if freeze:
         n = integrals.n_spatial_orbitals
         active = tuple(i for i in range(n) if i not in set(freeze))
@@ -227,19 +252,18 @@ def run_scan(manifest: ScanManifest):
                 shots=manifest.shots,
                 restarts=manifest.restarts,
             )
-            e_vqe, e_fci = result.vqe.final_energy, result.e_fci
             points.append(
                 PesPoint(
                     geometry_label=point.label,
                     coordinate=point.coordinate,
-                    e_vqe=e_vqe,
-                    e_fci=e_fci,
-                    error_mha=(e_vqe - e_fci) * 1000.0,
+                    e_vqe=result.vqe.final_energy,
+                    e_fci=result.e_fci,
+                    error_mha=result.error_mha,
                     n_pauli_terms=result.n_pauli_terms,
                     n_groups=result.n_groups,
                 )
             )
-        except Exception as exc:  # per-point isolation is the contract
+        except (VqeChemError, OSError) as exc:  # per-point isolation; bugs propagate
             errors.append((point.label, f"{type(exc).__name__}: {exc}"))
     if manifest.points and not points:
         raise ManifestError(f"all {len(manifest.points)} scan points failed: {errors}")
@@ -448,7 +472,3 @@ def h3_exchange_point(label: str, s: float, r_eq: float = 0.74,
         "coordinate": s,
         "geometry": hydrogen_geometry([[0.0, 0.0, z0], [0.0, 0.0, z1], [0.0, 0.0, z2]]),
     }
-
-
-def manifest_to_json(manifest_doc: dict) -> str:
-    return json.dumps(manifest_doc, indent=2, sort_keys=True) + "\n"

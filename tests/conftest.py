@@ -3,6 +3,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, os.path.dirname(__file__))  # make `oracles` importable
 
@@ -11,6 +12,10 @@ from vqechem.integrals import Molecule, compute_ao_integrals, run_rhf, transform
 from vqechem.units import ANGSTROM_TO_BOHR
 
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "fixtures")
+
+# Property tests draw the same examples on every run and keep no example database.
+settings.register_profile("derandomized", derandomize=True, database=None, deadline=None)
+settings.load_profile("derandomized")
 
 ACCEPTANCE_LINES = []
 

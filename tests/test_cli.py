@@ -3,6 +3,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from vqechem.cli import main
 from vqechem.fcidump import parse_fcidump
@@ -116,6 +117,33 @@ def test_one_point_manifest_then_fit_errors(tmp_path, capsys):
     assert main(["scan", "--manifest", manifest, "--out", str(out)]) == 0
     assert main(["fit", "--curve", str(out)]) == 2
     assert "points" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "corrupt, key",
+    [
+        (lambda doc: doc["optimizer"].update(learning_rate=0.1), "learning_rate"),
+        (lambda doc: doc["points"][0].pop("label"), "label"),
+        (lambda doc: doc.update(restarts=0), "restarts"),
+        (lambda doc: doc.update(shots=0), "shots"),
+        (lambda doc: doc.update(ansatz="hardware", reps=-1), "reps"),
+        (lambda doc: doc.update(freeze=["core"]), "freeze"),
+    ],
+    ids=["unknown-optimizer-key", "point-without-label", "zero-restarts", "zero-shots",
+         "negative-reps", "non-integer-freeze"],
+)
+def test_malformed_manifest_rejected_up_front(tmp_path, capsys, corrupt, key):
+    manifest = small_manifest(tmp_path)
+    doc = json.loads((tmp_path / "manifest.json").read_text())
+    corrupt(doc)
+    write_json(tmp_path / "manifest.json", doc)
+    out = tmp_path / "scan.csv"
+    assert main(["scan", "--manifest", manifest, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and key in err
+    assert "Traceback" not in err and "scan points failed" not in err
+    assert not out.exists()
 
 
 def test_fit_on_synthetic_curve(tmp_path, capsys):

@@ -247,3 +247,17 @@ def test_geometry_dict_roundtrip():
     mol = Molecule.from_geometry_dict(doc)
     assert mol.n_electrons == 2
     assert mol.atoms[1][2][2] == 1.4
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"charge": 0},
+        {"atoms": [{"symbol": "H"}]},
+        {"atoms": [{"symbol": "H", "xyz_bohr": [0, 0, 0]}], "charge": "two"},
+    ],
+    ids=["no-atoms", "no-position", "bad-charge"],
+)
+def test_malformed_geometry_dict_raises_package_error(doc):
+    with pytest.raises(ShapeError, match="malformed geometry"):
+        Molecule.from_geometry_dict(doc)

@@ -10,7 +10,7 @@ from vqechem.measurement import (
     grouping_report_csv,
 )
 from vqechem.paulis import PauliString, QubitHamiltonian, commutes_qubitwise
-from vqechem.simulator import Statevector, expectation, prepare_hf
+from vqechem.simulator import Statevector, expectation, prepare_hf, sample
 
 
 def ham(n, letter_weights):
@@ -160,17 +160,29 @@ def test_grouped_equals_ungrouped_in_expectation(h2_hamiltonian_074):
     assert abs(diffs.mean()) < 5 * stderr_of_mean
 
 
-def test_variance_weighted_allocation(h2_hamiltonian_074):
-    state = prepare_hf(4, {0, 1})
-    groups = group_commuting(h2_hamiltonian_074)
-    uniform = estimate_energy_sampled(state, h2_hamiltonian_074, groups, 1000, 0)
-    weighted = estimate_energy_sampled(
-        state, h2_hamiltonian_074, groups, 1000, 0, allocation="variance_weighted"
-    )
-    assert weighted.shots_used > 0
-    exact = expectation(state, h2_hamiltonian_074)
-    for estimate in (uniform, weighted):
-        assert abs(estimate.energy - exact) <= 6 * max(estimate.standard_error, 1e-12)
+def test_sample_and_estimator_share_one_draw():
+    # one all-Z group is measured in the computational basis, so the
+    # estimator's draw for group 0 is exactly what `sample` returns
+    h = ham(3, {"ZII": 0.5, "IZI": -0.3, "IIZ": 0.7, "ZZZ": 0.2})
+    groups = group_commuting(h)
+    assert [g.basis for g in groups] == ["ZZZ"]
+    rng = np.random.default_rng(21)
+    amps = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+    state = Statevector(3, amps / np.linalg.norm(amps))
+    shots, seed = 500, 77
+    counts = sample(state, shots, seed)
+    energy = 0.0
+    for weight, pauli in h.terms:
+        support = [q for q in range(3) if (pauli.support_mask >> q) & 1]
+        total = sum(
+            n * (-1) ** sum(int(bits[q]) for q in support) for bits, n in counts.items()
+        )
+        energy += weight * total / shots
+    estimate = estimate_energy_sampled(state, h, groups, shots, seed)
+    assert estimate.shots_used == shots
+    assert estimate.energy == pytest.approx(energy, abs=1e-12)
+    other_seed = estimate_energy_sampled(state, h, groups, shots, seed + 1)
+    assert abs(other_seed.energy - energy) > 1e-6
 
 
 def test_group_partition_validation(h2_hamiltonian_074):

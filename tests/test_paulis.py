@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from oracles import hamiltonian_matrix, pauli_matrix
 from vqechem.exceptions import ShapeError
 from vqechem.paulis import (
     PauliString,
     QubitHamiltonian,
+    _bit_parity,
     commutes_qubitwise,
     pauli_action,
     pauli_multiply,
@@ -110,20 +112,10 @@ def test_hamiltonian_rejects_duplicates():
         QubitHamiltonian(1, ((0.5, P("X")), (0.25, P("X"))))
 
 
-def test_serialization_roundtrip_and_stability():
-    h = QubitHamiltonian.from_term_dict(
-        4,
-        {
-            (P("IIZZ").x_mask, P("IIZZ").z_mask): 0.1702,
-            (P("XYIZ").x_mask, P("XYIZ").z_mask): -0.03,
-            (0, 0): -1.25,
-        },
-    )
-    text = h.to_lines()
-    assert "0.1702 IIZZ" in text
-    again = QubitHamiltonian.from_lines(text)
-    assert again == h
-    assert again.to_lines() == text
+@given(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=64))
+def test_bit_parity_matches_popcount(values):
+    parity = _bit_parity(np.array(values, dtype=np.uint32))
+    assert parity.tolist() == [bin(v).count("1") % 2 for v in values]
 
 
 def test_pauli_action_matches_dense():

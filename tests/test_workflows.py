@@ -8,6 +8,7 @@ from vqechem.exceptions import (
     ManifestError,
 )
 from vqechem.optimize import OptimizerConfig
+from vqechem import workflows
 from vqechem.units import HARTREE_TO_KCALMOL
 from vqechem.workflows import (
     PesPoint,
@@ -193,6 +194,15 @@ def test_scan_all_points_failed_raises(tmp_path):
     manifest = load_manifest(doc, base_dir=str(tmp_path))
     with pytest.raises(ManifestError):
         run_scan(manifest)
+
+
+def test_scan_lets_programming_errors_propagate(monkeypatch):
+    def broken(*args, **kwargs):
+        raise TypeError("bug inside the pipeline")
+
+    monkeypatch.setattr(workflows, "run_single_point", broken)
+    with pytest.raises(TypeError, match="bug inside"):
+        run_scan(load_manifest(h2_manifest_doc([0.74])))
 
 
 def test_manifest_rejects_duplicate_labels():
