@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ShapeError
-from .paulis import QubitHamiltonian, _bit_parity, commutes_qubitwise
+from .paulis import PauliString, QubitHamiltonian, sign_table
 from .simulator import Statevector, apply_single_qubit, sample_counts
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
@@ -47,37 +47,32 @@ def group_commuting(hamiltonian: QubitHamiltonian) -> list[MeasurementGroup]:
     """
     if hamiltonian.n_terms == 0:
         raise ShapeError("cannot group an empty Hamiltonian")
-    strings = [p for _, p in hamiltonian.terms]
-    n = len(strings)
-    adjacency = [set() for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not commutes_qubitwise(strings[i], strings[j]):
-                adjacency[i].add(j)
-                adjacency[j].add(i)
+    n_qubits = hamiltonian.n_qubits
+    dtype = np.min_scalar_type((1 << n_qubits) - 1)
+    x = np.array([p.x_mask for _, p in hamiltonian.terms], dtype=dtype)
+    z = np.array([p.z_mask for _, p in hamiltonian.terms], dtype=dtype)
+    support = x | z
+    # two strings fail qubit-wise commutation where both act and the letters differ
+    conflict = (((x[:, None] ^ x) | (z[:, None] ^ z)) & (support[:, None] & support)) != 0
 
-    order = sorted(range(n), key=lambda i: (-len(adjacency[i]), i))
-    color = {}
+    order = np.argsort(-conflict.sum(axis=1), kind="stable")
+    color = np.full(hamiltonian.n_terms, -1)
+    n_colors = 0
     for vertex in order:
-        taken = {color[u] for u in adjacency[vertex] if u in color}
-        c = 0
-        while c in taken:
-            c += 1
+        neighbors = color[conflict[vertex]]
+        taken = np.zeros(n_colors + 1, dtype=bool)
+        taken[neighbors[neighbors >= 0]] = True
+        c = int(np.argmin(taken))  # the first color not taken
         color[vertex] = c
+        n_colors = max(n_colors, c + 1)
 
     groups = []
-    for c in range(max(color.values()) + 1):
-        members = tuple(i for i in range(n) if color[i] == c)
-        letters = []
-        for q in range(hamiltonian.n_qubits):
-            letter = "I"
-            for i in members:
-                candidate = strings[i].to_letters()[q]
-                if candidate != "I":
-                    letter = candidate
-                    break
-            letters.append(letter)
-        groups.append(MeasurementGroup(members, "".join(letters)))
+    for c in range(n_colors):
+        members = np.flatnonzero(color == c)
+        # members commute qubit-wise, so OR-ing their masks keeps each qubit's letter
+        basis = PauliString(n_qubits, int(np.bitwise_or.reduce(x[members])),
+                            int(np.bitwise_or.reduce(z[members])))
+        groups.append(MeasurementGroup(tuple(members.tolist()), basis.to_letters()))
     return groups
 
 
@@ -97,6 +92,41 @@ def _group_probabilities(state: Statevector, basis: str) -> np.ndarray:
     return np.abs(amplitudes) ** 2
 
 
+@dataclass(frozen=True, eq=False)
+class GroupTables:
+    """Measurement groups with the per-term tables the estimator reads.
+
+    Per group: its basis string, its identity weight (None without one),
+    the weights of its other terms and their +/-1 parity over each term's
+    support at every basis index, one row per term.
+    """
+
+    groups: tuple  # (basis, identity weight, weights, parity table) per group
+
+
+def group_tables(hamiltonian: QubitHamiltonian, groups) -> GroupTables:
+    """Build the estimator's tables once for a Hamiltonian and its grouping."""
+    covered = sorted(i for g in groups for i in g.term_indices)
+    if covered != list(range(hamiltonian.n_terms)):
+        raise ShapeError("groups do not partition the Hamiltonian terms")
+    tables = []
+    for group in groups:
+        terms = [hamiltonian.terms[i] for i in group.term_indices]
+        identity = next((w for w, p in terms if p.is_identity), None)
+        sampled = [(w, p) for w, p in terms if not p.is_identity]
+        weights = np.array([w for w, _ in sampled], dtype=float)
+        parity = sign_table([p.support_mask for _, p in sampled], hamiltonian.n_qubits)
+        tables.append((group.basis, identity, weights, parity))
+    return GroupTables(tuple(tables))
+
+
+def _running_sum(parts) -> float:
+    """Left-to-right sum, rounded exactly as a scalar ``+=`` loop would be."""
+    if not parts:
+        return 0.0
+    return float(np.cumsum(np.concatenate(parts))[-1])
+
+
 def estimate_energy_sampled(
     state: Statevector,
     hamiltonian: QubitHamiltonian,
@@ -110,37 +140,29 @@ def estimate_energy_sampled(
     sampled with an independent generator seeded ``seed + group index``.
     <P> for each term is the mean +/-1 parity over the term's support;
     the quoted standard error treats all terms as independent.
+    ``groups`` is a list of :class:`MeasurementGroup` or, to build the
+    tables once for many calls, the :class:`GroupTables` of
+    :func:`group_tables`.
     """
     if shots_per_group < 1:
         raise ShapeError("shots_per_group must be >= 1")
     if hamiltonian.n_qubits != state.n_qubits:
         raise ShapeError("Hamiltonian and state qubit counts differ")
-    covered = sorted(i for g in groups for i in g.term_indices)
-    if covered != list(range(hamiltonian.n_terms)):
-        raise ShapeError("groups do not partition the Hamiltonian terms")
+    tables = groups if isinstance(groups, GroupTables) else group_tables(hamiltonian, groups)
 
-    dim = 1 << hamiltonian.n_qubits
-    indices = np.arange(dim, dtype=np.uint32)
-
-    energy = 0.0
-    variance = 0.0
+    energy_parts, variance_parts = [], []
     shots_used = 0
-    for gid, group in enumerate(groups):
-        weights_strings = [hamiltonian.terms[i] for i in group.term_indices]
-        sampled = [(w, p) for w, p in weights_strings if not p.is_identity]
-        energy += sum(w for w, p in weights_strings if p.is_identity)
-        if not sampled:
+    for gid, (basis, identity, weights, parity) in enumerate(tables.groups):
+        if identity is not None:
+            energy_parts.append([identity])
+        if not weights.size:
             continue
-        counts = sample_counts(
-            _group_probabilities(state, group.basis), shots_per_group, seed + gid
-        )
+        counts = sample_counts(_group_probabilities(state, basis), shots_per_group, seed + gid)
         shots_used += shots_per_group
         occupied = np.nonzero(counts)[0]
-        for weight, pauli in sampled:
-            support = np.uint32(pauli.support_mask)
-            parity = 1.0 - 2.0 * _bit_parity(indices[occupied] & support)
-            mean = float(np.dot(counts[occupied], parity)) / shots_per_group
-            energy += weight * mean
-            variance += weight**2 * max(0.0, 1.0 - mean**2) / shots_per_group
-    return EnergyEstimate(float(energy), math.sqrt(variance), shots_used)
-
+        means = (parity[:, occupied] @ counts[occupied]) / shots_per_group
+        energy_parts.append(weights * means)
+        variance_parts.append(weights**2 * np.maximum(0.0, 1.0 - means**2) / shots_per_group)
+    return EnergyEstimate(
+        _running_sum(energy_parts), math.sqrt(_running_sum(variance_parts)), shots_used
+    )

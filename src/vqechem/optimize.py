@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .exceptions import OptimizerDivergedError, ShapeError
-from .measurement import estimate_energy_sampled, group_commuting
+from .measurement import estimate_energy_sampled, group_commuting, group_tables
 from .paulis import QubitHamiltonian
 from .simulator import Circuit, apply_circuit, expectation, prepare_hf
 
@@ -227,11 +227,15 @@ def minimize(objective, theta0, config: OptimizerConfig) -> VqeResult:
 def exact_energy_objective(
     hamiltonian: QubitHamiltonian, circuit: Circuit, hf_occupied
 ):
-    """theta -> <psi(theta)|H|psi(theta)> with exact statevector evaluation."""
+    """theta -> <psi(theta)|H|psi(theta)> with exact statevector evaluation.
+
+    The Hamiltonian is compiled once here and lives as long as the objective.
+    """
     reference = prepare_hf(hamiltonian.n_qubits, hf_occupied)
+    operator = hamiltonian.compile()
 
     def objective(theta):
-        return expectation(apply_circuit(reference, circuit, theta), hamiltonian)
+        return expectation(apply_circuit(reference, circuit, theta), operator)
 
     return objective
 
@@ -242,17 +246,19 @@ def sampled_energy_objective(
     """Objective backed by measurement-group sampling.
 
     Every evaluation draws fresh shots from a deterministic per-call seed,
-    so a full optimization is reproducible for a fixed base seed.
+    so a full optimization is reproducible for a fixed base seed. The
+    groups' parity tables are built once here and live as long as the
+    objective.
     """
     reference = prepare_hf(hamiltonian.n_qubits, hf_occupied)
-    groups = group_commuting(hamiltonian)
+    tables = group_tables(hamiltonian, group_commuting(hamiltonian))
     counter = [0]
 
     def objective(theta):
         state = apply_circuit(reference, circuit, theta)
         call_seed = seed + 100003 * counter[0]
         counter[0] += 1
-        return estimate_energy_sampled(state, hamiltonian, groups, shots, call_seed).energy
+        return estimate_energy_sampled(state, hamiltonian, tables, shots, call_seed).energy
 
     return objective
 

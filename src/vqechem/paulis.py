@@ -138,6 +138,26 @@ class QubitHamiltonian:
                 return w
         return 0.0
 
+    def x_masks(self) -> list[int]:
+        """The distinct x-masks, ascending: the rows of the compiled form."""
+        return sorted({p.x_mask for _, p in self.terms})
+
+    def compile(self) -> CompiledOperator:
+        """A new compiled form of the sum; the caller owns (and frees) it."""
+        dim = 1 << self.n_qubits
+        x_masks = self.x_masks()
+        gather = np.arange(dim) ^ np.array(x_masks, dtype=np.int64).reshape(-1, 1)
+        shifted = np.empty(gather.shape, dtype=np.complex128)
+        by_x = {x: [] for x in x_masks}
+        for w, p in self.terms:
+            by_x[p.x_mask].append((w, p))
+        for row, x in enumerate(x_masks):
+            weights = np.array([w * 1j ** int(p.x_mask & p.z_mask).bit_count()
+                                for w, p in by_x[x]])
+            diagonal = weights @ sign_table([p.z_mask for _, p in by_x[x]], self.n_qubits)
+            shifted[row] = diagonal[gather[row]]
+        return CompiledOperator(self.n_qubits, gather, shifted)
+
 
 def _bit_parity(values: np.ndarray) -> np.ndarray:
     """Parity of the set bits of each entry (entries < 2**32)."""
@@ -150,20 +170,53 @@ def _bit_parity(values: np.ndarray) -> np.ndarray:
     return (v & np.uint32(1)).astype(np.int8)
 
 
-def pauli_action(p: PauliString, vec: np.ndarray) -> np.ndarray:
-    """Apply one Pauli string to amplitudes indexed along the first axis.
+def sign_table(masks, n_qubits: int) -> np.ndarray:
+    """(-1)^popcount(b & m) as int8, one row per mask m, one column per basis index b."""
+    index = np.arange(1 << n_qubits, dtype=np.uint32)
+    masks = np.asarray(masks, dtype=np.uint32).reshape(-1, 1)
+    return 1 - 2 * _bit_parity(index & masks)
 
-    Pure index permutation plus phases; no matrix is formed:
-    P|b> = i^{#Y} (-1)^{popcount(b & z)} |b ^ x>.
+
+# x-mask rows per gather-add block of CompiledOperator.apply; bounds its
+# temporaries at 64 * 2**n amplitudes (4 MiB at 12 qubits)
+_ROWS_PER_BLOCK = 64
+
+
+@dataclass(frozen=True, eq=False)
+class CompiledOperator:
+    """A Hamiltonian as H = sum_x X^x D_x, one row per distinct x-mask.
+
+    A Pauli string acts as P|b> = i^{#Y} (-1)^popcount(b & z) |b ^ x>, so the
+    terms sharing an x-mask sum to X^x D_x with the diagonal
+    D_x[b] = sum of weight * i^{#Y} * (-1)^popcount(b & z). Row k stores
+    ``gather[k, c] = c ^ x_k`` and ``shifted[k, c] = D_{x_k}[c ^ x_k]``, so
+    (H v)[c] = sum_k shifted[k, c] * v[gather[k, c]].
     """
-    dim = 1 << p.n_qubits
-    if vec.shape[0] != dim:
-        raise ShapeError(f"vector length {vec.shape[0]} != 2**{p.n_qubits}")
-    idx = np.arange(dim, dtype=np.uint32)
-    phase = (1j) ** int(p.x_mask & p.z_mask).bit_count()
-    signs = 1.0 - 2.0 * _bit_parity(idx & np.uint32(p.z_mask))
-    out = np.empty_like(vec, dtype=np.complex128)
-    out[idx ^ np.uint32(p.x_mask)] = (phase * signs).reshape(
-        (dim,) + (1,) * (vec.ndim - 1)
-    ) * vec
-    return out
+
+    n_qubits: int
+    gather: np.ndarray  # (n_x_masks, 2**n) basis indices
+    shifted: np.ndarray  # (n_x_masks, 2**n) complex diagonals, permuted
+
+    def compile(self) -> CompiledOperator:
+        return self
+
+    def apply(self, vec: np.ndarray) -> np.ndarray:
+        """H @ vec: one gather-multiply-add per x-mask, no matrix."""
+        dim = 1 << self.n_qubits
+        if vec.shape != (dim,):
+            raise ShapeError(f"vector shape {vec.shape} != ({dim},)")
+        out = np.zeros(dim, dtype=np.complex128)
+        for start in range(0, self.gather.shape[0], _ROWS_PER_BLOCK):
+            rows = slice(start, start + _ROWS_PER_BLOCK)
+            out += (self.shifted[rows] * vec[self.gather[rows]]).sum(axis=0)
+        return out
+
+    def expectation(self, psi: np.ndarray) -> complex:
+        return complex(np.vdot(psi, self.apply(psi)))
+
+    def dense(self) -> np.ndarray:
+        """The 2**n x 2**n matrix (intended for small registers only)."""
+        dim = 1 << self.n_qubits
+        matrix = np.zeros((dim, dim), dtype=np.complex128)
+        matrix[np.arange(dim), self.gather] = self.shifted
+        return matrix

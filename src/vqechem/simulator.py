@@ -8,14 +8,17 @@ exponentials, so a single rotation carries no approximation error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .exceptions import ShapeError
-from .paulis import PauliString, QubitHamiltonian, pauli_action
+from .paulis import CompiledOperator, PauliString, QubitHamiltonian, sign_table
 
 MAX_QUBITS = 24  # 2**24 complex amplitudes = 256 MiB; hard memory guard
+# 1 GiB: cap on the tables and workspace of one circuit or one exact solve,
+# checked from the masks before anything is allocated
+MAX_ALLOCATION_BYTES = 1 << 30
 
 GATE_KINDS = ("ry", "cz", "pauli_rot")
 
@@ -67,11 +70,48 @@ class Gate:
         return self.angle * parameters[self.slot]
 
 
+def _rotation_tables(n_qubits: int, gates) -> tuple:
+    """(gather, phase) of each pauli_rot gate, None for the other kinds.
+
+    P|b> = i^{#Y} (-1)^popcount(b & z) |b ^ x>, so exp(-i a/2 P) maps psi to
+    cos(a/2) psi + sin(a/2) * phase * psi[gather] with gather[c] = c ^ x and
+    phase[c] = -i * i^{#Y} * (-1)^popcount((c ^ x) & z). Gates with the
+    same x-mask share one gather array.
+    """
+    rotations = [g for g in gates if g.kind == "pauli_rot"]
+    if not rotations:
+        return (None,) * len(gates)
+    n_gathers = len({g.pauli.x_mask for g in rotations})
+    needed = (len(rotations) * 16 + n_gathers * np.dtype(np.intp).itemsize) << n_qubits
+    if needed > MAX_ALLOCATION_BYTES:
+        raise ShapeError(
+            f"rotation tables of {len(rotations)} gates on {n_qubits} qubits need "
+            f"{needed / 2**30:.1f} GiB, above the {MAX_ALLOCATION_BYTES / 2**30:.0f} GiB limit"
+        )
+    index = np.arange(1 << n_qubits)
+    signs = iter(sign_table([g.pauli.z_mask for g in rotations], n_qubits))
+    gathers: dict[int, np.ndarray] = {}
+    tables = []
+    for gate in gates:
+        if gate.kind != "pauli_rot":
+            tables.append(None)
+            continue
+        p = gate.pauli
+        if p.x_mask not in gathers:
+            gathers[p.x_mask] = index ^ p.x_mask
+        gather = gathers[p.x_mask]
+        phase = -1j * 1j ** int(p.x_mask & p.z_mask).bit_count() * next(signs)[gather]
+        tables.append((gather, phase))
+    return tuple(tables)
+
+
 @dataclass(frozen=True)
 class Circuit:
     n_qubits: int
     gates: tuple
     n_parameters: int = 0
+    # per gate, built once with the circuit: see _rotation_tables
+    rotations: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         used = set()
@@ -88,6 +128,7 @@ class Circuit:
         if used != set(range(self.n_parameters)):
             missing = sorted(set(range(self.n_parameters)) - used)
             raise ShapeError(f"parameter slots never referenced: {missing}")
+        object.__setattr__(self, "rotations", _rotation_tables(self.n_qubits, self.gates))
 
     @property
     def depth(self) -> int:
@@ -125,7 +166,7 @@ def apply_single_qubit(amplitudes: np.ndarray, qubit: int, matrix: np.ndarray) -
     return np.ascontiguousarray(out).reshape(n)
 
 
-def _apply_gate(amplitudes: np.ndarray, gate: Gate, parameters) -> np.ndarray:
+def _apply_gate(amplitudes: np.ndarray, gate: Gate, rotation, parameters) -> np.ndarray:
     if gate.kind == "ry":
         (q,) = gate.qubits
         half = 0.5 * gate.resolved_angle(parameters)
@@ -140,8 +181,8 @@ def _apply_gate(amplitudes: np.ndarray, gate: Gate, parameters) -> np.ndarray:
         return out
     # pauli_rot: exp(-i angle/2 P) = cos(angle/2) I - i sin(angle/2) P
     half = 0.5 * gate.resolved_angle(parameters)
-    rotated = pauli_action(gate.pauli, amplitudes)
-    return np.cos(half) * amplitudes - 1j * np.sin(half) * rotated
+    gather, phase = rotation
+    return np.cos(half) * amplitudes + np.sin(half) * (phase * amplitudes[gather])
 
 
 def apply_circuit(state: Statevector, circuit: Circuit, parameters=()) -> Statevector:
@@ -154,19 +195,20 @@ def apply_circuit(state: Statevector, circuit: Circuit, parameters=()) -> Statev
             f"expected {circuit.n_parameters} parameters, got {parameters.shape}"
         )
     amplitudes = state.amplitudes.astype(np.complex128, copy=True)
-    for gate in circuit.gates:
-        amplitudes = _apply_gate(amplitudes, gate, parameters)
+    for gate, rotation in zip(circuit.gates, circuit.rotations):
+        amplitudes = _apply_gate(amplitudes, gate, rotation, parameters)
     return Statevector(state.n_qubits, amplitudes)
 
 
-def expectation(state: Statevector, hamiltonian: QubitHamiltonian) -> float:
-    """<psi|H|psi> as sum over Pauli terms; no dense matrix is built."""
+def expectation(state: Statevector, hamiltonian: QubitHamiltonian | CompiledOperator) -> float:
+    """<psi|H|psi> from the compiled x-mask form; no dense matrix is built.
+
+    Pass ``hamiltonian.compile()`` to evaluate many states against one
+    compiled form; a plain Hamiltonian is compiled for this call only.
+    """
     if hamiltonian.n_qubits != state.n_qubits:
         raise ShapeError("Hamiltonian and state qubit counts differ")
-    psi = state.amplitudes
-    value = 0.0 + 0.0j
-    for weight, pauli in hamiltonian.terms:
-        value += weight * np.vdot(psi, pauli_action(pauli, psi))
+    value = hamiltonian.compile().expectation(state.amplitudes)
     if abs(value.imag) > 1e-10:
         raise ShapeError(f"expectation has imaginary part {value.imag:.3e}")
     return float(value.real)

@@ -130,8 +130,15 @@ def load_manifest(doc: dict, base_dir: str = ".") -> ScanManifest:
     """
     import os
 
+    if not isinstance(doc, dict):
+        raise ManifestError("manifest must be a JSON object")
+    entries = doc.get("points", [])
+    if not isinstance(entries, list):
+        raise ManifestError(f"points must be a list, got {type(entries).__name__}")
     points = []
-    for n, entry in enumerate(doc.get("points", [])):
+    for n, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise ManifestError(f"point {n} must be an object, got {type(entry).__name__}")
         if "label" not in entry:
             raise ManifestError(f"point {n} has no label")
         fcidump_path = entry.get("fcidump")
@@ -140,28 +147,46 @@ def load_manifest(doc: dict, base_dir: str = ".") -> ScanManifest:
         points.append(
             ScanPoint(
                 label=str(entry["label"]),
-                coordinate=float(entry.get("coordinate", 0.0)),
+                coordinate=_number(float, entry.get("coordinate", 0.0),
+                                   f"point {n} coordinate"),
                 geometry=entry.get("geometry"),
                 fcidump_path=fcidump_path,
             )
         )
-    unknown = set(doc.get("optimizer", {})) - {f.name for f in fields(OptimizerConfig)}
+    options = doc.get("optimizer", {})
+    if not isinstance(options, dict):
+        raise ManifestError(f"optimizer must be an object, got {type(options).__name__}")
+    unknown = set(options) - {f.name for f in fields(OptimizerConfig)}
     if unknown:
         raise ManifestError(f"unknown optimizer keys: {sorted(unknown)}")
-    optimizer = OptimizerConfig(**doc.get("optimizer", {}))
+    try:
+        optimizer = OptimizerConfig(**options)
+    except TypeError as exc:  # a value of the wrong type, e.g. a string where a number goes
+        raise ManifestError(f"bad optimizer value in {options}: {exc}") from None
+    freeze = doc.get("freeze", [])
+    if not isinstance(freeze, list):
+        raise ManifestError(f"freeze must be a list, got {type(freeze).__name__}")
     return ScanManifest(
         label=str(doc.get("label", "scan")),
         points=tuple(points),
         coordinate_unit=doc.get("coordinate_unit", "angstrom"),
         ansatz=doc.get("ansatz", "uccsd"),
-        reps=int(doc.get("reps", 1)),
+        reps=_number(int, doc.get("reps", 1), "reps"),
         optimizer=optimizer,
         mode=doc.get("mode", "exact"),
-        shots=int(doc.get("shots", 1024)),
-        seed=int(doc.get("seed", 0)),
-        restarts=int(doc.get("restarts", 5)),
-        freeze=tuple(doc.get("freeze", [])),
+        shots=_number(int, doc.get("shots", 1024), "shots"),
+        seed=_number(int, doc.get("seed", 0), "seed"),
+        restarts=_number(int, doc.get("restarts", 5), "restarts"),
+        freeze=tuple(freeze),
     )
+
+
+def _number(convert, value, name: str):
+    """``convert(value)``, or a ManifestError naming the manifest key."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise ManifestError(f"{name} must be a number, got {value!r}") from None
 
 
 def point_seed(base_seed: int, label: str) -> int:

@@ -177,39 +177,28 @@ def determinant_fci(integrals, n_electrons: int, require_doubly_occupied=()):
 # dense circuit unitaries
 
 
-def _embed_two_qubit(n: int, control: int, target: int, kind: str) -> np.ndarray:
+def _embed_cz(n: int, control: int, target: int) -> np.ndarray:
     dim = 1 << n
     mat = np.zeros((dim, dim), dtype=complex)
     for state in range(dim):
-        if (state >> control) & 1:
-            if kind == "cnot":
-                mat[state ^ (1 << target), state] = 1.0
-            else:  # cz
-                mat[state, state] = -1.0 if (state >> target) & 1 else 1.0
-        else:
-            mat[state, state] = 1.0
+        both = (state >> control) & 1 and (state >> target) & 1
+        mat[state, state] = -1.0 if both else 1.0
     return mat
 
 
 def gate_unitary(gate, n_qubits: int, parameters) -> np.ndarray:
     from scipy.linalg import expm
 
-    if gate.kind in ("x", "ry", "rz"):
+    if gate.kind == "ry":
         (q,) = gate.qubits
-        if gate.kind == "x":
-            local = X
-        else:
-            theta = gate.resolved_angle(parameters)
-            generator = Y if gate.kind == "ry" else Z
-            local = expm(-0.5j * theta * generator)
-        letters = ["I"] * n_qubits
+        local = expm(-0.5j * gate.resolved_angle(parameters) * Y)
         mat = np.array([[1.0 + 0j]])
         for pos in range(n_qubits):
             mat = np.kron(local if pos == q else I2, mat)
         return mat
-    if gate.kind in ("cnot", "cz"):
+    if gate.kind == "cz":
         control, target = gate.qubits
-        return _embed_two_qubit(n_qubits, control, target, gate.kind)
+        return _embed_cz(n_qubits, control, target)
     # pauli_rot
     theta = gate.resolved_angle(parameters)
     return expm(-0.5j * theta * pauli_matrix(gate.pauli.to_letters()))

@@ -128,9 +128,22 @@ def test_one_point_manifest_then_fit_errors(tmp_path, capsys):
         (lambda doc: doc.update(shots=0), "shots"),
         (lambda doc: doc.update(ansatz="hardware", reps=-1), "reps"),
         (lambda doc: doc.update(freeze=["core"]), "freeze"),
+        (lambda doc: doc["points"][0].update(coordinate="short"), "coordinate"),
+        (lambda doc: doc.update(optimizer=5), "optimizer"),
+        (lambda doc: doc.update(points="0.70"), "points"),
+        (lambda doc: doc.update(reps="one"), "reps"),
+        (lambda doc: doc.update(shots=[1024]), "shots"),
+        (lambda doc: doc.update(seed="seven"), "seed"),
+        (lambda doc: doc.update(restarts={"n": 1}), "restarts"),
+        (lambda doc: doc["optimizer"].update(max_iterations="many"), "max_iterations"),
+        (lambda doc: doc.update(points=["0.70"]), "must be an object"),
+        (lambda doc: doc.update(freeze=0), "freeze"),
     ],
     ids=["unknown-optimizer-key", "point-without-label", "zero-restarts", "zero-shots",
-         "negative-reps", "non-integer-freeze"],
+         "negative-reps", "non-integer-freeze", "non-numeric-coordinate",
+         "non-object-optimizer", "string-points", "non-numeric-reps", "non-numeric-shots",
+         "non-numeric-seed", "non-numeric-restarts", "non-numeric-optimizer-value",
+         "non-object-point", "non-list-freeze"],
 )
 def test_malformed_manifest_rejected_up_front(tmp_path, capsys, corrupt, key):
     manifest = small_manifest(tmp_path)

@@ -1,12 +1,11 @@
+import os
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from oracles import hamiltonian_matrix
-from vqechem.exactdiag import (
-    apply_hamiltonian,
-    dense_matrix,
-    ground_state_energy,
-)
+from vqechem.exactdiag import apply_hamiltonian, ground_state_energy
 from vqechem.exceptions import EigensolverConvergenceError, ShapeError
 from vqechem.paulis import PauliString, QubitHamiltonian
 from vqechem.simulator import Statevector, expectation
@@ -120,5 +119,34 @@ def test_qubit_guard():
 
 def test_dense_matrix_matches_oracle(h2_hamiltonian_074):
     assert np.abs(
-        dense_matrix(h2_hamiltonian_074) - hamiltonian_matrix(h2_hamiltonian_074)
+        h2_hamiltonian_074.compile().dense() - hamiltonian_matrix(h2_hamiltonian_074)
     ).max() < 1e-12
+
+
+def test_memory_guard_refuses_before_allocating():
+    # 24 qubits pass the qubit limit, but the Krylov basis alone would be
+    # 160 * 2**24 * 16 B = 43 GB; the guard must refuse from the masks alone
+    h = QubitHamiltonian(24, ((1.0, PauliString(24, 0, 1)),))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ShapeError, match="GiB"):
+            ground_state_energy(h)
+        with pytest.raises(ShapeError, match="GiB"):
+            ground_state_energy(h, method="dense")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_full_h2s_fixture_solves_under_the_guard(fixture_dir):
+    from vqechem.fcidump import parse_fcidump
+    from vqechem.fermions import build_second_quantized, jordan_wigner
+
+    path = os.path.join(fixture_dir, "h2s_sto3g_nonrel_eq.fcidump")
+    with open(path, encoding="utf-8") as fh:
+        h = jordan_wigner(build_second_quantized(parse_fcidump(fh.read())))
+    assert h.n_qubits == 12
+    result = ground_state_energy(h)
+    assert result.residual_norm < 1e-9
+    assert len(result.eigenvector.amplitudes) == 1 << 12

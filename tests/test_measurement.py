@@ -1,16 +1,24 @@
+import hashlib
+import json
+import math
+import os
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from oracles import chromatic_number
 from vqechem.exceptions import ShapeError
 from vqechem.measurement import (
     MeasurementGroup,
+    _group_probabilities,
     estimate_energy_sampled,
     group_commuting,
+    group_tables,
     grouping_report_csv,
 )
 from vqechem.paulis import PauliString, QubitHamiltonian, commutes_qubitwise
-from vqechem.simulator import Statevector, expectation, prepare_hf, sample
+from vqechem.simulator import Statevector, expectation, prepare_hf, sample, sample_counts
 
 
 def ham(n, letter_weights):
@@ -190,3 +198,62 @@ def test_group_partition_validation(h2_hamiltonian_074):
     bad_groups = [MeasurementGroup((0,), "I" * 4)]
     with pytest.raises(ShapeError):
         estimate_energy_sampled(state, h2_hamiltonian_074, bad_groups, 10, 0)
+
+
+def test_full_h2s_fixture_groups_pinned(fixture_dir):
+    # greedy coloring of the 12-qubit fixture: 1819 terms in 502 groups; the
+    # digest pins every group's members and basis letters
+    from vqechem.fcidump import parse_fcidump
+    from vqechem.fermions import build_second_quantized, jordan_wigner
+
+    path = os.path.join(fixture_dir, "h2s_sto3g_nonrel_eq.fcidump")
+    with open(path, encoding="utf-8") as fh:
+        h = jordan_wigner(build_second_quantized(parse_fcidump(fh.read())))
+    groups = group_commuting(h)
+    assert (h.n_terms, len(groups)) == (1819, 502)
+    assert groups[0].basis == "XXYZZZZZZZZY"
+    assert groups[-1] == MeasurementGroup((1077,), "IYXXYIIIIIII")
+    doc = json.dumps([[list(g.term_indices), g.basis] for g in groups])
+    assert hashlib.sha256(doc.encode()).hexdigest() == (
+        "91460fecf494216eaa8e34639682c96d5b8afed442e3e0d03d2eadbe4a14cb30"
+    )
+
+
+def per_term_estimate(state, h, groups, shots, seed):
+    """The estimator term by term: one parity per term, scalar accumulation."""
+    energy = variance = 0.0
+    for gid, group in enumerate(groups):
+        terms = [h.terms[i] for i in group.term_indices]
+        energy += sum(w for w, p in terms if p.is_identity)
+        sampled = [(w, p) for w, p in terms if not p.is_identity]
+        if not sampled:
+            continue
+        counts = sample_counts(_group_probabilities(state, group.basis), shots, seed + gid)
+        for weight, pauli in sampled:
+            total = sum(int(n) * (-1) ** bin(b & pauli.support_mask).count("1")
+                        for b, n in enumerate(counts) if n)
+            mean = total / shots
+            energy += weight * mean
+            variance += weight * weight * max(0.0, 1.0 - mean * mean) / shots
+    return energy, variance
+
+
+@given(st.integers(0, 2**32 - 1))
+def test_tables_built_once_match_per_call_construction(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 5))
+    coeffs = {(0, 0): float(rng.normal())}
+    while len(coeffs) < min(8, 4**n):
+        coeffs[(int(rng.integers(0, 1 << n)), int(rng.integers(0, 1 << n)))] = float(rng.normal())
+    h = QubitHamiltonian.from_term_dict(n, coeffs)
+    state = superposition_state(n, seed)
+    groups = group_commuting(h)
+    tables = group_tables(h, groups)
+    shots = int(rng.integers(1, 300))
+    for call_seed in (seed, seed + 100003):
+        once = estimate_energy_sampled(state, h, tables, shots, call_seed)
+        per_call = estimate_energy_sampled(state, h, groups, shots, call_seed)
+        assert once == per_call  # bit-identical, standard error included
+        energy, variance = per_term_estimate(state, h, groups, shots, call_seed)
+        assert once.energy == energy
+        assert once.standard_error == math.sqrt(variance)

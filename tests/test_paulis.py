@@ -9,8 +9,8 @@ from vqechem.paulis import (
     QubitHamiltonian,
     _bit_parity,
     commutes_qubitwise,
-    pauli_action,
     pauli_multiply,
+    sign_table,
 )
 
 
@@ -119,14 +119,49 @@ def test_bit_parity_matches_popcount(values):
 
 
 def test_pauli_action_matches_dense():
+    # one string acts as the one-term compiled operator
     rng = np.random.default_rng(3)
     for _ in range(10):
         n = 5
         p = PauliString(n, int(rng.integers(0, 32)), int(rng.integers(0, 32)))
         v = rng.standard_normal(32) + 1j * rng.standard_normal(32)
-        assert np.allclose(
-            pauli_action(p, v), pauli_matrix(p.to_letters()) @ v, atol=1e-12
-        )
+        action = QubitHamiltonian(n, ((1.0, p),)).compile().apply(v)
+        assert np.allclose(action, pauli_matrix(p.to_letters()) @ v, atol=1e-12)
+
+
+@given(st.lists(st.integers(0, 31), min_size=1, max_size=8))
+def test_sign_table_matches_popcount(masks):
+    table = sign_table(masks, 5)
+    assert table.shape == (len(masks), 32)
+    for row, mask in zip(table, masks):
+        assert row.tolist() == [(-1) ** bin(b & mask).count("1") for b in range(32)]
+
+
+@st.composite
+def hamiltonians(draw, max_qubits=5):
+    """Random Pauli sums of up to ``max_qubits`` qubits, always with a Y letter."""
+    n = draw(st.integers(1, max_qubits))
+    masks = st.tuples(st.integers(0, (1 << n) - 1), st.integers(0, (1 << n) - 1))
+    keys = draw(st.lists(masks, min_size=1, max_size=12, unique=True))
+    q = draw(st.integers(0, n - 1))
+    keys.append((1 << q, 1 << q))  # Y on qubit q
+    weights = draw(st.lists(st.floats(-2.0, 2.0).filter(lambda w: abs(w) > 1e-3),
+                            min_size=len(keys), max_size=len(keys)))
+    return QubitHamiltonian.from_term_dict(n, dict(zip(keys, weights)))
+
+
+@given(hamiltonians(), st.integers(0, 2**32 - 1))
+def test_compiled_operator_matches_kronecker_oracle(h, seed):
+    rng = np.random.default_rng(seed)
+    dim = 1 << h.n_qubits
+    dense = hamiltonian_matrix(h)
+    op = h.compile()
+    assert op.gather.shape[0] == len({p.x_mask for _, p in h.terms})
+    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    v /= np.linalg.norm(v)
+    assert np.abs(op.apply(v) - dense @ v).max() < 1e-12
+    assert abs(op.expectation(v) - np.vdot(v, dense @ v)) < 1e-12
+    assert np.abs(op.dense() - dense).max() < 1e-12
 
 
 def test_hamiltonian_matrix_oracle_consistency(h2_hamiltonian_074):

@@ -1,7 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from scipy.linalg import expm
 
-from oracles import circuit_unitary, hamiltonian_matrix
+from oracles import circuit_unitary, hamiltonian_matrix, pauli_matrix
 from vqechem.exceptions import ShapeError
 from vqechem.fermions import jordan_wigner, number_operator
 from vqechem.paulis import PauliString, QubitHamiltonian
@@ -149,6 +153,47 @@ def test_pauli_rotation_half_angle_composition():
     one = apply_circuit(state, whole)
     two = apply_circuit(state, halves)
     assert np.abs(one.amplitudes - two.amplitudes).max() < 1e-12
+
+
+@given(
+    st.integers(1, 5).flatmap(lambda n: st.tuples(
+        st.just(n), st.integers(0, (1 << n) - 1), st.integers(0, (1 << n) - 1))),
+    st.floats(-7.0, 7.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_precomputed_rotation_matches_dense_exponential(masks, theta, seed):
+    n, x, z = masks
+    p = PauliString(n, x, z)
+    circuit = Circuit(n, (Gate("pauli_rot", (), angle=theta, pauli=p),))
+    state = random_state(n, seed)
+    fast = apply_circuit(state, circuit).amplitudes
+    dense = expm(-0.5j * theta * pauli_matrix(p.to_letters())) @ state.amplitudes
+    assert np.abs(fast - dense).max() < 1e-12
+
+
+def test_rotations_with_one_x_mask_share_a_gather_table():
+    gates = tuple(Gate("pauli_rot", (), angle=0.1, pauli=PauliString.from_letters(s))
+                  for s in ("XYZ", "YXZ", "XYI", "ZZZ"))
+    circuit = Circuit(3, gates + (Gate("cz", (0, 1)),))
+    gathers = [r[0] for r in circuit.rotations[:4]]
+    assert gathers[0] is gathers[1] is gathers[2]
+    assert gathers[3] is not gathers[0]
+    assert circuit.rotations[4] is None
+
+
+def test_rotation_tables_refused_before_allocating():
+    # five 24-qubit rotations would need 5 * 2**24 * 16 B of phase tables
+    # plus one shared gather index, 1.4 GiB
+    gates = tuple(Gate("pauli_rot", (), angle=0.1, pauli=PauliString(24, 1, z))
+                  for z in range(5))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ShapeError, match="GiB"):
+            Circuit(24, gates)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_parameter_count_mismatch():
