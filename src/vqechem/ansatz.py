@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .exceptions import ShapeError
 from .fermions import FermionOperator, jordan_wigner_term_dict
-from .paulis import PauliString
+from .paulis import QubitHamiltonian
 from .simulator import Circuit, Gate
 
 JW_REAL_RESIDUE_TOLERANCE = 1e-10
@@ -86,44 +86,35 @@ def _excitation_generator(n_modes: int, annihilate, create) -> FermionOperator:
     return FermionOperator.from_terms(n_modes, {tau: 1.0, tau_dag: -1.0})
 
 
-def excitation_rotations(n_modes: int, annihilate, create, slot: int) -> list[Gate]:
-    """Pauli rotations implementing exp(theta * (tau - tau^+)) exactly.
+def excitation_gate(n_modes: int, annihilate, create, slot: int) -> Gate:
+    """One two-level rotation implementing exp(theta * (tau - tau^+)) exactly.
 
-    The Jordan-Wigner image of the generator is i * sum_m c_m P_m with real
-    c_m, and the strings of one excitation mutually commute, so the product
-    of rotations equals the exponential with no splitting error.
+    The Jordan-Wigner image of the generator is i * G with G = sum_m c_m P_m
+    and real c_m. The strings of one excitation share one x-mask and G^3 = G
+    (Yordanov, Arvidsson-Shukur & Barnes, PRA 102, 062612), so
+    exp(i theta G) is the rotation about G at angle -2 theta.
     """
-    generator = _excitation_generator(n_modes, annihilate, create)
-    expansion = jordan_wigner_term_dict(generator)
-    gates = []
-    for (x, z), coeff in sorted(expansion.items()):
-        if abs(coeff) < 1e-14:
-            continue
+    expansion = jordan_wigner_term_dict(_excitation_generator(n_modes, annihilate, create))
+    for coeff in expansion.values():
         if abs(coeff.real) > JW_REAL_RESIDUE_TOLERANCE:
             raise ShapeError(
                 f"excitation generator mapped to non-imaginary coefficient {coeff}"
             )
-        c = coeff.imag
-        # exp(i theta c P) = PauliRotation(P, -2 c theta)
-        gates.append(Gate("pauli_rot", (), slot=slot, angle=-2.0 * c, pauli=PauliString(n_modes, x, z)))
-    return gates
+    generator = QubitHamiltonian.from_term_dict(
+        n_modes, {key: coeff.imag for key, coeff in expansion.items()})
+    return Gate("pauli_rot", (), slot=slot, angle=-2.0, generator=generator)
 
 
 def build_uccsd(n_spin_orbitals: int, occupied) -> Circuit:
     """Trotterized UCCSD over the spin-conserving excitation set.
 
-    One first-order step in enumeration order; one amplitude per
-    excitation. The circuit conserves particle number exactly because each
-    excitation's rotation block equals the exact exponential of its
-    number-conserving generator.
+    One first-order step in enumeration order; one gate and one amplitude
+    per excitation. The circuit conserves particle number exactly because
+    each gate is the exact exponential of its number-conserving generator.
     """
     excitations = enumerate_excitations(n_spin_orbitals, occupied)
-    gates = []
-    slot = 0
-    for i, a in excitations.singles:
-        gates.extend(excitation_rotations(n_spin_orbitals, (i,), (a,), slot))
-        slot += 1
-    for i, j, a, b in excitations.doubles:
-        gates.extend(excitation_rotations(n_spin_orbitals, (i, j), (a, b), slot))
-        slot += 1
-    return Circuit(n_spin_orbitals, tuple(gates), n_parameters=slot)
+    moves = [((i,), (a,)) for i, a in excitations.singles]
+    moves += [((i, j), (a, b)) for i, j, a, b in excitations.doubles]
+    gates = tuple(excitation_gate(n_spin_orbitals, annihilate, create, slot)
+                  for slot, (annihilate, create) in enumerate(moves))
+    return Circuit(n_spin_orbitals, gates, n_parameters=len(gates))

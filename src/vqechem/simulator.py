@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import ShapeError
-from .paulis import CompiledOperator, PauliString, QubitHamiltonian, sign_table
+from .paulis import CompiledOperator, QubitHamiltonian
 
 MAX_QUBITS = 24  # 2**24 complex amplitudes = 256 MiB; hard memory guard
 # 1 GiB: cap on the tables and workspace of one circuit or one exact solve,
@@ -48,21 +48,25 @@ class Gate:
     ``slot`` selects a variational parameter; the rotation angle is then
     ``angle * parameters[slot]`` (so ``angle`` acts as a fixed multiplier,
     default 1). With ``slot=None`` the angle is bound directly.
+
+    A ``pauli_rot`` gate is exp(-i angle/2 H) about its ``generator`` H: strings
+    that share one x-mask with H^3 = H, such as one Pauli string or the
+    Jordan-Wigner image of one fermionic excitation divided by i.
     """
 
     kind: str
     qubits: tuple
     slot: int | None = None
     angle: float = 1.0
-    pauli: PauliString | None = None
+    generator: QubitHamiltonian | None = None
 
     def __post_init__(self):
         if self.kind not in GATE_KINDS:
             raise ShapeError(f"unknown gate kind {self.kind!r}")
         if len(set(self.qubits)) != len(self.qubits):
             raise ShapeError("gate qubits must be distinct")
-        if self.kind == "pauli_rot" and self.pauli is None:
-            raise ShapeError("pauli_rot gate requires a PauliString")
+        if self.kind == "pauli_rot" and not isinstance(self.generator, QubitHamiltonian):
+            raise ShapeError("pauli_rot gate requires a QubitHamiltonian generator")
 
     def resolved_angle(self, parameters) -> float:
         if self.slot is None:
@@ -71,37 +75,41 @@ class Gate:
 
 
 def _rotation_tables(n_qubits: int, gates) -> tuple:
-    """(gather, phase) of each pauli_rot gate, None for the other kinds.
+    """(rows, partner, phase) of each pauli_rot gate, None for the other kinds.
 
-    P|b> = i^{#Y} (-1)^popcount(b & z) |b ^ x>, so exp(-i a/2 P) maps psi to
-    cos(a/2) psi + sin(a/2) * phase * psi[gather] with gather[c] = c ^ x and
-    phase[c] = -i * i^{#Y} * (-1)^popcount((c ^ x) & z). Gates with the
-    same x-mask share one gather array.
+    The generator compiles to H = X^x D with (H psi)[c] = shifted[c] psi[c ^ x].
+    H^3 = H makes H^2 the projector onto the rows where shifted is nonzero, so
+    exp(-i a/2 H) sets psi[rows] to cos(a/2) psi[rows] + sin(a/2) * phase *
+    psi[partner], with partner = rows ^ x and phase = -i shifted[rows], and
+    leaves the other rows alone. ``rows`` is a full slice when every row moves.
     """
-    rotations = [g for g in gates if g.kind == "pauli_rot"]
+    rotations = [g.generator for g in gates if g.kind == "pauli_rot"]
     if not rotations:
         return (None,) * len(gates)
-    n_gathers = len({g.pauli.x_mask for g in rotations})
-    needed = (len(rotations) * 16 + n_gathers * np.dtype(np.intp).itemsize) << n_qubits
+    # per basis index: at most 32 B of rows, partner and phase per gate, and
+    # the compile() workspace of one generator, 64 B plus 16 B per string
+    needed = (32 * len(rotations) + 64 + 16 * max(h.n_terms for h in rotations)) << n_qubits
     if needed > MAX_ALLOCATION_BYTES:
         raise ShapeError(
             f"rotation tables of {len(rotations)} gates on {n_qubits} qubits need "
             f"{needed / 2**30:.1f} GiB, above the {MAX_ALLOCATION_BYTES / 2**30:.0f} GiB limit"
         )
-    index = np.arange(1 << n_qubits)
-    signs = iter(sign_table([g.pauli.z_mask for g in rotations], n_qubits))
-    gathers: dict[int, np.ndarray] = {}
     tables = []
     for gate in gates:
         if gate.kind != "pauli_rot":
             tables.append(None)
             continue
-        p = gate.pauli
-        if p.x_mask not in gathers:
-            gathers[p.x_mask] = index ^ p.x_mask
-        gather = gathers[p.x_mask]
-        phase = -1j * 1j ** int(p.x_mask & p.z_mask).bit_count() * next(signs)[gather]
-        tables.append((gather, phase))
+        if len(gate.generator.x_masks()) != 1:
+            raise ShapeError(f"generator strings span x-masks {gate.generator.x_masks()}")
+        compiled = gate.generator.compile()
+        gather, shifted = compiled.gather[0], compiled.shifted[0]
+        size = np.abs(shifted)
+        if not np.all((size < 1e-12) | (np.abs(size - 1.0) < 1e-12)):
+            raise ShapeError("generator is not a two-level rotation: |diagonal| not in {0, 1}")
+        rows = np.flatnonzero(size > 0.5)
+        if rows.size == gather.size:
+            rows = slice(None)
+        tables.append((rows, gather[rows], -1j * shifted[rows]))
     return tuple(tables)
 
 
@@ -119,8 +127,8 @@ class Circuit:
             for q in gate.qubits:
                 if not 0 <= q < self.n_qubits:
                     raise ShapeError(f"gate qubit {q} outside register of {self.n_qubits}")
-            if gate.pauli is not None and gate.pauli.n_qubits != self.n_qubits:
-                raise ShapeError("gate Pauli string size differs from register")
+            if gate.generator is not None and gate.generator.n_qubits != self.n_qubits:
+                raise ShapeError("gate generator size differs from register")
             if gate.slot is not None:
                 if not 0 <= gate.slot < self.n_parameters:
                     raise ShapeError(f"parameter slot {gate.slot} out of range")
@@ -129,21 +137,6 @@ class Circuit:
             missing = sorted(set(range(self.n_parameters)) - used)
             raise ShapeError(f"parameter slots never referenced: {missing}")
         object.__setattr__(self, "rotations", _rotation_tables(self.n_qubits, self.gates))
-
-    @property
-    def depth(self) -> int:
-        """Number of layers when gates on disjoint qubits are packed greedily."""
-        frontier: dict[int, int] = {}
-        depth = 0
-        for gate in self.gates:
-            qubits = gate.qubits if gate.kind != "pauli_rot" else tuple(
-                q for q in range(self.n_qubits) if (gate.pauli.support_mask >> q) & 1
-            )
-            layer = 1 + max((frontier.get(q, 0) for q in qubits), default=0)
-            for q in qubits:
-                frontier[q] = layer
-            depth = max(depth, layer)
-        return depth
 
 
 def prepare_hf(n_qubits: int, occupied) -> Statevector:
@@ -179,10 +172,11 @@ def _apply_gate(amplitudes: np.ndarray, gate: Gate, rotation, parameters) -> np.
         out = amplitudes.copy()
         out[both] *= -1.0
         return out
-    # pauli_rot: exp(-i angle/2 P) = cos(angle/2) I - i sin(angle/2) P
+    # pauli_rot: see _rotation_tables; apply_circuit owns ``amplitudes``
     half = 0.5 * gate.resolved_angle(parameters)
-    gather, phase = rotation
-    return np.cos(half) * amplitudes + np.sin(half) * (phase * amplitudes[gather])
+    rows, partner, phase = rotation
+    amplitudes[rows] = np.cos(half) * amplitudes[rows] + np.sin(half) * (phase * amplitudes[partner])
+    return amplitudes
 
 
 def apply_circuit(state: Statevector, circuit: Circuit, parameters=()) -> Statevector:

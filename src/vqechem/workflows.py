@@ -147,8 +147,7 @@ def load_manifest(doc: dict, base_dir: str = ".") -> ScanManifest:
         points.append(
             ScanPoint(
                 label=str(entry["label"]),
-                coordinate=_number(float, entry.get("coordinate", 0.0),
-                                   f"point {n} coordinate"),
+                coordinate=_number(entry.get("coordinate", 0.0), f"point {n} coordinate"),
                 geometry=entry.get("geometry"),
                 fcidump_path=fcidump_path,
             )
@@ -159,6 +158,9 @@ def load_manifest(doc: dict, base_dir: str = ".") -> ScanManifest:
     unknown = set(options) - {f.name for f in fields(OptimizerConfig)}
     if unknown:
         raise ManifestError(f"unknown optimizer keys: {sorted(unknown)}")
+    for f in fields(OptimizerConfig):
+        if f.type in (int, "int") and f.name in options:
+            _integer(options[f.name], f"optimizer {f.name}")
     try:
         optimizer = OptimizerConfig(**options)
     except TypeError as exc:  # a value of the wrong type, e.g. a string where a number goes
@@ -171,22 +173,29 @@ def load_manifest(doc: dict, base_dir: str = ".") -> ScanManifest:
         points=tuple(points),
         coordinate_unit=doc.get("coordinate_unit", "angstrom"),
         ansatz=doc.get("ansatz", "uccsd"),
-        reps=_number(int, doc.get("reps", 1), "reps"),
+        reps=_integer(doc.get("reps", 1), "reps"),
         optimizer=optimizer,
         mode=doc.get("mode", "exact"),
-        shots=_number(int, doc.get("shots", 1024), "shots"),
-        seed=_number(int, doc.get("seed", 0), "seed"),
-        restarts=_number(int, doc.get("restarts", 5), "restarts"),
+        shots=_integer(doc.get("shots", 1024), "shots"),
+        seed=_integer(doc.get("seed", 0), "seed"),
+        restarts=_integer(doc.get("restarts", 5), "restarts"),
         freeze=tuple(freeze),
     )
 
 
-def _number(convert, value, name: str):
-    """``convert(value)``, or a ManifestError naming the manifest key."""
+def _number(value, name: str) -> float:
+    """``float(value)``, or a ManifestError naming the manifest key."""
     try:
-        return convert(value)
+        return float(value)
     except (TypeError, ValueError):
         raise ManifestError(f"{name} must be a number, got {value!r}") from None
+
+
+def _integer(value, name: str) -> int:
+    """``value`` if it is a JSON integer (not a bool), else a ManifestError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ManifestError(f"{name} must be an integer, got {value!r}")
+    return value
 
 
 def point_seed(base_seed: int, label: str) -> int:

@@ -1,11 +1,8 @@
 import os
-import sys
 
 import numpy as np
 import pytest
 from hypothesis import settings
-
-sys.path.insert(0, os.path.dirname(__file__))  # make `oracles` importable
 
 from vqechem.fermions import build_second_quantized, jordan_wigner
 from vqechem.integrals import Molecule, compute_ao_integrals, run_rhf, transform_to_mo

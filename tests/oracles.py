@@ -201,7 +201,7 @@ def gate_unitary(gate, n_qubits: int, parameters) -> np.ndarray:
         return _embed_cz(n_qubits, control, target)
     # pauli_rot
     theta = gate.resolved_angle(parameters)
-    return expm(-0.5j * theta * pauli_matrix(gate.pauli.to_letters()))
+    return expm(-0.5j * theta * hamiltonian_matrix(gate.generator))
 
 
 def circuit_unitary(circuit, parameters) -> np.ndarray:

@@ -1,13 +1,23 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from scipy.linalg import expm
 
-from vqechem.ansatz import build_hardware_efficient, build_uccsd, enumerate_excitations
+from oracles import pauli_matrix
+from vqechem.ansatz import (
+    _excitation_generator,
+    build_hardware_efficient,
+    build_uccsd,
+    enumerate_excitations,
+    excitation_gate,
+)
 from vqechem.exceptions import ShapeError
-from vqechem.fermions import jordan_wigner, number_operator
-from vqechem.paulis import pauli_multiply
-from vqechem.simulator import apply_circuit, expectation, prepare_hf
+from vqechem.fermions import jordan_wigner, jordan_wigner_term_dict, number_operator
+from vqechem.paulis import PauliString, pauli_multiply
+from vqechem.simulator import Circuit, Statevector, apply_circuit, expectation, prepare_hf
 
 
 def test_hardware_efficient_parameter_count_8q_2reps():
@@ -27,12 +37,6 @@ def test_hardware_efficient_zero_parameters_fix_reference():
     hf = prepare_hf(4, {0, 1})
     out = apply_circuit(hf, circuit, np.zeros(circuit.n_parameters))
     assert abs(abs(np.vdot(hf.amplitudes, out.amplitudes)) - 1.0) < 1e-12
-
-
-def test_hardware_efficient_depth_linear_in_reps():
-    depths = [build_hardware_efficient(5, r).depth for r in range(1, 6)]
-    increments = np.diff(depths)
-    assert len(set(increments)) == 1 and increments[0] > 0
 
 
 def test_enumerate_smallest_case():
@@ -85,13 +89,49 @@ def test_uccsd_parameter_count_reported_for_8_spin_orbitals():
     assert circuit.n_parameters == 26
 
 
+@pytest.mark.parametrize("n, occupied", [(4, {0, 1}), (6, {0, 1, 2}), (8, {0, 1, 2, 3})])
+def test_uccsd_one_gate_per_parameter(n, occupied):
+    circuit = build_uccsd(n, occupied)
+    assert len(circuit.gates) == circuit.n_parameters
+
+
+def test_uccsd_12_qubit_build_memory():
+    tracemalloc.start()
+    try:
+        build_uccsd(12, range(8))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
+
+
+@given(
+    st.integers(4, 6).flatmap(lambda n: st.tuples(
+        st.just(n), st.permutations(range(n)), st.booleans())),
+    st.floats(-3.0, 3.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_excitation_gate_matches_dense_exponential(excitation, theta, seed):
+    """The fused gate equals expm(theta * M), M the dense JW image of tau - tau^+."""
+    n, order, double = excitation
+    k = 2 if double else 1
+    annihilate, create = tuple(sorted(order[:k])), tuple(sorted(order[k:2 * k]))
+    expansion = jordan_wigner_term_dict(_excitation_generator(n, annihilate, create))
+    m = sum(c * pauli_matrix(PauliString(n, x, z).to_letters())
+            for (x, z), c in expansion.items())
+    circuit = Circuit(n, (excitation_gate(n, annihilate, create, slot=0),), n_parameters=1)
+    rng = np.random.default_rng(seed)
+    amps = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+    state = Statevector(n, amps / np.linalg.norm(amps))
+    fused = apply_circuit(state, circuit, [theta]).amplitudes
+    assert np.abs(fused - expm(theta * m) @ state.amplitudes).max() < 1e-12
+
+
 def test_uccsd_rotation_strings_commute_within_excitation():
     """The rotations of one excitation must commute for exactness."""
     circuit = build_uccsd(4, {0, 1})
-    by_slot = {}
     for gate in circuit.gates:
-        by_slot.setdefault(gate.slot, []).append(gate.pauli)
-    for paulis in by_slot.values():
+        paulis = [p for _, p in gate.generator.terms]
         for a, b in itertools.combinations(paulis, 2):
             phase_ab, ab = pauli_multiply(a, b)
             phase_ba, ba = pauli_multiply(b, a)

@@ -1,10 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import vqechem
 from vqechem.cli import main
 from vqechem.fcidump import parse_fcidump
 from vqechem.workflows import PesPoint, h2_point, scan_csv
@@ -138,12 +140,20 @@ def test_one_point_manifest_then_fit_errors(tmp_path, capsys):
         (lambda doc: doc["optimizer"].update(max_iterations="many"), "max_iterations"),
         (lambda doc: doc.update(points=["0.70"]), "must be an object"),
         (lambda doc: doc.update(freeze=0), "freeze"),
+        (lambda doc: doc.update(shots=2.5), "shots"),
+        (lambda doc: doc.update(ansatz="hardware", reps=1.9), "reps"),
+        (lambda doc: doc.update(restarts=1.5), "restarts"),
+        (lambda doc: doc.update(seed=True), "seed"),
+        (lambda doc: doc["optimizer"].update(max_iterations=2.5), "max_iterations"),
+        (lambda doc: doc["optimizer"].update(kind="spsa", spsa_window=2.5), "spsa_window"),
     ],
     ids=["unknown-optimizer-key", "point-without-label", "zero-restarts", "zero-shots",
          "negative-reps", "non-integer-freeze", "non-numeric-coordinate",
          "non-object-optimizer", "string-points", "non-numeric-reps", "non-numeric-shots",
          "non-numeric-seed", "non-numeric-restarts", "non-numeric-optimizer-value",
-         "non-object-point", "non-list-freeze"],
+         "non-object-point", "non-list-freeze", "fractional-shots", "fractional-reps",
+         "fractional-restarts", "boolean-seed", "fractional-max-iterations",
+         "fractional-spsa-window"],
 )
 def test_malformed_manifest_rejected_up_front(tmp_path, capsys, corrupt, key):
     manifest = small_manifest(tmp_path)
@@ -197,10 +207,14 @@ def test_scan_outputs_byte_identical(tmp_path):
 def test_cli_entry_point_subprocess(tmp_path):
     geometry = tmp_path / "h2.json"
     geometry.write_text(json.dumps(H2_GEOMETRY))
+    # the child imports the same package as this test, installed or not
+    src = os.path.dirname(os.path.dirname(vqechem.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
     result = subprocess.run(
         [sys.executable, "-m", "vqechem.cli", "fci",
          "--geometry", str(geometry), "--json"],
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, text=True, timeout=120, env=env,
     )
     assert result.returncode == 0
     assert "e_fci" in json.loads(result.stdout)

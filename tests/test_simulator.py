@@ -35,6 +35,11 @@ def random_hamiltonian(n, n_terms, seed):
     return QubitHamiltonian.from_term_dict(n, coeffs)
 
 
+def single(p):
+    """One Pauli string as a rotation generator."""
+    return QubitHamiltonian(p.n_qubits, ((1.0, p),))
+
+
 def random_circuit(n, n_gates, n_params, seed):
     rng = np.random.default_rng(seed)
     gates = []
@@ -54,7 +59,7 @@ def random_circuit(n, n_gates, n_params, seed):
             if x == 0 and z == 0:
                 continue
             gates.append(Gate("pauli_rot", (), angle=float(rng.normal()),
-                              pauli=PauliString(n, x, z)))
+                              generator=single(PauliString(n, x, z))))
     return Circuit(n, tuple(gates), n_parameters=n_params)
 
 
@@ -121,32 +126,32 @@ def test_norm_preserved_gate_by_gate():
 
 
 def test_pauli_rotation_zero_angle_identity():
-    p = PauliString.from_letters("XZY")
-    circuit = Circuit(3, (Gate("pauli_rot", (), angle=0.0, pauli=p),))
+    p = single(PauliString.from_letters("XZY"))
+    circuit = Circuit(3, (Gate("pauli_rot", (), angle=0.0, generator=p),))
     state = random_state(3, 2)
     out = apply_circuit(state, circuit)
     assert np.abs(out.amplitudes - state.amplitudes).max() < 1e-12
 
 
 def test_pauli_rotation_roundtrip():
-    p = PauliString.from_letters("XZY")
+    p = single(PauliString.from_letters("XZY"))
     theta = 0.7318
-    forward = Circuit(3, (Gate("pauli_rot", (), angle=theta, pauli=p),))
-    backward = Circuit(3, (Gate("pauli_rot", (), angle=-theta, pauli=p),))
+    forward = Circuit(3, (Gate("pauli_rot", (), angle=theta, generator=p),))
+    backward = Circuit(3, (Gate("pauli_rot", (), angle=-theta, generator=p),))
     state = random_state(3, 3)
     out = apply_circuit(apply_circuit(state, forward), backward)
     assert np.abs(out.amplitudes - state.amplitudes).max() < 1e-12
 
 
 def test_pauli_rotation_half_angle_composition():
-    p = PauliString.from_letters("ZZ")
+    p = single(PauliString.from_letters("ZZ"))
     theta = 1.234
-    whole = Circuit(2, (Gate("pauli_rot", (), angle=theta, pauli=p),))
+    whole = Circuit(2, (Gate("pauli_rot", (), angle=theta, generator=p),))
     halves = Circuit(
         2,
         (
-            Gate("pauli_rot", (), angle=theta / 2, pauli=p),
-            Gate("pauli_rot", (), angle=theta / 2, pauli=p),
+            Gate("pauli_rot", (), angle=theta / 2, generator=p),
+            Gate("pauli_rot", (), angle=theta / 2, generator=p),
         ),
     )
     state = random_state(2, 4)
@@ -164,27 +169,17 @@ def test_pauli_rotation_half_angle_composition():
 def test_precomputed_rotation_matches_dense_exponential(masks, theta, seed):
     n, x, z = masks
     p = PauliString(n, x, z)
-    circuit = Circuit(n, (Gate("pauli_rot", (), angle=theta, pauli=p),))
+    circuit = Circuit(n, (Gate("pauli_rot", (), angle=theta, generator=single(p)),))
     state = random_state(n, seed)
     fast = apply_circuit(state, circuit).amplitudes
     dense = expm(-0.5j * theta * pauli_matrix(p.to_letters())) @ state.amplitudes
     assert np.abs(fast - dense).max() < 1e-12
 
 
-def test_rotations_with_one_x_mask_share_a_gather_table():
-    gates = tuple(Gate("pauli_rot", (), angle=0.1, pauli=PauliString.from_letters(s))
-                  for s in ("XYZ", "YXZ", "XYI", "ZZZ"))
-    circuit = Circuit(3, gates + (Gate("cz", (0, 1)),))
-    gathers = [r[0] for r in circuit.rotations[:4]]
-    assert gathers[0] is gathers[1] is gathers[2]
-    assert gathers[3] is not gathers[0]
-    assert circuit.rotations[4] is None
-
-
 def test_rotation_tables_refused_before_allocating():
-    # five 24-qubit rotations would need 5 * 2**24 * 16 B of phase tables
-    # plus one shared gather index, 1.4 GiB
-    gates = tuple(Gate("pauli_rot", (), angle=0.1, pauli=PauliString(24, 1, z))
+    # five 24-qubit rotations: up to 5 * 2**24 * 32 B of row, partner and
+    # phase tables plus the compile workspace of one generator, 3.8 GiB
+    gates = tuple(Gate("pauli_rot", (), angle=0.1, generator=single(PauliString(24, 1, z)))
                   for z in range(5))
     tracemalloc.start()
     try:
@@ -194,6 +189,17 @@ def test_rotation_tables_refused_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("terms", [
+    ((0.5, "XX"), (0.5, "ZI")),  # two x-masks
+    ((0.5, "ZI"),),  # diagonal entries +-0.5
+    ((1.0, "XX"), (1.0, "YY")),  # |diagonal| 2 on half the rows
+])
+def test_generator_that_is_not_a_two_level_rotation_rejected(terms):
+    generator = QubitHamiltonian(2, tuple((w, PauliString.from_letters(s)) for w, s in terms))
+    with pytest.raises(ShapeError):
+        Circuit(2, (Gate("pauli_rot", (), generator=generator),))
 
 
 def test_parameter_count_mismatch():
