@@ -3,9 +3,10 @@
 
 Hydrogen sulfide integrals arrive as FCIDUMP files (bundled fixtures:
 6 orbitals, 8 electrons, calibrated to published STO-3G total energies).
-Freezing the two core orbitals leaves an 8-qubit active-space problem;
-the pointwise energy shift between the two integral sets is the
-relativistic correction.
+Freezing the two core orbitals leaves an 8-qubit active-space problem
+with 4 active electrons, solved in that electron sector; the pointwise
+energy shift between the two integral sets is the relativistic
+correction.
 """
 
 import os
@@ -27,7 +28,7 @@ def curve(prefix):
             ScanPoint(label, coordinate, fcidump_path=path), freeze=(0, 1)
         )
         hamiltonian = jordan_wigner(build_second_quantized(integrals))
-        energy = ground_state_energy(hamiltonian).energy
+        energy = ground_state_energy(hamiltonian, n_electrons=integrals.n_electrons).energy
         groups = group_commuting(hamiltonian)
         print(
             f"  {prefix}/{label}: {hamiltonian.n_qubits} qubits, "

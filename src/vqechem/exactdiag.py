@@ -1,24 +1,37 @@
-"""Matrix-free lowest-eigenvalue oracle for qubit Hamiltonians.
+"""Lowest-eigenvalue oracle for qubit Hamiltonians, solved block by block.
 
-Lanczos iteration with full reorthogonalization against a seeded start
-vector; a dense eigh path exists both as a fallback for small registers
-and as an independent cross-check in the test suite. Both run on the
-compiled x-mask form of the Hamiltonian, built once per solve.
+A Jordan-Wigner Hamiltonian built from a number- and spin-conserving
+fermion operator is block diagonal in (N_alpha, N_beta): the popcounts of
+the even (alpha) and odd (beta) qubits. The solver labels every basis state
+by that pair, checks on the compiled x-mask form that every live entry
+joins two states of one label, and then solves each block alone: a dense
+``eigvalsh`` up to ``DENSE_CUTOFF_DIM`` states, Lanczos with full
+reorthogonalization against a seeded start vector above it. An operator
+that is not block diagonal is one block, the whole register.
+
+With ``n_electrons`` only the Hartree-Fock reference's block is solved,
+(ceil(N/2), floor(N/2)), which holds the lowest N-electron state of every
+spin. Without it every block is solved and the lowest is returned: the
+Fock-space minimum. Only the winning block's eigenvector is computed; it is
+embedded in the full register and its residual taken with the full
+operator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
 from .exceptions import EigensolverConvergenceError, ShapeError
-from .paulis import CompiledOperator, QubitHamiltonian
+from .paulis import COEFF_PRUNE_THRESHOLD, CompiledOperator, QubitHamiltonian
 from .simulator import MAX_QUBITS, MAX_ALLOCATION_BYTES, Statevector
 
 RESIDUAL_TOLERANCE = 1e-9
 LANCZOS_START_SEED = 20240801  # fixed so results are bit-reproducible
-DENSE_CUTOFF_QUBITS = 3
+DENSE_CUTOFF_DIM = 512  # blocks of at most this many states take dense eigh
+_ROWS_PER_CHECK = 64  # x-mask rows per chunk of the block-diagonal check
 
 
 @dataclass(frozen=True)
@@ -26,6 +39,9 @@ class GroundStateResult:
     energy: float
     eigenvector: Statevector | None
     residual_norm: float
+    # (N_alpha, N_beta) of the solved block; None when the operator is not
+    # block diagonal in them
+    sector: tuple[int, int] | None
 
 
 def apply_hamiltonian(
@@ -39,21 +55,65 @@ def apply_hamiltonian(
     return hamiltonian.compile().apply(vec)
 
 
-def _solver_bytes(hamiltonian: QubitHamiltonian, method: str, max_krylov: int) -> int:
-    """Bytes a solve allocates for its compiled operator and its workspace.
+def reference_sector(n_electrons: int) -> tuple[int, int]:
+    """(N_alpha, N_beta) of the Hartree-Fock reference: the lowest spin orbitals."""
+    return (n_electrons + 1) // 2, n_electrons // 2
+
+
+def _largest_block(n_qubits: int, sector: tuple[int, int] | None) -> int:
+    """States in ``sector``, or in the largest sector when it is None."""
+    n_alpha, n_beta = (n_qubits + 1) // 2, n_qubits // 2
+    a, b = sector if sector is not None else (n_alpha // 2, n_beta // 2)
+    return comb(n_alpha, a) * comb(n_beta, b)
+
+
+def _check_bytes(n_qubits: int, n_x_masks: int, block_dim: int, dense: bool,
+                 max_krylov: int) -> None:
+    """Refuse a solve whose operator and workspace exceed the allocation cap.
 
     The compiled form holds a gather index and a complex diagonal per
-    distinct x-mask; Lanczos keeps ``min(max_krylov, 2**n)`` basis vectors,
-    the dense path one 2**n x 2**n matrix. Computed from the masks alone.
+    x-mask and basis state, a restricted block as much per block state; the
+    sector labels and their sort take 32 B per state. Lanczos keeps
+    ``min(max_krylov, block_dim)`` block vectors, the dense path one
+    block_dim x block_dim matrix.
     """
-    dim = 1 << hamiltonian.n_qubits
-    operator = len(hamiltonian.x_masks()) * dim * (np.dtype(np.intp).itemsize + 16)
-    vectors = dim if method == "dense" else min(max_krylov, dim)
-    return operator + vectors * dim * 16
+    entry = np.dtype(np.intp).itemsize + 16
+    operator = n_x_masks * ((1 << n_qubits) + block_dim) * entry + (32 << n_qubits)
+    vectors = block_dim if dense else min(max_krylov, block_dim)
+    needed = operator + vectors * block_dim * 16
+    if needed > MAX_ALLOCATION_BYTES:
+        raise ShapeError(
+            f"{'dense' if dense else 'lanczos'} solve of a {block_dim}-state block on "
+            f"{n_qubits} qubits needs {needed / 2**30:.1f} GiB, "
+            f"above the {MAX_ALLOCATION_BYTES / 2**30:.0f} GiB limit"
+        )
+
+
+def _blocks(operator: CompiledOperator) -> list[tuple[tuple[int, int] | None, np.ndarray]]:
+    """(sector, ascending states) per (N_alpha, N_beta) block of the operator.
+
+    One block of every state, with sector None, when a live entry (above
+    ``COEFF_PRUNE_THRESHOLD``; summed diagonals leave ~1e-18 residue, so
+    exact zeros are not required) joins states of two labels.
+    """
+    n = operator.n_qubits
+    index = np.arange(1 << n, dtype=np.uint32)
+    n_alpha = sum((index >> q) & 1 for q in range(0, n, 2))
+    n_beta = sum((index >> q) & 1 for q in range(1, n, 2))
+    labels = (n_alpha * (n // 2 + 1) + n_beta).astype(np.int16)
+    for start in range(0, operator.gather.shape[0], _ROWS_PER_CHECK):
+        rows = slice(start, start + _ROWS_PER_CHECK)
+        joins = labels[operator.gather[rows]] != labels
+        if np.any(np.abs(operator.shifted[rows][joins]) > COEFF_PRUNE_THRESHOLD):
+            return [(None, index)]
+    order = np.argsort(labels, kind="stable")
+    values, starts = np.unique(labels[order], return_index=True)
+    return [((int(v) // (n // 2 + 1), int(v) % (n // 2 + 1)), states)
+            for v, states in zip(values, np.split(order, starts[1:]))]
 
 
 def _lanczos_lowest(operator: CompiledOperator, max_krylov: int, restarts: int):
-    dim = 1 << operator.n_qubits
+    dim = operator.dim
     rng = np.random.default_rng(LANCZOS_START_SEED)
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     v /= np.linalg.norm(v)
@@ -96,46 +156,85 @@ def _lanczos_lowest(operator: CompiledOperator, max_krylov: int, restarts: int):
     return energy, v, residual
 
 
-def ground_state_energy(
-    hamiltonian: QubitHamiltonian,
-    method: str = "auto",
-    max_krylov: int = 160,
-    restarts: int = 12,
-) -> GroundStateResult:
-    """Lowest eigenvalue of the qubit Hamiltonian.
+def _solve_block(block: CompiledOperator, dense: bool, vector: bool,
+                 max_krylov: int, restarts: int):
+    """(lowest eigenvalue, its eigenvector or None) of one block.
 
-    ``method`` is "lanczos", "dense", or "auto" (dense for very small
-    registers, Lanczos otherwise). Raises when the Lanczos residual never
-    reaches 1e-9, carrying the best estimate.
+    The dense path returns a vector only when asked; a real block (every
+    real-integral Jordan-Wigner Hamiltonian) is solved as a real matrix.
     """
-    n = hamiltonian.n_qubits
-    if n > MAX_QUBITS:
-        raise ShapeError(f"{n} qubits exceeds the {MAX_QUBITS}-qubit limit")
-    if method == "auto":
-        method = "dense" if n <= DENSE_CUTOFF_QUBITS else "lanczos"
-    if method not in ("dense", "lanczos"):
-        raise ShapeError(f"unknown method {method!r}")
-    needed = _solver_bytes(hamiltonian, method, max_krylov)
-    if needed > MAX_ALLOCATION_BYTES:
-        raise ShapeError(
-            f"{method} solve of {n} qubits needs {needed / 2**30:.1f} GiB, "
-            f"above the {MAX_ALLOCATION_BYTES / 2**30:.0f} GiB limit"
-        )
-
-    operator = hamiltonian.compile()
-    if method == "dense":
-        matrix = operator.dense()
+    if dense:
+        matrix = block.dense()
+        if not matrix.imag.any():
+            matrix = matrix.real
+        if not vector:
+            return float(np.linalg.eigvalsh(matrix)[0]), None
         evals, evecs = np.linalg.eigh(matrix)
-        energy = float(evals[0])
-        vec = evecs[:, 0]
-        residual = float(np.linalg.norm(matrix @ vec - energy * vec))
-        return GroundStateResult(energy, Statevector(n, vec.astype(np.complex128)), residual)
-
-    energy, vec, residual = _lanczos_lowest(operator, max_krylov, restarts)
+        return float(evals[0]), evecs[:, 0]
+    energy, vec, residual = _lanczos_lowest(block, max_krylov, restarts)
     if residual >= RESIDUAL_TOLERANCE:
         raise EigensolverConvergenceError(
             f"Lanczos residual {residual:.2e} above {RESIDUAL_TOLERANCE:.0e} "
             f"after {restarts} restarts",
             best_energy=energy,
         )
-    return GroundStateResult(energy, Statevector(n, vec), residual)
+    return energy, vec
+
+
+def ground_state_energy(
+    hamiltonian: QubitHamiltonian,
+    method: str = "auto",
+    max_krylov: int = 160,
+    restarts: int = 12,
+    n_electrons: int | None = None,
+) -> GroundStateResult:
+    """Lowest eigenvalue of the qubit Hamiltonian, in one electron sector or all.
+
+    ``method`` is "lanczos", "dense", or "auto" (dense for blocks of at most
+    ``DENSE_CUTOFF_DIM`` states, Lanczos otherwise). With ``n_electrons``
+    only the reference sector is solved, and a Hamiltonian that does not
+    conserve (N_alpha, N_beta) is refused. Raises when a Lanczos residual
+    never reaches 1e-9, carrying the best estimate.
+    """
+    n = hamiltonian.n_qubits
+    if n > MAX_QUBITS:
+        raise ShapeError(f"{n} qubits exceeds the {MAX_QUBITS}-qubit limit")
+    if method not in ("auto", "dense", "lanczos"):
+        raise ShapeError(f"unknown method {method!r}")
+    target = None
+    if n_electrons is not None:
+        if not 0 <= n_electrons <= n:
+            raise ShapeError(f"{n_electrons} electrons do not fit in {n} spin orbitals")
+        target = reference_sector(n_electrons)
+
+    def use_dense(dim):
+        return method == "dense" or (method == "auto" and dim <= DENSE_CUTOFF_DIM)
+
+    n_x_masks = len(hamiltonian.x_masks())
+    largest = _largest_block(n, target)
+    _check_bytes(n, n_x_masks, largest, use_dense(largest), max_krylov)
+
+    operator = hamiltonian.compile()
+    blocks = _blocks(operator)
+    if target is not None:
+        if blocks[0][0] is None:
+            raise ShapeError("Hamiltonian does not conserve (N_alpha, N_beta); "
+                             f"no {n_electrons}-electron sector to solve")
+        blocks = [b for b in blocks if b[0] == target]
+    largest = max(len(states) for _, states in blocks)
+    _check_bytes(n, n_x_masks, largest, use_dense(largest), max_krylov)
+
+    best = None
+    for sector, states in blocks:
+        energy, vec = _solve_block(operator.restrict(states), use_dense(len(states)),
+                                   vector=False, max_krylov=max_krylov, restarts=restarts)
+        if best is None or energy < best[0]:
+            best = energy, vec, sector, states
+    energy, vec, sector, states = best
+    if vec is None:  # the winner was solved dense: only now its eigenvector
+        energy, vec = _solve_block(operator.restrict(states), True,
+                                   vector=True, max_krylov=max_krylov, restarts=restarts)
+    amplitudes = np.zeros(1 << n, dtype=np.complex128)
+    amplitudes[states] = vec
+    residual = float(np.linalg.norm(operator.apply(amplitudes) - energy * amplitudes))
+    return GroundStateResult(energy, Statevector(n, amplitudes), residual, sector)

@@ -241,7 +241,8 @@ def exact_energy_objective(
 
 
 def sampled_energy_objective(
-    hamiltonian: QubitHamiltonian, circuit: Circuit, hf_occupied, shots: int, seed: int
+    hamiltonian: QubitHamiltonian, circuit: Circuit, hf_occupied, shots: int, seed: int,
+    groups,
 ):
     """Objective backed by measurement-group sampling.
 
@@ -251,7 +252,7 @@ def sampled_energy_objective(
     objective.
     """
     reference = prepare_hf(hamiltonian.n_qubits, hf_occupied)
-    tables = group_tables(hamiltonian, group_commuting(hamiltonian))
+    tables = group_tables(hamiltonian, groups)
     counter = [0]
 
     def objective(theta):
@@ -271,20 +272,24 @@ def run_vqe(
     mode: str = "exact",
     shots: int = 1024,
     n_restarts: int = 5,
+    groups=None,
 ) -> VqeResult:
     """Full variational loop over a Hartree-Fock reference.
 
     Restarts rerun the optimizer from small seeded perturbations of the
     zero start (restart 0 starts exactly at zero) to dodge local minima;
     the best result is returned with all restart results retained.
+    Sampled mode measures ``groups``, by default ``group_commuting(hamiltonian)``.
     """
     if circuit.n_qubits != hamiltonian.n_qubits:
         raise ShapeError("circuit and Hamiltonian qubit counts differ")
     if mode == "exact":
         objective = exact_energy_objective(hamiltonian, circuit, hf_occupied)
     elif mode == "sampled":
+        if groups is None:
+            groups = group_commuting(hamiltonian)
         objective = sampled_energy_objective(
-            hamiltonian, circuit, hf_occupied, shots, config.seed
+            hamiltonian, circuit, hf_occupied, shots, config.seed, groups
         )
     else:
         raise ShapeError(f"unknown mode {mode!r}")

@@ -191,21 +191,28 @@ class CompiledOperator:
     D_x[b] = sum of weight * i^{#Y} * (-1)^popcount(b & z). Row k stores
     ``gather[k, c] = c ^ x_k`` and ``shifted[k, c] = D_{x_k}[c ^ x_k]``, so
     (H v)[c] = sum_k shifted[k, c] * v[gather[k, c]].
+
+    A form made by :meth:`restrict` acts on a subset of the basis states; its
+    indices are local (positions in that subset) and its dimension is
+    ``gather.shape[1]``.
     """
 
     n_qubits: int
-    gather: np.ndarray  # (n_x_masks, 2**n) basis indices
-    shifted: np.ndarray  # (n_x_masks, 2**n) complex diagonals, permuted
+    gather: np.ndarray  # (rows, dim) basis indices
+    shifted: np.ndarray  # (rows, dim) complex diagonals, permuted
+
+    @property
+    def dim(self) -> int:
+        return self.gather.shape[1]
 
     def compile(self) -> CompiledOperator:
         return self
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         """H @ vec: one gather-multiply-add per x-mask, no matrix."""
-        dim = 1 << self.n_qubits
-        if vec.shape != (dim,):
-            raise ShapeError(f"vector shape {vec.shape} != ({dim},)")
-        out = np.zeros(dim, dtype=np.complex128)
+        if vec.shape != (self.dim,):
+            raise ShapeError(f"vector shape {vec.shape} != ({self.dim},)")
+        out = np.zeros(self.dim, dtype=np.complex128)
         for start in range(0, self.gather.shape[0], _ROWS_PER_BLOCK):
             rows = slice(start, start + _ROWS_PER_BLOCK)
             out += (self.shifted[rows] * vec[self.gather[rows]]).sum(axis=0)
@@ -215,8 +222,29 @@ class CompiledOperator:
         return complex(np.vdot(psi, self.apply(psi)))
 
     def dense(self) -> np.ndarray:
-        """The 2**n x 2**n matrix (intended for small registers only)."""
-        dim = 1 << self.n_qubits
-        matrix = np.zeros((dim, dim), dtype=np.complex128)
-        matrix[np.arange(dim), self.gather] = self.shifted
-        return matrix
+        """The dim x dim matrix (intended for small dimensions only)."""
+        # entry (k, c) lands in cell (c, gather[k, c]); cells are summed, so
+        # the zeroed entries of a restricted form that share a cell add nothing
+        cells = (np.arange(self.dim) * self.dim + self.gather).ravel()
+        size = self.dim * self.dim
+        real = np.bincount(cells, self.shifted.real.ravel(), size)
+        imag = np.bincount(cells, self.shifted.imag.ravel(), size)
+        return (real + 1j * imag).reshape(self.dim, self.dim)
+
+    def restrict(self, states: np.ndarray) -> CompiledOperator:
+        """P H P on the ascending basis ``states``, in local indices 0..len-1.
+
+        Entries whose partner lies outside ``states`` are set to zero, and
+        x-mask rows with no entry above ``COEFF_PRUNE_THRESHOLD`` left are
+        dropped. On a block of a block-diagonal operator this is the block.
+        """
+        if len(states) == self.dim:  # every state: the operator itself
+            return self
+        local = np.full(self.dim, -1, dtype=np.intp)
+        local[states] = np.arange(len(states))
+        gather = local[np.take(self.gather, states, axis=1)]
+        shifted = np.take(self.shifted, states, axis=1)
+        shifted *= gather >= 0
+        live = (np.abs(shifted) > COEFF_PRUNE_THRESHOLD).any(axis=1)
+        # an entry zeroed above points at local state 0, so every index is valid
+        return CompiledOperator(self.n_qubits, np.maximum(gather[live], 0), shifted[live])

@@ -74,28 +74,42 @@ class Gate:
         return self.angle * parameters[self.slot]
 
 
-def _rotation_tables(n_qubits: int, gates) -> tuple:
-    """(rows, partner, phase) of each pauli_rot gate, None for the other kinds.
+def _gate_tables(n_qubits: int, gates) -> tuple:
+    """Per gate, the index tables it applies with; None for ry.
 
-    The generator compiles to H = X^x D with (H psi)[c] = shifted[c] psi[c ^ x].
-    H^3 = H makes H^2 the projector onto the rows where shifted is nonzero, so
+    A cz gate negates the amplitudes whose control and target bits are both
+    set: its table is their flat indices.
+
+    A pauli_rot gate's table is (rows, partner, phase). The generator
+    compiles to H = X^x D with (H psi)[c] = shifted[c] psi[c ^ x]. H^3 = H
+    makes H^2 the projector onto the rows where shifted is nonzero, so
     exp(-i a/2 H) sets psi[rows] to cos(a/2) psi[rows] + sin(a/2) * phase *
     psi[partner], with partner = rows ^ x and phase = -i shifted[rows], and
     leaves the other rows alone. ``rows`` is a full slice when every row moves.
     """
     rotations = [g.generator for g in gates if g.kind == "pauli_rot"]
-    if not rotations:
-        return (None,) * len(gates)
-    # per basis index: at most 32 B of rows, partner and phase per gate, and
-    # the compile() workspace of one generator, 64 B plus 16 B per string
-    needed = (32 * len(rotations) + 64 + 16 * max(h.n_terms for h in rotations)) << n_qubits
+    n_cz = sum(g.kind == "cz" for g in gates)
+    # per basis index: 2 B of cz indices per gate (8 B on a quarter of the
+    # states) and 32 B for the index they are cut from; at most 32 B of rows,
+    # partner and phase per rotation, and the compile() workspace of one
+    # generator, 64 B plus 16 B per string
+    per_index = 2 * n_cz + 32 if n_cz else 0
+    if rotations:
+        per_index += 32 * len(rotations) + 64 + 16 * max(h.n_terms for h in rotations)
+    needed = per_index << n_qubits
     if needed > MAX_ALLOCATION_BYTES:
         raise ShapeError(
-            f"rotation tables of {len(rotations)} gates on {n_qubits} qubits need "
-            f"{needed / 2**30:.1f} GiB, above the {MAX_ALLOCATION_BYTES / 2**30:.0f} GiB limit"
+            f"gate tables of {len(rotations)} rotations and {n_cz} cz gates on "
+            f"{n_qubits} qubits need {needed / 2**30:.1f} GiB, "
+            f"above the {MAX_ALLOCATION_BYTES / 2**30:.0f} GiB limit"
         )
+    index = np.arange(1 << n_qubits) if n_cz else None
     tables = []
     for gate in gates:
+        if gate.kind == "cz":
+            control, target = gate.qubits
+            tables.append(np.flatnonzero((index >> control) & (index >> target) & 1))
+            continue
         if gate.kind != "pauli_rot":
             tables.append(None)
             continue
@@ -118,8 +132,8 @@ class Circuit:
     n_qubits: int
     gates: tuple
     n_parameters: int = 0
-    # per gate, built once with the circuit: see _rotation_tables
-    rotations: tuple = field(init=False, repr=False, compare=False)
+    # per gate, built once with the circuit: see _gate_tables
+    tables: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         used = set()
@@ -136,7 +150,7 @@ class Circuit:
         if used != set(range(self.n_parameters)):
             missing = sorted(set(range(self.n_parameters)) - used)
             raise ShapeError(f"parameter slots never referenced: {missing}")
-        object.__setattr__(self, "rotations", _rotation_tables(self.n_qubits, self.gates))
+        object.__setattr__(self, "tables", _gate_tables(self.n_qubits, self.gates))
 
 
 def prepare_hf(n_qubits: int, occupied) -> Statevector:
@@ -159,22 +173,19 @@ def apply_single_qubit(amplitudes: np.ndarray, qubit: int, matrix: np.ndarray) -
     return np.ascontiguousarray(out).reshape(n)
 
 
-def _apply_gate(amplitudes: np.ndarray, gate: Gate, rotation, parameters) -> np.ndarray:
+def _apply_gate(amplitudes: np.ndarray, gate: Gate, table, parameters) -> np.ndarray:
+    """One gate; cz and pauli_rot update ``amplitudes``, which apply_circuit owns."""
     if gate.kind == "ry":
         (q,) = gate.qubits
         half = 0.5 * gate.resolved_angle(parameters)
         c, s = np.cos(half), np.sin(half)
         return apply_single_qubit(amplitudes, q, np.array([[c, -s], [s, c]], dtype=np.complex128))
     if gate.kind == "cz":
-        control, target = gate.qubits
-        idx = np.arange(amplitudes.shape[0])
-        both = ((idx >> control) & 1 == 1) & ((idx >> target) & 1 == 1)
-        out = amplitudes.copy()
-        out[both] *= -1.0
-        return out
-    # pauli_rot: see _rotation_tables; apply_circuit owns ``amplitudes``
+        amplitudes[table] *= -1.0
+        return amplitudes
+    # pauli_rot: see _gate_tables
     half = 0.5 * gate.resolved_angle(parameters)
-    rows, partner, phase = rotation
+    rows, partner, phase = table
     amplitudes[rows] = np.cos(half) * amplitudes[rows] + np.sin(half) * (phase * amplitudes[partner])
     return amplitudes
 
@@ -189,8 +200,8 @@ def apply_circuit(state: Statevector, circuit: Circuit, parameters=()) -> Statev
             f"expected {circuit.n_parameters} parameters, got {parameters.shape}"
         )
     amplitudes = state.amplitudes.astype(np.complex128, copy=True)
-    for gate, rotation in zip(circuit.gates, circuit.rotations):
-        amplitudes = _apply_gate(amplitudes, gate, rotation, parameters)
+    for gate, table in zip(circuit.gates, circuit.tables):
+        amplitudes = _apply_gate(amplitudes, gate, table, parameters)
     return Statevector(state.n_qubits, amplitudes)
 
 

@@ -242,7 +242,11 @@ def run_single_point(
     shots: int = 1024,
     restarts: int = 5,
 ) -> SinglePointResult:
-    """Map integrals to qubits, minimize, and cross-check with exact FCI."""
+    """Map integrals to qubits, minimize, and cross-check with exact FCI.
+
+    The FCI energy is the lowest state with the integrals' electron count.
+    The Hamiltonian is grouped once; sampled mode measures those groups.
+    """
     hamiltonian = jordan_wigner(build_second_quantized(integrals))
     n_qubits = hamiltonian.n_qubits
     occupied = set(range(integrals.n_electrons))
@@ -250,12 +254,12 @@ def run_single_point(
         circuit = build_uccsd(n_qubits, occupied)
     else:
         circuit = build_hardware_efficient(n_qubits, reps)
+    groups = group_commuting(hamiltonian)
     vqe = run_vqe(
         hamiltonian, circuit, occupied, optimizer,
-        mode=mode, shots=shots, n_restarts=restarts,
+        mode=mode, shots=shots, n_restarts=restarts, groups=groups,
     )
-    fci = ground_state_energy(hamiltonian)
-    groups = group_commuting(hamiltonian)
+    fci = ground_state_energy(hamiltonian, n_electrons=integrals.n_electrons)
     return SinglePointResult(
         vqe=vqe,
         e_fci=fci.energy,

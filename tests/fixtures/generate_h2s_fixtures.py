@@ -1,13 +1,19 @@
 """Regenerate the hydrogen-sulfide-like FCIDUMP fixture quartet.
 
 Each file holds a 6-orbital, 8-electron integral set whose frozen-core
-(2 frozen spatial orbitals -> 8 spin orbitals) ground-state energy is
-calibrated to a published STO-3G total energy for H2S, so the curve
-comparison workflow reproduces the documented relativistic downshift of
-roughly 0.04 Hartree without needing four-component integrals. The
+(2 frozen spatial orbitals -> 8 spin orbitals) 8-electron ground-state
+energy is calibrated to a published STO-3G total energy for H2S, so the
+curve comparison workflow reproduces the documented relativistic downshift
+of roughly 0.04 Hartree without needing four-component integrals. The
 one- and two-electron parts are synthetic but satisfy every storage
 invariant (symmetric h, 8-fold symmetric positive-semidefinite g, core
-orbitals lowest); only the constant term carries the calibration.
+orbitals lowest); the relativistic sets deepen the inner orbitals, and the
+constant term carries the calibration.
+
+A chemical potential ``MU`` is added to every h_pp. It shifts each
+N-electron energy by MU * N and moves no eigenvalue within a sector; taken
+inside the fundamental gap it makes the 8-electron sector the Fock-space
+minimum, as for a real neutral molecule.
 
 Run from the repository root:  python3 tests/fixtures/generate_h2s_fixtures.py
 """
@@ -25,6 +31,9 @@ from vqechem.integrals import ActiveSpaceSpec, MolecularIntegrals, freeze_core
 N_ORB = 6
 N_ELEC = 8
 FROZEN = (0, 1)
+# Without it, E(N) - E(N-1) = 4.901 Ha and E(N+1) - E(N) = 5.466 Ha at 8 and
+# at 12 qubits, so N is the minimum for MU in (-5.466, -4.901); the midpoint:
+MU = -5.18
 
 # (file stem, target frozen-core ground energy in Hartree)
 TARGETS = {
@@ -48,6 +57,7 @@ def synthetic_integrals(relativistic: bool, stretched: bool) -> MolecularIntegra
         h[0, 0] -= 0.35
         h[1, 1] -= 0.06
         h[2, 2] -= 0.012
+    h[np.diag_indices(N_ORB)] += MU
 
     coulomb_weights = np.array([2.2, 1.1, 0.75, 0.70, 0.65, 0.60])
     factors = [np.diag(coulomb_weights)]
@@ -72,20 +82,29 @@ def calibrate(integrals: MolecularIntegrals, target: float) -> MolecularIntegral
     reduced = freeze_core(integrals, spec)
     hamiltonian = jordan_wigner(build_second_quantized(reduced))
     assert hamiltonian.n_qubits == 8
-    e0 = ground_state_energy(hamiltonian).energy
+    e0 = ground_state_energy(hamiltonian, n_electrons=reduced.n_electrons).energy
     return replace(integrals, constant_energy=integrals.constant_energy + target - e0)
+
+
+def render() -> dict:
+    """File stem -> FCIDUMP text of every fixture."""
+    texts = {}
+    for stem, target in TARGETS.items():
+        kind, geometry = stem.split("_")[2:]
+        integrals = synthetic_integrals(kind == "rel", geometry == "stretch")
+        integrals = calibrate(integrals, target)
+        integrals.validate_two_body_symmetry(atol=1e-12)
+        texts[stem] = write_fcidump(integrals)
+    return texts
 
 
 def main():
     out_dir = os.path.dirname(os.path.abspath(__file__))
-    for stem, target in TARGETS.items():
-        integrals = synthetic_integrals("rel_" in stem, stem.endswith("stretch"))
-        integrals = calibrate(integrals, target)
-        integrals.validate_two_body_symmetry(atol=1e-12)
+    for stem, text in render().items():
         path = os.path.join(out_dir, stem + ".fcidump")
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(write_fcidump(integrals))
-        print(f"wrote {path} (target {target})")
+            fh.write(text)
+        print(f"wrote {path} (target {TARGETS[stem]})")
 
 
 if __name__ == "__main__":

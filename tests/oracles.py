@@ -48,6 +48,22 @@ def hamiltonian_matrix(hamiltonian) -> np.ndarray:
     return total
 
 
+def sector_energy(matrix: np.ndarray, n_alpha: int, n_beta: int) -> float:
+    """Lowest eigenvalue of a dense qubit matrix on one (N_alpha, N_beta) sector.
+
+    The sector holds the basis states with ``n_alpha`` even (alpha) and
+    ``n_beta`` odd (beta) qubits set; ``matrix`` is 2**n x 2**n, as from
+    :func:`hamiltonian_matrix`.
+    """
+    n = matrix.shape[0].bit_length() - 1
+    states = [
+        b for b in range(1 << n)
+        if sum((b >> q) & 1 for q in range(0, n, 2)) == n_alpha
+        and sum((b >> q) & 1 for q in range(1, n, 2)) == n_beta
+    ]
+    return float(np.linalg.eigvalsh(matrix[np.ix_(states, states)])[0])
+
+
 def annihilation_matrices(n_modes: int, sparse: bool = False) -> list:
     """a_p in the occupation basis with fermionic signs.
 

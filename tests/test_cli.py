@@ -61,6 +61,17 @@ def test_fcidump_gen_and_fci(tmp_path, capsys):
     assert fci["e_fci"] < -1.13
 
 
+def test_fci_solves_the_geometry_electron_count(tmp_path, capsys):
+    # H2 anion: 3 electrons in 4 spin orbitals, above the neutral minimum
+    geometry = write_json(tmp_path / "h2m.json", {**H2_GEOMETRY, "charge": -1})
+    assert main(["fci", "--geometry", geometry, "--json"]) == 0
+    anion = json.loads(capsys.readouterr().out)["e_fci"]
+    neutral_geometry = write_json(tmp_path / "h2.json", H2_GEOMETRY)
+    assert main(["fci", "--geometry", neutral_geometry, "--json"]) == 0
+    neutral = json.loads(capsys.readouterr().out)["e_fci"]
+    assert anion > neutral + 0.1
+
+
 def test_vqe_single_point_geometry(tmp_path, capsys):
     geometry = write_json(tmp_path / "h2.json", H2_GEOMETRY)
     assert main(["vqe", "--geometry", geometry, "--json", *FAST_VQE]) == 0

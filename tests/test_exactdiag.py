@@ -3,12 +3,17 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import hamiltonian_matrix
+from oracles import hamiltonian_matrix, sector_energy
 from vqechem.exactdiag import apply_hamiltonian, ground_state_energy
 from vqechem.exceptions import EigensolverConvergenceError, ShapeError
+from vqechem.fermions import build_second_quantized, jordan_wigner
+from vqechem.integrals import MolecularIntegrals
 from vqechem.paulis import PauliString, QubitHamiltonian
 from vqechem.simulator import Statevector, expectation
+from vqechem.workflows import h3_exchange_point, integrals_from_geometry
 
 
 def ham(n, letter_weights):
@@ -150,3 +155,70 @@ def test_full_h2s_fixture_solves_under_the_guard(fixture_dir):
     result = ground_state_energy(h)
     assert result.residual_norm < 1e-9
     assert len(result.eigenvector.amplitudes) == 1 << 12
+
+
+def random_conserving_hamiltonian(n_orbitals: int, seed: int) -> QubitHamiltonian:
+    """JW image of random real integrals: conserves N_alpha and N_beta."""
+    rng = np.random.default_rng(seed)
+    h = rng.normal(0.0, 1.0, (n_orbitals, n_orbitals))
+    g = np.zeros((n_orbitals,) * 4)
+    for _ in range(3):
+        f = rng.normal(0.0, 0.5, (n_orbitals, n_orbitals))
+        g += np.einsum("pq,rs->pqrs", f + f.T, f + f.T) / 4.0
+    integrals = MolecularIntegrals(n_orbitals, 0, float(rng.normal()), (h + h.T) / 2.0, g)
+    return jordan_wigner(build_second_quantized(integrals))
+
+
+@settings(max_examples=20)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, 2 * n))),
+       st.integers(0, 2**32 - 1))
+def test_sector_solve_matches_dense_sector_oracle(shape, seed):
+    n_orbitals, n_electrons = shape
+    h = random_conserving_hamiltonian(n_orbitals, seed)
+    sector = ((n_electrons + 1) // 2, n_electrons // 2)
+    matrix = hamiltonian_matrix(h)
+    solved = ground_state_energy(h, n_electrons=n_electrons)
+    assert solved.sector == sector
+    assert abs(solved.energy - sector_energy(matrix, *sector)) < 1e-10
+    assert solved.residual_norm < 1e-9
+    unrestricted = ground_state_energy(h)
+    assert abs(unrestricted.energy - np.linalg.eigvalsh(matrix)[0]) < 1e-10
+    assert unrestricted.energy <= solved.energy + 1e-12
+
+
+@pytest.mark.parametrize("method", ["dense", "lanczos"])
+def test_eigenvector_lies_in_its_sector(h2_hamiltonian_074, method):
+    result = ground_state_energy(h2_hamiltonian_074, method=method, n_electrons=2)
+    amplitudes = result.eigenvector.amplitudes
+    # (1, 1): one of qubits 0, 2 and one of qubits 1, 3
+    outside = [b for b in range(16) if (b & 0b0101).bit_count() != 1 or (b & 0b1010).bit_count() != 1]
+    assert np.abs(amplitudes[outside]).max() == 0.0
+    assert np.linalg.norm(amplitudes) == pytest.approx(1.0, abs=1e-12)
+    assert result.residual_norm < 1e-9
+
+
+@pytest.mark.parametrize("charge, energy", [(+1, -1.142784), (-1, -1.307314)])
+def test_charged_h3_solves_its_own_sector(charge, energy):
+    geometry = h3_exchange_point("reactant", -1.0)["geometry"]
+    integrals, _ = integrals_from_geometry({**geometry, "charge": charge})
+    h = jordan_wigner(build_second_quantized(integrals))
+    sector = ((integrals.n_electrons + 1) // 2, integrals.n_electrons // 2)
+    result = ground_state_energy(h, n_electrons=integrals.n_electrons)
+    assert result.sector == sector
+    assert abs(result.energy - sector_energy(hamiltonian_matrix(h), *sector)) < 1e-10
+    assert abs(result.energy - energy) < 1e-6
+    # the Fock-space minimum is neutral H3, far below either ion
+    assert ground_state_energy(h).energy < energy - 0.29
+
+
+def test_sector_refused_when_the_operator_mixes_sectors():
+    h = ham(2, {"XI": 1.0, "ZZ": 0.5})  # X on qubit 0 changes N_alpha
+    assert ground_state_energy(h).sector is None
+    with pytest.raises(ShapeError, match="conserve"):
+        ground_state_energy(h, n_electrons=1)
+
+
+def test_electron_count_outside_the_register_refused(h2_hamiltonian_074):
+    for n_electrons in (-1, 5):
+        with pytest.raises(ShapeError, match="spin orbitals"):
+            ground_state_energy(h2_hamiltonian_074, n_electrons=n_electrons)

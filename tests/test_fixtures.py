@@ -1,0 +1,52 @@
+"""The bundled H2S FCIDUMP fixtures: reproducible, and physical in their sector."""
+
+import importlib.util
+import os
+
+import numpy as np
+import pytest
+
+from conftest import FIXTURE_DIR
+from vqechem.exactdiag import ground_state_energy, reference_sector
+from vqechem.fcidump import parse_fcidump
+from vqechem.fermions import build_second_quantized, jordan_wigner
+from vqechem.workflows import ScanPoint, integrals_for_point
+
+STEMS = ("h2s_sto3g_nonrel_eq", "h2s_sto3g_nonrel_stretch",
+         "h2s_sto3g_rel_eq", "h2s_sto3g_rel_stretch")
+
+
+def read(stem: str) -> str:
+    with open(os.path.join(FIXTURE_DIR, stem + ".fcidump"), encoding="utf-8") as fh:
+        return fh.read()
+
+
+def test_generator_reproduces_the_committed_files():
+    spec = importlib.util.spec_from_file_location(
+        "generate_h2s_fixtures", os.path.join(FIXTURE_DIR, "generate_h2s_fixtures.py"))
+    generator = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(generator)
+    texts = generator.render()
+    assert sorted(texts) == sorted(STEMS)
+    for stem, text in texts.items():
+        assert text == read(stem), f"{stem}.fcidump differs from its generator"
+
+
+@pytest.mark.parametrize("freeze", [(0, 1), ()], ids=["frozen_core", "full"])
+@pytest.mark.parametrize("stem", STEMS)
+def test_fock_space_minimum_holds_nelec_electrons(stem, freeze):
+    path = os.path.join(FIXTURE_DIR, stem + ".fcidump")
+    integrals = integrals_for_point(ScanPoint(stem, 0.0, fcidump_path=path), freeze)
+    hamiltonian = jordan_wigner(build_second_quantized(integrals))
+    unrestricted = ground_state_energy(hamiltonian)
+    assert unrestricted.sector == reference_sector(integrals.n_electrons)
+    in_sector = ground_state_energy(hamiltonian, n_electrons=integrals.n_electrons)
+    assert abs(unrestricted.energy - in_sector.energy) < 1e-10
+
+
+@pytest.mark.parametrize("geometry", ["eq", "stretch"])
+def test_relativistic_one_body_part_differs(geometry):
+    nonrel = parse_fcidump(read(f"h2s_sto3g_nonrel_{geometry}"))
+    rel = parse_fcidump(read(f"h2s_sto3g_rel_{geometry}"))
+    assert np.abs(rel.h - nonrel.h).max() > 0.3  # the deepened inner orbital
+    assert np.array_equal(rel.g, nonrel.g)

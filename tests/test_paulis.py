@@ -164,6 +164,21 @@ def test_compiled_operator_matches_kronecker_oracle(h, seed):
     assert np.abs(op.dense() - dense).max() < 1e-12
 
 
+@given(hamiltonians(), st.integers(0, 2**32 - 1))
+def test_restrict_is_the_projected_submatrix(h, seed):
+    rng = np.random.default_rng(seed)
+    dim = 1 << h.n_qubits
+    states = np.flatnonzero(rng.random(dim) < 0.5)
+    if states.size == 0:
+        states = np.array([int(rng.integers(dim))])
+    block = h.compile().restrict(states)
+    assert block.dim == states.size
+    expected = hamiltonian_matrix(h)[np.ix_(states, states)]
+    assert np.abs(block.dense() - expected).max() < 1e-12
+    v = rng.standard_normal(states.size) + 1j * rng.standard_normal(states.size)
+    assert np.abs(block.apply(v) - expected @ v).max() < 1e-12
+
+
 def test_hamiltonian_matrix_oracle_consistency(h2_hamiltonian_074):
     # identity weight accessor against the dense trace
     dense = hamiltonian_matrix(h2_hamiltonian_074)

@@ -202,6 +202,18 @@ def test_generator_that_is_not_a_two_level_rotation_rejected(terms):
         Circuit(2, (Gate("pauli_rot", (), generator=generator),))
 
 
+def test_cz_negates_exactly_the_rows_with_both_bits_set():
+    n = 5
+    state = random_state(n, 8)
+    gates = (Gate("cz", (0, 3)), Gate("cz", (4, 1)), Gate("cz", (3, 0)))
+    out = apply_circuit(state, Circuit(n, gates)).amplitudes
+    index = np.arange(1 << n)
+    sign = np.ones(1 << n)
+    for control, target in ((0, 3), (4, 1), (3, 0)):
+        sign[((index >> control) & 1 == 1) & ((index >> target) & 1 == 1)] *= -1.0
+    assert np.array_equal(out, sign * state.amplitudes)
+
+
 def test_parameter_count_mismatch():
     circuit = Circuit(2, (Gate("ry", (0,), slot=0),), n_parameters=1)
     with pytest.raises(ShapeError):

@@ -145,6 +145,39 @@ def test_h2s_fixture_pair_reports_published_shift(fixture_dir):
     assert round(eq_shift, 4) == 0.0371
 
 
+def test_sampled_point_groups_once(monkeypatch):
+    from vqechem import measurement, optimize
+
+    calls = []
+
+    def counting(hamiltonian):
+        calls.append(hamiltonian.n_terms)
+        return measurement.group_commuting(hamiltonian)
+
+    monkeypatch.setattr(workflows, "group_commuting", counting)
+    monkeypatch.setattr(optimize, "group_commuting", counting)
+    integrals = integrals_for_point(ScanPoint("h2", 0.74, geometry=h2_point("h2", 0.74)["geometry"]))
+    config = OptimizerConfig(kind="spsa", max_iterations=5, seed=1)
+    result = run_single_point(integrals, ansatz="hardware", optimizer=config,
+                              mode="sampled", shots=64, restarts=1)
+    assert len(calls) == 1
+    assert result.n_groups == len(measurement.group_commuting(
+        workflows.jordan_wigner(workflows.build_second_quantized(integrals))))
+
+
+def test_charged_point_reports_its_own_sector_fci():
+    # the H3 cation at the reactant end: 2 electrons, not the neutral minimum
+    point = h3_exchange_point("cation", -1.0)
+    point["geometry"]["charge"] = 1
+    integrals = integrals_for_point(ScanPoint("cation", -1.0, geometry=point["geometry"]))
+    config = OptimizerConfig(kind="simplex", max_iterations=400,
+                             convergence_threshold=1e-10, seed=0)
+    result = run_single_point(integrals, optimizer=config, restarts=1)
+    assert abs(result.e_fci - (-1.142784)) < 1e-6
+    assert result.vqe.final_energy >= result.e_fci - 1e-9
+    assert abs(result.error_mha) < 1.6
+
+
 def test_scan_pipeline_small_h2():
     manifest = load_manifest(h2_manifest_doc([0.70, 0.74, 0.78]))
     points, errors = run_scan(manifest)
