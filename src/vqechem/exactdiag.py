@@ -12,7 +12,7 @@ that is not block diagonal is one block, the whole register.
 With ``n_electrons`` only the Hartree-Fock reference's block is solved,
 (ceil(N/2), floor(N/2)), which holds the lowest N-electron state of every
 spin. Without it every block is solved and the lowest is returned: the
-Fock-space minimum. Only the winning block's eigenvector is computed; it is
+Fock-space minimum. Only the winning block's eigenvector is kept; it is
 embedded in the full register and its residual taken with the full
 operator.
 """
@@ -25,13 +25,16 @@ from math import comb
 import numpy as np
 
 from .exceptions import EigensolverConvergenceError, ShapeError
-from .paulis import COEFF_PRUNE_THRESHOLD, CompiledOperator, QubitHamiltonian
+from .paulis import COEFF_PRUNE_THRESHOLD, ROWS_PER_BLOCK, CompiledOperator, QubitHamiltonian
 from .simulator import MAX_QUBITS, MAX_ALLOCATION_BYTES, Statevector
 
 RESIDUAL_TOLERANCE = 1e-9
 LANCZOS_START_SEED = 20240801  # fixed so results are bit-reproducible
-DENSE_CUTOFF_DIM = 512  # blocks of at most this many states take dense eigh
-_ROWS_PER_CHECK = 64  # x-mask rows per chunk of the block-diagonal check
+# blocks of at most this many states take dense eigh. On one thread dense
+# beat Lanczos on every block timed, 400 to 1960 states (460 against 660 ms
+# at 1225, random real integrals). Lanczos took half as long on the 400-state
+# H2S block as on a random 441-state one, so molecular blocks may cross lower
+DENSE_CUTOFF_DIM = 1024
 
 
 @dataclass(frozen=True)
@@ -72,15 +75,20 @@ def _check_bytes(n_qubits: int, n_x_masks: int, block_dim: int, dense: bool,
     """Refuse a solve whose operator and workspace exceed the allocation cap.
 
     The compiled form holds a gather index and a complex diagonal per
-    x-mask and basis state, a restricted block as much per block state; the
-    sector labels and their sort take 32 B per state. Lanczos keeps
-    ``min(max_krylov, block_dim)`` block vectors, the dense path one
-    block_dim x block_dim matrix.
+    x-mask and basis state; two restricted blocks (the one being solved and
+    the lowest so far) as much per block state; the sector labels and their
+    sort take 32 B per state. Lanczos keeps ``min(max_krylov, block_dim)``
+    block vectors. The dense path takes 48 B per matrix cell (the complex
+    matrix, LAPACK's working copy and the eigenvectors, at most 16 B each),
+    and filling the matrix at most 48 B of mask, indices and values per
+    block entry.
     """
     entry = np.dtype(np.intp).itemsize + 16
-    operator = n_x_masks * ((1 << n_qubits) + block_dim) * entry + (32 << n_qubits)
-    vectors = block_dim if dense else min(max_krylov, block_dim)
-    needed = operator + vectors * block_dim * 16
+    operator = n_x_masks * ((1 << n_qubits) + 2 * block_dim) * entry + (32 << n_qubits)
+    if dense:
+        needed = operator + (block_dim * block_dim + n_x_masks * block_dim) * 48
+    else:
+        needed = operator + min(max_krylov, block_dim) * block_dim * 16
     if needed > MAX_ALLOCATION_BYTES:
         raise ShapeError(
             f"{'dense' if dense else 'lanczos'} solve of a {block_dim}-state block on "
@@ -101,8 +109,8 @@ def _blocks(operator: CompiledOperator) -> list[tuple[tuple[int, int] | None, np
     n_alpha = sum((index >> q) & 1 for q in range(0, n, 2))
     n_beta = sum((index >> q) & 1 for q in range(1, n, 2))
     labels = (n_alpha * (n // 2 + 1) + n_beta).astype(np.int16)
-    for start in range(0, operator.gather.shape[0], _ROWS_PER_CHECK):
-        rows = slice(start, start + _ROWS_PER_CHECK)
+    for start in range(0, operator.gather.shape[0], ROWS_PER_BLOCK):
+        rows = slice(start, start + ROWS_PER_BLOCK)
         joins = labels[operator.gather[rows]] != labels
         if np.any(np.abs(operator.shifted[rows][joins]) > COEFF_PRUNE_THRESHOLD):
             return [(None, index)]
@@ -224,16 +232,19 @@ def ground_state_energy(
     largest = max(len(states) for _, states in blocks)
     _check_bytes(n, n_x_masks, largest, use_dense(largest), max_krylov)
 
+    # a lone block is solved with its eigenvector at once; among several,
+    # dense blocks give eigenvalues only and the winner is solved again
+    vector = len(blocks) == 1
     best = None
     for sector, states in blocks:
-        energy, vec = _solve_block(operator.restrict(states), use_dense(len(states)),
-                                   vector=False, max_krylov=max_krylov, restarts=restarts)
+        block = operator.restrict(states)
+        energy, vec = _solve_block(block, use_dense(len(states)), vector,
+                                   max_krylov=max_krylov, restarts=restarts)
         if best is None or energy < best[0]:
-            best = energy, vec, sector, states
-    energy, vec, sector, states = best
-    if vec is None:  # the winner was solved dense: only now its eigenvector
-        energy, vec = _solve_block(operator.restrict(states), True,
-                                   vector=True, max_krylov=max_krylov, restarts=restarts)
+            best = energy, vec, sector, states, block
+    energy, vec, sector, states, block = best
+    if vec is None:
+        energy, vec = _solve_block(block, True, True, max_krylov=max_krylov, restarts=restarts)
     amplitudes = np.zeros(1 << n, dtype=np.complex128)
     amplitudes[states] = vec
     residual = float(np.linalg.norm(operator.apply(amplitudes) - energy * amplitudes))

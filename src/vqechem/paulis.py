@@ -177,9 +177,10 @@ def sign_table(masks, n_qubits: int) -> np.ndarray:
     return 1 - 2 * _bit_parity(index & masks)
 
 
-# x-mask rows per gather-add block of CompiledOperator.apply; bounds its
-# temporaries at 64 * 2**n amplitudes (4 MiB at 12 qubits)
-_ROWS_PER_BLOCK = 64
+# x-mask rows per chunk of a (rows, dim) pass over a compiled form, such as
+# the gather-add of CompiledOperator.apply; bounds its temporaries at
+# 64 * 2**n amplitudes (4 MiB at 12 qubits)
+ROWS_PER_BLOCK = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,8 +214,8 @@ class CompiledOperator:
         if vec.shape != (self.dim,):
             raise ShapeError(f"vector shape {vec.shape} != ({self.dim},)")
         out = np.zeros(self.dim, dtype=np.complex128)
-        for start in range(0, self.gather.shape[0], _ROWS_PER_BLOCK):
-            rows = slice(start, start + _ROWS_PER_BLOCK)
+        for start in range(0, self.gather.shape[0], ROWS_PER_BLOCK):
+            rows = slice(start, start + ROWS_PER_BLOCK)
             out += (self.shifted[rows] * vec[self.gather[rows]]).sum(axis=0)
         return out
 
@@ -223,13 +224,13 @@ class CompiledOperator:
 
     def dense(self) -> np.ndarray:
         """The dim x dim matrix (intended for small dimensions only)."""
-        # entry (k, c) lands in cell (c, gather[k, c]); cells are summed, so
-        # the zeroed entries of a restricted form that share a cell add nothing
-        cells = (np.arange(self.dim) * self.dim + self.gather).ravel()
-        size = self.dim * self.dim
-        real = np.bincount(cells, self.shifted.real.ravel(), size)
-        imag = np.bincount(cells, self.shifted.imag.ravel(), size)
-        return (real + 1j * imag).reshape(self.dim, self.dim)
+        # entry (k, c) lands in cell (c, gather[k, c]); distinct x-masks put
+        # the nonzero entries of one row c in distinct cells, while the zeroed
+        # entries of a restricted form all point at local state 0 and are skipped
+        matrix = np.zeros((self.dim, self.dim), dtype=np.complex128)
+        live = self.shifted != 0
+        matrix[np.nonzero(live)[1], self.gather[live]] = self.shifted[live]
+        return matrix
 
     def restrict(self, states: np.ndarray) -> CompiledOperator:
         """P H P on the ascending basis ``states``, in local indices 0..len-1.

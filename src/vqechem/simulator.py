@@ -75,10 +75,7 @@ class Gate:
 
 
 def _gate_tables(n_qubits: int, gates) -> tuple:
-    """Per gate, the index tables it applies with; None for ry.
-
-    A cz gate negates the amplitudes whose control and target bits are both
-    set: its table is their flat indices.
+    """Per gate, the index tables it applies with; None for ry and cz.
 
     A pauli_rot gate's table is (rows, partner, phase). The generator
     compiles to H = X^x D with (H psi)[c] = shifted[c] psi[c ^ x]. H^3 = H
@@ -88,28 +85,20 @@ def _gate_tables(n_qubits: int, gates) -> tuple:
     leaves the other rows alone. ``rows`` is a full slice when every row moves.
     """
     rotations = [g.generator for g in gates if g.kind == "pauli_rot"]
-    n_cz = sum(g.kind == "cz" for g in gates)
-    # per basis index: 2 B of cz indices per gate (8 B on a quarter of the
-    # states) and 32 B for the index they are cut from; at most 32 B of rows,
-    # partner and phase per rotation, and the compile() workspace of one
-    # generator, 64 B plus 16 B per string
-    per_index = 2 * n_cz + 32 if n_cz else 0
     if rotations:
-        per_index += 32 * len(rotations) + 64 + 16 * max(h.n_terms for h in rotations)
-    needed = per_index << n_qubits
-    if needed > MAX_ALLOCATION_BYTES:
-        raise ShapeError(
-            f"gate tables of {len(rotations)} rotations and {n_cz} cz gates on "
-            f"{n_qubits} qubits need {needed / 2**30:.1f} GiB, "
-            f"above the {MAX_ALLOCATION_BYTES / 2**30:.0f} GiB limit"
-        )
-    index = np.arange(1 << n_qubits) if n_cz else None
+        # per basis index: at most 32 B of rows, partner and phase per
+        # rotation, and the compile() workspace of one generator, 64 B plus
+        # 16 B per string
+        per_index = 32 * len(rotations) + 64 + 16 * max(h.n_terms for h in rotations)
+        needed = per_index << n_qubits
+        if needed > MAX_ALLOCATION_BYTES:
+            raise ShapeError(
+                f"gate tables of {len(rotations)} rotations on {n_qubits} qubits "
+                f"need {needed / 2**30:.1f} GiB, "
+                f"above the {MAX_ALLOCATION_BYTES / 2**30:.0f} GiB limit"
+            )
     tables = []
     for gate in gates:
-        if gate.kind == "cz":
-            control, target = gate.qubits
-            tables.append(np.flatnonzero((index >> control) & (index >> target) & 1))
-            continue
         if gate.kind != "pauli_rot":
             tables.append(None)
             continue
@@ -181,7 +170,12 @@ def _apply_gate(amplitudes: np.ndarray, gate: Gate, table, parameters) -> np.nda
         c, s = np.cos(half), np.sin(half)
         return apply_single_qubit(amplitudes, q, np.array([[c, -s], [s, c]], dtype=np.complex128))
     if gate.kind == "cz":
-        amplitudes[table] *= -1.0
+        # negate the amplitudes with both bits set, in place through a view
+        # whose axes 1 and 3 are bits hi and lo
+        lo, hi = sorted(gate.qubits)
+        shape = (-1, 2, 1 << (hi - lo - 1), 2, 1 << lo)
+        both = amplitudes.reshape(shape, copy=False)[:, 1, :, 1, :]
+        np.negative(both, out=both)
         return amplitudes
     # pauli_rot: see _gate_tables
     half = 0.5 * gate.resolved_angle(parameters)

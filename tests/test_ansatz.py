@@ -17,7 +17,14 @@ from vqechem.ansatz import (
 from vqechem.exceptions import ShapeError
 from vqechem.fermions import jordan_wigner, jordan_wigner_term_dict, number_operator
 from vqechem.paulis import PauliString, pauli_multiply
-from vqechem.simulator import Circuit, Statevector, apply_circuit, expectation, prepare_hf
+from vqechem.simulator import (
+    MAX_QUBITS,
+    Circuit,
+    Statevector,
+    apply_circuit,
+    expectation,
+    prepare_hf,
+)
 
 
 def test_hardware_efficient_parameter_count_8q_2reps():
@@ -103,6 +110,18 @@ def test_uccsd_12_qubit_build_memory():
     finally:
         tracemalloc.stop()
     assert peak < 8 << 20
+
+
+def test_hardware_efficient_builds_at_the_qubit_limit_without_tables():
+    """CZ gates keep no per-state table, so a MAX_QUBITS HEA circuit is cheap to build."""
+    tracemalloc.start()
+    try:
+        circuit = build_hardware_efficient(MAX_QUBITS, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert circuit.n_parameters == 2 * MAX_QUBITS
+    assert peak < 1 << 20
 
 
 @given(
