@@ -9,7 +9,7 @@ import numpy as np
 
 from .exceptions import ShapeError
 from .paulis import PauliString, QubitHamiltonian, sign_table
-from .simulator import Statevector, apply_single_qubit, sample_counts
+from .simulator import MAX_ALLOCATION_BYTES, Statevector, checked_int, sample_counts
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 # rotate the measurement axis onto Z: H for X, H S^+ for Y
@@ -84,47 +84,131 @@ def grouping_report_csv(groups) -> str:
     return "\n".join(rows) + "\n"
 
 
-def _group_probabilities(state: Statevector, basis: str) -> np.ndarray:
-    amplitudes = state.amplitudes
-    for q, letter in enumerate(basis):
-        if letter in _BASIS_CHANGE:
-            amplitudes = apply_single_qubit(amplitudes, q, _BASIS_CHANGE[letter])
-    return np.abs(amplitudes) ** 2
+# stacked amplitudes per block of groups: the block holds
+# max(1, BLOCK_BYTES // (16 * 2**n)) groups, 256 at 6 qubits and 4 at 12
+BLOCK_BYTES = 1 << 18
+# per stacked amplitude: 16 B of state, 48 B of basis-change temporaries,
+# 8 B of probabilities and 8 B of counts
+_BYTES_PER_STACKED = 80
+
+
+@dataclass(frozen=True, eq=False)
+class _Block:
+    """Consecutive sampled groups measured as one stack of state copies.
+
+    ``updates`` holds (qubit, rows, m00, m01, m10, m11): the basis change
+    that rows whose letter on the qubit is X (or Y) receive, listed qubit by
+    qubit so each row sees its letters in qubit order. ``parity`` holds the
+    +/-1 parity over each term's support at every basis index, one row per
+    term; ``term_rows`` is the stack row of each term's group and ``terms``
+    the block's slice of the sampled-term vector.
+    """
+
+    group_ids: tuple
+    updates: tuple
+    parity: np.ndarray
+    term_rows: np.ndarray
+    terms: slice
 
 
 @dataclass(frozen=True, eq=False)
 class GroupTables:
-    """Measurement groups with the per-term tables the estimator reads.
+    """Measurement groups as the block tables the estimator reads.
 
-    Per group: its basis string, its identity weight (None without one),
-    the weights of its other terms and their +/-1 parity over each term's
-    support at every basis index, one row per term.
+    The energy is summed in group order, each group's identity weight
+    before its other terms: ``constants`` holds that vector with the
+    identity weights in place and ``slots`` the position of each sampled
+    term, whose weights are ``weights`` (in the same order).
     """
 
-    groups: tuple  # (basis, identity weight, weights, parity table) per group
+    n_qubits: int
+    blocks: tuple
+    weights: np.ndarray
+    constants: np.ndarray
+    slots: np.ndarray
+
+
+def _check_bases(hamiltonian: QubitHamiltonian, groups) -> None:
+    """Each basis has one IXYZ letter per qubit and measures its terms' letters."""
+    n_qubits = hamiltonian.n_qubits
+    for gid, group in enumerate(groups):
+        basis = group.basis
+        if not isinstance(basis, str) or len(basis) != n_qubits or set(basis) - set("IXYZ"):
+            raise ShapeError(f"group {gid} basis {basis!r} is not {n_qubits} letters from IXYZ")
+        letters = PauliString.from_letters(basis)
+        for i in group.term_indices:
+            pauli = hamiltonian.terms[i][1]
+            differ = (pauli.x_mask ^ letters.x_mask) | (pauli.z_mask ^ letters.z_mask)
+            if differ & pauli.support_mask:
+                raise ShapeError(
+                    f"group {gid} basis {basis} does not measure term {pauli.to_letters()}"
+                )
+
+
+def _rows(rows: list):
+    """Stack rows as a slice when they are consecutive, so updates act on views."""
+    if rows[-1] - rows[0] == len(rows) - 1:
+        return slice(rows[0], rows[-1] + 1)
+    return np.array(rows)
 
 
 def group_tables(hamiltonian: QubitHamiltonian, groups) -> GroupTables:
-    """Build the estimator's tables once for a Hamiltonian and its grouping."""
+    """Build the estimator's block tables once for a Hamiltonian and its grouping."""
     covered = sorted(i for g in groups for i in g.term_indices)
     if covered != list(range(hamiltonian.n_terms)):
         raise ShapeError("groups do not partition the Hamiltonian terms")
-    tables = []
-    for group in groups:
+    _check_bases(hamiltonian, groups)
+    n_qubits = hamiltonian.n_qubits
+    dim = 1 << n_qubits
+
+    constants, slots, weights, sampled = [], [], [], []
+    for gid, group in enumerate(groups):
         terms = [hamiltonian.terms[i] for i in group.term_indices]
-        identity = next((w for w, p in terms if p.is_identity), None)
-        sampled = [(w, p) for w, p in terms if not p.is_identity]
-        weights = np.array([w for w, _ in sampled], dtype=float)
-        parity = sign_table([p.support_mask for _, p in sampled], hamiltonian.n_qubits)
-        tables.append((group.basis, identity, weights, parity))
-    return GroupTables(tuple(tables))
+        constants.extend(w for w, p in terms if p.is_identity)
+        masks = [p.support_mask for _, p in terms if not p.is_identity]
+        if masks:
+            slots.extend(range(len(constants), len(constants) + len(masks)))
+            constants.extend(0.0 for _ in masks)
+            weights.extend(w for w, p in terms if not p.is_identity)
+            sampled.append((gid, group.basis, masks))
+
+    block_rows = max(1, BLOCK_BYTES // (16 * dim))
+    chunks = [sampled[i:i + block_rows] for i in range(0, len(sampled), block_rows)]
+    if chunks:
+        # the parity tables, one block's stack and its gathered counts
+        block_terms = max(sum(len(masks) for _, _, masks in chunk) for chunk in chunks)
+        needed = dim * (len(weights) + _BYTES_PER_STACKED * len(chunks[0]) + 8 * block_terms)
+        if needed > MAX_ALLOCATION_BYTES:
+            raise ShapeError(
+                f"sampling tables of {len(weights)} terms on {n_qubits} qubits "
+                f"need {needed / 2**30:.1f} GiB, "
+                f"above the {MAX_ALLOCATION_BYTES / 2**30:.0f} GiB limit"
+            )
+
+    blocks, start = [], 0
+    for chunk in chunks:
+        updates = []
+        for q in range(n_qubits):
+            for letter, matrix in _BASIS_CHANGE.items():
+                rows = [r for r, (_, basis, _) in enumerate(chunk) if basis[q] == letter]
+                if rows:
+                    updates.append((q, _rows(rows), *matrix.ravel()))
+        masks = [m for _, _, group_masks in chunk for m in group_masks]
+        term_rows = np.repeat(np.arange(len(chunk)), [len(m) for _, _, m in chunk])
+        blocks.append(_Block(
+            tuple(gid for gid, _, _ in chunk), tuple(updates),
+            sign_table(masks, n_qubits), term_rows, slice(start, start + len(masks)),
+        ))
+        start += len(masks)
+    return GroupTables(
+        n_qubits, tuple(blocks), np.array(weights, dtype=float),
+        np.array(constants, dtype=float), np.array(slots, dtype=np.intp),
+    )
 
 
-def _running_sum(parts) -> float:
+def _running_sum(values: np.ndarray) -> float:
     """Left-to-right sum, rounded exactly as a scalar ``+=`` loop would be."""
-    if not parts:
-        return 0.0
-    return float(np.cumsum(np.concatenate(parts))[-1])
+    return float(np.cumsum(values)[-1]) if values.size else 0.0
 
 
 def estimate_energy_sampled(
@@ -142,27 +226,45 @@ def estimate_energy_sampled(
     the quoted standard error treats all terms as independent.
     ``groups`` is a list of :class:`MeasurementGroup` or, to build the
     tables once for many calls, the :class:`GroupTables` of
-    :func:`group_tables`.
+    :func:`group_tables`. Groups are measured a block at a time: the
+    state is copied into one stack row per group, and each (qubit,
+    letter) basis change updates all its rows of the stack in one step.
     """
-    if shots_per_group < 1:
-        raise ShapeError("shots_per_group must be >= 1")
+    shots = checked_int(shots_per_group, "shots_per_group", 1)
+    seed = checked_int(seed, "seed", 0)
     if hamiltonian.n_qubits != state.n_qubits:
         raise ShapeError("Hamiltonian and state qubit counts differ")
     tables = groups if isinstance(groups, GroupTables) else group_tables(hamiltonian, groups)
+    if tables.n_qubits != state.n_qubits:
+        raise ShapeError("group tables and state qubit counts differ")
 
-    energy_parts, variance_parts = [], []
+    dim = 1 << state.n_qubits
+    # the first block is the tallest
+    stack = np.empty((len(tables.blocks[0].group_ids) if tables.blocks else 0, dim),
+                     dtype=np.complex128)
+    totals = np.empty(tables.weights.size, dtype=np.int64)
     shots_used = 0
-    for gid, (basis, identity, weights, parity) in enumerate(tables.groups):
-        if identity is not None:
-            energy_parts.append([identity])
-        if not weights.size:
-            continue
-        counts = sample_counts(_group_probabilities(state, basis), shots_per_group, seed + gid)
-        shots_used += shots_per_group
-        occupied = np.nonzero(counts)[0]
-        means = (parity[:, occupied] @ counts[occupied]) / shots_per_group
-        energy_parts.append(weights * means)
-        variance_parts.append(weights**2 * np.maximum(0.0, 1.0 - means**2) / shots_per_group)
-    return EnergyEstimate(
-        _running_sum(energy_parts), math.sqrt(_running_sum(variance_parts)), shots_used
-    )
+    for block in tables.blocks:
+        height = len(block.group_ids)
+        work = stack[:height]
+        work[:] = state.amplitudes
+        for q, rows, m00, m01, m10, m11 in block.updates:
+            # the same two complex products per amplitude as apply_single_qubit
+            pairs = work.reshape(height, dim >> (q + 1), 2, 1 << q)
+            w0, w1 = pairs[rows, :, 0], pairs[rows, :, 1]
+            out0 = m00 * w0 + m01 * w1
+            pairs[rows, :, 1] = m10 * w0 + m11 * w1
+            pairs[rows, :, 0] = out0
+        probabilities = np.abs(work) ** 2
+        counts = np.empty((height, dim), dtype=np.int64)
+        for row, gid in enumerate(block.group_ids):
+            counts[row] = sample_counts(probabilities[row], shots, seed + gid)
+        # integer parity sums: exact, whatever the order of summation
+        totals[block.terms] = np.einsum("td,td->t", block.parity, counts[block.term_rows])
+        shots_used += shots * height
+
+    means = totals / shots
+    energy = tables.constants.copy()
+    energy[tables.slots] = tables.weights * means
+    variance = tables.weights**2 * np.maximum(0.0, 1.0 - means**2) / shots
+    return EnergyEstimate(_running_sum(energy), math.sqrt(_running_sum(variance)), shots_used)

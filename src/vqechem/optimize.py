@@ -16,7 +16,7 @@ import numpy as np
 from .exceptions import OptimizerDivergedError, ShapeError
 from .measurement import estimate_energy_sampled, group_commuting, group_tables
 from .paulis import QubitHamiltonian
-from .simulator import Circuit, apply_circuit, expectation, prepare_hf
+from .simulator import Circuit, apply_circuit, checked_int, expectation, prepare_hf
 
 
 @dataclass(frozen=True)
@@ -42,6 +42,7 @@ class OptimizerConfig:
             raise ShapeError("max_iterations must be >= 1")
         if self.convergence_threshold <= 0 or self.simplex_xtol <= 0:
             raise ShapeError("tolerances must be positive")
+        checked_int(self.seed, "seed", 0)
 
 
 @dataclass(frozen=True)

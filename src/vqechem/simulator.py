@@ -8,6 +8,7 @@ exponentials, so a single rotation carries no approximation error.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -213,6 +214,19 @@ def expectation(state: Statevector, hamiltonian: QubitHamiltonian | CompiledOper
     return float(value.real)
 
 
+def checked_int(value, name: str, least: int) -> int:
+    """``value`` as an int if it is an integer (not a bool) >= ``least``, else a ShapeError."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        value = operator.index(value)
+    except TypeError:
+        raise ShapeError(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise ShapeError(f"{name} must be >= {least}, got {value}")
+    return value
+
+
 def sample_counts(probabilities: np.ndarray, n_shots: int, seed: int) -> np.ndarray:
     """Seeded multinomial draw of ``n_shots`` outcomes; one count per index."""
     probabilities = probabilities / probabilities.sum()
@@ -224,8 +238,8 @@ def sample(state: Statevector, n_shots: int, seed: int) -> dict[str, int]:
 
     Bitstrings list qubit 0 first, matching the Pauli letter convention.
     """
-    if n_shots < 1:
-        raise ShapeError("n_shots must be >= 1")
+    n_shots = checked_int(n_shots, "n_shots", 1)
+    seed = checked_int(seed, "seed", 0)
     counts = sample_counts(state.probabilities(), n_shots, seed)
     n = state.n_qubits
     result = {}

@@ -108,6 +108,57 @@ def fermion_operator_matrix(op) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# sampled energy estimation, one group at a time
+
+_SQRT_HALF = 1.0 / math.sqrt(2.0)
+# rotate the measurement axis onto Z: H for X, H S^+ for Y
+BASIS_CHANGE = {
+    "X": np.array([[_SQRT_HALF, _SQRT_HALF], [_SQRT_HALF, -_SQRT_HALF]], dtype=complex),
+    "Y": np.array([[_SQRT_HALF, -1j * _SQRT_HALF], [_SQRT_HALF, 1j * _SQRT_HALF]], dtype=complex),
+}
+
+
+def group_probabilities(state, basis: str) -> np.ndarray:
+    """Outcome probabilities in a group's basis, one letter's rotation at a time."""
+    from vqechem.simulator import apply_single_qubit
+
+    amplitudes = state.amplitudes
+    for q, letter in enumerate(basis):
+        if letter in BASIS_CHANGE:
+            amplitudes = apply_single_qubit(amplitudes, q, BASIS_CHANGE[letter])
+    return np.abs(amplitudes) ** 2
+
+
+def sampled_energy(state, hamiltonian, groups, shots: int, seed: int):
+    """The grouped sampled estimator group by group and term by term.
+
+    One seeded draw per group (``seed + group index``), a bit count per
+    term over the drawn outcomes and scalar accumulation in group order:
+    each group's identity weight, then its other terms.
+    """
+    from vqechem.measurement import EnergyEstimate
+    from vqechem.simulator import sample_counts
+
+    energy = variance = 0.0
+    shots_used = 0
+    for gid, group in enumerate(groups):
+        terms = [hamiltonian.terms[i] for i in group.term_indices]
+        energy += sum(w for w, p in terms if p.is_identity)
+        sampled = [(w, p) for w, p in terms if not p.is_identity]
+        if not sampled:
+            continue
+        counts = sample_counts(group_probabilities(state, group.basis), shots, seed + gid)
+        shots_used += shots
+        drawn = [(b, int(n)) for b, n in enumerate(counts) if n]
+        for weight, pauli in sampled:
+            total = sum(n * (-1) ** bin(b & pauli.support_mask).count("1") for b, n in drawn)
+            mean = total / shots
+            energy += weight * mean
+            variance += weight * weight * max(0.0, 1.0 - mean * mean) / shots
+    return EnergyEstimate(energy, math.sqrt(variance), shots_used)
+
+
+# ---------------------------------------------------------------------------
 # determinant-basis FCI via Slater-Condon rules
 
 

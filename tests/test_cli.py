@@ -85,6 +85,21 @@ def test_vqe_requires_exactly_one_source(capsys):
     assert "exactly one" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "options",
+    [["--mode", "sampled", "--optimizer", "spsa", "--restarts", "1"],
+     ["--restarts", "2"]],
+    ids=["sampled", "exact-restarts"],
+)
+def test_negative_seed_exits_2_with_one_line(tmp_path, capsys, options):
+    geometry = write_json(tmp_path / "h2.json", H2_GEOMETRY)
+    argv = ["vqe", "--geometry", geometry, "--seed", "-1", "--max-iterations", "5", *options]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and "seed" in err
+
+
 def test_scan_fit_compare_trace_roundtrip(tmp_path, capsys):
     manifest = small_manifest(tmp_path)
     out_a = tmp_path / "scan_a.csv"

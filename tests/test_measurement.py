@@ -1,24 +1,22 @@
 import hashlib
 import json
-import math
 import os
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import chromatic_number
+from oracles import chromatic_number, sampled_energy
 from vqechem.exceptions import ShapeError
 from vqechem.measurement import (
     MeasurementGroup,
-    _group_probabilities,
     estimate_energy_sampled,
     group_commuting,
     group_tables,
     grouping_report_csv,
 )
 from vqechem.paulis import PauliString, QubitHamiltonian, commutes_qubitwise
-from vqechem.simulator import Statevector, expectation, prepare_hf, sample, sample_counts
+from vqechem.simulator import MAX_QUBITS, Statevector, expectation, prepare_hf, sample
 
 
 def ham(n, letter_weights):
@@ -200,15 +198,19 @@ def test_group_partition_validation(h2_hamiltonian_074):
         estimate_energy_sampled(state, h2_hamiltonian_074, bad_groups, 10, 0)
 
 
-def test_full_h2s_fixture_groups_pinned(fixture_dir):
-    # greedy coloring of the 12-qubit fixture: 1819 terms in 502 groups; the
-    # digest pins every group's members and basis letters
+def h2s_fixture_hamiltonian(fixture_dir):
     from vqechem.fcidump import parse_fcidump
     from vqechem.fermions import build_second_quantized, jordan_wigner
 
     path = os.path.join(fixture_dir, "h2s_sto3g_nonrel_eq.fcidump")
     with open(path, encoding="utf-8") as fh:
-        h = jordan_wigner(build_second_quantized(parse_fcidump(fh.read())))
+        return jordan_wigner(build_second_quantized(parse_fcidump(fh.read())))
+
+
+def test_full_h2s_fixture_groups_pinned(fixture_dir):
+    # greedy coloring of the 12-qubit fixture: 1819 terms in 502 groups; the
+    # digest pins every group's members and basis letters
+    h = h2s_fixture_hamiltonian(fixture_dir)
     groups = group_commuting(h)
     assert (h.n_terms, len(groups)) == (1819, 502)
     assert groups[0].basis == "XXYZZZZZZZZY"
@@ -219,41 +221,106 @@ def test_full_h2s_fixture_groups_pinned(fixture_dir):
     )
 
 
-def per_term_estimate(state, h, groups, shots, seed):
-    """The estimator term by term: one parity per term, scalar accumulation."""
-    energy = variance = 0.0
-    for gid, group in enumerate(groups):
-        terms = [h.terms[i] for i in group.term_indices]
-        energy += sum(w for w, p in terms if p.is_identity)
-        sampled = [(w, p) for w, p in terms if not p.is_identity]
-        if not sampled:
-            continue
-        counts = sample_counts(_group_probabilities(state, group.basis), shots, seed + gid)
-        for weight, pauli in sampled:
-            total = sum(int(n) * (-1) ** bin(b & pauli.support_mask).count("1")
-                        for b, n in enumerate(counts) if n)
-            mean = total / shots
-            energy += weight * mean
-            variance += weight * weight * max(0.0, 1.0 - mean * mean) / shots
-    return energy, variance
-
-
 @given(st.integers(0, 2**32 - 1))
 def test_tables_built_once_match_per_call_construction(seed):
     rng = np.random.default_rng(seed)
-    n = int(rng.integers(1, 5))
+    n = int(rng.integers(1, 7))
     coeffs = {(0, 0): float(rng.normal())}
-    while len(coeffs) < min(8, 4**n):
+    while len(coeffs) < min(int(rng.integers(2, 16)), 4**n):
         coeffs[(int(rng.integers(0, 1 << n)), int(rng.integers(0, 1 << n)))] = float(rng.normal())
     h = QubitHamiltonian.from_term_dict(n, coeffs)
     state = superposition_state(n, seed)
     groups = group_commuting(h)
+    if rng.integers(0, 2):
+        # measure the identity term alone, in a basis of random letters
+        identity = next(i for i, (_, p) in enumerate(h.terms) if p.is_identity)
+        groups = [MeasurementGroup(tuple(i for i in g.term_indices if i != identity), g.basis)
+                  for g in groups]
+        groups = [g for g in groups if g.term_indices]
+        basis = "".join(rng.choice(list("IXYZ"), size=n))
+        groups.insert(int(rng.integers(0, len(groups) + 1)), MeasurementGroup((identity,), basis))
     tables = group_tables(h, groups)
     shots = int(rng.integers(1, 300))
     for call_seed in (seed, seed + 100003):
         once = estimate_energy_sampled(state, h, tables, shots, call_seed)
         per_call = estimate_energy_sampled(state, h, groups, shots, call_seed)
         assert once == per_call  # bit-identical, standard error included
-        energy, variance = per_term_estimate(state, h, groups, shots, call_seed)
-        assert once.energy == energy
-        assert once.standard_error == math.sqrt(variance)
+        assert once == sampled_energy(state, h, groups, shots, call_seed)
+
+
+def test_blocks_of_groups_match_per_group_oracle_at_12_qubits(fixture_dir):
+    # 502 groups at 4 per block: the estimate crosses 125 block boundaries
+    h = h2s_fixture_hamiltonian(fixture_dir)
+    groups = group_commuting(h)
+    tables = group_tables(h, groups)
+    assert len(tables.blocks) == 126
+    state = superposition_state(12, 2024)
+    estimate = estimate_energy_sampled(state, h, tables, 1024, 17)
+    assert estimate == sampled_energy(state, h, groups, 1024, 17)
+
+
+@pytest.mark.parametrize("shots", [2.5, 0, True, "10", None])
+def test_shots_must_be_a_positive_integer(shots):
+    h = ham(2, {"ZI": 0.3, "XX": 0.2})
+    state = superposition_state(2, 1)
+    with pytest.raises(ShapeError, match="shots"):
+        estimate_energy_sampled(state, h, group_commuting(h), shots, 0)
+    with pytest.raises(ShapeError, match="shots"):
+        sample(state, shots, 0)
+
+
+def test_integer_like_shots_accepted():
+    h = ham(2, {"ZI": 0.3, "XX": 0.2})
+    state = superposition_state(2, 1)
+    groups = group_commuting(h)
+    assert estimate_energy_sampled(state, h, groups, np.int64(64), 5) == (
+        estimate_energy_sampled(state, h, groups, 64, 5))
+    assert sample(state, np.int32(64), 5) == sample(state, 64, 5)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.0])
+def test_seed_must_be_a_nonnegative_integer(seed):
+    h = ham(2, {"ZI": 0.3, "XX": 0.2})
+    state = superposition_state(2, 1)
+    with pytest.raises(ShapeError, match="seed"):
+        estimate_energy_sampled(state, h, group_commuting(h), 16, seed)
+    with pytest.raises(ShapeError, match="seed"):
+        sample(state, 16, seed)
+
+
+@pytest.mark.parametrize(
+    "letters, basis",
+    [("ZI", "Z"), ("XX", "ZZ"), ("XI", "XZ "), ("ZZ", "zz"), ("YZ", "XZ"), ("IX", "XI")],
+    ids=["too-short", "wrong-letters", "not-a-letter", "lower-case", "one-wrong", "shifted"],
+)
+def test_basis_must_measure_its_terms(letters, basis):
+    h = ham(2, {letters: 0.5})
+    with pytest.raises(ShapeError, match="basis"):
+        group_tables(h, [MeasurementGroup((0,), basis)])
+
+
+def test_basis_letters_off_the_support_are_free():
+    h = ham(2, {"ZI": 0.5, "II": -0.25})
+    z, identity = ([p.to_letters() for _, p in h.terms].index(s) for s in ("ZI", "II"))
+    groups = [MeasurementGroup((z,), "ZX"), MeasurementGroup((identity,), "YY")]
+    state = superposition_state(2, 4)
+    estimate = estimate_energy_sampled(state, h, groups, 200, 3)
+    assert estimate == sampled_energy(state, h, groups, 200, 3)
+
+
+def test_sampling_tables_refused_above_the_allocation_limit():
+    # one Z term per qubit of the largest register: a single stack row of
+    # 2**24 amplitudes with its workspace already passes 1 GiB
+    import tracemalloc
+
+    n = MAX_QUBITS
+    h = QubitHamiltonian.from_term_dict(n, {(0, 1 << q): 1.0 for q in range(n)})
+    groups = group_commuting(h)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ShapeError, match="GiB"):
+            group_tables(h, groups)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

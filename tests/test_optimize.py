@@ -220,3 +220,7 @@ def test_config_validation():
         OptimizerConfig(max_iterations=0)
     with pytest.raises(ShapeError):
         OptimizerConfig(convergence_threshold=0.0)
+    with pytest.raises(ShapeError, match="seed"):
+        OptimizerConfig(seed=-1)
+    with pytest.raises(ShapeError, match="seed"):
+        OptimizerConfig(seed=1.5)

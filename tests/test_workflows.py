@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -189,6 +191,19 @@ def test_scan_pipeline_small_h2():
         assert p.n_pauli_terms > 0 and p.n_groups > 0
     text = scan_csv(points)
     assert parse_scan_csv(text) == points
+
+
+def test_sampled_scan_csv_pinned():
+    # a sampled scan's CSV pinned across code versions: any change to the
+    # draws, the parity sums or their order moves the digest
+    doc = h2_manifest_doc(
+        [0.70, 0.78], ansatz="hardware", mode="sampled", shots=256,
+        optimizer={"kind": "spsa", "max_iterations": 5, "seed": 0},
+    )
+    points, errors = run_scan(load_manifest(doc))
+    assert errors == []
+    digest = hashlib.sha256(scan_csv(points).encode()).hexdigest()
+    assert digest == "c8652f781155e6a48e5c0cccb818933445c5628f5bb41f321aad45744ec1161a"
 
 
 def test_scan_points_are_order_independent():
