@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exceptions import ShapeError
-from .fermions import FermionOperator, jordan_wigner_term_dict
+from .fermions import FermionOperator, jordan_wigner_term_dicts
 from .paulis import QubitHamiltonian
 from .simulator import Circuit, Gate
 
@@ -87,22 +87,32 @@ def _excitation_generator(n_modes: int, annihilate, create) -> FermionOperator:
 
 
 def excitation_gate(n_modes: int, annihilate, create, slot: int) -> Gate:
-    """One two-level rotation implementing exp(theta * (tau - tau^+)) exactly.
+    """One two-level rotation implementing exp(theta * (tau - tau^+)) exactly."""
+    return _excitation_gates(n_modes, [(annihilate, create)], slot)[0]
 
-    The Jordan-Wigner image of the generator is i * G with G = sum_m c_m P_m
-    and real c_m. The strings of one excitation share one x-mask and G^3 = G
-    (Yordanov, Arvidsson-Shukur & Barnes, PRA 102, 062612), so
-    exp(i theta G) is the rotation about G at angle -2 theta.
+
+def _excitation_gates(n_modes: int, moves, first_slot: int = 0) -> list[Gate]:
+    """One exact rotation per (annihilate, create) move, in slots from ``first_slot``.
+
+    The Jordan-Wigner image of a generator tau - tau^+ is i * G with
+    G = sum_m c_m P_m and real c_m. The strings of one excitation share one
+    x-mask and G^3 = G (Yordanov, Arvidsson-Shukur & Barnes, PRA 102, 062612),
+    so exp(i theta G) is the rotation about G at angle -2 theta. All
+    generators are expanded in one call.
     """
-    expansion = jordan_wigner_term_dict(_excitation_generator(n_modes, annihilate, create))
-    for coeff in expansion.values():
-        if abs(coeff.real) > JW_REAL_RESIDUE_TOLERANCE:
-            raise ShapeError(
-                f"excitation generator mapped to non-imaginary coefficient {coeff}"
-            )
-    generator = QubitHamiltonian.from_term_dict(
-        n_modes, {key: coeff.imag for key, coeff in expansion.items()})
-    return Gate("pauli_rot", (), slot=slot, angle=-2.0, generator=generator)
+    expansions = jordan_wigner_term_dicts(
+        [_excitation_generator(n_modes, annihilate, create) for annihilate, create in moves])
+    gates = []
+    for slot, expansion in enumerate(expansions, start=first_slot):
+        for coeff in expansion.values():
+            if abs(coeff.real) > JW_REAL_RESIDUE_TOLERANCE:
+                raise ShapeError(
+                    f"excitation generator mapped to non-imaginary coefficient {coeff}"
+                )
+        generator = QubitHamiltonian.from_term_dict(
+            n_modes, {key: coeff.imag for key, coeff in expansion.items()})
+        gates.append(Gate("pauli_rot", (), slot=slot, angle=-2.0, generator=generator))
+    return gates
 
 
 def build_uccsd(n_spin_orbitals: int, occupied) -> Circuit:
@@ -115,6 +125,5 @@ def build_uccsd(n_spin_orbitals: int, occupied) -> Circuit:
     excitations = enumerate_excitations(n_spin_orbitals, occupied)
     moves = [((i,), (a,)) for i, a in excitations.singles]
     moves += [((i, j), (a, b)) for i, j, a, b in excitations.doubles]
-    gates = tuple(excitation_gate(n_spin_orbitals, annihilate, create, slot)
-                  for slot, (annihilate, create) in enumerate(moves))
+    gates = tuple(_excitation_gates(n_spin_orbitals, moves))
     return Circuit(n_spin_orbitals, gates, n_parameters=len(gates))

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .exceptions import NonHermitianError, ShapeError
 from .integrals import MolecularIntegrals
 from .paulis import COEFF_PRUNE_THRESHOLD, QubitHamiltonian
@@ -143,45 +145,62 @@ def build_second_quantized(integrals: MolecularIntegrals) -> FermionOperator:
     return FermionOperator.from_terms(2 * n, raw)
 
 
-def _jw_mode_factors(mode: int, is_creation: bool) -> list[tuple[complex, int, int]]:
-    """JW image of one ladder operator as [(coeff, x_mask, z_mask), ...].
+def _sum_runs(keys, coeffs, order=()):
+    """Sum the coefficients of equal keys one by one, by ``order`` then array order."""
+    perm = np.lexsort((*order, *keys[::-1]))
+    keys, coeffs = [key[perm] for key in keys], coeffs[perm]
+    first = np.r_[True, np.any([key[1:] != key[:-1] for key in keys], axis=0)]
+    run = np.cumsum(first) - 1
+    total = np.empty(run[-1] + 1, dtype=np.complex128)
+    total.real, total.imag = np.bincount(run, coeffs.real), np.bincount(run, coeffs.imag)
+    return [key[first] for key in keys], total
+
+
+def jordan_wigner_term_dicts(ops) -> list[dict[tuple[int, int], complex]]:
+    """Expand each operator into {(x_mask, z_mask): complex coefficient}.
 
     a_j^+ = (X_j - iY_j)/2 * Z_0..Z_{j-1},  a_j = (X_j + iY_j)/2 * Z_0..Z_{j-1}.
+    Terms of one length expand together on int64 masks: each factor splits
+    every product into its X and Y half, times the phase rule of
+    :func:`vqechem.paulis.pauli_multiply`. Equal strings sum as a per-product
+    loop sums them: within a term after each repeated mode (only two products
+    meet, so order cannot matter), then across one operator's terms in order.
     """
-    z_chain = (1 << mode) - 1
-    bit = 1 << mode
-    sign = -1j if is_creation else 1j
-    return [
-        (0.5, bit, z_chain),
-        (0.5 * sign, bit, z_chain | bit),
-    ]
+    if any(op.n_modes > 62 for op in ops):
+        raise ShapeError("more than 62 modes do not fit int64 masks")
+    terms = [item for op in ops for item in op.terms.items()]
+    owner = np.repeat(np.arange(len(ops)), [len(op.terms) for op in ops])
+    lengths, parts = np.array([len(term) for term, _ in terms], dtype=int), []
+    for length in set(lengths.tolist()):
+        index = np.flatnonzero(lengths == length)
+        factors = np.array([terms[g][0] for g in index], dtype=np.int64)
+        modes, creation = factors.reshape(len(index), length, 2).transpose(2, 0, 1)
+        coeffs = np.array([terms[g][1] for g in index], dtype=np.complex128)
+        tid, (x, z) = np.arange(len(index)), np.zeros((2, len(index)), dtype=np.int64)
+        for j in range(length):  # x: one mask per term, the same in all its products
+            tid, z1, coeffs = np.repeat(tid, 2), np.repeat(z, 2), np.repeat(coeffs, 2)
+            y, x1, bit = np.tile(np.array([0, 1]), len(z)), x[tid], 1 << modes[tid, j]
+            z = (bit - 1) | (bit * y)  # the X half (y = 0) and the Y half (y = 1)
+            k = (np.bitwise_count(x1 & z1) + y + 2 * np.bitwise_count(z1 & bit)
+                 - np.bitwise_count((x1 ^ bit) & (z1 ^ z)))
+            half = np.where(y == 0, 0.5, np.where(creation[tid, j], -0.5j, 0.5j))
+            coeffs, z = coeffs * half * np.array([1, 1j, -1, -1j])[k % 4], z1 ^ z
+            x ^= 1 << modes[:, j]
+            if (modes[:, :j] == modes[:, j:j + 1]).any():
+                (tid, z), coeffs = _sum_runs((tid, z), coeffs)
+        parts.append((index[tid], x[tid], z, coeffs))
+    if not parts:
+        return [{} for _ in ops]
+    order, x, z, coeffs = (np.concatenate(column) for column in zip(*parts))
+    (owner, x, z), coeffs = _sum_runs((owner[order], x, z), coeffs, (order,))
+    keys, values = list(zip(x.tolist(), z.tolist())), coeffs.tolist()
+    bounds = np.searchsorted(owner, np.arange(len(ops) + 1)).tolist()
+    return [dict(zip(keys[a:b], values[a:b])) for a, b in zip(bounds, bounds[1:])]
 
 
 def jordan_wigner_term_dict(op: FermionOperator) -> dict[tuple[int, int], complex]:
-    """Expand an operator into {(x_mask, z_mask): complex coefficient}.
-
-    Internal workhorse; callers needing a Hermitian Hamiltonian should use
-    :func:`jordan_wigner`, which validates and realifies the result.
-    """
-    from .paulis import PauliString, pauli_multiply
-
-    n_qubits = op.n_modes
-    accum: dict[tuple[int, int], complex] = {}
-    for term, coeff in op.terms.items():
-        partial: dict[tuple[int, int], complex] = {(0, 0): complex(coeff)}
-        for mode, dag in term:
-            nxt: dict[tuple[int, int], complex] = {}
-            for (x1, z1), c1 in partial.items():
-                for c2, x2, z2 in _jw_mode_factors(mode, dag):
-                    phase, prod = pauli_multiply(
-                        PauliString(n_qubits, x1, z1), PauliString(n_qubits, x2, z2)
-                    )
-                    key = (prod.x_mask, prod.z_mask)
-                    nxt[key] = nxt.get(key, 0.0) + c1 * c2 * phase
-            partial = nxt
-        for key, c in partial.items():
-            accum[key] = accum.get(key, 0.0) + c
-    return accum
+    """One operator's expansion; :func:`jordan_wigner` validates and realifies it."""
+    return jordan_wigner_term_dicts([op])[0]
 
 
 def jordan_wigner(op: FermionOperator) -> QubitHamiltonian:
@@ -191,11 +210,7 @@ def jordan_wigner(op: FermionOperator) -> QubitHamiltonian:
     input was not Hermitian and raises.
     """
     accum = jordan_wigner_term_dict(op)
-    real_terms: dict[tuple[int, int], float] = {}
     for key, c in accum.items():
         if abs(c.imag) > JW_IMAG_TOLERANCE:
-            raise NonHermitianError(
-                f"imaginary coefficient {c.imag:.3e} on term with masks {key}"
-            )
-        real_terms[key] = c.real
-    return QubitHamiltonian.from_term_dict(op.n_modes, real_terms)
+            raise NonHermitianError(f"imaginary coefficient {c.imag:.3e} on term with masks {key}")
+    return QubitHamiltonian.from_term_dict(op.n_modes, {key: c.real for key, c in accum.items()})

@@ -160,14 +160,8 @@ class QubitHamiltonian:
 
 
 def _bit_parity(values: np.ndarray) -> np.ndarray:
-    """Parity of the set bits of each entry (entries < 2**32)."""
-    v = values.astype(np.uint32)
-    v ^= v >> np.uint32(16)
-    v ^= v >> np.uint32(8)
-    v ^= v >> np.uint32(4)
-    v ^= v >> np.uint32(2)
-    v ^= v >> np.uint32(1)
-    return (v & np.uint32(1)).astype(np.int8)
+    """Parity of the set bits of each (nonnegative) entry, as int8."""
+    return (np.bitwise_count(values) & 1).view(np.int8)
 
 
 def sign_table(masks, n_qubits: int) -> np.ndarray:

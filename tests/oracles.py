@@ -107,6 +107,35 @@ def fermion_operator_matrix(op) -> np.ndarray:
     return total.toarray()
 
 
+def jordan_wigner_terms(op) -> dict:
+    """{(x_mask, z_mask): complex} of an operator, one Pauli product at a time.
+
+    a_j^+ = (X_j - iY_j)/2 * Z_0..Z_{j-1},  a_j = (X_j + iY_j)/2 * Z_0..Z_{j-1}.
+    Each term's partial sum is multiplied on the right by both halves of its
+    next factor and merged after every factor; the terms' sums then add up
+    in dict order.
+    """
+    from vqechem.paulis import PauliString, pauli_multiply
+
+    accum: dict = {}
+    for term, coeff in op.terms.items():
+        partial = {(0, 0): complex(coeff)}
+        for mode, dag in term:
+            bit, chain = 1 << mode, (1 << mode) - 1
+            halves = ((0.5, bit, chain), ((-0.5j if dag else 0.5j), bit, chain | bit))
+            nxt: dict = {}
+            for (x1, z1), c1 in partial.items():
+                for c2, x2, z2 in halves:
+                    phase, prod = pauli_multiply(
+                        PauliString(op.n_modes, x1, z1), PauliString(op.n_modes, x2, z2))
+                    key = (prod.x_mask, prod.z_mask)
+                    nxt[key] = nxt.get(key, 0.0) + c1 * c2 * phase
+            partial = nxt
+        for key, c in partial.items():
+            accum[key] = accum.get(key, 0.0) + c
+    return accum
+
+
 # ---------------------------------------------------------------------------
 # sampled energy estimation, one group at a time
 

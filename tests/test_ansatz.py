@@ -146,6 +146,20 @@ def test_excitation_gate_matches_dense_exponential(excitation, theta, seed):
     assert np.abs(fused - expm(theta * m) @ state.amplitudes).max() < 1e-12
 
 
+def test_uccsd_gates_match_gate_by_gate_build():
+    # build_uccsd expands all generators in one call and splits them by
+    # excitation; each gate must equal the one built for its excitation alone
+    n, occupied = 8, range(4)
+    excitations = enumerate_excitations(n, occupied)
+    moves = [((i,), (a,)) for i, a in excitations.singles]
+    moves += [((i, j), (a, b)) for i, j, a, b in excitations.doubles]
+    circuit = build_uccsd(n, occupied)
+    assert len(circuit.gates) == len(moves)
+    for slot, (gate, (annihilate, create)) in enumerate(zip(circuit.gates, moves)):
+        alone = excitation_gate(n, annihilate, create, slot)
+        assert (gate.slot, gate.angle, gate.generator) == (alone.slot, alone.angle, alone.generator)
+
+
 def test_uccsd_rotation_strings_commute_within_excitation():
     """The rotations of one excitation must commute for exactness."""
     circuit = build_uccsd(4, {0, 1})

@@ -1,21 +1,33 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from oracles import (
     annihilation_matrices,
     determinant_fci,
     fermion_operator_matrix,
     hamiltonian_matrix,
+    jordan_wigner_terms,
 )
-from vqechem.exceptions import NonHermitianError
+from vqechem.ansatz import _excitation_generator, enumerate_excitations
+from vqechem.exceptions import NonHermitianError, ShapeError
 from vqechem.fermions import (
     FermionOperator,
     build_second_quantized,
     jordan_wigner,
+    jordan_wigner_term_dict,
+    jordan_wigner_term_dicts,
     number_operator,
 )
 from vqechem.integrals import MolecularIntegrals
 from vqechem.paulis import PauliString
+from vqechem.workflows import ScanPoint, integrals_for_point
+
+H2S_STEMS = ("h2s_sto3g_nonrel_eq", "h2s_sto3g_nonrel_stretch",
+             "h2s_sto3g_rel_eq", "h2s_sto3g_rel_stretch")
 
 
 def simple_integrals(n, h=None, g=None, constant=0.0, n_electrons=2):
@@ -160,3 +172,53 @@ def test_prune_threshold_respected(h2_integrals_074):
     h = jordan_wigner(build_second_quantized(h2_integrals_074))
     assert all(abs(w) >= 1e-12 for w, _ in h.terms)
     assert all(isinstance(p, PauliString) for _, p in h.terms)
+
+
+def assert_same_expansion(got, want):
+    """The same Pauli strings, each with a coefficient that compares equal."""
+    assert got.keys() == want.keys()
+    assert all(got[key] == want[key] for key in want)
+
+
+@st.composite
+def raw_operators(draw):
+    """Up to 8 modes and terms of 0-4 factors, modes free to repeat."""
+    n = draw(st.integers(1, 8))
+    term = st.lists(st.tuples(st.integers(0, n - 1), st.booleans()), max_size=4).map(tuple)
+    return FermionOperator(n, draw(st.dictionaries(term, st.floats(-1e3, 1e3), max_size=12)))
+
+
+@given(st.lists(raw_operators(), min_size=1, max_size=3))
+def test_jw_expansion_matches_product_loop(ops):
+    # raw terms keep their repeated modes and their order; from_terms
+    # normal orders them; each operator of a batch expands on its own
+    for batch in (ops, [FermionOperator.from_terms(op.n_modes, op.terms) for op in ops]):
+        expansions = jordan_wigner_term_dicts(batch)
+        assert len(expansions) == len(batch)
+        for expansion, op in zip(expansions, batch):
+            assert_same_expansion(expansion, jordan_wigner_terms(op))
+        assert_same_expansion(jordan_wigner_term_dict(batch[0]), jordan_wigner_terms(batch[0]))
+
+
+@pytest.mark.parametrize("freeze", [(0, 1), ()], ids=["8q", "12q"])
+@pytest.mark.parametrize("stem", H2S_STEMS)
+def test_jw_h2s_fixtures_match_product_loop(fixture_dir, stem, freeze):
+    point = ScanPoint(stem, 0.0, fcidump_path=os.path.join(fixture_dir, stem + ".fcidump"))
+    op = build_second_quantized(integrals_for_point(point, freeze))
+    assert_same_expansion(jordan_wigner_term_dict(op), jordan_wigner_terms(op))
+
+
+def test_jw_uccsd_generators_match_product_loop():
+    excitations = enumerate_excitations(12, range(8))
+    moves = [((i,), (a,)) for i, a in excitations.singles]
+    moves += [((i, j), (a, b)) for i, j, a, b in excitations.doubles]
+    generators = [_excitation_generator(12, annihilate, create) for annihilate, create in moves]
+    for expansion, generator in zip(jordan_wigner_term_dicts(generators), generators):
+        assert_same_expansion(expansion, jordan_wigner_terms(generator))
+
+
+def test_jw_expansion_edge_cases():
+    assert jordan_wigner_term_dicts([]) == []
+    assert jordan_wigner_term_dicts([FermionOperator(3)]) == [{}]
+    with pytest.raises(ShapeError):
+        jordan_wigner_term_dict(number_operator(63))

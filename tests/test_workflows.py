@@ -147,6 +147,29 @@ def test_h2s_fixture_pair_reports_published_shift(fixture_dir):
     assert round(eq_shift, 4) == 0.0371
 
 
+def test_h2s_electronic_relativistic_shift(fixture_dir):
+    # each fixture's constant is calibrated to its target total energy, so the
+    # total rel - nonrel shift is fixed by the generator; the shift of
+    # E_FCI - E_const comes from the one- and two-body integrals alone
+    import os
+
+    from vqechem.exactdiag import ground_state_energy
+    from vqechem.fermions import build_second_quantized, jordan_wigner
+
+    def electronic(stem):
+        point = ScanPoint(stem, 0.0, fcidump_path=os.path.join(fixture_dir, stem + ".fcidump"))
+        integrals = integrals_for_point(point)
+        assert (integrals.n_spatial_orbitals, integrals.n_electrons) == (6, 8)
+        hamiltonian = jordan_wigner(build_second_quantized(integrals))
+        energy = ground_state_energy(hamiltonian, n_electrons=8).energy
+        return energy - integrals.constant_energy
+
+    eq, stretch = (electronic(f"h2s_sto3g_rel_{g}") - electronic(f"h2s_sto3g_nonrel_{g}")
+                   for g in ("eq", "stretch"))
+    assert eq < -0.5 and stretch < -0.5
+    assert abs(eq - stretch) < 1e-4
+
+
 def test_sampled_point_groups_once(monkeypatch):
     from vqechem import measurement, optimize
 
@@ -220,6 +243,22 @@ def test_scan_single_point_matches_full_scan():
     full, _ = run_scan(load_manifest(h2_manifest_doc([0.70, 0.78])))
     solo, _ = run_scan(load_manifest(h2_manifest_doc([0.78])))
     assert {p.geometry_label: p for p in full}["0.780"] == solo[0]
+
+
+def test_optimizer_seed_is_replaced_by_point_seed():
+    # run_scan gives each point the seed derived from the top-level seed and
+    # its label, so optimizer.seed alone does not change a scan
+    def csv(optimizer_seed, seed=3):
+        doc = h2_manifest_doc(
+            [0.74], ansatz="hardware", mode="sampled", shots=256, seed=seed,
+            optimizer={"kind": "spsa", "max_iterations": 5, "seed": optimizer_seed},
+        )
+        points, errors = run_scan(load_manifest(doc))
+        assert errors == []
+        return scan_csv(points)
+
+    assert csv(0) == csv(12345)
+    assert csv(0) != csv(0, seed=4)
 
 
 def test_scan_records_per_point_failures(tmp_path):
