@@ -26,7 +26,7 @@ import numpy as np
 
 from .exceptions import EigensolverConvergenceError, ShapeError
 from .paulis import COEFF_PRUNE_THRESHOLD, ROWS_PER_BLOCK, CompiledOperator, QubitHamiltonian
-from .simulator import MAX_QUBITS, MAX_ALLOCATION_BYTES, Statevector
+from .simulator import MAX_QUBITS, Statevector, check_allocation
 
 RESIDUAL_TOLERANCE = 1e-9
 LANCZOS_START_SEED = 20240801  # fixed so results are bit-reproducible
@@ -35,6 +35,8 @@ LANCZOS_START_SEED = 20240801  # fixed so results are bit-reproducible
 # at 1225, random real integrals). Lanczos took half as long on the 400-state
 # H2S block as on a random 441-state one, so molecular blocks may cross lower
 DENSE_CUTOFF_DIM = 1024
+LANCZOS_MAX_KRYLOV = 160  # Krylov vectors per restart
+LANCZOS_RESTARTS = 12
 
 
 @dataclass(frozen=True)
@@ -70,31 +72,28 @@ def _largest_block(n_qubits: int, sector: tuple[int, int] | None) -> int:
     return comb(n_alpha, a) * comb(n_beta, b)
 
 
-def _check_bytes(n_qubits: int, n_x_masks: int, block_dim: int, dense: bool,
-                 max_krylov: int) -> None:
+def _check_bytes(n_qubits: int, n_x_masks: int, block_dim: int) -> None:
     """Refuse a solve whose operator and workspace exceed the allocation cap.
 
     The compiled form holds a gather index and a complex diagonal per
     x-mask and basis state; two restricted blocks (the one being solved and
     the lowest so far) as much per block state; the sector labels and their
-    sort take 32 B per state. Lanczos keeps ``min(max_krylov, block_dim)``
-    block vectors. The dense path takes 48 B per matrix cell (the complex
+    sort take 32 B per state. Lanczos keeps ``min(LANCZOS_MAX_KRYLOV,
+    block_dim)`` block vectors. The dense path, taken up to
+    ``DENSE_CUTOFF_DIM`` states, takes 48 B per matrix cell (the complex
     matrix, LAPACK's working copy and the eigenvectors, at most 16 B each),
     and filling the matrix at most 48 B of mask, indices and values per
     block entry.
     """
     entry = np.dtype(np.intp).itemsize + 16
     operator = n_x_masks * ((1 << n_qubits) + 2 * block_dim) * entry + (32 << n_qubits)
+    dense = block_dim <= DENSE_CUTOFF_DIM
     if dense:
         needed = operator + (block_dim * block_dim + n_x_masks * block_dim) * 48
     else:
-        needed = operator + min(max_krylov, block_dim) * block_dim * 16
-    if needed > MAX_ALLOCATION_BYTES:
-        raise ShapeError(
-            f"{'dense' if dense else 'lanczos'} solve of a {block_dim}-state block on "
-            f"{n_qubits} qubits needs {needed / 2**30:.1f} GiB, "
-            f"above the {MAX_ALLOCATION_BYTES / 2**30:.0f} GiB limit"
-        )
+        needed = operator + min(LANCZOS_MAX_KRYLOV, block_dim) * block_dim * 16
+    check_allocation(needed, f"{'dense' if dense else 'lanczos'} solve of a "
+                             f"{block_dim}-state block on {n_qubits} qubits")
 
 
 def _blocks(operator: CompiledOperator) -> list[tuple[tuple[int, int] | None, np.ndarray]]:
@@ -120,15 +119,15 @@ def _blocks(operator: CompiledOperator) -> list[tuple[tuple[int, int] | None, np
             for v, states in zip(values, np.split(order, starts[1:]))]
 
 
-def _lanczos_lowest(operator: CompiledOperator, max_krylov: int, restarts: int):
+def _lanczos_lowest(operator: CompiledOperator):
     dim = operator.dim
     rng = np.random.default_rng(LANCZOS_START_SEED)
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     v /= np.linalg.norm(v)
 
     energy = None
-    for _ in range(restarts):
-        m = min(max_krylov, dim)
+    for _ in range(LANCZOS_RESTARTS):
+        m = min(LANCZOS_MAX_KRYLOV, dim)
         basis = np.zeros((m, dim), dtype=np.complex128)
         alphas = np.zeros(m)
         betas = np.zeros(max(m - 1, 0))
@@ -164,14 +163,13 @@ def _lanczos_lowest(operator: CompiledOperator, max_krylov: int, restarts: int):
     return energy, v, residual
 
 
-def _solve_block(block: CompiledOperator, dense: bool, vector: bool,
-                 max_krylov: int, restarts: int):
+def _solve_block(block: CompiledOperator, vector: bool):
     """(lowest eigenvalue, its eigenvector or None) of one block.
 
     The dense path returns a vector only when asked; a real block (every
     real-integral Jordan-Wigner Hamiltonian) is solved as a real matrix.
     """
-    if dense:
+    if block.dim <= DENSE_CUTOFF_DIM:
         matrix = block.dense()
         if not matrix.imag.any():
             matrix = matrix.real
@@ -179,48 +177,39 @@ def _solve_block(block: CompiledOperator, dense: bool, vector: bool,
             return float(np.linalg.eigvalsh(matrix)[0]), None
         evals, evecs = np.linalg.eigh(matrix)
         return float(evals[0]), evecs[:, 0]
-    energy, vec, residual = _lanczos_lowest(block, max_krylov, restarts)
+    energy, vec, residual = _lanczos_lowest(block)
     if residual >= RESIDUAL_TOLERANCE:
         raise EigensolverConvergenceError(
             f"Lanczos residual {residual:.2e} above {RESIDUAL_TOLERANCE:.0e} "
-            f"after {restarts} restarts",
+            f"after {LANCZOS_RESTARTS} restarts",
             best_energy=energy,
         )
     return energy, vec
 
 
 def ground_state_energy(
-    hamiltonian: QubitHamiltonian,
-    method: str = "auto",
-    max_krylov: int = 160,
-    restarts: int = 12,
-    n_electrons: int | None = None,
+    hamiltonian: QubitHamiltonian, n_electrons: int | None = None
 ) -> GroundStateResult:
     """Lowest eigenvalue of the qubit Hamiltonian, in one electron sector or all.
 
-    ``method`` is "lanczos", "dense", or "auto" (dense for blocks of at most
-    ``DENSE_CUTOFF_DIM`` states, Lanczos otherwise). With ``n_electrons``
-    only the reference sector is solved, and a Hamiltonian that does not
-    conserve (N_alpha, N_beta) is refused. Raises when a Lanczos residual
-    never reaches 1e-9, carrying the best estimate.
+    A block of at most ``DENSE_CUTOFF_DIM`` states is solved dense, a larger
+    one by Lanczos (``LANCZOS_MAX_KRYLOV`` vectors, ``LANCZOS_RESTARTS``
+    restarts). With ``n_electrons`` only the reference sector is solved, and
+    a Hamiltonian that does not conserve (N_alpha, N_beta) is refused.
+    Raises when a Lanczos residual never reaches 1e-9, carrying the best
+    estimate.
     """
     n = hamiltonian.n_qubits
     if n > MAX_QUBITS:
         raise ShapeError(f"{n} qubits exceeds the {MAX_QUBITS}-qubit limit")
-    if method not in ("auto", "dense", "lanczos"):
-        raise ShapeError(f"unknown method {method!r}")
     target = None
     if n_electrons is not None:
         if not 0 <= n_electrons <= n:
             raise ShapeError(f"{n_electrons} electrons do not fit in {n} spin orbitals")
         target = reference_sector(n_electrons)
 
-    def use_dense(dim):
-        return method == "dense" or (method == "auto" and dim <= DENSE_CUTOFF_DIM)
-
     n_x_masks = len(hamiltonian.x_masks())
-    largest = _largest_block(n, target)
-    _check_bytes(n, n_x_masks, largest, use_dense(largest), max_krylov)
+    _check_bytes(n, n_x_masks, _largest_block(n, target))
 
     operator = hamiltonian.compile()
     blocks = _blocks(operator)
@@ -229,8 +218,7 @@ def ground_state_energy(
             raise ShapeError("Hamiltonian does not conserve (N_alpha, N_beta); "
                              f"no {n_electrons}-electron sector to solve")
         blocks = [b for b in blocks if b[0] == target]
-    largest = max(len(states) for _, states in blocks)
-    _check_bytes(n, n_x_masks, largest, use_dense(largest), max_krylov)
+    _check_bytes(n, n_x_masks, max(len(states) for _, states in blocks))
 
     # a lone block is solved with its eigenvector at once; among several,
     # dense blocks give eigenvalues only and the winner is solved again
@@ -238,13 +226,12 @@ def ground_state_energy(
     best = None
     for sector, states in blocks:
         block = operator.restrict(states)
-        energy, vec = _solve_block(block, use_dense(len(states)), vector,
-                                   max_krylov=max_krylov, restarts=restarts)
+        energy, vec = _solve_block(block, vector)
         if best is None or energy < best[0]:
             best = energy, vec, sector, states, block
     energy, vec, sector, states, block = best
     if vec is None:
-        energy, vec = _solve_block(block, True, True, max_krylov=max_krylov, restarts=restarts)
+        energy, vec = _solve_block(block, True)
     amplitudes = np.zeros(1 << n, dtype=np.complex128)
     amplitudes[states] = vec
     residual = float(np.linalg.norm(operator.apply(amplitudes) - energy * amplitudes))

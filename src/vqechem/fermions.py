@@ -85,14 +85,6 @@ class FermionOperator:
     def constant(self) -> float:
         return self.terms.get((), 0.0)
 
-    def __add__(self, other: FermionOperator) -> FermionOperator:
-        if self.n_modes != other.n_modes:
-            raise ShapeError("mode counts differ")
-        merged = dict(self.terms)
-        for t, c in other.terms.items():
-            merged[t] = merged.get(t, 0.0) + c
-        return FermionOperator.from_terms(self.n_modes, merged)
-
 
 def number_operator(n_modes: int) -> FermionOperator:
     """Total particle number, sum over modes of a_p^+ a_p."""

@@ -124,8 +124,8 @@ class MolecularIntegrals:
         if not np.allclose(self.h, self.h.T, atol=1e-10):
             raise ShapeError("one-body integrals not symmetric")
 
-    def validate_two_body_symmetry(self, atol: float = 1e-10) -> None:
-        """Check the 8-fold permutation symmetry of (pq|rs)."""
+    def validate_two_body_symmetry(self) -> None:
+        """Check the 8-fold permutation symmetry of (pq|rs) to 1e-12."""
         g = self.g
         for perm in (
             g.transpose(1, 0, 2, 3),
@@ -133,7 +133,7 @@ class MolecularIntegrals:
             g.transpose(2, 3, 0, 1),
             g.transpose(3, 2, 1, 0),
         ):
-            if not np.allclose(g, perm, atol=atol):
+            if not np.allclose(g, perm, atol=1e-12):
                 raise ShapeError("two-body integrals lack 8-fold symmetry")
 
 

@@ -9,7 +9,7 @@ import numpy as np
 
 from .exceptions import ShapeError
 from .paulis import PauliString, QubitHamiltonian, sign_table
-from .simulator import MAX_ALLOCATION_BYTES, Statevector, checked_int, sample_counts
+from .simulator import Statevector, check_allocation, checked_int, sample_counts
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 # rotate the measurement axis onto Z: H for X, H S^+ for Y
@@ -177,13 +177,9 @@ def group_tables(hamiltonian: QubitHamiltonian, groups) -> GroupTables:
     if chunks:
         # the parity tables, one block's stack and its gathered counts
         block_terms = max(sum(len(masks) for _, _, masks in chunk) for chunk in chunks)
-        needed = dim * (len(weights) + _BYTES_PER_STACKED * len(chunks[0]) + 8 * block_terms)
-        if needed > MAX_ALLOCATION_BYTES:
-            raise ShapeError(
-                f"sampling tables of {len(weights)} terms on {n_qubits} qubits "
-                f"need {needed / 2**30:.1f} GiB, "
-                f"above the {MAX_ALLOCATION_BYTES / 2**30:.0f} GiB limit"
-            )
+        check_allocation(
+            dim * (len(weights) + _BYTES_PER_STACKED * len(chunks[0]) + 8 * block_terms),
+            f"sampling tables of {len(weights)} terms on {n_qubits} qubits")
 
     blocks, start = [], 0
     for chunk in chunks:

@@ -18,21 +18,32 @@ from .measurement import estimate_energy_sampled, group_commuting, group_tables
 from .paulis import QubitHamiltonian
 from .simulator import Circuit, apply_circuit, checked_int, expectation, prepare_hf
 
+# SPSA gain schedule a_k = SPSA_A/(SPSA_BIG_A+k+1)^SPSA_ALPHA and
+# c_k = SPSA_C/(k+1)^SPSA_GAMMA: Spall's standard exponents and stability
+# constant (IEEE Trans. Aerosp. Electron. Syst. 34, 817 (1998))
+SPSA_A = 0.1
+SPSA_C = 0.1
+SPSA_BIG_A = 10.0
+SPSA_ALPHA = 0.602
+SPSA_GAMMA = 0.101
+SIMPLEX_STEP = 0.1  # edge of the initial simplex along each parameter
+
 
 @dataclass(frozen=True)
 class OptimizerConfig:
+    """Which minimizer runs, and when it stops.
+
+    ``spsa_window`` is the trailing number of SPSA iterations over which the
+    best energy must improve by ``convergence_threshold``; ``simplex_xtol``
+    bounds the simplex diameter at convergence. The SPSA gains
+    (``SPSA_*``) and the initial simplex step (``SIMPLEX_STEP``) are fixed.
+    """
+
     kind: str = "simplex"
     max_iterations: int = 200
     convergence_threshold: float = 1e-4  # Hartree
     seed: int = 0
-    # SPSA gain schedule a_k = a/(A+k+1)^alpha, c_k = c/(k+1)^gamma
-    spsa_a: float = 0.1
-    spsa_c: float = 0.1
-    spsa_big_a: float = 10.0
-    spsa_alpha: float = 0.602
-    spsa_gamma: float = 0.101
     spsa_window: int = 20
-    simplex_step: float = 0.1
     simplex_xtol: float = 1e-6
 
     def __post_init__(self):
@@ -43,6 +54,7 @@ class OptimizerConfig:
         if self.convergence_threshold <= 0 or self.simplex_xtol <= 0:
             raise ShapeError("tolerances must be positive")
         checked_int(self.seed, "seed", 0)
+        checked_int(self.spsa_window, "spsa_window", 1)
 
 
 @dataclass(frozen=True)
@@ -104,8 +116,8 @@ def spsa_minimize(objective, theta0, config: OptimizerConfig) -> VqeResult:
     converged = False
 
     for k in range(config.max_iterations):
-        a_k = config.spsa_a / (config.spsa_big_a + k + 1) ** config.spsa_alpha
-        c_k = config.spsa_c / (k + 1) ** config.spsa_gamma
+        a_k = SPSA_A / (SPSA_BIG_A + k + 1) ** SPSA_ALPHA
+        c_k = SPSA_C / (k + 1) ** SPSA_GAMMA
         delta = rng.integers(0, 2, size=theta.size) * 2.0 - 1.0
         f_plus = f(theta + c_k * delta)
         f_minus = f(theta - c_k * delta)
@@ -157,7 +169,7 @@ def simplex_minimize(objective, theta0, config: OptimizerConfig) -> VqeResult:
     vertices = [x0]
     for i in range(d):
         step = np.zeros(d)
-        step[i] = config.simplex_step
+        step[i] = SIMPLEX_STEP
         vertices.append(x0 + step)
     values = [f(v) for v in vertices]
     evals = d + 1

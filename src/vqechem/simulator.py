@@ -75,6 +75,13 @@ class Gate:
         return self.angle * parameters[self.slot]
 
 
+def check_allocation(needed: int, what: str) -> None:
+    """Refuse ``what`` when its ``needed`` bytes exceed ``MAX_ALLOCATION_BYTES``."""
+    if needed > MAX_ALLOCATION_BYTES:
+        raise ShapeError(f"{what} would take {needed / 2**30:.1f} GiB, "
+                         f"above the {MAX_ALLOCATION_BYTES / 2**30:.0f} GiB limit")
+
+
 def _gate_tables(n_qubits: int, gates) -> tuple:
     """Per gate, the index tables it applies with; None for ry and cz.
 
@@ -91,13 +98,8 @@ def _gate_tables(n_qubits: int, gates) -> tuple:
         # rotation, and the compile() workspace of one generator, 64 B plus
         # 16 B per string
         per_index = 32 * len(rotations) + 64 + 16 * max(h.n_terms for h in rotations)
-        needed = per_index << n_qubits
-        if needed > MAX_ALLOCATION_BYTES:
-            raise ShapeError(
-                f"gate tables of {len(rotations)} rotations on {n_qubits} qubits "
-                f"need {needed / 2**30:.1f} GiB, "
-                f"above the {MAX_ALLOCATION_BYTES / 2**30:.0f} GiB limit"
-            )
+        check_allocation(per_index << n_qubits,
+                         f"gate tables of {len(rotations)} rotations on {n_qubits} qubits")
     tables = []
     for gate in gates:
         if gate.kind != "pauli_rot":

@@ -83,8 +83,8 @@ class ScanManifest:
         for name, least in (("restarts", 1), ("shots", 1), ("reps", 0)):
             if getattr(self, name) < least:
                 raise ManifestError(f"{name} must be >= {least}, got {getattr(self, name)}")
-        if not all(isinstance(i, int) for i in self.freeze):
-            raise ManifestError(f"freeze must list orbital indices, got {list(self.freeze)}")
+        for i in self.freeze:
+            _integer(i, "freeze entry")
 
 
 @dataclass(frozen=True)
@@ -335,11 +335,10 @@ def parse_scan_csv(text: str):
     return points
 
 
-def _fit_window(coords, energies, pivot, half_width=2, max_size=6):
-    """The 4-6 samples nearest the pivot, as centered-x polynomial data."""
+def _fit_window(coords, energies, pivot):
+    """The (at most) 5 samples nearest the pivot, in coordinate order."""
     order = np.argsort(np.abs(coords - coords[pivot]), kind="stable")
-    size = min(max(4, 2 * half_width + 1), max_size, len(coords))
-    chosen = np.sort(order[:size])
+    chosen = np.sort(order[:5])
     return coords[chosen], energies[chosen]
 
 
@@ -490,17 +489,24 @@ def h2_point(label: str, r_angstrom: float) -> dict:
     }
 
 
-def h3_exchange_point(label: str, s: float, r_eq: float = 0.74,
-                      r_ts: float = 0.94, d_far: float = 2.2) -> dict:
+# collinear H3 exchange path, Angstrom: the H2 bond at the reactant, both
+# bonds at the symmetric point, and the far atom's distance at the reactant
+H3_R_EQ = 0.74
+H3_R_TS = 0.94
+H3_D_FAR = 2.2
+
+
+def h3_exchange_point(label: str, s: float) -> dict:
     """Collinear H3 geometry along a symmetric exchange path.
 
     ``s`` runs from -1 (reactant: short A-B bond, C far away) through 0
-    (symmetric configuration) to +1 (product, mirrored). Distances in
-    Angstrom; the returned coordinate is ``s``.
+    (symmetric configuration) to +1 (product, mirrored); the bonds move
+    linearly in ``|s|`` between ``H3_R_TS`` and ``H3_R_EQ`` or ``H3_D_FAR``.
+    The returned coordinate is ``s``.
     """
     t = abs(s)
-    near = r_ts + t * (r_eq - r_ts)
-    far = r_ts + t * (d_far - r_ts)
+    near = H3_R_TS + t * (H3_R_EQ - H3_R_TS)
+    far = H3_R_TS + t * (H3_D_FAR - H3_R_TS)
     r_ab, r_bc = (near, far) if s <= 0 else (far, near)
     z0 = 0.0
     z1 = r_ab * ANGSTROM_TO_BOHR

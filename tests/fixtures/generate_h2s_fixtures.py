@@ -93,7 +93,7 @@ def render() -> dict:
         kind, geometry = stem.split("_")[2:]
         integrals = synthetic_integrals(kind == "rel", geometry == "stretch")
         integrals = calibrate(integrals, target)
-        integrals.validate_two_body_symmetry(atol=1e-12)
+        integrals.validate_two_body_symmetry()
         texts[stem] = write_fcidump(integrals)
     return texts
 

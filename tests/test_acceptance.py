@@ -135,7 +135,7 @@ def test_criterion_2_h2_pes_and_equilibrium():
     grid_energies = []
     for r in grid:
         h = jordan_wigner(build_second_quantized(h2_integrals(float(r))))
-        grid_energies.append(ground_state_energy(h, method="dense").energy)
+        grid_energies.append(ground_state_energy(h).energy)
     r_oracle = float(grid[int(np.argmin(grid_energies))])
 
     dist_to_paper = max(0.0, PAPER_H2_RE_RANGE[0] - r_e, r_e - PAPER_H2_RE_RANGE[1])

@@ -172,6 +172,9 @@ def test_one_point_manifest_then_fit_errors(tmp_path, capsys):
         (lambda doc: doc.update(seed=True), "seed"),
         (lambda doc: doc["optimizer"].update(max_iterations=2.5), "max_iterations"),
         (lambda doc: doc["optimizer"].update(kind="spsa", spsa_window=2.5), "spsa_window"),
+        (lambda doc: doc["optimizer"].update(kind="spsa", spsa_window=0), "spsa_window"),
+        (lambda doc: doc.update(freeze=[True]), "freeze"),
+        (lambda doc: doc["optimizer"].update(spsa_a=1.0), "spsa_a"),
     ],
     ids=["unknown-optimizer-key", "point-without-label", "zero-restarts", "zero-shots",
          "negative-reps", "non-integer-freeze", "non-numeric-coordinate",
@@ -179,7 +182,8 @@ def test_one_point_manifest_then_fit_errors(tmp_path, capsys):
          "non-numeric-seed", "non-numeric-restarts", "non-numeric-optimizer-value",
          "non-object-point", "non-list-freeze", "fractional-shots", "fractional-reps",
          "fractional-restarts", "boolean-seed", "fractional-max-iterations",
-         "fractional-spsa-window"],
+         "fractional-spsa-window", "zero-spsa-window", "boolean-freeze",
+         "dropped-spsa-gain"],
 )
 def test_malformed_manifest_rejected_up_front(tmp_path, capsys, corrupt, key):
     manifest = small_manifest(tmp_path)

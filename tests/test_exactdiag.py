@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import hamiltonian_matrix, sector_energy
+from vqechem import exactdiag
 from vqechem.exactdiag import apply_hamiltonian, ground_state_energy
 from vqechem.exceptions import EigensolverConvergenceError, ShapeError
 from vqechem.fermions import build_second_quantized, jordan_wigner
@@ -59,11 +60,12 @@ def test_ground_single_z():
     assert result.energy == pytest.approx(-1.0, abs=1e-12)
 
 
-def test_ground_xx_plus_zz_vs_dense():
+def test_ground_xx_plus_zz_vs_dense(monkeypatch):
     h = ham(2, {"XX": 1.0, "ZZ": 1.0})
     expected = np.linalg.eigvalsh(hamiltonian_matrix(h))[0]
-    for method in ("dense", "lanczos"):
-        result = ground_state_energy(h, method=method)
+    for cutoff in (exactdiag.DENSE_CUTOFF_DIM, 0):  # dense, then Lanczos
+        monkeypatch.setattr(exactdiag, "DENSE_CUTOFF_DIM", cutoff)
+        result = ground_state_energy(h)
         assert abs(result.energy - expected) < 1e-9
 
 
@@ -74,7 +76,7 @@ def test_h2_fci_against_published_value(h2_hamiltonian_074):
     assert result.residual_norm < 1e-9
 
 
-def test_lanczos_matches_dense_crosscheck():
+def test_lanczos_matches_dense_crosscheck(monkeypatch):
     rng = np.random.default_rng(12)
     for n in (3, 5, 7):
         coeffs = {}
@@ -82,8 +84,10 @@ def test_lanczos_matches_dense_crosscheck():
             key = (int(rng.integers(0, 1 << n)), int(rng.integers(0, 1 << n)))
             coeffs[key] = float(rng.normal())
         h = QubitHamiltonian.from_term_dict(n, coeffs)
-        lanczos = ground_state_energy(h, method="lanczos")
-        dense = ground_state_energy(h, method="dense")
+        dense = ground_state_energy(h)
+        with monkeypatch.context() as patch:
+            patch.setattr(exactdiag, "DENSE_CUTOFF_DIM", 0)
+            lanczos = ground_state_energy(h)
         assert abs(lanczos.energy - dense.energy) < 1e-9
 
 
@@ -107,10 +111,12 @@ def test_eigenvector_residual(h2_hamiltonian_074):
     assert result.residual_norm == pytest.approx(residual, abs=1e-12)
 
 
-def test_iteration_limit_error_carries_best_estimate(h2_hamiltonian_074):
+def test_iteration_limit_error_carries_best_estimate(h2_hamiltonian_074, monkeypatch):
+    monkeypatch.setattr(exactdiag, "DENSE_CUTOFF_DIM", 0)
+    monkeypatch.setattr(exactdiag, "LANCZOS_MAX_KRYLOV", 2)
+    monkeypatch.setattr(exactdiag, "LANCZOS_RESTARTS", 1)
     with pytest.raises(EigensolverConvergenceError) as err:
-        ground_state_energy(h2_hamiltonian_074, method="lanczos",
-                            max_krylov=2, restarts=1)
+        ground_state_energy(h2_hamiltonian_074)
     assert err.value.best_energy is not None
 
 
@@ -128,7 +134,7 @@ def test_dense_matrix_matches_oracle(h2_hamiltonian_074):
     ).max() < 1e-12
 
 
-def test_memory_guard_refuses_before_allocating():
+def test_memory_guard_refuses_before_allocating(monkeypatch):
     # 24 qubits pass the qubit limit, but the Krylov basis alone would be
     # 160 * 2**24 * 16 B = 43 GB; the guard must refuse from the masks alone
     h = QubitHamiltonian(24, ((1.0, PauliString(24, 0, 1)),))
@@ -136,8 +142,9 @@ def test_memory_guard_refuses_before_allocating():
     try:
         with pytest.raises(ShapeError, match="GiB"):
             ground_state_energy(h)
+        monkeypatch.setattr(exactdiag, "DENSE_CUTOFF_DIM", 1 << 24)  # every block dense
         with pytest.raises(ShapeError, match="GiB"):
-            ground_state_energy(h, method="dense")
+            ground_state_energy(h)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -187,8 +194,10 @@ def test_sector_solve_matches_dense_sector_oracle(shape, seed):
 
 
 @pytest.mark.parametrize("method", ["dense", "lanczos"])
-def test_eigenvector_lies_in_its_sector(h2_hamiltonian_074, method):
-    result = ground_state_energy(h2_hamiltonian_074, method=method, n_electrons=2)
+def test_eigenvector_lies_in_its_sector(h2_hamiltonian_074, method, monkeypatch):
+    if method == "lanczos":
+        monkeypatch.setattr(exactdiag, "DENSE_CUTOFF_DIM", 0)
+    result = ground_state_energy(h2_hamiltonian_074, n_electrons=2)
     amplitudes = result.eigenvector.amplitudes
     # (1, 1): one of qubits 0, 2 and one of qubits 1, 3
     outside = [b for b in range(16) if (b & 0b0101).bit_count() != 1 or (b & 0b1010).bit_count() != 1]

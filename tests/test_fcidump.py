@@ -64,7 +64,7 @@ def test_h2s_fixtures_parse_and_roundtrip(fixture_dir, stem):
     integrals = parse_fcidump(text)
     assert integrals.n_spatial_orbitals == 6
     assert integrals.n_electrons == 8
-    integrals.validate_two_body_symmetry(atol=1e-12)
+    integrals.validate_two_body_symmetry()
     again = parse_fcidump(write_fcidump(integrals))
     assert np.abs(again.h - integrals.h).max() < 1e-12
     assert np.abs(again.g - integrals.g).max() < 1e-12

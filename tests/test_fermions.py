@@ -79,7 +79,7 @@ def test_h2_fci_matches_determinant_oracle(h2_integrals_074, h2_hamiltonian_074)
     from vqechem.exactdiag import ground_state_energy
 
     reference = determinant_fci(h2_integrals_074, n_electrons=2)
-    energy = ground_state_energy(h2_hamiltonian_074, method="dense").energy
+    energy = ground_state_energy(h2_hamiltonian_074).energy
     assert abs(energy - reference) < 1e-9
 
 

@@ -110,7 +110,7 @@ def test_fci_matches_sto3g_reference(r_angstrom, reference, tolerance):
 
     integrals, _ = h2_mo_integrals(r_angstrom * ANGSTROM_TO_BOHR)
     hamiltonian = jordan_wigner(build_second_quantized(integrals))
-    energy = ground_state_energy(hamiltonian, method="dense").energy
+    energy = ground_state_energy(hamiltonian).energy
     assert abs(energy - reference) < tolerance
 
 
@@ -165,7 +165,7 @@ def test_transform_reconstructs_scf_energy():
 
 def test_transform_two_body_symmetry():
     mo, _ = h2_mo_integrals(1.39)
-    mo.validate_two_body_symmetry(atol=1e-12)
+    mo.validate_two_body_symmetry()
 
 
 def test_freeze_core_empty_is_identity(h2_integrals_074):

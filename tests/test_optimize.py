@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import determinant_fci
+from vqechem import optimize
 from vqechem.ansatz import build_hardware_efficient, build_uccsd
 from vqechem.exactdiag import ground_state_energy
 from vqechem.exceptions import OptimizerDivergedError, ShapeError
@@ -44,11 +45,12 @@ def toy_two_qubit_hamiltonian():
     return QubitHamiltonian.from_term_dict(2, coeffs)
 
 
-def test_spsa_toy_hamiltonian_median_error():
+def test_spsa_toy_hamiltonian_median_error(monkeypatch):
     from vqechem.optimize import exact_energy_objective
 
+    monkeypatch.setattr(optimize, "SPSA_A", 1.0)
     h = toy_two_qubit_hamiltonian()
-    exact = ground_state_energy(h, method="dense").energy
+    exact = ground_state_energy(h).energy
     circuit = build_hardware_efficient(2, 1)
     objective = exact_energy_objective(h, circuit, set())
     finals = []
@@ -56,7 +58,7 @@ def test_spsa_toy_hamiltonian_median_error():
         # random start per seed; the all-zero point is a symmetry saddle
         theta0 = np.random.default_rng((17, seed)).uniform(-0.8, 0.8, circuit.n_parameters)
         config = OptimizerConfig(kind="spsa", max_iterations=400,
-                                 convergence_threshold=1e-9, seed=seed, spsa_a=1.0)
+                                 convergence_threshold=1e-9, seed=seed)
         finals.append(spsa_minimize(objective, theta0, config).final_energy)
     median = float(np.median(finals))
     assert median - exact < 1e-2
@@ -102,7 +104,7 @@ def test_simplex_h2_uccsd_reaches_fci(h2_hamiltonian_074):
     config = OptimizerConfig(kind="simplex", max_iterations=600,
                              convergence_threshold=1e-12, seed=0)
     result = simplex_minimize(objective, np.zeros(3), config)
-    exact = ground_state_energy(h2_hamiltonian_074, method="dense").energy
+    exact = ground_state_energy(h2_hamiltonian_074).energy
     assert abs(result.final_energy - exact) < 1e-6
 
 
@@ -123,7 +125,7 @@ def test_run_vqe_h2_chemical_accuracy(h2_integrals_074, h2_hamiltonian_074):
                              convergence_threshold=1e-10, seed=0)
     result = run_vqe(h2_hamiltonian_074, circuit, {0, 1}, config,
                      mode="exact", n_restarts=2)
-    exact = ground_state_energy(h2_hamiltonian_074, method="dense").energy
+    exact = ground_state_energy(h2_hamiltonian_074).energy
     assert abs(result.final_energy - exact) < 1.6e-3
     # published VQE value for this bond length, basis uncertainty documented
     assert abs(result.final_energy - (-1.1373)) < 5e-3
@@ -180,7 +182,7 @@ def test_simplex_costs_more_per_unit_reduction(h2_hamiltonian_074):
 
 
 def test_variational_bound_over_full_traces(h2_hamiltonian_074):
-    exact = ground_state_energy(h2_hamiltonian_074, method="dense").energy
+    exact = ground_state_energy(h2_hamiltonian_074).energy
     circuit = build_uccsd(4, {0, 1})
     config = OptimizerConfig(kind="spsa", max_iterations=150,
                              convergence_threshold=1e-9, seed=3)
@@ -224,3 +226,6 @@ def test_config_validation():
         OptimizerConfig(seed=-1)
     with pytest.raises(ShapeError, match="seed"):
         OptimizerConfig(seed=1.5)
+    for window in (0, -1):
+        with pytest.raises(ShapeError, match="spsa_window"):
+            OptimizerConfig(kind="spsa", spsa_window=window)
