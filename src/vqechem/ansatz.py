@@ -77,13 +77,12 @@ def enumerate_excitations(n_spin_orbitals: int, occupied) -> ExcitationSet:
     return ExcitationSet(singles, tuple(doubles))
 
 
-def _excitation_generator(n_modes: int, annihilate, create) -> FermionOperator:
-    """Anti-Hermitian generator tau - tau^+ for one excitation."""
-    tau = tuple((m, True) for m in create) + tuple((m, False) for m in reversed(annihilate))
-    tau_dag = tuple((m, True) for m in annihilate) + tuple(
-        (m, False) for m in reversed(create)
-    )
-    return FermionOperator.from_terms(n_modes, {tau: 1.0, tau_dag: -1.0})
+def _excitation_generators(n_modes: int, moves) -> list[FermionOperator]:
+    """Anti-Hermitian generator tau - tau^+ for each (annihilate, create) move."""
+    def tau(annihilate, create):  # tau^+ is tau(create, annihilate)
+        return tuple((m, True) for m in create) + tuple((m, False) for m in reversed(annihilate))
+    return FermionOperator.from_term_dicts(
+        n_modes, [{tau(a, c): 1.0, tau(c, a): -1.0} for a, c in moves])
 
 
 def excitation_gate(n_modes: int, annihilate, create, slot: int) -> Gate:
@@ -100,8 +99,7 @@ def _excitation_gates(n_modes: int, moves, first_slot: int = 0) -> list[Gate]:
     so exp(i theta G) is the rotation about G at angle -2 theta. All
     generators are expanded in one call.
     """
-    expansions = jordan_wigner_term_dicts(
-        [_excitation_generator(n_modes, annihilate, create) for annihilate, create in moves])
+    expansions = jordan_wigner_term_dicts(_excitation_generators(n_modes, moves))
     gates = []
     for slot, expansion in enumerate(expansions, start=first_slot):
         for coeff in expansion.values():

@@ -105,9 +105,9 @@ def _blocks(operator: CompiledOperator) -> list[tuple[tuple[int, int] | None, np
     """
     n = operator.n_qubits
     index = np.arange(1 << n, dtype=np.uint32)
-    n_alpha = sum((index >> q) & 1 for q in range(0, n, 2))
-    n_beta = sum((index >> q) & 1 for q in range(1, n, 2))
-    labels = (n_alpha * (n // 2 + 1) + n_beta).astype(np.int16)
+    alpha = sum(1 << q for q in range(0, n, 2))  # the even qubits; beta, the odd ones
+    n_alpha, n_beta = (np.bitwise_count(index & m).astype(np.int16) for m in (alpha, alpha << 1))
+    labels = n_alpha * (n // 2 + 1) + n_beta
     for start in range(0, operator.gather.shape[0], ROWS_PER_BLOCK):
         rows = slice(start, start + ROWS_PER_BLOCK)
         joins = labels[operator.gather[rows]] != labels

@@ -3,7 +3,9 @@
 Spin orbitals use the interleaved convention: spatial orbital ``i`` maps to
 spin orbitals ``2i`` (alpha) and ``2i+1`` (beta). Operator terms are stored
 normal ordered: all creations left of all annihilations, creation indices
-strictly increasing, annihilation indices strictly decreasing.
+strictly increasing, annihilation indices strictly decreasing. Terms are
+written creations first and reach that order by sorting alone: no
+anticommutator is applied, and an annihilator left of a creator is refused.
 """
 
 from __future__ import annotations
@@ -23,43 +25,40 @@ JW_IMAG_TOLERANCE = 1e-10
 Term = tuple[tuple[int, bool], ...]
 
 
-def _normal_order_term(term: Term, coeff: float, out: dict) -> None:
-    """Accumulate the normal-ordered expansion of ``coeff * term`` into out.
+def _normal_order(n_modes: int, owner: np.ndarray, modes: np.ndarray, n_create: np.ndarray,
+                  coeffs: np.ndarray, n_ops: int) -> list[dict[Term, float]]:
+    """Normal order creation-first terms and sum the equal ones, per operator.
 
-    Repeated swaps of adjacent factors using {a_p, a_q^+} = delta_pq,
-    {a_p, a_q} = {a_p^+, a_q^+} = 0. Terminates because each swap either
-    shortens the term or reduces its inversion count.
+    Row t of ``modes`` holds term t's ``n_create[t]`` creation modes, then
+    its annihilation modes, then -1 padding; ``owner[t]`` is its operator,
+    one of ``n_ops``. Creations sort ascending and annihilations descending,
+    the parity of that sort giving the sign; a term that repeats a mode
+    among its creations or among its annihilations is zero. Equal terms of
+    an operator sum in input order, as a dict accumulation sums them, and
+    come out in tuple order with exact zeros dropped.
     """
-    stack = [(list(term), coeff)]
-    while stack:
-        ops, c = stack.pop()
-        swapped = True
-        while swapped:
-            swapped = False
-            for k in range(len(ops) - 1):
-                (p, dag_p), (q, dag_q) = ops[k], ops[k + 1]
-                if not dag_p and dag_q:
-                    # a_p a_q^+ = delta_pq - a_q^+ a_p
-                    if p == q:
-                        stack.append((ops[:k] + ops[k + 2 :], c))
-                    ops[k], ops[k + 1] = ops[k + 1], ops[k]
-                    c = -c
-                    swapped = True
-                elif dag_p == dag_q:
-                    if p == q:
-                        c = 0.0  # nilpotent
-                        break
-                    # sort creations ascending, annihilations descending
-                    wrong = (dag_p and p > q) or (not dag_p and p < q)
-                    if wrong:
-                        ops[k], ops[k + 1] = ops[k + 1], ops[k]
-                        c = -c
-                        swapped = True
-            if c == 0.0:
-                break
-        if c != 0.0:
-            key = tuple(ops)
-            out[key] = out.get(key, 0.0) + c
+    n, position = n_modes, np.arange(modes.shape[1])
+    # creation m ranks m, annihilation m ranks 2n - m and padding 2n + 1, so
+    # sorting the ranks orders each term and keeps padding last
+    rank = np.where(position < n_create[:, None], modes,
+                    np.where(modes >= 0, 2 * n - modes, 2 * n + 1))
+    later = position[:, None] < position  # [i, j]: i < j
+    inversions = ((rank[:, :, None] > rank[:, None, :]) & later).sum(axis=(1, 2))
+    equal = (rank[:, :, None] == rank[:, None, :]) & later & (modes >= 0)[:, :, None]
+    keep = ~equal.any(axis=(1, 2))
+    rank = np.sort(rank[keep], axis=1)
+    # factor (m, dagger) as 2m + dagger + 1 and padding as 0: codes sort as the tuples do
+    codes = np.where(rank < n, 2 * rank + 2, np.where(rank <= 2 * n, 4 * n - 2 * rank + 1, 0))
+    signs = 1 - 2 * (inversions[keep] & 1)
+    keys, totals = _sum_runs([owner[keep], *codes.T], coeffs[keep] * signs)
+    live = np.abs(totals.real) > 0.0
+    factor = [None] + [(m, dagger) for m in range(n) for dagger in (False, True)]
+    rows = zip(keys[0][live].tolist(), np.array(keys[1:]).T[live].tolist(),
+               totals.real[live].tolist())
+    ops = [{} for _ in range(n_ops)]
+    for op, row, value in rows:
+        ops[op][tuple(factor[c] for c in row if c)] = value
+    return ops
 
 
 @dataclass(frozen=True)
@@ -72,18 +71,30 @@ class FermionOperator:
     @classmethod
     def from_terms(cls, n_modes: int, raw_terms: dict[Term, float]) -> FermionOperator:
         """Normal order, combine like strings, drop zeros."""
-        ordered: dict[Term, float] = {}
-        for term, coeff in raw_terms.items():
-            for mode, _ in term:
-                if not 0 <= mode < n_modes:
-                    raise ShapeError(f"mode {mode} outside 0..{n_modes - 1}")
-            _normal_order_term(term, float(coeff), ordered)
-        cleaned = {t: c for t, c in sorted(ordered.items()) if abs(c) > 0.0}
-        return cls(n_modes, cleaned)
+        return cls.from_term_dicts(n_modes, [raw_terms])[0]
 
-    @property
-    def constant(self) -> float:
-        return self.terms.get((), 0.0)
+    @classmethod
+    def from_term_dicts(cls, n_modes: int, raw_term_dicts) -> list[FermionOperator]:
+        """:meth:`from_terms` of each dict, normal ordered together.
+
+        Each term lists its creations first; an annihilator left of a
+        creator raises.
+        """
+        terms = [(op, term, c) for op, raw in enumerate(raw_term_dicts) for term, c in raw.items()]
+        length = max([1, *(len(term) for _, term, _ in terms)])  # a column for a lone constant
+        modes = np.full((len(terms), length), -1, dtype=np.int64)
+        n_create = np.zeros(len(terms), dtype=np.int64)
+        for row, (_, term, _) in enumerate(terms):
+            if not all(0 <= mode < n_modes for mode, _ in term):
+                raise ShapeError(f"term {term} has a mode outside 0..{n_modes - 1}")
+            n_create[row] = sum(dagger for _, dagger in term)
+            if any(dagger for _, dagger in term[n_create[row]:]):
+                raise ShapeError(f"term {term} has an annihilator left of a creator")
+            modes[row, :len(term)] = [mode for mode, _ in term]
+        owner = np.array([op for op, _, _ in terms], dtype=np.int64)
+        coeffs = np.array([c for _, _, c in terms], dtype=float)
+        ops = _normal_order(n_modes, owner, modes, n_create, coeffs, len(raw_term_dicts))
+        return [cls(n_modes, op_terms) for op_terms in ops]
 
 
 def number_operator(n_modes: int) -> FermionOperator:
@@ -101,49 +112,34 @@ def build_second_quantized(integrals: MolecularIntegrals) -> FermionOperator:
       + 1/2 sum_{pqrs,sigma tau} (pr|qs) a^+_{p sigma} a^+_{q tau} a_{s tau} a_{r sigma}
 
     with spatial integrals in chemist notation; spin is conserved factorwise.
+    Raw terms run over p, q (, r, s) and then the spins, each spatial
+    coefficient below ``COEFF_PRUNE_THRESHOLD`` left out.
     """
-    n = integrals.n_spatial_orbitals
-    h, g = integrals.h, integrals.g
-    raw: dict[Term, float] = {(): float(integrals.constant_energy)}
-
-    def so(spatial: int, spin: int) -> int:
-        return 2 * spatial + spin
-
-    for p in range(n):
-        for q in range(n):
-            if abs(h[p, q]) < COEFF_PRUNE_THRESHOLD:
-                continue
-            for s in (0, 1):
-                term = ((so(p, s), True), (so(q, s), False))
-                raw[term] = raw.get(term, 0.0) + float(h[p, q])
-
-    for p in range(n):
-        for q in range(n):
-            for r in range(n):
-                for s in range(n):
-                    coeff = 0.5 * float(g[p, r, q, s])
-                    if abs(coeff) < COEFF_PRUNE_THRESHOLD:
-                        continue
-                    for sp in (0, 1):
-                        for tau in (0, 1):
-                            term = (
-                                (so(p, sp), True),
-                                (so(q, tau), True),
-                                (so(s, tau), False),
-                                (so(r, sp), False),
-                            )
-                            raw[term] = raw.get(term, 0.0) + coeff
-
-    return FermionOperator.from_terms(2 * n, raw)
+    h, g = integrals.h, 0.5 * integrals.g.transpose(0, 2, 1, 3)  # g[p, q, r, s] = (pr|qs) / 2
+    one = np.argwhere(np.abs(h) >= COEFF_PRUNE_THRESHOLD)  # rows (p, q), in loop order
+    two = np.argwhere(np.abs(g) >= COEFF_PRUNE_THRESHOLD)  # rows (p, q, r, s)
+    # spin orbitals 2p + spin: sigma for p and r, tau for q and s
+    one_modes = 2 * one[:, None] + np.array([[0], [1]])
+    two_modes = 2 * two[:, None, [0, 1, 3, 2]] + np.array([[0, 0, 0, 0], [0, 1, 1, 0],
+                                                          [1, 0, 0, 1], [1, 1, 1, 1]])
+    modes = np.concatenate([np.full((1, 4), -1),
+                            np.pad(one_modes.reshape(-1, 2), ((0, 0), (0, 2)), constant_values=-1),
+                            two_modes.reshape(-1, 4)])
+    n_create = np.repeat([0, 1, 2], [1, 2 * len(one), 4 * len(two)])
+    coeffs = np.concatenate([[float(integrals.constant_energy)],
+                             h[tuple(one.T)].repeat(2), g[tuple(two.T)].repeat(4)])
+    owner, n_modes = np.zeros(len(modes), dtype=np.int64), 2 * len(h)
+    return FermionOperator(n_modes, _normal_order(n_modes, owner, modes, n_create, coeffs, 1)[0])
 
 
 def _sum_runs(keys, coeffs, order=()):
     """Sum the coefficients of equal keys one by one, by ``order`` then array order."""
     perm = np.lexsort((*order, *keys[::-1]))
     keys, coeffs = [key[perm] for key in keys], coeffs[perm]
-    first = np.r_[True, np.any([key[1:] != key[:-1] for key in keys], axis=0)]
+    first = np.ones(len(coeffs), dtype=bool)
+    first[1:] = np.any([key[1:] != key[:-1] for key in keys], axis=0)
     run = np.cumsum(first) - 1
-    total = np.empty(run[-1] + 1, dtype=np.complex128)
+    total = np.empty(first.sum(), dtype=np.complex128)
     total.real, total.imag = np.bincount(run, coeffs.real), np.bincount(run, coeffs.imag)
     return [key[first] for key in keys], total
 

@@ -146,6 +146,8 @@ class ActiveSpaceSpec:
 
     def __post_init__(self):
         frozen, active = set(self.frozen_spatial), set(self.active_spatial)
+        if len(frozen) + len(active) != len(self.frozen_spatial) + len(self.active_spatial):
+            raise ActiveSpaceError(f"repeated orbital index in {self}")
         if frozen & active:
             raise ActiveSpaceError(f"orbitals {sorted(frozen & active)} both frozen and active")
         if tuple(sorted(self.frozen_spatial)) != tuple(self.frozen_spatial):

@@ -9,7 +9,7 @@ import numpy as np
 
 from .exceptions import ShapeError
 from .paulis import PauliString, QubitHamiltonian, sign_table
-from .simulator import Statevector, check_allocation, checked_int, sample_counts
+from .simulator import Statevector, check_allocation, checked_int, sample_counts, update_qubit
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 # rotate the measurement axis onto Z: H for X, H S^+ for Y
@@ -96,7 +96,7 @@ _BYTES_PER_STACKED = 80
 class _Block:
     """Consecutive sampled groups measured as one stack of state copies.
 
-    ``updates`` holds (qubit, rows, m00, m01, m10, m11): the basis change
+    ``updates`` holds (qubit, rows, 2x2 matrix): the basis change
     that rows whose letter on the qubit is X (or Y) receive, listed qubit by
     qubit so each row sees its letters in qubit order. ``parity`` holds the
     +/-1 parity over each term's support at every basis index, one row per
@@ -188,7 +188,7 @@ def group_tables(hamiltonian: QubitHamiltonian, groups) -> GroupTables:
             for letter, matrix in _BASIS_CHANGE.items():
                 rows = [r for r, (_, basis, _) in enumerate(chunk) if basis[q] == letter]
                 if rows:
-                    updates.append((q, _rows(rows), *matrix.ravel()))
+                    updates.append((q, _rows(rows), matrix))
         masks = [m for _, _, group_masks in chunk for m in group_masks]
         term_rows = np.repeat(np.arange(len(chunk)), [len(m) for _, _, m in chunk])
         blocks.append(_Block(
@@ -244,13 +244,8 @@ def estimate_energy_sampled(
         height = len(block.group_ids)
         work = stack[:height]
         work[:] = state.amplitudes
-        for q, rows, m00, m01, m10, m11 in block.updates:
-            # the same two complex products per amplitude as apply_single_qubit
-            pairs = work.reshape(height, dim >> (q + 1), 2, 1 << q)
-            w0, w1 = pairs[rows, :, 0], pairs[rows, :, 1]
-            out0 = m00 * w0 + m01 * w1
-            pairs[rows, :, 1] = m10 * w0 + m11 * w1
-            pairs[rows, :, 0] = out0
+        for update in block.updates:
+            update_qubit(work, *update)
         probabilities = np.abs(work) ** 2
         counts = np.empty((height, dim), dtype=np.int64)
         for row, gid in enumerate(block.group_ids):

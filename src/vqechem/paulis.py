@@ -118,15 +118,18 @@ class QubitHamiltonian:
         """Build from {(x_mask, z_mask): weight}, pruning tiny weights.
 
         Terms are ordered by letter string so equal Hamiltonians always
-        serialize identically.
+        serialize identically: by the base-4 number with one digit per qubit,
+        I=0, X=1, Y=2, Z=3, qubit 0 most significant.
         """
-        merged = []
-        for (x, z), w in coeffs.items():
-            w = float(w)
-            if abs(w) >= COEFF_PRUNE_THRESHOLD:
-                merged.append((w, PauliString(n_qubits, x, z)))
-        merged.sort(key=lambda t: t[1].to_letters())
-        return cls(n_qubits, tuple(merged))
+        weights = {key: float(w) for key, w in coeffs.items()}
+        kept = [(key, w) for key, w in weights.items() if abs(w) >= COEFF_PRUNE_THRESHOLD]
+        x, z = np.array([key for key, _ in kept], dtype=np.int64).reshape(-1, 2, 1).swapaxes(0, 1)
+        qubits = np.arange(n_qubits)
+        # (x, z) = 00, 10, 11, 01 for I, X, Y, Z: the digit is 2z + (x ^ z)
+        digits = 2 * ((z >> qubits) & 1) + (((x ^ z) >> qubits) & 1)
+        order = np.lexsort(digits.T[::-1]).tolist() if n_qubits else range(len(kept))
+        return cls(n_qubits, tuple((kept[i][1], PauliString(n_qubits, *kept[i][0]))
+                                   for i in order))
 
     @property
     def n_terms(self) -> int:

@@ -157,21 +157,22 @@ def prepare_hf(n_qubits: int, occupied) -> Statevector:
     return Statevector(n_qubits, amplitudes)
 
 
-def apply_single_qubit(amplitudes: np.ndarray, qubit: int, matrix: np.ndarray) -> np.ndarray:
-    """Apply a 2x2 matrix to one qubit of an amplitude vector."""
-    n = amplitudes.shape[0]
-    work = amplitudes.reshape(n >> (qubit + 1), 2, 1 << qubit)
-    out = np.einsum("ab,ibj->iaj", matrix, work)
-    return np.ascontiguousarray(out).reshape(n)
+def update_qubit(stack: np.ndarray, qubit: int, rows, matrix: np.ndarray) -> None:
+    """Apply a 2x2 matrix to ``qubit`` of the ``rows`` of a stack, in place.
+
+    ``stack`` is a contiguous (height, 2**n) array of amplitude vectors; each
+    new amplitude is m[a, 0] * w0 + m[a, 1] * w1, two complex products.
+    """
+    height, dim = stack.shape
+    pairs = stack.reshape((height, dim >> (qubit + 1), 2, 1 << qubit), copy=False)
+    w = pairs[rows]
+    out = matrix[:, :1] * w[..., :1, :]
+    out += matrix[:, 1:] * w[..., 1:, :]
+    pairs[rows] = out
 
 
-def _apply_gate(amplitudes: np.ndarray, gate: Gate, table, parameters) -> np.ndarray:
-    """One gate; cz and pauli_rot update ``amplitudes``, which apply_circuit owns."""
-    if gate.kind == "ry":
-        (q,) = gate.qubits
-        half = 0.5 * gate.resolved_angle(parameters)
-        c, s = np.cos(half), np.sin(half)
-        return apply_single_qubit(amplitudes, q, np.array([[c, -s], [s, c]], dtype=np.complex128))
+def _apply_gate(amplitudes: np.ndarray, gate: Gate, table, parameters) -> None:
+    """One gate, applied in place to ``amplitudes``, which apply_circuit owns."""
     if gate.kind == "cz":
         # negate the amplitudes with both bits set, in place through a view
         # whose axes 1 and 3 are bits hi and lo
@@ -179,12 +180,14 @@ def _apply_gate(amplitudes: np.ndarray, gate: Gate, table, parameters) -> np.nda
         shape = (-1, 2, 1 << (hi - lo - 1), 2, 1 << lo)
         both = amplitudes.reshape(shape, copy=False)[:, 1, :, 1, :]
         np.negative(both, out=both)
-        return amplitudes
-    # pauli_rot: see _gate_tables
+        return
     half = 0.5 * gate.resolved_angle(parameters)
-    rows, partner, phase = table
-    amplitudes[rows] = np.cos(half) * amplitudes[rows] + np.sin(half) * (phase * amplitudes[partner])
-    return amplitudes
+    c, s = np.cos(half), np.sin(half)
+    if gate.kind == "ry":
+        update_qubit(amplitudes.reshape(1, -1), gate.qubits[0], 0, np.array([[c, -s], [s, c]]))
+    else:  # pauli_rot: see _gate_tables
+        rows, partner, phase = table
+        amplitudes[rows] = c * amplitudes[rows] + s * (phase * amplitudes[partner])
 
 
 def apply_circuit(state: Statevector, circuit: Circuit, parameters=()) -> Statevector:
@@ -198,7 +201,7 @@ def apply_circuit(state: Statevector, circuit: Circuit, parameters=()) -> Statev
         )
     amplitudes = state.amplitudes.astype(np.complex128, copy=True)
     for gate, table in zip(circuit.gates, circuit.tables):
-        amplitudes = _apply_gate(amplitudes, gate, table, parameters)
+        _apply_gate(amplitudes, gate, table, parameters)
     return Statevector(state.n_qubits, amplitudes)
 
 

@@ -85,6 +85,8 @@ class ScanManifest:
                 raise ManifestError(f"{name} must be >= {least}, got {getattr(self, name)}")
         for i in self.freeze:
             _integer(i, "freeze entry")
+        if len(set(self.freeze)) != len(self.freeze):
+            raise ManifestError(f"freeze entries must be distinct, got {list(self.freeze)}")
 
 
 @dataclass(frozen=True)

@@ -107,6 +107,86 @@ def fermion_operator_matrix(op) -> np.ndarray:
     return total.toarray()
 
 
+def _normal_order_term(term, coeff: float, out: dict) -> None:
+    """Accumulate the normal-ordered expansion of ``coeff * term`` into out.
+
+    Repeated swaps of adjacent factors using {a_p, a_q^+} = delta_pq,
+    {a_p, a_q} = {a_p^+, a_q^+} = 0. Terminates because each swap either
+    shortens the term or reduces its inversion count.
+    """
+    stack = [(list(term), coeff)]
+    while stack:
+        ops, c = stack.pop()
+        swapped = True
+        while swapped:
+            swapped = False
+            for k in range(len(ops) - 1):
+                (p, dag_p), (q, dag_q) = ops[k], ops[k + 1]
+                if not dag_p and dag_q:
+                    # a_p a_q^+ = delta_pq - a_q^+ a_p
+                    if p == q:
+                        stack.append((ops[:k] + ops[k + 2 :], c))
+                    ops[k], ops[k + 1] = ops[k + 1], ops[k]
+                    c = -c
+                    swapped = True
+                elif dag_p == dag_q:
+                    if p == q:
+                        c = 0.0  # nilpotent
+                        break
+                    # sort creations ascending, annihilations descending
+                    wrong = (dag_p and p > q) or (not dag_p and p < q)
+                    if wrong:
+                        ops[k], ops[k + 1] = ops[k + 1], ops[k]
+                        c = -c
+                        swapped = True
+            if c == 0.0:
+                break
+        if c != 0.0:
+            key = tuple(ops)
+            out[key] = out.get(key, 0.0) + c
+
+
+def normal_ordered_terms(raw_terms: dict) -> dict:
+    """{term: coefficient} of a sum of ladder-operator products, normal ordered.
+
+    Any factor order is accepted: adjacent factors are swapped one pair at a
+    time by the anticommutation rules, equal terms are summed into a dict in
+    input order, and the result is sorted by term with zeros dropped.
+    """
+    ordered: dict = {}
+    for term, coeff in raw_terms.items():
+        _normal_order_term(term, float(coeff), ordered)
+    return {t: c for t, c in sorted(ordered.items()) if abs(c) > 0.0}
+
+
+def second_quantized_terms(integrals) -> dict:
+    """The spin-orbital Hamiltonian's normal-ordered terms, one loop index at a time.
+
+    Raw terms run over p, q (, r, s) and then the spins, each spatial
+    coefficient below the prune threshold left out, and go through
+    :func:`normal_ordered_terms`.
+    """
+    from vqechem.paulis import COEFF_PRUNE_THRESHOLD
+
+    n = integrals.n_spatial_orbitals
+    h, g = integrals.h, integrals.g
+    raw = {(): float(integrals.constant_energy)}
+    for p in range(n):
+        for q in range(n):
+            if abs(h[p, q]) < COEFF_PRUNE_THRESHOLD:
+                continue
+            for s in (0, 1):
+                raw[((2 * p + s, True), (2 * q + s, False))] = float(h[p, q])
+    for p, q, r, s in itertools.product(range(n), repeat=4):
+        coeff = 0.5 * float(g[p, r, q, s])
+        if abs(coeff) < COEFF_PRUNE_THRESHOLD:
+            continue
+        for sigma, tau in itertools.product((0, 1), repeat=2):
+            raw[((2 * p + sigma, True), (2 * q + tau, True),
+                 (2 * s + tau, False), (2 * r + sigma, False))] = coeff
+    return normal_ordered_terms(raw)
+
+
 def jordan_wigner_terms(op) -> dict:
     """{(x_mask, z_mask): complex} of an operator, one Pauli product at a time.
 
@@ -147,10 +227,16 @@ BASIS_CHANGE = {
 }
 
 
+def apply_single_qubit(amplitudes, qubit: int, matrix) -> np.ndarray:
+    """A 2x2 matrix applied to one qubit of an amplitude vector, by einsum."""
+    n = amplitudes.shape[0]
+    work = amplitudes.reshape(n >> (qubit + 1), 2, 1 << qubit)
+    out = np.einsum("ab,ibj->iaj", matrix, work)
+    return np.ascontiguousarray(out).reshape(n)
+
+
 def group_probabilities(state, basis: str) -> np.ndarray:
     """Outcome probabilities in a group's basis, one letter's rotation at a time."""
-    from vqechem.simulator import apply_single_qubit
-
     amplitudes = state.amplitudes
     for q, letter in enumerate(basis):
         if letter in BASIS_CHANGE:

@@ -8,7 +8,7 @@ from scipy.linalg import expm
 
 from oracles import pauli_matrix
 from vqechem.ansatz import (
-    _excitation_generator,
+    _excitation_generators,
     build_hardware_efficient,
     build_uccsd,
     enumerate_excitations,
@@ -135,7 +135,7 @@ def test_excitation_gate_matches_dense_exponential(excitation, theta, seed):
     n, order, double = excitation
     k = 2 if double else 1
     annihilate, create = tuple(sorted(order[:k])), tuple(sorted(order[k:2 * k]))
-    expansion = jordan_wigner_term_dict(_excitation_generator(n, annihilate, create))
+    expansion = jordan_wigner_term_dict(_excitation_generators(n, [(annihilate, create)])[0])
     m = sum(c * pauli_matrix(PauliString(n, x, z).to_letters())
             for (x, z), c in expansion.items())
     circuit = Circuit(n, (excitation_gate(n, annihilate, create, slot=0),), n_parameters=1)

@@ -72,6 +72,14 @@ def test_fci_solves_the_geometry_electron_count(tmp_path, capsys):
     assert anion > neutral + 0.1
 
 
+def test_fci_repeated_freeze_exits_2_with_one_line(fixture_dir, capsys):
+    path = os.path.join(fixture_dir, "h2s_sto3g_nonrel_eq.fcidump")
+    assert main(["fci", "--fcidump", path, "--freeze", "0", "0"]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and "repeated orbital index" in err
+
+
 def test_vqe_single_point_geometry(tmp_path, capsys):
     geometry = write_json(tmp_path / "h2.json", H2_GEOMETRY)
     assert main(["vqe", "--geometry", geometry, "--json", *FAST_VQE]) == 0
@@ -175,6 +183,7 @@ def test_one_point_manifest_then_fit_errors(tmp_path, capsys):
         (lambda doc: doc["optimizer"].update(kind="spsa", spsa_window=0), "spsa_window"),
         (lambda doc: doc.update(freeze=[True]), "freeze"),
         (lambda doc: doc["optimizer"].update(spsa_a=1.0), "spsa_a"),
+        (lambda doc: doc.update(freeze=[0, 0]), "freeze"),
     ],
     ids=["unknown-optimizer-key", "point-without-label", "zero-restarts", "zero-shots",
          "negative-reps", "non-integer-freeze", "non-numeric-coordinate",
@@ -183,7 +192,7 @@ def test_one_point_manifest_then_fit_errors(tmp_path, capsys):
          "non-object-point", "non-list-freeze", "fractional-shots", "fractional-reps",
          "fractional-restarts", "boolean-seed", "fractional-max-iterations",
          "fractional-spsa-window", "zero-spsa-window", "boolean-freeze",
-         "dropped-spsa-gain"],
+         "dropped-spsa-gain", "duplicate-freeze"],
 )
 def test_malformed_manifest_rejected_up_front(tmp_path, capsys, corrupt, key):
     manifest = small_manifest(tmp_path)

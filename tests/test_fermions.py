@@ -11,8 +11,10 @@ from oracles import (
     fermion_operator_matrix,
     hamiltonian_matrix,
     jordan_wigner_terms,
+    normal_ordered_terms,
+    second_quantized_terms,
 )
-from vqechem.ansatz import _excitation_generator, enumerate_excitations
+from vqechem.ansatz import _excitation_generators, enumerate_excitations
 from vqechem.exceptions import NonHermitianError, ShapeError
 from vqechem.fermions import (
     FermionOperator,
@@ -24,7 +26,7 @@ from vqechem.fermions import (
 )
 from vqechem.integrals import MolecularIntegrals
 from vqechem.paulis import PauliString
-from vqechem.workflows import ScanPoint, integrals_for_point
+from vqechem.workflows import ScanPoint, h3_exchange_point, integrals_for_point
 
 H2S_STEMS = ("h2s_sto3g_nonrel_eq", "h2s_sto3g_nonrel_stretch",
              "h2s_sto3g_rel_eq", "h2s_sto3g_rel_stretch")
@@ -49,10 +51,10 @@ def random_integrals(n, seed, n_electrons=2):
     return simple_integrals(n, h, g, constant=rng.normal(), n_electrons=n_electrons)
 
 
-def test_normal_ordering_anticommutation():
-    # a_0 a_0^+ = 1 - a_0^+ a_0
-    op = FermionOperator.from_terms(2, {((0, False), (0, True)): 1.0})
-    assert op.terms == {(): 1.0, ((0, True), (0, False)): -1.0}
+@pytest.mark.parametrize("term", [((0, False), (0, True)), ((1, True), (0, False), (2, True))])
+def test_from_terms_refuses_annihilator_first(term):
+    with pytest.raises(ShapeError, match="annihilator left of a creator"):
+        FermionOperator.from_terms(3, {term: 1.0})
 
 
 def test_normal_ordering_nilpotency():
@@ -188,11 +190,18 @@ def raw_operators(draw):
     return FermionOperator(n, draw(st.dictionaries(term, st.floats(-1e3, 1e3), max_size=12)))
 
 
+def creations_first(terms: dict) -> dict:
+    """The terms with each one's creations moved left of its annihilations, in order."""
+    return {tuple(sorted(term, key=lambda factor: not factor[1])): c for term, c in terms.items()}
+
+
 @given(st.lists(raw_operators(), min_size=1, max_size=3))
 def test_jw_expansion_matches_product_loop(ops):
     # raw terms keep their repeated modes and their order; from_terms
-    # normal orders them; each operator of a batch expands on its own
-    for batch in (ops, [FermionOperator.from_terms(op.n_modes, op.terms) for op in ops]):
+    # normal orders them with creations first; each operator of a batch
+    # expands on its own
+    ordered = [FermionOperator.from_terms(op.n_modes, creations_first(op.terms)) for op in ops]
+    for batch in (ops, ordered):
         expansions = jordan_wigner_term_dicts(batch)
         assert len(expansions) == len(batch)
         for expansion, op in zip(expansions, batch):
@@ -212,7 +221,7 @@ def test_jw_uccsd_generators_match_product_loop():
     excitations = enumerate_excitations(12, range(8))
     moves = [((i,), (a,)) for i, a in excitations.singles]
     moves += [((i, j), (a, b)) for i, j, a, b in excitations.doubles]
-    generators = [_excitation_generator(12, annihilate, create) for annihilate, create in moves]
+    generators = _excitation_generators(12, moves)
     for expansion, generator in zip(jordan_wigner_term_dicts(generators), generators):
         assert_same_expansion(expansion, jordan_wigner_terms(generator))
 
@@ -222,3 +231,41 @@ def test_jw_expansion_edge_cases():
     assert jordan_wigner_term_dicts([FermionOperator(3)]) == [{}]
     with pytest.raises(ShapeError):
         jordan_wigner_term_dict(number_operator(63))
+
+
+@given(st.lists(raw_operators(), min_size=1, max_size=3))
+def test_from_terms_matches_raw_matrix_and_swap_oracle(ops):
+    # creation-first terms with repeated modes; each normal-ordered operator
+    # of a batch has the swap engine's terms bit for bit, and the first one
+    # the raw sum's matrix
+    n = max(op.n_modes for op in ops)
+    raws = [creations_first(op.terms) for op in ops]
+    batch = FermionOperator.from_term_dicts(n, raws)
+    assert len(batch) == len(raws)
+    for ordered, raw in zip(batch, raws):
+        assert list(ordered.terms.items()) == list(normal_ordered_terms(raw).items())
+    ordered = FermionOperator.from_terms(n, raws[0])
+    assert ordered == batch[0]
+    want = fermion_operator_matrix(FermionOperator(n, raws[0]))
+    assert np.abs(fermion_operator_matrix(ordered) - want).max() <= 1e-9
+
+
+@pytest.mark.parametrize("source", [
+    *(f"{stem}/{size}" for stem in H2S_STEMS for size in ("8q", "12q")),
+    "h3/-1.0", "h3/0.0", "h3/0.5", "random/1", "random/3", "random/5",
+])
+def test_build_second_quantized_matches_loop_oracle(fixture_dir, source):
+    """The array assembly equals the loop and swap engine: same terms, order and bits."""
+    kind, arg = source.split("/")
+    if kind == "h3":
+        point = h3_exchange_point(arg, float(arg))
+        integrals = integrals_for_point(ScanPoint(arg, float(arg), geometry=point["geometry"]))
+    elif kind == "random":
+        integrals = random_integrals(int(arg), seed=10 + int(arg))
+    else:
+        path = os.path.join(fixture_dir, kind + ".fcidump")
+        freeze = (0, 1) if arg == "8q" else ()
+        integrals = integrals_for_point(ScanPoint(kind, 0.0, fcidump_path=path), freeze)
+    got = build_second_quantized(integrals)
+    assert got.n_modes == 2 * integrals.n_spatial_orbitals
+    assert list(got.terms.items()) == list(second_quantized_terms(integrals).items())

@@ -179,6 +179,12 @@ def test_freeze_core_rejects_overlap():
         ActiveSpaceSpec((0,), (0, 1))
 
 
+@pytest.mark.parametrize("frozen, active", [((0, 0), (1,)), ((0,), (1, 1))])
+def test_active_space_rejects_repeated_index(frozen, active):
+    with pytest.raises(ActiveSpaceError, match="repeated orbital index"):
+        ActiveSpaceSpec(frozen, active)
+
+
 def test_freeze_core_rejects_non_occupied_core(h2_integrals_074):
     with pytest.raises(ActiveSpaceError):
         freeze_core(h2_integrals_074, ActiveSpaceSpec((1,), (0,)))

@@ -112,6 +112,16 @@ def test_hamiltonian_rejects_duplicates():
         QubitHamiltonian(1, ((0.5, P("X")), (0.25, P("X"))))
 
 
+@given(st.integers(1, 20).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+    st.tuples(st.integers(0, (1 << n) - 1), st.integers(0, (1 << n) - 1)),
+    unique=True, max_size=40))))
+def test_terms_sorted_by_letter_string(case):
+    n, keys = case
+    h = QubitHamiltonian.from_term_dict(n, {key: 1.0 + i for i, key in enumerate(keys)})
+    assert [(p.x_mask, p.z_mask) for _, p in h.terms] == sorted(
+        keys, key=lambda key: PauliString(n, *key).to_letters())
+
+
 @given(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=64))
 def test_bit_parity_matches_popcount(values):
     parity = _bit_parity(np.array(values, dtype=np.uint32))
