@@ -169,15 +169,26 @@ def _load_sto3g_shell(symbol: str):
     return shells
 
 
-def boys_f0(x: float) -> float:
-    """Boys function F0 via the error-function closed form.
+def boys_f0(x):
+    """Boys function F0 via the error-function closed form, elementwise.
 
-    The x -> 0 limit is taken explicitly below 1e-12 to avoid the 0/0
-    singularity of the closed form.
+    The x -> 0 limit is taken explicitly at and below 1e-12 to avoid the 0/0
+    singularity of the closed form. Each erf is ``math.erf``; numpy has none.
     """
-    if x > 1e-12:
-        return 0.5 * math.sqrt(math.pi / x) * math.erf(math.sqrt(x))
-    return 1.0
+    x = np.asarray(x, dtype=float)
+    big = x > 1e-12
+    safe = np.where(big, x, 1.0)
+    erf = np.asarray(_erf(np.sqrt(safe)), dtype=float)
+    return np.where(big, 0.5 * np.sqrt(math.pi / safe) * erf, 1.0)[()]  # a scalar for a scalar
+
+
+_erf = np.frompyfunc(math.erf, 1, 1)
+_exp = np.frompyfunc(math.exp, 1, 1)
+
+
+def _loop_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum over the last axis in index order, as ``s = 0.0; s += t`` does, signed zeros too."""
+    return 0.0 + np.add.accumulate(terms, axis=-1)[..., -1]
 
 
 def _s_primitive_norm(alpha: float) -> float:
@@ -220,68 +231,50 @@ def compute_ao_integrals(molecule: Molecule) -> AOIntegrals:
     exps = np.asarray(shell["exponents"], dtype=float)
     raw_coeffs = np.asarray(shell["coefficients"], dtype=float)
 
-    # one (exponents, weights, center) record per AO, weights including
-    # primitive norms and the contracted renormalization
-    centers = [np.asarray(xyz, dtype=float) for _, _, xyz in molecule.atoms]
+    # primitive-pair data of every ordered AO pair (a, b), flat index
+    # a * n_ao + b, primitive pairs (i, j) in row-major order. Each value
+    # takes the operations and rounding of the closed-form loop (Szabo &
+    # Ostlund, ch. 3), so the arrays equal the loop's bit for bit: np.vecdot
+    # rounds a 3-vector dot as np.dot does, exp and ** stay in Python's math,
+    # and every sum runs in loop order
+    r = np.array([xyz for _, _, xyz in molecule.atoms], dtype=float)
+    n_ao = len(r)
+    p = np.add.outer(exps, exps).ravel()
+    mu = np.multiply.outer(exps, exps).ravel() / p
+    gauss = np.array([(math.pi / x) ** 1.5 for x in p])
+    # weights include primitive norms and the contracted renormalization
     weights = raw_coeffs * np.array([_s_primitive_norm(a) for a in exps])
-    self_overlap = 0.0
-    for ci, ai in zip(weights, exps):
-        for cj, aj in zip(weights, exps):
-            self_overlap += ci * cj * (math.pi / (ai + aj)) ** 1.5
-    weights = weights / math.sqrt(self_overlap)
+    weights = weights / math.sqrt(_loop_sum(np.outer(weights, weights).ravel() * gauss))
+    rab2 = np.vecdot(r[:, None] - r, r[:, None] - r).reshape(-1, 1)
+    pref = np.outer(weights, weights).ravel() * np.asarray(_exp(-mu * rab2), dtype=float)
+    ea, eb = np.repeat(exps, len(exps))[:, None], np.tile(exps, len(exps))[:, None]
+    rp = ((ea * r[:, None, None] + eb * r[:, None]) / p[:, None]).reshape(-1, len(p), 3)
 
-    n_ao = len(centers)
-    S = np.zeros((n_ao, n_ao))
-    T = np.zeros((n_ao, n_ao))
-    V = np.zeros((n_ao, n_ao))
-    eri = np.zeros((n_ao, n_ao, n_ao, n_ao))
+    # one-electron integrals on the pairs a <= b, nuclei innermost in V
+    upper = np.triu_indices(n_ao)
+    ab = upper[0] * n_ao + upper[1]
+    s = _loop_sum(pref[ab] * gauss)
+    t = _loop_sum(pref[ab] * mu * (3.0 - 2.0 * mu * rab2[ab]) * gauss)
+    charges = np.array([float(z) for _, z, _ in molecule.atoms])
+    to_nuclei = rp[ab][:, :, None] - r
+    # the loop's v -= t is v + (-t) in IEEE arithmetic: sum the negated terms
+    v = -(pref[ab][:, :, None] * charges * (2.0 * math.pi / p)[:, None]
+          * boys_f0(p[:, None] * np.vecdot(to_nuclei, to_nuclei)))
+    v = _loop_sum(v.reshape(len(ab), -1))
+    S, T, V = (np.zeros((n_ao, n_ao)) for _ in range(3))
+    for matrix, values in ((S, s), (T, t), (V, v)):
+        matrix[upper] = matrix[upper[::-1]] = values
 
-    def pair_terms(a_idx, b_idx):
-        """Gaussian product data for every primitive pair of two AOs."""
-        ra, rb = centers[a_idx], centers[b_idx]
-        rab2 = float(np.dot(ra - rb, ra - rb))
-        for ca, aa in zip(weights, exps):
-            for cb, ab in zip(weights, exps):
-                p = aa + ab
-                mu = aa * ab / p
-                pref = ca * cb * math.exp(-mu * rab2)
-                center = (aa * ra + ab * rb) / p
-                yield pref, p, mu, rab2, center
-
-    for a in range(n_ao):
-        for b in range(a, n_ao):
-            s = t = v = 0.0
-            for pref, p, mu, rab2, rp in pair_terms(a, b):
-                gauss = (math.pi / p) ** 1.5
-                s += pref * gauss
-                t += pref * mu * (3.0 - 2.0 * mu * rab2) * gauss
-                for _, z, rc in molecule.atoms:
-                    dist2 = float(np.dot(rp - rc, rp - rc))
-                    v -= pref * z * (2.0 * math.pi / p) * boys_f0(p * dist2)
-            S[a, b] = S[b, a] = s
-            T[a, b] = T[b, a] = t
-            V[a, b] = V[b, a] = v
-
-    for a in range(n_ao):
-        for b in range(n_ao):
-            bra = list(pair_terms(a, b))
-            for c in range(n_ao):
-                for d in range(n_ao):
-                    if (c, d) < (a, b):  # filled by symmetry below
-                        continue
-                    val = 0.0
-                    for pref1, p, _, _, rp in bra:
-                        for pref2, q, _, _, rq in pair_terms(c, d):
-                            dist2 = float(np.dot(rp - rq, rp - rq))
-                            val += (
-                                pref1
-                                * pref2
-                                * 2.0
-                                * math.pi ** 2.5
-                                / (p * q * math.sqrt(p + q))
-                                * boys_f0(p * q / (p + q) * dist2)
-                            )
-                    eri[a, b, c, d] = eri[c, d, a, b] = val
+    # (ab|cd) for every ket cd >= bra ab, bra primitives outer, ket inner
+    pq, p_plus_q = np.multiply.outer(p, p), np.add.outer(p, p)
+    denom, rho = pq * np.sqrt(p_plus_q), pq / p_plus_q
+    eri = np.zeros((n_ao * n_ao, n_ao * n_ao))
+    for bra in range(n_ao * n_ao):
+        to_kets = rp[bra][None, :, None, :] - rp[bra:][:, None, :, :]
+        terms = (pref[bra][:, None] * pref[bra:][:, None, :] * 2.0 * math.pi ** 2.5 / denom
+                 * boys_f0(rho * np.vecdot(to_kets, to_kets)))
+        eri[bra, bra:] = eri[bra:, bra] = _loop_sum(terms.reshape(len(terms), -1))
+    eri = eri.reshape(n_ao, n_ao, n_ao, n_ao)
 
     return AOIntegrals(n_ao, S, T, V, eri, e_nuc)
 

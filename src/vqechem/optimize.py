@@ -49,10 +49,11 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.kind not in ("spsa", "simplex"):
             raise ShapeError(f"unknown optimizer kind {self.kind!r}")
-        if self.max_iterations < 1:
-            raise ShapeError("max_iterations must be >= 1")
-        if self.convergence_threshold <= 0 or self.simplex_xtol <= 0:
-            raise ShapeError("tolerances must be positive")
+        checked_int(self.max_iterations, "max_iterations", 1)
+        for name in ("convergence_threshold", "simplex_xtol"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ShapeError(f"{name} must be finite and positive, got {value!r}")
         checked_int(self.seed, "seed", 0)
         checked_int(self.spsa_window, "spsa_window", 1)
 
@@ -166,26 +167,23 @@ def simplex_minimize(objective, theta0, config: OptimizerConfig) -> VqeResult:
     reflect, expand, contract, shrink = 1.0, 2.0, 0.5, 0.5
     d = x0.size
 
-    vertices = [x0]
-    for i in range(d):
-        step = np.zeros(d)
-        step[i] = SIMPLEX_STEP
-        vertices.append(x0 + step)
-    values = [f(v) for v in vertices]
+    # one vertex per row; the arithmetic and evaluation order are those of
+    # a per-vertex loop, so results do not depend on the layout
+    vertices = np.vstack([x0, x0 + SIMPLEX_STEP * np.eye(d)])
+    values = np.array([f(v) for v in vertices])
     evals = d + 1
     converged = False
 
     for _ in range(config.max_iterations):
         order = np.argsort(values, kind="stable")
-        vertices = [vertices[i] for i in order]
-        values = [values[i] for i in order]
-        diameter = max(np.abs(v - vertices[0]).max() for v in vertices[1:])
+        vertices, values = vertices[order], values[order]
+        diameter = np.abs(vertices[1:] - vertices[0]).max()
         if values[-1] - values[0] < config.convergence_threshold and diameter < config.simplex_xtol:
             converged = True
-            trace.append(values[0])
+            trace.append(float(values[0]))
             break
 
-        centroid = np.mean(vertices[:-1], axis=0)
+        centroid = vertices[:-1].mean(axis=0)
         xr = centroid + reflect * (centroid - vertices[-1])
         fr = f(xr)
         evals += 1
@@ -213,16 +211,15 @@ def simplex_minimize(objective, theta0, config: OptimizerConfig) -> VqeResult:
             if accepted:
                 vertices[-1], values[-1] = xc, fc
             else:
-                best = vertices[0]
+                vertices[1:] = vertices[0] + shrink * (vertices[1:] - vertices[0])
                 for i in range(1, d + 1):
-                    vertices[i] = best + shrink * (vertices[i] - best)
                     values[i] = f(vertices[i])
-                    evals += 1
-        trace.append(min(values))
+                evals += d
+        trace.append(float(values[values.argmin()]))
 
     best_idx = int(np.argmin(values))
     return VqeResult(
-        final_energy=values[best_idx],
+        final_energy=float(values[best_idx]),
         final_parameters=vertices[best_idx].copy(),
         energy_trace=tuple(trace),
         n_function_evaluations=evals,

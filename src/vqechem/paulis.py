@@ -15,6 +15,9 @@ import numpy as np
 from .exceptions import ShapeError
 
 COEFF_PRUNE_THRESHOLD = 1e-12
+# 1 GiB: cap on one compiled form, or the tables and workspace of one
+# circuit or one exact solve, checked from the masks before allocating
+MAX_ALLOCATION_BYTES = 1 << 30
 
 _LETTER_TO_XZ = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _XZ_TO_LETTER = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
@@ -87,6 +90,13 @@ def pauli_multiply(a: PauliString, b: PauliString) -> tuple[complex, PauliString
     return (1, 1j, -1, -1j)[k], PauliString(a.n_qubits, x, z)
 
 
+def check_allocation(needed: int, what: str) -> None:
+    """Refuse ``what`` when its ``needed`` bytes exceed ``MAX_ALLOCATION_BYTES``."""
+    if needed > MAX_ALLOCATION_BYTES:
+        raise ShapeError(f"{what} would take {needed / 2**30:.1f} GiB, "
+                         f"above the {MAX_ALLOCATION_BYTES / 2**30:.0f} GiB limit")
+
+
 def commutes_qubitwise(a: PauliString, b: PauliString) -> bool:
     """True iff at every qubit the letters are equal or at least one is I."""
     if a.n_qubits != b.n_qubits:
@@ -146,14 +156,22 @@ class QubitHamiltonian:
         return sorted({p.x_mask for _, p in self.terms})
 
     def compile(self) -> CompiledOperator:
-        """A new compiled form of the sum; the caller owns (and frees) it."""
-        dim = 1 << self.n_qubits
+        """A new compiled form of the sum; the caller owns (and frees) it.
+
+        Refused before allocating when its 24 B per (x-mask, state) entry
+        and the sign table of its largest row, 17 B per (string, state) as
+        int8 and its complex cast, exceed ``MAX_ALLOCATION_BYTES``.
+        """
         x_masks = self.x_masks()
-        gather = np.arange(dim) ^ np.array(x_masks, dtype=np.int64).reshape(-1, 1)
-        shifted = np.empty(gather.shape, dtype=np.complex128)
         by_x = {x: [] for x in x_masks}
         for w, p in self.terms:
             by_x[p.x_mask].append((w, p))
+        largest = max((len(terms) for terms in by_x.values()), default=0)
+        check_allocation((24 * len(x_masks) + 17 * largest) << self.n_qubits,
+                         f"compiled form of {len(x_masks)} x-masks on {self.n_qubits} qubits")
+        dim = 1 << self.n_qubits
+        gather = np.arange(dim) ^ np.array(x_masks, dtype=np.int64).reshape(-1, 1)
+        shifted = np.empty(gather.shape, dtype=np.complex128)
         for row, x in enumerate(x_masks):
             weights = np.array([w * 1j ** int(p.x_mask & p.z_mask).bit_count()
                                 for w, p in by_x[x]])

@@ -14,12 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import ShapeError
-from .paulis import CompiledOperator, QubitHamiltonian
+from .paulis import CompiledOperator, QubitHamiltonian, check_allocation
 
 MAX_QUBITS = 24  # 2**24 complex amplitudes = 256 MiB; hard memory guard
-# 1 GiB: cap on the tables and workspace of one circuit or one exact solve,
-# checked from the masks before anything is allocated
-MAX_ALLOCATION_BYTES = 1 << 30
 
 GATE_KINDS = ("ry", "cz", "pauli_rot")
 
@@ -73,13 +70,6 @@ class Gate:
         if self.slot is None:
             return self.angle
         return self.angle * parameters[self.slot]
-
-
-def check_allocation(needed: int, what: str) -> None:
-    """Refuse ``what`` when its ``needed`` bytes exceed ``MAX_ALLOCATION_BYTES``."""
-    if needed > MAX_ALLOCATION_BYTES:
-        raise ShapeError(f"{what} would take {needed / 2**30:.1f} GiB, "
-                         f"above the {MAX_ALLOCATION_BYTES / 2**30:.0f} GiB limit")
 
 
 def _gate_tables(n_qubits: int, gates) -> tuple:

@@ -160,9 +160,6 @@ def load_manifest(doc: dict, base_dir: str = ".") -> ScanManifest:
     unknown = set(options) - {f.name for f in fields(OptimizerConfig)}
     if unknown:
         raise ManifestError(f"unknown optimizer keys: {sorted(unknown)}")
-    for f in fields(OptimizerConfig):
-        if f.type in (int, "int") and f.name in options:
-            _integer(options[f.name], f"optimizer {f.name}")
     try:
         optimizer = OptimizerConfig(**options)
     except TypeError as exc:  # a value of the wrong type, e.g. a string where a number goes

@@ -430,3 +430,180 @@ def f0_quadrature(x: float) -> float:
 
     value, _ = quad(lambda t: math.exp(-x * t * t), 0.0, 1.0, epsabs=1e-13, epsrel=1e-13)
     return value
+
+
+def boys_f0_scalar(x: float) -> float:
+    """Boys F0 of one float by the error-function closed form, 1.0 at x <= 1e-12."""
+    if x > 1e-12:
+        return 0.5 * math.sqrt(math.pi / x) * math.erf(math.sqrt(x))
+    return 1.0
+
+
+def ao_integrals_loop(molecule):
+    """STO-3G s-orbital integrals by the closed-form loop over primitives.
+
+    The Gaussian product formulas of Szabo & Ostlund, ch. 3, evaluated one
+    primitive quartet at a time with scalar Boys calls: the reference that
+    ``compute_ao_integrals`` must match bit for bit.
+    """
+    from vqechem.integrals import (
+        AOIntegrals,
+        _load_sto3g_shell,
+        _s_primitive_norm,
+        nuclear_repulsion,
+    )
+
+    e_nuc = nuclear_repulsion(molecule)
+    shell = _load_sto3g_shell("H")[0]
+    exps = np.asarray(shell["exponents"], dtype=float)
+    raw_coeffs = np.asarray(shell["coefficients"], dtype=float)
+
+    centers = [np.asarray(xyz, dtype=float) for _, _, xyz in molecule.atoms]
+    weights = raw_coeffs * np.array([_s_primitive_norm(a) for a in exps])
+    self_overlap = 0.0
+    for ci, ai in zip(weights, exps):
+        for cj, aj in zip(weights, exps):
+            self_overlap += ci * cj * (math.pi / (ai + aj)) ** 1.5
+    weights = weights / math.sqrt(self_overlap)
+
+    n_ao = len(centers)
+    S = np.zeros((n_ao, n_ao))
+    T = np.zeros((n_ao, n_ao))
+    V = np.zeros((n_ao, n_ao))
+    eri = np.zeros((n_ao, n_ao, n_ao, n_ao))
+
+    def pair_terms(a_idx, b_idx):
+        """Gaussian product data for every primitive pair of two AOs."""
+        ra, rb = centers[a_idx], centers[b_idx]
+        rab2 = float(np.dot(ra - rb, ra - rb))
+        for ca, aa in zip(weights, exps):
+            for cb, ab in zip(weights, exps):
+                p = aa + ab
+                mu = aa * ab / p
+                pref = ca * cb * math.exp(-mu * rab2)
+                center = (aa * ra + ab * rb) / p
+                yield pref, p, mu, rab2, center
+
+    for a in range(n_ao):
+        for b in range(a, n_ao):
+            s = t = v = 0.0
+            for pref, p, mu, rab2, rp in pair_terms(a, b):
+                gauss = (math.pi / p) ** 1.5
+                s += pref * gauss
+                t += pref * mu * (3.0 - 2.0 * mu * rab2) * gauss
+                for _, z, rc in molecule.atoms:
+                    dist2 = float(np.dot(rp - rc, rp - rc))
+                    v -= pref * z * (2.0 * math.pi / p) * boys_f0_scalar(p * dist2)
+            S[a, b] = S[b, a] = s
+            T[a, b] = T[b, a] = t
+            V[a, b] = V[b, a] = v
+
+    for a in range(n_ao):
+        for b in range(n_ao):
+            bra = list(pair_terms(a, b))
+            for c in range(n_ao):
+                for d in range(n_ao):
+                    if (c, d) < (a, b):  # filled by symmetry below
+                        continue
+                    val = 0.0
+                    for pref1, p, _, _, rp in bra:
+                        for pref2, q, _, _, rq in pair_terms(c, d):
+                            dist2 = float(np.dot(rp - rq, rp - rq))
+                            val += (
+                                pref1
+                                * pref2
+                                * 2.0
+                                * math.pi ** 2.5
+                                / (p * q * math.sqrt(p + q))
+                                * boys_f0_scalar(p * q / (p + q) * dist2)
+                            )
+                    eri[a, b, c, d] = eri[c, d, a, b] = val
+
+    return AOIntegrals(n_ao, S, T, V, eri, e_nuc)
+
+
+def simplex_minimize_lists(objective, theta0, config, moves=None):
+    """Nelder-Mead kept as per-vertex lists: the reference for ``simplex_minimize``.
+
+    Same coefficients, ordering, stopping rule and evaluation order; each
+    vertex is its own array and each value a Python float. Each iteration's
+    move is appended to ``moves`` when it is a list.
+    """
+    moves = [] if moves is None else moves
+    from vqechem.optimize import SIMPLEX_STEP, VqeResult
+
+    x0 = np.asarray(theta0, dtype=float).copy()
+    trace = []
+    reflect, expand, contract, shrink = 1.0, 2.0, 0.5, 0.5
+    d = x0.size
+
+    vertices = [x0]
+    for i in range(d):
+        step = np.zeros(d)
+        step[i] = SIMPLEX_STEP
+        vertices.append(x0 + step)
+    values = [float(objective(v)) for v in vertices]
+    evals = d + 1
+    converged = False
+
+    for _ in range(config.max_iterations):
+        order = np.argsort(values, kind="stable")
+        vertices = [vertices[i] for i in order]
+        values = [values[i] for i in order]
+        diameter = max(np.abs(v - vertices[0]).max() for v in vertices[1:])
+        if values[-1] - values[0] < config.convergence_threshold and diameter < config.simplex_xtol:
+            converged = True
+            trace.append(values[0])
+            break
+
+        centroid = np.mean(vertices[:-1], axis=0)
+        xr = centroid + reflect * (centroid - vertices[-1])
+        fr = float(objective(xr))
+        evals += 1
+        if fr < values[0]:
+            xe = centroid + expand * (xr - centroid)
+            fe = float(objective(xe))
+            evals += 1
+            if fe < fr:
+                vertices[-1], values[-1] = xe, fe
+                moves.append("expand")
+            else:
+                vertices[-1], values[-1] = xr, fr
+                moves.append("reflect")
+        elif fr < values[-2]:
+            vertices[-1], values[-1] = xr, fr
+            moves.append("reflect")
+        else:
+            if fr < values[-1]:
+                xc = centroid + contract * (xr - centroid)
+                fc = float(objective(xc))
+                evals += 1
+                accepted = fc <= fr
+                move = "contract_outside"
+            else:
+                xc = centroid - contract * (centroid - vertices[-1])
+                fc = float(objective(xc))
+                evals += 1
+                accepted = fc < values[-1]
+                move = "contract_inside"
+            if accepted:
+                vertices[-1], values[-1] = xc, fc
+                moves.append(move)
+            else:
+                moves.append("shrink")
+                best = vertices[0]
+                for i in range(1, d + 1):
+                    vertices[i] = best + shrink * (vertices[i] - best)
+                    values[i] = float(objective(vertices[i]))
+                    evals += 1
+        trace.append(min(values))
+
+    best_idx = int(np.argmin(values))
+    return VqeResult(
+        final_energy=values[best_idx],
+        final_parameters=vertices[best_idx].copy(),
+        energy_trace=tuple(trace),
+        n_function_evaluations=evals,
+        converged=converged,
+        termination_reason="converged" if converged else "iteration_cap",
+    )

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -108,6 +109,34 @@ def test_negative_seed_exits_2_with_one_line(tmp_path, capsys, options):
     assert err.startswith("error: ") and "seed" in err
 
 
+def test_nan_threshold_exits_2_with_one_line(tmp_path, capsys):
+    geometry = write_json(tmp_path / "h2.json", H2_GEOMETRY)
+    assert main(["vqe", "--geometry", geometry, "--threshold", "nan"]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and "convergence_threshold" in err
+
+
+def test_oversized_compiled_form_exits_2_before_allocating(tmp_path, capsys):
+    # H9+ chain: 18 qubits, 821 x-masks, a 5.5 GiB compiled form; the
+    # hardware-efficient circuit has no rotation tables to trip their guard
+    doc = {"atoms": [{"symbol": "H", "xyz_bohr": [0.0, 0.0, 1.8 * i]} for i in range(9)],
+           "charge": 1}
+    geometry = write_json(tmp_path / "h9.json", doc)
+    tracemalloc.start()
+    try:
+        code = main(["vqe", "--geometry", geometry, "--ansatz", "hardware",
+                     "--mode", "exact", "--restarts", "1"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and "compiled form of 821 x-masks on 18 qubits" in err
+    assert peak < 1 << 28  # measurement grouping of the 4676 strings takes most of it
+
+
 def test_scan_fit_compare_trace_roundtrip(tmp_path, capsys):
     manifest = small_manifest(tmp_path)
     out_a = tmp_path / "scan_a.csv"
@@ -184,6 +213,10 @@ def test_one_point_manifest_then_fit_errors(tmp_path, capsys):
         (lambda doc: doc.update(freeze=[True]), "freeze"),
         (lambda doc: doc["optimizer"].update(spsa_a=1.0), "spsa_a"),
         (lambda doc: doc.update(freeze=[0, 0]), "freeze"),
+        (lambda doc: doc["optimizer"].update(max_iterations=True), "max_iterations"),
+        (lambda doc: doc["optimizer"].update(convergence_threshold=float("nan")),
+         "convergence_threshold"),
+        (lambda doc: doc["optimizer"].update(simplex_xtol=float("inf")), "simplex_xtol"),
     ],
     ids=["unknown-optimizer-key", "point-without-label", "zero-restarts", "zero-shots",
          "negative-reps", "non-integer-freeze", "non-numeric-coordinate",
@@ -192,7 +225,8 @@ def test_one_point_manifest_then_fit_errors(tmp_path, capsys):
          "non-object-point", "non-list-freeze", "fractional-shots", "fractional-reps",
          "fractional-restarts", "boolean-seed", "fractional-max-iterations",
          "fractional-spsa-window", "zero-spsa-window", "boolean-freeze",
-         "dropped-spsa-gain", "duplicate-freeze"],
+         "dropped-spsa-gain", "duplicate-freeze", "boolean-max-iterations",
+         "nan-threshold", "infinite-xtol"],
 )
 def test_malformed_manifest_rejected_up_front(tmp_path, capsys, corrupt, key):
     manifest = small_manifest(tmp_path)

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import h2_mo_integrals, h2_molecule
 from oracles import (
     STO3G_H2_FCI_0735,
     STO3G_H_ATOM_ENERGY,
+    ao_integrals_loop,
+    boys_f0_scalar,
     determinant_fci,
     f0_quadrature,
 )
@@ -15,6 +19,7 @@ from vqechem.exceptions import (
     UnsupportedElementError,
 )
 from vqechem.integrals import (
+    COINCIDENT_ATOM_TOLERANCE,
     ActiveSpaceSpec,
     AOIntegrals,
     Molecule,
@@ -26,6 +31,7 @@ from vqechem.integrals import (
     run_rhf,
     transform_to_mo,
 )
+from vqechem.workflows import h2_point, h3_exchange_point
 
 # frozen quadrature-oracle values for the H2 STO-3G pair at R = 1.4 Bohr
 # (cylindrical-coordinate dblquad over the contracted Gaussians, abs err < 1e-11)
@@ -77,6 +83,53 @@ def test_boys_function_limits():
     assert boys_f0(0.0) == 1.0
     for x in (1e-10, 1e-4, 0.5, 3.0, 25.0):
         assert abs(boys_f0(x) - f0_quadrature(x)) < 1e-12
+
+
+def test_boys_function_on_arrays():
+    # exactly 0, both sides of the 1e-12 branch, and the range the integrals reach
+    x = np.array([0.0, 1e-13, 1e-12, np.nextafter(1e-12, 1.0), 1e-10, 1e-4, 0.5, 3.0, 25.0, 400.0])
+    values = boys_f0(x)
+    assert values.shape == x.shape
+    assert values[0] == values[1] == values[2] == 1.0
+    for xi, value in zip(x, values):
+        assert abs(value - f0_quadrature(xi)) < 1e-12
+        assert value == boys_f0_scalar(xi)
+    grid = x.reshape(2, 5)
+    assert np.array_equal(boys_f0(grid), values.reshape(2, 5))
+
+
+def assert_same_integrals(ao, reference):
+    for name in ("overlap", "kinetic", "nuclear", "eri"):
+        assert np.array_equal(getattr(ao, name), getattr(reference, name)), name
+    assert ao.e_nuc == reference.e_nuc
+
+
+atom_positions = st.lists(
+    st.tuples(*[st.floats(-4.0, 4.0, allow_nan=False)] * 3), min_size=1, max_size=8
+)
+
+
+@settings(max_examples=15)
+@given(atom_positions)
+def test_ao_integrals_match_closed_form_loop(positions):
+    xyz = np.array(positions)
+    gaps = np.linalg.norm(xyz[:, None] - xyz, axis=-1)[np.triu_indices(len(xyz), 1)]
+    assume(np.all(gaps > COINCIDENT_ATOM_TOLERANCE))
+    molecule = Molecule(tuple(("H", 1, r) for r in xyz), len(xyz))
+    assert_same_integrals(compute_ao_integrals(molecule), ao_integrals_loop(molecule))
+
+
+@pytest.mark.parametrize(
+    "point",
+    [h2_point(f"{r:.3f}", r) for r in (0.5, 0.74, 1.0, 2.0, 3.0)]
+    + [h3_exchange_point(f"{s:+.2f}", s) for s in np.linspace(-1.0, 1.0, 9)]
+    + [{"label": "h8-chain", "geometry": {
+        "atoms": [{"symbol": "H", "xyz_bohr": [0.0, 0.0, 1.8 * i]} for i in range(8)]}}],
+    ids=lambda point: point["label"],
+)
+def test_ao_integrals_match_loop_on_scan_points(point):
+    molecule = Molecule.from_geometry_dict(point["geometry"])
+    assert_same_integrals(compute_ao_integrals(molecule), ao_integrals_loop(molecule))
 
 
 def test_rhf_zero_electrons():

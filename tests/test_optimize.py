@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import determinant_fci
+from oracles import determinant_fci, simplex_minimize_lists
 from vqechem import optimize
 from vqechem.ansatz import build_hardware_efficient, build_uccsd
 from vqechem.exactdiag import ground_state_energy
@@ -106,6 +106,50 @@ def test_simplex_h2_uccsd_reaches_fci(h2_hamiltonian_074):
     result = simplex_minimize(objective, np.zeros(3), config)
     exact = ground_state_energy(h2_hamiltonian_074).energy
     assert abs(result.final_energy - exact) < 1e-6
+
+
+def assert_same_result(result, reference):
+    assert result.final_energy == reference.final_energy
+    assert type(result.final_energy) is float
+    assert np.array_equal(result.final_parameters, reference.final_parameters)
+    assert result.energy_trace == reference.energy_trace
+    assert all(type(e) is float for e in result.energy_trace)
+    assert result.n_function_evaluations == reference.n_function_evaluations
+    assert result.converged == reference.converged
+
+
+def test_simplex_matches_list_oracle_on_random_objectives():
+    rng = np.random.default_rng(2024)
+    moves, stops = [], set()
+    for case in range(36):
+        d = int(rng.integers(1, 7))
+        a = rng.normal(size=(d, d))
+        hessian, center = a @ a.T + 0.1 * np.eye(d), rng.normal(size=d)
+        ripple = [0.0, 0.3, 30.0][case % 3]  # smooth, rippled, rugged (shrinks)
+
+        def objective(theta):
+            step = theta - center
+            return float(step @ hessian @ step + ripple * np.sin(40.0 * theta).sum())
+
+        config = OptimizerConfig(max_iterations=int(rng.integers(5, 300)),
+                                 convergence_threshold=10.0 ** rng.uniform(-10, -2),
+                                 simplex_xtol=10.0 ** rng.uniform(-6, -1))
+        theta0 = rng.normal(size=d)
+        reference = simplex_minimize_lists(objective, theta0, config, moves)
+        assert_same_result(simplex_minimize(objective, theta0, config), reference)
+        stops.add(reference.converged)
+    assert set(moves) == {"reflect", "expand", "contract_outside", "contract_inside", "shrink"}
+    assert stops == {True, False}  # some converge, some stop at the iteration cap
+
+
+def test_simplex_matches_list_oracle_on_uccsd(h2_hamiltonian_074):
+    from vqechem.optimize import exact_energy_objective
+
+    objective = exact_energy_objective(h2_hamiltonian_074, build_uccsd(4, {0, 1}), {0, 1})
+    theta0 = np.random.default_rng(5).normal(0.0, 0.1, 3)
+    config = OptimizerConfig(max_iterations=400, convergence_threshold=1e-10)
+    assert_same_result(simplex_minimize(objective, theta0, config),
+                       simplex_minimize_lists(objective, theta0, config))
 
 
 def test_zero_parameter_circuit_returns_hf_energy(h2_hamiltonian_074):
@@ -222,6 +266,13 @@ def test_config_validation():
         OptimizerConfig(max_iterations=0)
     with pytest.raises(ShapeError):
         OptimizerConfig(convergence_threshold=0.0)
+    for value in (2.5, True, "many"):
+        with pytest.raises(ShapeError, match="max_iterations"):
+            OptimizerConfig(max_iterations=value)
+    for name in ("convergence_threshold", "simplex_xtol"):
+        for value in (float("nan"), float("inf"), -1e-3):
+            with pytest.raises(ShapeError, match=name):
+                OptimizerConfig(**{name: value})
     with pytest.raises(ShapeError, match="seed"):
         OptimizerConfig(seed=-1)
     with pytest.raises(ShapeError, match="seed"):

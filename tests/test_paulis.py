@@ -194,3 +194,18 @@ def test_hamiltonian_matrix_oracle_consistency(h2_hamiltonian_074):
     dense = hamiltonian_matrix(h2_hamiltonian_074)
     dim = dense.shape[0]
     assert np.isclose(np.trace(dense).real / dim, h2_hamiltonian_074.identity_weight())
+
+
+def test_compile_refuses_above_the_allocation_cap(monkeypatch):
+    from vqechem import paulis
+
+    # x-masks 0 (ZI, IZ, ZZ) and 3 (XX, YY): 24 B per (x-mask, state) entry
+    # plus 17 B per (string, state) of the three-string row's sign table
+    h = QubitHamiltonian.from_term_dict(2, {(0, 1): 0.5, (0, 2): 0.25, (0, 3): -0.1,
+                                            (3, 0): 0.2, (3, 3): 0.3})
+    needed = (24 * 2 + 17 * 3) << 2
+    monkeypatch.setattr(paulis, "MAX_ALLOCATION_BYTES", needed)
+    assert h.compile().gather.shape == (2, 4)
+    monkeypatch.setattr(paulis, "MAX_ALLOCATION_BYTES", needed - 1)
+    with pytest.raises(ShapeError, match="compiled form of 2 x-masks on 2 qubits"):
+        h.compile()
