@@ -26,7 +26,7 @@ import numpy as np
 
 from .exceptions import EigensolverConvergenceError, ShapeError
 from .paulis import COEFF_PRUNE_THRESHOLD, ROWS_PER_BLOCK, CompiledOperator, QubitHamiltonian
-from .simulator import MAX_QUBITS, Statevector, check_allocation
+from .simulator import MAX_QUBITS, Statevector, check_allocation, sector_labels
 
 RESIDUAL_TOLERANCE = 1e-9
 LANCZOS_START_SEED = 20240801  # fixed so results are bit-reproducible
@@ -96,23 +96,24 @@ def _check_bytes(n_qubits: int, n_x_masks: int, block_dim: int) -> None:
                              f"{block_dim}-state block on {n_qubits} qubits")
 
 
-def _blocks(operator: CompiledOperator) -> list[tuple[tuple[int, int] | None, np.ndarray]]:
+def _blocks(operator: CompiledOperator, n_electrons: int | None = None) -> list[tuple]:
     """(sector, ascending states) per (N_alpha, N_beta) block of the operator.
 
-    One block of every state, with sector None, when a live entry (above
+    With ``n_electrons`` only the block of basis state 2**N - 1, the
+    Hartree-Fock reference. One block of every state, with sector None, when a live entry (above
     ``COEFF_PRUNE_THRESHOLD``; summed diagonals leave ~1e-18 residue, so
     exact zeros are not required) joins states of two labels.
     """
     n = operator.n_qubits
-    index = np.arange(1 << n, dtype=np.uint32)
-    alpha = sum(1 << q for q in range(0, n, 2))  # the even qubits; beta, the odd ones
-    n_alpha, n_beta = (np.bitwise_count(index & m).astype(np.int16) for m in (alpha, alpha << 1))
-    labels = n_alpha * (n // 2 + 1) + n_beta
+    labels = sector_labels(n)
     for start in range(0, operator.gather.shape[0], ROWS_PER_BLOCK):
         rows = slice(start, start + ROWS_PER_BLOCK)
         joins = labels[operator.gather[rows]] != labels
         if np.any(np.abs(operator.shifted[rows][joins]) > COEFF_PRUNE_THRESHOLD):
-            return [(None, index)]
+            return [(None, np.arange(1 << n))]
+    if n_electrons is not None:
+        reference = labels[(1 << n_electrons) - 1]
+        return [(reference_sector(n_electrons), np.flatnonzero(labels == reference))]
     order = np.argsort(labels, kind="stable")
     values, starts = np.unique(labels[order], return_index=True)
     return [((int(v) // (n // 2 + 1), int(v) % (n // 2 + 1)), states)
@@ -212,12 +213,10 @@ def ground_state_energy(
     _check_bytes(n, n_x_masks, _largest_block(n, target))
 
     operator = hamiltonian.compile()
-    blocks = _blocks(operator)
-    if target is not None:
-        if blocks[0][0] is None:
-            raise ShapeError("Hamiltonian does not conserve (N_alpha, N_beta); "
-                             f"no {n_electrons}-electron sector to solve")
-        blocks = [b for b in blocks if b[0] == target]
+    blocks = _blocks(operator, n_electrons)
+    if target is not None and blocks[0][0] is None:
+        raise ShapeError("Hamiltonian does not conserve (N_alpha, N_beta); "
+                         f"no {n_electrons}-electron sector to solve")
     _check_bytes(n, n_x_masks, max(len(states) for _, states in blocks))
 
     # a lone block is solved with its eigenvector at once; among several,

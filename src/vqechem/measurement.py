@@ -49,6 +49,9 @@ def group_commuting(hamiltonian: QubitHamiltonian) -> list[MeasurementGroup]:
         raise ShapeError("cannot group an empty Hamiltonian")
     n_qubits = hamiltonian.n_qubits
     dtype = np.min_scalar_type((1 << n_qubits) - 1)
+    # at most three n_terms x n_terms temporaries of the mask dtype at once
+    check_allocation(3 * dtype.itemsize * hamiltonian.n_terms ** 2,
+                     f"conflict matrix of {hamiltonian.n_terms} strings")
     x = np.array([p.x_mask for _, p in hamiltonian.terms], dtype=dtype)
     z = np.array([p.z_mask for _, p in hamiltonian.terms], dtype=dtype)
     support = x | z

@@ -8,6 +8,7 @@ Conventions, fixed repo-wide:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,6 +98,11 @@ def check_allocation(needed: int, what: str) -> None:
                          f"above the {MAX_ALLOCATION_BYTES / 2**30:.0f} GiB limit")
 
 
+def real_if_exact(values: np.ndarray) -> np.ndarray:
+    """``values`` as a real array when every imaginary part is exactly zero."""
+    return values if values.imag.any() else values.real.copy()
+
+
 def commutes_qubitwise(a: PauliString, b: PauliString) -> bool:
     """True iff at every qubit the letters are equal or at least one is I."""
     if a.n_qubits != b.n_qubits:
@@ -155,19 +161,22 @@ class QubitHamiltonian:
         """The distinct x-masks, ascending: the rows of the compiled form."""
         return sorted({p.x_mask for _, p in self.terms})
 
+    def compiled_bytes(self) -> int:
+        """Bytes compile() takes: 24 per (x-mask, state) entry, and 17 per (string,
+        state) for its largest row's sign table, as int8 and its complex cast."""
+        strings = Counter(p.x_mask for _, p in self.terms)
+        return (24 * len(strings) + 17 * max(strings.values(), default=0)) << self.n_qubits
+
     def compile(self) -> CompiledOperator:
         """A new compiled form of the sum; the caller owns (and frees) it.
 
-        Refused before allocating when its 24 B per (x-mask, state) entry
-        and the sign table of its largest row, 17 B per (string, state) as
-        int8 and its complex cast, exceed ``MAX_ALLOCATION_BYTES``.
+        Refused before allocating when its ``compiled_bytes()`` exceed the cap.
         """
         x_masks = self.x_masks()
         by_x = {x: [] for x in x_masks}
         for w, p in self.terms:
             by_x[p.x_mask].append((w, p))
-        largest = max((len(terms) for terms in by_x.values()), default=0)
-        check_allocation((24 * len(x_masks) + 17 * largest) << self.n_qubits,
+        check_allocation(self.compiled_bytes(),
                          f"compiled form of {len(x_masks)} x-masks on {self.n_qubits} qubits")
         dim = 1 << self.n_qubits
         gather = np.arange(dim) ^ np.array(x_masks, dtype=np.int64).reshape(-1, 1)
@@ -215,7 +224,7 @@ class CompiledOperator:
 
     n_qubits: int
     gather: np.ndarray  # (rows, dim) basis indices
-    shifted: np.ndarray  # (rows, dim) complex diagonals, permuted
+    shifted: np.ndarray  # (rows, dim) diagonals, permuted
 
     @property
     def dim(self) -> int:
@@ -228,7 +237,7 @@ class CompiledOperator:
         """H @ vec: one gather-multiply-add per x-mask, no matrix."""
         if vec.shape != (self.dim,):
             raise ShapeError(f"vector shape {vec.shape} != ({self.dim},)")
-        out = np.zeros(self.dim, dtype=np.complex128)
+        out = np.zeros(self.dim, dtype=np.result_type(self.shifted, vec))
         for start in range(0, self.gather.shape[0], ROWS_PER_BLOCK):
             rows = slice(start, start + ROWS_PER_BLOCK)
             out += (self.shifted[rows] * vec[self.gather[rows]]).sum(axis=0)
@@ -252,14 +261,15 @@ class CompiledOperator:
 
         Entries whose partner lies outside ``states`` are set to zero, and
         x-mask rows with no entry above ``COEFF_PRUNE_THRESHOLD`` left are
-        dropped. On a block of a block-diagonal operator this is the block.
+        dropped; real diagonals are stored real. On a block of a
+        block-diagonal operator this is the block.
         """
         if len(states) == self.dim:  # every state: the operator itself
             return self
         local = np.full(self.dim, -1, dtype=np.intp)
         local[states] = np.arange(len(states))
         gather = local[np.take(self.gather, states, axis=1)]
-        shifted = np.take(self.shifted, states, axis=1)
+        shifted = real_if_exact(np.take(self.shifted, states, axis=1))
         shifted *= gather >= 0
         live = (np.abs(shifted) > COEFF_PRUNE_THRESHOLD).any(axis=1)
         # an entry zeroed above points at local state 0, so every index is valid

@@ -1,20 +1,21 @@
 """Exact statevector simulation of parameterized circuits.
 
 Amplitudes are indexed little-endian: qubit ``j`` is bit ``j`` of the
-basis-state index. All operations are unitary on 2**n complex amplitudes;
-Pauli rotations use the analytic cos/sin update rather than matrix
+basis-state index. All operations are unitary on 2**n amplitudes, or on one
+sector's; Pauli rotations use the analytic cos/sin update rather than matrix
 exponentials, so a single rotation carries no approximation error.
 """
 
 from __future__ import annotations
 
+import copy
 import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .exceptions import ShapeError
-from .paulis import CompiledOperator, QubitHamiltonian, check_allocation
+from .paulis import CompiledOperator, QubitHamiltonian, check_allocation, real_if_exact
 
 MAX_QUBITS = 24  # 2**24 complex amplitudes = 256 MiB; hard memory guard
 
@@ -25,12 +26,15 @@ GATE_KINDS = ("ry", "cz", "pauli_rot")
 class Statevector:
     n_qubits: int
     amplitudes: np.ndarray
+    # a sector state's ascending basis states, one per amplitude; None for the register
+    states: np.ndarray | None = None
 
     def __post_init__(self):
         if self.n_qubits > MAX_QUBITS:
             raise ShapeError(f"{self.n_qubits} qubits exceeds the {MAX_QUBITS}-qubit limit")
-        if self.amplitudes.shape != (1 << self.n_qubits,):
-            raise ShapeError("amplitude count is not 2**n_qubits")
+        size = 1 << self.n_qubits if self.states is None else len(self.states)
+        if self.amplitudes.shape != (size,):
+            raise ShapeError("amplitude count is not 2**n_qubits or the sector size")
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
@@ -65,11 +69,6 @@ class Gate:
             raise ShapeError("gate qubits must be distinct")
         if self.kind == "pauli_rot" and not isinstance(self.generator, QubitHamiltonian):
             raise ShapeError("pauli_rot gate requires a QubitHamiltonian generator")
-
-    def resolved_angle(self, parameters) -> float:
-        if self.slot is None:
-            return self.angle
-        return self.angle * parameters[self.slot]
 
 
 def _gate_tables(n_qubits: int, gates) -> tuple:
@@ -116,6 +115,8 @@ class Circuit:
     n_parameters: int = 0
     # per gate, built once with the circuit: see _gate_tables
     tables: tuple = field(init=False, repr=False, compare=False)
+    # the ascending basis states the tables index; None for the whole register
+    states: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         used = set()
@@ -134,6 +135,27 @@ class Circuit:
             raise ShapeError(f"parameter slots never referenced: {missing}")
         object.__setattr__(self, "tables", _gate_tables(self.n_qubits, self.gates))
 
+    def restrict(self, states: np.ndarray) -> Circuit | None:
+        """This circuit on the ascending basis ``states``, its tables in local indices
+        and real where they can be; None unless every gate is a pauli_rot whose
+        rows in ``states`` all have their partner there."""
+        local = np.full(1 << self.n_qubits, -1)
+        local[states] = np.arange(len(states))
+        tables = []
+        for table in self.tables:
+            if table is None:  # ry or cz
+                return None
+            rows, partner, phase = table
+            inside = local[rows] >= 0
+            moved = local[partner[inside]]
+            if np.any(moved < 0):
+                return None
+            tables.append((local[rows][inside], moved, real_if_exact(phase[inside])))
+        sector = copy.copy(self)
+        object.__setattr__(sector, "tables", tuple(tables))
+        object.__setattr__(sector, "states", states)
+        return sector
+
 
 def prepare_hf(n_qubits: int, occupied) -> Statevector:
     """Computational basis state with 1s at the occupied qubit positions."""
@@ -145,6 +167,14 @@ def prepare_hf(n_qubits: int, occupied) -> Statevector:
     amplitudes = np.zeros(1 << n_qubits, dtype=np.complex128)
     amplitudes[index] = 1.0
     return Statevector(n_qubits, amplitudes)
+
+
+def sector_labels(n_qubits: int) -> np.ndarray:
+    """Per basis index, N_alpha * (n_qubits // 2 + 1) + N_beta: its set even and odd qubits."""
+    index = np.arange(1 << n_qubits, dtype=np.uint32)
+    alpha = sum(1 << q for q in range(0, n_qubits, 2))
+    n_alpha, n_beta = (np.bitwise_count(index & m).astype(np.int16) for m in (alpha, alpha << 1))
+    return n_alpha * (n_qubits // 2 + 1) + n_beta
 
 
 def update_qubit(stack: np.ndarray, qubit: int, rows, matrix: np.ndarray) -> None:
@@ -161,45 +191,44 @@ def update_qubit(stack: np.ndarray, qubit: int, rows, matrix: np.ndarray) -> Non
     pairs[rows] = out
 
 
-def _apply_gate(amplitudes: np.ndarray, gate: Gate, table, parameters) -> None:
-    """One gate, applied in place to ``amplitudes``, which apply_circuit owns."""
-    if gate.kind == "cz":
-        # negate the amplitudes with both bits set, in place through a view
-        # whose axes 1 and 3 are bits hi and lo
-        lo, hi = sorted(gate.qubits)
-        shape = (-1, 2, 1 << (hi - lo - 1), 2, 1 << lo)
-        both = amplitudes.reshape(shape, copy=False)[:, 1, :, 1, :]
-        np.negative(both, out=both)
-        return
-    half = 0.5 * gate.resolved_angle(parameters)
-    c, s = np.cos(half), np.sin(half)
-    if gate.kind == "ry":
-        update_qubit(amplitudes.reshape(1, -1), gate.qubits[0], 0, np.array([[c, -s], [s, c]]))
-    else:  # pauli_rot: see _gate_tables
-        rows, partner, phase = table
-        amplitudes[rows] = c * amplitudes[rows] + s * (phase * amplitudes[partner])
-
-
 def apply_circuit(state: Statevector, circuit: Circuit, parameters=()) -> Statevector:
-    """Run the circuit on a state, resolving parameter slots from ``parameters``."""
+    """Run the circuit on a state, resolving parameter slots from ``parameters``;
+    a sector state takes the circuit restricted to its states. Real stays real."""
     if circuit.n_qubits != state.n_qubits:
         raise ShapeError("circuit and state qubit counts differ")
+    if circuit.states is not state.states and not np.array_equal(circuit.states, state.states):
+        raise ShapeError("circuit and state act on different basis states")
     parameters = np.asarray(parameters, dtype=float)
     if parameters.shape != (circuit.n_parameters,):
         raise ShapeError(
             f"expected {circuit.n_parameters} parameters, got {parameters.shape}"
         )
-    amplitudes = state.amplitudes.astype(np.complex128, copy=True)
-    for gate, table in zip(circuit.gates, circuit.tables):
-        _apply_gate(amplitudes, gate, table, parameters)
-    return Statevector(state.n_qubits, amplitudes)
+    values = parameters.tolist()
+    half = 0.5 * np.array([g.angle if g.slot is None else g.angle * values[g.slot]
+                           for g in circuit.gates], dtype=float)
+    phases = [table[2] for table in circuit.tables if table is not None]
+    amplitudes = state.amplitudes.astype(np.result_type(state.amplitudes, *phases), copy=True)
+    for gate, table, c, s in zip(circuit.gates, circuit.tables,
+                                 np.cos(half).tolist(), np.sin(half).tolist()):
+        if table is not None:  # pauli_rot: see _gate_tables
+            rows, partner, phase = table
+            amplitudes[rows] = c * amplitudes[rows] + s * (phase * amplitudes[partner])
+        elif gate.kind == "ry":
+            update_qubit(amplitudes.reshape(1, -1), gate.qubits[0], 0, np.array([[c, -s], [s, c]]))
+        else:  # cz: negate where both bits are set, through a view whose axes 1, 3 are hi, lo
+            lo, hi = sorted(gate.qubits)
+            shape = (-1, 2, 1 << (hi - lo - 1), 2, 1 << lo)
+            both = amplitudes.reshape(shape, copy=False)[:, 1, :, 1, :]
+            np.negative(both, out=both)
+    return Statevector(state.n_qubits, amplitudes, state.states)
 
 
 def expectation(state: Statevector, hamiltonian: QubitHamiltonian | CompiledOperator) -> float:
     """<psi|H|psi> from the compiled x-mask form; no dense matrix is built.
 
-    Pass ``hamiltonian.compile()`` to evaluate many states against one
-    compiled form; a plain Hamiltonian is compiled for this call only.
+    Pass ``hamiltonian.compile()``, restricted to a sector state's states, to
+    evaluate many states against one form; a plain Hamiltonian is compiled
+    for this call only.
     """
     if hamiltonian.n_qubits != state.n_qubits:
         raise ShapeError("Hamiltonian and state qubit counts differ")

@@ -368,12 +368,19 @@ def _embed_cz(n: int, control: int, target: int) -> np.ndarray:
     return mat
 
 
+def resolved_angle(gate, parameters) -> float:
+    """The gate's rotation angle: its multiplier times its parameter, or its bound angle."""
+    if gate.slot is None:
+        return gate.angle
+    return gate.angle * parameters[gate.slot]
+
+
 def gate_unitary(gate, n_qubits: int, parameters) -> np.ndarray:
     from scipy.linalg import expm
 
     if gate.kind == "ry":
         (q,) = gate.qubits
-        local = expm(-0.5j * gate.resolved_angle(parameters) * Y)
+        local = expm(-0.5j * resolved_angle(gate, parameters) * Y)
         mat = np.array([[1.0 + 0j]])
         for pos in range(n_qubits):
             mat = np.kron(local if pos == q else I2, mat)
@@ -382,7 +389,7 @@ def gate_unitary(gate, n_qubits: int, parameters) -> np.ndarray:
         control, target = gate.qubits
         return _embed_cz(n_qubits, control, target)
     # pauli_rot
-    theta = gate.resolved_angle(parameters)
+    theta = resolved_angle(gate, parameters)
     return expm(-0.5j * theta * hamiltonian_matrix(gate.generator))
 
 
@@ -392,6 +399,46 @@ def circuit_unitary(circuit, parameters) -> np.ndarray:
     for gate in circuit.gates:
         total = gate_unitary(gate, circuit.n_qubits, parameters) @ total
     return total
+
+
+def apply_circuit_per_gate(amplitudes, circuit, parameters) -> np.ndarray:
+    """The circuit on 2**n complex amplitudes, one scalar cos/sin per gate:
+    the reference for the simulator's single cos/sin call and its sector states."""
+    from vqechem.simulator import update_qubit
+
+    amplitudes = np.asarray(amplitudes).astype(np.complex128, copy=True)
+    for gate, table in zip(circuit.gates, circuit.tables):
+        if gate.kind == "cz":
+            lo, hi = sorted(gate.qubits)
+            both = amplitudes.reshape(-1, 2, 1 << (hi - lo - 1), 2, 1 << lo)[:, 1, :, 1, :]
+            np.negative(both, out=both)
+            continue
+        half = 0.5 * resolved_angle(gate, parameters)
+        c, s = np.cos(half), np.sin(half)
+        if gate.kind == "ry":
+            update_qubit(amplitudes.reshape(1, -1), gate.qubits[0], 0,
+                         np.array([[c, -s], [s, c]]))
+        else:
+            rows, partner, phase = table
+            amplitudes[rows] = c * amplitudes[rows] + s * (phase * amplitudes[partner])
+    return amplitudes
+
+
+def full_register_objective(hamiltonian, circuit, hf_occupied):
+    """theta -> <psi(theta)|H|psi(theta)> on the whole register in complex
+    arithmetic: the reference for the exact objective on the Hartree-Fock sector."""
+    from vqechem.simulator import prepare_hf
+
+    reference = prepare_hf(hamiltonian.n_qubits, hf_occupied).amplitudes
+    operator = hamiltonian.compile()
+
+    def objective(theta):
+        psi = apply_circuit_per_gate(reference, circuit, np.asarray(theta, dtype=float))
+        value = operator.expectation(psi)
+        assert abs(value.imag) <= 1e-10
+        return float(value.real)
+
+    return objective
 
 
 def exact_k_colorable(adjacency: list, k: int) -> bool:

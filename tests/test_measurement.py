@@ -324,3 +324,16 @@ def test_sampling_tables_refused_above_the_allocation_limit():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_conflict_matrix_refused_above_the_allocation_cap(monkeypatch):
+    from vqechem import paulis
+
+    # 6 strings on 3 qubits: masks fit uint8, three 6 x 6 temporaries of 1 B
+    h = ham(3, {"XII": 1.0, "ZII": 0.5, "IYI": 0.3, "IIZ": 0.2, "XYZ": 0.1, "ZZZ": 0.4})
+    needed = 3 * 1 * 6 ** 2
+    monkeypatch.setattr(paulis, "MAX_ALLOCATION_BYTES", needed)
+    assert sorted(i for g in group_commuting(h) for i in g.term_indices) == list(range(6))
+    monkeypatch.setattr(paulis, "MAX_ALLOCATION_BYTES", needed - 1)
+    with pytest.raises(ShapeError, match="conflict matrix of 6 strings"):
+        group_commuting(h)

@@ -1,9 +1,14 @@
+import os
+from dataclasses import replace
+from math import comb
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oracles import determinant_fci, simplex_minimize_lists
-from vqechem import optimize
-from vqechem.ansatz import build_hardware_efficient, build_uccsd
+from oracles import determinant_fci, full_register_objective, simplex_minimize_lists
+from vqechem import optimize, paulis, simulator
+from vqechem.ansatz import build_hardware_efficient, build_uccsd, excitation_gate
 from vqechem.exactdiag import ground_state_energy
 from vqechem.exceptions import OptimizerDivergedError, ShapeError
 from vqechem.optimize import (
@@ -12,7 +17,12 @@ from vqechem.optimize import (
     simplex_minimize,
     spsa_minimize,
 )
+from vqechem.fcidump import parse_fcidump
+from vqechem.fermions import build_second_quantized, jordan_wigner
+from vqechem.integrals import ActiveSpaceSpec, freeze_core
 from vqechem.paulis import PauliString, QubitHamiltonian
+from vqechem.simulator import Circuit, Gate
+from vqechem.workflows import h3_exchange_point, integrals_from_geometry
 
 
 def bowl(theta):
@@ -280,3 +290,126 @@ def test_config_validation():
     for window in (0, -1):
         with pytest.raises(ShapeError, match="spsa_window"):
             OptimizerConfig(kind="spsa", spsa_window=window)
+
+
+# --- the exact objective on the Hartree-Fock (N_alpha, N_beta) sector
+
+@pytest.fixture(scope="module")
+def molecules(h2_integrals_074, fixture_dir):
+    """(Hamiltonian, occupied) of H2 (4 qubits), H3 (6) and frozen-core H2S (8)."""
+    h3, _ = integrals_from_geometry(h3_exchange_point("0", 0.0)["geometry"])
+    with open(os.path.join(fixture_dir, "h2s_sto3g_nonrel_eq.fcidump"), encoding="utf-8") as fh:
+        h2s = freeze_core(parse_fcidump(fh.read()), ActiveSpaceSpec((0, 1), (2, 3, 4, 5)))
+    return {name: (jordan_wigner(build_second_quantized(integrals)),
+                   set(range(integrals.n_electrons)))
+            for name, integrals in (("H2", h2_integrals_074), ("H3", h3), ("H2S", h2s))}
+
+
+@pytest.fixture(scope="module")
+def uccsd_objectives(molecules):
+    """Per molecule: the objective, its full-register reference and the parameter count."""
+    out = {}
+    for name, (hamiltonian, occupied) in molecules.items():
+        circuit = build_uccsd(hamiltonian.n_qubits, occupied)
+        out[name] = (optimize.exact_energy_objective(hamiltonian, circuit, occupied),
+                     full_register_objective(hamiltonian, circuit, occupied),
+                     circuit.n_parameters)
+    return out
+
+
+@settings(max_examples=60)
+@given(st.sampled_from(["H2", "H3", "H2S"]), st.data())
+def test_sector_objective_matches_full_register(uccsd_objectives, name, data):
+    objective, reference, d = uccsd_objectives[name]
+    theta = np.array(data.draw(st.lists(st.floats(-3.5, 3.5), min_size=d, max_size=d)))
+    assert abs(objective(theta) - reference(theta)) <= 1e-12
+
+
+def evaluated_states(monkeypatch):
+    """The amplitudes of every state the objective's apply_circuit returns."""
+    seen = []
+
+    def recording(state, circuit, parameters):
+        out = simulator.apply_circuit(state, circuit, parameters)
+        seen.append(out.amplitudes)
+        return out
+
+    monkeypatch.setattr(optimize, "apply_circuit", recording)
+    return seen
+
+
+@pytest.mark.parametrize("name", ["H2", "H3", "H2S"])
+def test_uccsd_objective_runs_on_the_hf_sector_in_real_arithmetic(molecules, name, monkeypatch):
+    hamiltonian, occupied = molecules[name]
+    n, n_electrons = hamiltonian.n_qubits, len(occupied)
+    circuit = build_uccsd(n, occupied)
+    seen = evaluated_states(monkeypatch)
+    objective = optimize.exact_energy_objective(hamiltonian, circuit, occupied)
+    theta = np.random.default_rng(4).normal(0.0, 0.5, circuit.n_parameters)
+    assert objective(theta) == pytest.approx(
+        full_register_objective(hamiltonian, circuit, occupied)(theta), abs=1e-12)
+    (amplitudes,) = seen
+    dim = comb((n + 1) // 2, (n_electrons + 1) // 2) * comb(n // 2, n_electrons // 2)
+    assert amplitudes.shape == (dim,) and amplitudes.dtype == np.float64
+
+
+def single_string(n, letters):
+    return QubitHamiltonian(n, ((1.0, PauliString.from_letters(letters)),))
+
+
+@pytest.mark.parametrize("extra, on_sector, dtype", [
+    # X on an occupied alpha orbital: N_alpha changes, the full register runs
+    (Gate("pauli_rot", (), angle=0.4, generator=single_string(4, "XIII")), False, np.complex128),
+    # alpha 0 -> beta 3, a spin flip: (N_alpha, N_beta) changes
+    (replace(excitation_gate(4, (0,), (3,), 0), slot=None, angle=0.8), False, np.complex128),
+    # a diagonal rotation keeps the sector but its phases are imaginary
+    (Gate("pauli_rot", (), angle=0.4, generator=single_string(4, "ZIZI")), True, np.complex128),
+])
+def test_objective_falls_back_to_the_register_when_a_gate_leaves_the_sector(
+        h2_hamiltonian_074, extra, on_sector, dtype, monkeypatch):
+    uccsd = build_uccsd(4, {0, 1})
+    circuit = Circuit(4, uccsd.gates + (extra,), n_parameters=uccsd.n_parameters)
+    seen = evaluated_states(monkeypatch)
+    objective = optimize.exact_energy_objective(h2_hamiltonian_074, circuit, {0, 1})
+    reference = full_register_objective(h2_hamiltonian_074, circuit, {0, 1})
+    for seed in range(5):
+        theta = np.random.default_rng(seed).uniform(-2.0, 2.0, circuit.n_parameters)
+        assert abs(objective(theta) - reference(theta)) <= 1e-12
+    assert seen[0].shape == ((4,) if on_sector else (16,)) and seen[0].dtype == dtype
+
+
+def test_zero_gate_objective_is_the_hf_energy_on_the_sector(molecules, monkeypatch):
+    hamiltonian, occupied = molecules["H3"]
+    circuit = Circuit(hamiltonian.n_qubits, ())
+    seen = evaluated_states(monkeypatch)
+    energy = optimize.exact_energy_objective(hamiltonian, circuit, occupied)(np.zeros(0))
+    assert energy == full_register_objective(hamiltonian, circuit, occupied)(np.zeros(0))
+    assert seen[0].shape == (9,) and seen[0].dtype == np.float64
+
+
+@pytest.mark.parametrize("reps", [0, 1, 2])
+def test_hardware_efficient_objective_is_bit_identical_to_the_register_loop(
+        h2_hamiltonian_074, reps):
+    circuit = build_hardware_efficient(4, reps)
+    objective = optimize.exact_energy_objective(h2_hamiltonian_074, circuit, {0, 1})
+    reference = full_register_objective(h2_hamiltonian_074, circuit, {0, 1})
+    rng = np.random.default_rng(reps)
+    for _ in range(20):
+        theta = rng.uniform(-4.0, 4.0, circuit.n_parameters)
+        assert objective(theta) == reference(theta)
+
+
+def test_objective_checks_tables_and_compiled_form_together(h2_hamiltonian_074, monkeypatch):
+    circuit = build_uccsd(4, {0, 1})
+    tables = sum(part.nbytes for table in circuit.tables for part in table
+                 if isinstance(part, np.ndarray))
+    strings = {}
+    for _, p in h2_hamiltonian_074.terms:
+        strings[p.x_mask] = strings.get(p.x_mask, 0) + 1
+    # 24 B per (x-mask, state) entry, 17 B per (string, state) of the largest row
+    needed = tables + ((24 * len(strings) + 17 * max(strings.values())) << 4)
+    monkeypatch.setattr(paulis, "MAX_ALLOCATION_BYTES", needed)
+    optimize.exact_energy_objective(h2_hamiltonian_074, circuit, {0, 1})
+    monkeypatch.setattr(paulis, "MAX_ALLOCATION_BYTES", needed - 1)
+    with pytest.raises(ShapeError, match="gate tables and compiled form of 2 x-masks on 4 qubits"):
+        optimize.exact_energy_objective(h2_hamiltonian_074, circuit, {0, 1})

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.linalg import expm
 
-from oracles import circuit_unitary, hamiltonian_matrix, pauli_matrix
+from oracles import apply_circuit_per_gate, circuit_unitary, hamiltonian_matrix, pauli_matrix
+from vqechem.ansatz import build_hardware_efficient, build_uccsd
 from vqechem.exceptions import ShapeError
 from vqechem.fermions import jordan_wigner, number_operator
 from vqechem.paulis import PauliString, QubitHamiltonian
@@ -17,6 +18,7 @@ from vqechem.simulator import (
     expectation,
     prepare_hf,
     sample,
+    sector_labels,
 )
 
 
@@ -281,3 +283,62 @@ def test_qubit_limit_guard():
 def test_gate_kinds_outside_ansatz_set_rejected(kind):
     with pytest.raises(ShapeError):
         Gate(kind, (0,))
+
+
+@given(st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_one_cos_call_per_circuit_is_bit_identical_to_the_gate_loop(n, seed):
+    # ry, cz and pauli_rot gates, bound and slotted angles, on the whole register
+    circuit = random_circuit(n, 12, 3, seed) if n > 1 else build_hardware_efficient(2, 2)
+    n = circuit.n_qubits
+    params = np.random.default_rng(seed).normal(0.0, 3.0, circuit.n_parameters)
+    state = random_state(n, seed)
+    fast = apply_circuit(state, circuit, params).amplitudes
+    assert np.array_equal(fast, apply_circuit_per_gate(state.amplitudes, circuit, params))
+
+
+@given(st.integers(1, 8))
+def test_sector_labels_count_even_and_odd_qubits(n):
+    labels = sector_labels(n)
+    for index in range(1 << n):
+        n_alpha = sum((index >> q) & 1 for q in range(0, n, 2))
+        n_beta = sum((index >> q) & 1 for q in range(1, n, 2))
+        assert labels[index] == n_alpha * (n // 2 + 1) + n_beta
+
+
+@pytest.mark.parametrize("n, occupied", [(4, {0, 1}), (6, {0, 1, 2}), (8, {0, 1, 2, 3})])
+def test_restricted_circuit_matches_the_register_on_its_sector(n, occupied):
+    circuit = build_uccsd(n, occupied)
+    labels = sector_labels(n)
+    hf = sum(1 << q for q in occupied)
+    states = np.flatnonzero(labels == labels[hf])
+    sector = circuit.restrict(states)
+    assert sector is not None and sector.gates == circuit.gates
+    rng = np.random.default_rng(n)
+    for _ in range(5):
+        theta = rng.uniform(-3.0, 3.0, circuit.n_parameters)
+        full = apply_circuit(prepare_hf(n, occupied), circuit, theta).amplitudes
+        reference = Statevector(n, (hf == states).astype(float), states)
+        local = apply_circuit(reference, sector, theta)
+        assert local.amplitudes.dtype == np.float64 and np.array_equal(local.states, states)
+        assert np.abs(local.amplitudes - full[states]).max() < 1e-14
+        assert not np.delete(full, states).any()
+
+
+def test_circuit_restricts_only_when_every_gate_keeps_the_states():
+    states = np.flatnonzero(sector_labels(4) == sector_labels(4)[3])
+    assert build_hardware_efficient(4, 1).restrict(states) is None
+    leaves = Circuit(4, (Gate("pauli_rot", (), generator=single(PauliString.from_letters("XIII"))),))
+    assert leaves.restrict(states) is None
+    assert Circuit(4, ()).restrict(states).tables == ()
+
+
+def test_sector_state_needs_the_circuit_restricted_to_its_states():
+    states = np.flatnonzero(sector_labels(4) == sector_labels(4)[3])
+    state = Statevector(4, np.eye(len(states))[0], states)
+    circuit = build_uccsd(4, {0, 1})
+    with pytest.raises(ShapeError, match="different basis states"):
+        apply_circuit(state, circuit, np.zeros(circuit.n_parameters))
+    with pytest.raises(ShapeError, match="sector size"):
+        Statevector(4, np.zeros(5), states)
+    out = apply_circuit(state, circuit.restrict(states.copy()), np.zeros(circuit.n_parameters))
+    assert np.array_equal(out.amplitudes, state.amplitudes)
