@@ -11,10 +11,12 @@ that is not block diagonal is one block, the whole register.
 
 With ``n_electrons`` only the Hartree-Fock reference's block is solved,
 (ceil(N/2), floor(N/2)), which holds the lowest N-electron state of every
-spin. Without it every block is solved and the lowest is returned: the
-Fock-space minimum. Only the winning block's eigenvector is kept; it is
-embedded in the full register and its residual taken with the full
-operator.
+spin. Without it the lowest block wins: the Fock-space minimum. Each block
+gets a Gershgorin lower bound on its eigenvalues (Gershgorin 1931), the
+blocks are visited in ascending bound, and the visit stops at the first
+bound that clears the lowest energy so far, since no later block can beat
+it. Only the winning block's eigenvector is kept; it is embedded in the
+full register and its residual taken with the full operator.
 """
 
 from __future__ import annotations
@@ -37,6 +39,9 @@ LANCZOS_START_SEED = 20240801  # fixed so results are bit-reproducible
 DENSE_CUTOFF_DIM = 1024
 LANCZOS_MAX_KRYLOV = 160  # Krylov vectors per restart
 LANCZOS_RESTARTS = 12
+# a block is skipped when its bound exceeds the best energy by more than this
+# times 1 + |best|: where a bound is tight, eigvalsh can round below it
+BOUND_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -118,6 +123,19 @@ def _blocks(operator: CompiledOperator, n_electrons: int | None = None) -> list[
     values, starts = np.unique(labels[order], return_index=True)
     return [((int(v) // (n // 2 + 1), int(v) % (n // 2 + 1)), states)
             for v, states in zip(values, np.split(order, starts[1:]))]
+
+
+def _bounds(operator: CompiledOperator, blocks: list) -> np.ndarray:
+    """Gershgorin lower bound on the eigenvalues of each block.
+
+    State c's disc gives Re H[c, c] minus the sum over x != 0 rows of
+    |shifted[k, c]|; a block's bound is the least over its states.
+    """
+    diagonal = operator.gather[0, 0] == 0  # rows ascend by x-mask
+    bound = operator.shifted[0].real * diagonal
+    for start in range(int(diagonal), operator.gather.shape[0], ROWS_PER_BLOCK):
+        bound -= np.abs(operator.shifted[start:start + ROWS_PER_BLOCK]).sum(axis=0)
+    return np.array([bound[states].min() for _, states in blocks])
 
 
 def _lanczos_lowest(operator: CompiledOperator):
@@ -219,16 +237,21 @@ def ground_state_energy(
                          f"no {n_electrons}-electron sector to solve")
     _check_bytes(n, n_x_masks, max(len(states) for _, states in blocks))
 
-    # a lone block is solved with its eigenvector at once; among several,
-    # dense blocks give eigenvalues only and the winner is solved again
+    # a lone block is solved with its eigenvector at once and gets no bound;
+    # among several, blocks are visited in ascending bound for eigenvalues
+    # only, ties in energy go to the earliest label, and the winner is solved again
     vector = len(blocks) == 1
+    bounds = np.zeros(1) if vector else _bounds(operator, blocks)
     best = None
-    for sector, states in blocks:
-        block = operator.restrict(states)
+    for i in np.argsort(bounds, kind="stable"):
+        if best is not None and bounds[i] > best[0] + BOUND_MARGIN * (1 + abs(best[0])):
+            break
+        block = operator.restrict(blocks[i][1])
         energy, vec = _solve_block(block, vector)
-        if best is None or energy < best[0]:
-            best = energy, vec, sector, states, block
-    energy, vec, sector, states, block = best
+        if best is None or (energy, i) < best[:2]:
+            best = energy, i, vec, block
+    energy, i, vec, block = best
+    sector, states = blocks[i]
     if vec is None:
         energy, vec = _solve_block(block, True)
     amplitudes = np.zeros(1 << n, dtype=np.complex128)

@@ -119,8 +119,9 @@ class MolecularIntegrals:
         n = self.n_spatial_orbitals
         if self.h.shape != (n, n) or self.g.shape != (n, n, n, n):
             raise ShapeError("integral array shapes inconsistent with orbital count")
-        if not (np.all(np.isfinite(self.h)) and np.all(np.isfinite(self.g))):
-            raise ShapeError("non-finite integral values")
+        if not (np.isfinite(self.constant_energy) and np.all(np.isfinite(self.h))
+                and np.all(np.isfinite(self.g))):
+            raise ShapeError("non-finite constant energy or integral values")
         if not np.allclose(self.h, self.h.T, atol=1e-10):
             raise ShapeError("one-body integrals not symmetric")
 

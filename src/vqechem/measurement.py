@@ -47,11 +47,11 @@ def group_commuting(hamiltonian: QubitHamiltonian) -> list[MeasurementGroup]:
     """
     if hamiltonian.n_terms == 0:
         raise ShapeError("cannot group an empty Hamiltonian")
-    n_qubits = hamiltonian.n_qubits
+    n_qubits, n = hamiltonian.n_qubits, hamiltonian.n_terms
     dtype = np.min_scalar_type((1 << n_qubits) - 1)
-    # at most three n_terms x n_terms temporaries of the mask dtype at once
-    check_allocation(3 * dtype.itemsize * hamiltonian.n_terms ** 2,
-                     f"conflict matrix of {hamiltonian.n_terms} strings")
+    # three n x n temporaries of the mask dtype at once, then two n x n bool
+    # matrices: the conflicts and the colors blocked at each vertex
+    check_allocation((3 * dtype.itemsize + 2) * n ** 2, f"conflict matrix of {n} strings")
     x = np.array([p.x_mask for _, p in hamiltonian.terms], dtype=dtype)
     z = np.array([p.z_mask for _, p in hamiltonian.terms], dtype=dtype)
     support = x | z
@@ -59,24 +59,21 @@ def group_commuting(hamiltonian: QubitHamiltonian) -> list[MeasurementGroup]:
     conflict = (((x[:, None] ^ x) | (z[:, None] ^ z)) & (support[:, None] & support)) != 0
 
     order = np.argsort(-conflict.sum(axis=1), kind="stable")
-    color = np.full(hamiltonian.n_terms, -1)
-    n_colors = 0
+    blocked = np.zeros((n, n), dtype=bool)  # blocked[c, v]: v has a neighbor of color c
+    color, n_colors = np.empty(n, dtype=np.intp), 0
     for vertex in order:
-        neighbors = color[conflict[vertex]]
-        taken = np.zeros(n_colors + 1, dtype=bool)
-        taken[neighbors[neighbors >= 0]] = True
-        c = int(np.argmin(taken))  # the first color not taken
-        color[vertex] = c
+        # the first color not taken; row n_colors is still clear
+        c = color[vertex] = np.argmin(blocked[:n_colors + 1, vertex])
+        np.logical_or(blocked[c], conflict[vertex], out=blocked[c])
         n_colors = max(n_colors, c + 1)
 
-    groups = []
-    for c in range(n_colors):
-        members = np.flatnonzero(color == c)
-        # members commute qubit-wise, so OR-ing their masks keeps each qubit's letter
-        basis = PauliString(n_qubits, int(np.bitwise_or.reduce(x[members])),
-                            int(np.bitwise_or.reduce(z[members])))
-        groups.append(MeasurementGroup(tuple(members.tolist()), basis.to_letters()))
-    return groups
+    members = np.argsort(color, kind="stable")
+    starts = np.flatnonzero(np.diff(color[members], prepend=-1))
+    # members commute qubit-wise, so OR-ing their masks keeps each qubit's letter
+    x_or, z_or = (np.bitwise_or.reduceat(m[members], starts).tolist() for m in (x, z))
+    ids, bounds = members.tolist(), [*starts.tolist(), n]
+    return [MeasurementGroup(tuple(ids[a:b]), PauliString(n_qubits, xm, zm).to_letters())
+            for a, b, xm, zm in zip(bounds, bounds[1:], x_or, z_or)]
 
 
 def grouping_report_csv(groups) -> str:

@@ -126,19 +126,22 @@ class QubitHamiltonian:
             if (p.x_mask, p.z_mask) in seen:
                 raise ShapeError(f"duplicate Pauli string {p}")
             seen.add((p.x_mask, p.z_mask))
-            if abs(w) < COEFF_PRUNE_THRESHOLD:
-                raise ShapeError(f"coefficient {w} below prune threshold")
+            if not COEFF_PRUNE_THRESHOLD <= abs(w) < np.inf:
+                raise ShapeError(f"coefficient {w} of {p} is below the prune threshold "
+                                 "or not finite")
 
     @classmethod
     def from_term_dict(cls, n_qubits: int, coeffs: dict) -> QubitHamiltonian:
         """Build from {(x_mask, z_mask): weight}, pruning tiny weights.
+
+        A non-finite weight is kept, so the constructor refuses it.
 
         Terms are ordered by letter string so equal Hamiltonians always
         serialize identically: by the base-4 number with one digit per qubit,
         I=0, X=1, Y=2, Z=3, qubit 0 most significant.
         """
         weights = {key: float(w) for key, w in coeffs.items()}
-        kept = [(key, w) for key, w in weights.items() if abs(w) >= COEFF_PRUNE_THRESHOLD]
+        kept = [(key, w) for key, w in weights.items() if not abs(w) < COEFF_PRUNE_THRESHOLD]
         x, z = np.array([key for key, _ in kept], dtype=np.int64).reshape(-1, 2, 1).swapaxes(0, 1)
         qubits = np.arange(n_qubits)
         # (x, z) = 00, 10, 11, 01 for I, X, Y, Z: the digit is 2z + (x ^ z)

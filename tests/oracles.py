@@ -441,6 +441,69 @@ def full_register_objective(hamiltonian, circuit, hf_occupied):
     return objective
 
 
+def group_commuting_loop(hamiltonian) -> list:
+    """Greedy qubit-wise grouping, one vertex at a time over a color array:
+    the reference for the per-color masks of ``measurement.group_commuting``.
+
+    Vertices in order of decreasing degree (ties by term index) take the
+    smallest color none of their neighbors holds.
+    """
+    from vqechem.measurement import MeasurementGroup
+    from vqechem.paulis import PauliString
+
+    n_qubits = hamiltonian.n_qubits
+    dtype = np.min_scalar_type((1 << n_qubits) - 1)
+    x = np.array([p.x_mask for _, p in hamiltonian.terms], dtype=dtype)
+    z = np.array([p.z_mask for _, p in hamiltonian.terms], dtype=dtype)
+    support = x | z
+    conflict = (((x[:, None] ^ x) | (z[:, None] ^ z)) & (support[:, None] & support)) != 0
+
+    order = np.argsort(-conflict.sum(axis=1), kind="stable")
+    color = np.full(hamiltonian.n_terms, -1)
+    n_colors = 0
+    for vertex in order:
+        neighbors = color[conflict[vertex]]
+        taken = np.zeros(n_colors + 1, dtype=bool)
+        taken[neighbors[neighbors >= 0]] = True
+        c = int(np.argmin(taken))  # the first color not taken
+        color[vertex] = c
+        n_colors = max(n_colors, c + 1)
+
+    groups = []
+    for c in range(n_colors):
+        members = np.flatnonzero(color == c)
+        basis = PauliString(n_qubits, int(np.bitwise_or.reduce(x[members])),
+                            int(np.bitwise_or.reduce(z[members])))
+        groups.append(MeasurementGroup(tuple(members.tolist()), basis.to_letters()))
+    return groups
+
+
+def ground_state_every_block(hamiltonian):
+    """The Fock-space minimum with every (N_alpha, N_beta) block solved, in
+    label order, the first strictly lowest winning: the reference for the
+    bound-ordered visit of ``exactdiag.ground_state_energy``."""
+    from vqechem import exactdiag
+    from vqechem.simulator import Statevector
+
+    operator = hamiltonian.compile()
+    blocks = exactdiag._blocks(operator)
+    vector = len(blocks) == 1
+    best = None
+    for sector, states in blocks:
+        block = operator.restrict(states)
+        energy, vec = exactdiag._solve_block(block, vector)
+        if best is None or energy < best[0]:
+            best = energy, vec, sector, states, block
+    energy, vec, sector, states, block = best
+    if vec is None:
+        energy, vec = exactdiag._solve_block(block, True)
+    amplitudes = np.zeros(1 << hamiltonian.n_qubits, dtype=np.complex128)
+    amplitudes[states] = vec
+    residual = float(np.linalg.norm(operator.apply(amplitudes) - energy * amplitudes))
+    return exactdiag.GroundStateResult(
+        energy, Statevector(hamiltonian.n_qubits, amplitudes), residual, sector)
+
+
 def exact_k_colorable(adjacency: list, k: int) -> bool:
     """Backtracking k-colorability with canonical color introduction."""
     n = len(adjacency)

@@ -9,7 +9,7 @@ import pytest
 
 import vqechem
 from vqechem.cli import main
-from vqechem.fcidump import parse_fcidump
+from vqechem.fcidump import parse_fcidump, write_fcidump
 from vqechem.workflows import PesPoint, h2_point, scan_csv
 
 H2_GEOMETRY = {
@@ -79,6 +79,23 @@ def test_fci_repeated_freeze_exits_2_with_one_line(fixture_dir, capsys):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
     assert err.startswith("error: ") and "repeated orbital index" in err
+
+
+@pytest.mark.parametrize("command", ["fci", "vqe"])
+@pytest.mark.parametrize("constant", ["inf", "nan"])
+def test_non_finite_constant_energy_exits_2_with_one_line(tmp_path, capsys, h2_integrals_074,
+                                                          command, constant):
+    # the constant is the last line, "value 0 0 0 0"; inf used to print
+    # e_fci 0.0 and nan to drop the term and print e_fci -1.5, both exiting 0
+    lines = write_fcidump(h2_integrals_074).splitlines()
+    assert lines[-1].split()[1:] == ["0"] * 4
+    path = tmp_path / "h2.fcidump"
+    path.write_text("\n".join([*lines[:-1], f"{constant} 0 0 0 0"]) + "\n")
+    options = FAST_VQE if command == "vqe" else []
+    assert main([command, "--fcidump", str(path), *options]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and "non-finite constant energy" in err
 
 
 def test_vqe_single_point_geometry(tmp_path, capsys):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import hamiltonian_matrix, sector_energy
+from oracles import ground_state_every_block, hamiltonian_matrix, sector_energy
 from vqechem import exactdiag
 from vqechem.exactdiag import apply_hamiltonian, ground_state_energy
 from vqechem.exceptions import EigensolverConvergenceError, ShapeError
@@ -207,6 +207,58 @@ def test_sector_solve_matches_dense_sector_oracle(shape, seed):
     unrestricted = ground_state_energy(h)
     assert abs(unrestricted.energy - np.linalg.eigvalsh(matrix)[0]) < 1e-10
     assert unrestricted.energy <= solved.energy + 1e-12
+
+
+@settings(max_examples=30)
+@given(st.integers(2, 4), st.integers(0, 2**32 - 1))
+def test_bound_ordered_solve_matches_every_block_oracle(n_orbitals, seed):
+    h = random_conserving_hamiltonian(n_orbitals, seed)
+    solved, oracle = ground_state_energy(h), ground_state_every_block(h)
+    assert (solved.energy, solved.sector) == (oracle.energy, oracle.sector)
+    assert solved.residual_norm == oracle.residual_norm
+    assert np.array_equal(solved.eigenvector.amplitudes, oracle.eigenvector.amplitudes)
+    # each Gershgorin bound lies at or below its block's dense lowest
+    # eigenvalue; the Kronecker oracle's sums round differently, by ~1e-16
+    operator, matrix = h.compile(), hamiltonian_matrix(h)
+    blocks = exactdiag._blocks(operator)
+    for bound, (sector, states) in zip(exactdiag._bounds(operator, blocks), blocks):
+        assert bound <= np.linalg.eigvalsh(operator.restrict(states).dense())[0]
+        assert bound <= sector_energy(matrix, *sector) + 1e-12
+
+
+def test_a_tight_bound_does_not_skip_a_tie_for_the_lowest_energy():
+    # (0, 1) is the block [[d, a], [a, d]] on qubits 1 and 3: its Gershgorin
+    # bound d - a is its exact lowest eigenvalue, and eigvalsh rounds one ulp
+    # below it. The one state of (0, 2) has that rounded energy exactly and a
+    # lower bound, so it is visited first; (0, 1) must still be solved, and
+    # wins the tie as the earlier label
+    a, beta, alpha = 0.21683888340542526, 0.33333121587657605, 0.44175065757928866
+    h = ham(4, {"IIII": 3.2164139840448684, "IZIZ": beta, "ZIII": -1.0, "IIZI": -1.0,
+                "IXIX": a / 2, "IYIY": a / 2, "IZII": alpha, "IIIZ": alpha})
+    solved, oracle = ground_state_energy(h), ground_state_every_block(h)
+    assert solved.sector == oracle.sector == (0, 1)
+    assert solved.energy == oracle.energy
+    assert np.array_equal(solved.eigenvector.amplitudes, oracle.eigenvector.amplitudes)
+
+
+def test_fock_space_solve_skips_the_blocks_its_bounds_rule_out(fixture_dir, monkeypatch):
+    # 49 blocks on the 12-qubit fixture: solving every one, then the winner
+    # again with its vector, took 50 calls
+    from vqechem.fcidump import parse_fcidump
+
+    path = os.path.join(fixture_dir, "h2s_sto3g_nonrel_eq.fcidump")
+    with open(path, encoding="utf-8") as fh:
+        h = jordan_wigner(build_second_quantized(parse_fcidump(fh.read())))
+    solve, calls = exactdiag._solve_block, []
+
+    def counted(block, vector):
+        calls.append(block.dim)
+        return solve(block, vector)
+
+    monkeypatch.setattr(exactdiag, "_solve_block", counted)
+    result = ground_state_energy(h)
+    assert result.sector == (4, 4)
+    assert len(calls) <= 8
 
 
 @pytest.mark.parametrize("method", ["dense", "lanczos"])

@@ -4,9 +4,9 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from oracles import chromatic_number, sampled_energy
+from oracles import chromatic_number, group_commuting_loop, sampled_energy
 from vqechem.exceptions import ShapeError
 from vqechem.measurement import (
     MeasurementGroup,
@@ -221,6 +221,24 @@ def test_full_h2s_fixture_groups_pinned(fixture_dir):
     )
 
 
+def test_full_h2s_fixture_grouping_matches_the_coloring_loop(fixture_dir):
+    h = h2s_fixture_hamiltonian(fixture_dir)
+    assert group_commuting(h) == group_commuting_loop(h)
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 8), st.integers(1, 80), st.integers(0, 2**32 - 1))
+def test_grouping_matches_the_coloring_loop(n_qubits, n_strings, seed):
+    # random strings, the identity always among them
+    rng = np.random.default_rng(seed)
+    coeffs = {(0, 0): float(rng.normal())}
+    while len(coeffs) < min(n_strings, 4 ** n_qubits):
+        key = (int(rng.integers(0, 1 << n_qubits)), int(rng.integers(0, 1 << n_qubits)))
+        coeffs[key] = float(rng.uniform(0.1, 1.0))
+    h = QubitHamiltonian.from_term_dict(n_qubits, coeffs)
+    assert group_commuting(h) == group_commuting_loop(h)
+
+
 @given(st.integers(0, 2**32 - 1))
 def test_tables_built_once_match_per_call_construction(seed):
     rng = np.random.default_rng(seed)
@@ -329,9 +347,10 @@ def test_sampling_tables_refused_above_the_allocation_limit():
 def test_conflict_matrix_refused_above_the_allocation_cap(monkeypatch):
     from vqechem import paulis
 
-    # 6 strings on 3 qubits: masks fit uint8, three 6 x 6 temporaries of 1 B
+    # 6 strings on 3 qubits: masks fit uint8, three 6 x 6 temporaries of 1 B,
+    # then the 6 x 6 bool conflict and blocked-color matrices
     h = ham(3, {"XII": 1.0, "ZII": 0.5, "IYI": 0.3, "IIZ": 0.2, "XYZ": 0.1, "ZZZ": 0.4})
-    needed = 3 * 1 * 6 ** 2
+    needed = (3 * 1 + 2) * 6 ** 2
     monkeypatch.setattr(paulis, "MAX_ALLOCATION_BYTES", needed)
     assert sorted(i for g in group_commuting(h) for i in g.term_indices) == list(range(6))
     monkeypatch.setattr(paulis, "MAX_ALLOCATION_BYTES", needed - 1)

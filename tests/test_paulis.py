@@ -112,6 +112,15 @@ def test_hamiltonian_rejects_duplicates():
         QubitHamiltonian(1, ((0.5, P("X")), (0.25, P("X"))))
 
 
+@pytest.mark.parametrize("weight", [float("nan"), float("inf"), -float("inf")])
+def test_hamiltonian_rejects_non_finite_weights(weight):
+    # abs(nan) >= threshold is False: pruning must not drop a NaN silently
+    with pytest.raises(ShapeError, match="not finite"):
+        QubitHamiltonian(1, ((weight, P("Z")),))
+    with pytest.raises(ShapeError, match="not finite"):
+        QubitHamiltonian.from_term_dict(1, {(0, 0): -1.5, (0, 1): weight})
+
+
 @given(st.integers(1, 20).flatmap(lambda n: st.tuples(st.just(n), st.lists(
     st.tuples(st.integers(0, (1 << n) - 1), st.integers(0, (1 << n) - 1)),
     unique=True, max_size=40))))
