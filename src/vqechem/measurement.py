@@ -87,8 +87,9 @@ def grouping_report_csv(groups) -> str:
 # stacked amplitudes per block of groups: the block holds
 # max(1, BLOCK_BYTES // (16 * 2**n)) groups, 256 at 6 qubits and 4 at 12
 BLOCK_BYTES = 1 << 18
-# per stacked amplitude: 16 B of state, 48 B of basis-change temporaries,
-# 8 B of probabilities and 8 B of counts
+# per stacked amplitude: 16 B of state, then either 48 B of basis-change
+# temporaries (the gathered rows and two products) or 24 B of probabilities,
+# their normalized copy and counts
 _BYTES_PER_STACKED = 80
 
 
@@ -96,9 +97,9 @@ _BYTES_PER_STACKED = 80
 class _Block:
     """Consecutive sampled groups measured as one stack of state copies.
 
-    ``updates`` holds (qubit, rows, 2x2 matrix): the basis change
-    that rows whose letter on the qubit is X (or Y) receive, listed qubit by
-    qubit so each row sees its letters in qubit order. ``parity`` holds the
+    ``updates`` holds one (qubit, rows, matrices) per qubit that some basis
+    measures in X or Y: those rows and a (rows, 1, 2, 2) stack of their basis
+    changes, H for X and H S^+ for Y, in qubit order. ``parity`` holds the
     +/-1 parity over each term's support at every basis index, one row per
     term; ``term_rows`` is the stack row of each term's group and ``terms``
     the block's slice of the sampled-term vector.
@@ -185,10 +186,11 @@ def group_tables(hamiltonian: QubitHamiltonian, groups) -> GroupTables:
     for chunk in chunks:
         updates = []
         for q in range(n_qubits):
-            for letter, matrix in _BASIS_CHANGE.items():
-                rows = [r for r, (_, basis, _) in enumerate(chunk) if basis[q] == letter]
-                if rows:
-                    updates.append((q, _rows(rows), matrix))
+            letters = [(r, basis[q]) for r, (_, basis, _) in enumerate(chunk)
+                       if basis[q] in _BASIS_CHANGE]
+            if letters:
+                matrices = np.array([_BASIS_CHANGE[letter] for _, letter in letters])
+                updates.append((q, _rows([r for r, _ in letters]), matrices[:, None]))
         masks = [m for _, _, group_masks in chunk for m in group_masks]
         term_rows = np.repeat(np.arange(len(chunk)), [len(m) for _, _, m in chunk])
         blocks.append(_Block(
@@ -223,8 +225,10 @@ def estimate_energy_sampled(
     ``groups`` is a list of :class:`MeasurementGroup` or, to build the
     tables once for many calls, the :class:`GroupTables` of
     :func:`group_tables`. Groups are measured a block at a time: the
-    state is copied into one stack row per group, and each (qubit,
-    letter) basis change updates all its rows of the stack in one step.
+    state is copied into one stack row per group, each qubit's basis
+    changes update all its X and Y rows in one step, and the block is
+    normalized at once before each row's draw. ``state`` must hold the
+    whole register.
     """
     shots = checked_int(shots_per_group, "shots_per_group", 1)
     seed = checked_int(seed, "seed", 0)
@@ -233,6 +237,8 @@ def estimate_energy_sampled(
     tables = groups if isinstance(groups, GroupTables) else group_tables(hamiltonian, groups)
     if tables.n_qubits != state.n_qubits:
         raise ShapeError("group tables and state qubit counts differ")
+    if state.states is not None:
+        raise ShapeError("sampled estimation needs a whole-register state, not a sector state")
 
     dim = 1 << state.n_qubits
     # the first block is the tallest
@@ -246,10 +252,7 @@ def estimate_energy_sampled(
         work[:] = state.amplitudes
         for update in block.updates:
             update_qubit(work, *update)
-        probabilities = np.abs(work) ** 2
-        counts = np.empty((height, dim), dtype=np.int64)
-        for row, gid in enumerate(block.group_ids):
-            counts[row] = sample_counts(probabilities[row], shots, seed + gid)
+        counts = sample_counts(np.abs(work) ** 2, shots, [seed + gid for gid in block.group_ids])
         # integer parity sums: exact, whatever the order of summation
         totals[block.terms] = np.einsum("td,td->t", block.parity, counts[block.term_rows])
         shots_used += shots * height

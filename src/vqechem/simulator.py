@@ -178,16 +178,17 @@ def sector_labels(n_qubits: int) -> np.ndarray:
 
 
 def update_qubit(stack: np.ndarray, qubit: int, rows, matrix: np.ndarray) -> None:
-    """Apply a 2x2 matrix to ``qubit`` of the ``rows`` of a stack, in place.
+    """Apply 2x2 matrices to ``qubit`` of the ``rows`` of a stack, in place.
 
-    ``stack`` is a contiguous (height, 2**n) array of amplitude vectors; each
-    new amplitude is m[a, 0] * w0 + m[a, 1] * w1, two complex products.
+    ``stack`` is a contiguous (height, 2**n) array of amplitude vectors.
+    ``matrix`` is one 2x2 for every row or a (rows, 1, 2, 2) stack, one per
+    row; each new amplitude is m[a, 0] * w0 + m[a, 1] * w1, two complex products.
     """
     height, dim = stack.shape
     pairs = stack.reshape((height, dim >> (qubit + 1), 2, 1 << qubit), copy=False)
     w = pairs[rows]
-    out = matrix[:, :1] * w[..., :1, :]
-    out += matrix[:, 1:] * w[..., 1:, :]
+    out = matrix[..., :1] * w[..., :1, :]
+    out += matrix[..., 1:] * w[..., 1:, :]
     pairs[rows] = out
 
 
@@ -251,23 +252,35 @@ def checked_int(value, name: str, least: int) -> int:
     return value
 
 
-def sample_counts(probabilities: np.ndarray, n_shots: int, seed: int) -> np.ndarray:
-    """Seeded multinomial draw of ``n_shots`` outcomes; one count per index."""
-    probabilities = probabilities / probabilities.sum()
-    return np.random.default_rng(seed).multinomial(n_shots, probabilities)
+def sample_counts(probabilities: np.ndarray, n_shots: int, seeds) -> np.ndarray:
+    """Seeded multinomial draws of ``n_shots`` outcomes; one count per index.
+
+    ``probabilities`` is one row with one seed, or a (rows, dim) block with a
+    seed per row; each row is normalized to its sum and drawn on its own.
+    """
+    totals = probabilities.sum(axis=-1, keepdims=True)
+    if not np.all((totals > 0) & (totals < np.inf)):
+        raise ShapeError("cannot sample a state of zero or non-finite norm")
+    rows = (probabilities / totals).reshape(-1, probabilities.shape[-1])
+    counts = np.empty(rows.shape, dtype=np.int64)
+    for row, seed in enumerate([seeds] if probabilities.ndim == 1 else seeds):
+        counts[row] = np.random.default_rng(seed).multinomial(n_shots, rows[row])
+    return counts.reshape(probabilities.shape)
 
 
 def sample(state: Statevector, n_shots: int, seed: int) -> dict[str, int]:
     """Seeded computational-basis sampling; returns bitstring -> count.
 
-    Bitstrings list qubit 0 first, matching the Pauli letter convention.
+    Bitstrings list qubit 0 first, matching the Pauli letter convention;
+    a sector state's draws are reported as its basis states.
     """
     n_shots = checked_int(n_shots, "n_shots", 1)
     seed = checked_int(seed, "seed", 0)
     counts = sample_counts(state.probabilities(), n_shots, seed)
+    drawn = np.flatnonzero(counts)
+    states = drawn if state.states is None else np.asarray(state.states)[drawn]
     n = state.n_qubits
     result = {}
-    for index in np.nonzero(counts)[0]:
-        bits = "".join(str((int(index) >> q) & 1) for q in range(n))
-        result[bits] = int(counts[index])
+    for index, count in zip(states.tolist(), counts[drawn].tolist()):
+        result["".join(str((index >> q) & 1) for q in range(n))] = count
     return result

@@ -1,12 +1,13 @@
 import hashlib
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from oracles import chromatic_number, group_commuting_loop, sampled_energy
+from oracles import chromatic_number, group_commuting_loop, group_probabilities, sampled_energy
 from vqechem.exceptions import ShapeError
 from vqechem.measurement import (
     MeasurementGroup,
@@ -16,7 +17,14 @@ from vqechem.measurement import (
     grouping_report_csv,
 )
 from vqechem.paulis import PauliString, QubitHamiltonian, commutes_qubitwise
-from vqechem.simulator import MAX_QUBITS, Statevector, expectation, prepare_hf, sample
+from vqechem.simulator import (
+    MAX_QUBITS,
+    Statevector,
+    expectation,
+    prepare_hf,
+    sample,
+    update_qubit,
+)
 
 
 def ham(n, letter_weights):
@@ -356,3 +364,77 @@ def test_conflict_matrix_refused_above_the_allocation_cap(monkeypatch):
     monkeypatch.setattr(paulis, "MAX_ALLOCATION_BYTES", needed - 1)
     with pytest.raises(ShapeError, match="conflict matrix of 6 strings"):
         group_commuting(h)
+
+
+def block_probabilities(state, block):
+    """A block's outcome probabilities, one stack row per group, as the estimator rotates them."""
+    work = np.tile(state.amplitudes, (len(block.group_ids), 1))
+    for update in block.updates:
+        update_qubit(work, *update)
+    return np.abs(work) ** 2
+
+
+@st.composite
+def distinct_bases(draw):
+    n = draw(st.integers(1, 7))
+    return draw(st.lists(st.text("IXYZ", min_size=n, max_size=n), min_size=1, max_size=12,
+                         unique=True))
+
+
+@settings(max_examples=60)
+@given(distinct_bases(), st.integers(0, 2**32 - 1))
+@example(["XZ", "ZZ", "YX", "IY"], 0)  # qubit 0 rotates rows 0 and 2: not a slice
+def test_block_probabilities_match_the_per_group_oracle(bases, seed):
+    # one term per basis, measured in exactly its own letters
+    h = ham(len(bases[0]), {b: 0.1 * (k + 1) for k, b in enumerate(bases)})
+    index = {p.to_letters(): i for i, (_, p) in enumerate(h.terms)}
+    groups = [MeasurementGroup((index[b],), b) for b in bases]
+    state = superposition_state(h.n_qubits, seed)
+    tables = group_tables(h, groups)
+    rows = 0
+    for block in tables.blocks:
+        probabilities = block_probabilities(state, block)
+        for row, gid in enumerate(block.group_ids):
+            assert np.array_equal(probabilities[row], group_probabilities(state, bases[gid]))
+        rows += len(block.group_ids)
+    assert rows == sum(set(b) != {"I"} for b in bases)
+    assert estimate_energy_sampled(state, h, tables, 64, seed) == (
+        sampled_energy(state, h, groups, 64, seed))
+
+
+def test_each_block_rotates_each_qubit_once(fixture_dir):
+    from vqechem.fermions import build_second_quantized, jordan_wigner
+    from vqechem.workflows import h3_exchange_point, integrals_from_geometry
+
+    integrals, _ = integrals_from_geometry(h3_exchange_point("mid", 0.0)["geometry"])
+    h3 = jordan_wigner(build_second_quantized(integrals))
+    h3_tables = group_tables(h3, group_commuting(h3))
+    # 17 groups in one block: one update per qubit, not one per (qubit, letter)
+    assert [len(b.group_ids) for b in h3_tables.blocks] == [17]
+    assert [q for q, _, _ in h3_tables.blocks[0].updates] == list(range(6))
+    h2s = h2s_fixture_hamiltonian(fixture_dir)
+    for block in h3_tables.blocks + group_tables(h2s, group_commuting(h2s)).blocks:
+        qubits = [q for q, _, _ in block.updates]
+        assert qubits == sorted(set(qubits))
+        for _, rows, matrices in block.updates:
+            assert matrices.shape == (np.arange(len(block.group_ids))[rows].size, 1, 2, 2)
+
+
+def test_estimator_refuses_a_sector_state():
+    h = ham(4, {"ZIII": 0.5, "XXII": 0.2})
+    state = Statevector(4, np.full(4, 0.5), states=np.array([3, 5, 6, 9]))
+    with pytest.raises(ShapeError, match="sector state"):
+        estimate_energy_sampled(state, h, group_commuting(h), 16, 0)
+
+
+@pytest.mark.parametrize("amplitudes", [np.zeros(4), np.array([0.5, np.nan, 0.5, 0.5])],
+                         ids=["zero", "nan"])
+def test_samplers_refuse_a_zero_or_nan_state(amplitudes):
+    h = ham(2, {"ZI": 0.3, "XX": 0.2})
+    state = Statevector(2, amplitudes.astype(complex))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ShapeError, match="norm"):
+            estimate_energy_sampled(state, h, group_commuting(h), 16, 0)
+        with pytest.raises(ShapeError, match="norm"):
+            sample(state, 16, 0)

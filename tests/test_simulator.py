@@ -274,6 +274,14 @@ def test_sample_seeded_determinism():
     assert sample(state, 1000, seed=9) == sample(state, 1000, seed=9)
 
 
+def test_sample_reports_a_sector_states_basis_states():
+    # local index 0 is basis state 3: qubits 0 and 1 set
+    state = Statevector(4, np.array([1.0, 0, 0, 0]), states=np.array([3, 5, 6, 9]))
+    assert sample(state, 10, 0) == {"1100": 10}
+    spread = Statevector(4, np.full(4, 0.5), states=np.array([3, 5, 6, 9]))
+    assert set(sample(spread, 400, 1)) == {"1100", "1010", "0110", "1001"}
+
+
 def test_qubit_limit_guard():
     with pytest.raises(ShapeError):
         Statevector(25, np.zeros(2, dtype=complex))
