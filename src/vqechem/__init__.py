@@ -7,7 +7,7 @@ an exact-diagonalization oracle.
 """
 
 from .ansatz import ExcitationSet, build_hardware_efficient, build_uccsd, enumerate_excitations
-from .exactdiag import GroundStateResult, apply_hamiltonian, ground_state_energy
+from .exactdiag import GroundStateResult, ground_state_energy
 from .fcidump import parse_fcidump, write_fcidump
 from .fermions import FermionOperator, build_second_quantized, jordan_wigner, number_operator
 from .integrals import (

@@ -11,24 +11,26 @@ that is not block diagonal is one block, the whole register.
 
 With ``n_electrons`` only the Hartree-Fock reference's block is solved,
 (ceil(N/2), floor(N/2)), which holds the lowest N-electron state of every
-spin. Without it the lowest block wins: the Fock-space minimum. Each block
-gets a Gershgorin lower bound on its eigenvalues (Gershgorin 1931), the
-blocks are visited in ascending bound, and the visit stops at the first
-bound that clears the lowest energy so far, since no later block can beat
-it. Only the winning block's eigenvector is kept; it is embedded in the
-full register and its residual taken with the full operator.
+spin, compiled on its own states; a form that drops an entry for leaving
+them is refused. Without it the lowest block wins: the Fock-space minimum.
+Each block gets a Gershgorin lower bound on its eigenvalues (Gershgorin
+1931); the blocks are visited in ascending bound, each compiled on its
+states, until a bound clears the lowest energy so far, since no later block
+can beat it. The winner's residual is taken with its block's form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
+from numbers import Real
 
 import numpy as np
 
 from .exceptions import EigensolverConvergenceError, ShapeError
 from .paulis import COEFF_PRUNE_THRESHOLD, ROWS_PER_BLOCK, CompiledOperator, QubitHamiltonian
-from .simulator import MAX_QUBITS, Statevector, check_allocation, sector_labels
+from .simulator import (MAX_QUBITS, Statevector, check_allocation, checked_int, sector_labels,
+                        sector_states)
 
 RESIDUAL_TOLERANCE = 1e-9
 LANCZOS_START_SEED = 20240801  # fixed so results are bit-reproducible
@@ -54,58 +56,41 @@ class GroundStateResult:
     sector: tuple[int, int] | None
 
 
-def apply_hamiltonian(
-    hamiltonian: QubitHamiltonian | CompiledOperator, vec: np.ndarray
-) -> np.ndarray:
-    """H @ vec from the compiled x-mask form; no dense matrix.
-
-    A plain Hamiltonian is compiled for this call only; repeated products
-    should pass ``hamiltonian.compile()``.
-    """
-    return hamiltonian.compile().apply(vec)
-
-
 def reference_sector(n_electrons: int) -> tuple[int, int]:
     """(N_alpha, N_beta) of the Hartree-Fock reference: the lowest spin orbitals."""
     return (n_electrons + 1) // 2, n_electrons // 2
 
 
-def _largest_block(n_qubits: int, sector: tuple[int, int] | None) -> int:
-    """States in ``sector``, or in the largest sector when it is None."""
-    n_alpha, n_beta = (n_qubits + 1) // 2, n_qubits // 2
-    a, b = sector if sector is not None else (n_alpha // 2, n_beta // 2)
-    return comb(n_alpha, a) * comb(n_beta, b)
+def _sector_size(n_qubits: int, sector: tuple[int, int]) -> int:
+    """States in the (N_alpha, N_beta) ``sector``: alpha on even qubits, beta on odd."""
+    return comb((n_qubits + 1) // 2, sector[0]) * comb(n_qubits // 2, sector[1])
 
 
-def _check_bytes(n_qubits: int, n_x_masks: int, block_dim: int) -> None:
-    """Refuse a solve whose operator and workspace exceed the allocation cap.
+def _check_bytes(hamiltonian: QubitHamiltonian, block_dim: int, forms: list) -> None:
+    """Refuse a solve whose compiled forms and workspace exceed the allocation cap.
 
-    The compiled form holds a gather index and a complex diagonal per
-    x-mask and basis state; two restricted blocks (the one being solved and
-    the lowest so far) as much per block state; the sector labels and their
-    sort take 32 B per state. Lanczos keeps ``min(LANCZOS_MAX_KRYLOV,
-    block_dim)`` block vectors. The dense path, taken up to
-    ``DENSE_CUTOFF_DIM`` states, takes 48 B per matrix cell (the complex
-    matrix, LAPACK's working copy and the eigenvectors, at most 16 B each),
-    and filling the matrix at most 48 B of mask, indices and values per
-    block entry.
+    ``forms`` are the state counts of the forms held at once, None for the
+    register's: a sector solve holds its block's, a Fock-space solve the full
+    form and one block's. Sector labels take 32 B per register state. Lanczos
+    keeps ``min(LANCZOS_MAX_KRYLOV, block_dim)`` block vectors; a dense solve
+    (up to ``DENSE_CUTOFF_DIM`` states) 48 B per matrix cell (matrix, LAPACK's
+    copy, eigenvectors) and 48 B per block entry filling the matrix.
     """
-    entry = np.dtype(np.intp).itemsize + 16
-    operator = n_x_masks * ((1 << n_qubits) + 2 * block_dim) * entry + (32 << n_qubits)
+    n = hamiltonian.n_qubits
+    needed = sum(map(hamiltonian.compiled_bytes, forms)) + (32 << n)
     dense = block_dim <= DENSE_CUTOFF_DIM
     if dense:
-        needed = operator + (block_dim * block_dim + n_x_masks * block_dim) * 48
+        needed += (block_dim * block_dim + len(hamiltonian.x_masks()) * block_dim) * 48
     else:
-        needed = operator + min(LANCZOS_MAX_KRYLOV, block_dim) * block_dim * 16
+        needed += min(LANCZOS_MAX_KRYLOV, block_dim) * block_dim * 16
     check_allocation(needed, f"{'dense' if dense else 'lanczos'} solve of a "
-                             f"{block_dim}-state block on {n_qubits} qubits")
+                             f"{block_dim}-state block on {n} qubits")
 
 
-def _blocks(operator: CompiledOperator, n_electrons: int | None = None) -> list[tuple]:
+def _blocks(operator: CompiledOperator) -> list[tuple]:
     """(sector, ascending states) per (N_alpha, N_beta) block of the operator.
 
-    With ``n_electrons`` only the block of basis state 2**N - 1, the
-    Hartree-Fock reference. One block of every state, with sector None, when a live entry (above
+    One block of every state, with sector None, when a live entry (above
     ``COEFF_PRUNE_THRESHOLD``; summed diagonals leave ~1e-18 residue, so
     exact zeros are not required) joins states of two labels.
     """
@@ -116,9 +101,6 @@ def _blocks(operator: CompiledOperator, n_electrons: int | None = None) -> list[
         joins = labels[operator.gather[rows]] != labels
         if np.any(np.abs(operator.shifted[rows][joins]) > COEFF_PRUNE_THRESHOLD):
             return [(None, np.arange(1 << n))]
-    if n_electrons is not None:
-        reference = labels[(1 << n_electrons) - 1]
-        return [(reference_sector(n_electrons), np.flatnonzero(labels == reference))]
     order = np.argsort(labels, kind="stable")
     values, starts = np.unique(labels[order], return_index=True)
     return [((int(v) // (n // 2 + 1), int(v) % (n // 2 + 1)), states)
@@ -153,7 +135,7 @@ def _lanczos_lowest(operator: CompiledOperator):
         basis[0] = v
         k_used = m
         for k in range(m):
-            w = apply_hamiltonian(operator, basis[k])
+            w = operator.apply(basis[k])
             alphas[k] = np.real(np.vdot(basis[k], w))
             w -= alphas[k] * basis[k]
             if k > 0:
@@ -176,7 +158,7 @@ def _lanczos_lowest(operator: CompiledOperator):
         energy = float(evals[0])
         v = basis[:k_used].T @ evecs[:, 0]
         v /= np.linalg.norm(v)
-        residual = float(np.linalg.norm(apply_hamiltonian(operator, v) - energy * v))
+        residual = float(np.linalg.norm(operator.apply(v) - energy * v))
         if residual < RESIDUAL_TOLERANCE:
             return energy, v, residual
     return energy, v, residual
@@ -189,12 +171,9 @@ def _solve_block(block: CompiledOperator, vector: bool):
     real-integral Jordan-Wigner Hamiltonian) is solved as a real matrix.
     """
     if block.dim <= DENSE_CUTOFF_DIM:
-        matrix = block.dense()
-        if not matrix.imag.any():
-            matrix = matrix.real
         if not vector:
-            return float(np.linalg.eigvalsh(matrix)[0]), None
-        evals, evecs = np.linalg.eigh(matrix)
+            return float(np.linalg.eigvalsh(block.dense())[0]), None
+        evals, evecs = np.linalg.eigh(block.dense())
         return float(evals[0]), evecs[:, 0]
     energy, vec, residual = _lanczos_lowest(block)
     if residual >= RESIDUAL_TOLERANCE:
@@ -213,48 +192,47 @@ def ground_state_energy(
 
     A block of at most ``DENSE_CUTOFF_DIM`` states is solved dense, a larger
     one by Lanczos (``LANCZOS_MAX_KRYLOV`` vectors, ``LANCZOS_RESTARTS``
-    restarts). With ``n_electrons`` only the reference sector is solved, and
-    a Hamiltonian that does not conserve (N_alpha, N_beta) is refused.
-    Raises when a Lanczos residual never reaches 1e-9, carrying the best
-    estimate.
+    restarts). With ``n_electrons`` only the reference sector is compiled and
+    solved, and a Hamiltonian that does not conserve (N_alpha, N_beta) there
+    is refused. Raises when a Lanczos residual never reaches 1e-9, carrying
+    the best estimate.
     """
     n = hamiltonian.n_qubits
     if n > MAX_QUBITS:
         raise ShapeError(f"{n} qubits exceeds the {MAX_QUBITS}-qubit limit")
-    target = None
     if n_electrons is not None:
-        if not 0 <= n_electrons <= n:
+        if isinstance(n_electrons, Real) and not 0 <= n_electrons <= n:
             raise ShapeError(f"{n_electrons} electrons do not fit in {n} spin orbitals")
-        target = reference_sector(n_electrons)
+        n_electrons = checked_int(n_electrons, "n_electrons", 0)
+        sector = reference_sector(n_electrons)
+        dim = _sector_size(n, sector)
+        _check_bytes(hamiltonian, dim, [dim])
+        states = sector_states(n, (1 << n_electrons) - 1)
+        block = hamiltonian.compile(states)
+        if block.leak > COEFF_PRUNE_THRESHOLD:
+            raise ShapeError("Hamiltonian does not conserve (N_alpha, N_beta); "
+                             f"no {n_electrons}-electron sector to solve")
+    else:
+        dim = _sector_size(n, ((n + 1) // 4, n // 4))  # the largest sector
+        _check_bytes(hamiltonian, dim, [None, dim])
+        operator = hamiltonian.compile()
+        blocks = _blocks(operator)
+        sector, states = blocks[0]
+        if sector is None:  # not block diagonal: the full form is the one block
+            _check_bytes(hamiltonian, 1 << n, [None])
+        else:
+            # in ascending bound, each compiled and solved for eigenvalues; ties to the first
+            bounds, best = _bounds(operator, blocks), (np.inf, -1)
+            for i in np.argsort(bounds, kind="stable"):
+                if bounds[i] > best[0] + BOUND_MARGIN * (1 + abs(best[0])):
+                    break
+                energy, _ = _solve_block(hamiltonian.compile(blocks[i][1]), False)
+                best = min(best, (energy, i))
+            sector, states = blocks[best[1]]
+        block = operator if sector is None else hamiltonian.compile(states)
 
-    n_x_masks = len(hamiltonian.x_masks())
-    _check_bytes(n, n_x_masks, _largest_block(n, target))
-
-    operator = hamiltonian.compile()
-    blocks = _blocks(operator, n_electrons)
-    if target is not None and blocks[0][0] is None:
-        raise ShapeError("Hamiltonian does not conserve (N_alpha, N_beta); "
-                         f"no {n_electrons}-electron sector to solve")
-    _check_bytes(n, n_x_masks, max(len(states) for _, states in blocks))
-
-    # a lone block is solved with its eigenvector at once and gets no bound;
-    # among several, blocks are visited in ascending bound for eigenvalues
-    # only, ties in energy go to the earliest label, and the winner is solved again
-    vector = len(blocks) == 1
-    bounds = np.zeros(1) if vector else _bounds(operator, blocks)
-    best = None
-    for i in np.argsort(bounds, kind="stable"):
-        if best is not None and bounds[i] > best[0] + BOUND_MARGIN * (1 + abs(best[0])):
-            break
-        block = operator.restrict(blocks[i][1])
-        energy, vec = _solve_block(block, vector)
-        if best is None or (energy, i) < best[:2]:
-            best = energy, i, vec, block
-    energy, i, vec, block = best
-    sector, states = blocks[i]
-    if vec is None:
-        energy, vec = _solve_block(block, True)
+    energy, vec = _solve_block(block, True)
+    residual = float(np.linalg.norm(block.apply(vec) - energy * vec))
     amplitudes = np.zeros(1 << n, dtype=np.complex128)
     amplitudes[states] = vec
-    residual = float(np.linalg.norm(operator.apply(amplitudes) - energy * amplitudes))
     return GroundStateResult(energy, Statevector(n, amplitudes), residual, sector)

@@ -64,6 +64,8 @@ def parse_fcidump(text: str) -> MolecularIntegrals:
         raise FcidumpError(f"malformed header ({exc})", 1) from None
     if n_orb < 1:
         raise FcidumpError(f"NORB must be positive, got {n_orb}", 1)
+    if not 0 <= n_elec <= 2 * n_orb:
+        raise FcidumpError(f"NELEC must be in 0..{2 * n_orb} for NORB={n_orb}, got {n_elec}", 1)
 
     h = np.zeros((n_orb, n_orb))
     g = np.zeros((n_orb, n_orb, n_orb, n_orb))

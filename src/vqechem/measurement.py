@@ -195,7 +195,7 @@ def group_tables(hamiltonian: QubitHamiltonian, groups) -> GroupTables:
         term_rows = np.repeat(np.arange(len(chunk)), [len(m) for _, _, m in chunk])
         blocks.append(_Block(
             tuple(gid for gid, _, _ in chunk), tuple(updates),
-            sign_table(masks, n_qubits), term_rows, slice(start, start + len(masks)),
+            sign_table(masks, np.arange(2**n_qubits)), term_rows, slice(start, start + len(masks)),
         ))
         start += len(masks)
     return GroupTables(

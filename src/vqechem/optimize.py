@@ -17,7 +17,7 @@ from .exceptions import OptimizerDivergedError, ShapeError
 from .measurement import estimate_energy_sampled, group_commuting, group_tables
 from .paulis import QubitHamiltonian, check_allocation, real_if_exact
 from .simulator import (Circuit, Statevector, apply_circuit, checked_int, expectation, prepare_hf,
-                        sector_labels)
+                        sector_states)
 
 # SPSA gain schedule a_k = SPSA_A/(SPSA_BIG_A+k+1)^SPSA_ALPHA and
 # c_k = SPSA_C/(k+1)^SPSA_GAMMA: Spall's standard exponents and stability
@@ -240,26 +240,25 @@ def exact_energy_objective(
 ):
     """theta -> <psi(theta)|H|psi(theta)> with exact statevector evaluation.
 
-    H is compiled once, after its form and the gate tables are checked against
-    the allocation cap together. A circuit that restricts to the Hartree-Fock
-    (N_alpha, N_beta) sector runs there, against H restricted there and real when
-    the data are (<psi|PHP|psi> = <psi|H|psi>); others use the whole register.
+    A circuit that restricts to the Hartree-Fock (N_alpha, N_beta) sector runs
+    there, against H compiled there, real when the data are (<psi|PHP|psi> =
+    <psi|H|psi>); others use the whole register. The gate tables it runs and
+    the form are checked against the allocation cap together, before compiling.
     """
     n = hamiltonian.n_qubits
     if circuit.n_qubits != n:
         raise ShapeError("circuit and Hamiltonian qubit counts differ")
-    tables = sum(a.nbytes for t in circuit.tables if t for a in t if isinstance(a, np.ndarray))
-    check_allocation(tables + hamiltonian.compiled_bytes(),
-                     f"gate tables and compiled form of {len(hamiltonian.x_masks())} "
-                     f"x-masks on {n} qubits")
     reference = prepare_hf(n, hf_occupied)
-    operator = hamiltonian.compile()
-    labels = sector_labels(n)
-    states = np.flatnonzero(labels == labels[np.flatnonzero(reference.amplitudes)[0]])
+    states = sector_states(n, int(np.flatnonzero(reference.amplitudes)[0]))
     sector = circuit.restrict(states)
     if sector is not None:
-        circuit, operator = sector, operator.restrict(states)
+        circuit = sector
         reference = Statevector(n, real_if_exact(reference.amplitudes[states]), states)
+    tables = sum(a.nbytes for t in circuit.tables if t for a in t if isinstance(a, np.ndarray))
+    check_allocation(tables + hamiltonian.compiled_bytes(None if sector is None else len(states)),
+                     f"gate tables and compiled form of {len(hamiltonian.x_masks())} "
+                     f"x-masks on {n} qubits")
+    operator = hamiltonian.compile(reference.states)
 
     def objective(theta):
         return expectation(apply_circuit(reference, circuit, theta), operator)

@@ -8,8 +8,9 @@ Conventions, fixed repo-wide:
 
 from __future__ import annotations
 
-from collections import Counter
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -162,34 +163,69 @@ class QubitHamiltonian:
 
     def x_masks(self) -> list[int]:
         """The distinct x-masks, ascending: the rows of the compiled form."""
-        return sorted({p.x_mask for _, p in self.terms})
+        return self._rows[0].tolist()
 
-    def compiled_bytes(self) -> int:
-        """Bytes compile() takes: 24 per (x-mask, state) entry, and 17 per (string,
-        state) for its largest row's sign table, as int8 and its complex cast."""
-        strings = Counter(p.x_mask for _, p in self.terms)
-        return (24 * len(strings) + 17 * max(strings.values(), default=0)) << self.n_qubits
+    @cached_property
+    def _rows(self) -> tuple:
+        """The compiled form's rows, computed once: the distinct x-masks, ascending;
+        the bounds of each row's strings, in term order; the most strings in a row;
+        and each string's z-mask and weight * (-i)^{#Y}."""
+        terms = sorted(self.terms, key=lambda t: t[1].x_mask)  # stable: rows keep term order
+        x, z = np.array([(p.x_mask, p.z_mask) for _, p in terms], dtype=np.int64).reshape(-1, 2).T
+        x_masks, starts, counts = np.unique(x, return_index=True, return_counts=True)
+        # a string's entry at partner b ^ x is weight * i^{#Y} * (-1)^popcount((b ^ x) & z),
+        # and #Y = popcount(x & z), so it is weight * (-i)^{#Y} * (-1)^popcount(b & z)
+        weights = (np.array([w for w, _ in terms], dtype=float)
+                   * np.array([1, -1j, -1, 1j])[np.bitwise_count(x & z) % 4])
+        return (x_masks, np.append(starts, len(x)).tolist(), int(counts.max(initial=0)),
+                z, weights)
 
-    def compile(self) -> CompiledOperator:
+    def compiled_bytes(self, n_states: int | None = None) -> int:
+        """Bytes compile() takes on the register, or on ``n_states`` given states: 24 per
+        (x-mask, state) entry, or 40 with local indices and the live-row test plus 8 per
+        register state; 17 per (string, state) of its largest rows' int8 sign table and cast."""
+        x_masks, _, most, _, _ = self._rows
+        if n_states is None:
+            return (24 * len(x_masks) + 17 * most) << self.n_qubits
+        return (40 * len(x_masks) + 17 * most) * n_states + (8 << self.n_qubits)
+
+    def compile(self, states: np.ndarray | None = None) -> CompiledOperator:
         """A new compiled form of the sum; the caller owns (and frees) it.
 
-        Refused before allocating when its ``compiled_bytes()`` exceed the cap.
+        On ascending basis ``states`` it is P H P in local indices: an entry whose
+        partner leaves them is zeroed (``leak`` keeps the largest) and points at
+        local state 0, and a row with nothing above ``COEFF_PRUNE_THRESHOLD`` left
+        is dropped. Stored real when no string has an odd number of Y letters;
+        refused before allocating when its ``compiled_bytes`` exceed the cap.
         """
-        x_masks = self.x_masks()
-        by_x = {x: [] for x in x_masks}
-        for w, p in self.terms:
-            by_x[p.x_mask].append((w, p))
-        check_allocation(self.compiled_bytes(),
+        x_masks, bounds, most, z, weights = self._rows
+        whole = states is None
+        check_allocation(self.compiled_bytes(None if whole else len(states)),
                          f"compiled form of {len(x_masks)} x-masks on {self.n_qubits} qubits")
-        dim = 1 << self.n_qubits
-        gather = np.arange(dim) ^ np.array(x_masks, dtype=np.int64).reshape(-1, 1)
-        shifted = np.empty(gather.shape, dtype=np.complex128)
-        for row, x in enumerate(x_masks):
-            weights = np.array([w * 1j ** int(p.x_mask & p.z_mask).bit_count()
-                                for w, p in by_x[x]])
-            diagonal = weights @ sign_table([p.z_mask for _, p in by_x[x]], self.n_qubits)
-            shifted[row] = diagonal[gather[row]]
-        return CompiledOperator(self.n_qubits, gather, shifted)
+        states = np.arange(1 << self.n_qubits) if whole else np.asarray(states)
+        real = not weights.imag.any()
+        gather = np.bitwise_xor(states, x_masks.reshape(-1, 1), dtype=np.intp)
+        shifted = np.empty(gather.shape, dtype=np.float64 if real else np.complex128)
+        first = 0
+        while first < len(x_masks):  # one sign table per run of rows, at most ``most`` strings
+            last = bisect_right(bounds, bounds[first] + most) - 1
+            table = sign_table(z[bounds[first]:bounds[last]], states)
+            for row in range(first, last):
+                strings = slice(bounds[row], bounds[row + 1])
+                values = weights[strings] @ table[strings.start - bounds[first]:
+                                                  strings.stop - bounds[first]]
+                shifted[row] = values.real if real else values
+            first = last
+        if whole:
+            return CompiledOperator(self.n_qubits, gather, shifted)
+        local = np.full(1 << self.n_qubits, -1)
+        local[states] = np.arange(len(states))
+        gather = local[gather]
+        outside = gather < 0
+        leak = float(np.abs(shifted[outside]).max(initial=0.0))
+        shifted[outside] = gather[outside] = 0
+        live = np.abs(shifted).max(axis=1, initial=0.0) > COEFF_PRUNE_THRESHOLD
+        return CompiledOperator(self.n_qubits, gather[live], shifted[live], leak)
 
 
 def _bit_parity(values: np.ndarray) -> np.ndarray:
@@ -197,9 +233,9 @@ def _bit_parity(values: np.ndarray) -> np.ndarray:
     return (np.bitwise_count(values) & 1).view(np.int8)
 
 
-def sign_table(masks, n_qubits: int) -> np.ndarray:
+def sign_table(masks, index: np.ndarray) -> np.ndarray:
     """(-1)^popcount(b & m) as int8, one row per mask m, one column per basis index b."""
-    index = np.arange(1 << n_qubits, dtype=np.uint32)
+    index = np.asarray(index, dtype=np.uint32)
     masks = np.asarray(masks, dtype=np.uint32).reshape(-1, 1)
     return 1 - 2 * _bit_parity(index & masks)
 
@@ -220,21 +256,19 @@ class CompiledOperator:
     ``gather[k, c] = c ^ x_k`` and ``shifted[k, c] = D_{x_k}[c ^ x_k]``, so
     (H v)[c] = sum_k shifted[k, c] * v[gather[k, c]].
 
-    A form made by :meth:`restrict` acts on a subset of the basis states; its
-    indices are local (positions in that subset) and its dimension is
-    ``gather.shape[1]``.
+    A form on a subset of the basis states (:meth:`QubitHamiltonian.compile`)
+    has local indices, dimension ``gather.shape[1]``, and in ``leak`` the
+    largest entry it dropped for leaving the subset: 0 on a block of H.
     """
 
     n_qubits: int
     gather: np.ndarray  # (rows, dim) basis indices
     shifted: np.ndarray  # (rows, dim) diagonals, permuted
+    leak: float = 0.0
 
     @property
     def dim(self) -> int:
         return self.gather.shape[1]
-
-    def compile(self) -> CompiledOperator:
-        return self
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         """H @ vec: one gather-multiply-add per x-mask, no matrix."""
@@ -250,30 +284,11 @@ class CompiledOperator:
         return complex(np.vdot(psi, self.apply(psi)))
 
     def dense(self) -> np.ndarray:
-        """The dim x dim matrix (intended for small dimensions only)."""
+        """The dim x dim matrix, real when the form is (for small dimensions only)."""
         # entry (k, c) lands in cell (c, gather[k, c]); distinct x-masks put
         # the nonzero entries of one row c in distinct cells, while the zeroed
-        # entries of a restricted form all point at local state 0 and are skipped
-        matrix = np.zeros((self.dim, self.dim), dtype=np.complex128)
+        # entries of a form on a subset all point at local state 0 and are skipped
+        matrix = np.zeros((self.dim, self.dim), dtype=self.shifted.dtype)
         live = self.shifted != 0
         matrix[np.nonzero(live)[1], self.gather[live]] = self.shifted[live]
         return matrix
-
-    def restrict(self, states: np.ndarray) -> CompiledOperator:
-        """P H P on the ascending basis ``states``, in local indices 0..len-1.
-
-        Entries whose partner lies outside ``states`` are set to zero, and
-        x-mask rows with no entry above ``COEFF_PRUNE_THRESHOLD`` left are
-        dropped; real diagonals are stored real. On a block of a
-        block-diagonal operator this is the block.
-        """
-        if len(states) == self.dim:  # every state: the operator itself
-            return self
-        local = np.full(self.dim, -1, dtype=np.intp)
-        local[states] = np.arange(len(states))
-        gather = local[np.take(self.gather, states, axis=1)]
-        shifted = real_if_exact(np.take(self.shifted, states, axis=1))
-        shifted *= gather >= 0
-        live = (np.abs(shifted) > COEFF_PRUNE_THRESHOLD).any(axis=1)
-        # an entry zeroed above points at local state 0, so every index is valid
-        return CompiledOperator(self.n_qubits, np.maximum(gather[live], 0), shifted[live])

@@ -177,6 +177,12 @@ def sector_labels(n_qubits: int) -> np.ndarray:
     return n_alpha * (n_qubits // 2 + 1) + n_beta
 
 
+def sector_states(n_qubits: int, index: int) -> np.ndarray:
+    """The ascending basis states with the (N_alpha, N_beta) of basis state ``index``."""
+    labels = sector_labels(n_qubits)
+    return np.flatnonzero(labels == labels[index])
+
+
 def update_qubit(stack: np.ndarray, qubit: int, rows, matrix: np.ndarray) -> None:
     """Apply 2x2 matrices to ``qubit`` of the ``rows`` of a stack, in place.
 
@@ -227,13 +233,15 @@ def apply_circuit(state: Statevector, circuit: Circuit, parameters=()) -> Statev
 def expectation(state: Statevector, hamiltonian: QubitHamiltonian | CompiledOperator) -> float:
     """<psi|H|psi> from the compiled x-mask form; no dense matrix is built.
 
-    Pass ``hamiltonian.compile()``, restricted to a sector state's states, to
-    evaluate many states against one form; a plain Hamiltonian is compiled
-    for this call only.
+    Pass ``hamiltonian.compile(state.states)`` to evaluate many states against
+    one form; a plain Hamiltonian is compiled on the state's basis states for
+    this call only.
     """
     if hamiltonian.n_qubits != state.n_qubits:
         raise ShapeError("Hamiltonian and state qubit counts differ")
-    value = hamiltonian.compile().expectation(state.amplitudes)
+    if isinstance(hamiltonian, QubitHamiltonian):
+        hamiltonian = hamiltonian.compile(state.states)
+    value = hamiltonian.expectation(state.amplitudes)
     if abs(value.imag) > 1e-10:
         raise ShapeError(f"expectation has imaginary part {value.imag:.3e}")
     return float(value.real)

@@ -487,19 +487,21 @@ def ground_state_every_block(hamiltonian):
 
     operator = hamiltonian.compile()
     blocks = exactdiag._blocks(operator)
-    vector = len(blocks) == 1
+
+    def form(sector, states):
+        return operator if sector is None else hamiltonian.compile(states)
+
     best = None
     for sector, states in blocks:
-        block = operator.restrict(states)
-        energy, vec = exactdiag._solve_block(block, vector)
+        energy, _ = exactdiag._solve_block(form(sector, states), False)
         if best is None or energy < best[0]:
-            best = energy, vec, sector, states, block
-    energy, vec, sector, states, block = best
-    if vec is None:
-        energy, vec = exactdiag._solve_block(block, True)
+            best = energy, sector, states
+    _, sector, states = best
+    block = form(sector, states)
+    energy, vec = exactdiag._solve_block(block, True)
+    residual = float(np.linalg.norm(block.apply(vec) - energy * vec))
     amplitudes = np.zeros(1 << hamiltonian.n_qubits, dtype=np.complex128)
     amplitudes[states] = vec
-    residual = float(np.linalg.norm(operator.apply(amplitudes) - energy * amplitudes))
     return exactdiag.GroundStateResult(
         energy, Statevector(hamiltonian.n_qubits, amplitudes), residual, sector)
 

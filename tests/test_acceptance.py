@@ -332,9 +332,7 @@ def test_criterion_5_property_suite(fixture_dir):
             assert abs(second - mean**2) < 1e-10
 
     def _apply(h, vec):
-        from vqechem.exactdiag import apply_hamiltonian
-
-        return apply_hamiltonian(h, vec)
+        return h.compile().apply(vec)
 
     def variational_bound_over_traces():
         circuit = build_uccsd(4, {0, 1})

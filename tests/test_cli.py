@@ -81,6 +81,17 @@ def test_fci_repeated_freeze_exits_2_with_one_line(fixture_dir, capsys):
     assert err.startswith("error: ") and "repeated orbital index" in err
 
 
+def test_negative_electron_count_exits_2_with_one_line(tmp_path, capsys, h2_integrals_074):
+    # NELEC=-2 used to parse, and vqe then failed on an empty occupied set
+    text = write_fcidump(h2_integrals_074).replace("NELEC=2,", "NELEC=-2,")
+    path = tmp_path / "h2.fcidump"
+    path.write_text(text)
+    assert main(["vqe", "--fcidump", str(path), *FAST_VQE]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and "NELEC must be in 0..4" in err
+
+
 @pytest.mark.parametrize("command", ["fci", "vqe"])
 @pytest.mark.parametrize("constant", ["inf", "nan"])
 def test_non_finite_constant_energy_exits_2_with_one_line(tmp_path, capsys, h2_integrals_074,

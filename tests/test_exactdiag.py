@@ -7,14 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import ground_state_every_block, hamiltonian_matrix, sector_energy
-from vqechem import exactdiag
-from vqechem.exactdiag import apply_hamiltonian, ground_state_energy
+from vqechem import exactdiag, paulis
+from vqechem.exactdiag import ground_state_energy
 from vqechem.exceptions import EigensolverConvergenceError, ShapeError
 from vqechem.fermions import build_second_quantized, jordan_wigner
 from vqechem.integrals import MolecularIntegrals
 from vqechem.paulis import PauliString, QubitHamiltonian
 from vqechem.simulator import Statevector, expectation
-from vqechem.workflows import h3_exchange_point, integrals_from_geometry
+from vqechem.workflows import h3_exchange_point, hydrogen_geometry, integrals_from_geometry
 
 
 def ham(n, letter_weights):
@@ -28,13 +28,13 @@ def ham(n, letter_weights):
 def test_identity_hamiltonian_acts_trivially():
     h = ham(3, {"III": 2.0})
     v = np.arange(8, dtype=complex)
-    assert np.allclose(apply_hamiltonian(h, v), 2.0 * v)
+    assert np.allclose(h.compile().apply(v), 2.0 * v)
 
 
 def test_z_on_excited_qubit():
     h = ham(1, {"Z": 1.0})
     v = np.array([0.0, 1.0], dtype=complex)
-    assert np.allclose(apply_hamiltonian(h, v), -v)
+    assert np.allclose(h.compile().apply(v), -v)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -46,13 +46,13 @@ def test_apply_matches_dense_oracle(seed):
         coeffs[(int(rng.integers(0, 64)), int(rng.integers(0, 64)))] = float(rng.normal())
     h = QubitHamiltonian.from_term_dict(n, coeffs)
     v = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-    assert np.abs(apply_hamiltonian(h, v) - hamiltonian_matrix(h) @ v).max() < 1e-12
+    assert np.abs(h.compile().apply(v) - hamiltonian_matrix(h) @ v).max() < 1e-12
 
 
 def test_apply_shape_mismatch():
     h = ham(2, {"ZZ": 1.0})
     with pytest.raises(ShapeError):
-        apply_hamiltonian(h, np.zeros(3, dtype=complex))
+        h.compile().apply(np.zeros(3, dtype=complex))
 
 
 def test_ground_single_z():
@@ -105,7 +105,7 @@ def test_eigenvector_residual(h2_hamiltonian_074):
     result = ground_state_energy(h2_hamiltonian_074)
     v = result.eigenvector.amplitudes
     residual = np.linalg.norm(
-        apply_hamiltonian(h2_hamiltonian_074, v) - result.energy * v
+        h2_hamiltonian_074.compile().apply(v) - result.energy * v
     )
     assert residual < 1e-9
     assert result.residual_norm == pytest.approx(residual, abs=1e-12)
@@ -164,6 +164,41 @@ def test_full_h2s_fixture_solves_under_the_guard(fixture_dir):
     assert len(result.eigenvector.amplitudes) == 1 << 12
 
 
+def test_sector_solve_fits_under_a_cap_the_full_form_exceeds(fixture_dir, monkeypatch):
+    # the cap is the 12-qubit fixture's full compiled form alone: the (4, 4)
+    # sector's form and dense workspace fit under it, while the Fock-space
+    # solve holds the full form and a block besides
+    from vqechem.fcidump import parse_fcidump
+
+    path = os.path.join(fixture_dir, "h2s_sto3g_nonrel_eq.fcidump")
+    with open(path, encoding="utf-8") as fh:
+        h = jordan_wigner(build_second_quantized(parse_fcidump(fh.read())))
+    monkeypatch.setattr(paulis, "MAX_ALLOCATION_BYTES", h.compiled_bytes())
+    result = ground_state_energy(h, n_electrons=8)
+    assert result.sector == (4, 4) and result.residual_norm < 1e-9
+    with pytest.raises(ShapeError, match="block on 12 qubits"):
+        ground_state_energy(h)
+
+
+def test_sixteen_qubit_chain_solves_its_sector_by_lanczos_in_small_memory():
+    # H8 at 1.8 bohr spacing: the (4, 4) sector holds 4900 of the 65536 states,
+    # above DENSE_CUTOFF_DIM; its compiled form holds 39 MB, the register's 525 MB
+    geometry = hydrogen_geometry([[0.0, 0.0, 1.8 * i] for i in range(8)])
+    integrals, _ = integrals_from_geometry(geometry)
+    h = jordan_wigner(build_second_quantized(integrals))
+    assert h.n_qubits == 16
+    tracemalloc.start()
+    try:
+        result = ground_state_energy(h, n_electrons=8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.sector == (4, 4)
+    assert abs(result.energy - (-4.3156021)) < 1e-7
+    assert result.residual_norm <= 1e-9
+    assert peak < 256 << 20
+
+
 def test_lanczos_keeps_its_basis_orthogonal(fixture_dir, monkeypatch):
     # one 160-vector Lanczos run on the 225-state 8-electron block of the
     # 12-qubit fixture: full reorthogonalization takes the residual to
@@ -217,12 +252,13 @@ def test_bound_ordered_solve_matches_every_block_oracle(n_orbitals, seed):
     assert (solved.energy, solved.sector) == (oracle.energy, oracle.sector)
     assert solved.residual_norm == oracle.residual_norm
     assert np.array_equal(solved.eigenvector.amplitudes, oracle.eigenvector.amplitudes)
-    # each Gershgorin bound lies at or below its block's dense lowest
-    # eigenvalue; the Kronecker oracle's sums round differently, by ~1e-16
+    # each Gershgorin bound lies at or below the lowest eigenvalue of its block
+    # of the full form it is taken from; the Kronecker oracle's sums, and a
+    # block compiled on its own states, round differently, by ~1e-16
     operator, matrix = h.compile(), hamiltonian_matrix(h)
-    blocks = exactdiag._blocks(operator)
+    blocks, full = exactdiag._blocks(operator), operator.dense().real  # real integrals
     for bound, (sector, states) in zip(exactdiag._bounds(operator, blocks), blocks):
-        assert bound <= np.linalg.eigvalsh(operator.restrict(states).dense())[0]
+        assert bound <= np.linalg.eigvalsh(full[np.ix_(states, states)])[0]
         assert bound <= sector_energy(matrix, *sector) + 1e-12
 
 
@@ -293,6 +329,12 @@ def test_sector_refused_when_the_operator_mixes_sectors():
     assert ground_state_energy(h).sector is None
     with pytest.raises(ShapeError, match="conserve"):
         ground_state_energy(h, n_electrons=1)
+
+
+@pytest.mark.parametrize("n_electrons", [2.5, True, "2"])
+def test_electron_count_must_be_an_integer(h2_hamiltonian_074, n_electrons):
+    with pytest.raises(ShapeError, match="n_electrons must be an integer"):
+        ground_state_energy(h2_hamiltonian_074, n_electrons=n_electrons)
 
 
 def test_electron_count_outside_the_register_refused(h2_hamiltonian_074):

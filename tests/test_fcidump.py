@@ -77,6 +77,14 @@ def test_malformed_header_reports_line():
     assert "line 1" in str(err.value)
 
 
+@pytest.mark.parametrize("nelec", [-2, 5])
+def test_electron_count_outside_the_spin_orbitals_reports_line_1(nelec):
+    # NORB=2 holds 0..4 electrons
+    with pytest.raises(FcidumpError) as err:
+        parse_fcidump(f" &FCI NORB=2,NELEC={nelec},MS2=0,\n &END\n 0.5 1 1 1 1\n")
+    assert "line 1" in str(err.value) and "NELEC must be in 0..4" in str(err.value)
+
+
 def test_missing_fci_marker():
     with pytest.raises(FcidumpError):
         parse_fcidump("NORB=1,NELEC=2\n&END\n")

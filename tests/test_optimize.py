@@ -400,14 +400,18 @@ def test_hardware_efficient_objective_is_bit_identical_to_the_register_loop(
 
 
 def test_objective_checks_tables_and_compiled_form_together(h2_hamiltonian_074, monkeypatch):
+    # UCCSD keeps the (1, 1) sector of 4 states: its restricted tables and the
+    # form compiled on those states are what the objective allocates
     circuit = build_uccsd(4, {0, 1})
-    tables = sum(part.nbytes for table in circuit.tables for part in table
+    sector = circuit.restrict(np.array([3, 6, 9, 12]))
+    tables = sum(part.nbytes for table in sector.tables for part in table
                  if isinstance(part, np.ndarray))
     strings = {}
     for _, p in h2_hamiltonian_074.terms:
         strings[p.x_mask] = strings.get(p.x_mask, 0) + 1
-    # 24 B per (x-mask, state) entry, 17 B per (string, state) of the largest row
-    needed = tables + ((24 * len(strings) + 17 * max(strings.values())) << 4)
+    # 40 B per (x-mask, state) entry, 17 B per (string, state) of the largest
+    # row, and an 8 B local index per register state
+    needed = tables + (40 * len(strings) + 17 * max(strings.values())) * 4 + (8 << 4)
     monkeypatch.setattr(paulis, "MAX_ALLOCATION_BYTES", needed)
     optimize.exact_energy_objective(h2_hamiltonian_074, circuit, {0, 1})
     monkeypatch.setattr(paulis, "MAX_ALLOCATION_BYTES", needed - 1)

@@ -150,7 +150,7 @@ def test_pauli_action_matches_dense():
 
 @given(st.lists(st.integers(0, 31), min_size=1, max_size=8))
 def test_sign_table_matches_popcount(masks):
-    table = sign_table(masks, 5)
+    table = sign_table(masks, np.arange(32))
     assert table.shape == (len(masks), 32)
     for row, mask in zip(table, masks):
         assert row.tolist() == [(-1) ** bin(b & mask).count("1") for b in range(32)]
@@ -184,18 +184,24 @@ def test_compiled_operator_matches_kronecker_oracle(h, seed):
 
 
 @given(hamiltonians(), st.integers(0, 2**32 - 1))
-def test_restrict_is_the_projected_submatrix(h, seed):
+def test_compile_on_states_is_the_projected_submatrix(h, seed):
     rng = np.random.default_rng(seed)
     dim = 1 << h.n_qubits
-    states = np.flatnonzero(rng.random(dim) < 0.5)
-    if states.size == 0:
-        states = np.array([int(rng.integers(dim))])
-    block = h.compile().restrict(states)
+    inside = rng.random(dim) < 0.5
+    if not inside.any():
+        inside[int(rng.integers(dim))] = True
+    states = np.flatnonzero(inside)
+    block = h.compile(states)
     assert block.dim == states.size
-    expected = hamiltonian_matrix(h)[np.ix_(states, states)]
+    matrix = hamiltonian_matrix(h)
+    expected = matrix[np.ix_(states, states)]
     assert np.abs(block.dense() - expected).max() < 1e-12
     v = rng.standard_normal(states.size) + 1j * rng.standard_normal(states.size)
     assert np.abs(block.apply(v) - expected @ v).max() < 1e-12
+    # the largest entry dropped for leaving the states
+    leaving = np.abs(matrix[np.ix_(np.flatnonzero(~inside), states)]).max(initial=0.0)
+    assert abs(block.leak - leaving) < 1e-12
+    assert h.compile().leak == 0.0
 
 
 def test_hamiltonian_matrix_oracle_consistency(h2_hamiltonian_074):

@@ -19,6 +19,7 @@ from vqechem.simulator import (
     prepare_hf,
     sample,
     sector_labels,
+    sector_states,
 )
 
 
@@ -350,3 +351,19 @@ def test_sector_state_needs_the_circuit_restricted_to_its_states():
         Statevector(4, np.zeros(5), states)
     out = apply_circuit(state, circuit.restrict(states.copy()), np.zeros(circuit.n_parameters))
     assert np.array_equal(out.amplitudes, state.amplitudes)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_expectation_of_a_sector_state_compiles_a_plain_hamiltonian_on_its_states(
+        h2_hamiltonian_074, seed):
+    states = sector_states(4, 0b0011)
+    assert np.array_equal(states, np.flatnonzero(sector_labels(4) == sector_labels(4)[3]))
+    rng = np.random.default_rng(seed)
+    amplitudes = rng.standard_normal(len(states)) + 1j * rng.standard_normal(len(states))
+    amplitudes /= np.linalg.norm(amplitudes)
+    embedded = np.zeros(16, dtype=complex)
+    embedded[states] = amplitudes
+    # a conserving Hamiltonian and one whose strings leave the sector
+    for h in (h2_hamiltonian_074, random_hamiltonian(4, 12, seed)):
+        on_sector = expectation(Statevector(4, amplitudes, states), h)
+        assert abs(on_sector - expectation(Statevector(4, embedded), h)) < 1e-12
