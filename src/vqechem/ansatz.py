@@ -9,8 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .exceptions import ShapeError
-from .fermions import FermionOperator, jordan_wigner_term_dicts
+from .fermions import FermionOperator, jordan_wigner_expansions
 from .paulis import QubitHamiltonian
 from .simulator import Circuit, Gate
 
@@ -99,16 +101,15 @@ def _excitation_gates(n_modes: int, moves, first_slot: int = 0) -> list[Gate]:
     so exp(i theta G) is the rotation about G at angle -2 theta. All
     generators are expanded in one call.
     """
-    expansions = jordan_wigner_term_dicts(_excitation_generators(n_modes, moves))
+    expansions = jordan_wigner_expansions(_excitation_generators(n_modes, moves))
     gates = []
-    for slot, expansion in enumerate(expansions, start=first_slot):
-        for coeff in expansion.values():
-            if abs(coeff.real) > JW_REAL_RESIDUE_TOLERANCE:
-                raise ShapeError(
-                    f"excitation generator mapped to non-imaginary coefficient {coeff}"
-                )
-        generator = QubitHamiltonian.from_term_dict(
-            n_modes, {key: coeff.imag for key, coeff in expansion.items()})
+    for slot, (x, z, coeffs) in enumerate(expansions, start=first_slot):
+        large = np.flatnonzero(np.abs(coeffs.real) > JW_REAL_RESIDUE_TOLERANCE)
+        if large.size:
+            raise ShapeError(
+                f"excitation generator mapped to non-imaginary coefficient {coeffs[large[0]]}"
+            )
+        generator = QubitHamiltonian.from_arrays(n_modes, x, z, coeffs.imag)
         gates.append(Gate("pauli_rot", (), slot=slot, angle=-2.0, generator=generator))
     return gates
 

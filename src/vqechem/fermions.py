@@ -10,7 +10,8 @@ anticommutator is applied, and an annihilator left of a creator is refused.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,7 +27,7 @@ Term = tuple[tuple[int, bool], ...]
 
 
 def _normal_order(n_modes: int, owner: np.ndarray, modes: np.ndarray, n_create: np.ndarray,
-                  coeffs: np.ndarray, n_ops: int) -> list[dict[Term, float]]:
+                  coeffs: np.ndarray, n_ops: int) -> list[FermionOperator]:
     """Normal order creation-first terms and sum the equal ones, per operator.
 
     Row t of ``modes`` holds term t's ``n_create[t]`` creation modes, then
@@ -52,21 +53,42 @@ def _normal_order(n_modes: int, owner: np.ndarray, modes: np.ndarray, n_create: 
     signs = 1 - 2 * (inversions[keep] & 1)
     keys, totals = _sum_runs([owner[keep], *codes.T], coeffs[keep] * signs)
     live = np.abs(totals.real) > 0.0
-    factor = [None] + [(m, dagger) for m in range(n) for dagger in (False, True)]
-    rows = zip(keys[0][live].tolist(), np.array(keys[1:]).T[live].tolist(),
-               totals.real[live].tolist())
-    ops = [{} for _ in range(n_ops)]
-    for op, row, value in rows:
-        ops[op][tuple(factor[c] for c in row if c)] = value
-    return ops
+    codes, totals = np.stack(keys[1:], axis=1)[live], totals.real[live]
+    bounds = np.searchsorted(keys[0][live], np.arange(n_ops + 1)).tolist()
+    return [FermionOperator(n, codes[a:b], totals[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
-@dataclass(frozen=True)
+def _factor_codes(n_modes: int, terms) -> np.ndarray:
+    """Term tuples as rows of factor codes, 0-padded; a mode outside the register raises."""
+    codes = np.zeros((len(terms), max([1, *map(len, terms)])), dtype=np.int64)
+    for row, term in enumerate(terms):
+        if not all(0 <= mode < n_modes for mode, _ in term):
+            raise ShapeError(f"term {term} has a mode outside 0..{n_modes - 1}")
+        codes[row, :len(term)] = [2 * mode + dagger + 1 for mode, dagger in term]
+    return codes
+
+
+@dataclass(frozen=True, eq=False)
 class FermionOperator:
-    """Real-coefficient linear combination of normal-ordered operator strings."""
+    """Real-coefficient linear combination of operator strings, stored as arrays.
+
+    Row t of ``codes`` holds term t's factors in order, (mode m, creation d)
+    as 2m + d + 1, then 0 padding; ``coeffs[t]`` is its coefficient.
+    :meth:`from_terms`, :meth:`from_term_dicts` and
+    :func:`build_second_quantized` store the terms normal ordered. ``terms``
+    is a view of them as a dict, built on first use.
+    """
 
     n_modes: int
-    terms: dict[Term, float] = field(default_factory=dict)
+    codes: np.ndarray
+    coeffs: np.ndarray
+
+    @cached_property
+    def terms(self) -> dict[Term, float]:
+        """{term: coefficient}, in row order."""
+        factor = [None] + [(m, dagger) for m in range(self.n_modes) for dagger in (False, True)]
+        return {tuple(factor[c] for c in row if c): value
+                for row, value in zip(self.codes.tolist(), self.coeffs.tolist())}
 
     @classmethod
     def from_terms(cls, n_modes: int, raw_terms: dict[Term, float]) -> FermionOperator:
@@ -81,20 +103,15 @@ class FermionOperator:
         creator raises.
         """
         terms = [(op, term, c) for op, raw in enumerate(raw_term_dicts) for term, c in raw.items()]
-        length = max([1, *(len(term) for _, term, _ in terms)])  # a column for a lone constant
-        modes = np.full((len(terms), length), -1, dtype=np.int64)
-        n_create = np.zeros(len(terms), dtype=np.int64)
-        for row, (_, term, _) in enumerate(terms):
-            if not all(0 <= mode < n_modes for mode, _ in term):
-                raise ShapeError(f"term {term} has a mode outside 0..{n_modes - 1}")
-            n_create[row] = sum(dagger for _, dagger in term)
-            if any(dagger for _, dagger in term[n_create[row]:]):
-                raise ShapeError(f"term {term} has an annihilator left of a creator")
-            modes[row, :len(term)] = [mode for mode, _ in term]
+        codes = _factor_codes(n_modes, [term for _, term, _ in terms])
+        creation = (codes > 0) & ((codes - 1) & 1 == 1)
+        late = np.flatnonzero((creation[:, 1:] & ~creation[:, :-1]).any(axis=1))
+        if late.size:
+            raise ShapeError(f"term {terms[late[0]][1]} has an annihilator left of a creator")
         owner = np.array([op for op, _, _ in terms], dtype=np.int64)
         coeffs = np.array([c for _, _, c in terms], dtype=float)
-        ops = _normal_order(n_modes, owner, modes, n_create, coeffs, len(raw_term_dicts))
-        return [cls(n_modes, op_terms) for op_terms in ops]
+        return _normal_order(n_modes, owner, (codes - 1) >> 1, creation.sum(axis=1), coeffs,
+                             len(raw_term_dicts))
 
 
 def number_operator(n_modes: int) -> FermionOperator:
@@ -129,7 +146,7 @@ def build_second_quantized(integrals: MolecularIntegrals) -> FermionOperator:
     coeffs = np.concatenate([[float(integrals.constant_energy)],
                              h[tuple(one.T)].repeat(2), g[tuple(two.T)].repeat(4)])
     owner, n_modes = np.zeros(len(modes), dtype=np.int64), 2 * len(h)
-    return FermionOperator(n_modes, _normal_order(n_modes, owner, modes, n_create, coeffs, 1)[0])
+    return _normal_order(n_modes, owner, modes, n_create, coeffs, 1)[0]
 
 
 def _sum_runs(keys, coeffs, order=()):
@@ -144,8 +161,9 @@ def _sum_runs(keys, coeffs, order=()):
     return [key[first] for key in keys], total
 
 
-def jordan_wigner_term_dicts(ops) -> list[dict[tuple[int, int], complex]]:
-    """Expand each operator into {(x_mask, z_mask): complex coefficient}.
+def jordan_wigner_expansions(ops) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Expand each operator into Pauli strings: (x masks, z masks, complex coefficients),
+    sorted by (x, z).
 
     a_j^+ = (X_j - iY_j)/2 * Z_0..Z_{j-1},  a_j = (X_j + iY_j)/2 * Z_0..Z_{j-1}.
     Terms of one length expand together on int64 masks: each factor splits
@@ -156,14 +174,21 @@ def jordan_wigner_term_dicts(ops) -> list[dict[tuple[int, int], complex]]:
     """
     if any(op.n_modes > 62 for op in ops):
         raise ShapeError("more than 62 modes do not fit int64 masks")
-    terms = [item for op in ops for item in op.terms.items()]
-    owner = np.repeat(np.arange(len(ops)), [len(op.terms) for op in ops])
-    lengths, parts = np.array([len(term) for term, _ in terms], dtype=int), []
-    for length in set(lengths.tolist()):
+    if not ops:
+        return []
+    sizes = [len(op.coeffs) for op in ops]
+    all_codes = np.zeros((sum(sizes), max(op.codes.shape[1] for op in ops)), dtype=np.int64)
+    for op, start in zip(ops, np.cumsum([0, *sizes]).tolist()):
+        all_codes[start:start + len(op.coeffs), :op.codes.shape[1]] = op.codes
+    all_coeffs = np.concatenate([op.coeffs for op in ops])
+    owner = np.repeat(np.arange(len(ops)), sizes)
+    empty = np.zeros(0, dtype=np.int64)
+    lengths, parts = np.count_nonzero(all_codes, axis=1), [(empty, empty, empty, empty + 0j)]
+    for length in np.unique(lengths).tolist():
         index = np.flatnonzero(lengths == length)
-        factors = np.array([terms[g][0] for g in index], dtype=np.int64)
-        modes, creation = factors.reshape(len(index), length, 2).transpose(2, 0, 1)
-        coeffs = np.array([terms[g][1] for g in index], dtype=np.complex128)
+        factors = all_codes[index, :length] - 1
+        modes, creation = factors >> 1, factors & 1
+        coeffs = all_coeffs[index].astype(np.complex128)
         tid, (x, z) = np.arange(len(index)), np.zeros((2, len(index)), dtype=np.int64)
         for j in range(length):  # x: one mask per term, the same in all its products
             tid, z1, coeffs = np.repeat(tid, 2), np.repeat(z, 2), np.repeat(coeffs, 2)
@@ -177,18 +202,10 @@ def jordan_wigner_term_dicts(ops) -> list[dict[tuple[int, int], complex]]:
             if (modes[:, :j] == modes[:, j:j + 1]).any():
                 (tid, z), coeffs = _sum_runs((tid, z), coeffs)
         parts.append((index[tid], x[tid], z, coeffs))
-    if not parts:
-        return [{} for _ in ops]
     order, x, z, coeffs = (np.concatenate(column) for column in zip(*parts))
     (owner, x, z), coeffs = _sum_runs((owner[order], x, z), coeffs, (order,))
-    keys, values = list(zip(x.tolist(), z.tolist())), coeffs.tolist()
     bounds = np.searchsorted(owner, np.arange(len(ops) + 1)).tolist()
-    return [dict(zip(keys[a:b], values[a:b])) for a, b in zip(bounds, bounds[1:])]
-
-
-def jordan_wigner_term_dict(op: FermionOperator) -> dict[tuple[int, int], complex]:
-    """One operator's expansion; :func:`jordan_wigner` validates and realifies it."""
-    return jordan_wigner_term_dicts([op])[0]
+    return [(x[a:b], z[a:b], coeffs[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
 def jordan_wigner(op: FermionOperator) -> QubitHamiltonian:
@@ -197,8 +214,10 @@ def jordan_wigner(op: FermionOperator) -> QubitHamiltonian:
     Imaginary residues below 1e-10 are discarded; anything larger means the
     input was not Hermitian and raises.
     """
-    accum = jordan_wigner_term_dict(op)
-    for key, c in accum.items():
-        if abs(c.imag) > JW_IMAG_TOLERANCE:
-            raise NonHermitianError(f"imaginary coefficient {c.imag:.3e} on term with masks {key}")
-    return QubitHamiltonian.from_term_dict(op.n_modes, {key: c.real for key, c in accum.items()})
+    [(x, z, coeffs)] = jordan_wigner_expansions([op])
+    large = np.flatnonzero(np.abs(coeffs.imag) > JW_IMAG_TOLERANCE)
+    if large.size:
+        k = large[0]
+        raise NonHermitianError(f"imaginary coefficient {coeffs[k].imag:.3e} on term with "
+                                f"masks {(int(x[k]), int(z[k]))}")
+    return QubitHamiltonian.from_arrays(op.n_modes, x, z, coeffs.real)

@@ -61,7 +61,8 @@ class Molecule:
         """Build from the geometry JSON schema.
 
         Schema: ``{"atoms": [{"symbol": str, "xyz_bohr": [x, y, z]}, ...],
-        "charge": int}`` with positions in Bohr.
+        "charge": int}`` with positions in Bohr; a position of other than 3
+        numbers, or a charge that is not an integer (or is a bool), raises.
         """
         atoms = []
         try:
@@ -69,10 +70,16 @@ class Molecule:
                 symbol = entry["symbol"]
                 if symbol not in ELEMENT_Z:
                     raise UnsupportedElementError(f"unknown element symbol {symbol!r}")
-                atoms.append((symbol, ELEMENT_Z[symbol], np.asarray(entry["xyz_bohr"], dtype=float)))
-            charge = int(doc.get("charge", 0))
+                xyz = np.asarray(entry["xyz_bohr"], dtype=float)
+                if xyz.shape != (3,):
+                    raise ShapeError(f"malformed geometry: position of {symbol} must be "
+                                     f"3 numbers, got {entry['xyz_bohr']!r}")
+                atoms.append((symbol, ELEMENT_Z[symbol], xyz))
+            charge = doc.get("charge", 0)
         except (KeyError, TypeError, ValueError) as exc:
             raise ShapeError(f"malformed geometry: {type(exc).__name__}: {exc}") from None
+        if isinstance(charge, bool) or not isinstance(charge, int):
+            raise ShapeError(f"malformed geometry: charge must be an integer, got {charge!r}")
         n_electrons = sum(z for _, z, _ in atoms) - charge
         return cls(tuple(atoms), n_electrons)
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ShapeError
-from .paulis import PauliString, QubitHamiltonian, sign_table
+from .paulis import PauliString, QubitHamiltonian, letter_strings, sign_table
 from .simulator import Statevector, check_allocation, checked_int, sample_counts, update_qubit
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
@@ -52,28 +52,30 @@ def group_commuting(hamiltonian: QubitHamiltonian) -> list[MeasurementGroup]:
     # three n x n temporaries of the mask dtype at once, then two n x n bool
     # matrices: the conflicts and the colors blocked at each vertex
     check_allocation((3 * dtype.itemsize + 2) * n ** 2, f"conflict matrix of {n} strings")
-    x = np.array([p.x_mask for _, p in hamiltonian.terms], dtype=dtype)
-    z = np.array([p.z_mask for _, p in hamiltonian.terms], dtype=dtype)
+    x, z = hamiltonian.x.astype(dtype), hamiltonian.z.astype(dtype)
     support = x | z
     # two strings fail qubit-wise commutation where both act and the letters differ
     conflict = (((x[:, None] ^ x) | (z[:, None] ^ z)) & (support[:, None] & support)) != 0
 
-    order = np.argsort(-conflict.sum(axis=1), kind="stable")
+    # degrees as set bits of the packed rows: a third of the time of a bool row sum
+    degrees = np.bitwise_count(np.packbits(conflict, axis=1)).sum(axis=1, dtype=np.intp)
+    order = np.argsort(-degrees, kind="stable").tolist()
     blocked = np.zeros((n, n), dtype=bool)  # blocked[c, v]: v has a neighbor of color c
     color, n_colors = np.empty(n, dtype=np.intp), 0
     for vertex in order:
         # the first color not taken; row n_colors is still clear
-        c = color[vertex] = np.argmin(blocked[:n_colors + 1, vertex])
+        c = color[vertex] = int(blocked[:n_colors + 1, vertex].argmin())
         np.logical_or(blocked[c], conflict[vertex], out=blocked[c])
-        n_colors = max(n_colors, c + 1)
+        n_colors += c == n_colors
 
     members = np.argsort(color, kind="stable")
     starts = np.flatnonzero(np.diff(color[members], prepend=-1))
     # members commute qubit-wise, so OR-ing their masks keeps each qubit's letter
-    x_or, z_or = (np.bitwise_or.reduceat(m[members], starts).tolist() for m in (x, z))
+    bases = letter_strings(n_qubits, *(np.bitwise_or.reduceat(m[members], starts)
+                                       for m in (hamiltonian.x, hamiltonian.z)))
     ids, bounds = members.tolist(), [*starts.tolist(), n]
-    return [MeasurementGroup(tuple(ids[a:b]), PauliString(n_qubits, xm, zm).to_letters())
-            for a, b, xm, zm in zip(bounds, bounds[1:], x_or, z_or)]
+    return [MeasurementGroup(tuple(ids[a:b]), basis)
+            for a, b, basis in zip(bounds, bounds[1:], bases)]
 
 
 def grouping_report_csv(groups) -> str:
@@ -137,13 +139,13 @@ def _check_bases(hamiltonian: QubitHamiltonian, groups) -> None:
         if not isinstance(basis, str) or len(basis) != n_qubits or set(basis) - set("IXYZ"):
             raise ShapeError(f"group {gid} basis {basis!r} is not {n_qubits} letters from IXYZ")
         letters = PauliString.from_letters(basis)
-        for i in group.term_indices:
-            pauli = hamiltonian.terms[i][1]
-            differ = (pauli.x_mask ^ letters.x_mask) | (pauli.z_mask ^ letters.z_mask)
-            if differ & pauli.support_mask:
-                raise ShapeError(
-                    f"group {gid} basis {basis} does not measure term {pauli.to_letters()}"
-                )
+        terms = np.array(group.term_indices, dtype=np.intp)
+        x, z = hamiltonian.x[terms], hamiltonian.z[terms]
+        missed = np.flatnonzero(((x ^ letters.x_mask) | (z ^ letters.z_mask)) & (x | z))
+        if missed.size:
+            k = missed[:1]
+            raise ShapeError(f"group {gid} basis {basis} does not measure term "
+                             f"{letter_strings(n_qubits, x[k], z[k])[0]}")
 
 
 def _rows(rows: list):
@@ -162,16 +164,18 @@ def group_tables(hamiltonian: QubitHamiltonian, groups) -> GroupTables:
     n_qubits = hamiltonian.n_qubits
     dim = 1 << n_qubits
 
+    support = hamiltonian.x | hamiltonian.z
     constants, slots, weights, sampled = [], [], [], []
     for gid, group in enumerate(groups):
-        terms = [hamiltonian.terms[i] for i in group.term_indices]
-        constants.extend(w for w, p in terms if p.is_identity)
-        masks = [p.support_mask for _, p in terms if not p.is_identity]
-        if masks:
-            slots.extend(range(len(constants), len(constants) + len(masks)))
-            constants.extend(0.0 for _ in masks)
-            weights.extend(w for w, p in terms if not p.is_identity)
-            sampled.append((gid, group.basis, masks))
+        terms = np.array(group.term_indices, dtype=np.intp)
+        identity = support[terms] == 0
+        constants.extend(hamiltonian.weights[terms[identity]].tolist())
+        terms = terms[~identity]
+        if terms.size:
+            slots.extend(range(len(constants), len(constants) + terms.size))
+            constants.extend([0.0] * terms.size)
+            weights.extend(hamiltonian.weights[terms].tolist())
+            sampled.append((gid, group.basis, support[terms]))
 
     block_rows = max(1, BLOCK_BYTES // (16 * dim))
     chunks = [sampled[i:i + block_rows] for i in range(0, len(sampled), block_rows)]
@@ -191,7 +195,7 @@ def group_tables(hamiltonian: QubitHamiltonian, groups) -> GroupTables:
             if letters:
                 matrices = np.array([_BASIS_CHANGE[letter] for _, letter in letters])
                 updates.append((q, _rows([r for r, _ in letters]), matrices[:, None]))
-        masks = [m for _, _, group_masks in chunk for m in group_masks]
+        masks = np.concatenate([group_masks for _, _, group_masks in chunk])
         term_rows = np.repeat(np.arange(len(chunk)), [len(m) for _, _, m in chunk])
         blocks.append(_Block(
             tuple(gid for gid, _, _ in chunk), tuple(updates),

@@ -1,5 +1,10 @@
 """Pauli strings on x/z bitmasks, and Hamiltonians as weighted Pauli sums.
 
+A :class:`QubitHamiltonian` is stored as three arrays, the x-mask, z-mask
+and weight of each string, in canonical letter order; Jordan-Wigner fills
+them directly, and grouping and compiling read them. Its ``terms`` are a
+read-only view as (weight, :class:`PauliString`) pairs, built on first use.
+
 Conventions, fixed repo-wide:
   * qubit ``j`` is bit ``j`` of a basis-state index (little-endian);
   * letter encoding per qubit: (x=0,z=0)=I, (1,0)=X, (1,1)=Y, (0,1)=Z;
@@ -22,7 +27,7 @@ COEFF_PRUNE_THRESHOLD = 1e-12
 MAX_ALLOCATION_BYTES = 1 << 30
 
 _LETTER_TO_XZ = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
-_XZ_TO_LETTER = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
+_LETTERS = np.frombuffer(b"IXZY", dtype="S1")  # indexed by x + 2z
 
 
 @dataclass(frozen=True, order=True)
@@ -52,10 +57,7 @@ class PauliString:
         return cls(len(letters), x, z)
 
     def to_letters(self) -> str:
-        return "".join(
-            _XZ_TO_LETTER[(self.x_mask >> q) & 1, (self.z_mask >> q) & 1]
-            for q in range(self.n_qubits)
-        )
+        return letter_strings(self.n_qubits, [self.x_mask], [self.z_mask])[0]
 
     @property
     def support_mask(self) -> int:
@@ -64,10 +66,6 @@ class PauliString:
     @property
     def is_identity(self) -> bool:
         return self.x_mask == 0 and self.z_mask == 0
-
-    @property
-    def weight(self) -> int:
-        return int(self.support_mask).bit_count()
 
     def __str__(self):
         return self.to_letters()
@@ -112,54 +110,108 @@ def commutes_qubitwise(a: PauliString, b: PauliString) -> bool:
     return (a.x_mask ^ b.x_mask) & both == 0 and (a.z_mask ^ b.z_mask) & both == 0
 
 
-@dataclass(frozen=True)
+def letter_strings(n_qubits: int, x, z) -> list[str]:
+    """The letter string of each string ``(x[k], z[k])``, qubit 0 first."""
+    qubits = np.arange(n_qubits)
+    codes = ((np.asarray(x)[:, None] >> qubits) & 1) + 2 * ((np.asarray(z)[:, None] >> qubits) & 1)
+    text = _LETTERS[codes].tobytes().decode("ascii")
+    return [text[k * n_qubits:(k + 1) * n_qubits] for k in range(len(codes))]
+
+
+def _canonical_order(n_qubits: int, x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The permutation that sorts strings by letter string (I < X < Y < Z, qubit 0 first)."""
+    qubits = np.arange(n_qubits)
+    # (x, z) = 00, 10, 11, 01 for I, X, Y, Z: the digit is 2z + (x ^ z)
+    digits = 2 * ((z[:, None] >> qubits) & 1) + (((x ^ z)[:, None] >> qubits) & 1)
+    # base-4 keys of up to 31 digits each, the first qubits' key the most significant
+    keys = [(digits[:, q:q + 31] << 2 * np.arange(min(31, n_qubits - q))[::-1]).sum(axis=1)
+            for q in range(0, max(n_qubits, 1), 31)]
+    return np.lexsort(keys[::-1])
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class QubitHamiltonian:
-    """Weighted sum of Pauli strings with real coefficients."""
+    """Weighted sum of Pauli strings with real coefficients, stored as arrays.
+
+    String k is ``x[k]``, ``z[k]`` (int64 masks) with weight ``weights[k]``
+    (float64); the arrays are read-only. :meth:`from_arrays` stores the
+    strings in canonical order: by the base-4 number with one digit per
+    qubit, I=0, X=1, Y=2, Z=3, qubit 0 most significant, so equal
+    Hamiltonians always serialize identically. ``terms`` is a view of the
+    same strings as (weight, :class:`PauliString`) pairs, built on first use.
+    """
 
     n_qubits: int
-    terms: tuple[tuple[float, PauliString], ...]
+    x: np.ndarray
+    z: np.ndarray
+    weights: np.ndarray
 
-    def __post_init__(self):
-        seen = set()
-        for w, p in self.terms:
-            if p.n_qubits != self.n_qubits:
-                raise ShapeError("term qubit count differs from Hamiltonian")
-            if (p.x_mask, p.z_mask) in seen:
-                raise ShapeError(f"duplicate Pauli string {p}")
-            seen.add((p.x_mask, p.z_mask))
-            if not COEFF_PRUNE_THRESHOLD <= abs(w) < np.inf:
-                raise ShapeError(f"coefficient {w} of {p} is below the prune threshold "
-                                 "or not finite")
+    def __init__(self, n_qubits: int, terms=()):
+        """From (weight, :class:`PauliString`) pairs, stored in the given order."""
+        terms = tuple(terms)
+        if any(p.n_qubits != n_qubits for _, p in terms):
+            raise ShapeError("term qubit count differs from Hamiltonian")
+        x, z = np.array([(p.x_mask, p.z_mask) for _, p in terms], dtype=np.int64).reshape(-1, 2).T
+        self._store(n_qubits, x, z, np.array([w for w, _ in terms], dtype=float), sort=False)
 
     @classmethod
-    def from_term_dict(cls, n_qubits: int, coeffs: dict) -> QubitHamiltonian:
-        """Build from {(x_mask, z_mask): weight}, pruning tiny weights.
+    def from_arrays(cls, n_qubits: int, x, z, weights) -> QubitHamiltonian:
+        """Strings ``(x[k], z[k])`` weighing ``weights[k]``, tiny weights pruned, in
+        canonical order. A non-finite weight is kept, so the constructor refuses it."""
+        x, z = np.asarray(x, dtype=np.int64), np.asarray(z, dtype=np.int64)
+        weights = np.asarray(weights, dtype=float)
+        if not x.shape == z.shape == weights.shape == (len(weights),):
+            raise ShapeError(f"x, z and weights shapes {x.shape}, {z.shape}, {weights.shape} "
+                             "are not one length")
+        kept = ~(np.abs(weights) < COEFF_PRUNE_THRESHOLD)
+        hamiltonian = cls.__new__(cls)
+        hamiltonian._store(n_qubits, x[kept], z[kept], weights[kept], sort=True)
+        return hamiltonian
 
-        A non-finite weight is kept, so the constructor refuses it.
+    def _store(self, n_qubits: int, x, z, weights, sort: bool) -> None:
+        """Validate the strings and keep them, sorted into canonical order if ``sort``."""
+        if not 0 <= n_qubits <= 62:
+            raise ShapeError(f"{n_qubits} qubits: masks of 0..62 qubits fit int64")
+        order = _canonical_order(n_qubits, x, z)
+        if sort:
+            x, z, weights, order = x[order], z[order], weights[order], slice(None)
+        outside = np.flatnonzero((x | z) >> n_qubits)
+        if outside.size:
+            k = outside[0]
+            raise ShapeError(f"masks do not fit in {n_qubits} qubits: "
+                             f"x={int(x[k]):#x} z={int(z[k]):#x}")
+        sx, sz = x[order], z[order]  # equal strings are adjacent in canonical order
+        repeated = np.flatnonzero((sx[1:] == sx[:-1]) & (sz[1:] == sz[:-1]))
+        if repeated.size:
+            k = repeated[0]
+            raise ShapeError("duplicate Pauli string "
+                             f"{PauliString(n_qubits, int(sx[k]), int(sz[k]))}")
+        size = np.abs(weights)
+        bad = np.flatnonzero(~((COEFF_PRUNE_THRESHOLD <= size) & (size < np.inf)))
+        if bad.size:
+            k = bad[0]
+            raise ShapeError(f"coefficient {weights[k]} of "
+                             f"{PauliString(n_qubits, int(x[k]), int(z[k]))} "
+                             "is below the prune threshold or not finite")
+        for array in (x, z, weights):
+            array.flags.writeable = False
+        for name, value in zip(("n_qubits", "x", "z", "weights"), (n_qubits, x, z, weights)):
+            object.__setattr__(self, name, value)  # the dataclass is frozen
 
-        Terms are ordered by letter string so equal Hamiltonians always
-        serialize identically: by the base-4 number with one digit per qubit,
-        I=0, X=1, Y=2, Z=3, qubit 0 most significant.
-        """
-        weights = {key: float(w) for key, w in coeffs.items()}
-        kept = [(key, w) for key, w in weights.items() if not abs(w) < COEFF_PRUNE_THRESHOLD]
-        x, z = np.array([key for key, _ in kept], dtype=np.int64).reshape(-1, 2, 1).swapaxes(0, 1)
-        qubits = np.arange(n_qubits)
-        # (x, z) = 00, 10, 11, 01 for I, X, Y, Z: the digit is 2z + (x ^ z)
-        digits = 2 * ((z >> qubits) & 1) + (((x ^ z) >> qubits) & 1)
-        order = np.lexsort(digits.T[::-1]).tolist() if n_qubits else range(len(kept))
-        return cls(n_qubits, tuple((kept[i][1], PauliString(n_qubits, *kept[i][0]))
-                                   for i in order))
+    @cached_property
+    def terms(self) -> tuple:
+        """The strings as (weight, :class:`PauliString`) pairs, in order."""
+        return tuple((w, PauliString(self.n_qubits, x, z)) for w, x, z in
+                     zip(self.weights.tolist(), self.x.tolist(), self.z.tolist()))
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, QubitHamiltonian) and self.n_qubits == other.n_qubits
+                and all(np.array_equal(a, b) for a, b in zip(
+                    (self.x, self.z, self.weights), (other.x, other.z, other.weights))))
 
     @property
     def n_terms(self) -> int:
-        return len(self.terms)
-
-    def identity_weight(self) -> float:
-        for w, p in self.terms:
-            if p.is_identity:
-                return w
-        return 0.0
+        return len(self.weights)
 
     def x_masks(self) -> list[int]:
         """The distinct x-masks, ascending: the rows of the compiled form."""
@@ -168,15 +220,14 @@ class QubitHamiltonian:
     @cached_property
     def _rows(self) -> tuple:
         """The compiled form's rows, computed once: the distinct x-masks, ascending;
-        the bounds of each row's strings, in term order; the most strings in a row;
+        the bounds of each row's strings, in string order; the most strings in a row;
         and each string's z-mask and weight * (-i)^{#Y}."""
-        terms = sorted(self.terms, key=lambda t: t[1].x_mask)  # stable: rows keep term order
-        x, z = np.array([(p.x_mask, p.z_mask) for _, p in terms], dtype=np.int64).reshape(-1, 2).T
+        by_row = np.argsort(self.x, kind="stable")  # rows keep string order
+        x, z = self.x[by_row], self.z[by_row]
         x_masks, starts, counts = np.unique(x, return_index=True, return_counts=True)
         # a string's entry at partner b ^ x is weight * i^{#Y} * (-1)^popcount((b ^ x) & z),
         # and #Y = popcount(x & z), so it is weight * (-i)^{#Y} * (-1)^popcount(b & z)
-        weights = (np.array([w for w, _ in terms], dtype=float)
-                   * np.array([1, -1j, -1, 1j])[np.bitwise_count(x & z) % 4])
+        weights = self.weights[by_row] * np.array([1, -1j, -1, 1j])[np.bitwise_count(x & z) % 4]
         return (x_masks, np.append(starts, len(x)).tolist(), int(counts.max(initial=0)),
                 z, weights)
 

@@ -321,23 +321,33 @@ def scan_csv(points) -> str:
 
 
 def parse_scan_csv(text: str):
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != SCAN_CSV_HEADER:
+    """The points of a :func:`scan_csv` text; a row with the wrong field count, an
+    unparsable field, or a non-finite coordinate or energy raises, naming its line."""
+    lines = [(number, ln) for number, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    if not lines or lines[0][1] != SCAN_CSV_HEADER:
         raise ManifestError("not a scan CSV (header mismatch)")
     points = []
-    for line in lines[1:]:
-        label, coord, e_vqe, e_fci, err, n_terms, n_groups = line.split(",")
-        points.append(
-            PesPoint(label, float(coord), float(e_vqe), float(e_fci),
-                     float(err), int(n_terms), int(n_groups))
-        )
+    for number, line in lines[1:]:
+        fields = line.split(",")
+        if len(fields) != 7:
+            raise ManifestError(f"scan CSV line {number}: {len(fields)} fields, expected 7")
+        try:
+            values = [float(f) for f in fields[1:5]] + [int(f) for f in fields[5:]]
+        except ValueError as exc:
+            raise ManifestError(f"scan CSV line {number}: {exc}") from None
+        if not np.isfinite(values[:4]).all():
+            raise ManifestError(f"scan CSV line {number}: non-finite coordinate or energy")
+        points.append(PesPoint(fields[0], *values))
     return points
 
 
 def _fit_window(coords, energies, pivot):
-    """The (at most) 5 samples nearest the pivot, in coordinate order."""
+    """The (at most) 5 samples nearest the pivot, in coordinate order; a window
+    that repeats a coordinate raises, as it leaves the cubic underdetermined."""
     order = np.argsort(np.abs(coords - coords[pivot]), kind="stable")
     chosen = np.sort(order[:5])
+    if (np.diff(coords[chosen]) == 0).any():
+        raise FitBracketError(f"fit window repeats a coordinate: {coords[chosen].tolist()}")
     return coords[chosen], energies[chosen]
 
 

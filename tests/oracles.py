@@ -40,6 +40,20 @@ def pauli_matrix(letters: str) -> np.ndarray:
     return mat
 
 
+def hamiltonian_from_term_dict(n_qubits: int, coeffs: dict):
+    """A QubitHamiltonian from {(x_mask, z_mask): weight}, one PauliString per term.
+
+    Weights below the prune threshold are dropped (a non-finite one is kept,
+    so the constructor refuses it) and the rest sorted by letter string,
+    I < X < Y < Z as their character codes are: the canonical order.
+    """
+    from vqechem.paulis import COEFF_PRUNE_THRESHOLD, PauliString, QubitHamiltonian
+
+    kept = [(float(w), PauliString(n_qubits, x, z)) for (x, z), w in coeffs.items()
+            if not abs(w) < COEFF_PRUNE_THRESHOLD]
+    return QubitHamiltonian(n_qubits, sorted(kept, key=lambda term: term[1].to_letters()))
+
+
 def hamiltonian_matrix(hamiltonian) -> np.ndarray:
     dim = 1 << hamiltonian.n_qubits
     total = np.zeros((dim, dim), dtype=complex)
@@ -85,6 +99,14 @@ def annihilation_matrices(n_modes: int, sparse: bool = False) -> list:
         mat = csr_matrix((vals, (rows, cols)), shape=(dim, dim), dtype=complex)
         ops.append(mat if sparse else mat.toarray())
     return ops
+
+
+def fermion_operator(n_modes: int, terms: dict):
+    """A FermionOperator holding {term: coefficient} as given, not normal ordered."""
+    from vqechem.fermions import FermionOperator, _factor_codes
+
+    return FermionOperator(n_modes, _factor_codes(n_modes, list(terms)),
+                           np.array(list(terms.values()), dtype=float))
 
 
 def fermion_operator_matrix(op) -> np.ndarray:
@@ -214,6 +236,20 @@ def jordan_wigner_terms(op) -> dict:
         for key, c in partial.items():
             accum[key] = accum.get(key, 0.0) + c
     return accum
+
+
+def jordan_wigner_term_dicts(ops) -> list:
+    """{(x_mask, z_mask): complex} of each operator from the package's array
+    expansion, ``fermions.jordan_wigner_expansions``: the form
+    :func:`jordan_wigner_terms` returns, to compare the two."""
+    from vqechem.fermions import jordan_wigner_expansions
+
+    return [dict(zip(zip(x.tolist(), z.tolist()), coeffs.tolist()))
+            for x, z, coeffs in jordan_wigner_expansions(ops)]
+
+
+def jordan_wigner_term_dict(op) -> dict:
+    return jordan_wigner_term_dicts([op])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -476,6 +512,38 @@ def group_commuting_loop(hamiltonian) -> list:
                             int(np.bitwise_or.reduce(z[members])))
         groups.append(MeasurementGroup(tuple(members.tolist()), basis.to_letters()))
     return groups
+
+
+def group_commuting_blocked(hamiltonian) -> list:
+    """Greedy qubit-wise grouping read from ``terms``, one PauliString per
+    vertex: the masks gathered string by string, the degrees summed, and one
+    row of blocked vertices per color updated a vertex at a time. The
+    reference for the array form of ``measurement.group_commuting``.
+    """
+    from vqechem.measurement import MeasurementGroup
+    from vqechem.paulis import PauliString
+
+    n_qubits, n = hamiltonian.n_qubits, hamiltonian.n_terms
+    dtype = np.min_scalar_type((1 << n_qubits) - 1)
+    x = np.array([p.x_mask for _, p in hamiltonian.terms], dtype=dtype)
+    z = np.array([p.z_mask for _, p in hamiltonian.terms], dtype=dtype)
+    support = x | z
+    conflict = (((x[:, None] ^ x) | (z[:, None] ^ z)) & (support[:, None] & support)) != 0
+
+    order = np.argsort(-conflict.sum(axis=1), kind="stable")
+    blocked = np.zeros((n, n), dtype=bool)  # blocked[c, v]: v has a neighbor of color c
+    color, n_colors = np.empty(n, dtype=np.intp), 0
+    for vertex in order:
+        c = color[vertex] = np.argmin(blocked[:n_colors + 1, vertex])
+        np.logical_or(blocked[c], conflict[vertex], out=blocked[c])
+        n_colors = max(n_colors, c + 1)
+
+    members = np.argsort(color, kind="stable")
+    starts = np.flatnonzero(np.diff(color[members], prepend=-1))
+    x_or, z_or = (np.bitwise_or.reduceat(m[members], starts).tolist() for m in (x, z))
+    ids, bounds = members.tolist(), [*starts.tolist(), n]
+    return [MeasurementGroup(tuple(ids[a:b]), PauliString(n_qubits, xm, zm).to_letters())
+            for a, b, xm, zm in zip(bounds, bounds[1:], x_or, z_or)]
 
 
 def ground_state_every_block(hamiltonian):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.linalg import expm
 
-from oracles import pauli_matrix
+from oracles import hamiltonian_from_term_dict, jordan_wigner_term_dict, pauli_matrix
 from vqechem.ansatz import (
     _excitation_generators,
     build_hardware_efficient,
@@ -15,7 +15,7 @@ from vqechem.ansatz import (
     excitation_gate,
 )
 from vqechem.exceptions import ShapeError
-from vqechem.fermions import jordan_wigner, jordan_wigner_term_dict, number_operator
+from vqechem.fermions import jordan_wigner, number_operator
 from vqechem.paulis import PauliString, pauli_multiply
 from vqechem.simulator import (
     MAX_QUBITS,
@@ -181,9 +181,7 @@ def test_uccsd_particle_number_exactly_conserved():
             phase, prod = pauli_multiply(p1, p2)
             key = (prod.x_mask, prod.z_mask)
             squared[key] = squared.get(key, 0.0) + (w1 * w2 * phase).real
-    from vqechem.paulis import QubitHamiltonian
-
-    number_sq = QubitHamiltonian.from_term_dict(n, squared)
+    number_sq = hamiltonian_from_term_dict(n, squared)
 
     hf = prepare_hf(n, occupied)
     rng = np.random.default_rng(42)

@@ -109,6 +109,33 @@ def test_non_finite_constant_energy_exits_2_with_one_line(tmp_path, capsys, h2_i
     assert err.startswith("error: ") and "non-finite constant energy" in err
 
 
+@pytest.mark.parametrize("change, key", [
+    ({"atoms": [{"symbol": "H", "xyz_bohr": [0.0, 0.0]}, H2_GEOMETRY["atoms"][1]]}, "3 numbers"),
+    ({"charge": 0.5}, "charge"),
+    ({"charge": True}, "charge"),
+], ids=["two-coordinates", "fractional-charge", "boolean-charge"])
+def test_malformed_geometry_exits_2_with_one_line(tmp_path, capsys, change, key):
+    geometry = write_json(tmp_path / "geometry.json", {**H2_GEOMETRY, **change})
+    assert main(["fci", "--geometry", geometry]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and key in err
+
+
+def test_scan_records_a_malformed_geometry_as_a_failed_point(tmp_path, capsys):
+    manifest = small_manifest(tmp_path)
+    doc = json.loads((tmp_path / "manifest.json").read_text())
+    doc["points"][0]["geometry"]["atoms"][0]["xyz_bohr"] = [0.0, 0.0]
+    write_json(tmp_path / "manifest.json", doc)
+    out = tmp_path / "scan.csv"
+    assert main(["scan", "--manifest", manifest, "--out", str(out), "--json"]) == 0
+    captured = capsys.readouterr()
+    summary = json.loads(captured.out)
+    assert summary["n_points"] == 1 and summary["n_failed"] == 1
+    assert "'0.70' failed" in captured.err and "3 numbers" in captured.err
+    rows = out.read_text().splitlines()
+    assert len(rows) == 2 and rows[1].startswith("0.78,")
+
+
 def test_vqe_single_point_geometry(tmp_path, capsys):
     geometry = write_json(tmp_path / "h2.json", H2_GEOMETRY)
     assert main(["vqe", "--geometry", geometry, "--json", *FAST_VQE]) == 0
@@ -295,6 +322,44 @@ def test_barrier_on_synthetic_curve(tmp_path, capsys):
     assert main(["barrier", "--curve", str(curve), "--json"]) == 0
     summary = json.loads(capsys.readouterr().out)
     assert abs(summary["activation_kcal_mol"] - 0.5 * 627.509474) < 1e-6
+
+
+def parabola_rows():
+    points = [PesPoint(f"{r:.2f}", r, (r - 0.74) ** 2 - 1.1, (r - 0.74) ** 2 - 1.1, 0.0, 5, 2)
+              for r in (0.70, 0.72, 0.74, 0.76, 0.78)]
+    return scan_csv(points).splitlines()
+
+
+@pytest.mark.parametrize("command", ["fit", "barrier", "compare"])
+@pytest.mark.parametrize("row, key", [
+    ("0.72,0.72,-1.0984", "line 3: 3 fields"),
+    ("0.72,0.72,low,-1.0984,0.0,5,2", "line 3: could not convert"),
+    ("0.72,0.72,nan,-1.0984,0.0,5,2", "line 3: non-finite"),
+], ids=["short-row", "non-numeric-energy", "nan-energy"])
+def test_malformed_scan_csv_exits_2_with_one_line(tmp_path, capsys, command, row, key):
+    rows = parabola_rows()
+    rows[2] = row
+    bad, good = tmp_path / "bad.csv", tmp_path / "good.csv"
+    bad.write_text("\n".join(rows) + "\n")
+    good.write_text("\n".join(parabola_rows()) + "\n")
+    curves = (["--curve-a", str(bad), "--curve-b", str(good)] if command == "compare"
+              else ["--curve", str(bad)])
+    assert main([command, *curves]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and key in err
+
+
+@pytest.mark.parametrize("command, energies", [
+    ("fit", [-1.0, -1.1, -1.0, -1.0, -1.0]),
+    ("barrier", [-1.1, -1.0, -1.1, -1.1, -1.1]),
+])
+def test_repeated_coordinates_exit_2_with_one_line(tmp_path, capsys, command, energies):
+    curve = tmp_path / "curve.csv"
+    curve.write_text(scan_csv([PesPoint(f"p{i}", 0.74, e, e, 0.0, 5, 2)
+                               for i, e in enumerate(energies)]))
+    assert main([command, "--curve", str(curve)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "repeats a coordinate" in err
 
 
 def test_scan_outputs_byte_identical(tmp_path):

@@ -6,7 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import ground_state_every_block, hamiltonian_matrix, sector_energy
+from oracles import (
+    ground_state_every_block,
+    hamiltonian_from_term_dict,
+    hamiltonian_matrix,
+    sector_energy,
+)
 from vqechem import exactdiag, paulis
 from vqechem.exactdiag import ground_state_energy
 from vqechem.exceptions import EigensolverConvergenceError, ShapeError
@@ -22,7 +27,7 @@ def ham(n, letter_weights):
     for letters, w in letter_weights.items():
         p = PauliString.from_letters(letters)
         coeffs[(p.x_mask, p.z_mask)] = w
-    return QubitHamiltonian.from_term_dict(n, coeffs)
+    return hamiltonian_from_term_dict(n, coeffs)
 
 
 def test_identity_hamiltonian_acts_trivially():
@@ -44,7 +49,7 @@ def test_apply_matches_dense_oracle(seed):
     coeffs = {}
     while len(coeffs) < 10:
         coeffs[(int(rng.integers(0, 64)), int(rng.integers(0, 64)))] = float(rng.normal())
-    h = QubitHamiltonian.from_term_dict(n, coeffs)
+    h = hamiltonian_from_term_dict(n, coeffs)
     v = rng.standard_normal(64) + 1j * rng.standard_normal(64)
     assert np.abs(h.compile().apply(v) - hamiltonian_matrix(h) @ v).max() < 1e-12
 
@@ -83,7 +88,7 @@ def test_lanczos_matches_dense_crosscheck(monkeypatch):
         while len(coeffs) < 4 * n:
             key = (int(rng.integers(0, 1 << n)), int(rng.integers(0, 1 << n)))
             coeffs[key] = float(rng.normal())
-        h = QubitHamiltonian.from_term_dict(n, coeffs)
+        h = hamiltonian_from_term_dict(n, coeffs)
         dense = ground_state_energy(h)
         with monkeypatch.context() as patch:
             patch.setattr(exactdiag, "DENSE_CUTOFF_DIM", 0)

@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import chromatic_number, group_commuting_loop, group_probabilities, sampled_energy
+from oracles import (
+    chromatic_number,
+    group_commuting_loop,
+    group_probabilities,
+    hamiltonian_from_term_dict,
+    sampled_energy,
+)
 from vqechem.exceptions import ShapeError
 from vqechem.measurement import (
     MeasurementGroup,
@@ -32,7 +38,7 @@ def ham(n, letter_weights):
     for letters, w in letter_weights.items():
         p = PauliString.from_letters(letters)
         coeffs[(p.x_mask, p.z_mask)] = w
-    return QubitHamiltonian.from_term_dict(n, coeffs)
+    return hamiltonian_from_term_dict(n, coeffs)
 
 
 def test_all_z_terms_form_one_group():
@@ -243,7 +249,7 @@ def test_grouping_matches_the_coloring_loop(n_qubits, n_strings, seed):
     while len(coeffs) < min(n_strings, 4 ** n_qubits):
         key = (int(rng.integers(0, 1 << n_qubits)), int(rng.integers(0, 1 << n_qubits)))
         coeffs[key] = float(rng.uniform(0.1, 1.0))
-    h = QubitHamiltonian.from_term_dict(n_qubits, coeffs)
+    h = hamiltonian_from_term_dict(n_qubits, coeffs)
     assert group_commuting(h) == group_commuting_loop(h)
 
 
@@ -254,7 +260,7 @@ def test_tables_built_once_match_per_call_construction(seed):
     coeffs = {(0, 0): float(rng.normal())}
     while len(coeffs) < min(int(rng.integers(2, 16)), 4**n):
         coeffs[(int(rng.integers(0, 1 << n)), int(rng.integers(0, 1 << n)))] = float(rng.normal())
-    h = QubitHamiltonian.from_term_dict(n, coeffs)
+    h = hamiltonian_from_term_dict(n, coeffs)
     state = superposition_state(n, seed)
     groups = group_commuting(h)
     if rng.integers(0, 2):
@@ -340,7 +346,7 @@ def test_sampling_tables_refused_above_the_allocation_limit():
     import tracemalloc
 
     n = MAX_QUBITS
-    h = QubitHamiltonian.from_term_dict(n, {(0, 1 << q): 1.0 for q in range(n)})
+    h = hamiltonian_from_term_dict(n, {(0, 1 << q): 1.0 for q in range(n)})
     groups = group_commuting(h)
     tracemalloc.start()
     try:

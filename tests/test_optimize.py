@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import determinant_fci, full_register_objective, simplex_minimize_lists
+from oracles import (
+    determinant_fci,
+    full_register_objective,
+    hamiltonian_from_term_dict,
+    simplex_minimize_lists,
+)
 from vqechem import optimize, paulis, simulator
 from vqechem.ansatz import build_hardware_efficient, build_uccsd, excitation_gate
 from vqechem.exactdiag import ground_state_energy
@@ -52,7 +57,7 @@ def toy_two_qubit_hamiltonian():
     for letters, w in {"ZI": 0.6, "IZ": 0.4, "XX": 0.3, "ZZ": -0.2}.items():
         p = PauliString.from_letters(letters)
         coeffs[(p.x_mask, p.z_mask)] = w
-    return QubitHamiltonian.from_term_dict(2, coeffs)
+    return hamiltonian_from_term_dict(2, coeffs)
 
 
 def test_spsa_toy_hamiltonian_median_error(monkeypatch):

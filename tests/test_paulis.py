@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from oracles import hamiltonian_matrix, pauli_matrix
+from oracles import (
+    group_commuting_blocked,
+    hamiltonian_from_term_dict,
+    hamiltonian_matrix,
+    pauli_matrix,
+)
 from vqechem.exceptions import ShapeError
+from vqechem.measurement import group_commuting
 from vqechem.paulis import (
     PauliString,
     QubitHamiltonian,
@@ -96,7 +102,7 @@ def test_qubitwise_implies_matrix_commutation(seed):
 
 
 def test_hamiltonian_merges_and_prunes():
-    h = QubitHamiltonian.from_term_dict(
+    h = hamiltonian_from_term_dict(
         2,
         {
             (P("XX").x_mask, P("XX").z_mask): 0.25,
@@ -118,7 +124,7 @@ def test_hamiltonian_rejects_non_finite_weights(weight):
     with pytest.raises(ShapeError, match="not finite"):
         QubitHamiltonian(1, ((weight, P("Z")),))
     with pytest.raises(ShapeError, match="not finite"):
-        QubitHamiltonian.from_term_dict(1, {(0, 0): -1.5, (0, 1): weight})
+        hamiltonian_from_term_dict(1, {(0, 0): -1.5, (0, 1): weight})
 
 
 @given(st.integers(1, 20).flatmap(lambda n: st.tuples(st.just(n), st.lists(
@@ -126,9 +132,70 @@ def test_hamiltonian_rejects_non_finite_weights(weight):
     unique=True, max_size=40))))
 def test_terms_sorted_by_letter_string(case):
     n, keys = case
-    h = QubitHamiltonian.from_term_dict(n, {key: 1.0 + i for i, key in enumerate(keys)})
+    h = hamiltonian_from_term_dict(n, {key: 1.0 + i for i, key in enumerate(keys)})
     assert [(p.x_mask, p.z_mask) for _, p in h.terms] == sorted(
         keys, key=lambda key: PauliString(n, *key).to_letters())
+
+
+@st.composite
+def pauli_sums(draw):
+    """(n, {(x_mask, z_mask): weight}) on 1-24 qubits; some weights fall below the
+    prune threshold, so a sum may be empty after pruning."""
+    n = draw(st.integers(1, 24))
+    mask = st.integers(0, (1 << n) - 1)
+    keys = draw(st.one_of(st.just([(0, 0)]), st.lists(st.tuples(mask, mask), min_size=1,
+                                                         max_size=1),
+                          st.lists(st.tuples(mask, mask), unique=True, max_size=40)))
+    weight = st.one_of(st.sampled_from([0.0, 1e-13, -9e-13]),
+                       st.floats(-2.0, 2.0).filter(lambda w: abs(w) >= 1e-12))
+    return n, dict(zip(keys, draw(st.lists(weight, min_size=len(keys), max_size=len(keys)))))
+
+
+@given(pauli_sums())
+@example((3, {}))
+@example((2, {(0, 0): 1e-13, (3, 1): 0.0}))
+@example((5, {(0, 0): -0.75}))
+@example((24, {(1, 1 << 23): 1.5}))
+def test_array_form_matches_object_path(case):
+    # the arrays hold the object path's strings in order, bit for bit, and
+    # grouping them gives the object path's groups
+    n, coeffs = case
+    keys = np.array(list(coeffs), dtype=np.int64).reshape(-1, 2)
+    h = QubitHamiltonian.from_arrays(n, keys[:, 0], keys[:, 1], list(coeffs.values()))
+    want = hamiltonian_from_term_dict(n, coeffs)
+    assert [(p.x_mask, p.z_mask) for _, p in want.terms] == list(zip(h.x.tolist(), h.z.tolist()))
+    assert np.array_equal(np.array([w for w, _ in want.terms], dtype=float), h.weights)
+    assert h == want and h.terms == want.terms
+    if h.n_terms:
+        assert group_commuting(h) == group_commuting_blocked(want)
+    else:
+        with pytest.raises(ShapeError, match="empty"):
+            group_commuting(h)
+
+
+@pytest.mark.parametrize("x, z, weights, match", [
+    ([1, 1], [0, 0], [0.5, 0.25], "duplicate Pauli string X"),
+    ([2], [0], [1.0], "do not fit in 1 qubits"),
+    ([0], [-1], [1.0], "do not fit in 1 qubits"),
+    ([0, 1], [1, 0], [1.0, float("nan")], "not finite"),
+    ([0], [1], [float("-inf")], "not finite"),
+    ([0, 1], [1], [1.0, 2.0], "not one length"),
+    ([[0]], [[1]], [[1.0]], "not one length"),
+])
+def test_from_arrays_refusals(x, z, weights, match):
+    with pytest.raises(ShapeError, match=match):
+        QubitHamiltonian.from_arrays(1, x, z, weights)
+
+
+def test_constructor_refusals():
+    with pytest.raises(ShapeError, match="below the prune threshold"):
+        QubitHamiltonian(1, ((1e-13, P("Z")),))
+    with pytest.raises(ShapeError, match="duplicate Pauli string ZX"):
+        QubitHamiltonian(2, ((0.5, P("ZX")), (1.0, P("XZ")), (0.25, P("ZX"))))
+    with pytest.raises(ShapeError, match="qubit count differs"):
+        QubitHamiltonian(2, ((1.0, P("Z")),))
+    with pytest.raises(ShapeError, match="0..62 qubits"):
+        QubitHamiltonian.from_arrays(63, [0], [1], [1.0])
 
 
 @given(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=64))
@@ -166,7 +233,7 @@ def hamiltonians(draw, max_qubits=5):
     keys.append((1 << q, 1 << q))  # Y on qubit q
     weights = draw(st.lists(st.floats(-2.0, 2.0).filter(lambda w: abs(w) > 1e-3),
                             min_size=len(keys), max_size=len(keys)))
-    return QubitHamiltonian.from_term_dict(n, dict(zip(keys, weights)))
+    return hamiltonian_from_term_dict(n, dict(zip(keys, weights)))
 
 
 @given(hamiltonians(), st.integers(0, 2**32 - 1))
@@ -205,10 +272,11 @@ def test_compile_on_states_is_the_projected_submatrix(h, seed):
 
 
 def test_hamiltonian_matrix_oracle_consistency(h2_hamiltonian_074):
-    # identity weight accessor against the dense trace
+    # the identity string's weight against the dense trace
     dense = hamiltonian_matrix(h2_hamiltonian_074)
     dim = dense.shape[0]
-    assert np.isclose(np.trace(dense).real / dim, h2_hamiltonian_074.identity_weight())
+    h = h2_hamiltonian_074
+    assert np.isclose(np.trace(dense).real / dim, h.weights[(h.x | h.z) == 0].sum())
 
 
 def test_compile_refuses_above_the_allocation_cap(monkeypatch):
@@ -216,8 +284,8 @@ def test_compile_refuses_above_the_allocation_cap(monkeypatch):
 
     # x-masks 0 (ZI, IZ, ZZ) and 3 (XX, YY): 24 B per (x-mask, state) entry
     # plus 17 B per (string, state) of the three-string row's sign table
-    h = QubitHamiltonian.from_term_dict(2, {(0, 1): 0.5, (0, 2): 0.25, (0, 3): -0.1,
-                                            (3, 0): 0.2, (3, 3): 0.3})
+    h = hamiltonian_from_term_dict(2, {(0, 1): 0.5, (0, 2): 0.25, (0, 3): -0.1,
+                                       (3, 0): 0.2, (3, 3): 0.3})
     needed = (24 * 2 + 17 * 3) << 2
     monkeypatch.setattr(paulis, "MAX_ALLOCATION_BYTES", needed)
     assert h.compile().gather.shape == (2, 4)
