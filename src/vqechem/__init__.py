@@ -9,7 +9,7 @@ an exact-diagonalization oracle.
 from .ansatz import ExcitationSet, build_hardware_efficient, build_uccsd, enumerate_excitations
 from .exactdiag import GroundStateResult, ground_state_energy
 from .fcidump import parse_fcidump, write_fcidump
-from .fermions import FermionOperator, build_second_quantized, jordan_wigner, number_operator
+from .fermions import FermionOperator, build_second_quantized, jordan_wigner
 from .integrals import (
     ActiveSpaceSpec,
     AOIntegrals,
@@ -35,7 +35,7 @@ from .optimize import (
     simplex_minimize,
     spsa_minimize,
 )
-from .paulis import PauliString, QubitHamiltonian, commutes_qubitwise, pauli_multiply
+from .paulis import PauliString, QubitHamiltonian
 from .simulator import (
     Circuit,
     Gate,

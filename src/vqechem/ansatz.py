@@ -87,11 +87,6 @@ def _excitation_generators(n_modes: int, moves) -> list[FermionOperator]:
         n_modes, [{tau(a, c): 1.0, tau(c, a): -1.0} for a, c in moves])
 
 
-def excitation_gate(n_modes: int, annihilate, create, slot: int) -> Gate:
-    """One two-level rotation implementing exp(theta * (tau - tau^+)) exactly."""
-    return _excitation_gates(n_modes, [(annihilate, create)], slot)[0]
-
-
 def _excitation_gates(n_modes: int, moves, first_slot: int = 0) -> list[Gate]:
     """One exact rotation per (annihilate, create) move, in slots from ``first_slot``.
 

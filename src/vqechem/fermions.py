@@ -114,13 +114,6 @@ class FermionOperator:
                              len(raw_term_dicts))
 
 
-def number_operator(n_modes: int) -> FermionOperator:
-    """Total particle number, sum over modes of a_p^+ a_p."""
-    return FermionOperator.from_terms(
-        n_modes, {((p, True), (p, False)): 1.0 for p in range(n_modes)}
-    )
-
-
 def build_second_quantized(integrals: MolecularIntegrals) -> FermionOperator:
     """Assemble the electronic Hamiltonian over spin orbitals.
 
@@ -167,10 +160,11 @@ def jordan_wigner_expansions(ops) -> list[tuple[np.ndarray, np.ndarray, np.ndarr
 
     a_j^+ = (X_j - iY_j)/2 * Z_0..Z_{j-1},  a_j = (X_j + iY_j)/2 * Z_0..Z_{j-1}.
     Terms of one length expand together on int64 masks: each factor splits
-    every product into its X and Y half, times the phase rule of
-    :func:`vqechem.paulis.pauli_multiply`. Equal strings sum as a per-product
-    loop sums them: within a term after each repeated mode (only two products
-    meet, so order cannot matter), then across one operator's terms in order.
+    every product into its X and Y half, times the phase of the Pauli product
+    a b, i^k with k = #Y(a) + #Y(b) + 2 popcount(z_a & x_b) - #Y(ab). Equal
+    strings sum as a per-product loop sums them: within a term after each
+    repeated mode (only two products meet, so order cannot matter), then
+    across one operator's terms in order.
     """
     if any(op.n_modes > 62 for op in ops):
         raise ShapeError("more than 62 modes do not fit int64 masks")

@@ -241,9 +241,10 @@ def exact_energy_objective(
     """theta -> <psi(theta)|H|psi(theta)> with exact statevector evaluation.
 
     A circuit that restricts to the Hartree-Fock (N_alpha, N_beta) sector runs
-    there, against H compiled there, real when the data are (<psi|PHP|psi> =
-    <psi|H|psi>); others use the whole register. The gate tables it runs and
-    the form are checked against the allocation cap together, before compiling.
+    there, its tables and H compiled there, real when the data are
+    (<psi|PHP|psi> = <psi|H|psi>); others use the whole register. The gate
+    tables it runs and the form are checked against the allocation cap
+    together, before compiling.
     """
     n = hamiltonian.n_qubits
     if circuit.n_qubits != n:

@@ -63,31 +63,8 @@ class PauliString:
     def support_mask(self) -> int:
         return self.x_mask | self.z_mask
 
-    @property
-    def is_identity(self) -> bool:
-        return self.x_mask == 0 and self.z_mask == 0
-
     def __str__(self):
         return self.to_letters()
-
-
-def pauli_multiply(a: PauliString, b: PauliString) -> tuple[complex, PauliString]:
-    """Product a·b as (phase, string) with phase in {1, -1, 1j, -1j}.
-
-    Writing each single-qubit Pauli as i^{xz} X^x Z^z, the product phase
-    exponent per qubit is x1*z1 + x2*z2 + 2*z1*x2 - (x1^x2)*(z1^z2) mod 4.
-    """
-    if a.n_qubits != b.n_qubits:
-        raise ShapeError(f"qubit counts differ: {a.n_qubits} != {b.n_qubits}")
-    x1, z1, x2, z2 = a.x_mask, a.z_mask, b.x_mask, b.z_mask
-    x, z = x1 ^ x2, z1 ^ z2
-    k = (
-        int(x1 & z1).bit_count()
-        + int(x2 & z2).bit_count()
-        + 2 * int(z1 & x2).bit_count()
-        - int(x & z).bit_count()
-    ) % 4
-    return (1, 1j, -1, -1j)[k], PauliString(a.n_qubits, x, z)
 
 
 def check_allocation(needed: int, what: str) -> None:
@@ -100,14 +77,6 @@ def check_allocation(needed: int, what: str) -> None:
 def real_if_exact(values: np.ndarray) -> np.ndarray:
     """``values`` as a real array when every imaginary part is exactly zero."""
     return values if values.imag.any() else values.real.copy()
-
-
-def commutes_qubitwise(a: PauliString, b: PauliString) -> bool:
-    """True iff at every qubit the letters are equal or at least one is I."""
-    if a.n_qubits != b.n_qubits:
-        raise ShapeError(f"qubit counts differ: {a.n_qubits} != {b.n_qubits}")
-    both = a.support_mask & b.support_mask
-    return (a.x_mask ^ b.x_mask) & both == 0 and (a.z_mask ^ b.z_mask) & both == 0
 
 
 def letter_strings(n_qubits: int, x, z) -> list[str]:

@@ -11,11 +11,13 @@ from __future__ import annotations
 import copy
 import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .exceptions import ShapeError
-from .paulis import CompiledOperator, QubitHamiltonian, check_allocation, real_if_exact
+from .paulis import (COEFF_PRUNE_THRESHOLD, CompiledOperator, QubitHamiltonian, check_allocation,
+                     real_if_exact)
 
 MAX_QUBITS = 24  # 2**24 complex amplitudes = 256 MiB; hard memory guard
 
@@ -71,8 +73,10 @@ class Gate:
             raise ShapeError("pauli_rot gate requires a QubitHamiltonian generator")
 
 
-def _gate_tables(n_qubits: int, gates) -> tuple:
-    """Per gate, the index tables it applies with; None for ry and cz.
+def _gate_tables(n_qubits: int, gates, states: np.ndarray | None = None) -> tuple | None:
+    """Per gate, the index tables it applies with, None for ry and cz; on ascending
+    basis ``states``, tables in local indices and real where they can be, or None
+    unless every gate is a pauli_rot that keeps the states.
 
     A pauli_rot gate's table is (rows, partner, phase). The generator
     compiles to H = X^x D with (H psi)[c] = shifted[c] psi[c ^ x]. H^3 = H
@@ -80,31 +84,35 @@ def _gate_tables(n_qubits: int, gates) -> tuple:
     exp(-i a/2 H) sets psi[rows] to cos(a/2) psi[rows] + sin(a/2) * phase *
     psi[partner], with partner = rows ^ x and phase = -i shifted[rows], and
     leaves the other rows alone. ``rows`` is a full slice when every row moves.
+    The tables come from ``generator.compile(states)``; a rotation whose entries
+    leave the states (``leak``) has none there.
     """
-    rotations = [g.generator for g in gates if g.kind == "pauli_rot"]
-    if rotations:
-        # per basis index: at most 32 B of rows, partner and phase per
-        # rotation, and the compile() workspace of one generator, 64 B plus
-        # 16 B per string
-        per_index = 32 * len(rotations) + 64 + 16 * max(h.n_terms for h in rotations)
-        check_allocation(per_index << n_qubits,
-                         f"gate tables of {len(rotations)} rotations on {n_qubits} qubits")
+    rotations = sum(g.kind == "pauli_rot" for g in gates)
+    if states is not None and rotations < len(gates):
+        return None
+    # 32 B of rows, partner and phase per state and rotation; each compile()
+    # checks its own workspace
+    dim = 1 << n_qubits if states is None else len(states)
+    check_allocation(32 * rotations * dim,
+                     f"gate tables of {rotations} rotations on {n_qubits} qubits")
     tables = []
     for gate in gates:
         if gate.kind != "pauli_rot":
             tables.append(None)
             continue
-        if len(gate.generator.x_masks()) != 1:
-            raise ShapeError(f"generator strings span x-masks {gate.generator.x_masks()}")
-        compiled = gate.generator.compile()
-        gather, shifted = compiled.gather[0], compiled.shifted[0]
+        compiled = gate.generator.compile(states)
+        if compiled.leak > COEFF_PRUNE_THRESHOLD:
+            return None
+        # one row, or none where the form on states drops a row that moves none of them
+        gather, shifted = compiled.gather.ravel(), compiled.shifted.ravel()
         size = np.abs(shifted)
         if not np.all((size < 1e-12) | (np.abs(size - 1.0) < 1e-12)):
             raise ShapeError("generator is not a two-level rotation: |diagonal| not in {0, 1}")
         rows = np.flatnonzero(size > 0.5)
-        if rows.size == gather.size:
+        if rows.size == dim:
             rows = slice(None)
-        tables.append((rows, gather[rows], -1j * shifted[rows]))
+        phase = -1j * shifted[rows]
+        tables.append((rows, gather[rows], phase if states is None else real_if_exact(phase)))
     return tuple(tables)
 
 
@@ -113,8 +121,6 @@ class Circuit:
     n_qubits: int
     gates: tuple
     n_parameters: int = 0
-    # per gate, built once with the circuit: see _gate_tables
-    tables: tuple = field(init=False, repr=False, compare=False)
     # the ascending basis states the tables index; None for the whole register
     states: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -124,8 +130,11 @@ class Circuit:
             for q in gate.qubits:
                 if not 0 <= q < self.n_qubits:
                     raise ShapeError(f"gate qubit {q} outside register of {self.n_qubits}")
-            if gate.generator is not None and gate.generator.n_qubits != self.n_qubits:
-                raise ShapeError("gate generator size differs from register")
+            if gate.generator is not None:
+                if gate.generator.n_qubits != self.n_qubits:
+                    raise ShapeError("gate generator size differs from register")
+                if len(gate.generator.x_masks()) != 1:
+                    raise ShapeError(f"generator strings span x-masks {gate.generator.x_masks()}")
             if gate.slot is not None:
                 if not 0 <= gate.slot < self.n_parameters:
                     raise ShapeError(f"parameter slot {gate.slot} out of range")
@@ -133,26 +142,21 @@ class Circuit:
         if used != set(range(self.n_parameters)):
             missing = sorted(set(range(self.n_parameters)) - used)
             raise ShapeError(f"parameter slots never referenced: {missing}")
-        object.__setattr__(self, "tables", _gate_tables(self.n_qubits, self.gates))
+
+    @cached_property
+    def tables(self) -> tuple:
+        """Per gate, the register tables of _gate_tables, built on first use."""
+        return _gate_tables(self.n_qubits, self.gates)
 
     def restrict(self, states: np.ndarray) -> Circuit | None:
-        """This circuit on the ascending basis ``states``, its tables in local indices
-        and real where they can be; None unless every gate is a pauli_rot whose
-        rows in ``states`` all have their partner there."""
-        local = np.full(1 << self.n_qubits, -1)
-        local[states] = np.arange(len(states))
-        tables = []
-        for table in self.tables:
-            if table is None:  # ry or cz
-                return None
-            rows, partner, phase = table
-            inside = local[rows] >= 0
-            moved = local[partner[inside]]
-            if np.any(moved < 0):
-                return None
-            tables.append((local[rows][inside], moved, real_if_exact(phase[inside])))
+        """This circuit on the ascending basis ``states``, its tables compiled there;
+        None unless every gate is a pauli_rot whose rows in ``states`` all have their
+        partner there."""
+        tables = _gate_tables(self.n_qubits, self.gates, states)
+        if tables is None:
+            return None
         sector = copy.copy(self)
-        object.__setattr__(sector, "tables", tuple(tables))
+        object.__setattr__(sector, "tables", tables)  # the dataclass is frozen
         object.__setattr__(sector, "states", states)
         return sector
 

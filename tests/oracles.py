@@ -40,6 +40,38 @@ def pauli_matrix(letters: str) -> np.ndarray:
     return mat
 
 
+def pauli_multiply(a, b):
+    """Product a·b of two PauliStrings as (phase, string) with phase in {1, -1, 1j, -1j}.
+
+    Writing each single-qubit Pauli as i^{xz} X^x Z^z, the product phase
+    exponent per qubit is x1*z1 + x2*z2 + 2*z1*x2 - (x1^x2)*(z1^z2) mod 4.
+    """
+    from vqechem.exceptions import ShapeError
+    from vqechem.paulis import PauliString
+
+    if a.n_qubits != b.n_qubits:
+        raise ShapeError(f"qubit counts differ: {a.n_qubits} != {b.n_qubits}")
+    x1, z1, x2, z2 = a.x_mask, a.z_mask, b.x_mask, b.z_mask
+    x, z = x1 ^ x2, z1 ^ z2
+    k = (
+        int(x1 & z1).bit_count()
+        + int(x2 & z2).bit_count()
+        + 2 * int(z1 & x2).bit_count()
+        - int(x & z).bit_count()
+    ) % 4
+    return (1, 1j, -1, -1j)[k], PauliString(a.n_qubits, x, z)
+
+
+def commutes_qubitwise(a, b) -> bool:
+    """True iff at every qubit the letters of two PauliStrings are equal or at least one is I."""
+    from vqechem.exceptions import ShapeError
+
+    if a.n_qubits != b.n_qubits:
+        raise ShapeError(f"qubit counts differ: {a.n_qubits} != {b.n_qubits}")
+    both = a.support_mask & b.support_mask
+    return (a.x_mask ^ b.x_mask) & both == 0 and (a.z_mask ^ b.z_mask) & both == 0
+
+
 def hamiltonian_from_term_dict(n_qubits: int, coeffs: dict):
     """A QubitHamiltonian from {(x_mask, z_mask): weight}, one PauliString per term.
 
@@ -99,6 +131,15 @@ def annihilation_matrices(n_modes: int, sparse: bool = False) -> list:
         mat = csr_matrix((vals, (rows, cols)), shape=(dim, dim), dtype=complex)
         ops.append(mat if sparse else mat.toarray())
     return ops
+
+
+def number_operator(n_modes: int):
+    """Total particle number, sum over modes of a_p^+ a_p, as a FermionOperator."""
+    from vqechem.fermions import FermionOperator
+
+    return FermionOperator.from_terms(
+        n_modes, {((p, True), (p, False)): 1.0 for p in range(n_modes)}
+    )
 
 
 def fermion_operator(n_modes: int, terms: dict):
@@ -217,7 +258,7 @@ def jordan_wigner_terms(op) -> dict:
     next factor and merged after every factor; the terms' sums then add up
     in dict order.
     """
-    from vqechem.paulis import PauliString, pauli_multiply
+    from vqechem.paulis import PauliString
 
     accum: dict = {}
     for term, coeff in op.terms.items():
@@ -294,8 +335,8 @@ def sampled_energy(state, hamiltonian, groups, shots: int, seed: int):
     shots_used = 0
     for gid, group in enumerate(groups):
         terms = [hamiltonian.terms[i] for i in group.term_indices]
-        energy += sum(w for w, p in terms if p.is_identity)
-        sampled = [(w, p) for w, p in terms if not p.is_identity]
+        energy += sum(w for w, p in terms if p.support_mask == 0)
+        sampled = [(w, p) for w, p in terms if p.support_mask != 0]
         if not sampled:
             continue
         counts = sample_counts(group_probabilities(state, group.basis), shots, seed + gid)
@@ -458,6 +499,28 @@ def apply_circuit_per_gate(amplitudes, circuit, parameters) -> np.ndarray:
             rows, partner, phase = table
             amplitudes[rows] = c * amplitudes[rows] + s * (phase * amplitudes[partner])
     return amplitudes
+
+
+def restrict_by_remap(circuit, states):
+    """The circuit's register tables on the ascending basis ``states``, mapped to
+    local indices through a 2**n array and real where they can be; None unless
+    every gate is a pauli_rot whose rows in ``states`` all have their partner
+    there: the reference for the tables ``Circuit.restrict`` compiles on states."""
+    from vqechem.paulis import real_if_exact
+
+    local = np.full(1 << circuit.n_qubits, -1)
+    local[states] = np.arange(len(states))
+    tables = []
+    for table in circuit.tables:
+        if table is None:  # ry or cz
+            return None
+        rows, partner, phase = table
+        inside = local[rows] >= 0
+        moved = local[partner[inside]]
+        if np.any(moved < 0):
+            return None
+        tables.append((local[rows][inside], moved, real_if_exact(phase[inside])))
+    return tuple(tables)
 
 
 def full_register_objective(hamiltonian, circuit, hf_occupied):

@@ -19,11 +19,17 @@ import time
 
 import numpy as np
 
-from oracles import STO3G_H2_WELL_DEPTH, annihilation_matrices, determinant_fci
+from oracles import (
+    STO3G_H2_WELL_DEPTH,
+    annihilation_matrices,
+    commutes_qubitwise,
+    determinant_fci,
+    number_operator,
+)
 from vqechem.ansatz import build_hardware_efficient, build_uccsd
 from vqechem.exactdiag import ground_state_energy
 from vqechem.fcidump import parse_fcidump, write_fcidump
-from vqechem.fermions import build_second_quantized, jordan_wigner, number_operator
+from vqechem.fermions import build_second_quantized, jordan_wigner
 from vqechem.measurement import estimate_energy_sampled, group_commuting
 from vqechem.optimize import (
     OptimizerConfig,
@@ -32,7 +38,6 @@ from vqechem.optimize import (
     simplex_minimize,
     spsa_minimize,
 )
-from vqechem.paulis import commutes_qubitwise
 from vqechem.simulator import Statevector, apply_circuit, expectation, prepare_hf
 from vqechem.workflows import (
     ScanPoint,

@@ -6,17 +6,23 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.linalg import expm
 
-from oracles import hamiltonian_from_term_dict, jordan_wigner_term_dict, pauli_matrix
+from oracles import (
+    hamiltonian_from_term_dict,
+    jordan_wigner_term_dict,
+    number_operator,
+    pauli_matrix,
+    pauli_multiply,
+)
 from vqechem.ansatz import (
+    _excitation_gates,
     _excitation_generators,
     build_hardware_efficient,
     build_uccsd,
     enumerate_excitations,
-    excitation_gate,
 )
 from vqechem.exceptions import ShapeError
-from vqechem.fermions import jordan_wigner, number_operator
-from vqechem.paulis import PauliString, pauli_multiply
+from vqechem.fermions import jordan_wigner
+from vqechem.paulis import PauliString
 from vqechem.simulator import (
     MAX_QUBITS,
     Circuit,
@@ -138,7 +144,7 @@ def test_excitation_gate_matches_dense_exponential(excitation, theta, seed):
     expansion = jordan_wigner_term_dict(_excitation_generators(n, [(annihilate, create)])[0])
     m = sum(c * pauli_matrix(PauliString(n, x, z).to_letters())
             for (x, z), c in expansion.items())
-    circuit = Circuit(n, (excitation_gate(n, annihilate, create, slot=0),), n_parameters=1)
+    circuit = Circuit(n, tuple(_excitation_gates(n, [(annihilate, create)])), n_parameters=1)
     rng = np.random.default_rng(seed)
     amps = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
     state = Statevector(n, amps / np.linalg.norm(amps))
@@ -156,7 +162,7 @@ def test_uccsd_gates_match_gate_by_gate_build():
     circuit = build_uccsd(n, occupied)
     assert len(circuit.gates) == len(moves)
     for slot, (gate, (annihilate, create)) in enumerate(zip(circuit.gates, moves)):
-        alone = excitation_gate(n, annihilate, create, slot)
+        (alone,) = _excitation_gates(n, [(annihilate, create)], slot)
         assert (gate.slot, gate.angle, gate.generator) == (alone.slot, alone.angle, alone.generator)
 
 

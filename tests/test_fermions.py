@@ -17,16 +17,12 @@ from oracles import (
     jordan_wigner_term_dicts,
     jordan_wigner_terms,
     normal_ordered_terms,
+    number_operator,
     second_quantized_terms,
 )
 from vqechem.ansatz import _excitation_generators, build_uccsd, enumerate_excitations
 from vqechem.exceptions import NonHermitianError, ShapeError
-from vqechem.fermions import (
-    FermionOperator,
-    build_second_quantized,
-    jordan_wigner,
-    number_operator,
-)
+from vqechem.fermions import FermionOperator, build_second_quantized, jordan_wigner
 from vqechem.integrals import MolecularIntegrals
 from vqechem.measurement import group_commuting
 from vqechem.paulis import PauliString

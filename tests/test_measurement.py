@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from oracles import (
     chromatic_number,
+    commutes_qubitwise,
     group_commuting_loop,
     group_probabilities,
     hamiltonian_from_term_dict,
@@ -22,7 +23,7 @@ from vqechem.measurement import (
     group_tables,
     grouping_report_csv,
 )
-from vqechem.paulis import PauliString, QubitHamiltonian, commutes_qubitwise
+from vqechem.paulis import PauliString, QubitHamiltonian
 from vqechem.simulator import (
     MAX_QUBITS,
     Statevector,
@@ -129,7 +130,7 @@ def test_hf_h2_estimate_within_five_sigma(h2_hamiltonian_074):
     assert abs(estimate.energy - exact) <= 5 * max(estimate.standard_error, 1e-12)
     assert estimate.shots_used == 100_000 * sum(
         1 for g in groups
-        if any(not h2_hamiltonian_074.terms[i][1].is_identity for i in g.term_indices)
+        if any(h2_hamiltonian_074.terms[i][1].support_mask != 0 for i in g.term_indices)
     )
 
 
@@ -265,7 +266,7 @@ def test_tables_built_once_match_per_call_construction(seed):
     groups = group_commuting(h)
     if rng.integers(0, 2):
         # measure the identity term alone, in a basis of random letters
-        identity = next(i for i, (_, p) in enumerate(h.terms) if p.is_identity)
+        identity = next(i for i, (_, p) in enumerate(h.terms) if p.support_mask == 0)
         groups = [MeasurementGroup(tuple(i for i in g.term_indices if i != identity), g.basis)
                   for g in groups]
         groups = [g for g in groups if g.term_indices]

@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 from dataclasses import replace
 from math import comb
 
@@ -13,7 +14,7 @@ from oracles import (
     simplex_minimize_lists,
 )
 from vqechem import optimize, paulis, simulator
-from vqechem.ansatz import build_hardware_efficient, build_uccsd, excitation_gate
+from vqechem.ansatz import _excitation_gates, build_hardware_efficient, build_uccsd
 from vqechem.exactdiag import ground_state_energy
 from vqechem.exceptions import OptimizerDivergedError, ShapeError
 from vqechem.optimize import (
@@ -27,7 +28,7 @@ from vqechem.fermions import build_second_quantized, jordan_wigner
 from vqechem.integrals import ActiveSpaceSpec, freeze_core
 from vqechem.paulis import PauliString, QubitHamiltonian
 from vqechem.simulator import Circuit, Gate
-from vqechem.workflows import h3_exchange_point, integrals_from_geometry
+from vqechem.workflows import h3_exchange_point, hydrogen_geometry, integrals_from_geometry
 
 
 def bowl(theta):
@@ -366,7 +367,7 @@ def single_string(n, letters):
     # X on an occupied alpha orbital: N_alpha changes, the full register runs
     (Gate("pauli_rot", (), angle=0.4, generator=single_string(4, "XIII")), False, np.complex128),
     # alpha 0 -> beta 3, a spin flip: (N_alpha, N_beta) changes
-    (replace(excitation_gate(4, (0,), (3,), 0), slot=None, angle=0.8), False, np.complex128),
+    (replace(_excitation_gates(4, [((0,), (3,))])[0], slot=None, angle=0.8), False, np.complex128),
     # a diagonal rotation keeps the sector but its phases are imaginary
     (Gate("pauli_rot", (), angle=0.4, generator=single_string(4, "ZIZI")), True, np.complex128),
 ])
@@ -402,6 +403,27 @@ def test_hardware_efficient_objective_is_bit_identical_to_the_register_loop(
     for _ in range(20):
         theta = rng.uniform(-4.0, 4.0, circuit.n_parameters)
         assert objective(theta) == reference(theta)
+
+
+def test_sixteen_qubit_uccsd_objective_builds_tables_on_its_sector_only():
+    # H8 at 1.8 bohr spacing, 360 UCCSD parameters: register tables would hold
+    # 114 MiB; the circuit builds none, and the objective builds its tables
+    # and form on the 4900 states of the (4, 4) sector
+    geometry = hydrogen_geometry([[0.0, 0.0, 1.8 * i] for i in range(8)])
+    integrals, rhf = integrals_from_geometry(geometry)
+    hamiltonian = jordan_wigner(build_second_quantized(integrals))
+    tracemalloc.start()
+    try:
+        circuit = build_uccsd(16, range(8))
+        _, built = tracemalloc.get_traced_memory()
+        objective = optimize.exact_energy_objective(hamiltonian, circuit, range(8))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert circuit.n_parameters == 360
+    assert built < 8 << 20
+    assert peak < 128 << 20
+    assert abs(objective(np.zeros(360)) - rhf.total_energy) < 1e-9
 
 
 def test_objective_checks_tables_and_compiled_form_together(h2_hamiltonian_074, monkeypatch):

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,11 +11,13 @@ from oracles import (
     circuit_unitary,
     hamiltonian_from_term_dict,
     hamiltonian_matrix,
+    number_operator,
     pauli_matrix,
+    restrict_by_remap,
 )
-from vqechem.ansatz import build_hardware_efficient, build_uccsd
+from vqechem.ansatz import _excitation_gates, build_hardware_efficient, build_uccsd
 from vqechem.exceptions import ShapeError
-from vqechem.fermions import jordan_wigner, number_operator
+from vqechem.fermions import jordan_wigner
 from vqechem.paulis import PauliString, QubitHamiltonian
 from vqechem.simulator import (
     Circuit,
@@ -186,14 +189,15 @@ def test_precomputed_rotation_matches_dense_exponential(masks, theta, seed):
 
 
 def test_rotation_tables_refused_before_allocating():
-    # five 24-qubit rotations: up to 5 * 2**24 * 32 B of row, partner and
-    # phase tables plus the compile workspace of one generator, 3.8 GiB
+    # five 24-qubit rotations: 5 * 2**24 * 32 B of row, partner and phase
+    # tables, 2.5 GiB, refused where the tables are first built
     gates = tuple(Gate("pauli_rot", (), angle=0.1, generator=single(PauliString(24, 1, z)))
                   for z in range(5))
     tracemalloc.start()
     try:
+        circuit = Circuit(24, gates)
         with pytest.raises(ShapeError, match="GiB"):
-            Circuit(24, gates)
+            circuit.tables
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -207,8 +211,17 @@ def test_rotation_tables_refused_before_allocating():
 ])
 def test_generator_that_is_not_a_two_level_rotation_rejected(terms):
     generator = QubitHamiltonian(2, tuple((w, PauliString.from_letters(s)) for w, s in terms))
-    with pytest.raises(ShapeError):
-        Circuit(2, (Gate("pauli_rot", (), generator=generator),))
+    gates = (Gate("pauli_rot", (), generator=generator),)
+    if len(generator.x_masks()) > 1:  # refused at construction
+        with pytest.raises(ShapeError, match="x-masks"):
+            Circuit(2, gates)
+        return
+    # |diagonal| is checked where tables are built: on the register and on states
+    circuit = Circuit(2, gates)
+    with pytest.raises(ShapeError, match="two-level"):
+        circuit.tables
+    with pytest.raises(ShapeError, match="two-level"):
+        circuit.restrict(np.arange(4))
 
 
 def test_cz_negates_exactly_the_rows_with_both_bits_set():
@@ -341,10 +354,65 @@ def test_restricted_circuit_matches_the_register_on_its_sector(n, occupied):
 
 def test_circuit_restricts_only_when_every_gate_keeps_the_states():
     states = np.flatnonzero(sector_labels(4) == sector_labels(4)[3])
-    assert build_hardware_efficient(4, 1).restrict(states) is None
+    hardware = build_hardware_efficient(4, 1)
+    assert hardware.restrict(states) is None and restrict_by_remap(hardware, states) is None
     leaves = Circuit(4, (Gate("pauli_rot", (), generator=single(PauliString.from_letters("XIII"))),))
-    assert leaves.restrict(states) is None
-    assert Circuit(4, ()).restrict(states).tables == ()
+    assert leaves.restrict(states) is None and restrict_by_remap(leaves, states) is None
+    empty = Circuit(4, ())
+    assert empty.restrict(states).tables == () == restrict_by_remap(empty, states)
+
+
+def assert_tables_equal(tables, reference, dim):
+    """Equal rows and partners, and equal phases of one dtype; a full-slice ``rows``
+    is expanded first."""
+    assert (tables is None) == (reference is None)
+    if tables is None:
+        return
+    assert len(tables) == len(reference)
+    for (rows, partner, phase), (ref_rows, ref_partner, ref_phase) in zip(tables, reference):
+        assert np.array_equal(np.arange(dim)[rows], ref_rows)
+        assert np.array_equal(partner, ref_partner)
+        assert phase.dtype == ref_phase.dtype and np.array_equal(phase, ref_phase)
+
+
+@st.composite
+def rotation(draw, n):
+    """An excitation's rotation, spin-conserving or a spin flip, or one Pauli string."""
+    if draw(st.booleans()):
+        k = draw(st.integers(1, min(2, n // 2)))
+        modes = draw(st.permutations(range(n)))
+        move = (tuple(sorted(modes[:k])), tuple(sorted(modes[k:2 * k])))
+        return replace(_excitation_gates(n, [move])[0], slot=None)
+    x, z = draw(st.integers(0, (1 << n) - 1)), draw(st.integers(0, (1 << n) - 1))
+    return Gate("pauli_rot", (), generator=single(PauliString(n, x, z)))
+
+
+@given(st.integers(4, 10), st.data())
+def test_restrict_compiles_the_tables_the_register_remap_gives(n, data):
+    occupied = data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1))
+    uccsd = build_uccsd(n, occupied)
+    extra = data.draw(st.lists(rotation(n), max_size=3))
+    circuit = Circuit(n, uccsd.gates + tuple(extra), n_parameters=uccsd.n_parameters)
+    index = data.draw(st.sampled_from([sum(1 << q for q in occupied),
+                                       data.draw(st.integers(0, (1 << n) - 1))]))
+    states = sector_states(n, index)
+    sector = circuit.restrict(states)
+    reference = restrict_by_remap(circuit, states)
+    assert_tables_equal(None if sector is None else sector.tables, reference, len(states))
+    if not extra:  # UCCSD keeps every (N_alpha, N_beta) sector
+        assert sector is not None
+
+
+def test_rotation_with_no_row_in_the_states_is_the_identity_there():
+    # alpha 0 -> 2 moves no state with no alpha electron: its form on them is empty
+    gate = replace(_excitation_gates(4, [((0,), (2,))])[0], slot=None, angle=0.7)
+    circuit = Circuit(4, (gate,))
+    states = sector_states(4, 0b0010)
+    assert gate.generator.compile(states).gather.shape == (0, 2)
+    sector = circuit.restrict(states)
+    assert_tables_equal(sector.tables, restrict_by_remap(circuit, states), len(states))
+    state = Statevector(4, np.array([0.6, 0.8]), states)
+    assert np.array_equal(apply_circuit(state, sector).amplitudes, state.amplitudes)
 
 
 def test_sector_state_needs_the_circuit_restricted_to_its_states():
