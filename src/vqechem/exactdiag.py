@@ -71,13 +71,14 @@ def _check_bytes(hamiltonian: QubitHamiltonian, block_dim: int, forms: list) -> 
 
     ``forms`` are the state counts of the forms held at once, None for the
     register's: a sector solve holds its block's, a Fock-space solve the full
-    form and one block's. Sector labels take 32 B per register state. Lanczos
+    form and one block's. A Fock-space solve also labels every register state
+    by sector, 32 B each; a sector solve lists its states alone. Lanczos
     keeps ``min(LANCZOS_MAX_KRYLOV, block_dim)`` block vectors; a dense solve
     (up to ``DENSE_CUTOFF_DIM`` states) 48 B per matrix cell (matrix, LAPACK's
     copy, eigenvectors) and 48 B per block entry filling the matrix.
     """
     n = hamiltonian.n_qubits
-    needed = sum(map(hamiltonian.compiled_bytes, forms)) + (32 << n)
+    needed = sum(map(hamiltonian.compiled_bytes, forms)) + (32 << n if None in forms else 0)
     dense = block_dim <= DENSE_CUTOFF_DIM
     if dense:
         needed += (block_dim * block_dim + len(hamiltonian.x_masks()) * block_dim) * 48

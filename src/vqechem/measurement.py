@@ -9,7 +9,8 @@ import numpy as np
 
 from .exceptions import ShapeError
 from .paulis import PauliString, QubitHamiltonian, letter_strings, sign_table
-from .simulator import Statevector, check_allocation, checked_int, sample_counts, update_qubit
+from .simulator import (Statevector, check_allocation, checked_int, checked_seed, sample_counts,
+                        update_qubit)
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 # rotate the measurement axis onto Z: H for X, H S^+ for Y
@@ -223,19 +224,21 @@ def estimate_energy_sampled(
     """Monte-Carlo energy estimate from per-group basis measurements.
 
     Each group's qubits are rotated into its shared product basis and
-    sampled with an independent generator seeded ``seed + group index``.
-    <P> for each term is the mean +/-1 parity over the term's support;
-    the quoted standard error treats all terms as independent.
-    ``groups`` is a list of :class:`MeasurementGroup` or, to build the
-    tables once for many calls, the :class:`GroupTables` of
-    :func:`group_tables`. Groups are measured a block at a time: the
-    state is copied into one stack row per group, each qubit's basis
-    changes update all its X and Y rows in one step, and the block is
-    normalized at once before each row's draw. ``state`` must hold the
+    sampled with an independent generator seeded ``seed + group index``
+    (``seed`` below 2**63). <P> for each term is the mean +/-1 parity over
+    the term's support; the quoted standard error treats all terms as
+    independent. ``groups`` is a list of :class:`MeasurementGroup` or, to
+    build the tables once for many calls, the :class:`GroupTables` of
+    :func:`group_tables`. Groups are measured a block at a time: the state
+    is copied into one stack row per group, each qubit's basis changes
+    update all its X and Y rows in one step, and the block is normalized at
+    once before each row's draw. A block's seeds are hashed in one pass
+    (``simulator.seed_words``), and each group's counts are exactly those of
+    ``np.random.default_rng(seed + group index)``. ``state`` must hold the
     whole register.
     """
     shots = checked_int(shots_per_group, "shots_per_group", 1)
-    seed = checked_int(seed, "seed", 0)
+    seed = checked_seed(seed)
     if hamiltonian.n_qubits != state.n_qubits:
         raise ShapeError("Hamiltonian and state qubit counts differ")
     tables = groups if isinstance(groups, GroupTables) else group_tables(hamiltonian, groups)

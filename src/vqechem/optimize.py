@@ -15,9 +15,9 @@ import numpy as np
 
 from .exceptions import OptimizerDivergedError, ShapeError
 from .measurement import estimate_energy_sampled, group_commuting, group_tables
-from .paulis import QubitHamiltonian, check_allocation, real_if_exact
-from .simulator import (Circuit, Statevector, apply_circuit, checked_int, expectation, prepare_hf,
-                        sector_states)
+from .paulis import QubitHamiltonian, check_allocation
+from .simulator import (SEED_LIMIT, Circuit, Statevector, apply_circuit, basis_index, checked_int,
+                        checked_seed, expectation, prepare_hf, sector_states)
 
 # SPSA gain schedule a_k = SPSA_A/(SPSA_BIG_A+k+1)^SPSA_ALPHA and
 # c_k = SPSA_C/(k+1)^SPSA_GAMMA: Spall's standard exponents and stability
@@ -43,7 +43,7 @@ class OptimizerConfig:
     kind: str = "simplex"
     max_iterations: int = 200
     convergence_threshold: float = 1e-4  # Hartree
-    seed: int = 0
+    seed: int = 0  # in [0, 2**63)
     spsa_window: int = 20
     simplex_xtol: float = 1e-6
 
@@ -55,7 +55,7 @@ class OptimizerConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ShapeError(f"{name} must be finite and positive, got {value!r}")
-        checked_int(self.seed, "seed", 0)
+        checked_seed(self.seed)
         checked_int(self.spsa_window, "spsa_window", 1)
 
 
@@ -249,12 +249,15 @@ def exact_energy_objective(
     n = hamiltonian.n_qubits
     if circuit.n_qubits != n:
         raise ShapeError("circuit and Hamiltonian qubit counts differ")
-    reference = prepare_hf(n, hf_occupied)
-    states = sector_states(n, int(np.flatnonzero(reference.amplitudes)[0]))
+    hf_index = basis_index(n, hf_occupied)
+    states = sector_states(n, hf_index)
     sector = circuit.restrict(states)
     if sector is not None:
         circuit = sector
-        reference = Statevector(n, real_if_exact(reference.amplitudes[states]), states)
+        # the Hartree-Fock reference is one real basis vector on the sector's states
+        reference = Statevector(n, (states == hf_index).astype(float), states)
+    else:
+        reference = prepare_hf(n, hf_occupied)
     tables = sum(a.nbytes for t in circuit.tables if t for a in t if isinstance(a, np.ndarray))
     check_allocation(tables + hamiltonian.compiled_bytes(None if sector is None else len(states)),
                      f"gate tables and compiled form of {len(hamiltonian.x_masks())} "
@@ -274,17 +277,18 @@ def sampled_energy_objective(
     """Objective backed by measurement-group sampling.
 
     Every evaluation draws fresh shots from a deterministic per-call seed,
-    so a full optimization is reproducible for a fixed base seed. The
-    groups' parity tables are built once here and live as long as the
-    objective.
+    so a full optimization is reproducible for a fixed base seed: call k
+    uses ``seed + 100003 k``, folded below 2**63. The groups' parity tables
+    are built once here and live as long as the objective.
     """
+    seed = checked_seed(seed)
     reference = prepare_hf(hamiltonian.n_qubits, hf_occupied)
     tables = group_tables(hamiltonian, groups)
     counter = [0]
 
     def objective(theta):
         state = apply_circuit(reference, circuit, theta)
-        call_seed = seed + 100003 * counter[0]
+        call_seed = (seed + 100003 * counter[0]) % SEED_LIMIT
         counter[0] += 1
         return estimate_energy_sampled(state, hamiltonian, tables, shots, call_seed).energy
 
@@ -329,7 +333,7 @@ def run_vqe(
 
     results = []
     for restart in range(n_restarts):
-        cfg = replace(config, seed=config.seed + restart)
+        cfg = replace(config, seed=(config.seed + restart) % SEED_LIMIT)
         theta0 = np.zeros(d)
         if restart > 0:
             rng = np.random.default_rng((config.seed, restart))

@@ -11,7 +11,7 @@ from __future__ import annotations
 import copy
 import operator
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -20,6 +20,9 @@ from .paulis import (COEFF_PRUNE_THRESHOLD, CompiledOperator, QubitHamiltonian, 
                      real_if_exact)
 
 MAX_QUBITS = 24  # 2**24 complex amplitudes = 256 MiB; hard memory guard
+# seeds are hashed as uint64; a caller's seed stays below 2**63 so that the
+# offsets added to it (per call, per group) keep it below 2**64
+SEED_LIMIT = 1 << 63
 
 GATE_KINDS = ("ry", "cz", "pauli_rot")
 
@@ -161,15 +164,19 @@ class Circuit:
         return sector
 
 
-def prepare_hf(n_qubits: int, occupied) -> Statevector:
-    """Computational basis state with 1s at the occupied qubit positions."""
+def basis_index(n_qubits: int, occupied) -> int:
+    """Index of the computational basis state with 1s at the occupied qubit positions."""
     occupied = set(occupied)
     for q in occupied:
         if not 0 <= q < n_qubits:
             raise ShapeError(f"occupied index {q} outside register of {n_qubits}")
-    index = sum(1 << q for q in occupied)
+    return sum(1 << q for q in occupied)
+
+
+def prepare_hf(n_qubits: int, occupied) -> Statevector:
+    """Computational basis state with 1s at the occupied qubit positions."""
     amplitudes = np.zeros(1 << n_qubits, dtype=np.complex128)
-    amplitudes[index] = 1.0
+    amplitudes[basis_index(n_qubits, occupied)] = 1.0
     return Statevector(n_qubits, amplitudes)
 
 
@@ -182,9 +189,24 @@ def sector_labels(n_qubits: int) -> np.ndarray:
 
 
 def sector_states(n_qubits: int, index: int) -> np.ndarray:
-    """The ascending basis states with the (N_alpha, N_beta) of basis state ``index``."""
-    labels = sector_labels(n_qubits)
-    return np.flatnonzero(labels == labels[index])
+    """The ascending basis states with the (N_alpha, N_beta) of basis state ``index``.
+
+    Every alpha occupation (N_alpha set even qubits) is combined with every
+    beta one (N_beta set odd qubits), so only the sector's states are built.
+    """
+    if not 0 <= index < 1 << n_qubits:
+        raise ShapeError(f"basis index {index} outside register of {n_qubits}")
+    spin_states = []
+    for first in (0, 1):  # alpha on the even qubits, beta on the odd
+        qubits = range(first, n_qubits, 2)
+        patterns = np.arange(1 << len(qubits), dtype=np.intp)
+        patterns = patterns[np.bitwise_count(patterns) == sum((index >> q) & 1 for q in qubits)]
+        spread = np.zeros_like(patterns)
+        for bit, q in enumerate(qubits):
+            spread |= ((patterns >> bit) & 1) << q
+        spin_states.append(spread)
+    alpha, beta = spin_states
+    return np.sort((alpha[:, None] | beta).ravel())
 
 
 def update_qubit(stack: np.ndarray, qubit: int, rows, matrix: np.ndarray) -> None:
@@ -264,19 +286,127 @@ def checked_int(value, name: str, least: int) -> int:
     return value
 
 
+def checked_seed(value) -> int:
+    """``value`` as an int seed in [0, SEED_LIMIT), else a ShapeError."""
+    seed = checked_int(value, "seed", 0)
+    if seed >= SEED_LIMIT:
+        raise ShapeError(f"seed must be < 2**63, got {seed}")
+    return seed
+
+
+def _hash_schedule(init: int, mult: int, steps: int) -> list[int]:
+    """A SeedSequence hash constant: its start and its value after each of ``steps``
+    multiplications by ``mult``, mod 2**32."""
+    values = [init]
+    for _ in range(steps):
+        values.append(values[-1] * mult & 0xFFFFFFFF)
+    return values
+
+
+def _column(values) -> np.ndarray:
+    return np.array(values, dtype=np.uint32)[:, None]
+
+
+# numpy's SeedSequence (NEP 19) on a 4-word pool. Its hash constants do not
+# depend on the data, so each step's constants are fixed: step k of the 16
+# hashmix steps xors with _A[k] and multiplies by _A[k + 1]; output word k of
+# the 8 xors with _B[k] and multiplies by _B[k + 1].
+_A = _hash_schedule(0x43B0D7E5, 0x931E8875, 16)
+_B = _hash_schedule(0x8B51F9DD, 0x58F38DED, 8)
+_XSHIFT = np.uint32(16)
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_ENTROPY_STEP = (_column(_A[0:4]), _column(_A[1:5]))
+_OUTPUT_STEP = (_column(_B[0:8]), _column(_B[1:9]))
+
+
+def _mix_steps() -> list[tuple]:
+    """Per source pool word, the hashmix constants of the three words it mixes
+    into, in order; the source's own row holds 0 (it is restored after the step)."""
+    steps, k = [], 4
+    for src in range(4):
+        xor, mult = [0] * 4, [0] * 4
+        for dst in (d for d in range(4) if d != src):
+            xor[dst], mult[dst] = _A[k], _A[k + 1]
+            k += 1
+        steps.append((src, _column(xor), _column(mult)))
+    return steps
+
+
+_MIX_STEPS = _mix_steps()
+
+
+def seed_words(seeds) -> np.ndarray:
+    """Per seed in [0, 2**64), the row ``np.random.SeedSequence(seed).generate_state(4,
+    np.uint64)``: the words PCG64 is seeded with. All seeds are hashed in one pass.
+
+    A seed enters the pool as its low and high 32-bit words and two zeros (a
+    seed below 2**32 is one word, and SeedSequence pads with zeros); every
+    step below is SeedSequence's on all pools at once, in uint32 arithmetic.
+    """
+    seeds = np.asarray(seeds, dtype=np.uint64).reshape(-1)
+    pool = np.zeros((4, seeds.size), dtype=np.uint32)
+    pool[0] = (seeds & np.uint64(0xFFFFFFFF)).astype(np.uint32)
+    pool[1] = (seeds >> np.uint64(32)).astype(np.uint32)
+    pool ^= _ENTROPY_STEP[0]
+    pool *= _ENTROPY_STEP[1]
+    pool ^= pool >> _XSHIFT
+    for src, xor, mult in _MIX_STEPS:
+        # hashmix the source word, then mix(x, y) = L x - R y, xorshifted
+        hashed = (pool[src] ^ xor) * mult
+        hashed ^= hashed >> _XSHIFT
+        source = pool[src].copy()
+        pool *= _MIX_L
+        hashed *= _MIX_R
+        pool -= hashed
+        pool ^= pool >> _XSHIFT
+        pool[src] = source
+    out = np.concatenate((pool, pool))  # 8 output words cycle through the pool
+    out ^= _OUTPUT_STEP[0]
+    out *= _OUTPUT_STEP[1]
+    out ^= out >> _XSHIFT
+    # word pairs, low word first, as uint64
+    return np.ascontiguousarray(out.T).astype("<u4", copy=False).view("<u8").astype(np.uint64)
+
+
+@cache
+def _seed_words_type() -> type:
+    """An ISeedSequence that hands PCG64 a row of ``seed_words``, defined on first
+    use so that importing this package does not load numpy.random."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedWords(ISeedSequence):
+        """Precomputed seed words; PCG64 asks for 4 uint64 words only."""
+
+        __slots__ = ("words",)
+
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return SeedWords
+
+
 def sample_counts(probabilities: np.ndarray, n_shots: int, seeds) -> np.ndarray:
     """Seeded multinomial draws of ``n_shots`` outcomes; one count per index.
 
     ``probabilities`` is one row with one seed, or a (rows, dim) block with a
     seed per row; each row is normalized to its sum and drawn on its own.
+    The seeds are hashed in one pass (``seed_words``) and each row drawn by
+    PCG64 seeded with its words, so each row's counts are exactly
+    ``np.random.default_rng(seed).multinomial(n_shots, row / row.sum())``.
     """
     totals = probabilities.sum(axis=-1, keepdims=True)
     if not np.all((totals > 0) & (totals < np.inf)):
         raise ShapeError("cannot sample a state of zero or non-finite norm")
     rows = (probabilities / totals).reshape(-1, probabilities.shape[-1])
     counts = np.empty(rows.shape, dtype=np.int64)
-    for row, seed in enumerate([seeds] if probabilities.ndim == 1 else seeds):
-        counts[row] = np.random.default_rng(seed).multinomial(n_shots, rows[row])
+    from numpy.random import PCG64, Generator  # here, so importing the package does not load it
+
+    seed_type = _seed_words_type()
+    for row, (p, words) in enumerate(zip(rows, seed_words(seeds), strict=True)):
+        counts[row] = Generator(PCG64(seed_type(words))).multinomial(n_shots, p)
     return counts.reshape(probabilities.shape)
 
 
@@ -287,7 +417,7 @@ def sample(state: Statevector, n_shots: int, seed: int) -> dict[str, int]:
     a sector state's draws are reported as its basis states.
     """
     n_shots = checked_int(n_shots, "n_shots", 1)
-    seed = checked_int(seed, "seed", 0)
+    seed = checked_seed(seed)
     counts = sample_counts(state.probabilities(), n_shots, seed)
     drawn = np.flatnonzero(counts)
     states = drawn if state.states is None else np.asarray(state.states)[drawn]

@@ -321,15 +321,25 @@ def group_probabilities(state, basis: str) -> np.ndarray:
     return np.abs(amplitudes) ** 2
 
 
+def sample_counts(probabilities, n_shots: int, seeds) -> np.ndarray:
+    """One ``default_rng(seed)`` multinomial draw per row, each row normalized
+    to its sum: the reference for the seeded draws of ``simulator.sample_counts``."""
+    totals = probabilities.sum(axis=-1, keepdims=True)
+    rows = (probabilities / totals).reshape(-1, probabilities.shape[-1])
+    counts = np.empty(rows.shape, dtype=np.int64)
+    for row, seed in enumerate([seeds] if probabilities.ndim == 1 else seeds):
+        counts[row] = np.random.default_rng(seed).multinomial(n_shots, rows[row])
+    return counts.reshape(probabilities.shape)
+
+
 def sampled_energy(state, hamiltonian, groups, shots: int, seed: int):
     """The grouped sampled estimator group by group and term by term.
 
-    One seeded draw per group (``seed + group index``), a bit count per
-    term over the drawn outcomes and scalar accumulation in group order:
-    each group's identity weight, then its other terms.
+    One seeded draw per group (``default_rng(seed + group index)``), a bit
+    count per term over the drawn outcomes and scalar accumulation in group
+    order: each group's identity weight, then its other terms.
     """
     from vqechem.measurement import EnergyEstimate
-    from vqechem.simulator import sample_counts
 
     energy = variance = 0.0
     shots_used = 0
@@ -339,7 +349,8 @@ def sampled_energy(state, hamiltonian, groups, shots: int, seed: int):
         sampled = [(w, p) for w, p in terms if p.support_mask != 0]
         if not sampled:
             continue
-        counts = sample_counts(group_probabilities(state, group.basis), shots, seed + gid)
+        p = group_probabilities(state, group.basis)
+        counts = np.random.default_rng(seed + gid).multinomial(shots, p / p.sum())
         shots_used += shots
         drawn = [(b, int(n)) for b, n in enumerate(counts) if n]
         for weight, pauli in sampled:
@@ -521,6 +532,15 @@ def restrict_by_remap(circuit, states):
             return None
         tables.append((local[rows][inside], moved, real_if_exact(phase[inside])))
     return tuple(tables)
+
+
+def sector_states_by_labels(n_qubits: int, index: int) -> np.ndarray:
+    """The basis states whose sector label equals that of ``index``, found by
+    labelling the whole register: the reference for ``simulator.sector_states``."""
+    from vqechem.simulator import sector_labels
+
+    labels = sector_labels(n_qubits)
+    return np.flatnonzero(labels == labels[index])
 
 
 def full_register_objective(hamiltonian, circuit, hf_occupied):

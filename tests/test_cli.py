@@ -164,6 +164,15 @@ def test_negative_seed_exits_2_with_one_line(tmp_path, capsys, options):
     assert err.startswith("error: ") and "seed" in err
 
 
+def test_seed_of_2_63_exits_2_with_one_line(tmp_path, capsys):
+    geometry = write_json(tmp_path / "h2.json", H2_GEOMETRY)
+    argv = ["vqe", "--geometry", geometry, "--mode", "sampled", "--seed", str(2**63)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and "seed must be < 2**63" in err
+
+
 def test_nan_threshold_exits_2_with_one_line(tmp_path, capsys):
     geometry = write_json(tmp_path / "h2.json", H2_GEOMETRY)
     assert main(["vqe", "--geometry", geometry, "--threshold", "nan"]) == 2
@@ -370,17 +379,32 @@ def test_scan_outputs_byte_identical(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def child_env() -> dict:
+    """The environment of a child that imports the same package as this test,
+    installed or not."""
+    src = os.path.dirname(os.path.dirname(vqechem.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+
 def test_cli_entry_point_subprocess(tmp_path):
     geometry = tmp_path / "h2.json"
     geometry.write_text(json.dumps(H2_GEOMETRY))
-    # the child imports the same package as this test, installed or not
-    src = os.path.dirname(os.path.dirname(vqechem.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH")))))
     result = subprocess.run(
         [sys.executable, "-m", "vqechem.cli", "fci",
          "--geometry", str(geometry), "--json"],
-        capture_output=True, text=True, timeout=120, env=env,
+        capture_output=True, text=True, timeout=120, env=child_env(),
     )
     assert result.returncode == 0
     assert "e_fci" in json.loads(result.stdout)
+
+
+def test_import_leaves_numpy_random_unloaded():
+    # numpy.random loads on the first seeded draw, not with the package
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, vqechem; print('numpy.random' in sys.modules)"],
+        capture_output=True, text=True, timeout=120, env=child_env(),
+    )
+    assert result.returncode == 0
+    assert result.stdout.strip() == "False"

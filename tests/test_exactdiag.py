@@ -185,6 +185,24 @@ def test_sector_solve_fits_under_a_cap_the_full_form_exceeds(fixture_dir, monkey
         ground_state_energy(h)
 
 
+def test_sector_solve_counts_its_form_and_workspace_but_no_register_labels(
+        fixture_dir, monkeypatch):
+    # the (4, 4) sector of the 12-qubit fixture: 225 states, solved dense; its
+    # states are listed without labelling the 4096 register states
+    from vqechem.fcidump import parse_fcidump
+
+    path = os.path.join(fixture_dir, "h2s_sto3g_nonrel_eq.fcidump")
+    with open(path, encoding="utf-8") as fh:
+        h = jordan_wigner(build_second_quantized(parse_fcidump(fh.read())))
+    dim = 225
+    needed = h.compiled_bytes(dim) + (dim * dim + len(h.x_masks()) * dim) * 48
+    monkeypatch.setattr(paulis, "MAX_ALLOCATION_BYTES", needed)
+    assert ground_state_energy(h, n_electrons=8).sector == (4, 4)
+    monkeypatch.setattr(paulis, "MAX_ALLOCATION_BYTES", needed - 1)
+    with pytest.raises(ShapeError, match="dense solve of a 225-state block on 12 qubits"):
+        ground_state_energy(h, n_electrons=8)
+
+
 def test_sixteen_qubit_chain_solves_its_sector_by_lanczos_in_small_memory():
     # H8 at 1.8 bohr spacing: the (4, 4) sector holds 4900 of the 65536 states,
     # above DENSE_CUTOFF_DIM; its compiled form holds 39 MB, the register's 525 MB

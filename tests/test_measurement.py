@@ -311,7 +311,7 @@ def test_integer_like_shots_accepted():
     assert sample(state, np.int32(64), 5) == sample(state, 64, 5)
 
 
-@pytest.mark.parametrize("seed", [-1, 1.0])
+@pytest.mark.parametrize("seed", [-1, 1.0, 2**63])
 def test_seed_must_be_a_nonnegative_integer(seed):
     h = ham(2, {"ZI": 0.3, "XX": 0.2})
     state = superposition_state(2, 1)
@@ -319,6 +319,22 @@ def test_seed_must_be_a_nonnegative_integer(seed):
         estimate_energy_sampled(state, h, group_commuting(h), 16, seed)
     with pytest.raises(ShapeError, match="seed"):
         sample(state, 16, seed)
+
+
+def test_largest_seed_draws_every_group_past_2_63():
+    # group seeds seed + gid run past 2**63 and stay below 2**64
+    h = ham(3, {"ZII": 0.5, "XXI": -0.3, "IYY": 0.7, "XIZ": 0.2, "III": 0.1})
+    groups = group_commuting(h)
+    assert len(groups) == 2
+    state = superposition_state(3, 8)
+    seed = 2**63 - 1
+    assert estimate_energy_sampled(state, h, groups, 300, seed) == (
+        sampled_energy(state, h, groups, 300, seed))
+    counts = np.random.default_rng(seed).multinomial(300, state.probabilities()
+                                                     / state.probabilities().sum())
+    assert sample(state, 300, seed) == {
+        "".join(str((b >> q) & 1) for q in range(3)): int(c)
+        for b, c in enumerate(counts) if c}
 
 
 @pytest.mark.parametrize(

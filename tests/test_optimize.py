@@ -17,6 +17,7 @@ from vqechem import optimize, paulis, simulator
 from vqechem.ansatz import _excitation_gates, build_hardware_efficient, build_uccsd
 from vqechem.exactdiag import ground_state_energy
 from vqechem.exceptions import OptimizerDivergedError, ShapeError
+from vqechem.measurement import estimate_energy_sampled, group_commuting
 from vqechem.optimize import (
     OptimizerConfig,
     run_vqe,
@@ -293,9 +294,33 @@ def test_config_validation():
         OptimizerConfig(seed=-1)
     with pytest.raises(ShapeError, match="seed"):
         OptimizerConfig(seed=1.5)
+    with pytest.raises(ShapeError, match="seed must be < 2"):
+        OptimizerConfig(seed=2**63)
+    assert OptimizerConfig(seed=2**63 - 1).seed == 2**63 - 1
     for window in (0, -1):
         with pytest.raises(ShapeError, match="spsa_window"):
             OptimizerConfig(kind="spsa", spsa_window=window)
+
+
+def test_seeds_derived_from_the_largest_seed_fold_below_2_63(h2_hamiltonian_074):
+    circuit = build_hardware_efficient(4, 1)
+    groups = group_commuting(h2_hamiltonian_074)
+    seed = 2**63 - 1
+    objective = optimize.sampled_energy_objective(
+        h2_hamiltonian_074, circuit, {0, 1}, 64, seed, groups)
+    theta = np.full(circuit.n_parameters, 0.3)
+    state = simulator.apply_circuit(simulator.prepare_hf(4, {0, 1}), circuit, theta)
+    for call_seed in (seed, (seed + 100003) % 2**63):
+        assert objective(theta) == estimate_energy_sampled(
+            state, h2_hamiltonian_074, groups, 64, call_seed).energy
+    with pytest.raises(ShapeError, match="seed"):
+        optimize.sampled_energy_objective(
+            h2_hamiltonian_074, circuit, {0, 1}, 64, 2**63, groups)
+    # restart 1 runs with seed 0
+    config = OptimizerConfig(kind="spsa", max_iterations=3, seed=seed)
+    result = run_vqe(h2_hamiltonian_074, circuit, {0, 1}, config, mode="sampled", shots=64,
+                     n_restarts=2)
+    assert len(result.restart_results) == 2
 
 
 # --- the exact objective on the Hartree-Fock (N_alpha, N_beta) sector
@@ -424,6 +449,22 @@ def test_sixteen_qubit_uccsd_objective_builds_tables_on_its_sector_only():
     assert built < 8 << 20
     assert peak < 128 << 20
     assert abs(objective(np.zeros(360)) - rhf.total_energy) < 1e-9
+
+
+def test_sector_objective_builds_no_register_reference():
+    # 20 qubits, (5, 5) sector of 63504 states: the register's Hartree-Fock
+    # vector alone would be 16 MiB
+    n = 20
+    hamiltonian = QubitHamiltonian(n, ((0.5, PauliString.from_letters("ZZ" + "I" * (n - 2))),
+                                       (0.25, PauliString.from_letters("I" * (n - 1) + "Z"))))
+    tracemalloc.start()
+    try:
+        objective = optimize.exact_energy_objective(hamiltonian, Circuit(n, ()), range(10))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20
+    assert objective(np.zeros(0)) == 0.75
 
 
 def test_objective_checks_tables_and_compiled_form_together(h2_hamiltonian_074, monkeypatch):

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from scipy.linalg import expm
 
 from oracles import (
@@ -14,6 +14,8 @@ from oracles import (
     number_operator,
     pauli_matrix,
     restrict_by_remap,
+    sample_counts as sample_counts_per_row,
+    sector_states_by_labels,
 )
 from vqechem.ansatz import _excitation_gates, build_hardware_efficient, build_uccsd
 from vqechem.exceptions import ShapeError
@@ -27,8 +29,10 @@ from vqechem.simulator import (
     expectation,
     prepare_hf,
     sample,
+    sample_counts,
     sector_labels,
     sector_states,
+    seed_words,
 )
 
 
@@ -322,6 +326,56 @@ def test_one_cos_call_per_circuit_is_bit_identical_to_the_gate_loop(n, seed):
     state = random_state(n, seed)
     fast = apply_circuit(state, circuit, params).amplitudes
     assert np.array_equal(fast, apply_circuit_per_gate(state.amplitudes, circuit, params))
+
+
+@given(st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=40))
+@example([0, 2**32 - 1, 2**32, 2**63 - 1])
+# per-group seeds: a seed below 2**63 plus a group index
+@example([2**63, 2**63 + 35, 2**64 - 1])
+def test_seed_words_are_the_seed_sequence_state(seeds):
+    words = seed_words(seeds)
+    assert words.shape == (len(seeds), 4) and words.dtype == np.uint64
+    for seed, row in zip(seeds, words):
+        assert np.array_equal(row, np.random.SeedSequence(seed).generate_state(4, np.uint64))
+
+
+@given(st.integers(1, 6), st.integers(1, 6), st.integers(1, 2000), st.data())
+def test_sample_counts_are_the_per_row_default_rng_draws(rows, n, shots, data):
+    seeds = data.draw(st.lists(st.integers(0, 2**63 - 1), min_size=rows, max_size=rows))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    # unnormalized rows, some outcomes impossible
+    block = rng.uniform(0.0, 3.0, (rows, 1 << n)) * (rng.uniform(size=(rows, 1 << n)) < 0.8)
+    block[:, 0] += 0.1
+    assert np.array_equal(sample_counts(block, shots, seeds),
+                          sample_counts_per_row(block, shots, seeds))
+    assert np.array_equal(sample_counts(block[0], shots, seeds[0]),
+                          sample_counts_per_row(block[0], shots, seeds[0]))
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_sector_states_are_the_labelled_sector(n):
+    for index in range(1 << n):
+        states = sector_states(n, index)
+        assert states.dtype == np.intp
+        assert np.array_equal(states, sector_states_by_labels(n, index))
+
+
+@pytest.mark.parametrize("index", [-1, 16])
+def test_sector_states_refuse_an_index_outside_the_register(index):
+    with pytest.raises(ShapeError, match="outside register"):
+        sector_states(4, index)
+
+
+def test_sector_states_list_the_sector_alone():
+    # the 63504-state (5, 5) sector of 20 qubits is 0.5 MB; labels would take 11 MB
+    tracemalloc.start()
+    try:
+        states = sector_states(20, (1 << 10) - 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(states) == 63504
+    assert peak < 2 << 20
 
 
 @given(st.integers(1, 8))
