@@ -2,21 +2,17 @@
 
 A Jordan-Wigner Hamiltonian built from a number- and spin-conserving
 fermion operator is block diagonal in (N_alpha, N_beta): the popcounts of
-the even (alpha) and odd (beta) qubits. The solver labels every basis state
-by that pair, checks on the compiled x-mask form that every live entry
-joins two states of one label, and then solves each block alone: a dense
-``eigvalsh`` up to ``DENSE_CUTOFF_DIM`` states, Lanczos with full
-reorthogonalization against a seeded start vector above it. An operator
-that is not block diagonal is one block, the whole register.
-
-With ``n_electrons`` only the Hartree-Fock reference's block is solved,
-(ceil(N/2), floor(N/2)), which holds the lowest N-electron state of every
-spin, compiled on its own states; a form that drops an entry for leaving
-them is refused. Without it the lowest block wins: the Fock-space minimum.
-Each block gets a Gershgorin lower bound on its eigenvalues (Gershgorin
-1931); the blocks are visited in ascending bound, each compiled on its
-states, until a bound clears the lowest energy so far, since no later block
-can beat it. The winner's residual is taken with its block's form.
+the even (alpha) and odd (beta) qubits. Each visited block is compiled on
+its states and solved once: dense ``eigh`` up to ``DENSE_CUTOFF_DIM``
+states, Lanczos with full reorthogonalization above. With ``n_electrons``
+the one block is the Hartree-Fock reference's, (ceil(N/2), floor(N/2)),
+which holds the lowest N-electron state of every spin. Without it the
+blocks are visited in ascending Gershgorin bound (Gershgorin 1931), taken
+from the register's form, until a bound clears the lowest energy so far.
+A block's ``leak`` is the coupling test: a leaking sector is refused, and
+a leaking block of the Fock-space search sends the solve to the register
+as one block. If no visited block leaks they span an invariant subspace,
+and the bounds cover every other state, so their minimum is the register's.
 """
 
 from __future__ import annotations
@@ -42,28 +38,21 @@ DENSE_CUTOFF_DIM = 1024
 LANCZOS_MAX_KRYLOV = 160  # Krylov vectors per restart
 LANCZOS_RESTARTS = 12
 # a block is skipped when its bound exceeds the best energy by more than this
-# times 1 + |best|: where a bound is tight, eigvalsh can round below it
+# times 1 + |best|: where a bound is tight, eigh can round below it
 BOUND_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
 class GroundStateResult:
     energy: float
-    eigenvector: Statevector | None
+    eigenvector: Statevector
     residual_norm: float
-    # (N_alpha, N_beta) of the solved block; None when the operator is not
-    # block diagonal in them
-    sector: tuple[int, int] | None
 
 
-def reference_sector(n_electrons: int) -> tuple[int, int]:
-    """(N_alpha, N_beta) of the Hartree-Fock reference: the lowest spin orbitals."""
-    return (n_electrons + 1) // 2, n_electrons // 2
-
-
-def _sector_size(n_qubits: int, sector: tuple[int, int]) -> int:
-    """States in the (N_alpha, N_beta) ``sector``: alpha on even qubits, beta on odd."""
-    return comb((n_qubits + 1) // 2, sector[0]) * comb(n_qubits // 2, sector[1])
+def _sector_size(n: int, electrons: int) -> int:
+    """States in the reference sector of ``electrons`` on ``n`` qubits, (ceil(N/2),
+    floor(N/2)): alpha on even qubits, beta on odd. ``n // 2`` electrons give the largest."""
+    return comb((n + 1) // 2, (electrons + 1) // 2) * comb(n // 2, electrons // 2)
 
 
 def _check_bytes(hamiltonian: QubitHamiltonian, block_dim: int, forms: list) -> None:
@@ -88,24 +77,11 @@ def _check_bytes(hamiltonian: QubitHamiltonian, block_dim: int, forms: list) -> 
                              f"{block_dim}-state block on {n} qubits")
 
 
-def _blocks(operator: CompiledOperator) -> list[tuple]:
-    """(sector, ascending states) per (N_alpha, N_beta) block of the operator.
-
-    One block of every state, with sector None, when a live entry (above
-    ``COEFF_PRUNE_THRESHOLD``; summed diagonals leave ~1e-18 residue, so
-    exact zeros are not required) joins states of two labels.
-    """
-    n = operator.n_qubits
-    labels = sector_labels(n)
-    for start in range(0, operator.gather.shape[0], ROWS_PER_BLOCK):
-        rows = slice(start, start + ROWS_PER_BLOCK)
-        joins = labels[operator.gather[rows]] != labels
-        if np.any(np.abs(operator.shifted[rows][joins]) > COEFF_PRUNE_THRESHOLD):
-            return [(None, np.arange(1 << n))]
+def _blocks(n_qubits: int) -> list[np.ndarray]:
+    """The ascending states of each (N_alpha, N_beta) label, in label order."""
+    labels = sector_labels(n_qubits)
     order = np.argsort(labels, kind="stable")
-    values, starts = np.unique(labels[order], return_index=True)
-    return [((int(v) // (n // 2 + 1), int(v) % (n // 2 + 1)), states)
-            for v, states in zip(values, np.split(order, starts[1:]))]
+    return np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
 
 
 def _bounds(operator: CompiledOperator, blocks: list) -> np.ndarray:
@@ -118,7 +94,7 @@ def _bounds(operator: CompiledOperator, blocks: list) -> np.ndarray:
     bound = operator.shifted[0].real * diagonal
     for start in range(int(diagonal), operator.gather.shape[0], ROWS_PER_BLOCK):
         bound -= np.abs(operator.shifted[start:start + ROWS_PER_BLOCK]).sum(axis=0)
-    return np.array([bound[states].min() for _, states in blocks])
+    return np.array([bound[states].min() for states in blocks])
 
 
 def _lanczos_lowest(operator: CompiledOperator):
@@ -165,17 +141,16 @@ def _lanczos_lowest(operator: CompiledOperator):
     return energy, v, residual
 
 
-def _solve_block(block: CompiledOperator, vector: bool):
-    """(lowest eigenvalue, its eigenvector or None) of one block.
+def _solve_block(block: CompiledOperator):
+    """(lowest eigenvalue, its eigenvector, residual norm) of one block.
 
-    The dense path returns a vector only when asked; a real block (every
-    real-integral Jordan-Wigner Hamiltonian) is solved as a real matrix.
+    A real block (every real-integral Jordan-Wigner Hamiltonian) is solved
+    dense as a real matrix.
     """
     if block.dim <= DENSE_CUTOFF_DIM:
-        if not vector:
-            return float(np.linalg.eigvalsh(block.dense())[0]), None
         evals, evecs = np.linalg.eigh(block.dense())
-        return float(evals[0]), evecs[:, 0]
+        energy, vec = float(evals[0]), evecs[:, 0].copy()
+        return energy, vec, float(np.linalg.norm(block.apply(vec) - energy * vec))
     energy, vec, residual = _lanczos_lowest(block)
     if residual >= RESIDUAL_TOLERANCE:
         raise EigensolverConvergenceError(
@@ -183,7 +158,7 @@ def _solve_block(block: CompiledOperator, vector: bool):
             f"after {LANCZOS_RESTARTS} restarts",
             best_energy=energy,
         )
-    return energy, vec
+    return energy, vec, residual
 
 
 def ground_state_energy(
@@ -205,35 +180,34 @@ def ground_state_energy(
         if isinstance(n_electrons, Real) and not 0 <= n_electrons <= n:
             raise ShapeError(f"{n_electrons} electrons do not fit in {n} spin orbitals")
         n_electrons = checked_int(n_electrons, "n_electrons", 0)
-        sector = reference_sector(n_electrons)
-        dim = _sector_size(n, sector)
+        dim = _sector_size(n, n_electrons)
         _check_bytes(hamiltonian, dim, [dim])
-        states = sector_states(n, (1 << n_electrons) - 1)
-        block = hamiltonian.compile(states)
-        if block.leak > COEFF_PRUNE_THRESHOLD:
-            raise ShapeError("Hamiltonian does not conserve (N_alpha, N_beta); "
-                             f"no {n_electrons}-electron sector to solve")
+        operator, blocks, bounds = None, [sector_states(n, (1 << n_electrons) - 1)], [-np.inf]
     else:
-        dim = _sector_size(n, ((n + 1) // 4, n // 4))  # the largest sector
+        dim = _sector_size(n, n // 2)  # the largest sector
         _check_bytes(hamiltonian, dim, [None, dim])
-        operator = hamiltonian.compile()
-        blocks = _blocks(operator)
-        sector, states = blocks[0]
-        if sector is None:  # not block diagonal: the full form is the one block
-            _check_bytes(hamiltonian, 1 << n, [None])
-        else:
-            # in ascending bound, each compiled and solved for eigenvalues; ties to the first
-            bounds, best = _bounds(operator, blocks), (np.inf, -1)
-            for i in np.argsort(bounds, kind="stable"):
-                if bounds[i] > best[0] + BOUND_MARGIN * (1 + abs(best[0])):
-                    break
-                energy, _ = _solve_block(hamiltonian.compile(blocks[i][1]), False)
-                best = min(best, (energy, i))
-            sector, states = blocks[best[1]]
-        block = operator if sector is None else hamiltonian.compile(states)
+        operator, blocks = hamiltonian.compile(), _blocks(n)
+        bounds = _bounds(operator, blocks)
 
-    energy, vec = _solve_block(block, True)
-    residual = float(np.linalg.norm(block.apply(vec) - energy * vec))
+    best = (np.inf, -1)  # (energy, label index, states, vector, residual); ties to the first
+    for i in np.argsort(bounds, kind="stable"):
+        if bounds[i] > best[0] + BOUND_MARGIN * (1 + abs(best[0])):
+            break
+        block = hamiltonian.compile(blocks[i])
+        if block.leak > COEFF_PRUNE_THRESHOLD:  # H joins this block to another
+            if operator is None:
+                raise ShapeError("Hamiltonian does not conserve (N_alpha, N_beta); "
+                                 f"no {n_electrons}-electron sector to solve")
+            del block
+            _check_bytes(hamiltonian, 1 << n, [None])
+            energy, vec, residual = _solve_block(operator)
+            best = (energy, -1, np.arange(1 << n), vec, residual)
+            break
+        energy, vec, residual = _solve_block(block)
+        del block  # one block form at a time, as _check_bytes counts
+        if (energy, i) < best[:2]:
+            best = (energy, i, blocks[i], vec, residual)
+    energy, _, states, vec, residual = best
     amplitudes = np.zeros(1 << n, dtype=np.complex128)
     amplitudes[states] = vec
-    return GroundStateResult(energy, Statevector(n, amplitudes), residual, sector)
+    return GroundStateResult(energy, Statevector(n, amplitudes), residual)

@@ -10,7 +10,7 @@ import numpy as np
 from .exceptions import ShapeError
 from .paulis import PauliString, QubitHamiltonian, letter_strings, sign_table
 from .simulator import (Statevector, check_allocation, checked_int, checked_seed, sample_counts,
-                        update_qubit)
+                        seed_words, update_qubit)
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 # rotate the measurement axis onto Z: H for X, H S^+ for Y
@@ -232,7 +232,7 @@ def estimate_energy_sampled(
     :func:`group_tables`. Groups are measured a block at a time: the state
     is copied into one stack row per group, each qubit's basis changes
     update all its X and Y rows in one step, and the block is normalized at
-    once before each row's draw. A block's seeds are hashed in one pass
+    once before each row's draw. Every group's seed is hashed in one pass
     (``simulator.seed_words``), and each group's counts are exactly those of
     ``np.random.default_rng(seed + group index)``. ``state`` must hold the
     whole register.
@@ -252,6 +252,8 @@ def estimate_energy_sampled(
     stack = np.empty((len(tables.blocks[0].group_ids) if tables.blocks else 0, dim),
                      dtype=np.complex128)
     totals = np.empty(tables.weights.size, dtype=np.int64)
+    # every sampled group's seed hashed at once; blocks take consecutive rows
+    words = seed_words([seed + gid for block in tables.blocks for gid in block.group_ids])
     shots_used = 0
     for block in tables.blocks:
         height = len(block.group_ids)
@@ -259,7 +261,8 @@ def estimate_energy_sampled(
         work[:] = state.amplitudes
         for update in block.updates:
             update_qubit(work, *update)
-        counts = sample_counts(np.abs(work) ** 2, shots, [seed + gid for gid in block.group_ids])
+        counts = sample_counts(np.abs(work) ** 2, shots, words[:height])
+        words = words[height:]
         # integer parity sums: exact, whatever the order of summation
         totals[block.terms] = np.einsum("td,td->t", block.parity, counts[block.term_rows])
         shots_used += shots * height

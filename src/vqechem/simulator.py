@@ -388,14 +388,13 @@ def _seed_words_type() -> type:
     return SeedWords
 
 
-def sample_counts(probabilities: np.ndarray, n_shots: int, seeds) -> np.ndarray:
+def sample_counts(probabilities: np.ndarray, n_shots: int, words: np.ndarray) -> np.ndarray:
     """Seeded multinomial draws of ``n_shots`` outcomes; one count per index.
 
-    ``probabilities`` is one row with one seed, or a (rows, dim) block with a
-    seed per row; each row is normalized to its sum and drawn on its own.
-    The seeds are hashed in one pass (``seed_words``) and each row drawn by
-    PCG64 seeded with its words, so each row's counts are exactly
-    ``np.random.default_rng(seed).multinomial(n_shots, row / row.sum())``.
+    ``probabilities`` is one row, or a (rows, dim) block; each row is
+    normalized to its sum and drawn on its own by PCG64 seeded with its row
+    of ``words``, the ``seed_words`` of its seed. So each row's counts are
+    exactly ``np.random.default_rng(seed).multinomial(n_shots, row / row.sum())``.
     """
     totals = probabilities.sum(axis=-1, keepdims=True)
     if not np.all((totals > 0) & (totals < np.inf)):
@@ -405,8 +404,8 @@ def sample_counts(probabilities: np.ndarray, n_shots: int, seeds) -> np.ndarray:
     from numpy.random import PCG64, Generator  # here, so importing the package does not load it
 
     seed_type = _seed_words_type()
-    for row, (p, words) in enumerate(zip(rows, seed_words(seeds), strict=True)):
-        counts[row] = Generator(PCG64(seed_type(words))).multinomial(n_shots, p)
+    for row, (p, row_words) in enumerate(zip(rows, words, strict=True)):
+        counts[row] = Generator(PCG64(seed_type(row_words))).multinomial(n_shots, p)
     return counts.reshape(probabilities.shape)
 
 
@@ -418,7 +417,7 @@ def sample(state: Statevector, n_shots: int, seed: int) -> dict[str, int]:
     """
     n_shots = checked_int(n_shots, "n_shots", 1)
     seed = checked_seed(seed)
-    counts = sample_counts(state.probabilities(), n_shots, seed)
+    counts = sample_counts(state.probabilities(), n_shots, seed_words(seed))
     drawn = np.flatnonzero(counts)
     states = drawn if state.states is None else np.asarray(state.states)[drawn]
     n = state.n_qubits

@@ -94,6 +94,12 @@ def hamiltonian_matrix(hamiltonian) -> np.ndarray:
     return total
 
 
+def spin_counts(n_qubits: int, index: int) -> tuple[int, int]:
+    """(N_alpha, N_beta) of a basis state: its set even and odd qubits."""
+    return (sum((index >> q) & 1 for q in range(0, n_qubits, 2)),
+            sum((index >> q) & 1 for q in range(1, n_qubits, 2)))
+
+
 def sector_energy(matrix: np.ndarray, n_alpha: int, n_beta: int) -> float:
     """Lowest eigenvalue of a dense qubit matrix on one (N_alpha, N_beta) sector.
 
@@ -102,12 +108,32 @@ def sector_energy(matrix: np.ndarray, n_alpha: int, n_beta: int) -> float:
     :func:`hamiltonian_matrix`.
     """
     n = matrix.shape[0].bit_length() - 1
-    states = [
-        b for b in range(1 << n)
-        if sum((b >> q) & 1 for q in range(0, n, 2)) == n_alpha
-        and sum((b >> q) & 1 for q in range(1, n, 2)) == n_beta
-    ]
+    states = [b for b in range(1 << n) if spin_counts(n, b) == (n_alpha, n_beta)]
     return float(np.linalg.eigvalsh(matrix[np.ix_(states, states)])[0])
+
+
+def eigenvector_sector(amplitudes: np.ndarray) -> tuple[int, int] | None:
+    """The (N_alpha, N_beta) of every basis state a vector occupies, or None
+    when they hold more than one."""
+    n = len(amplitudes).bit_length() - 1
+    sectors = {spin_counts(n, b) for b in np.flatnonzero(amplitudes).tolist()}
+    return sectors.pop() if len(sectors) == 1 else None
+
+
+def ground_state_every_block(hamiltonian):
+    """Lowest eigenvalue of each (N_alpha, N_beta) block of the Kronecker
+    matrix, with every block solved: the reference for the bound-ordered
+    Fock-space solve of ``exactdiag.ground_state_energy``.
+
+    Returns (energy, sector, {sector: energy}); the first lowest block in
+    (N_alpha, N_beta) order wins.
+    """
+    n = hamiltonian.n_qubits
+    matrix = hamiltonian_matrix(hamiltonian)
+    energies = {sector: sector_energy(matrix, *sector)
+                for sector in sorted({spin_counts(n, b) for b in range(1 << n)})}
+    sector = min(energies, key=energies.get)
+    return energies[sector], sector, energies
 
 
 def annihilation_matrices(n_modes: int, sparse: bool = False) -> list:
@@ -627,34 +653,6 @@ def group_commuting_blocked(hamiltonian) -> list:
     ids, bounds = members.tolist(), [*starts.tolist(), n]
     return [MeasurementGroup(tuple(ids[a:b]), PauliString(n_qubits, xm, zm).to_letters())
             for a, b, xm, zm in zip(bounds, bounds[1:], x_or, z_or)]
-
-
-def ground_state_every_block(hamiltonian):
-    """The Fock-space minimum with every (N_alpha, N_beta) block solved, in
-    label order, the first strictly lowest winning: the reference for the
-    bound-ordered visit of ``exactdiag.ground_state_energy``."""
-    from vqechem import exactdiag
-    from vqechem.simulator import Statevector
-
-    operator = hamiltonian.compile()
-    blocks = exactdiag._blocks(operator)
-
-    def form(sector, states):
-        return operator if sector is None else hamiltonian.compile(states)
-
-    best = None
-    for sector, states in blocks:
-        energy, _ = exactdiag._solve_block(form(sector, states), False)
-        if best is None or energy < best[0]:
-            best = energy, sector, states
-    _, sector, states = best
-    block = form(sector, states)
-    energy, vec = exactdiag._solve_block(block, True)
-    residual = float(np.linalg.norm(block.apply(vec) - energy * vec))
-    amplitudes = np.zeros(1 << hamiltonian.n_qubits, dtype=np.complex128)
-    amplitudes[states] = vec
-    return exactdiag.GroundStateResult(
-        energy, Statevector(hamiltonian.n_qubits, amplitudes), residual, sector)
 
 
 def exact_k_colorable(adjacency: list, k: int) -> bool:

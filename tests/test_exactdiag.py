@@ -1,3 +1,4 @@
+import itertools
 import os
 import tracemalloc
 
@@ -7,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    eigenvector_sector,
     ground_state_every_block,
     hamiltonian_from_term_dict,
     hamiltonian_matrix,
     sector_energy,
+    spin_counts,
 )
 from vqechem import exactdiag, paulis
 from vqechem.exactdiag import ground_state_energy
@@ -180,7 +183,8 @@ def test_sector_solve_fits_under_a_cap_the_full_form_exceeds(fixture_dir, monkey
         h = jordan_wigner(build_second_quantized(parse_fcidump(fh.read())))
     monkeypatch.setattr(paulis, "MAX_ALLOCATION_BYTES", h.compiled_bytes())
     result = ground_state_energy(h, n_electrons=8)
-    assert result.sector == (4, 4) and result.residual_norm < 1e-9
+    assert eigenvector_sector(result.eigenvector.amplitudes) == (4, 4)
+    assert result.residual_norm < 1e-9
     with pytest.raises(ShapeError, match="block on 12 qubits"):
         ground_state_energy(h)
 
@@ -197,7 +201,8 @@ def test_sector_solve_counts_its_form_and_workspace_but_no_register_labels(
     dim = 225
     needed = h.compiled_bytes(dim) + (dim * dim + len(h.x_masks()) * dim) * 48
     monkeypatch.setattr(paulis, "MAX_ALLOCATION_BYTES", needed)
-    assert ground_state_energy(h, n_electrons=8).sector == (4, 4)
+    result = ground_state_energy(h, n_electrons=8)
+    assert eigenvector_sector(result.eigenvector.amplitudes) == (4, 4)
     monkeypatch.setattr(paulis, "MAX_ALLOCATION_BYTES", needed - 1)
     with pytest.raises(ShapeError, match="dense solve of a 225-state block on 12 qubits"):
         ground_state_energy(h, n_electrons=8)
@@ -216,7 +221,7 @@ def test_sixteen_qubit_chain_solves_its_sector_by_lanczos_in_small_memory():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert result.sector == (4, 4)
+    assert eigenvector_sector(result.eigenvector.amplitudes) == (4, 4)
     assert abs(result.energy - (-4.3156021)) < 1e-7
     assert result.residual_norm <= 1e-9
     assert peak < 256 << 20
@@ -234,7 +239,7 @@ def test_lanczos_keeps_its_basis_orthogonal(fixture_dir, monkeypatch):
     with open(path, encoding="utf-8") as fh:
         h = jordan_wigner(build_second_quantized(parse_fcidump(fh.read())))
     result = ground_state_energy(h, n_electrons=8)
-    assert result.sector == (4, 4)
+    assert eigenvector_sector(result.eigenvector.amplitudes) == (4, 4)
     assert result.residual_norm < 1e-11
 
 
@@ -259,7 +264,7 @@ def test_sector_solve_matches_dense_sector_oracle(shape, seed):
     sector = ((n_electrons + 1) // 2, n_electrons // 2)
     matrix = hamiltonian_matrix(h)
     solved = ground_state_energy(h, n_electrons=n_electrons)
-    assert solved.sector == sector
+    assert eigenvector_sector(solved.eigenvector.amplitudes) == sector
     assert abs(solved.energy - sector_energy(matrix, *sector)) < 1e-10
     assert solved.residual_norm < 1e-9
     unrestricted = ground_state_energy(h)
@@ -271,53 +276,111 @@ def test_sector_solve_matches_dense_sector_oracle(shape, seed):
 @given(st.integers(2, 4), st.integers(0, 2**32 - 1))
 def test_bound_ordered_solve_matches_every_block_oracle(n_orbitals, seed):
     h = random_conserving_hamiltonian(n_orbitals, seed)
-    solved, oracle = ground_state_energy(h), ground_state_every_block(h)
-    assert (solved.energy, solved.sector) == (oracle.energy, oracle.sector)
-    assert solved.residual_norm == oracle.residual_norm
-    assert np.array_equal(solved.eigenvector.amplitudes, oracle.eigenvector.amplitudes)
+    solved = ground_state_energy(h)
+    energy, _, energies = ground_state_every_block(h)
+    assert abs(solved.energy - energy) < 1e-10
+    assert solved.residual_norm < 1e-9
+    # the winner is the oracle's lowest block, or one that ties it (a spin multiplet)
+    lowest = {sector for sector, e in energies.items() if e - energy < 1e-10}
+    assert eigenvector_sector(solved.eigenvector.amplitudes) in lowest
     # each Gershgorin bound lies at or below the lowest eigenvalue of its block
     # of the full form it is taken from; the Kronecker oracle's sums, and a
     # block compiled on its own states, round differently, by ~1e-16
-    operator, matrix = h.compile(), hamiltonian_matrix(h)
-    blocks, full = exactdiag._blocks(operator), operator.dense().real  # real integrals
-    for bound, (sector, states) in zip(exactdiag._bounds(operator, blocks), blocks):
+    operator, n = h.compile(), h.n_qubits
+    blocks, full = exactdiag._blocks(n), operator.dense().real  # real integrals
+    for bound, states in zip(exactdiag._bounds(operator, blocks), blocks):
         assert bound <= np.linalg.eigvalsh(full[np.ix_(states, states)])[0]
-        assert bound <= sector_energy(matrix, *sector) + 1e-12
+        assert bound <= energies[spin_counts(n, int(states[0]))] + 1e-12
 
 
 def test_a_tight_bound_does_not_skip_a_tie_for_the_lowest_energy():
     # (0, 1) is the block [[d, a], [a, d]] on qubits 1 and 3: its Gershgorin
-    # bound d - a is its exact lowest eigenvalue, and eigvalsh rounds one ulp
+    # bound d - a is its exact lowest eigenvalue, and eigh rounds one ulp
     # below it. The one state of (0, 2) has that rounded energy exactly and a
     # lower bound, so it is visited first; (0, 1) must still be solved, and
     # wins the tie as the earlier label
     a, beta, alpha = 0.21683888340542526, 0.33333121587657605, 0.44175065757928866
     h = ham(4, {"IIII": 3.2164139840448684, "IZIZ": beta, "ZIII": -1.0, "IIZI": -1.0,
                 "IXIX": a / 2, "IYIY": a / 2, "IZII": alpha, "IIIZ": alpha})
-    solved, oracle = ground_state_energy(h), ground_state_every_block(h)
-    assert solved.sector == oracle.sector == (0, 1)
-    assert solved.energy == oracle.energy
-    assert np.array_equal(solved.eigenvector.amplitudes, oracle.eigenvector.amplitudes)
+    solved = ground_state_energy(h)
+    energy, sector, _ = ground_state_every_block(h)
+    assert eigenvector_sector(solved.eigenvector.amplitudes) == sector == (0, 1)
+    assert abs(solved.energy - energy) < 1e-10
+    # one set qubit, alpha (1, 0) or beta (0, 1), ties exactly, bounds
+    # included: the earlier label, visited first, keeps the tie
+    solved = ground_state_energy(ham(2, {"ZZ": 0.5}))
+    assert eigenvector_sector(solved.eigenvector.amplitudes) == (0, 1)
 
 
 def test_fock_space_solve_skips_the_blocks_its_bounds_rule_out(fixture_dir, monkeypatch):
-    # 49 blocks on the 12-qubit fixture: solving every one, then the winner
-    # again with its vector, took 50 calls
+    # 49 blocks on the 12-qubit fixture, 7 of them visited: one register
+    # compile for the bounds, then one compile and one solve per visited
+    # block; the winner is not compiled again for its vector
     from vqechem.fcidump import parse_fcidump
 
     path = os.path.join(fixture_dir, "h2s_sto3g_nonrel_eq.fcidump")
     with open(path, encoding="utf-8") as fh:
         h = jordan_wigner(build_second_quantized(parse_fcidump(fh.read())))
-    solve, calls = exactdiag._solve_block, []
+    compile_, solve, compiles, solves = QubitHamiltonian.compile, exactdiag._solve_block, [], []
 
-    def counted(block, vector):
-        calls.append(block.dim)
-        return solve(block, vector)
+    def counted_compile(self, states=None):
+        compiles.append(None if states is None else len(states))
+        return compile_(self, states)
+
+    def counted_solve(block):
+        solves.append(block.dim)
+        return solve(block)
+
+    monkeypatch.setattr(QubitHamiltonian, "compile", counted_compile)
+    monkeypatch.setattr(exactdiag, "_solve_block", counted_solve)
+    result = ground_state_energy(h)
+    assert eigenvector_sector(result.eigenvector.amplitudes) == (4, 4)
+    assert compiles[0] is None and None not in compiles[1:]
+    assert compiles[1:] == solves
+    assert len(solves) == 7
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 2**32 - 1), st.sampled_from([0.0, 1e-3, 1.0]),
+       st.data())
+def test_leaking_blocks_fall_back_to_the_register(n_orbitals, seed, weight, data):
+    # a sector-mixing string (any nonzero x-mask moves the empty state out of
+    # its block) added to a conserving Hamiltonian: the visited blocks' leaks
+    # must send the solve to the register whenever the mixing reaches them
+    h = random_conserving_hamiltonian(n_orbitals, seed)
+    n = h.n_qubits
+    terms = dict(zip(zip(h.x.tolist(), h.z.tolist()), h.weights.tolist()))
+    if weight:
+        key = (data.draw(st.integers(1, (1 << n) - 1)), data.draw(st.integers(0, (1 << n) - 1)))
+        terms[key] = terms.get(key, 0.0) + weight
+    h = hamiltonian_from_term_dict(n, terms)
+    solved = ground_state_energy(h)
+    assert abs(solved.energy - np.linalg.eigvalsh(hamiltonian_matrix(h))[0]) < 1e-10
+    assert solved.residual_norm < 1e-9
+
+
+def test_coupling_between_blocks_the_bounds_rule_out_needs_no_register_solve(monkeypatch):
+    # X_0 times the projector onto qubits 1-3 occupied joins |0111> (1, 2) and
+    # |1111> (2, 2), and nothing else; every occupied qubit costs 2, so the
+    # empty state's block (0, 0), at -4, clears every other bound
+    projector = {letters: 1 / 8 * (-1) ** letters.count("Z")
+                 for letters in ("X" + "".join(p) for p in itertools.product("IZ", repeat=3))}
+    h = ham(4, {"ZIII": -1.0, "IZII": -1.0, "IIZI": -1.0, "IIIZ": -1.0,
+                "XZXI": 0.15, "YZYI": 0.15, **projector})
+    solve, dims = exactdiag._solve_block, []
+
+    def counted(block):
+        dims.append(block.dim)
+        return solve(block)
 
     monkeypatch.setattr(exactdiag, "_solve_block", counted)
-    result = ground_state_energy(h)
-    assert result.sector == (4, 4)
-    assert len(calls) <= 8
+    solved = ground_state_energy(h)
+    assert dims == [1]
+    assert eigenvector_sector(solved.eigenvector.amplitudes) == (0, 0)
+    assert abs(solved.energy - np.linalg.eigvalsh(hamiltonian_matrix(h))[0]) < 1e-10
+    # the coupled blocks leak, so a solve of their sector is refused
+    with pytest.raises(ShapeError, match="conserve"):
+        ground_state_energy(h, n_electrons=4)
 
 
 @pytest.mark.parametrize("method", ["dense", "lanczos"])
@@ -340,7 +403,7 @@ def test_charged_h3_solves_its_own_sector(charge, energy):
     h = jordan_wigner(build_second_quantized(integrals))
     sector = ((integrals.n_electrons + 1) // 2, integrals.n_electrons // 2)
     result = ground_state_energy(h, n_electrons=integrals.n_electrons)
-    assert result.sector == sector
+    assert eigenvector_sector(result.eigenvector.amplitudes) == sector
     assert abs(result.energy - sector_energy(hamiltonian_matrix(h), *sector)) < 1e-10
     assert abs(result.energy - energy) < 1e-6
     # the Fock-space minimum is neutral H3, far below either ion
@@ -349,7 +412,7 @@ def test_charged_h3_solves_its_own_sector(charge, energy):
 
 def test_sector_refused_when_the_operator_mixes_sectors():
     h = ham(2, {"XI": 1.0, "ZZ": 0.5})  # X on qubit 0 changes N_alpha
-    assert ground_state_energy(h).sector is None
+    assert eigenvector_sector(ground_state_energy(h).eigenvector.amplitudes) is None
     with pytest.raises(ShapeError, match="conserve"):
         ground_state_energy(h, n_electrons=1)
 

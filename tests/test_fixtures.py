@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from conftest import FIXTURE_DIR
-from vqechem.exactdiag import ground_state_energy, reference_sector
+from oracles import eigenvector_sector
+from vqechem.exactdiag import ground_state_energy
 from vqechem.fcidump import parse_fcidump
 from vqechem.fermions import build_second_quantized, jordan_wigner
 from vqechem.workflows import ScanPoint, integrals_for_point
@@ -39,8 +40,10 @@ def test_fock_space_minimum_holds_nelec_electrons(stem, freeze):
     integrals = integrals_for_point(ScanPoint(stem, 0.0, fcidump_path=path), freeze)
     hamiltonian = jordan_wigner(build_second_quantized(integrals))
     unrestricted = ground_state_energy(hamiltonian)
-    assert unrestricted.sector == reference_sector(integrals.n_electrons)
-    in_sector = ground_state_energy(hamiltonian, n_electrons=integrals.n_electrons)
+    n_electrons = integrals.n_electrons
+    reference = ((n_electrons + 1) // 2, n_electrons // 2)
+    assert eigenvector_sector(unrestricted.eigenvector.amplitudes) == reference
+    in_sector = ground_state_energy(hamiltonian, n_electrons=n_electrons)
     assert abs(unrestricted.energy - in_sector.energy) < 1e-10
 
 

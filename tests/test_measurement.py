@@ -15,6 +15,7 @@ from oracles import (
     hamiltonian_from_term_dict,
     sampled_energy,
 )
+from vqechem import measurement
 from vqechem.exceptions import ShapeError
 from vqechem.measurement import (
     MeasurementGroup,
@@ -290,6 +291,40 @@ def test_blocks_of_groups_match_per_group_oracle_at_12_qubits(fixture_dir):
     state = superposition_state(12, 2024)
     estimate = estimate_energy_sampled(state, h, tables, 1024, 17)
     assert estimate == sampled_energy(state, h, groups, 1024, 17)
+
+
+def test_one_group_blocks_draw_from_seeds_hashed_once_per_estimate(monkeypatch):
+    # 2**14 amplitudes leave room for one group per block, so every block
+    # draws one row; all the groups' seeds are hashed in one call
+    n, rng, coeffs = 14, np.random.default_rng(5), {}
+    while len(coeffs) < 12:
+        coeffs[(int(rng.integers(1, 1 << n)), int(rng.integers(0, 1 << n)))] = float(rng.normal())
+    h = hamiltonian_from_term_dict(n, coeffs)
+    groups = group_commuting(h)
+    tables = group_tables(h, groups)
+    assert len(tables.blocks) == len(groups) > 1
+    drawn, hashed = [], []
+    sample_counts, seed_words = measurement.sample_counts, measurement.seed_words
+
+    def recorded_draw(probabilities, n_shots, words):
+        counts = sample_counts(probabilities, n_shots, words)
+        drawn.append((probabilities[0].copy(), counts[0]))
+        return counts
+
+    def recorded_hash(seeds):
+        hashed.append(len(seeds))
+        return seed_words(seeds)
+
+    monkeypatch.setattr(measurement, "sample_counts", recorded_draw)
+    monkeypatch.setattr(measurement, "seed_words", recorded_hash)
+    state, seed = superposition_state(n, 3), 41
+    estimate = estimate_energy_sampled(state, h, tables, 256, seed)
+    assert hashed == [len(groups)]
+    for (gid,), (p, counts) in zip((block.group_ids for block in tables.blocks), drawn,
+                                   strict=True):
+        assert np.array_equal(counts, np.random.default_rng(seed + gid).multinomial(
+            256, p / p.sum()))
+    assert estimate == sampled_energy(state, h, groups, 256, seed)
 
 
 @pytest.mark.parametrize("shots", [2.5, 0, True, "10", None])

@@ -346,9 +346,9 @@ def test_sample_counts_are_the_per_row_default_rng_draws(rows, n, shots, data):
     # unnormalized rows, some outcomes impossible
     block = rng.uniform(0.0, 3.0, (rows, 1 << n)) * (rng.uniform(size=(rows, 1 << n)) < 0.8)
     block[:, 0] += 0.1
-    assert np.array_equal(sample_counts(block, shots, seeds),
+    assert np.array_equal(sample_counts(block, shots, seed_words(seeds)),
                           sample_counts_per_row(block, shots, seeds))
-    assert np.array_equal(sample_counts(block[0], shots, seeds[0]),
+    assert np.array_equal(sample_counts(block[0], shots, seed_words(seeds[0])),
                           sample_counts_per_row(block[0], shots, seeds[0]))
 
 

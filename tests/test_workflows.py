@@ -138,7 +138,8 @@ def test_h2s_fixture_pair_reports_published_shift(fixture_dir):
     def fci(stem):
         point = ScanPoint(stem, 0.0, fcidump_path=os.path.join(fixture_dir, stem + ".fcidump"))
         integrals = integrals_for_point(point, freeze=(0, 1))
-        return ground_state_energy(jordan_wigner(build_second_quantized(integrals))).energy
+        hamiltonian = jordan_wigner(build_second_quantized(integrals))
+        return ground_state_energy(hamiltonian, n_electrons=integrals.n_electrons).energy
 
     nonrel = [("eq", fci("h2s_sto3g_nonrel_eq")), ("stretch", fci("h2s_sto3g_nonrel_stretch"))]
     rel = [("eq", fci("h2s_sto3g_rel_eq")), ("stretch", fci("h2s_sto3g_rel_stretch"))]
