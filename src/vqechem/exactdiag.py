@@ -7,12 +7,12 @@ its states and solved once: dense ``eigh`` up to ``DENSE_CUTOFF_DIM``
 states, Lanczos with full reorthogonalization above. With ``n_electrons``
 the one block is the Hartree-Fock reference's, (ceil(N/2), floor(N/2)),
 which holds the lowest N-electron state of every spin. Without it the
-blocks are visited in ascending Gershgorin bound (Gershgorin 1931), taken
-from the register's form, until a bound clears the lowest energy so far.
-A block's ``leak`` is the coupling test: a leaking sector is refused, and
-a leaking block of the Fock-space search sends the solve to the register
-as one block. If no visited block leaks they span an invariant subspace,
-and the bounds cover every other state, so their minimum is the register's.
+blocks are visited in ascending Gershgorin bound (Gershgorin 1931) from
+the strings, until one clears the lowest energy so far. A block's ``leak``
+is the coupling test: a leaking sector is refused, and a leaking block of
+the Fock-space search sends the solve to the register's form, compiled then
+alone. If no visited block leaks they span an invariant subspace, and the
+string bounds cover every other state, so their minimum is the register's.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from numbers import Real
 import numpy as np
 
 from .exceptions import EigensolverConvergenceError, ShapeError
-from .paulis import COEFF_PRUNE_THRESHOLD, ROWS_PER_BLOCK, CompiledOperator, QubitHamiltonian
+from .paulis import COEFF_PRUNE_THRESHOLD, CompiledOperator, QubitHamiltonian, sign_table
 from .simulator import (MAX_QUBITS, Statevector, check_allocation, checked_int, sector_labels,
                         sector_states)
 
@@ -40,6 +40,9 @@ LANCZOS_RESTARTS = 12
 # a block is skipped when its bound exceeds the best energy by more than this
 # times 1 + |best|: where a bound is tight, eigh can round below it
 BOUND_MARGIN = 1e-9
+# blocks within this times 1 + |lowest| of the lowest energy tie; the earliest
+# label wins, whatever the visit order or the eigensolver's rounding
+TIE_MARGIN = 1e-12
 
 
 @dataclass(frozen=True)
@@ -55,19 +58,21 @@ def _sector_size(n: int, electrons: int) -> int:
     return comb((n + 1) // 2, (electrons + 1) // 2) * comb(n // 2, electrons // 2)
 
 
-def _check_bytes(hamiltonian: QubitHamiltonian, block_dim: int, forms: list) -> None:
-    """Refuse a solve whose compiled forms and workspace exceed the allocation cap.
+def _check_bytes(hamiltonian: QubitHamiltonian, form: int | None, search: bool) -> None:
+    """Refuse a solve whose compiled form and workspace exceed the allocation cap.
 
-    ``forms`` are the state counts of the forms held at once, None for the
-    register's: a sector solve holds its block's, a Fock-space solve the full
-    form and one block's. A Fock-space solve also labels every register state
-    by sector, 32 B each; a sector solve lists its states alone. Lanczos
-    keeps ``min(LANCZOS_MAX_KRYLOV, block_dim)`` block vectors; a dense solve
-    (up to ``DENSE_CUTOFF_DIM`` states) 48 B per matrix cell (matrix, LAPACK's
-    copy, eigenvectors) and 48 B per block entry filling the matrix.
+    ``form`` is the state count of the one form held and solved, None for the
+    register's. A Fock-space ``search`` also labels every register state by
+    sector, 32 B each; its bounds take each block's diagonal energy from a
+    sign table of the x == 0 strings, one row of the block's form. Lanczos
+    keeps ``min(LANCZOS_MAX_KRYLOV, dim)`` block vectors; a dense solve (up to
+    ``DENSE_CUTOFF_DIM`` states) 48 B per matrix cell (matrix, LAPACK's copy,
+    eigenvectors) and 48 B per block entry filling the matrix.
     """
-    n = hamiltonian.n_qubits
-    needed = sum(map(hamiltonian.compiled_bytes, forms)) + (32 << n if None in forms else 0)
+    n, block_dim = hamiltonian.n_qubits, form or 1 << hamiltonian.n_qubits
+    needed = hamiltonian.compiled_bytes(form)
+    if search:
+        needed += 32 << n
     dense = block_dim <= DENSE_CUTOFF_DIM
     if dense:
         needed += (block_dim * block_dim + len(hamiltonian.x_masks()) * block_dim) * 48
@@ -84,17 +89,14 @@ def _blocks(n_qubits: int) -> list[np.ndarray]:
     return np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
 
 
-def _bounds(operator: CompiledOperator, blocks: list) -> np.ndarray:
-    """Gershgorin lower bound on the eigenvalues of each block.
-
-    State c's disc gives Re H[c, c] minus the sum over x != 0 rows of
-    |shifted[k, c]|; a block's bound is the least over its states.
-    """
-    diagonal = operator.gather[0, 0] == 0  # rows ascend by x-mask
-    bound = operator.shifted[0].real * diagonal
-    for start in range(int(diagonal), operator.gather.shape[0], ROWS_PER_BLOCK):
-        bound -= np.abs(operator.shifted[start:start + ROWS_PER_BLOCK]).sum(axis=0)
-    return np.array([bound[states].min() for states in blocks])
+def _bounds(hamiltonian: QubitHamiltonian, blocks: list) -> np.ndarray:
+    """Gershgorin lower bound on each block's eigenvalues, from the strings: its
+    least diagonal energy (the x == 0 strings) minus R, the summed |weight| of
+    the others. No state's disc is wider than R, whether H couples it or not."""
+    diagonal = hamiltonian.x == 0
+    weights, masks = hamiltonian.weights[diagonal], hamiltonian.z[diagonal]
+    radius = np.abs(hamiltonian.weights[~diagonal]).sum()
+    return np.array([(weights @ sign_table(masks, states)).min() for states in blocks]) - radius
 
 
 def _lanczos_lowest(operator: CompiledOperator):
@@ -180,34 +182,33 @@ def ground_state_energy(
         if isinstance(n_electrons, Real) and not 0 <= n_electrons <= n:
             raise ShapeError(f"{n_electrons} electrons do not fit in {n} spin orbitals")
         n_electrons = checked_int(n_electrons, "n_electrons", 0)
-        dim = _sector_size(n, n_electrons)
-        _check_bytes(hamiltonian, dim, [dim])
-        operator, blocks, bounds = None, [sector_states(n, (1 << n_electrons) - 1)], [-np.inf]
+        _check_bytes(hamiltonian, _sector_size(n, n_electrons), search=False)
+        blocks, bounds = [sector_states(n, (1 << n_electrons) - 1)], [-np.inf]
     else:
-        dim = _sector_size(n, n // 2)  # the largest sector
-        _check_bytes(hamiltonian, dim, [None, dim])
-        operator, blocks = hamiltonian.compile(), _blocks(n)
-        bounds = _bounds(operator, blocks)
+        _check_bytes(hamiltonian, _sector_size(n, n // 2), search=True)  # the largest sector
+        blocks = _blocks(n)
+        bounds = _bounds(hamiltonian, blocks)
 
-    best = (np.inf, -1)  # (energy, label index, states, vector, residual); ties to the first
+    # (label index, energy, vector, residual, states) of each solved block within
+    # TIE_MARGIN of the lowest energy; one that leaves the margin cannot re-enter it
+    lowest, near = np.inf, []
     for i in np.argsort(bounds, kind="stable"):
-        if bounds[i] > best[0] + BOUND_MARGIN * (1 + abs(best[0])):
+        if bounds[i] > lowest + BOUND_MARGIN * (1 + abs(lowest)):
             break
         block = hamiltonian.compile(blocks[i])
         if block.leak > COEFF_PRUNE_THRESHOLD:  # H joins this block to another
-            if operator is None:
+            if n_electrons is not None:
                 raise ShapeError("Hamiltonian does not conserve (N_alpha, N_beta); "
                                  f"no {n_electrons}-electron sector to solve")
             del block
-            _check_bytes(hamiltonian, 1 << n, [None])
-            energy, vec, residual = _solve_block(operator)
-            best = (energy, -1, np.arange(1 << n), vec, residual)
+            _check_bytes(hamiltonian, None, search=True)
+            near = [(-1, *_solve_block(hamiltonian.compile()), np.arange(1 << n))]
             break
-        energy, vec, residual = _solve_block(block)
+        solved = (i, *_solve_block(block), blocks[i])
         del block  # one block form at a time, as _check_bytes counts
-        if (energy, i) < best[:2]:
-            best = (energy, i, blocks[i], vec, residual)
-    energy, _, states, vec, residual = best
+        lowest = min(lowest, solved[1])
+        near = [s for s in near + [solved] if s[1] - lowest <= TIE_MARGIN * (1 + abs(lowest))]
+    _, energy, vec, residual, states = min(near, key=lambda s: s[0])
     amplitudes = np.zeros(1 << n, dtype=np.complex128)
     amplitudes[states] = vec
     return GroundStateResult(energy, Statevector(n, amplitudes), residual)

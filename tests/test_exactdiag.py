@@ -18,11 +18,18 @@ from oracles import (
 from vqechem import exactdiag, paulis
 from vqechem.exactdiag import ground_state_energy
 from vqechem.exceptions import EigensolverConvergenceError, ShapeError
+from vqechem.fcidump import parse_fcidump
 from vqechem.fermions import build_second_quantized, jordan_wigner
 from vqechem.integrals import MolecularIntegrals
 from vqechem.paulis import PauliString, QubitHamiltonian
 from vqechem.simulator import Statevector, expectation
 from vqechem.workflows import h3_exchange_point, hydrogen_geometry, integrals_from_geometry
+
+
+def h2s_twelve_qubits(fixture_dir) -> QubitHamiltonian:
+    """The full 12-qubit Hamiltonian of the H2S equilibrium fixture."""
+    with open(os.path.join(fixture_dir, "h2s_sto3g_nonrel_eq.fcidump"), encoding="utf-8") as fh:
+        return jordan_wigner(build_second_quantized(parse_fcidump(fh.read())))
 
 
 def ham(n, letter_weights):
@@ -160,12 +167,7 @@ def test_memory_guard_refuses_before_allocating(monkeypatch):
 
 
 def test_full_h2s_fixture_solves_under_the_guard(fixture_dir):
-    from vqechem.fcidump import parse_fcidump
-    from vqechem.fermions import build_second_quantized, jordan_wigner
-
-    path = os.path.join(fixture_dir, "h2s_sto3g_nonrel_eq.fcidump")
-    with open(path, encoding="utf-8") as fh:
-        h = jordan_wigner(build_second_quantized(parse_fcidump(fh.read())))
+    h = h2s_twelve_qubits(fixture_dir)
     assert h.n_qubits == 12
     result = ground_state_energy(h)
     assert result.residual_norm < 1e-9
@@ -174,30 +176,35 @@ def test_full_h2s_fixture_solves_under_the_guard(fixture_dir):
 
 def test_sector_solve_fits_under_a_cap_the_full_form_exceeds(fixture_dir, monkeypatch):
     # the cap is the 12-qubit fixture's full compiled form alone: the (4, 4)
-    # sector's form and dense workspace fit under it, while the Fock-space
-    # solve holds the full form and a block besides
-    from vqechem.fcidump import parse_fcidump
-
-    path = os.path.join(fixture_dir, "h2s_sto3g_nonrel_eq.fcidump")
-    with open(path, encoding="utf-8") as fh:
-        h = jordan_wigner(build_second_quantized(parse_fcidump(fh.read())))
+    # sector's form and dense workspace fit under it, and so does the
+    # Fock-space search, which ranks the blocks from the strings and holds
+    # one block's form at a time
+    h = h2s_twelve_qubits(fixture_dir)
+    uncapped = ground_state_energy(h).energy
     monkeypatch.setattr(paulis, "MAX_ALLOCATION_BYTES", h.compiled_bytes())
     result = ground_state_energy(h, n_electrons=8)
     assert eigenvector_sector(result.eigenvector.amplitudes) == (4, 4)
     assert result.residual_norm < 1e-9
-    with pytest.raises(ShapeError, match="block on 12 qubits"):
-        ground_state_energy(h)
+    assert ground_state_energy(h).energy == uncapped
+    # X on qubit 0 makes every block leak: the search falls back to the
+    # register's form, and its own check refuses it before it is compiled
+    leaking = QubitHamiltonian.from_arrays(12, np.append(h.x, 1), np.append(h.z, 0),
+                                           np.append(h.weights, 1e-3))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ShapeError, match="lanczos solve of a 4096-state block on 12 qubits"):
+            ground_state_energy(leaking)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < h.compiled_bytes()
 
 
 def test_sector_solve_counts_its_form_and_workspace_but_no_register_labels(
         fixture_dir, monkeypatch):
     # the (4, 4) sector of the 12-qubit fixture: 225 states, solved dense; its
     # states are listed without labelling the 4096 register states
-    from vqechem.fcidump import parse_fcidump
-
-    path = os.path.join(fixture_dir, "h2s_sto3g_nonrel_eq.fcidump")
-    with open(path, encoding="utf-8") as fh:
-        h = jordan_wigner(build_second_quantized(parse_fcidump(fh.read())))
+    h = h2s_twelve_qubits(fixture_dir)
     dim = 225
     needed = h.compiled_bytes(dim) + (dim * dim + len(h.x_masks()) * dim) * 48
     monkeypatch.setattr(paulis, "MAX_ALLOCATION_BYTES", needed)
@@ -231,13 +238,9 @@ def test_lanczos_keeps_its_basis_orthogonal(fixture_dir, monkeypatch):
     # one 160-vector Lanczos run on the 225-state 8-electron block of the
     # 12-qubit fixture: full reorthogonalization takes the residual to
     # ~3e-13; the three-term recurrence alone stalls near 2e-10
-    from vqechem.fcidump import parse_fcidump
-
     monkeypatch.setattr(exactdiag, "DENSE_CUTOFF_DIM", 0)
     monkeypatch.setattr(exactdiag, "LANCZOS_RESTARTS", 1)
-    path = os.path.join(fixture_dir, "h2s_sto3g_nonrel_eq.fcidump")
-    with open(path, encoding="utf-8") as fh:
-        h = jordan_wigner(build_second_quantized(parse_fcidump(fh.read())))
+    h = h2s_twelve_qubits(fixture_dir)
     result = ground_state_energy(h, n_electrons=8)
     assert eigenvector_sector(result.eigenvector.amplitudes) == (4, 4)
     assert result.residual_norm < 1e-11
@@ -283,14 +286,31 @@ def test_bound_ordered_solve_matches_every_block_oracle(n_orbitals, seed):
     # the winner is the oracle's lowest block, or one that ties it (a spin multiplet)
     lowest = {sector for sector, e in energies.items() if e - energy < 1e-10}
     assert eigenvector_sector(solved.eigenvector.amplitudes) in lowest
-    # each Gershgorin bound lies at or below the lowest eigenvalue of its block
-    # of the full form it is taken from; the Kronecker oracle's sums, and a
-    # block compiled on its own states, round differently, by ~1e-16
-    operator, n = h.compile(), h.n_qubits
-    blocks, full = exactdiag._blocks(n), operator.dense().real  # real integrals
-    for bound, states in zip(exactdiag._bounds(operator, blocks), blocks):
-        assert bound <= np.linalg.eigvalsh(full[np.ix_(states, states)])[0]
+    # each string bound lies at or below the lowest eigenvalue of its block,
+    # compiled on its own states; the Kronecker oracle's sums round
+    # differently, by ~1e-16
+    n, blocks = h.n_qubits, exactdiag._blocks(h.n_qubits)
+    for bound, states in zip(exactdiag._bounds(h, blocks), blocks):
+        assert bound <= np.linalg.eigvalsh(h.compile(states).dense())[0]
         assert bound <= energies[spin_counts(n, int(states[0]))] + 1e-12
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 2**32 - 1), st.sampled_from([1e-3, 1.0]), st.data())
+def test_string_bounds_lie_below_every_gershgorin_disc(n_orbitals, seed, weight, data):
+    # each string bound lies below every Gershgorin disc of its block's states
+    # in the whole Kronecker matrix, on a conserving Hamiltonian and with a
+    # sector-mixing string added, up to the ~1e-16 by which the two round
+    h = random_conserving_hamiltonian(n_orbitals, seed)
+    n, blocks = h.n_qubits, exactdiag._blocks(h.n_qubits)
+    terms = dict(zip(zip(h.x.tolist(), h.z.tolist()), h.weights.tolist()))
+    key = (data.draw(st.integers(1, (1 << n) - 1)), data.draw(st.integers(0, (1 << n) - 1)))
+    terms[key] = terms.get(key, 0.0) + weight
+    for h in (h, hamiltonian_from_term_dict(n, terms)):
+        matrix = hamiltonian_matrix(h)
+        discs = matrix.diagonal().real - (np.abs(matrix).sum(axis=1) - np.abs(matrix.diagonal()))
+        for bound, states in zip(exactdiag._bounds(h, blocks), blocks):
+            assert bound <= discs[states].min() + 1e-12
 
 
 def test_a_tight_bound_does_not_skip_a_tie_for_the_lowest_energy():
@@ -312,32 +332,49 @@ def test_a_tight_bound_does_not_skip_a_tie_for_the_lowest_energy():
     assert eigenvector_sector(solved.eigenvector.amplitudes) == (0, 1)
 
 
-def test_fock_space_solve_skips_the_blocks_its_bounds_rule_out(fixture_dir, monkeypatch):
-    # 49 blocks on the 12-qubit fixture, 7 of them visited: one register
-    # compile for the bounds, then one compile and one solve per visited
-    # block; the winner is not compiled again for its vector
-    from vqechem.fcidump import parse_fcidump
+def test_near_ties_go_to_the_earliest_label_within_the_margin_of_the_lowest():
+    # diagonal blocks (0, 0), (0, 1) and (1, 0) at E, E - 0.8t and E - 1.6t,
+    # t = TIE_MARGIN (1 + E), visited from the lowest up: only (0, 1) lies
+    # within t of the lowest, and wins as the earlier label, though (0, 0)
+    # lies within t of (0, 1)
+    e = 1e4
+    t = exactdiag.TIE_MARGIN * (1 + e)
+    energies = np.array([e, e - 1.6 * t, e - 0.8 * t, e + 1.0])  # states 0, alpha, beta, both
+    signs = np.array([[(-1) ** (b & m).bit_count() for m in range(4)] for b in range(4)])
+    h = hamiltonian_from_term_dict(2, {(0, m): w for m, w in enumerate(signs @ energies / 4)})
+    assert eigenvector_sector(ground_state_energy(h).eigenvector.amplitudes) == (0, 1)
 
-    path = os.path.join(fixture_dir, "h2s_sto3g_nonrel_eq.fcidump")
-    with open(path, encoding="utf-8") as fh:
-        h = jordan_wigner(build_second_quantized(parse_fcidump(fh.read())))
-    compile_, solve, compiles, solves = QubitHamiltonian.compile, exactdiag._solve_block, [], []
+
+def test_fock_space_solve_skips_the_blocks_its_bounds_rule_out(fixture_dir, monkeypatch):
+    # 49 blocks on the 12-qubit fixture, ranked by their string bounds: 19 are
+    # compiled and solved, each solve right after its compile, before a string
+    # bound clears the best energy. The register's form is never compiled
+    h = h2s_twelve_qubits(fixture_dir)
+    compile_, solve, events = QubitHamiltonian.compile, exactdiag._solve_block, []
 
     def counted_compile(self, states=None):
-        compiles.append(None if states is None else len(states))
+        events.append(("compile", None if states is None else len(states)))
         return compile_(self, states)
 
     def counted_solve(block):
-        solves.append(block.dim)
+        events.append(("solve", block.dim))
         return solve(block)
 
     monkeypatch.setattr(QubitHamiltonian, "compile", counted_compile)
     monkeypatch.setattr(exactdiag, "_solve_block", counted_solve)
-    result = ground_state_energy(h)
+    tracemalloc.start()
+    try:
+        result = ground_state_energy(h)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     assert eigenvector_sector(result.eigenvector.amplitudes) == (4, 4)
-    assert compiles[0] is None and None not in compiles[1:]
-    assert compiles[1:] == solves
-    assert len(solves) == 7
+    compiles = [size for kind, size in events if kind == "compile"]
+    solves = [k for k, (kind, _) in enumerate(events) if kind == "solve"]
+    assert None not in compiles and len(compiles) == 19
+    assert len(solves) == 19
+    assert all(events[k - 1] == ("compile", events[k][1]) for k in solves)
+    assert peak < h.compiled_bytes()
 
 
 @settings(max_examples=20, deadline=None)
@@ -408,6 +445,21 @@ def test_charged_h3_solves_its_own_sector(charge, energy):
     assert abs(result.energy - energy) < 1e-6
     # the Fock-space minimum is neutral H3, far below either ion
     assert ground_state_energy(h).energy < energy - 0.29
+
+
+def test_h3_doublet_goes_to_the_earlier_label_at_every_exchange_point():
+    # the doublet lies in (1, 2) and (2, 1), whose energies agree up to the
+    # eigensolver's last bits: the earlier label wins whatever the rounding
+    for s in np.linspace(-1.0, 1.0, 9):
+        integrals, _ = integrals_from_geometry(h3_exchange_point("p", float(s))["geometry"])
+        result = ground_state_energy(jordan_wigner(build_second_quantized(integrals)))
+        assert eigenvector_sector(result.eigenvector.amplitudes) == (1, 2)
+
+
+def test_empty_hamiltonian_has_zero_energy():
+    for n_electrons in (None, 1):
+        result = ground_state_energy(QubitHamiltonian(2, ()), n_electrons)
+        assert result.energy == 0.0 and result.residual_norm == 0.0
 
 
 def test_sector_refused_when_the_operator_mixes_sectors():
