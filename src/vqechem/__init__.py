@@ -43,7 +43,6 @@ from .simulator import (
     apply_circuit,
     expectation,
     prepare_hf,
-    sample,
 )
 from .workflows import (
     PesPoint,

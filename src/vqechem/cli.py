@@ -40,6 +40,14 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
+def _read_json(path: str):
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+            raise VqeChemError(f"{path} is not valid JSON: {exc}") from None
+
+
 def _emit(summary: dict, as_json: bool) -> None:
     if as_json:
         print(json.dumps(summary, sort_keys=True))
@@ -59,8 +67,7 @@ def _point_from_args(args) -> ScanPoint:
     if (args.geometry is None) == (args.fcidump is None):
         raise VqeChemError("provide exactly one of --geometry or --fcidump")
     if args.geometry is not None:
-        with open(args.geometry, "r", encoding="utf-8") as fh:
-            return ScanPoint("point", 0.0, geometry=json.load(fh))
+        return ScanPoint("point", 0.0, geometry=_read_json(args.geometry))
     return ScanPoint("point", 0.0, fcidump_path=args.fcidump)
 
 
@@ -102,8 +109,7 @@ def _run_point_from_args(args):
 
 
 def cmd_fcidump_gen(args) -> int:
-    with open(args.geometry, "r", encoding="utf-8") as fh:
-        integrals, rhf = integrals_from_geometry(json.load(fh))
+    integrals, rhf = integrals_from_geometry(_read_json(args.geometry))
     _write_text(args.out, write_fcidump(integrals))
     _emit(
         {
@@ -157,8 +163,7 @@ def cmd_fci(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    with open(args.manifest, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = _read_json(args.manifest)
     manifest = load_manifest(doc, base_dir=os.path.dirname(os.path.abspath(args.manifest)))
     points, errors = run_scan(manifest)
     _write_text(args.out, scan_csv(points))

@@ -4,15 +4,16 @@ A Jordan-Wigner Hamiltonian built from a number- and spin-conserving
 fermion operator is block diagonal in (N_alpha, N_beta): the popcounts of
 the even (alpha) and odd (beta) qubits. Each visited block is compiled on
 its states and solved once: dense ``eigh`` up to ``DENSE_CUTOFF_DIM``
-states, Lanczos with full reorthogonalization above. With ``n_electrons``
-the one block is the Hartree-Fock reference's, (ceil(N/2), floor(N/2)),
-which holds the lowest N-electron state of every spin. Without it the
-blocks are visited in ascending Gershgorin bound (Gershgorin 1931) from
-the strings, until one clears the lowest energy so far. A block's ``leak``
-is the coupling test: a leaking sector is refused, and a leaking block of
-the Fock-space search sends the solve to the register's form, compiled then
-alone. If no visited block leaks they span an invariant subspace, and the
-string bounds cover every other state, so their minimum is the register's.
+states, above that Davidson's method with the diagonal as preconditioner.
+With ``n_electrons`` the one block is the Hartree-Fock reference's,
+(ceil(N/2), floor(N/2)), which holds the lowest N-electron state of every
+spin. Without it the blocks are visited in ascending Gershgorin bound
+(Gershgorin 1931) from the strings, until one clears the lowest energy so
+far. A block's ``leak`` is the coupling test: a leaking sector is refused,
+and a leaking block of the Fock-space search sends the solve to the
+register's form, compiled then alone. If no visited block leaks they span an
+invariant subspace, and the string bounds cover every other state, so their
+minimum is the register's.
 """
 
 from __future__ import annotations
@@ -29,14 +30,14 @@ from .simulator import (MAX_QUBITS, Statevector, check_allocation, checked_int, 
                         sector_states)
 
 RESIDUAL_TOLERANCE = 1e-9
-LANCZOS_START_SEED = 20240801  # fixed so results are bit-reproducible
-# blocks of at most this many states take dense eigh. On one thread dense
-# beat Lanczos on every block timed, 400 to 1960 states (460 against 660 ms
-# at 1225, random real integrals). Lanczos took half as long on the 400-state
-# H2S block as on a random 441-state one, so molecular blocks may cross lower
-DENSE_CUTOFF_DIM = 1024
-LANCZOS_MAX_KRYLOV = 160  # Krylov vectors per restart
-LANCZOS_RESTARTS = 12
+START_SEED = 20240801  # fixed so results are bit-reproducible
+# blocks of at most this many states take dense eigh, larger ones Davidson. On
+# one thread the two crossed between 90 and 225 states: dense won on hydrogen
+# chain blocks up to 147 states, Davidson on H2S blocks from 90 (6.0 against
+# 1.7 ms at 225)
+DENSE_CUTOFF_DIM = 100
+DAVIDSON_SUBSPACE = 24  # vectors held; a full space restarts on the Ritz vector
+DAVIDSON_MAX_PRODUCTS = 1000
 # a block is skipped when its bound exceeds the best energy by more than this
 # times 1 + |best|: where a bound is tight, eigh can round below it
 BOUND_MARGIN = 1e-9
@@ -59,26 +60,28 @@ def _sector_size(n: int, electrons: int) -> int:
 
 
 def _check_bytes(hamiltonian: QubitHamiltonian, form: int | None, search: bool) -> None:
-    """Refuse a solve whose compiled form and workspace exceed the allocation cap.
+    """Refuse a solve whose compiled form, workspace and eigenvector exceed the cap.
 
     ``form`` is the state count of the one form held and solved, None for the
     register's. A Fock-space ``search`` also labels every register state by
     sector, 32 B each; its bounds take each block's diagonal energy from a
-    sign table of the x == 0 strings, one row of the block's form. Lanczos
-    keeps ``min(LANCZOS_MAX_KRYLOV, dim)`` block vectors; a dense solve (up to
-    ``DENSE_CUTOFF_DIM`` states) 48 B per matrix cell (matrix, LAPACK's copy,
-    eigenvectors) and 48 B per block entry filling the matrix.
+    sign table of the x == 0 strings, one row of the block's form. Davidson
+    keeps 2 * ``DAVIDSON_SUBSPACE`` block vectors in the form's dtype; a dense
+    solve (up to ``DENSE_CUTOFF_DIM`` states) 48 B per matrix cell (matrix,
+    LAPACK's copy, eigenvectors) and 48 B per block entry filling the matrix.
+    The eigenvector's complex register copy takes 16 B per register state.
     """
     n, block_dim = hamiltonian.n_qubits, form or 1 << hamiltonian.n_qubits
-    needed = hamiltonian.compiled_bytes(form)
+    needed = hamiltonian.compiled_bytes(form) + (16 << n)
     if search:
         needed += 32 << n
     dense = block_dim <= DENSE_CUTOFF_DIM
     if dense:
         needed += (block_dim * block_dim + len(hamiltonian.x_masks()) * block_dim) * 48
-    else:
-        needed += min(LANCZOS_MAX_KRYLOV, block_dim) * block_dim * 16
-    check_allocation(needed, f"{'dense' if dense else 'lanczos'} solve of a "
+    else:  # the form is complex when a string has an odd number of Y letters
+        odd_y = (np.bitwise_count(hamiltonian.x & hamiltonian.z) & 1).any()
+        needed += 2 * DAVIDSON_SUBSPACE * block_dim * (16 if odd_y else 8)
+    check_allocation(needed, f"{'dense' if dense else 'davidson'} solve of a "
                              f"{block_dim}-state block on {n} qubits")
 
 
@@ -99,68 +102,59 @@ def _bounds(hamiltonian: QubitHamiltonian, blocks: list) -> np.ndarray:
     return np.array([(weights @ sign_table(masks, states)).min() for states in blocks]) - radius
 
 
-def _lanczos_lowest(operator: CompiledOperator):
-    dim = operator.dim
-    rng = np.random.default_rng(LANCZOS_START_SEED)
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    v /= np.linalg.norm(v)
+def _davidson_lowest(block: CompiledOperator):
+    """(lowest eigenvalue, its eigenvector, residual norm) of one block by Davidson's
+    method (Davidson 1975), in the form's dtype.
 
-    energy = None
-    for _ in range(LANCZOS_RESTARTS):
-        m = min(LANCZOS_MAX_KRYLOV, dim)
-        basis = np.zeros((m, dim), dtype=np.complex128)
-        alphas = np.zeros(m)
-        betas = np.zeros(max(m - 1, 0))
-        basis[0] = v
-        k_used = m
-        for k in range(m):
-            w = operator.apply(basis[k])
-            alphas[k] = np.real(np.vdot(basis[k], w))
-            w -= alphas[k] * basis[k]
-            if k > 0:
-                w -= betas[k - 1] * basis[k - 1]
-            # full reorthogonalization: cheap at these dimensions, robust
-            w -= basis[: k + 1].T @ (basis[: k + 1].conj() @ w)
-            if k + 1 == m:
-                break
-            beta = np.linalg.norm(w)
-            if beta < 1e-13:  # invariant subspace found
-                k_used = k + 1
-                break
-            betas[k] = beta
-            basis[k + 1] = w / beta
-
-        tri = np.diag(alphas[:k_used])
-        if k_used > 1:
-            tri += np.diag(betas[: k_used - 1], 1) + np.diag(betas[: k_used - 1], -1)
-        evals, evecs = np.linalg.eigh(tri)
-        energy = float(evals[0])
-        v = basis[:k_used].T @ evecs[:, 0]
-        v /= np.linalg.norm(v)
-        residual = float(np.linalg.norm(operator.apply(v) - energy * v))
+    The space starts from the lowest-diagonal state and a seeded random vector,
+    which keeps a block whose lowest state is a triplet reachable. Each step adds
+    the residual divided by (energy - diagonal), the diagonal being the row whose
+    gather is the identity (x-mask 0); a full space restarts on the Ritz vector.
+    """
+    dim = block.dim
+    identity = len(block.gather) and np.array_equal(block.gather[0], np.arange(dim))
+    diagonal = block.shifted[0].real if identity else np.zeros(dim)
+    basis = np.zeros((DAVIDSON_SUBSPACE, dim), dtype=block.shifted.dtype)
+    products = np.zeros_like(basis)  # H times each basis vector
+    basis[0, np.argmin(diagonal)] = 1.0
+    products[0] = block.apply(basis[0])
+    noise = np.random.default_rng(START_SEED).standard_normal((2, dim))
+    new = noise[0] if basis.dtype == np.float64 else noise[0] + 1j * noise[1]
+    size = count = 1
+    while True:
+        new = new / np.linalg.norm(new)
+        for _ in range(2):  # Gram-Schmidt twice keeps the basis orthonormal
+            new -= basis[:size].T @ (basis[:size].conj() @ new)
+        norm = np.linalg.norm(new)
+        if norm > 1e-10:  # else the space already holds it
+            basis[size] = new / norm
+            products[size] = block.apply(basis[size])
+            size, count = size + 1, count + 1
+        values, vectors = np.linalg.eigh(basis[:size].conj() @ products[:size].T)
+        energy, lowest = float(values[0]), vectors[:, 0]
+        ritz, product = lowest @ basis[:size], lowest @ products[:size]
+        residual_vec = product - energy * ritz
+        residual = float(np.linalg.norm(residual_vec))
         if residual < RESIDUAL_TOLERANCE:
-            return energy, v, residual
-    return energy, v, residual
+            return energy, ritz, residual
+        if count >= DAVIDSON_MAX_PRODUCTS or norm <= 1e-10:
+            raise EigensolverConvergenceError(
+                f"Davidson residual {residual:.2e} above {RESIDUAL_TOLERANCE:.0e} "
+                f"after {count} products", best_energy=energy)
+        if size == DAVIDSON_SUBSPACE:
+            basis[0], products[0], size = ritz, product, 1
+        gap = energy - diagonal
+        new = residual_vec / np.where(np.abs(gap) < 1e-8, 1e-8, gap)
 
 
 def _solve_block(block: CompiledOperator):
-    """(lowest eigenvalue, its eigenvector, residual norm) of one block.
-
-    A real block (every real-integral Jordan-Wigner Hamiltonian) is solved
-    dense as a real matrix.
-    """
-    if block.dim <= DENSE_CUTOFF_DIM:
-        evals, evecs = np.linalg.eigh(block.dense())
-        energy, vec = float(evals[0]), evecs[:, 0].copy()
-        return energy, vec, float(np.linalg.norm(block.apply(vec) - energy * vec))
-    energy, vec, residual = _lanczos_lowest(block)
-    if residual >= RESIDUAL_TOLERANCE:
-        raise EigensolverConvergenceError(
-            f"Lanczos residual {residual:.2e} above {RESIDUAL_TOLERANCE:.0e} "
-            f"after {LANCZOS_RESTARTS} restarts",
-            best_energy=energy,
-        )
-    return energy, vec, residual
+    """(lowest eigenvalue, its eigenvector, residual norm) of one block: dense
+    ``eigh`` up to ``DENSE_CUTOFF_DIM`` states, real for a real form, else Davidson."""
+    if block.dim > DENSE_CUTOFF_DIM:
+        return _davidson_lowest(block)
+    evals, evecs = np.linalg.eigh(block.dense())
+    energy, vec = float(evals[0]), evecs[:, 0].copy()
+    return energy, vec, float(np.linalg.norm(block.apply(vec) - energy * vec))
 
 
 def ground_state_energy(
@@ -169,11 +163,11 @@ def ground_state_energy(
     """Lowest eigenvalue of the qubit Hamiltonian, in one electron sector or all.
 
     A block of at most ``DENSE_CUTOFF_DIM`` states is solved dense, a larger
-    one by Lanczos (``LANCZOS_MAX_KRYLOV`` vectors, ``LANCZOS_RESTARTS``
-    restarts). With ``n_electrons`` only the reference sector is compiled and
-    solved, and a Hamiltonian that does not conserve (N_alpha, N_beta) there
-    is refused. Raises when a Lanczos residual never reaches 1e-9, carrying
-    the best estimate.
+    one by Davidson (at most ``DAVIDSON_SUBSPACE`` vectors). With
+    ``n_electrons`` only the reference sector is compiled and solved, and a
+    Hamiltonian that does not conserve (N_alpha, N_beta) there is refused.
+    Raises when a Davidson residual has not reached ``RESIDUAL_TOLERANCE``
+    after ``DAVIDSON_MAX_PRODUCTS`` products, carrying the best estimate.
     """
     n = hamiltonian.n_qubits
     if n > MAX_QUBITS:

@@ -408,20 +408,3 @@ def sample_counts(probabilities: np.ndarray, n_shots: int, words: np.ndarray) ->
         counts[row] = Generator(PCG64(seed_type(row_words))).multinomial(n_shots, p)
     return counts.reshape(probabilities.shape)
 
-
-def sample(state: Statevector, n_shots: int, seed: int) -> dict[str, int]:
-    """Seeded computational-basis sampling; returns bitstring -> count.
-
-    Bitstrings list qubit 0 first, matching the Pauli letter convention;
-    a sector state's draws are reported as its basis states.
-    """
-    n_shots = checked_int(n_shots, "n_shots", 1)
-    seed = checked_seed(seed)
-    counts = sample_counts(state.probabilities(), n_shots, seed_words(seed))
-    drawn = np.flatnonzero(counts)
-    states = drawn if state.states is None else np.asarray(state.states)[drawn]
-    n = state.n_qubits
-    result = {}
-    for index, count in zip(states.tolist(), counts[drawn].tolist()):
-        result["".join(str((index >> q) & 1) for q in range(n))] = count
-    return result

@@ -121,6 +121,24 @@ def test_malformed_geometry_exits_2_with_one_line(tmp_path, capsys, change, key)
     assert len(err.splitlines()) == 1 and key in err
 
 
+@pytest.mark.parametrize("command, flag, out", [
+    ("scan", "--manifest", True),
+    ("fcidump-gen", "--geometry", True),
+    ("vqe", "--geometry", False),
+    ("fci", "--geometry", False),
+    ("trace", "--geometry", True),
+])
+def test_malformed_json_exits_2_with_one_line(tmp_path, capsys, command, flag, out):
+    path = tmp_path / "bad.json"
+    path.write_text('{"label": ', encoding="utf-8")
+    argv = [command, flag, str(path)] + (["--out", str(tmp_path / "o")] if out else [])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert err.startswith(f"error: {path} is not valid JSON")
+    assert not (tmp_path / "o").exists()
+
+
 def test_scan_records_a_malformed_geometry_as_a_failed_point(tmp_path, capsys):
     manifest = small_manifest(tmp_path)
     doc = json.loads((tmp_path / "manifest.json").read_text())

@@ -22,7 +22,7 @@ from vqechem.fcidump import parse_fcidump
 from vqechem.fermions import build_second_quantized, jordan_wigner
 from vqechem.integrals import MolecularIntegrals
 from vqechem.paulis import PauliString, QubitHamiltonian
-from vqechem.simulator import Statevector, expectation
+from vqechem.simulator import Statevector, expectation, sector_states
 from vqechem.workflows import h3_exchange_point, hydrogen_geometry, integrals_from_geometry
 
 
@@ -78,7 +78,7 @@ def test_ground_single_z():
 def test_ground_xx_plus_zz_vs_dense(monkeypatch):
     h = ham(2, {"XX": 1.0, "ZZ": 1.0})
     expected = np.linalg.eigvalsh(hamiltonian_matrix(h))[0]
-    for cutoff in (exactdiag.DENSE_CUTOFF_DIM, 0):  # dense, then Lanczos
+    for cutoff in (exactdiag.DENSE_CUTOFF_DIM, 0):  # dense, then Davidson
         monkeypatch.setattr(exactdiag, "DENSE_CUTOFF_DIM", cutoff)
         result = ground_state_energy(h)
         assert abs(result.energy - expected) < 1e-9
@@ -91,7 +91,7 @@ def test_h2_fci_against_published_value(h2_hamiltonian_074):
     assert result.residual_norm < 1e-9
 
 
-def test_lanczos_matches_dense_crosscheck(monkeypatch):
+def test_davidson_matches_dense_crosscheck(monkeypatch):
     rng = np.random.default_rng(12)
     for n in (3, 5, 7):
         coeffs = {}
@@ -102,8 +102,8 @@ def test_lanczos_matches_dense_crosscheck(monkeypatch):
         dense = ground_state_energy(h)
         with monkeypatch.context() as patch:
             patch.setattr(exactdiag, "DENSE_CUTOFF_DIM", 0)
-            lanczos = ground_state_energy(h)
-        assert abs(lanczos.energy - dense.energy) < 1e-9
+            davidson = ground_state_energy(h)
+        assert abs(davidson.energy - dense.energy) < 1e-9
 
 
 def test_variational_floor(h2_hamiltonian_074):
@@ -127,12 +127,13 @@ def test_eigenvector_residual(h2_hamiltonian_074):
 
 
 def test_iteration_limit_error_carries_best_estimate(h2_hamiltonian_074, monkeypatch):
+    # the 4-state (1, 1) block's ground state lies outside the two start vectors
+    exact = ground_state_energy(h2_hamiltonian_074, n_electrons=2).energy
     monkeypatch.setattr(exactdiag, "DENSE_CUTOFF_DIM", 0)
-    monkeypatch.setattr(exactdiag, "LANCZOS_MAX_KRYLOV", 2)
-    monkeypatch.setattr(exactdiag, "LANCZOS_RESTARTS", 1)
-    with pytest.raises(EigensolverConvergenceError) as err:
-        ground_state_energy(h2_hamiltonian_074)
-    assert err.value.best_energy is not None
+    monkeypatch.setattr(exactdiag, "DAVIDSON_MAX_PRODUCTS", 2)
+    with pytest.raises(EigensolverConvergenceError, match="after 2 products") as err:
+        ground_state_energy(h2_hamiltonian_074, n_electrons=2)
+    assert exact < err.value.best_energy < exact + 0.1
 
 
 def test_qubit_guard():
@@ -150,8 +151,10 @@ def test_dense_matrix_matches_oracle(h2_hamiltonian_074):
 
 
 def test_memory_guard_refuses_before_allocating(monkeypatch):
-    # 24 qubits pass the qubit limit, but the Krylov basis alone would be
-    # 160 * 2**24 * 16 B = 43 GB; the guard must refuse from the masks alone
+    # 24 qubits pass the qubit limit, but the search's 512 MiB of labels, the
+    # largest sector's 174 MiB form and 313 MiB of Davidson vectors, and the
+    # eigenvector's 256 MiB register copy exceed the cap together; the guard
+    # must refuse from the masks alone
     h = QubitHamiltonian(24, ((1.0, PauliString(24, 0, 1)),))
     tracemalloc.start()
     try:
@@ -176,7 +179,7 @@ def test_full_h2s_fixture_solves_under_the_guard(fixture_dir):
 
 def test_sector_solve_fits_under_a_cap_the_full_form_exceeds(fixture_dir, monkeypatch):
     # the cap is the 12-qubit fixture's full compiled form alone: the (4, 4)
-    # sector's form and dense workspace fit under it, and so does the
+    # sector's form and Davidson workspace fit under it, and so does the
     # Fock-space search, which ranks the blocks from the strings and holds
     # one block's form at a time
     h = h2s_twelve_qubits(fixture_dir)
@@ -192,7 +195,7 @@ def test_sector_solve_fits_under_a_cap_the_full_form_exceeds(fixture_dir, monkey
                                            np.append(h.weights, 1e-3))
     tracemalloc.start()
     try:
-        with pytest.raises(ShapeError, match="lanczos solve of a 4096-state block on 12 qubits"):
+        with pytest.raises(ShapeError, match="davidson solve of a 4096-state block on 12 qubits"):
             ground_state_energy(leaking)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -202,20 +205,32 @@ def test_sector_solve_fits_under_a_cap_the_full_form_exceeds(fixture_dir, monkey
 
 def test_sector_solve_counts_its_form_and_workspace_but_no_register_labels(
         fixture_dir, monkeypatch):
-    # the (4, 4) sector of the 12-qubit fixture: 225 states, solved dense; its
-    # states are listed without labelling the 4096 register states
+    # on the 12-qubit fixture the (4, 4) sector holds 225 states, solved by
+    # Davidson in 2 * 24 real vectors, and the (1, 1) sector 36, solved dense.
+    # Either sector's states are listed without labelling the 4096 register
+    # states, and the eigenvector's complex register copy is counted too
     h = h2s_twelve_qubits(fixture_dir)
-    dim = 225
-    needed = h.compiled_bytes(dim) + (dim * dim + len(h.x_masks()) * dim) * 48
-    monkeypatch.setattr(paulis, "MAX_ALLOCATION_BYTES", needed)
-    result = ground_state_energy(h, n_electrons=8)
-    assert eigenvector_sector(result.eigenvector.amplitudes) == (4, 4)
-    monkeypatch.setattr(paulis, "MAX_ALLOCATION_BYTES", needed - 1)
-    with pytest.raises(ShapeError, match="dense solve of a 225-state block on 12 qubits"):
-        ground_state_energy(h, n_electrons=8)
+    copy = 16 << h.n_qubits
+    for electrons, dim, method, workspace in (
+            (8, 225, "davidson", 2 * exactdiag.DAVIDSON_SUBSPACE * 225 * 8),
+            (2, 36, "dense", (36 * 36 + len(h.x_masks()) * 36) * 48)):
+        needed = h.compiled_bytes(dim) + workspace + copy
+        monkeypatch.setattr(paulis, "MAX_ALLOCATION_BYTES", needed)
+        result = ground_state_energy(h, n_electrons=electrons)
+        assert len(result.eigenvector.amplitudes) == 1 << h.n_qubits
+        monkeypatch.setattr(paulis, "MAX_ALLOCATION_BYTES", needed - 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ShapeError, match=f"{method} solve of a {dim}-state block "
+                                                 "on 12 qubits"):
+                ground_state_energy(h, n_electrons=electrons)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < copy  # refused before the form, the workspace or the copy
 
 
-def test_sixteen_qubit_chain_solves_its_sector_by_lanczos_in_small_memory():
+def test_sixteen_qubit_chain_solves_its_sector_by_davidson_in_small_memory():
     # H8 at 1.8 bohr spacing: the (4, 4) sector holds 4900 of the 65536 states,
     # above DENSE_CUTOFF_DIM; its compiled form holds 39 MB, the register's 525 MB
     geometry = hydrogen_geometry([[0.0, 0.0, 1.8 * i] for i in range(8)])
@@ -232,18 +247,6 @@ def test_sixteen_qubit_chain_solves_its_sector_by_lanczos_in_small_memory():
     assert abs(result.energy - (-4.3156021)) < 1e-7
     assert result.residual_norm <= 1e-9
     assert peak < 256 << 20
-
-
-def test_lanczos_keeps_its_basis_orthogonal(fixture_dir, monkeypatch):
-    # one 160-vector Lanczos run on the 225-state 8-electron block of the
-    # 12-qubit fixture: full reorthogonalization takes the residual to
-    # ~3e-13; the three-term recurrence alone stalls near 2e-10
-    monkeypatch.setattr(exactdiag, "DENSE_CUTOFF_DIM", 0)
-    monkeypatch.setattr(exactdiag, "LANCZOS_RESTARTS", 1)
-    h = h2s_twelve_qubits(fixture_dir)
-    result = ground_state_energy(h, n_electrons=8)
-    assert eigenvector_sector(result.eigenvector.amplitudes) == (4, 4)
-    assert result.residual_norm < 1e-11
 
 
 def random_conserving_hamiltonian(n_orbitals: int, seed: int) -> QubitHamiltonian:
@@ -273,6 +276,55 @@ def test_sector_solve_matches_dense_sector_oracle(shape, seed):
     unrestricted = ground_state_energy(h)
     assert abs(unrestricted.energy - np.linalg.eigvalsh(matrix)[0]) < 1e-10
     assert unrestricted.energy <= solved.energy + 1e-12
+
+
+def triplet_hamiltonian(n_orbitals: int, seed: int) -> QubitHamiltonian:
+    """Two low orbitals whose exchange puts a triplet below every 2-electron
+    singlet, while the closed shell on orbital 0 has the lowest diagonal energy;
+    other orbitals lie 3 Ha up, and spin-free noise of 0.02 touches every integral.
+    A singlet start vector alone never leaves the singlets."""
+    rng = np.random.default_rng(seed)
+    noise = rng.normal(0.0, 0.02, (2, n_orbitals, n_orbitals))
+    h = np.diag([0.0, 0.5] + [3.0] * (n_orbitals - 2)) + noise[0] + noise[0].T
+    g = np.einsum("pq,rs->pqrs", noise[1] + noise[1].T, noise[1] + noise[1].T)
+    g[0, 0, 0, 0], g[1, 1, 1, 1], g[0, 0, 1, 1], g[1, 1, 0, 0] = 0.8, 2.0, 0.5, 0.5
+    for p, q, r, s in itertools.product((0, 1), repeat=4):
+        if p != q and r != s:
+            g[p, q, r, s] = 0.4
+    return jordan_wigner(build_second_quantized(MolecularIntegrals(n_orbitals, 2, 0.0, h, g)))
+
+
+def with_imaginary_hop(h: QubitHamiltonian) -> QubitHamiltonian:
+    """``h`` plus 0.3 (X Z Y - Y Z X) on qubits 0-2, an imaginary alpha hop between
+    orbitals 0 and 1: its odd-Y strings make every compiled form complex."""
+    terms = dict(zip(zip(h.x.tolist(), h.z.tolist()), h.weights.tolist()))
+    for key, weight in (((0b101, 0b110), 0.3), ((0b101, 0b011), -0.3)):
+        terms[key] = terms.get(key, 0.0) + weight
+    return hamiltonian_from_term_dict(h.n_qubits, terms)
+
+
+@settings(max_examples=20)
+@given(st.integers(2, 4), st.integers(0, 2**32 - 1),
+       st.sampled_from(["real", "complex", "triplet"]))
+def test_davidson_matches_dense_eigh_on_every_sector(n_orbitals, seed, kind):
+    h = (triplet_hamiltonian(n_orbitals, seed) if kind == "triplet"
+         else random_conserving_hamiltonian(n_orbitals, seed))
+    if kind == "complex":
+        h = with_imaginary_hop(h)
+    n, matrix = h.n_qubits, hamiltonian_matrix(h)
+    reference = h.compile(sector_states(n, 0b11))
+    assert np.iscomplexobj(reference.shifted) == (kind == "complex")
+    if kind == "triplet":  # lowest diagonal: the closed shell; lowest state: S >= 1
+        assert np.argmin(reference.shifted[0]) == 0
+        assert abs(sector_energy(matrix, 1, 1) - sector_energy(matrix, 2, 0)) < 1e-10
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(exactdiag, "DENSE_CUTOFF_DIM", 0)
+        for n_electrons in range(n + 1):
+            solved = ground_state_energy(h, n_electrons=n_electrons)
+            sector = ((n_electrons + 1) // 2, n_electrons // 2)
+            assert abs(solved.energy - sector_energy(matrix, *sector)) < 1e-10
+            assert solved.residual_norm < 1e-9
+            assert np.linalg.norm(solved.eigenvector.amplitudes) == pytest.approx(1.0, abs=1e-12)
 
 
 @settings(max_examples=30)
@@ -420,9 +472,9 @@ def test_coupling_between_blocks_the_bounds_rule_out_needs_no_register_solve(mon
         ground_state_energy(h, n_electrons=4)
 
 
-@pytest.mark.parametrize("method", ["dense", "lanczos"])
+@pytest.mark.parametrize("method", ["dense", "davidson"])
 def test_eigenvector_lies_in_its_sector(h2_hamiltonian_074, method, monkeypatch):
-    if method == "lanczos":
+    if method == "davidson":
         monkeypatch.setattr(exactdiag, "DENSE_CUTOFF_DIM", 0)
     result = ground_state_energy(h2_hamiltonian_074, n_electrons=2)
     amplitudes = result.eigenvector.amplitudes

@@ -144,7 +144,7 @@ def test_jw_preserves_spectrum(n_spatial, seed):
 
 
 def test_jw_preserves_spectrum_10_qubits():
-    """Largest register: fermionic-matrix oracle against the Lanczos solver."""
+    """Largest register: fermionic-matrix oracle against the block solver."""
     from vqechem.exactdiag import ground_state_energy
 
     integrals = random_integrals(5, seed=3)

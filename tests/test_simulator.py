@@ -28,7 +28,6 @@ from vqechem.simulator import (
     apply_circuit,
     expectation,
     prepare_hf,
-    sample,
     sample_counts,
     sector_labels,
     sector_states,
@@ -280,30 +279,23 @@ def test_expectation_size_mismatch():
 
 def test_sample_basis_state_deterministic_outcome():
     state = prepare_hf(4, {1, 2})
-    counts = sample(state, 250, seed=0)
-    assert counts == {"0110": 250}
+    counts = sample_counts(state.probabilities(), 250, seed_words(0))
+    assert counts[0b0110] == counts.sum() == 250
 
 
 def test_sample_uniform_within_binomial_bound():
     plus = Statevector(1, np.array([1.0, 1.0]) / np.sqrt(2.0))
     n_shots = 100_000
-    counts = sample(plus, n_shots, seed=123)
-    p0 = counts.get("0", 0) / n_shots
+    counts = sample_counts(plus.probabilities(), n_shots, seed_words(123))
+    p0 = counts[0] / n_shots
     sigma = 0.5 / np.sqrt(n_shots)
     assert abs(p0 - 0.5) < 5 * sigma
 
 
 def test_sample_seeded_determinism():
-    state = random_state(3, 17)
-    assert sample(state, 1000, seed=9) == sample(state, 1000, seed=9)
-
-
-def test_sample_reports_a_sector_states_basis_states():
-    # local index 0 is basis state 3: qubits 0 and 1 set
-    state = Statevector(4, np.array([1.0, 0, 0, 0]), states=np.array([3, 5, 6, 9]))
-    assert sample(state, 10, 0) == {"1100": 10}
-    spread = Statevector(4, np.full(4, 0.5), states=np.array([3, 5, 6, 9]))
-    assert set(sample(spread, 400, 1)) == {"1100", "1010", "0110", "1001"}
+    p = random_state(3, 17).probabilities()
+    assert np.array_equal(sample_counts(p, 1000, seed_words(9)),
+                          sample_counts(p, 1000, seed_words(9)))
 
 
 def test_qubit_limit_guard():
