@@ -36,7 +36,9 @@ START_SEED = 20240801  # fixed so results are bit-reproducible
 # chain blocks up to 147 states, Davidson on H2S blocks from 90 (6.0 against
 # 1.7 ms at 225)
 DENSE_CUTOFF_DIM = 100
-DAVIDSON_SUBSPACE = 24  # vectors held; a full space restarts on the Ritz vector
+# vectors held; a full space restarts on the two lowest Ritz vectors, so a
+# block whose two lowest states nearly tie keeps converging on both
+DAVIDSON_SUBSPACE = 24
 DAVIDSON_MAX_PRODUCTS = 1000
 # a block is skipped when its bound exceeds the best energy by more than this
 # times 1 + |best|: where a bound is tight, eigh can round below it
@@ -109,7 +111,8 @@ def _davidson_lowest(block: CompiledOperator):
     The space starts from the lowest-diagonal state and a seeded random vector,
     which keeps a block whose lowest state is a triplet reachable. Each step adds
     the residual divided by (energy - diagonal), the diagonal being the row whose
-    gather is the identity (x-mask 0); a full space restarts on the Ritz vector.
+    gather is the identity (x-mask 0); a full space restarts on the two lowest
+    Ritz vectors.
     """
     dim = block.dim
     identity = len(block.gather) and np.array_equal(block.gather[0], np.arange(dim))
@@ -141,8 +144,9 @@ def _davidson_lowest(block: CompiledOperator):
             raise EigensolverConvergenceError(
                 f"Davidson residual {residual:.2e} above {RESIDUAL_TOLERANCE:.0e} "
                 f"after {count} products", best_energy=energy)
-        if size == DAVIDSON_SUBSPACE:
-            basis[0], products[0], size = ritz, product, 1
+        if size == DAVIDSON_SUBSPACE:  # keep the two lowest Ritz vectors
+            keep = vectors[:, :2].T
+            basis[:2], products[:2], size = keep @ basis[:size], keep @ products[:size], 2
         gap = energy - diagonal
         new = residual_vec / np.where(np.abs(gap) < 1e-8, 1e-8, gap)
 

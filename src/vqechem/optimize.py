@@ -168,23 +168,24 @@ def simplex_minimize(objective, theta0, config: OptimizerConfig) -> VqeResult:
     reflect, expand, contract, shrink = 1.0, 2.0, 0.5, 0.5
     d = x0.size
 
-    # one vertex per row; the arithmetic and evaluation order are those of
-    # a per-vertex loop, so results do not depend on the layout
+    # one vertex per row and one Python float per value; the arithmetic and
+    # evaluation order are those of a per-vertex loop, so results do not
+    # depend on the layout
     vertices = np.vstack([x0, x0 + SIMPLEX_STEP * np.eye(d)])
-    values = np.array([f(v) for v in vertices])
+    values = [f(v) for v in vertices]
     evals = d + 1
     converged = False
 
     for _ in range(config.max_iterations):
-        order = np.argsort(values, kind="stable")
-        vertices, values = vertices[order], values[order]
-        diameter = np.abs(vertices[1:] - vertices[0]).max()
-        if values[-1] - values[0] < config.convergence_threshold and diameter < config.simplex_xtol:
+        order = sorted(range(d + 1), key=values.__getitem__)  # stable, as argsort's
+        vertices, values = vertices[order], [values[i] for i in order]
+        if (values[-1] - values[0] < config.convergence_threshold
+                and np.abs(vertices[1:] - vertices[0]).max() < config.simplex_xtol):
             converged = True
-            trace.append(float(values[0]))
+            trace.append(values[0])
             break
 
-        centroid = vertices[:-1].mean(axis=0)
+        centroid = np.add.reduce(vertices[:-1]) / d  # what mean(axis=0) computes
         xr = centroid + reflect * (centroid - vertices[-1])
         fr = f(xr)
         evals += 1
@@ -213,15 +214,14 @@ def simplex_minimize(objective, theta0, config: OptimizerConfig) -> VqeResult:
                 vertices[-1], values[-1] = xc, fc
             else:
                 vertices[1:] = vertices[0] + shrink * (vertices[1:] - vertices[0])
-                for i in range(1, d + 1):
-                    values[i] = f(vertices[i])
+                values[1:] = [f(v) for v in vertices[1:]]
                 evals += d
-        trace.append(float(values[values.argmin()]))
+        trace.append(min(values))
 
-    best_idx = int(np.argmin(values))
+    best = min(values)
     return VqeResult(
-        final_energy=float(values[best_idx]),
-        final_parameters=vertices[best_idx].copy(),
+        final_energy=best,
+        final_parameters=vertices[values.index(best)].copy(),
         energy_trace=tuple(trace),
         n_function_evaluations=evals,
         converged=converged,

@@ -3,7 +3,10 @@
 Amplitudes are indexed little-endian: qubit ``j`` is bit ``j`` of the
 basis-state index. All operations are unitary on 2**n amplitudes, or on one
 sector's; Pauli rotations use the analytic cos/sin update rather than matrix
-exponentials, so a single rotation carries no approximation error.
+exponentials, so a single rotation carries no approximation error. A small
+real sector circuit runs its rotations on Python floats, where numpy's cost
+per call would outweigh the arithmetic, with the operations of the array
+update in its order, so both give the same bits.
 """
 
 from __future__ import annotations
@@ -25,6 +28,12 @@ MAX_QUBITS = 24  # 2**24 complex amplitudes = 256 MiB; hard memory guard
 SEED_LIMIT = 1 << 63
 
 GATE_KINDS = ("ry", "cz", "pauli_rot")
+# a real sector circuit whose rotations move at most this many rows each, on
+# average, runs on Python floats (Circuit.kernel). One rotation, min of 5 timings,
+# arrays against floats: 6.4 / 2.7 us at 4 rows (H3), 5.7 / 4.0 at 13 (8 qubits),
+# 5.3 / 6.4 at 28 (10 qubits), 5.0 / 9.7 at 47 (12 qubits); they cross near 20
+SCALAR_MAX_ROWS = 20
+_ONE = np.ones(1)  # the factor of a bound angle, after the parameters
 
 
 @dataclass(frozen=True)
@@ -126,6 +135,9 @@ class Circuit:
     n_parameters: int = 0
     # the ascending basis states the tables index; None for the whole register
     states: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    # per rotation of a small real sector circuit, its (row, partner, phase)
+    # triples as Python numbers; None for any other circuit
+    kernel: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         used = set()
@@ -147,6 +159,14 @@ class Circuit:
             raise ShapeError(f"parameter slots never referenced: {missing}")
 
     @cached_property
+    def angle_slots(self) -> tuple:
+        """(per gate, the index of its parameter, or ``n_parameters`` for a bound
+        angle; per gate, its angle): a gate turns by angle * [*parameters, 1][slot]."""
+        slots = [self.n_parameters if g.slot is None else g.slot for g in self.gates]
+        angles = [g.angle for g in self.gates]
+        return np.array(slots, dtype=np.intp), np.array(angles, dtype=float)
+
+    @cached_property
     def tables(self) -> tuple:
         """Per gate, the register tables of _gate_tables, built on first use."""
         return _gate_tables(self.n_qubits, self.gates)
@@ -154,13 +174,20 @@ class Circuit:
     def restrict(self, states: np.ndarray) -> Circuit | None:
         """This circuit on the ascending basis ``states``, its tables compiled there;
         None unless every gate is a pauli_rot whose rows in ``states`` all have their
-        partner there."""
+        partner there. Real tables of at most ``SCALAR_MAX_ROWS`` rows per rotation,
+        on average, also give the circuit its ``kernel``."""
         tables = _gate_tables(self.n_qubits, self.gates, states)
         if tables is None:
             return None
         sector = copy.copy(self)
         object.__setattr__(sector, "tables", tables)  # the dataclass is frozen
         object.__setattr__(sector, "states", states)
+        if (all(phase.dtype == np.float64 for _, _, phase in tables)
+                and sum(len(partner) for _, partner, _ in tables) <= SCALAR_MAX_ROWS * len(tables)):
+            index = np.arange(len(states))
+            kernel = tuple(tuple(zip(index[rows].tolist(), partner.tolist(), phase.tolist()))
+                           for rows, partner, phase in tables)
+            object.__setattr__(sector, "kernel", kernel)
         return sector
 
 
@@ -226,19 +253,37 @@ def update_qubit(stack: np.ndarray, qubit: int, rows, matrix: np.ndarray) -> Non
 
 def apply_circuit(state: Statevector, circuit: Circuit, parameters=()) -> Statevector:
     """Run the circuit on a state, resolving parameter slots from ``parameters``;
-    a sector state takes the circuit restricted to its states. Real stays real."""
+    a sector state takes the circuit restricted to its states. Real stays real.
+
+    A real state runs a circuit's ``kernel``, if it has one, on a list of Python
+    floats: each rotation computes c * a[row] + s * (phase * a[partner]) for all
+    its rows, then stores them, the operations of the array update in its order,
+    so the amplitudes are bit-identical to it. Below about 20 rows a rotation's
+    seven array calls cost more than its scalar arithmetic.
+    """
     if circuit.n_qubits != state.n_qubits:
         raise ShapeError("circuit and state qubit counts differ")
     if circuit.states is not state.states and not np.array_equal(circuit.states, state.states):
         raise ShapeError("circuit and state act on different basis states")
-    parameters = np.asarray(parameters, dtype=float)
+    try:  # a float64 array passes as it is; other real arrays are converted
+        parameters = np.asarray(parameters)
+        if parameters.dtype != np.float64:
+            parameters = parameters.astype(float, casting="same_kind")
+    except (TypeError, ValueError):  # complex, non-numeric or ragged
+        raise ShapeError(f"parameters must be real numbers, got {parameters!r}") from None
     if parameters.shape != (circuit.n_parameters,):
         raise ShapeError(
             f"expected {circuit.n_parameters} parameters, got {parameters.shape}"
         )
-    values = parameters.tolist()
-    half = 0.5 * np.array([g.angle if g.slot is None else g.angle * values[g.slot]
-                           for g in circuit.gates], dtype=float)
+    slots, angles = circuit.angle_slots
+    half = 0.5 * (angles * np.concatenate((parameters, _ONE))[slots])
+    if circuit.kernel is not None and state.amplitudes.dtype == np.float64:
+        a = state.amplitudes.tolist()
+        for triples, c, s in zip(circuit.kernel, np.cos(half).tolist(), np.sin(half).tolist()):
+            for row, value in [(row, c * a[row] + s * (phase * a[partner]))
+                               for row, partner, phase in triples]:
+                a[row] = value
+        return Statevector(state.n_qubits, np.array(a), state.states)
     phases = [table[2] for table in circuit.tables if table is not None]
     amplitudes = state.amplitudes.astype(np.result_type(state.amplitudes, *phases), copy=True)
     for gate, table, c, s in zip(circuit.gates, circuit.tables,

@@ -159,14 +159,16 @@ def test_simplex_matches_list_oracle_on_random_objectives():
     assert stops == {True, False}  # some converge, some stop at the iteration cap
 
 
-def test_simplex_matches_list_oracle_on_uccsd(h2_hamiltonian_074):
-    from vqechem.optimize import exact_energy_objective
-
-    objective = exact_energy_objective(h2_hamiltonian_074, build_uccsd(4, {0, 1}), {0, 1})
-    theta0 = np.random.default_rng(5).normal(0.0, 0.1, 3)
+def test_simplex_matches_list_oracle_on_uccsd(molecules):
+    # 3 and 8 parameters; the H3 objective runs the scalar sector kernel
     config = OptimizerConfig(max_iterations=400, convergence_threshold=1e-10)
-    assert_same_result(simplex_minimize(objective, theta0, config),
-                       simplex_minimize_lists(objective, theta0, config))
+    for name in ("H2", "H3"):
+        hamiltonian, occupied = molecules[name]
+        circuit = build_uccsd(hamiltonian.n_qubits, occupied)
+        objective = optimize.exact_energy_objective(hamiltonian, circuit, occupied)
+        theta0 = np.random.default_rng(5).normal(0.0, 0.1, circuit.n_parameters)
+        assert_same_result(simplex_minimize(objective, theta0, config),
+                           simplex_minimize_lists(objective, theta0, config))
 
 
 def test_zero_parameter_circuit_returns_hf_energy(h2_hamiltonian_074):

@@ -17,6 +17,7 @@ from oracles import (
     sample_counts as sample_counts_per_row,
     sector_states_by_labels,
 )
+from vqechem import simulator
 from vqechem.ansatz import _excitation_gates, build_hardware_efficient, build_uccsd
 from vqechem.exceptions import ShapeError
 from vqechem.fermions import jordan_wigner
@@ -245,6 +246,22 @@ def test_parameter_count_mismatch():
         apply_circuit(prepare_hf(2, set()), circuit, [])
 
 
+@pytest.mark.parametrize("parameters", [[0.5j], np.array([0.5 + 0.5j]), ["0.5"], [None],
+                                        [object()], [[0.5], [0.1, 0.2]]])
+def test_parameters_must_be_real_numbers(parameters):
+    circuit = Circuit(2, (Gate("ry", (0,), slot=0),), n_parameters=1)
+    with pytest.raises(ShapeError, match="parameters must be real numbers"):
+        apply_circuit(prepare_hf(2, set()), circuit, parameters)
+
+
+def test_real_parameters_of_any_real_type_are_converted():
+    circuit = Circuit(2, (Gate("ry", (0,), slot=0),), n_parameters=1)
+    reference = apply_circuit(prepare_hf(2, set()), circuit, np.array([1.0])).amplitudes
+    for parameters in ([1], (1.0,), [True], np.float32([1.0]), np.array([1], dtype=">f8")):
+        out = apply_circuit(prepare_hf(2, set()), circuit, parameters).amplitudes
+        assert np.array_equal(out, reference)
+
+
 def test_unreferenced_slot_rejected():
     with pytest.raises(ShapeError):
         Circuit(2, (Gate("ry", (0,), slot=0),), n_parameters=2)
@@ -459,6 +476,58 @@ def test_rotation_with_no_row_in_the_states_is_the_identity_there():
     assert_tables_equal(sector.tables, restrict_by_remap(circuit, states), len(states))
     state = Statevector(4, np.array([0.6, 0.8]), states)
     assert np.array_equal(apply_circuit(state, sector).amplitudes, state.amplitudes)
+
+
+@st.composite
+def conserving_rotation(draw, n):
+    """A spin-conserving excitation's rotation, real on every sector, with a bound angle."""
+    k = draw(st.integers(1, min(2, n // 2)))
+    modes = draw(st.permutations(range(n)).filter(
+        lambda m: sorted(q % 2 for q in m[:k]) == sorted(q % 2 for q in m[k:2 * k])))
+    move = (tuple(sorted(modes[:k])), tuple(sorted(modes[k:2 * k])))
+    return replace(_excitation_gates(n, [move])[0], slot=None,
+                   angle=draw(st.floats(-3.0, 3.0)))
+
+
+def run_both_kernels(circuit, state, parameters):
+    """``circuit`` restricted to the state's states and run by the array loop
+    (cutoff below every rotation), then by the scalar kernel (cutoff above)."""
+    out = []
+    for cutoff in (-1, 1 << 30):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(simulator, "SCALAR_MAX_ROWS", cutoff)
+            sector = circuit.restrict(state.states)
+        assert (sector.kernel is None) == (cutoff < 0) or not circuit.gates
+        out.append(apply_circuit(state, sector, parameters).amplitudes)
+    assert out[0].dtype == out[1].dtype == np.float64
+    return out
+
+
+@given(st.integers(4, 10), st.data())
+def test_scalar_kernel_is_bit_identical_to_the_array_loop(n, data):
+    occupied = data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1))
+    uccsd = build_uccsd(n, occupied)
+    extra = data.draw(st.lists(conserving_rotation(n), max_size=3))
+    circuit = Circuit(n, uccsd.gates + tuple(extra), n_parameters=uccsd.n_parameters)
+    states = sector_states(n, data.draw(st.integers(0, (1 << n) - 1)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    amplitudes = rng.standard_normal(len(states))
+    state = Statevector(n, amplitudes / np.linalg.norm(amplitudes), states)
+    array, scalar = run_both_kernels(circuit, state, rng.uniform(-3.0, 3.0, circuit.n_parameters))
+    assert np.array_equal(scalar, array)
+
+
+def test_scalar_kernel_runs_rotations_of_no_row_and_of_every_row():
+    # on 4 qubits with one alpha electron and no beta one, alpha 0 -> 2 moves
+    # both states and beta 1 -> 3 moves none
+    gates = _excitation_gates(4, [((0,), (2,)), ((1,), (3,))])
+    circuit = Circuit(4, tuple(replace(g, slot=None, angle=a) for g, a in zip(gates, (0.7, -1.3))))
+    states = sector_states(4, 0b0001)
+    sector = circuit.restrict(states)
+    assert sector.tables[0][0] == slice(None) and sector.tables[1][0].size == 0
+    state = Statevector(4, np.array([0.6, 0.8]), states)
+    array, scalar = run_both_kernels(circuit, state, ())
+    assert np.array_equal(scalar, array) and not np.array_equal(scalar, state.amplitudes)
 
 
 def test_sector_state_needs_the_circuit_restricted_to_its_states():

@@ -230,6 +230,23 @@ def test_sampled_scan_csv_pinned():
     assert digest == "c8652f781155e6a48e5c0cccb818933445c5628f5bb41f321aad45744ec1161a"
 
 
+def test_exact_scan_csv_pinned():
+    # an exact-mode H3 scan's CSV (the h3-exchange benchmark's settings at three
+    # points) pinned across code versions: any change to a circuit run, an
+    # expectation or a simplex step moves the digest
+    doc = {
+        "label": "h3-exact", "ansatz": "uccsd", "mode": "exact",
+        "optimizer": {"kind": "simplex", "max_iterations": 1000,
+                      "convergence_threshold": 1e-7, "simplex_xtol": 1e-3},
+        "seed": 5, "restarts": 2,
+        "points": [h3_exchange_point(f"{s:+.2f}", s) for s in (-1.0, 0.0, 1.0)],
+    }
+    points, errors = run_scan(load_manifest(doc))
+    assert errors == []
+    digest = hashlib.sha256(scan_csv(points).encode()).hexdigest()
+    assert digest == "dcc051126c37d1ed5ab1124dae8f99c8104720285dfac83ad4acfee702f7aeb1"
+
+
 def test_scan_points_are_order_independent():
     doc_fwd = h2_manifest_doc([0.70, 0.78])
     doc_rev = h2_manifest_doc([0.78, 0.70])
