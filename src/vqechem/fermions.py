@@ -142,9 +142,29 @@ def build_second_quantized(integrals: MolecularIntegrals) -> FermionOperator:
     return _normal_order(n_modes, owner, modes, n_create, coeffs, 1)[0]
 
 
+def _lexsort(keys) -> np.ndarray:
+    """``np.lexsort(keys)`` for non-negative int64 keys, the last one primary.
+
+    Keys are packed by their bit lengths into 63-bit words, least
+    significant first, as many to a word as fit; each word takes one stable
+    argsort where ``np.lexsort`` takes one per key.
+    """
+    perm, word, shift = np.arange(len(keys[0])), 0, 0
+    for key in keys:
+        bits = int(key.max(initial=0)).bit_length()
+        if shift + bits > 63:
+            perm, word, shift = perm[np.argsort(word[perm], kind="stable")], 0, 0
+        word, shift = word | key << shift, shift + bits
+    return perm[np.argsort(word[perm], kind="stable")] if shift else perm
+
+
 def _sum_runs(keys, coeffs, order=()):
-    """Sum the coefficients of equal keys one by one, by ``order`` then array order."""
-    perm = np.lexsort((*order, *keys[::-1]))
+    """Sum the coefficients of equal keys one by one, by ``order`` then array order.
+
+    One :func:`_lexsort` orders the terms: ``keys`` (the first primary) and
+    ``order`` must be non-negative.
+    """
+    perm = _lexsort((*order, *keys[::-1]))
     keys, coeffs = [key[perm] for key in keys], coeffs[perm]
     first = np.ones(len(coeffs), dtype=bool)
     first[1:] = np.any([key[1:] != key[:-1] for key in keys], axis=0)

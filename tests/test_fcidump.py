@@ -104,6 +104,46 @@ def test_non_real_value_token():
     assert "non-real" in str(err.value)
 
 
+def test_non_integer_orbital_index_reports_its_line():
+    text = " &FCI NORB=2,NELEC=2,MS2=0,\n &END\n 0.5 1 1 1 1\n 0.25 1 1.5 1 1\n"
+    with pytest.raises(FcidumpError, match="line 4: non-integer orbital index"):
+        parse_fcidump(text)
+
+
+def test_body_token_count_not_a_multiple_of_5():
+    text = " &FCI NORB=1,NELEC=2,MS2=0,\n &END\n 0.5 1 1 1 1\n -1.0 1 1 0\n"
+    with pytest.raises(FcidumpError, match="line 4: body token count is not a multiple of 5"):
+        parse_fcidump(text)
+
+
+def test_one_body_pair_with_a_zero_index_rejected():
+    text = " &FCI NORB=2,NELEC=2,MS2=0,\n &END\n 0.1 0 1 0 0\n"
+    with pytest.raises(FcidumpError, match=r"line 3: bad one-body index pair \(0,1\)"):
+        parse_fcidump(text)
+
+
+def test_twenty_digit_index_reported_out_of_range_on_its_line():
+    text = " &FCI NORB=2,NELEC=2,MS2=0,\n &END\n 0.5 1 1 1 1\n 0.5 12345678901234567890 1 1 1\n"
+    with pytest.raises(FcidumpError,
+                       match="line 4: orbital index 12345678901234567890 out of range 1..2"):
+        parse_fcidump(text)
+
+
+def test_integral_listed_twice_keeps_the_later_value_in_all_8_cells():
+    # (21|32) and then (32|12): one integral in two of its 8 index orders
+    text = " &FCI NORB=3,NELEC=2,MS2=0,\n &END\n 0.25 2 1 3 2\n 0.75 3 2 1 2\n"
+    g = parse_fcidump(text).g
+    cells = [(1, 0, 2, 1), (0, 1, 2, 1), (1, 0, 1, 2), (0, 1, 1, 2),
+             (2, 1, 1, 0), (1, 2, 1, 0), (2, 1, 0, 1), (1, 2, 0, 1)]
+    assert [g[c] for c in cells] == [0.75] * 8
+    assert np.count_nonzero(g) == 8
+
+
+def test_repeated_constant_line_keeps_the_last_value():
+    text = " &FCI NORB=1,NELEC=2,MS2=0,\n &END\n 0.7 0 0 0 0\n 0.5 1 1 1 1\n -0.3 0 0 0 0\n"
+    assert parse_fcidump(text).constant_energy == -0.3
+
+
 def test_mixed_zero_indices_rejected():
     text = " &FCI NORB=2,NELEC=2,MS2=0,\n &END\n 0.5 1 0 1 1\n"
     with pytest.raises(FcidumpError):

@@ -2,7 +2,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from oracles import (
@@ -22,7 +22,7 @@ from oracles import (
 )
 from vqechem.ansatz import _excitation_generators, build_uccsd, enumerate_excitations
 from vqechem.exceptions import NonHermitianError, ShapeError
-from vqechem.fermions import FermionOperator, build_second_quantized, jordan_wigner
+from vqechem.fermions import FermionOperator, _lexsort, build_second_quantized, jordan_wigner
 from vqechem.integrals import MolecularIntegrals
 from vqechem.measurement import group_commuting
 from vqechem.paulis import PauliString
@@ -263,6 +263,24 @@ def test_jw_expansion_edge_cases():
     assert jordan_wigner_term_dicts([fermion_operator(3, {})]) == [{}]
     with pytest.raises(ShapeError):
         jordan_wigner_term_dict(number_operator(63))
+
+
+@given(st.lists(st.integers(0, 62), min_size=1, max_size=6), st.integers(0, 40),
+       st.integers(0, 2**32 - 1))
+@example([7, 3], 0, 0)  # empty keys
+@example([0, 0, 0], 12, 1)  # all-zero keys
+@example([32, 32], 30, 4)  # 64 bits: two words
+@example([40, 30, 20], 30, 2)  # 90 bits: two words
+@example([62] * 6, 30, 3)  # one word per key
+def test_packed_lexsort_matches_lexsort(bits, size, seed):
+    # each key draws from 3 values, its largest 2**bits - 1, so runs of
+    # equal keys are common and every key spans its bit length
+    rng = np.random.default_rng(seed)
+    keys = []
+    for b in bits:
+        values = np.append(rng.integers(0, 1 << b, size=2), (1 << b) - 1)
+        keys.append(values[rng.integers(0, 3, size=size)])
+    assert np.array_equal(_lexsort(keys), np.lexsort(keys))
 
 
 @given(st.lists(raw_operators(), min_size=1, max_size=3))

@@ -222,6 +222,15 @@ def h2s_fixture_hamiltonian(fixture_dir):
         return jordan_wigner(build_second_quantized(parse_fcidump(fh.read())))
 
 
+H2S_FIXTURE_GROUPING_DIGEST = "91460fecf494216eaa8e34639682c96d5b8afed442e3e0d03d2eadbe4a14cb30"
+
+
+def grouping_digest(groups):
+    """sha256 of every group's members and basis letters."""
+    doc = json.dumps([[list(g.term_indices), g.basis] for g in groups])
+    return hashlib.sha256(doc.encode()).hexdigest()
+
+
 def test_full_h2s_fixture_groups_pinned(fixture_dir):
     # greedy coloring of the 12-qubit fixture: 1819 terms in 502 groups; the
     # digest pins every group's members and basis letters
@@ -230,15 +239,36 @@ def test_full_h2s_fixture_groups_pinned(fixture_dir):
     assert (h.n_terms, len(groups)) == (1819, 502)
     assert groups[0].basis == "XXYZZZZZZZZY"
     assert groups[-1] == MeasurementGroup((1077,), "IYXXYIIIIIII")
-    doc = json.dumps([[list(g.term_indices), g.basis] for g in groups])
-    assert hashlib.sha256(doc.encode()).hexdigest() == (
-        "91460fecf494216eaa8e34639682c96d5b8afed442e3e0d03d2eadbe4a14cb30"
-    )
+    assert grouping_digest(groups) == H2S_FIXTURE_GROUPING_DIGEST
 
 
 def test_full_h2s_fixture_grouping_matches_the_coloring_loop(fixture_dir):
     h = h2s_fixture_hamiltonian(fixture_dir)
     assert group_commuting(h) == group_commuting_loop(h)
+
+
+def test_full_h2s_fixture_grouping_across_row_blocks(fixture_dir, monkeypatch):
+    # 12-qubit masks are uint16: 18 rows per block, so 1819 rows fill 101
+    # blocks and leave 1 row for the last
+    h = h2s_fixture_hamiltonian(fixture_dir)
+    monkeypatch.setattr(measurement, "BLOCK_BYTES", 18 * 2 * h.n_terms)
+    groups = group_commuting(h)
+    assert groups == group_commuting_loop(h)
+    assert grouping_digest(groups) == H2S_FIXTURE_GROUPING_DIGEST
+
+
+def test_full_h2s_fixture_grouping_peaks_below_8_mib(fixture_dir):
+    # the conflict and blocked-color matrices are 1819² bytes (3.2 MiB) each
+    import tracemalloc
+
+    h = h2s_fixture_hamiltonian(fixture_dir)
+    tracemalloc.start()
+    try:
+        group_commuting(h)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
 
 
 @settings(max_examples=60)
@@ -406,15 +436,18 @@ def test_sampling_tables_refused_above_the_allocation_limit():
 def test_conflict_matrix_refused_above_the_allocation_cap(monkeypatch):
     from vqechem import paulis
 
-    # 6 strings on 3 qubits: masks fit uint8, three 6 x 6 temporaries of 1 B,
-    # then the 6 x 6 bool conflict and blocked-color matrices
+    # 6 strings on 3 qubits: the 6 x 6 bool conflict and blocked-color
+    # matrices, and two (rows x 6) uint8 mask temporaries: 6 rows per block
+    # by default, 2 when a block holds 12 bytes
     h = ham(3, {"XII": 1.0, "ZII": 0.5, "IYI": 0.3, "IIZ": 0.2, "XYZ": 0.1, "ZZZ": 0.4})
-    needed = (3 * 1 + 2) * 6 ** 2
-    monkeypatch.setattr(paulis, "MAX_ALLOCATION_BYTES", needed)
-    assert sorted(i for g in group_commuting(h) for i in g.term_indices) == list(range(6))
-    monkeypatch.setattr(paulis, "MAX_ALLOCATION_BYTES", needed - 1)
-    with pytest.raises(ShapeError, match="conflict matrix of 6 strings"):
-        group_commuting(h)
+    for block_bytes, rows in ((measurement.BLOCK_BYTES, 6), (12, 2)):
+        monkeypatch.setattr(measurement, "BLOCK_BYTES", block_bytes)
+        needed = 2 * 6 ** 2 + 2 * rows * 6
+        monkeypatch.setattr(paulis, "MAX_ALLOCATION_BYTES", needed)
+        assert sorted(i for g in group_commuting(h) for i in g.term_indices) == list(range(6))
+        monkeypatch.setattr(paulis, "MAX_ALLOCATION_BYTES", needed - 1)
+        with pytest.raises(ShapeError, match="conflict matrix of 6 strings"):
+            group_commuting(h)
 
 
 def block_probabilities(state, block):
