@@ -14,7 +14,7 @@ import os
 import sys
 
 from .exactdiag import ground_state_energy
-from .exceptions import VqeChemError
+from .exceptions import ManifestError, VqeChemError
 from .fcidump import write_fcidump
 from .fermions import build_second_quantized, jordan_wigner
 from .optimize import OptimizerConfig
@@ -185,7 +185,10 @@ def cmd_scan(args) -> int:
 
 def _curve_columns(path: str, column: str):
     with open(path, "r", encoding="utf-8") as fh:
-        points = parse_scan_csv(fh.read())
+        try:
+            points = parse_scan_csv(fh.read())
+        except UnicodeDecodeError as exc:
+            raise ManifestError(f"{path} is not UTF-8 text: {exc}") from None
     coords = [p.coordinate for p in points]
     energies = [getattr(p, column) for p in points]
     labels = [p.geometry_label for p in points]

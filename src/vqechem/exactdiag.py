@@ -9,9 +9,9 @@ With ``n_electrons`` the one block is the Hartree-Fock reference's,
 (ceil(N/2), floor(N/2)), which holds the lowest N-electron state of every
 spin. Without it the blocks are visited in ascending Gershgorin bound
 (Gershgorin 1931) from the strings, until one clears the lowest energy so
-far. A block's ``leak`` is the coupling test: a leaking sector is refused,
-and a leaking block of the Fock-space search sends the solve to the
-register's form, compiled then alone. If no visited block leaks they span an
+far. A block's ``leak`` is the coupling test: a Hamiltonian that joins a
+visited block to another is refused, with or without ``n_electrons``, and the
+register's form is never compiled. As no visited block leaks they span an
 invariant subspace, and the string bounds cover every other state, so their
 minimum is the register's.
 """
@@ -61,30 +61,30 @@ def _sector_size(n: int, electrons: int) -> int:
     return comb((n + 1) // 2, (electrons + 1) // 2) * comb(n // 2, electrons // 2)
 
 
-def _check_bytes(hamiltonian: QubitHamiltonian, form: int | None, search: bool) -> None:
+def _check_bytes(hamiltonian: QubitHamiltonian, form: int, search: bool) -> None:
     """Refuse a solve whose compiled form, workspace and eigenvector exceed the cap.
 
-    ``form`` is the state count of the one form held and solved, None for the
-    register's. A Fock-space ``search`` also labels every register state by
-    sector, 32 B each; its bounds take each block's diagonal energy from a
-    sign table of the x == 0 strings, one row of the block's form. Davidson
+    ``form`` is the state count of the one block form held and solved. A
+    Fock-space ``search`` also labels every register state by sector, 32 B
+    each; its bounds take each block's diagonal energy from a sign table of
+    the x == 0 strings, one row of the block's form. Davidson
     keeps 2 * ``DAVIDSON_SUBSPACE`` block vectors in the form's dtype; a dense
     solve (up to ``DENSE_CUTOFF_DIM`` states) 48 B per matrix cell (matrix,
     LAPACK's copy, eigenvectors) and 48 B per block entry filling the matrix.
     The eigenvector's complex register copy takes 16 B per register state.
     """
-    n, block_dim = hamiltonian.n_qubits, form or 1 << hamiltonian.n_qubits
+    n = hamiltonian.n_qubits
     needed = hamiltonian.compiled_bytes(form) + (16 << n)
     if search:
         needed += 32 << n
-    dense = block_dim <= DENSE_CUTOFF_DIM
+    dense = form <= DENSE_CUTOFF_DIM
     if dense:
-        needed += (block_dim * block_dim + len(hamiltonian.x_masks()) * block_dim) * 48
+        needed += (form * form + len(hamiltonian.x_masks()) * form) * 48
     else:  # the form is complex when a string has an odd number of Y letters
         odd_y = (np.bitwise_count(hamiltonian.x & hamiltonian.z) & 1).any()
-        needed += 2 * DAVIDSON_SUBSPACE * block_dim * (16 if odd_y else 8)
+        needed += 2 * DAVIDSON_SUBSPACE * form * (16 if odd_y else 8)
     check_allocation(needed, f"{'dense' if dense else 'davidson'} solve of a "
-                             f"{block_dim}-state block on {n} qubits")
+                             f"{form}-state block on {n} qubits")
 
 
 def _blocks(n_qubits: int) -> list[np.ndarray]:
@@ -168,8 +168,8 @@ def ground_state_energy(
 
     A block of at most ``DENSE_CUTOFF_DIM`` states is solved dense, a larger
     one by Davidson (at most ``DAVIDSON_SUBSPACE`` vectors). With
-    ``n_electrons`` only the reference sector is compiled and solved, and a
-    Hamiltonian that does not conserve (N_alpha, N_beta) there is refused.
+    ``n_electrons`` only the reference sector is compiled and solved; a
+    Hamiltonian that joins a visited block to another is refused.
     Raises when a Davidson residual has not reached ``RESIDUAL_TOLERANCE``
     after ``DAVIDSON_MAX_PRODUCTS`` products, carrying the best estimate.
     """
@@ -195,18 +195,11 @@ def ground_state_energy(
             break
         block = hamiltonian.compile(blocks[i])
         if block.leak > COEFF_PRUNE_THRESHOLD:  # H joins this block to another
-            if n_electrons is not None:
-                raise ShapeError("Hamiltonian does not conserve (N_alpha, N_beta); "
-                                 f"no {n_electrons}-electron sector to solve")
-            del block
-            _check_bytes(hamiltonian, None, search=True)
-            near = [(-1, *_solve_block(hamiltonian.compile()), np.arange(1 << n))]
-            break
+            raise ShapeError("Hamiltonian does not conserve (N_alpha, N_beta): it joins "
+                             "one block's states to another's, so no sector can be solved")
         solved = (i, *_solve_block(block), blocks[i])
         del block  # one block form at a time, as _check_bytes counts
         lowest = min(lowest, solved[1])
         near = [s for s in near + [solved] if s[1] - lowest <= TIE_MARGIN * (1 + abs(lowest))]
     _, energy, vec, residual, states = min(near, key=lambda s: s[0])
-    amplitudes = np.zeros(1 << n, dtype=np.complex128)
-    amplitudes[states] = vec
-    return GroundStateResult(energy, Statevector(n, amplitudes), residual)
+    return GroundStateResult(energy, Statevector(n, vec, states).on_register(), residual)

@@ -3,7 +3,8 @@
 Two derivative-free minimizers: SPSA (stochastic, two-sided simultaneous
 perturbations) and a Nelder-Mead simplex filling the deterministic role.
 Both record a per-iteration energy trace and are bit-reproducible for a
-fixed seed.
+fixed seed. The objectives run Pauli rotations (UCCSD) on the Hartree-Fock
+(N_alpha, N_beta) sector and ry and cz gates on the register.
 """
 
 from __future__ import annotations
@@ -235,34 +236,42 @@ def minimize(objective, theta0, config: OptimizerConfig) -> VqeResult:
     return simplex_minimize(objective, theta0, config)
 
 
+def _start(circuit: Circuit, hf_occupied) -> tuple[Circuit, Statevector]:
+    """(the circuit as it runs, the state it starts from): ry and cz gates on the
+    register from ``prepare_hf``, pauli_rot gates restricted to the Hartree-Fock
+    (N_alpha, N_beta) sector from its real basis vector. A rotation that leaves the
+    sector, or a mix of both kinds, is refused."""
+    n = circuit.n_qubits
+    if circuit.gates and all(g.kind != "pauli_rot" for g in circuit.gates):
+        return circuit, prepare_hf(n, hf_occupied)
+    hf_index = basis_index(n, hf_occupied)
+    states = sector_states(n, hf_index)
+    sector = circuit.restrict(states)
+    if sector is None:
+        raise ShapeError("circuit mixes pauli_rot with ry or cz gates, or its rotations "
+                         "leave the Hartree-Fock (N_alpha, N_beta) sector")
+    return sector, Statevector(n, (states == hf_index).astype(float), states)
+
+
 def exact_energy_objective(
     hamiltonian: QubitHamiltonian, circuit: Circuit, hf_occupied
 ):
     """theta -> <psi(theta)|H|psi(theta)> with exact statevector evaluation.
 
-    A circuit that restricts to the Hartree-Fock (N_alpha, N_beta) sector runs
-    there, its tables and H compiled there, real when the data are
-    (<psi|PHP|psi> = <psi|H|psi>); others use the whole register. The gate
-    tables it runs and the form are checked against the allocation cap
-    together, before compiling.
+    Rotations run on the Hartree-Fock sector, their tables and H compiled there,
+    real when the data are (<psi|PHP|psi> = <psi|H|psi>). The gate tables it runs
+    and the form are checked against the allocation cap together, before compiling.
     """
     n = hamiltonian.n_qubits
     if circuit.n_qubits != n:
         raise ShapeError("circuit and Hamiltonian qubit counts differ")
-    hf_index = basis_index(n, hf_occupied)
-    states = sector_states(n, hf_index)
-    sector = circuit.restrict(states)
-    if sector is not None:
-        circuit = sector
-        # the Hartree-Fock reference is one real basis vector on the sector's states
-        reference = Statevector(n, (states == hf_index).astype(float), states)
-    else:
-        reference = prepare_hf(n, hf_occupied)
-    tables = sum(a.nbytes for t in circuit.tables if t for a in t if isinstance(a, np.ndarray))
-    check_allocation(tables + hamiltonian.compiled_bytes(None if sector is None else len(states)),
+    circuit, reference = _start(circuit, hf_occupied)
+    tables = sum(a.nbytes for t in circuit.tables or () for a in t if isinstance(a, np.ndarray))
+    states = reference.states
+    check_allocation(tables + hamiltonian.compiled_bytes(None if states is None else len(states)),
                      f"gate tables and compiled form of {len(hamiltonian.x_masks())} "
                      f"x-masks on {n} qubits")
-    operator = hamiltonian.compile(reference.states)
+    operator = hamiltonian.compile(states)
 
     def objective(theta):
         return expectation(apply_circuit(reference, circuit, theta), operator)
@@ -279,15 +288,16 @@ def sampled_energy_objective(
     Every evaluation draws fresh shots from a deterministic per-call seed,
     so a full optimization is reproducible for a fixed base seed: call k
     uses ``seed + 100003 k``, folded below 2**63. The groups' parity tables
-    are built once here and live as long as the objective.
+    are built once here and live as long as the objective. A sector state is
+    measured on the register.
     """
     seed = checked_seed(seed)
-    reference = prepare_hf(hamiltonian.n_qubits, hf_occupied)
+    circuit, reference = _start(circuit, hf_occupied)
     tables = group_tables(hamiltonian, groups)
     counter = [0]
 
     def objective(theta):
-        state = apply_circuit(reference, circuit, theta)
+        state = apply_circuit(reference, circuit, theta).on_register()
         call_seed = (seed + 100003 * counter[0]) % SEED_LIMIT
         counter[0] += 1
         return estimate_energy_sampled(state, hamiltonian, tables, shots, call_seed).energy

@@ -1,8 +1,9 @@
 """Exact statevector simulation of parameterized circuits.
 
 Amplitudes are indexed little-endian: qubit ``j`` is bit ``j`` of the
-basis-state index. All operations are unitary on 2**n amplitudes, or on one
-sector's; Pauli rotations use the analytic cos/sin update rather than matrix
+basis-state index. ry and cz gates act on all 2**n amplitudes, Pauli
+rotations on the basis states a circuit is restricted to (one (N_alpha,
+N_beta) sector, or all); they use the analytic cos/sin update rather than matrix
 exponentials, so a single rotation carries no approximation error. A small
 real sector circuit runs its rotations on Python floats, where numpy's cost
 per call would outweigh the arithmetic, with the operations of the array
@@ -56,6 +57,14 @@ class Statevector:
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
 
+    def on_register(self) -> Statevector:
+        """This state on all 2**n_qubits basis states, complex, zero off its states."""
+        if self.states is None:
+            return self
+        amplitudes = np.zeros(1 << self.n_qubits, dtype=np.complex128)
+        amplitudes[self.states] = self.amplitudes
+        return Statevector(self.n_qubits, amplitudes)
+
 
 @dataclass(frozen=True)
 class Gate:
@@ -85,58 +94,16 @@ class Gate:
             raise ShapeError("pauli_rot gate requires a QubitHamiltonian generator")
 
 
-def _gate_tables(n_qubits: int, gates, states: np.ndarray | None = None) -> tuple | None:
-    """Per gate, the index tables it applies with, None for ry and cz; on ascending
-    basis ``states``, tables in local indices and real where they can be, or None
-    unless every gate is a pauli_rot that keeps the states.
-
-    A pauli_rot gate's table is (rows, partner, phase). The generator
-    compiles to H = X^x D with (H psi)[c] = shifted[c] psi[c ^ x]. H^3 = H
-    makes H^2 the projector onto the rows where shifted is nonzero, so
-    exp(-i a/2 H) sets psi[rows] to cos(a/2) psi[rows] + sin(a/2) * phase *
-    psi[partner], with partner = rows ^ x and phase = -i shifted[rows], and
-    leaves the other rows alone. ``rows`` is a full slice when every row moves.
-    The tables come from ``generator.compile(states)``; a rotation whose entries
-    leave the states (``leak``) has none there.
-    """
-    rotations = sum(g.kind == "pauli_rot" for g in gates)
-    if states is not None and rotations < len(gates):
-        return None
-    # 32 B of rows, partner and phase per state and rotation; each compile()
-    # checks its own workspace
-    dim = 1 << n_qubits if states is None else len(states)
-    check_allocation(32 * rotations * dim,
-                     f"gate tables of {rotations} rotations on {n_qubits} qubits")
-    tables = []
-    for gate in gates:
-        if gate.kind != "pauli_rot":
-            tables.append(None)
-            continue
-        compiled = gate.generator.compile(states)
-        if compiled.leak > COEFF_PRUNE_THRESHOLD:
-            return None
-        # one row, or none where the form on states drops a row that moves none of them
-        gather, shifted = compiled.gather.ravel(), compiled.shifted.ravel()
-        size = np.abs(shifted)
-        if not np.all((size < 1e-12) | (np.abs(size - 1.0) < 1e-12)):
-            raise ShapeError("generator is not a two-level rotation: |diagonal| not in {0, 1}")
-        rows = np.flatnonzero(size > 0.5)
-        if rows.size == dim:
-            rows = slice(None)
-        phase = -1j * shifted[rows]
-        tables.append((rows, gather[rows], phase if states is None else real_if_exact(phase)))
-    return tuple(tables)
-
-
 @dataclass(frozen=True)
 class Circuit:
     n_qubits: int
     gates: tuple
     n_parameters: int = 0
-    # the ascending basis states the tables index; None for the whole register
+    # set by restrict alone: the basis states a sector circuit runs on, its rotation
+    # tables there and, for a small real one, their (row, partner, phase) triples as
+    # Python numbers; None for a register circuit of ry and cz gates
     states: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-    # per rotation of a small real sector circuit, its (row, partner, phase)
-    # triples as Python numbers; None for any other circuit
+    tables: tuple | None = field(default=None, init=False, repr=False, compare=False)
     kernel: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -166,21 +133,39 @@ class Circuit:
         angles = [g.angle for g in self.gates]
         return np.array(slots, dtype=np.intp), np.array(angles, dtype=float)
 
-    @cached_property
-    def tables(self) -> tuple:
-        """Per gate, the register tables of _gate_tables, built on first use."""
-        return _gate_tables(self.n_qubits, self.gates)
-
     def restrict(self, states: np.ndarray) -> Circuit | None:
-        """This circuit on the ascending basis ``states``, its tables compiled there;
-        None unless every gate is a pauli_rot whose rows in ``states`` all have their
-        partner there. Real tables of at most ``SCALAR_MAX_ROWS`` rows per rotation,
-        on average, also give the circuit its ``kernel``."""
-        tables = _gate_tables(self.n_qubits, self.gates, states)
-        if tables is None:
+        """This circuit on the ascending basis ``states`` (all 2**n_qubits for the whole
+        register), one (rows, partner, phase) table per rotation; None unless every gate
+        is a pauli_rot whose rows in ``states`` all have their partner there.
+
+        A generator compiles on ``states`` to H = X^x D, (H psi)[c] = shifted[c] psi[c ^ x],
+        and H^3 = H makes exp(-i a/2 H) set psi[rows] to cos(a/2) psi[rows] + sin(a/2) *
+        phase * psi[partner] on the rows where shifted is nonzero (a full slice when all
+        are), with partner = rows ^ x and phase = -i shifted[rows], real where it can be.
+        Real tables of at most ``SCALAR_MAX_ROWS`` rows per rotation, on average, also
+        give the circuit its ``kernel``."""
+        if any(g.kind != "pauli_rot" for g in self.gates):
             return None
+        # 32 B of rows, partner and phase per state and rotation; each compile()
+        # checks its own workspace
+        check_allocation(32 * len(self.gates) * len(states),
+                         f"gate tables of {len(self.gates)} rotations on {self.n_qubits} qubits")
+        tables = []
+        for gate in self.gates:
+            compiled = gate.generator.compile(states)
+            if compiled.leak > COEFF_PRUNE_THRESHOLD:
+                return None
+            # one row, or none where the form on states drops a row that moves none of them
+            gather, shifted = compiled.gather.ravel(), compiled.shifted.ravel()
+            size = np.abs(shifted)
+            if not np.all((size < 1e-12) | (np.abs(size - 1.0) < 1e-12)):
+                raise ShapeError("generator is not a two-level rotation: |diagonal| not in {0, 1}")
+            rows = np.flatnonzero(size > 0.5)
+            if rows.size == len(states):
+                rows = slice(None)
+            tables.append((rows, gather[rows], real_if_exact(-1j * shifted[rows])))
         sector = copy.copy(self)
-        object.__setattr__(sector, "tables", tables)  # the dataclass is frozen
+        object.__setattr__(sector, "tables", tuple(tables))  # the dataclass is frozen
         object.__setattr__(sector, "states", states)
         if (all(phase.dtype == np.float64 for _, _, phase in tables)
                 and sum(len(partner) for _, partner, _ in tables) <= SCALAR_MAX_ROWS * len(tables)):
@@ -201,10 +186,9 @@ def basis_index(n_qubits: int, occupied) -> int:
 
 
 def prepare_hf(n_qubits: int, occupied) -> Statevector:
-    """Computational basis state with 1s at the occupied qubit positions."""
-    amplitudes = np.zeros(1 << n_qubits, dtype=np.complex128)
-    amplitudes[basis_index(n_qubits, occupied)] = 1.0
-    return Statevector(n_qubits, amplitudes)
+    """Register basis state with 1s at the occupied qubits, its size checked first."""
+    index = np.array([basis_index(n_qubits, occupied)])
+    return Statevector(n_qubits, np.ones(1), index).on_register()
 
 
 def sector_labels(n_qubits: int) -> np.ndarray:
@@ -252,15 +236,15 @@ def update_qubit(stack: np.ndarray, qubit: int, rows, matrix: np.ndarray) -> Non
 
 
 def apply_circuit(state: Statevector, circuit: Circuit, parameters=()) -> Statevector:
-    """Run the circuit on a state, resolving parameter slots from ``parameters``;
-    a sector state takes the circuit restricted to its states. Real stays real.
+    """Run the circuit on a state, resolving parameter slots from ``parameters``: ry
+    and cz gates on a register state, the rotations of a circuit restricted to a
+    sector state's states on it. Real stays real.
 
-    A real state runs a circuit's ``kernel``, if it has one, on a list of Python
-    floats: each rotation computes c * a[row] + s * (phase * a[partner]) for all
-    its rows, then stores them, the operations of the array update in its order,
-    so the amplitudes are bit-identical to it. Below about 20 rows a rotation's
-    seven array calls cost more than its scalar arithmetic.
-    """
+    A real state runs a sector circuit's ``kernel``, if it has one, on a list of Python
+    floats: each rotation computes c * a[row] + s * (phase * a[partner]) for all its
+    rows, then stores them, the operations of the array update in its order, so the
+    amplitudes are bit-identical to it. Below about 20 rows a rotation's seven array
+    calls cost more than its scalar arithmetic."""
     if circuit.n_qubits != state.n_qubits:
         raise ShapeError("circuit and state qubit counts differ")
     if circuit.states is not state.states and not np.array_equal(circuit.states, state.states):
@@ -277,27 +261,32 @@ def apply_circuit(state: Statevector, circuit: Circuit, parameters=()) -> Statev
         )
     slots, angles = circuit.angle_slots
     half = 0.5 * (angles * np.concatenate((parameters, _ONE))[slots])
+    cos, sin = np.cos(half).tolist(), np.sin(half).tolist()
+    if circuit.tables is None:  # the register: ry and cz gates
+        if any(g.kind == "pauli_rot" for g in circuit.gates):
+            raise ShapeError("pauli_rot gates run on a sector: restrict the circuit first")
+        amplitudes = state.amplitudes.copy()
+        for gate, c, s in zip(circuit.gates, cos, sin):
+            if gate.kind == "ry":
+                update_qubit(amplitudes.reshape(1, -1), gate.qubits[0], 0,
+                             np.array([[c, -s], [s, c]]))
+            else:  # cz: negate where both bits are set, through a view whose axes 1, 3 are hi, lo
+                lo, hi = sorted(gate.qubits)
+                shape = (-1, 2, 1 << (hi - lo - 1), 2, 1 << lo)
+                both = amplitudes.reshape(shape, copy=False)[:, 1, :, 1, :]
+                np.negative(both, out=both)
+        return Statevector(state.n_qubits, amplitudes)
     if circuit.kernel is not None and state.amplitudes.dtype == np.float64:
         a = state.amplitudes.tolist()
-        for triples, c, s in zip(circuit.kernel, np.cos(half).tolist(), np.sin(half).tolist()):
+        for triples, c, s in zip(circuit.kernel, cos, sin):
             for row, value in [(row, c * a[row] + s * (phase * a[partner]))
                                for row, partner, phase in triples]:
                 a[row] = value
         return Statevector(state.n_qubits, np.array(a), state.states)
-    phases = [table[2] for table in circuit.tables if table is not None]
+    phases = [phase for _, _, phase in circuit.tables]
     amplitudes = state.amplitudes.astype(np.result_type(state.amplitudes, *phases), copy=True)
-    for gate, table, c, s in zip(circuit.gates, circuit.tables,
-                                 np.cos(half).tolist(), np.sin(half).tolist()):
-        if table is not None:  # pauli_rot: see _gate_tables
-            rows, partner, phase = table
-            amplitudes[rows] = c * amplitudes[rows] + s * (phase * amplitudes[partner])
-        elif gate.kind == "ry":
-            update_qubit(amplitudes.reshape(1, -1), gate.qubits[0], 0, np.array([[c, -s], [s, c]]))
-        else:  # cz: negate where both bits are set, through a view whose axes 1, 3 are hi, lo
-            lo, hi = sorted(gate.qubits)
-            shape = (-1, 2, 1 << (hi - lo - 1), 2, 1 << lo)
-            both = amplitudes.reshape(shape, copy=False)[:, 1, :, 1, :]
-            np.negative(both, out=both)
+    for (rows, partner, phase), c, s in zip(circuit.tables, cos, sin):
+        amplitudes[rows] = c * amplitudes[rows] + s * (phase * amplitudes[partner])
     return Statevector(state.n_qubits, amplitudes, state.states)
 
 

@@ -21,6 +21,7 @@ from .exactdiag import ground_state_energy
 from .exceptions import (
     BarrierError,
     CurveAlignmentError,
+    FcidumpError,
     FitBracketError,
     ManifestError,
     VqeChemError,
@@ -222,7 +223,10 @@ def integrals_for_point(point: ScanPoint, freeze: tuple = ()) -> MolecularIntegr
     """Resolve a scan point to (optionally frozen-core) MO integrals."""
     if point.fcidump_path is not None:
         with open(point.fcidump_path, "r", encoding="utf-8") as fh:
-            integrals = parse_fcidump(fh.read())
+            try:
+                integrals = parse_fcidump(fh.read())
+            except UnicodeDecodeError as exc:
+                raise FcidumpError(f"{point.fcidump_path} is not UTF-8 text: {exc}") from None
     else:
         integrals, _ = integrals_from_geometry(point.geometry)
     if freeze:

@@ -515,13 +515,38 @@ def circuit_unitary(circuit, parameters) -> np.ndarray:
     return total
 
 
+def register_tables(circuit) -> list:
+    """Per gate, None for ry and cz; for a pauli_rot about G, whose strings share
+    one x-mask x, its (rows, partner, phase) on all 2**n basis states: the rows c
+    where |G[c, c ^ x]| is 1, partner = rows ^ x and phase = -i G[rows, partner],
+    complex. Each string's entry is the product over qubits of its Pauli
+    matrices' entries, the entry of their Kronecker product."""
+    index = np.arange(1 << circuit.n_qubits)
+    tables = []
+    for gate in circuit.gates:
+        if gate.kind != "pauli_rot":
+            tables.append(None)
+            continue
+        partner = index ^ gate.generator.terms[0][1].x_mask
+        entry = np.zeros(len(index), dtype=complex)
+        for weight, pauli in gate.generator.terms:
+            value = np.full(len(index), weight, dtype=complex)
+            for q, letter in enumerate(pauli.to_letters()):  # qubit 0 first
+                value *= PAULI[letter][(index >> q) & 1, (partner >> q) & 1]
+            entry += value
+        rows = np.flatnonzero(np.abs(entry) > 0.5)
+        tables.append((rows, partner[rows], -1j * entry[rows]))
+    return tables
+
+
 def apply_circuit_per_gate(amplitudes, circuit, parameters) -> np.ndarray:
-    """The circuit on 2**n complex amplitudes, one scalar cos/sin per gate:
-    the reference for the simulator's single cos/sin call and its sector states."""
+    """The circuit on 2**n complex amplitudes, one scalar cos/sin per gate, its
+    rotations from ``register_tables``: the reference for the simulator's single
+    cos/sin call and its sector states."""
     from vqechem.simulator import update_qubit
 
     amplitudes = np.asarray(amplitudes).astype(np.complex128, copy=True)
-    for gate, table in zip(circuit.gates, circuit.tables):
+    for gate, table in zip(circuit.gates, register_tables(circuit)):
         if gate.kind == "cz":
             lo, hi = sorted(gate.qubits)
             both = amplitudes.reshape(-1, 2, 1 << (hi - lo - 1), 2, 1 << lo)[:, 1, :, 1, :]
@@ -539,7 +564,7 @@ def apply_circuit_per_gate(amplitudes, circuit, parameters) -> np.ndarray:
 
 
 def restrict_by_remap(circuit, states):
-    """The circuit's register tables on the ascending basis ``states``, mapped to
+    """The circuit's ``register_tables`` on the ascending basis ``states``, mapped to
     local indices through a 2**n array and real where they can be; None unless
     every gate is a pauli_rot whose rows in ``states`` all have their partner
     there: the reference for the tables ``Circuit.restrict`` compiles on states."""
@@ -548,7 +573,7 @@ def restrict_by_remap(circuit, states):
     local = np.full(1 << circuit.n_qubits, -1)
     local[states] = np.arange(len(states))
     tables = []
-    for table in circuit.tables:
+    for table in register_tables(circuit):
         if table is None:  # ry or cz
             return None
         rows, partner, phase = table

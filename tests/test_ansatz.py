@@ -23,6 +23,7 @@ from vqechem.ansatz import (
 from vqechem.exceptions import ShapeError
 from vqechem.fermions import jordan_wigner
 from vqechem.paulis import PauliString
+from test_simulator import run_on_every_state
 from vqechem.simulator import (
     MAX_QUBITS,
     Circuit,
@@ -92,7 +93,7 @@ def test_uccsd_h2_parameter_count():
 def test_uccsd_zero_angles_identity_on_reference():
     circuit = build_uccsd(4, {0, 1})
     hf = prepare_hf(4, {0, 1})
-    out = apply_circuit(hf, circuit, np.zeros(3))
+    out = run_on_every_state(hf, circuit, np.zeros(3))
     assert np.abs(out.amplitudes - hf.amplitudes).max() < 1e-12
 
 
@@ -148,7 +149,7 @@ def test_excitation_gate_matches_dense_exponential(excitation, theta, seed):
     rng = np.random.default_rng(seed)
     amps = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
     state = Statevector(n, amps / np.linalg.norm(amps))
-    fused = apply_circuit(state, circuit, [theta]).amplitudes
+    fused = run_on_every_state(state, circuit, [theta]).amplitudes
     assert np.abs(fused - expm(theta * m) @ state.amplitudes).max() < 1e-12
 
 
@@ -193,7 +194,7 @@ def test_uccsd_particle_number_exactly_conserved():
     rng = np.random.default_rng(42)
     for _ in range(50):
         theta = rng.uniform(-1.5, 1.5, circuit.n_parameters)
-        state = apply_circuit(hf, circuit, theta)
+        state = run_on_every_state(hf, circuit, theta)
         mean_n = expectation(state, number)
         var_n = expectation(state, number_sq) - mean_n**2
         assert abs(mean_n - len(occupied)) < 1e-10

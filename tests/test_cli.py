@@ -10,6 +10,7 @@ import pytest
 import vqechem
 from vqechem.cli import main
 from vqechem.fcidump import parse_fcidump, write_fcidump
+from vqechem.integrals import MolecularIntegrals
 from vqechem.workflows import PesPoint, h2_point, scan_csv
 
 H2_GEOMETRY = {
@@ -137,6 +138,61 @@ def test_malformed_json_exits_2_with_one_line(tmp_path, capsys, command, flag, o
     assert len(err.splitlines()) == 1 and "Traceback" not in err
     assert err.startswith(f"error: {path} is not valid JSON")
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("fit", ["--curve"]),
+    ("barrier", ["--curve"]),
+    ("compare", ["--curve-a", "--curve-b"]),
+    ("fci", ["--fcidump"]),
+    ("vqe", ["--fcidump"]),
+], ids=["fit", "barrier", "compare", "fci", "vqe"])
+def test_input_that_is_not_utf8_exits_2_with_one_line(tmp_path, capsys, command, flags):
+    path = tmp_path / "bad"
+    path.write_bytes(b"label\xff\n")
+    argv = [command] + [part for flag in flags for part in (flag, str(path))]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert err.startswith(f"error: {path} is not UTF-8 text")
+
+
+def test_scan_records_an_fcidump_that_is_not_utf8_as_a_failed_point(tmp_path, capsys):
+    (tmp_path / "bad.fcidump").write_bytes(b"\xff &FCI NORB=2,NELEC=2,\n")
+    doc = json.loads(open(small_manifest(tmp_path)).read())
+    doc["points"] = [{"label": "bad", "coordinate": 0.0, "fcidump": "bad.fcidump"},
+                     h2_point("0.74", 0.74)]
+    manifest = write_json(tmp_path / "manifest.json", doc)
+    out = tmp_path / "scan.csv"
+    assert main(["scan", "--manifest", manifest, "--out", str(out), "--json"]) == 0
+    captured = capsys.readouterr()
+    summary = json.loads(captured.out)
+    assert summary["n_points"] == 1 and summary["n_failed"] == 1
+    assert "'bad' failed: FcidumpError" in captured.err and "not UTF-8 text" in captured.err
+    rows = out.read_text().splitlines()
+    assert len(rows) == 2 and rows[1].startswith("0.74,")
+
+
+@pytest.mark.parametrize("mode", ["exact", "sampled"])
+def test_register_above_the_qubit_limit_exits_2_before_allocating(tmp_path, capsys, mode):
+    # 20 orbitals and 2 electrons: the hardware-efficient circuit runs on the
+    # 40-qubit register, 16 TiB of amplitudes
+    n = 20
+    integrals = MolecularIntegrals(n, 2, 0.5, np.diag(np.linspace(-1.0, 1.0, n)),
+                                   np.zeros((n,) * 4))
+    path = tmp_path / "wide.fcidump"
+    path.write_text(write_fcidump(integrals))
+    tracemalloc.start()
+    try:
+        code = main(["vqe", "--fcidump", str(path), "--ansatz", "hardware", "--mode", mode,
+                     "--optimizer", "spsa", "--restarts", "1"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "40 qubits exceeds the 24-qubit limit" in err
+    assert peak < 16 << 20
 
 
 def test_scan_records_a_malformed_geometry_as_a_failed_point(tmp_path, capsys):

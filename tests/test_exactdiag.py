@@ -76,7 +76,8 @@ def test_ground_single_z():
 
 
 def test_ground_xx_plus_zz_vs_dense(monkeypatch):
-    h = ham(2, {"XX": 1.0, "ZZ": 1.0})
+    # on alpha qubits 0 and 2, XX + YY hops one electron, so (N_alpha, N_beta) is kept
+    h = ham(3, {"XIX": 1.0, "YIY": 1.0, "ZIZ": 1.0})
     expected = np.linalg.eigvalsh(hamiltonian_matrix(h))[0]
     for cutoff in (exactdiag.DENSE_CUTOFF_DIM, 0):  # dense, then Davidson
         monkeypatch.setattr(exactdiag, "DENSE_CUTOFF_DIM", cutoff)
@@ -92,13 +93,8 @@ def test_h2_fci_against_published_value(h2_hamiltonian_074):
 
 
 def test_davidson_matches_dense_crosscheck(monkeypatch):
-    rng = np.random.default_rng(12)
-    for n in (3, 5, 7):
-        coeffs = {}
-        while len(coeffs) < 4 * n:
-            key = (int(rng.integers(0, 1 << n)), int(rng.integers(0, 1 << n)))
-            coeffs[key] = float(rng.normal())
-        h = hamiltonian_from_term_dict(n, coeffs)
+    for n_orbitals in (2, 3, 4):
+        h = random_conserving_hamiltonian(n_orbitals, 12)
         dense = ground_state_energy(h)
         with monkeypatch.context() as patch:
             patch.setattr(exactdiag, "DENSE_CUTOFF_DIM", 0)
@@ -223,13 +219,13 @@ def test_sector_solve_fits_under_a_cap_the_full_form_exceeds(fixture_dir, monkey
     assert eigenvector_sector(result.eigenvector.amplitudes) == (4, 4)
     assert result.residual_norm < 1e-9
     assert ground_state_energy(h).energy == uncapped
-    # X on qubit 0 makes every block leak: the search falls back to the
-    # register's form, and its own check refuses it before it is compiled
+    # X on qubit 0 makes every block leak: the search refuses the first block
+    # it compiles, and never compiles the register's form
     leaking = QubitHamiltonian.from_arrays(12, np.append(h.x, 1), np.append(h.z, 0),
                                            np.append(h.weights, 1e-3))
     tracemalloc.start()
     try:
-        with pytest.raises(ShapeError, match="davidson solve of a 4096-state block on 12 qubits"):
+        with pytest.raises(ShapeError, match="does not conserve"):
             ground_state_energy(leaking)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -463,29 +459,11 @@ def test_fock_space_solve_skips_the_blocks_its_bounds_rule_out(fixture_dir, monk
     assert peak < h.compiled_bytes()
 
 
-@settings(max_examples=20, deadline=None)
-@given(st.integers(1, 4), st.integers(0, 2**32 - 1), st.sampled_from([0.0, 1e-3, 1.0]),
-       st.data())
-def test_leaking_blocks_fall_back_to_the_register(n_orbitals, seed, weight, data):
-    # a sector-mixing string (any nonzero x-mask moves the empty state out of
-    # its block) added to a conserving Hamiltonian: the visited blocks' leaks
-    # must send the solve to the register whenever the mixing reaches them
-    h = random_conserving_hamiltonian(n_orbitals, seed)
-    n = h.n_qubits
-    terms = dict(zip(zip(h.x.tolist(), h.z.tolist()), h.weights.tolist()))
-    if weight:
-        key = (data.draw(st.integers(1, (1 << n) - 1)), data.draw(st.integers(0, (1 << n) - 1)))
-        terms[key] = terms.get(key, 0.0) + weight
-    h = hamiltonian_from_term_dict(n, terms)
-    solved = ground_state_energy(h)
-    assert abs(solved.energy - np.linalg.eigvalsh(hamiltonian_matrix(h))[0]) < 1e-10
-    assert solved.residual_norm < 1e-9
-
-
 def test_coupling_between_blocks_the_bounds_rule_out_needs_no_register_solve(monkeypatch):
     # X_0 times the projector onto qubits 1-3 occupied joins |0111> (1, 2) and
     # |1111> (2, 2), and nothing else; every occupied qubit costs 2, so the
-    # empty state's block (0, 0), at -4, clears every other bound
+    # empty state's block (0, 0), at -4, clears every other bound, and the
+    # leaking blocks are never compiled
     projector = {letters: 1 / 8 * (-1) ** letters.count("Z")
                  for letters in ("X" + "".join(p) for p in itertools.product("IZ", repeat=3))}
     h = ham(4, {"ZIII": -1.0, "IZII": -1.0, "IIZI": -1.0, "IIIZ": -1.0,
@@ -550,9 +528,9 @@ def test_empty_hamiltonian_has_zero_energy():
 
 def test_sector_refused_when_the_operator_mixes_sectors():
     h = ham(2, {"XI": 1.0, "ZZ": 0.5})  # X on qubit 0 changes N_alpha
-    assert eigenvector_sector(ground_state_energy(h).eigenvector.amplitudes) is None
-    with pytest.raises(ShapeError, match="conserve"):
-        ground_state_energy(h, n_electrons=1)
+    for n_electrons in (None, 1):
+        with pytest.raises(ShapeError, match="conserve"):
+            ground_state_energy(h, n_electrons)
 
 
 @pytest.mark.parametrize("n_electrons", [2.5, True, "2"])

@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (
+    apply_circuit_per_gate,
     determinant_fci,
     full_register_objective,
     hamiltonian_from_term_dict,
+    hamiltonian_matrix,
     simplex_minimize_lists,
 )
 from vqechem import optimize, paulis, simulator
@@ -28,7 +30,7 @@ from vqechem.fcidump import parse_fcidump
 from vqechem.fermions import build_second_quantized, jordan_wigner
 from vqechem.integrals import ActiveSpaceSpec, freeze_core
 from vqechem.paulis import PauliString, QubitHamiltonian
-from vqechem.simulator import Circuit, Gate
+from vqechem.simulator import Circuit, Gate, Statevector, prepare_hf
 from vqechem.workflows import h3_exchange_point, hydrogen_geometry, integrals_from_geometry
 
 
@@ -67,7 +69,7 @@ def test_spsa_toy_hamiltonian_median_error(monkeypatch):
 
     monkeypatch.setattr(optimize, "SPSA_A", 1.0)
     h = toy_two_qubit_hamiltonian()
-    exact = ground_state_energy(h).energy
+    exact = np.linalg.eigvalsh(hamiltonian_matrix(h))[0]  # XX joins (0, 0) and (1, 1)
     circuit = build_hardware_efficient(2, 1)
     objective = exact_energy_objective(h, circuit, set())
     finals = []
@@ -390,25 +392,52 @@ def single_string(n, letters):
     return QubitHamiltonian(n, ((1.0, PauliString.from_letters(letters)),))
 
 
-@pytest.mark.parametrize("extra, on_sector, dtype", [
-    # X on an occupied alpha orbital: N_alpha changes, the full register runs
-    (Gate("pauli_rot", (), angle=0.4, generator=single_string(4, "XIII")), False, np.complex128),
+@pytest.mark.parametrize("extra, on_sector", [
+    # X on an occupied alpha orbital: N_alpha changes
+    (Gate("pauli_rot", (), angle=0.4, generator=single_string(4, "XIII")), False),
     # alpha 0 -> beta 3, a spin flip: (N_alpha, N_beta) changes
-    (replace(_excitation_gates(4, [((0,), (3,))])[0], slot=None, angle=0.8), False, np.complex128),
+    (replace(_excitation_gates(4, [((0,), (3,))])[0], slot=None, angle=0.8), False),
     # a diagonal rotation keeps the sector but its phases are imaginary
-    (Gate("pauli_rot", (), angle=0.4, generator=single_string(4, "ZIZI")), True, np.complex128),
+    (Gate("pauli_rot", (), angle=0.4, generator=single_string(4, "ZIZI")), True),
+    # ry and cz gates run on the register, rotations on the sector: mixed, they run nowhere
+    (Gate("ry", (0,), angle=0.4), False),
 ])
-def test_objective_falls_back_to_the_register_when_a_gate_leaves_the_sector(
-        h2_hamiltonian_074, extra, on_sector, dtype, monkeypatch):
+def test_rotation_objective_runs_on_the_sector_or_is_refused(
+        h2_hamiltonian_074, extra, on_sector, monkeypatch):
     uccsd = build_uccsd(4, {0, 1})
     circuit = Circuit(4, uccsd.gates + (extra,), n_parameters=uccsd.n_parameters)
+    if not on_sector:
+        groups = group_commuting(h2_hamiltonian_074)
+        for build in (lambda: optimize.exact_energy_objective(h2_hamiltonian_074, circuit, {0, 1}),
+                      lambda: optimize.sampled_energy_objective(
+                          h2_hamiltonian_074, circuit, {0, 1}, 64, 0, groups)):
+            with pytest.raises(ShapeError, match="leave the Hartree-Fock"):
+                build()
+        return
     seen = evaluated_states(monkeypatch)
     objective = optimize.exact_energy_objective(h2_hamiltonian_074, circuit, {0, 1})
     reference = full_register_objective(h2_hamiltonian_074, circuit, {0, 1})
     for seed in range(5):
         theta = np.random.default_rng(seed).uniform(-2.0, 2.0, circuit.n_parameters)
         assert abs(objective(theta) - reference(theta)) <= 1e-12
-    assert seen[0].shape == ((4,) if on_sector else (16,)) and seen[0].dtype == dtype
+    assert seen[0].shape == (4,) and seen[0].dtype == np.complex128
+
+
+@pytest.mark.parametrize("name", ["H2", "H3"])
+def test_sampled_uccsd_objective_measures_its_sector_state_on_the_register(
+        molecules, name, monkeypatch):
+    hamiltonian, occupied = molecules[name]
+    n = hamiltonian.n_qubits
+    circuit = build_uccsd(n, occupied)
+    groups = group_commuting(hamiltonian)
+    seen = evaluated_states(monkeypatch)
+    objective = optimize.sampled_energy_objective(hamiltonian, circuit, occupied, 64, 11, groups)
+    theta = np.random.default_rng(6).normal(0.0, 0.5, circuit.n_parameters)
+    register = apply_circuit_per_gate(prepare_hf(n, occupied).amplitudes, circuit, theta)
+    expected = estimate_energy_sampled(Statevector(n, register), hamiltonian, groups, 64, 11)
+    assert objective(theta) == expected.energy
+    (amplitudes,) = seen
+    assert amplitudes.dtype == np.float64 and amplitudes.shape == ({"H2": 4, "H3": 9}[name],)
 
 
 def test_zero_gate_objective_is_the_hf_energy_on_the_sector(molecules, monkeypatch):

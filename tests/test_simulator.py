@@ -56,27 +56,43 @@ def single(p):
     return QubitHamiltonian(p.n_qubits, ((1.0, p),))
 
 
-def random_circuit(n, n_gates, n_params, seed):
+# the two circuits a state runs: ry and cz gates on the register, Pauli
+# rotations on the basis states a circuit is restricted to
+CIRCUIT_KINDS = (("ry", "cz"), ("pauli_rot",))
+
+
+def random_circuit(n, n_gates, n_params, seed, kinds):
+    """Random gates of ``kinds``, with bound and slotted angles."""
     rng = np.random.default_rng(seed)
     gates = []
     slots = list(range(n_params))
     while len(gates) < n_gates or slots:
-        kind = rng.choice(["ry", "cz", "pauli_rot"])
-        if kind == "ry":
-            q = int(rng.integers(0, n))
-            slot = slots.pop() if slots and rng.random() < 0.7 else None
-            gates.append(Gate(kind, (q,), slot=slot,
-                              angle=float(rng.normal()) if slot is None else 1.0))
-        elif kind == "cz":
+        kind = rng.choice(kinds)
+        if kind == "cz":
             q1, q2 = rng.choice(n, size=2, replace=False)
             gates.append(Gate(kind, (int(q1), int(q2))))
-        else:
+            continue
+        qubits, generator = (int(rng.integers(0, n)),), None
+        if kind == "pauli_rot":
             x, z = int(rng.integers(0, 1 << n)), int(rng.integers(0, 1 << n))
             if x == 0 and z == 0:
                 continue
-            gates.append(Gate("pauli_rot", (), angle=float(rng.normal()),
-                              generator=single(PauliString(n, x, z))))
+            qubits, generator = (), single(PauliString(n, x, z))
+        slot = slots.pop() if slots and rng.random() < 0.7 else None
+        gates.append(Gate(kind, qubits, slot=slot, generator=generator,
+                          angle=float(rng.normal()) if slot is None else 1.0))
     return Circuit(n, tuple(gates), n_parameters=n_params)
+
+
+def run_on_every_state(state, circuit, parameters=()):
+    """``apply_circuit`` on a register state: a rotation circuit restricted to
+    all 2**n basis states, on the state listed on them."""
+    if not any(g.kind == "pauli_rot" for g in circuit.gates):
+        return apply_circuit(state, circuit, parameters)
+    every = np.arange(1 << state.n_qubits)
+    out = apply_circuit(Statevector(state.n_qubits, state.amplitudes, every),
+                        circuit.restrict(every), parameters)
+    return Statevector(out.n_qubits, out.amplitudes)
 
 
 def test_prepare_hf_empty():
@@ -103,6 +119,19 @@ def test_prepare_hf_bad_index():
         prepare_hf(3, {3})
 
 
+@pytest.mark.parametrize("n", [26, 40])
+def test_prepare_hf_checks_the_qubit_limit_before_allocating(n):
+    # the register would take 1 GiB at 26 qubits and 16 TiB at 40
+    tracemalloc.start()
+    try:
+        with pytest.raises(ShapeError, match=f"{n} qubits exceeds the 24-qubit limit"):
+            prepare_hf(n, {0})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_empty_circuit_is_identity():
     state = random_state(3, 1)
     out = apply_circuit(state, Circuit(3, ()))
@@ -119,33 +148,34 @@ def test_roty_pi_flips_qubit():
 @pytest.mark.parametrize("seed", range(5))
 def test_random_circuit_matches_dense_unitary(seed):
     n = 5
-    circuit = random_circuit(n, 12, 3, seed)
     params = np.random.default_rng(seed + 50).normal(size=3)
     state = random_state(n, seed + 100)
-    fast = apply_circuit(state, circuit, params)
-    dense = circuit_unitary(circuit, params) @ state.amplitudes
-    assert np.abs(fast.amplitudes - dense).max() < 1e-10
-    assert abs(fast.norm() - 1.0) < 1e-10
+    for kinds in CIRCUIT_KINDS:
+        circuit = random_circuit(n, 12, 3, seed, kinds)
+        fast = run_on_every_state(state, circuit, params)
+        dense = circuit_unitary(circuit, params) @ state.amplitudes
+        assert np.abs(fast.amplitudes - dense).max() < 1e-10
+        assert abs(fast.norm() - 1.0) < 1e-10
 
 
 def test_norm_preserved_gate_by_gate():
     n = 4
-    circuit = random_circuit(n, 10, 2, seed=9)
-    amps = random_state(n, 11).amplitudes
-    for gate in circuit.gates:
-        sub = Circuit(n, (gate,), n_parameters=0) if gate.slot is None else None
-        if sub is None:
-            continue
-        amps2 = apply_circuit(Statevector(n, amps), sub).amplitudes
-        assert abs(np.linalg.norm(amps2) - 1.0) < 1e-10
-        amps = amps2
+    for kinds in CIRCUIT_KINDS:
+        circuit = random_circuit(n, 10, 2, 9, kinds)
+        amps = random_state(n, 11).amplitudes
+        for gate in circuit.gates:
+            if gate.slot is not None:
+                continue
+            amps2 = run_on_every_state(Statevector(n, amps), Circuit(n, (gate,))).amplitudes
+            assert abs(np.linalg.norm(amps2) - 1.0) < 1e-10
+            amps = amps2
 
 
 def test_pauli_rotation_zero_angle_identity():
     p = single(PauliString.from_letters("XZY"))
     circuit = Circuit(3, (Gate("pauli_rot", (), angle=0.0, generator=p),))
     state = random_state(3, 2)
-    out = apply_circuit(state, circuit)
+    out = run_on_every_state(state, circuit)
     assert np.abs(out.amplitudes - state.amplitudes).max() < 1e-12
 
 
@@ -155,7 +185,7 @@ def test_pauli_rotation_roundtrip():
     forward = Circuit(3, (Gate("pauli_rot", (), angle=theta, generator=p),))
     backward = Circuit(3, (Gate("pauli_rot", (), angle=-theta, generator=p),))
     state = random_state(3, 3)
-    out = apply_circuit(apply_circuit(state, forward), backward)
+    out = run_on_every_state(run_on_every_state(state, forward), backward)
     assert np.abs(out.amplitudes - state.amplitudes).max() < 1e-12
 
 
@@ -171,8 +201,8 @@ def test_pauli_rotation_half_angle_composition():
         ),
     )
     state = random_state(2, 4)
-    one = apply_circuit(state, whole)
-    two = apply_circuit(state, halves)
+    one = run_on_every_state(state, whole)
+    two = run_on_every_state(state, halves)
     assert np.abs(one.amplitudes - two.amplitudes).max() < 1e-12
 
 
@@ -187,24 +217,27 @@ def test_precomputed_rotation_matches_dense_exponential(masks, theta, seed):
     p = PauliString(n, x, z)
     circuit = Circuit(n, (Gate("pauli_rot", (), angle=theta, generator=single(p)),))
     state = random_state(n, seed)
-    fast = apply_circuit(state, circuit).amplitudes
+    fast = run_on_every_state(state, circuit).amplitudes
     dense = expm(-0.5j * theta * pauli_matrix(p.to_letters())) @ state.amplitudes
     assert np.abs(fast - dense).max() < 1e-12
 
 
 def test_rotation_tables_refused_before_allocating():
-    # five 24-qubit rotations: 5 * 2**24 * 32 B of row, partner and phase
-    # tables, 2.5 GiB, refused where the tables are first built
-    gates = tuple(Gate("pauli_rot", (), angle=0.1, generator=single(PauliString(24, 1, z)))
-                  for z in range(5))
+    # forty rotations on the 853776 states of the (6, 6) sector of 24 qubits:
+    # 40 * 853776 * 32 B of row, partner and phase tables, 1.0 GiB, refused
+    # where the tables are built
+    gates = tuple(Gate("pauli_rot", (), angle=0.1, generator=single(PauliString(24, 0, z)))
+                  for z in range(1, 41))
+    circuit = Circuit(24, gates)
+    states = sector_states(24, (1 << 12) - 1)
     tracemalloc.start()
     try:
-        circuit = Circuit(24, gates)
-        with pytest.raises(ShapeError, match="GiB"):
-            circuit.tables
+        with pytest.raises(ShapeError, match="gate tables of 40 rotations on 24 qubits .* GiB"):
+            circuit.restrict(states)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert len(states) == 853776
     assert peak < 1 << 20
 
 
@@ -220,12 +253,9 @@ def test_generator_that_is_not_a_two_level_rotation_rejected(terms):
         with pytest.raises(ShapeError, match="x-masks"):
             Circuit(2, gates)
         return
-    # |diagonal| is checked where tables are built: on the register and on states
-    circuit = Circuit(2, gates)
+    # |diagonal| is checked where tables are built
     with pytest.raises(ShapeError, match="two-level"):
-        circuit.tables
-    with pytest.raises(ShapeError, match="two-level"):
-        circuit.restrict(np.arange(4))
+        Circuit(2, gates).restrict(np.arange(4))
 
 
 def test_cz_negates_exactly_the_rows_with_both_bits_set():
@@ -328,13 +358,14 @@ def test_gate_kinds_outside_ansatz_set_rejected(kind):
 
 @given(st.integers(1, 6), st.integers(0, 2**32 - 1))
 def test_one_cos_call_per_circuit_is_bit_identical_to_the_gate_loop(n, seed):
-    # ry, cz and pauli_rot gates, bound and slotted angles, on the whole register
-    circuit = random_circuit(n, 12, 3, seed) if n > 1 else build_hardware_efficient(2, 2)
-    n = circuit.n_qubits
-    params = np.random.default_rng(seed).normal(0.0, 3.0, circuit.n_parameters)
-    state = random_state(n, seed)
-    fast = apply_circuit(state, circuit, params).amplitudes
-    assert np.array_equal(fast, apply_circuit_per_gate(state.amplitudes, circuit, params))
+    # ry and cz gates, then pauli_rot gates, bound and slotted angles, on the whole register
+    for kinds in CIRCUIT_KINDS:
+        circuit = (random_circuit(n, 12, 3, seed, kinds) if n > 1 or "cz" not in kinds
+                   else build_hardware_efficient(2, 2))
+        params = np.random.default_rng(seed).normal(0.0, 3.0, circuit.n_parameters)
+        state = random_state(circuit.n_qubits, seed)
+        fast = run_on_every_state(state, circuit, params).amplitudes
+        assert np.array_equal(fast, apply_circuit_per_gate(state.amplitudes, circuit, params))
 
 
 @given(st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=40))
@@ -407,7 +438,7 @@ def test_restricted_circuit_matches_the_register_on_its_sector(n, occupied):
     rng = np.random.default_rng(n)
     for _ in range(5):
         theta = rng.uniform(-3.0, 3.0, circuit.n_parameters)
-        full = apply_circuit(prepare_hf(n, occupied), circuit, theta).amplitudes
+        full = run_on_every_state(prepare_hf(n, occupied), circuit, theta).amplitudes
         reference = Statevector(n, (hf == states).astype(float), states)
         local = apply_circuit(reference, sector, theta)
         assert local.amplitudes.dtype == np.float64 and np.array_equal(local.states, states)
@@ -528,6 +559,13 @@ def test_scalar_kernel_runs_rotations_of_no_row_and_of_every_row():
     state = Statevector(4, np.array([0.6, 0.8]), states)
     array, scalar = run_both_kernels(circuit, state, ())
     assert np.array_equal(scalar, array) and not np.array_equal(scalar, state.amplitudes)
+
+
+def test_register_state_refuses_a_rotation_circuit():
+    circuit = build_uccsd(4, {0, 1})
+    with pytest.raises(ShapeError, match="restrict the circuit"):
+        apply_circuit(prepare_hf(4, {0, 1}), circuit, np.zeros(circuit.n_parameters))
+    assert circuit.tables is None and circuit.states is None
 
 
 def test_sector_state_needs_the_circuit_restricted_to_its_states():

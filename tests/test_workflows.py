@@ -230,6 +230,21 @@ def test_sampled_scan_csv_pinned():
     assert digest == "c8652f781155e6a48e5c0cccb818933445c5628f5bb41f321aad45744ec1161a"
 
 
+def test_sampled_uccsd_scan_csv_pinned():
+    # a sampled UCCSD scan's CSV, H2 at two bond lengths and H3 at the
+    # symmetric point, pinned across code versions: any change to a rotation,
+    # a draw or the state the draws are made from moves the digest
+    doc = h2_manifest_doc(
+        [0.70, 0.78], mode="sampled", shots=256, restarts=2,
+        optimizer={"kind": "spsa", "max_iterations": 5, "seed": 0},
+    )
+    doc["points"].append(h3_exchange_point("+0.00", 0.0))
+    points, errors = run_scan(load_manifest(doc))
+    assert errors == []
+    digest = hashlib.sha256(scan_csv(points).encode()).hexdigest()
+    assert digest == "94e2d0890faa5256453847ed4adb3407a275eea22aa8bf2a15f0a18e76451e1e"
+
+
 def test_exact_scan_csv_pinned():
     # an exact-mode H3 scan's CSV (the h3-exchange benchmark's settings at three
     # points) pinned across code versions: any change to a circuit run, an
