@@ -64,14 +64,13 @@ def _sector_size(n: int, electrons: int) -> int:
 def _check_bytes(hamiltonian: QubitHamiltonian, form: int, search: bool) -> None:
     """Refuse a solve whose compiled form, workspace and eigenvector exceed the cap.
 
-    ``form`` is the state count of the one block form held and solved. A
-    Fock-space ``search`` also labels every register state by sector, 32 B
-    each; its bounds take each block's diagonal energy from a sign table of
-    the x == 0 strings, one row of the block's form. Davidson
-    keeps 2 * ``DAVIDSON_SUBSPACE`` block vectors in the form's dtype; a dense
-    solve (up to ``DENSE_CUTOFF_DIM`` states) 48 B per matrix cell (matrix,
-    LAPACK's copy, eigenvectors) and 48 B per block entry filling the matrix.
-    The eigenvector's complex register copy takes 16 B per register state.
+    ``form`` is the state count of the one block form compiled (at its peak) and
+    solved. A Fock-space ``search`` also labels every register state by sector,
+    32 B each; its bounds take each block's diagonal energy from a sign table of
+    the x == 0 strings, one row of the block's form. Davidson keeps 2 *
+    ``DAVIDSON_SUBSPACE`` block vectors in the form's ``dtype``; a dense solve (up
+    to ``DENSE_CUTOFF_DIM`` states) 48 B per matrix cell (matrix, LAPACK's copy,
+    eigenvectors). The eigenvector's complex register copy: 16 B per register state.
     """
     n = hamiltonian.n_qubits
     needed = hamiltonian.compiled_bytes(form) + (16 << n)
@@ -79,10 +78,9 @@ def _check_bytes(hamiltonian: QubitHamiltonian, form: int, search: bool) -> None
         needed += 32 << n
     dense = form <= DENSE_CUTOFF_DIM
     if dense:
-        needed += (form * form + len(hamiltonian.x_masks()) * form) * 48
-    else:  # the form is complex when a string has an odd number of Y letters
-        odd_y = (np.bitwise_count(hamiltonian.x & hamiltonian.z) & 1).any()
-        needed += 2 * DAVIDSON_SUBSPACE * form * (16 if odd_y else 8)
+        needed += form * form * 48
+    else:
+        needed += 2 * DAVIDSON_SUBSPACE * form * hamiltonian.dtype.itemsize
     check_allocation(needed, f"{'dense' if dense else 'davidson'} solve of a "
                              f"{form}-state block on {n} qubits")
 
@@ -110,14 +108,14 @@ def _davidson_lowest(block: CompiledOperator):
 
     The space starts from the lowest-diagonal state and a seeded random vector,
     which keeps a block whose lowest state is a triplet reachable. Each step adds
-    the residual divided by (energy - diagonal), the diagonal being the row whose
-    gather is the identity (x-mask 0); a full space restarts on the two lowest
-    Ritz vectors.
+    the residual divided by (energy - diagonal), the diagonal being the entries
+    whose target is their source (x-mask 0); a full space restarts on the two
+    lowest Ritz vectors.
     """
     dim = block.dim
-    identity = len(block.gather) and np.array_equal(block.gather[0], np.arange(dim))
-    diagonal = block.shifted[0].real if identity else np.zeros(dim)
-    basis = np.zeros((DAVIDSON_SUBSPACE, dim), dtype=block.shifted.dtype)
+    on_diagonal = block.targets == block.sources  # one entry per target at most
+    diagonal = np.bincount(block.targets[on_diagonal], block.values[on_diagonal].real, dim)
+    basis = np.zeros((DAVIDSON_SUBSPACE, dim), dtype=block.values.dtype)
     products = np.zeros_like(basis)  # H times each basis vector
     basis[0, np.argmin(diagonal)] = 1.0
     products[0] = block.apply(basis[0])

@@ -200,32 +200,40 @@ class QubitHamiltonian:
         return (x_masks, np.append(starts, len(x)).tolist(), int(counts.max(initial=0)),
                 z, weights)
 
+    @cached_property
+    def dtype(self) -> np.dtype:
+        """The compiled form's dtype: complex when a row weight * (-i)^{#Y} is (a string
+        with an odd number of Y letters), else float64; every byte count reads it."""
+        return np.dtype(np.complex128 if self._rows[4].imag.any() else np.float64)
+
     def compiled_bytes(self, n_states: int | None = None) -> int:
-        """Bytes compile() takes on the register, or on ``n_states`` given states: 24 per
-        (x-mask, state) entry, or 40 with local indices and the live-row test plus 8 per
-        register state; 17 per (string, state) of its largest rows' int8 sign table and cast."""
+        """Bytes compile() holds at its peak on ``n_states`` given states (default: the
+        register). Per (x-mask, state) cell, 19 B plus twice the itemsize of ``dtype``:
+        the padded workspace (diagonals, local partners, their sizes, the masks that pick
+        the entries) and the entries it returns as if every cell were live, in the
+        steps that hold them together. Per (string, state) of its largest rows, 17 B of
+        int8 sign table and cast; per register state, 8 B of local index map."""
         x_masks, _, most, _, _ = self._rows
-        if n_states is None:
-            return (24 * len(x_masks) + 17 * most) << self.n_qubits
-        return (40 * len(x_masks) + 17 * most) * n_states + (8 << self.n_qubits)
+        n_states = 1 << self.n_qubits if n_states is None else n_states
+        cell = 19 + 2 * self.dtype.itemsize
+        return (cell * len(x_masks) + 17 * most) * n_states + (8 << self.n_qubits)
 
     def compile(self, states: np.ndarray | None = None) -> CompiledOperator:
-        """A new compiled form of the sum; the caller owns (and frees) it.
+        """A new compiled form of the sum on the ascending basis ``states`` (default:
+        the register), in local indices; the caller owns (and frees) it.
 
-        On ascending basis ``states`` it is P H P in local indices: an entry whose
-        partner leaves them is zeroed (``leak`` keeps the largest) and points at
-        local state 0, and a row with nothing above ``COEFF_PRUNE_THRESHOLD`` left
-        is dropped. Stored real when no string has an odd number of Y letters;
-        refused before allocating when its ``compiled_bytes`` exceed the cap.
+        It is P H P: a cell whose partner leaves the states is not stored (``leak``
+        keeps the largest), nor is a zero cell, nor any cell of an x-mask with
+        nothing above ``COEFF_PRUNE_THRESHOLD`` left. Stored in ``dtype``; refused
+        before allocating when its ``compiled_bytes`` exceed the cap.
         """
         x_masks, bounds, most, z, weights = self._rows
-        whole = states is None
-        check_allocation(self.compiled_bytes(None if whole else len(states)),
+        n_states = 1 << self.n_qubits if states is None else len(states)
+        check_allocation(self.compiled_bytes(n_states),
                          f"compiled form of {len(x_masks)} x-masks on {self.n_qubits} qubits")
-        states = np.arange(1 << self.n_qubits) if whole else np.asarray(states)
-        real = not weights.imag.any()
-        gather = np.bitwise_xor(states, x_masks.reshape(-1, 1), dtype=np.intp)
-        shifted = np.empty(gather.shape, dtype=np.float64 if real else np.complex128)
+        states = np.arange(n_states) if states is None else np.asarray(states)
+        real = self.dtype == np.float64
+        shifted = np.empty((len(x_masks), n_states), dtype=self.dtype)
         first = 0
         while first < len(x_masks):  # one sign table per run of rows, at most ``most`` strings
             last = bisect_right(bounds, bounds[first] + most) - 1
@@ -236,16 +244,18 @@ class QubitHamiltonian:
                                                   strings.stop - bounds[first]]
                 shifted[row] = values.real if real else values
             first = last
-        if whole:
-            return CompiledOperator(self.n_qubits, gather, shifted)
         local = np.full(1 << self.n_qubits, -1)
-        local[states] = np.arange(len(states))
-        gather = local[gather]
-        outside = gather < 0
-        leak = float(np.abs(shifted[outside]).max(initial=0.0))
-        shifted[outside] = gather[outside] = 0
-        live = np.abs(shifted).max(axis=1, initial=0.0) > COEFF_PRUNE_THRESHOLD
-        return CompiledOperator(self.n_qubits, gather[live], shifted[live], leak)
+        local[states] = np.arange(n_states)
+        sources = local[np.bitwise_xor(states, x_masks.reshape(-1, 1), dtype=np.intp)]
+        size, kept = np.abs(shifted), sources >= 0
+        leak = float(size.max(where=~kept, initial=0.0))
+        live = size.max(axis=1, where=kept, initial=0.0) > COEFF_PRUNE_THRESHOLD
+        kept &= (size > 0) & live[:, None]
+        del local, size
+        sources, values = sources[kept], shifted[kept]
+        del shifted  # before the targets, as compiled_bytes counts
+        targets = np.flatnonzero(kept) % n_states
+        return CompiledOperator(self.n_qubits, targets, sources, values, n_states, leak)
 
 
 def _bit_parity(values: np.ndarray) -> np.ndarray:
@@ -260,44 +270,38 @@ def sign_table(masks, index: np.ndarray) -> np.ndarray:
     return 1 - 2 * _bit_parity(index & masks)
 
 
-# x-mask rows per chunk of a (rows, dim) pass over a compiled form, such as
-# the gather-add of CompiledOperator.apply; bounds its temporaries at
-# 64 * 2**n amplitudes (4 MiB at 12 qubits)
-ROWS_PER_BLOCK = 64
-
-
 @dataclass(frozen=True, eq=False)
 class CompiledOperator:
-    """A Hamiltonian as H = sum_x X^x D_x, one row per distinct x-mask.
+    """A Hamiltonian as its stored entries, H[targets[k], sources[k]] = values[k].
 
     A Pauli string acts as P|b> = i^{#Y} (-1)^popcount(b & z) |b ^ x>, so the
     terms sharing an x-mask sum to X^x D_x with the diagonal
-    D_x[b] = sum of weight * i^{#Y} * (-1)^popcount(b & z). Row k stores
-    ``gather[k, c] = c ^ x_k`` and ``shifted[k, c] = D_{x_k}[c ^ x_k]``, so
-    (H v)[c] = sum_k shifted[k, c] * v[gather[k, c]].
+    D_x[b] = sum of weight * i^{#Y} * (-1)^popcount(b & z): x-mask x has the
+    entry D_x[c ^ x] at target c and source c ^ x. Entries are stored x-mask by
+    x-mask, ascending, and each x-mask's in target order.
 
     A form on a subset of the basis states (:meth:`QubitHamiltonian.compile`)
-    has local indices, dimension ``gather.shape[1]``, and in ``leak`` the
-    largest entry it dropped for leaving the subset: 0 on a block of H.
+    has local indices, dimension ``dim``, and in ``leak`` the largest entry it
+    dropped for leaving the subset: 0 on a block of H.
     """
 
     n_qubits: int
-    gather: np.ndarray  # (rows, dim) basis indices
-    shifted: np.ndarray  # (rows, dim) diagonals, permuted
+    targets: np.ndarray  # (entries,) local row indices
+    sources: np.ndarray  # (entries,) local column indices
+    values: np.ndarray  # (entries,) matrix entries
+    dim: int
     leak: float = 0.0
 
-    @property
-    def dim(self) -> int:
-        return self.gather.shape[1]
-
     def apply(self, vec: np.ndarray) -> np.ndarray:
-        """H @ vec: one gather-multiply-add per x-mask, no matrix."""
+        """H @ vec: one gather, one product and one scatter-add, no matrix. ``np.bincount``
+        adds a target's entries one by one, in stored order: 0, then x-mask by x-mask."""
         if vec.shape != (self.dim,):
             raise ShapeError(f"vector shape {vec.shape} != ({self.dim},)")
-        out = np.zeros(self.dim, dtype=np.result_type(self.shifted, vec))
-        for start in range(0, self.gather.shape[0], ROWS_PER_BLOCK):
-            rows = slice(start, start + ROWS_PER_BLOCK)
-            out += (self.shifted[rows] * vec[self.gather[rows]]).sum(axis=0)
+        products = self.values * vec[self.sources]
+        out = np.empty(self.dim, dtype=products.dtype)
+        out.real = np.bincount(self.targets, products.real, self.dim)
+        if np.iscomplexobj(out):
+            out.imag = np.bincount(self.targets, products.imag, self.dim)
         return out
 
     def expectation(self, psi: np.ndarray) -> complex:
@@ -305,10 +309,6 @@ class CompiledOperator:
 
     def dense(self) -> np.ndarray:
         """The dim x dim matrix, real when the form is (for small dimensions only)."""
-        # entry (k, c) lands in cell (c, gather[k, c]); distinct x-masks put
-        # the nonzero entries of one row c in distinct cells, while the zeroed
-        # entries of a form on a subset all point at local state 0 and are skipped
-        matrix = np.zeros((self.dim, self.dim), dtype=self.shifted.dtype)
-        live = self.shifted != 0
-        matrix[np.nonzero(live)[1], self.gather[live]] = self.shifted[live]
+        matrix = np.zeros((self.dim, self.dim), dtype=self.values.dtype)
+        matrix[self.targets, self.sources] = self.values
         return matrix

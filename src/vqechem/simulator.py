@@ -138,12 +138,12 @@ class Circuit:
         register), one (rows, partner, phase) table per rotation; None unless every gate
         is a pauli_rot whose rows in ``states`` all have their partner there.
 
-        A generator compiles on ``states`` to H = X^x D, (H psi)[c] = shifted[c] psi[c ^ x],
+        A generator compiles on ``states`` to H = X^x D, entries (c, c ^ x, D[c ^ x]),
         and H^3 = H makes exp(-i a/2 H) set psi[rows] to cos(a/2) psi[rows] + sin(a/2) *
-        phase * psi[partner] on the rows where shifted is nonzero (a full slice when all
-        are), with partner = rows ^ x and phase = -i shifted[rows], real where it can be.
-        Real tables of at most ``SCALAR_MAX_ROWS`` rows per rotation, on average, also
-        give the circuit its ``kernel``."""
+        phase * psi[partner] on the targets of its entries of size 1 (a full slice when
+        all states are), with partner their sources and phase = -i times their values,
+        real where it can be. Real tables of at most ``SCALAR_MAX_ROWS`` rows per
+        rotation, on average, also give the circuit its ``kernel``."""
         if any(g.kind != "pauli_rot" for g in self.gates):
             return None
         # 32 B of rows, partner and phase per state and rotation; each compile()
@@ -155,15 +155,15 @@ class Circuit:
             compiled = gate.generator.compile(states)
             if compiled.leak > COEFF_PRUNE_THRESHOLD:
                 return None
-            # one row, or none where the form on states drops a row that moves none of them
-            gather, shifted = compiled.gather.ravel(), compiled.shifted.ravel()
-            size = np.abs(shifted)
+            size = np.abs(compiled.values)
             if not np.all((size < 1e-12) | (np.abs(size - 1.0) < 1e-12)):
                 raise ShapeError("generator is not a two-level rotation: |diagonal| not in {0, 1}")
-            rows = np.flatnonzero(size > 0.5)
+            moved = size > 0.5
+            rows = compiled.targets[moved]
             if rows.size == len(states):
                 rows = slice(None)
-            tables.append((rows, gather[rows], real_if_exact(-1j * shifted[rows])))
+            tables.append((rows, compiled.sources[moved],
+                           real_if_exact(-1j * compiled.values[moved])))
         sector = copy.copy(self)
         object.__setattr__(sector, "tables", tuple(tables))  # the dataclass is frozen
         object.__setattr__(sector, "states", states)
@@ -291,7 +291,7 @@ def apply_circuit(state: Statevector, circuit: Circuit, parameters=()) -> Statev
 
 
 def expectation(state: Statevector, hamiltonian: QubitHamiltonian | CompiledOperator) -> float:
-    """<psi|H|psi> from the compiled x-mask form; no dense matrix is built.
+    """<psi|H|psi> from the compiled form's entries; no dense matrix is built.
 
     Pass ``hamiltonian.compile(state.states)`` to evaluate many states against
     one form; a plain Hamiltonian is compiled on the state's basis states for

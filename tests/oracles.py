@@ -94,6 +94,25 @@ def hamiltonian_matrix(hamiltonian) -> np.ndarray:
     return total
 
 
+def apply_x_mask_by_x_mask(operator, states, vec) -> np.ndarray:
+    """H @ vec summed row by row: out = 0, then out += D_x * vec[partner] for each
+    x-mask x of the compiled ``operator`` on the ascending ``states``, in ascending
+    order, with D_x and partner laid out by target from x's entries (0 and state 0
+    where it stores none): the reference for the summation order of
+    ``CompiledOperator.apply``."""
+    states = np.asarray(states)
+    masks = states[operator.targets] ^ states[operator.sources]
+    out = np.zeros(operator.dim, dtype=np.result_type(operator.values, vec))
+    for mask in np.unique(masks):
+        entries = masks == mask
+        diagonal = np.zeros(operator.dim, dtype=operator.values.dtype)
+        partner = np.zeros(operator.dim, dtype=np.intp)
+        diagonal[operator.targets[entries]] = operator.values[entries]
+        partner[operator.targets[entries]] = operator.sources[entries]
+        out += diagonal * vec[partner]
+    return out
+
+
 def spin_counts(n_qubits: int, index: int) -> tuple[int, int]:
     """(N_alpha, N_beta) of a basis state: its set even and odd qubits."""
     return (sum((index >> q) & 1 for q in range(0, n_qubits, 2)),

@@ -74,6 +74,20 @@ def test_fci_solves_the_geometry_electron_count(tmp_path, capsys):
     assert anion > neutral + 0.1
 
 
+@pytest.mark.parametrize("fixture, expected", [
+    ("nonrel_eq", '{"command": "fci", "e_fci": -396.2481000000003, "n_pauli_terms": 361, '
+                  '"n_qubits": 8, "residual_norm": 1.2556629928902647e-13}'),
+    ("rel_stretch", '{"command": "fci", "e_fci": -396.24880000000036, "n_pauli_terms": 361, '
+                    '"n_qubits": 8, "residual_norm": 2.7549648314685083e-13}'),
+], ids=["nonrel_eq", "rel_stretch"])
+def test_frozen_core_fci_json_pinned(fixture_dir, capsys, fixture, expected):
+    # the frozen-core (2, 2) sector holds 36 states, solved by dense eigh: any
+    # change to the form's entries, its dense matrix or a product moves the line
+    path = os.path.join(fixture_dir, f"h2s_sto3g_{fixture}.fcidump")
+    assert main(["fci", "--fcidump", path, "--freeze", "0", "1", "--json"]) == 0
+    assert capsys.readouterr().out == expected + "\n"
+
+
 def test_fci_repeated_freeze_exits_2_with_one_line(fixture_dir, capsys):
     path = os.path.join(fixture_dir, "h2s_sto3g_nonrel_eq.fcidump")
     assert main(["fci", "--fcidump", path, "--freeze", "0", "0"]) == 2

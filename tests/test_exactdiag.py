@@ -144,10 +144,11 @@ class CountedOperator(paulis.CompiledOperator):
 
 @pytest.mark.parametrize("seed", range(8))
 def test_davidson_converges_on_a_near_tie_of_the_two_lowest_states(seed, monkeypatch):
-    # a random real symmetric 128-state matrix as a compiled form: row k gathers
-    # c ^ k, so every cell is one row's entry. Its two lowest eigenvalues lie a
-    # relative 1e-5 to 1e-3 apart; restarting on the lowest Ritz vector alone
-    # raised at 1000 products on seeds 3, 4 and 6 and took 246-735 on the others
+    # a random real symmetric 128-state matrix as a compiled form: x-mask k holds
+    # the entries (c, c ^ k), so every cell is one x-mask's entry. Its two lowest
+    # eigenvalues lie a relative 1e-5 to 1e-3 apart; restarting on the lowest Ritz
+    # vector alone raised at 1000 products on seeds 3, 4 and 6 and took 246-735 on
+    # the others
     rng = np.random.default_rng(seed)
     dim = 128
     q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
@@ -156,10 +157,10 @@ def test_davidson_converges_on_a_near_tie_of_the_two_lowest_states(seed, monkeyp
     matrix = (q * spectrum) @ q.T
     matrix = (matrix + matrix.T) / 2
     c = np.arange(dim)
-    gather = c ^ c[:, None]
+    targets, sources = np.tile(c, dim), (c ^ c[:, None]).ravel()
     monkeypatch.setattr(CountedOperator, "products", 0)
     energy, vector, residual = exactdiag._davidson_lowest(
-        CountedOperator(7, gather, matrix[c, gather]))
+        CountedOperator(7, targets, sources, matrix[targets, sources], dim))
     assert CountedOperator.products <= 250
     assert abs(energy - np.linalg.eigvalsh(matrix)[0]) < 1e-13
     assert residual < exactdiag.RESIDUAL_TOLERANCE
@@ -182,7 +183,7 @@ def test_dense_matrix_matches_oracle(h2_hamiltonian_074):
 
 def test_memory_guard_refuses_before_allocating(monkeypatch):
     # 24 qubits pass the qubit limit, but the search's 512 MiB of labels, the
-    # largest sector's 174 MiB form and 313 MiB of Davidson vectors, and the
+    # largest sector's 170 MiB form and 313 MiB of Davidson vectors, and the
     # eigenvector's 256 MiB register copy exceed the cap together; the guard
     # must refuse from the masks alone
     h = QubitHamiltonian(24, ((1.0, PauliString(24, 0, 1)),))
@@ -243,7 +244,7 @@ def test_sector_solve_counts_its_form_and_workspace_but_no_register_labels(
     copy = 16 << h.n_qubits
     for electrons, dim, method, workspace in (
             (8, 225, "davidson", 2 * exactdiag.DAVIDSON_SUBSPACE * 225 * 8),
-            (2, 36, "dense", (36 * 36 + len(h.x_masks()) * 36) * 48)):
+            (2, 36, "dense", 36 * 36 * 48)):
         needed = h.compiled_bytes(dim) + workspace + copy
         monkeypatch.setattr(paulis, "MAX_ALLOCATION_BYTES", needed)
         result = ground_state_energy(h, n_electrons=electrons)
@@ -343,9 +344,9 @@ def test_davidson_matches_dense_eigh_on_every_sector(n_orbitals, seed, kind):
         h = with_imaginary_hop(h)
     n, matrix = h.n_qubits, hamiltonian_matrix(h)
     reference = h.compile(sector_states(n, 0b11))
-    assert np.iscomplexobj(reference.shifted) == (kind == "complex")
+    assert np.iscomplexobj(reference.values) == (kind == "complex")
     if kind == "triplet":  # lowest diagonal: the closed shell; lowest state: S >= 1
-        assert np.argmin(reference.shifted[0]) == 0
+        assert np.argmin(np.diag(reference.dense())) == 0
         assert abs(sector_energy(matrix, 1, 1) - sector_energy(matrix, 2, 0)) < 1e-10
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(exactdiag, "DENSE_CUTOFF_DIM", 0)

@@ -508,9 +508,9 @@ def test_objective_checks_tables_and_compiled_form_together(h2_hamiltonian_074, 
     strings = {}
     for _, p in h2_hamiltonian_074.terms:
         strings[p.x_mask] = strings.get(p.x_mask, 0) + 1
-    # 40 B per (x-mask, state) entry, 17 B per (string, state) of the largest
-    # row, and an 8 B local index per register state
-    needed = tables + (40 * len(strings) + 17 * max(strings.values())) * 4 + (8 << 4)
+    # 19 + 2 * 8 B per (x-mask, state) cell of the real form, 17 B per (string,
+    # state) of the largest row, and an 8 B local index per register state
+    needed = tables + (35 * len(strings) + 17 * max(strings.values())) * 4 + (8 << 4)
     monkeypatch.setattr(paulis, "MAX_ALLOCATION_BYTES", needed)
     optimize.exact_energy_objective(h2_hamiltonian_074, circuit, {0, 1})
     monkeypatch.setattr(paulis, "MAX_ALLOCATION_BYTES", needed - 1)

@@ -1,8 +1,12 @@
+import os
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
 from oracles import (
+    apply_x_mask_by_x_mask,
     commutes_qubitwise,
     group_commuting_blocked,
     hamiltonian_from_term_dict,
@@ -11,6 +15,8 @@ from oracles import (
     pauli_multiply,
 )
 from vqechem.exceptions import ShapeError
+from vqechem.fcidump import parse_fcidump
+from vqechem.fermions import build_second_quantized, jordan_wigner
 from vqechem.measurement import group_commuting
 from vqechem.paulis import (
     PauliString,
@@ -18,6 +24,7 @@ from vqechem.paulis import (
     _bit_parity,
     sign_table,
 )
+from vqechem.simulator import sector_states
 
 
 def P(letters):
@@ -224,13 +231,17 @@ def test_sign_table_matches_popcount(masks):
 
 
 @st.composite
-def hamiltonians(draw, max_qubits=5):
-    """Random Pauli sums of up to ``max_qubits`` qubits, always with a Y letter."""
+def hamiltonians(draw, max_qubits=5, max_strings=12, real=False):
+    """Random Pauli sums of up to ``max_qubits`` qubits, always with a Y letter, or
+    with no string of an odd number of Y letters when ``real``."""
     n = draw(st.integers(1, max_qubits))
     masks = st.tuples(st.integers(0, (1 << n) - 1), st.integers(0, (1 << n) - 1))
-    keys = draw(st.lists(masks, min_size=1, max_size=12, unique=True))
-    q = draw(st.integers(0, n - 1))
-    keys.append((1 << q, 1 << q))  # Y on qubit q
+    keys = draw(st.lists(masks, min_size=1, max_size=max_strings, unique=True))
+    if real:
+        keys = [(x, z) for x, z in keys if bin(x & z).count("1") % 2 == 0] or [(0, 0)]
+    else:
+        q = draw(st.integers(0, n - 1))
+        keys.append((1 << q, 1 << q))  # Y on qubit q
     weights = draw(st.lists(st.floats(-2.0, 2.0).filter(lambda w: abs(w) > 1e-3),
                             min_size=len(keys), max_size=len(keys)))
     return hamiltonian_from_term_dict(n, dict(zip(keys, weights)))
@@ -242,7 +253,7 @@ def test_compiled_operator_matches_kronecker_oracle(h, seed):
     dim = 1 << h.n_qubits
     dense = hamiltonian_matrix(h)
     op = h.compile()
-    assert op.gather.shape[0] == len({p.x_mask for _, p in h.terms})
+    assert len(np.unique(op.targets ^ op.sources)) == len({p.x_mask for _, p in h.terms})
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     v /= np.linalg.norm(v)
     assert np.abs(op.apply(v) - dense @ v).max() < 1e-12
@@ -271,6 +282,58 @@ def test_compile_on_states_is_the_projected_submatrix(h, seed):
     assert h.compile().leak == 0.0
 
 
+@given(st.data(), st.booleans(), st.booleans(), st.integers(0, 2**32 - 1))
+def test_apply_sums_each_target_x_mask_by_x_mask(data, real, complex_vector, seed):
+    # on at most 6 qubits, so at most 64 x-masks, on the register or on a random
+    # subset of its states that cells leak from: bit for bit the row-by-row loop,
+    # 0 and then each x-mask's product in ascending order, so a regrouped
+    # (pairwise or blocked) sum fails it
+    h = data.draw(hamiltonians(max_qubits=6, max_strings=40, real=real))
+    states = np.arange(1 << h.n_qubits)
+    if data.draw(st.booleans()):
+        states = np.array(sorted(data.draw(st.sets(st.sampled_from(states), min_size=1))))
+    op = h.compile(None if len(states) == 1 << h.n_qubits else states)
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(op.dim)
+    if complex_vector:
+        v = v + 1j * rng.standard_normal(op.dim)
+    expected = apply_x_mask_by_x_mask(op, states, v)
+    out = op.apply(v)
+    assert out.dtype == expected.dtype
+    assert np.array_equal(out, expected)
+
+
+def random_form(n, n_strings, real, seed):
+    """``n_strings`` random Pauli strings on ``n`` qubits, without Y letters when ``real``."""
+    rng = np.random.default_rng(seed)
+    x, z = rng.integers(0, 1 << n, (2, n_strings))
+    z = z & ~x if real else z
+    keys = dict.fromkeys(zip(x.tolist(), z.tolist()))
+    return QubitHamiltonian.from_arrays(n, *np.array(list(keys)).T,
+                                        rng.uniform(0.1, 1.0, len(keys)))
+
+
+def test_compile_peaks_at_or_below_compiled_bytes(fixture_dir):
+    # real and complex forms, on the register and on a sector; the random ones
+    # store every cell of the register, the H2S fixture about a third of them
+    with open(os.path.join(fixture_dir, "h2s_sto3g_nonrel_eq.fcidump"), encoding="utf-8") as fh:
+        h2s = jordan_wigner(build_second_quantized(parse_fcidump(fh.read())))
+    forms = [random_form(8, 200, real, 5) for real in (True, False)]
+    assert [h.dtype for h in forms + [h2s]] == [np.float64, np.complex128, np.float64]
+    for h in forms + [h2s]:
+        for states in (None, sector_states(h.n_qubits, 0b1111)):
+            h.compile(states)  # the rows are built once, on the first compile
+            tracemalloc.start()
+            try:
+                op = h.compile(states)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= h.compiled_bytes(None if states is None else len(states))
+            if states is None and h is not h2s:
+                assert len(op.values) == len(h.x_masks()) << h.n_qubits
+
+
 def test_hamiltonian_matrix_oracle_consistency(h2_hamiltonian_074):
     # the identity string's weight against the dense trace
     dense = hamiltonian_matrix(h2_hamiltonian_074)
@@ -282,13 +345,15 @@ def test_hamiltonian_matrix_oracle_consistency(h2_hamiltonian_074):
 def test_compile_refuses_above_the_allocation_cap(monkeypatch):
     from vqechem import paulis
 
-    # x-masks 0 (ZI, IZ, ZZ) and 3 (XX, YY): 24 B per (x-mask, state) entry
-    # plus 17 B per (string, state) of the three-string row's sign table
+    # x-masks 0 (ZI, IZ, ZZ) and 3 (XX, YY), real: 19 + 2 * 8 B per (x-mask,
+    # state) cell, 17 B per (string, state) of the three-string row's sign
+    # table, and 8 B of local index per register state
     h = hamiltonian_from_term_dict(2, {(0, 1): 0.5, (0, 2): 0.25, (0, 3): -0.1,
                                        (3, 0): 0.2, (3, 3): 0.3})
-    needed = (24 * 2 + 17 * 3) << 2
+    needed = (35 * 2 + 17 * 3 + 8) << 2
     monkeypatch.setattr(paulis, "MAX_ALLOCATION_BYTES", needed)
-    assert h.compile().gather.shape == (2, 4)
+    op = h.compile()
+    assert op.dim == 4 and np.unique(op.targets ^ op.sources).tolist() == [0, 3]
     monkeypatch.setattr(paulis, "MAX_ALLOCATION_BYTES", needed - 1)
     with pytest.raises(ShapeError, match="compiled form of 2 x-masks on 2 qubits"):
         h.compile()

@@ -498,11 +498,12 @@ def test_restrict_compiles_the_tables_the_register_remap_gives(n, data):
 
 
 def test_rotation_with_no_row_in_the_states_is_the_identity_there():
-    # alpha 0 -> 2 moves no state with no alpha electron: its form on them is empty
+    # alpha 0 -> 2 moves no state with no alpha electron: its form on them has no entries
     gate = replace(_excitation_gates(4, [((0,), (2,))])[0], slot=None, angle=0.7)
     circuit = Circuit(4, (gate,))
     states = sector_states(4, 0b0010)
-    assert gate.generator.compile(states).gather.shape == (0, 2)
+    form = gate.generator.compile(states)
+    assert (form.dim, len(form.targets), len(form.sources), len(form.values)) == (2, 0, 0, 0)
     sector = circuit.restrict(states)
     assert_tables_equal(sector.tables, restrict_by_remap(circuit, states), len(states))
     state = Statevector(4, np.array([0.6, 0.8]), states)
