@@ -190,33 +190,39 @@ class QubitHamiltonian:
     def _rows(self) -> tuple:
         """The compiled form's rows, computed once: the distinct x-masks, ascending;
         the bounds of each row's strings, in string order; the most strings in a row;
-        and each string's z-mask and weight * (-i)^{#Y}."""
+        the first row of each run compiled together (at most that many strings) and
+        the row count; and each string's z-mask and weight * (-i)^{#Y}."""
         by_row = np.argsort(self.x, kind="stable")  # rows keep string order
         x, z = self.x[by_row], self.z[by_row]
         x_masks, starts, counts = np.unique(x, return_index=True, return_counts=True)
         # a string's entry at partner b ^ x is weight * i^{#Y} * (-1)^popcount((b ^ x) & z),
         # and #Y = popcount(x & z), so it is weight * (-i)^{#Y} * (-1)^popcount(b & z)
         weights = self.weights[by_row] * np.array([1, -1j, -1, 1j])[np.bitwise_count(x & z) % 4]
-        return (x_masks, np.append(starts, len(x)).tolist(), int(counts.max(initial=0)),
-                z, weights)
+        bounds, most = np.append(starts, len(x)).tolist(), int(counts.max(initial=0))
+        runs = [0]
+        while runs[-1] < len(x_masks):
+            runs.append(bisect_right(bounds, bounds[runs[-1]] + most) - 1)
+        return x_masks, bounds, most, runs, z, weights
 
     @cached_property
     def dtype(self) -> np.dtype:
         """The compiled form's dtype: complex when a row weight * (-i)^{#Y} is (a string
         with an odd number of Y letters), else float64; every byte count reads it."""
-        return np.dtype(np.complex128 if self._rows[4].imag.any() else np.float64)
+        return np.dtype(np.complex128 if self._rows[5].imag.any() else np.float64)
 
     def compiled_bytes(self, n_states: int | None = None) -> int:
         """Bytes compile() holds at its peak on ``n_states`` given states (default: the
-        register). Per (x-mask, state) cell, 19 B plus twice the itemsize of ``dtype``:
-        the padded workspace (diagonals, local partners, their sizes, the masks that pick
-        the entries) and the entries it returns as if every cell were live, in the
-        steps that hold them together. Per (string, state) of its largest rows, 17 B of
-        int8 sign table and cast; per register state, 8 B of local index map."""
-        x_masks, _, most, _, _ = self._rows
-        n_states = 1 << self.n_qubits if n_states is None else n_states
-        cell = 19 + 2 * self.dtype.itemsize
-        return (cell * len(x_masks) + 17 * most) * n_states + (8 << self.n_qubits)
+        register). Per (x-mask, state) cell, its entry as if every cell were live (16 B
+        of indices and the itemsize of ``dtype``); per state, 17 B per string of the
+        largest rows (int8 sign table and cast), 32 B of state indices and one row's
+        diagonal, and 26 B plus the itemsize per row of the widest run (diagonals,
+        partners, sizes and picks); on given states, an 8 B local index per register
+        state; and 4 KiB for the headers of the small arrays it makes on the way."""
+        x_masks, _, most, runs, _, _ = self._rows
+        itemsize, widest = self.dtype.itemsize, int(np.diff(runs).max(initial=0))
+        per_state = (16 + itemsize) * len(x_masks) + 17 * most + 32 + (26 + itemsize) * widest
+        local = 0 if n_states is None else 8 << self.n_qubits
+        return per_state * (1 << self.n_qubits if n_states is None else n_states) + local + 4096
 
     def compile(self, states: np.ndarray | None = None) -> CompiledOperator:
         """A new compiled form of the sum on the ascending basis ``states`` (default:
@@ -224,37 +230,50 @@ class QubitHamiltonian:
 
         It is P H P: a cell whose partner leaves the states is not stored (``leak``
         keeps the largest), nor is a zero cell, nor any cell of an x-mask with
-        nothing above ``COEFF_PRUNE_THRESHOLD`` left. Stored in ``dtype``; refused
-        before allocating when its ``compiled_bytes`` exceed the cap.
+        nothing above ``COEFF_PRUNE_THRESHOLD`` left. Each run of rows is filled and
+        picked in turn into entry arrays sized for every cell, shrunk in place at the
+        end. Stored in ``dtype``; refused before allocating when its
+        ``compiled_bytes`` exceed the cap.
         """
-        x_masks, bounds, most, z, weights = self._rows
-        n_states = 1 << self.n_qubits if states is None else len(states)
-        check_allocation(self.compiled_bytes(n_states),
+        x_masks, bounds, _, runs, z, weights = self._rows
+        check_allocation(self.compiled_bytes(None if states is None else len(states)),
                          f"compiled form of {len(x_masks)} x-masks on {self.n_qubits} qubits")
-        states = np.arange(n_states) if states is None else np.asarray(states)
-        real = self.dtype == np.float64
-        shifted = np.empty((len(x_masks), n_states), dtype=self.dtype)
-        first = 0
-        while first < len(x_masks):  # one sign table per run of rows, at most ``most`` strings
-            last = bisect_right(bounds, bounds[first] + most) - 1
+        if states is None:  # the register's states are their own local indices
+            states = local = np.arange(1 << self.n_qubits)
+        else:
+            states, local = np.asarray(states), np.full(1 << self.n_qubits, -1)
+            local[states] = np.arange(len(states))
+        n_states, real = len(states), self.dtype == np.float64
+        targets = np.empty(len(x_masks) * n_states, dtype=np.intp)
+        sources, values = np.empty_like(targets), np.empty(len(targets), dtype=self.dtype)
+        stored, leak = 0, 0.0
+        for first, last in zip(runs, runs[1:]):  # one sign table per run
             table = sign_table(z[bounds[first]:bounds[last]], states)
+            diagonals = np.empty((last - first, n_states), dtype=self.dtype)
             for row in range(first, last):
-                strings = slice(bounds[row], bounds[row + 1])
-                values = weights[strings] @ table[strings.start - bounds[first]:
-                                                  strings.stop - bounds[first]]
-                shifted[row] = values.real if real else values
-            first = last
-        local = np.full(1 << self.n_qubits, -1)
-        local[states] = np.arange(n_states)
-        sources = local[np.bitwise_xor(states, x_masks.reshape(-1, 1), dtype=np.intp)]
-        size, kept = np.abs(shifted), sources >= 0
-        leak = float(size.max(where=~kept, initial=0.0))
-        live = size.max(axis=1, where=kept, initial=0.0) > COEFF_PRUNE_THRESHOLD
-        kept &= (size > 0) & live[:, None]
-        del local, size
-        sources, values = sources[kept], shifted[kept]
-        del shifted  # before the targets, as compiled_bytes counts
-        targets = np.flatnonzero(kept) % n_states
+                strings = slice(bounds[row] - bounds[first], bounds[row + 1] - bounds[first])
+                diagonal = weights[bounds[first]:][strings] @ table[strings]
+                diagonals[row - first] = diagonal.real if real else diagonal
+            del table, diagonal
+            # "clip" never clips here (every index is in range) and, unlike "raise",
+            # writes straight into ``out`` without a buffered copy
+            partners = np.bitwise_xor(states, x_masks[first:last, None], dtype=np.intp)
+            np.take(local, partners, out=partners, mode="clip")
+            size, kept = np.abs(diagonals), partners >= 0
+            leak = max(leak, float((size * ~kept).max(initial=0.0)))
+            size *= kept  # an outside cell counts as zero from here
+            kept &= size > 0
+            kept &= size.max(axis=1, initial=0.0)[:, None] > COEFF_PRUNE_THRESHOLD
+            del size
+            picked = np.flatnonzero(kept)
+            new = slice(stored, stored + len(picked))
+            np.remainder(picked, n_states, out=targets[new])
+            np.take(partners, picked, out=sources[new], mode="clip")
+            np.take(diagonals, picked, out=values[new], mode="clip")
+            stored = new.stop
+            del diagonals, partners, kept, picked  # before the next run's
+        for array in (targets, sources, values):
+            array.resize(stored, refcheck=False)  # in place: no view of them is left
         return CompiledOperator(self.n_qubits, targets, sources, values, n_states, leak)
 
 

@@ -183,7 +183,7 @@ def test_dense_matrix_matches_oracle(h2_hamiltonian_074):
 
 def test_memory_guard_refuses_before_allocating(monkeypatch):
     # 24 qubits pass the qubit limit, but the search's 512 MiB of labels, the
-    # largest sector's 170 MiB form and 313 MiB of Davidson vectors, and the
+    # largest sector's 215 MiB form and 313 MiB of Davidson vectors, and the
     # eigenvector's 256 MiB register copy exceed the cap together; the guard
     # must refuse from the masks alone
     h = QubitHamiltonian(24, ((1.0, PauliString(24, 0, 1)),))
@@ -263,7 +263,7 @@ def test_sector_solve_counts_its_form_and_workspace_but_no_register_labels(
 
 def test_sixteen_qubit_chain_solves_its_sector_by_davidson_in_small_memory():
     # H8 at 1.8 bohr spacing: the (4, 4) sector holds 4900 of the 65536 states,
-    # above DENSE_CUTOFF_DIM; its compiled form holds 39 MB, the register's 525 MB
+    # above DENSE_CUTOFF_DIM; its compiled form holds 22 MB
     geometry = hydrogen_geometry([[0.0, 0.0, 1.8 * i] for i in range(8)])
     integrals, _ = integrals_from_geometry(geometry)
     h = jordan_wigner(build_second_quantized(integrals))

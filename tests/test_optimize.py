@@ -482,6 +482,24 @@ def test_sixteen_qubit_uccsd_objective_builds_tables_on_its_sector_only():
     assert abs(objective(np.zeros(360)) - rhf.total_energy) < 1e-9
 
 
+def test_sixteen_qubit_chain_register_form_passes_the_objective_guard(monkeypatch):
+    # the hardware-efficient exact objective compiles H on the register; for the
+    # H8 chain (501 x-masks, real) compiled_bytes stays under the 1 GiB cap, so
+    # the guard lets it through to compile, stopped here before it allocates
+    geometry = hydrogen_geometry([[0.0, 0.0, 1.8 * i] for i in range(8)])
+    integrals, _ = integrals_from_geometry(geometry)
+    hamiltonian = jordan_wigner(build_second_quantized(integrals))
+    assert len(hamiltonian.x_masks()) == 501 and hamiltonian.dtype == np.float64
+    assert hamiltonian.compiled_bytes() <= paulis.MAX_ALLOCATION_BYTES
+
+    def stop(self, states=None):
+        raise RuntimeError(f"compile on {states}")
+
+    monkeypatch.setattr(QubitHamiltonian, "compile", stop)
+    with pytest.raises(RuntimeError, match="compile on None"):
+        optimize.exact_energy_objective(hamiltonian, build_hardware_efficient(16, 1), range(8))
+
+
 def test_sector_objective_builds_no_register_reference():
     # 20 qubits, (5, 5) sector of 63504 states: the register's Hartree-Fock
     # vector alone would be 16 MiB
@@ -508,9 +526,12 @@ def test_objective_checks_tables_and_compiled_form_together(h2_hamiltonian_074, 
     strings = {}
     for _, p in h2_hamiltonian_074.terms:
         strings[p.x_mask] = strings.get(p.x_mask, 0) + 1
-    # 19 + 2 * 8 B per (x-mask, state) cell of the real form, 17 B per (string,
-    # state) of the largest row, and an 8 B local index per register state
-    needed = tables + (35 * len(strings) + 17 * max(strings.values())) * 4 + (8 << 4)
+    # per state, 16 + 8 B of entries per x-mask of the real form, 17 B per string
+    # of the largest row, 32 B of state indices and one row's diagonal, and 26 + 8 B
+    # for a run's one row (the x == 0 row holds the most strings, so each row is a
+    # run of its own); an 8 B local index per register state, and 4 KiB of headers
+    per_state = 24 * len(strings) + 17 * max(strings.values()) + 32 + 34
+    needed = tables + per_state * 4 + (8 << 4) + 4096
     monkeypatch.setattr(paulis, "MAX_ALLOCATION_BYTES", needed)
     optimize.exact_energy_objective(h2_hamiltonian_074, circuit, {0, 1})
     monkeypatch.setattr(paulis, "MAX_ALLOCATION_BYTES", needed - 1)

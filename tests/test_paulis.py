@@ -315,12 +315,18 @@ def random_form(n, n_strings, real, seed):
 
 def test_compile_peaks_at_or_below_compiled_bytes(fixture_dir):
     # real and complex forms, on the register and on a sector; the random ones
-    # store every cell of the register, the H2S fixture about a third of them
+    # store every cell of the register, the H2S fixture about a third of them.
+    # In the last form 40 Z strings share x-mask 0, so the other 200 x-masks,
+    # one string each, compile in runs of 40 rows
     with open(os.path.join(fixture_dir, "h2s_sto3g_nonrel_eq.fcidump"), encoding="utf-8") as fh:
         h2s = jordan_wigner(build_second_quantized(parse_fcidump(fh.read())))
     forms = [random_form(8, 200, real, 5) for real in (True, False)]
-    assert [h.dtype for h in forms + [h2s]] == [np.float64, np.complex128, np.float64]
-    for h in forms + [h2s]:
+    rng = np.random.default_rng(2)
+    x = np.r_[np.zeros(40, dtype=int), rng.choice(np.arange(1, 256), 200, replace=False)]
+    z = np.r_[np.arange(1, 41), rng.integers(0, 256, 200) & ~x[40:]]
+    wide = QubitHamiltonian.from_arrays(8, x, z, rng.uniform(0.1, 1.0, 240))
+    assert [h.dtype for h in forms + [h2s, wide]] == [np.float64, np.complex128] + [np.float64] * 2
+    for h in forms + [h2s, wide]:
         for states in (None, sector_states(h.n_qubits, 0b1111)):
             h.compile(states)  # the rows are built once, on the first compile
             tracemalloc.start()
@@ -330,7 +336,7 @@ def test_compile_peaks_at_or_below_compiled_bytes(fixture_dir):
             finally:
                 tracemalloc.stop()
             assert peak <= h.compiled_bytes(None if states is None else len(states))
-            if states is None and h is not h2s:
+            if states is None and h in forms:
                 assert len(op.values) == len(h.x_masks()) << h.n_qubits
 
 
@@ -345,12 +351,14 @@ def test_hamiltonian_matrix_oracle_consistency(h2_hamiltonian_074):
 def test_compile_refuses_above_the_allocation_cap(monkeypatch):
     from vqechem import paulis
 
-    # x-masks 0 (ZI, IZ, ZZ) and 3 (XX, YY), real: 19 + 2 * 8 B per (x-mask,
-    # state) cell, 17 B per (string, state) of the three-string row's sign
-    # table, and 8 B of local index per register state
+    # x-masks 0 (ZI, IZ, ZZ) and 3 (XX, YY), real, each its own run of rows: per
+    # register state, 16 + 8 B of entries per x-mask, 17 B per string of the
+    # three-string row's sign table, 32 B of state indices and one row's
+    # diagonal, and 26 + 8 B for the run's one row; no local map on the register,
+    # and 4 KiB of array headers
     h = hamiltonian_from_term_dict(2, {(0, 1): 0.5, (0, 2): 0.25, (0, 3): -0.1,
                                        (3, 0): 0.2, (3, 3): 0.3})
-    needed = (35 * 2 + 17 * 3 + 8) << 2
+    needed = ((24 * 2 + 17 * 3 + 32 + 34 * 1) << 2) + 4096
     monkeypatch.setattr(paulis, "MAX_ALLOCATION_BYTES", needed)
     op = h.compile()
     assert op.dim == 4 and np.unique(op.targets ^ op.sources).tolist() == [0, 3]
