@@ -21,7 +21,7 @@ from vqechem.workflows import ScanPoint, h2_point, integrals_for_point, trace_cs
 point = h2_point("0.74", 0.74)
 integrals = integrals_for_point(ScanPoint("0.74", 0.74, geometry=point["geometry"]))
 hamiltonian = jordan_wigner(build_second_quantized(integrals))
-fci = ground_state_energy(hamiltonian, n_electrons=integrals.n_electrons).energy
+fci = ground_state_energy(hamiltonian).energy
 circuit = build_uccsd(hamiltonian.n_qubits, {0, 1})
 objective = exact_energy_objective(hamiltonian, circuit, {0, 1})
 

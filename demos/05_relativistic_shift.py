@@ -28,7 +28,7 @@ def curve(prefix):
             ScanPoint(label, coordinate, fcidump_path=path), freeze=(0, 1)
         )
         hamiltonian = jordan_wigner(build_second_quantized(integrals))
-        energy = ground_state_energy(hamiltonian, n_electrons=integrals.n_electrons).energy
+        energy = ground_state_energy(hamiltonian).energy
         groups = group_commuting(hamiltonian)
         print(
             f"  {prefix}/{label}: {hamiltonian.n_qubits} qubits, "

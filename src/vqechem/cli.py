@@ -148,7 +148,7 @@ def cmd_fci(args) -> int:
     point = _point_from_args(args)
     integrals = integrals_for_point(point, tuple(args.freeze))
     hamiltonian = jordan_wigner(build_second_quantized(integrals))
-    ground = ground_state_energy(hamiltonian, n_electrons=integrals.n_electrons)
+    ground = ground_state_energy(hamiltonian)
     _emit(
         {
             "command": "fci",

@@ -10,7 +10,7 @@ anticommutator is applied, and an annihilator left of a creator is refused.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -76,12 +76,15 @@ class FermionOperator:
     as 2m + d + 1, then 0 padding; ``coeffs[t]`` is its coefficient.
     :meth:`from_terms`, :meth:`from_term_dicts` and
     :func:`build_second_quantized` store the terms normal ordered. ``terms``
-    is a view of them as a dict, built on first use.
+    is a view of them as a dict, built on first use. ``n_electrons`` is the
+    molecule's electron count, which :func:`build_second_quantized` records
+    and :func:`jordan_wigner` passes on; None on other operators.
     """
 
     n_modes: int
     codes: np.ndarray
     coeffs: np.ndarray
+    n_electrons: int | None = None
 
     @cached_property
     def terms(self) -> dict[Term, float]:
@@ -123,7 +126,8 @@ def build_second_quantized(integrals: MolecularIntegrals) -> FermionOperator:
 
     with spatial integrals in chemist notation; spin is conserved factorwise.
     Raw terms run over p, q (, r, s) and then the spins, each spatial
-    coefficient below ``COEFF_PRUNE_THRESHOLD`` left out.
+    coefficient below ``COEFF_PRUNE_THRESHOLD`` left out. The operator carries
+    ``integrals.n_electrons``.
     """
     h, g = integrals.h, 0.5 * integrals.g.transpose(0, 2, 1, 3)  # g[p, q, r, s] = (pr|qs) / 2
     one = np.argwhere(np.abs(h) >= COEFF_PRUNE_THRESHOLD)  # rows (p, q), in loop order
@@ -139,7 +143,8 @@ def build_second_quantized(integrals: MolecularIntegrals) -> FermionOperator:
     coeffs = np.concatenate([[float(integrals.constant_energy)],
                              h[tuple(one.T)].repeat(2), g[tuple(two.T)].repeat(4)])
     owner, n_modes = np.zeros(len(modes), dtype=np.int64), 2 * len(h)
-    return _normal_order(n_modes, owner, modes, n_create, coeffs, 1)[0]
+    return replace(_normal_order(n_modes, owner, modes, n_create, coeffs, 1)[0],
+                   n_electrons=integrals.n_electrons)
 
 
 def _lexsort(keys) -> np.ndarray:
@@ -223,7 +228,7 @@ def jordan_wigner_expansions(ops) -> list[tuple[np.ndarray, np.ndarray, np.ndarr
 
 
 def jordan_wigner(op: FermionOperator) -> QubitHamiltonian:
-    """Map a Hermitian fermionic operator to a qubit Hamiltonian.
+    """Map a Hermitian fermionic operator to a qubit Hamiltonian with its electron count.
 
     Imaginary residues below 1e-10 are discarded; anything larger means the
     input was not Hermitian and raises.
@@ -234,4 +239,4 @@ def jordan_wigner(op: FermionOperator) -> QubitHamiltonian:
         k = large[0]
         raise NonHermitianError(f"imaginary coefficient {coeffs[k].imag:.3e} on term with "
                                 f"masks {(int(x[k]), int(z[k]))}")
-    return QubitHamiltonian.from_arrays(op.n_modes, x, z, coeffs.real)
+    return QubitHamiltonian.from_arrays(op.n_modes, x, z, coeffs.real, op.n_electrons)

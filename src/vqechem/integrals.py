@@ -62,7 +62,7 @@ class Molecule:
 
         Schema: ``{"atoms": [{"symbol": str, "xyz_bohr": [x, y, z]}, ...],
         "charge": int}`` with positions in Bohr; a position of other than 3
-        numbers, or a charge that is not an integer (or is a bool), raises.
+        numbers, or a charge that is not an integer, raises (a bool is neither).
         """
         atoms = []
         try:
@@ -70,10 +70,11 @@ class Molecule:
                 symbol = entry["symbol"]
                 if symbol not in ELEMENT_Z:
                     raise UnsupportedElementError(f"unknown element symbol {symbol!r}")
-                xyz = np.asarray(entry["xyz_bohr"], dtype=float)
-                if xyz.shape != (3,):
+                position = entry["xyz_bohr"]
+                xyz = np.asarray(position, dtype=float)
+                if xyz.shape != (3,) or any(isinstance(c, bool) for c in position):
                     raise ShapeError(f"malformed geometry: position of {symbol} must be "
-                                     f"3 numbers, got {entry['xyz_bohr']!r}")
+                                     f"3 numbers, got {position!r}")
                 atoms.append((symbol, ELEMENT_Z[symbol], xyz))
             charge = doc.get("charge", 0)
         except (KeyError, TypeError, ValueError) as exc:

@@ -13,9 +13,11 @@ Conventions, fixed repo-wide:
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Real
 
 import numpy as np
 
@@ -67,6 +69,19 @@ class PauliString:
         return self.to_letters()
 
 
+def checked_int(value, name: str, least: int) -> int:
+    """``value`` as an int if it is an integer (not a bool) >= ``least``, else a ShapeError."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        value = operator.index(value)
+    except TypeError:
+        raise ShapeError(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise ShapeError(f"{name} must be >= {least}, got {value}")
+    return value
+
+
 def check_allocation(needed: int, what: str) -> None:
     """Refuse ``what`` when its ``needed`` bytes exceed ``MAX_ALLOCATION_BYTES``."""
     if needed > MAX_ALLOCATION_BYTES:
@@ -108,23 +123,29 @@ class QubitHamiltonian:
     qubit, I=0, X=1, Y=2, Z=3, qubit 0 most significant, so equal
     Hamiltonians always serialize identically. ``terms`` is a view of the
     same strings as (weight, :class:`PauliString`) pairs, built on first use.
+    ``n_electrons`` is the electron count of a molecular Hamiltonian (0 to
+    ``n_qubits``), the sector its exact solve takes; None for a Hamiltonian
+    built by hand or a gate generator.
     """
 
     n_qubits: int
     x: np.ndarray
     z: np.ndarray
     weights: np.ndarray
+    n_electrons: int | None
 
-    def __init__(self, n_qubits: int, terms=()):
+    def __init__(self, n_qubits: int, terms=(), n_electrons: int | None = None):
         """From (weight, :class:`PauliString`) pairs, stored in the given order."""
         terms = tuple(terms)
         if any(p.n_qubits != n_qubits for _, p in terms):
             raise ShapeError("term qubit count differs from Hamiltonian")
         x, z = np.array([(p.x_mask, p.z_mask) for _, p in terms], dtype=np.int64).reshape(-1, 2).T
-        self._store(n_qubits, x, z, np.array([w for w, _ in terms], dtype=float), sort=False)
+        self._store(n_qubits, x, z, np.array([w for w, _ in terms], dtype=float), n_electrons,
+                    sort=False)
 
     @classmethod
-    def from_arrays(cls, n_qubits: int, x, z, weights) -> QubitHamiltonian:
+    def from_arrays(cls, n_qubits: int, x, z, weights,
+                    n_electrons: int | None = None) -> QubitHamiltonian:
         """Strings ``(x[k], z[k])`` weighing ``weights[k]``, tiny weights pruned, in
         canonical order. A non-finite weight is kept, so the constructor refuses it."""
         x, z = np.asarray(x, dtype=np.int64), np.asarray(z, dtype=np.int64)
@@ -134,13 +155,18 @@ class QubitHamiltonian:
                              "are not one length")
         kept = ~(np.abs(weights) < COEFF_PRUNE_THRESHOLD)
         hamiltonian = cls.__new__(cls)
-        hamiltonian._store(n_qubits, x[kept], z[kept], weights[kept], sort=True)
+        hamiltonian._store(n_qubits, x[kept], z[kept], weights[kept], n_electrons, sort=True)
         return hamiltonian
 
-    def _store(self, n_qubits: int, x, z, weights, sort: bool) -> None:
-        """Validate the strings and keep them, sorted into canonical order if ``sort``."""
+    def _store(self, n_qubits: int, x, z, weights, n_electrons, sort: bool) -> None:
+        """Validate the strings and the count and keep them, the strings sorted into
+        canonical order if ``sort``."""
         if not 0 <= n_qubits <= 62:
             raise ShapeError(f"{n_qubits} qubits: masks of 0..62 qubits fit int64")
+        if n_electrons is not None:
+            if isinstance(n_electrons, Real) and not 0 <= n_electrons <= n_qubits:
+                raise ShapeError(f"{n_electrons} electrons do not fit in {n_qubits} spin orbitals")
+            n_electrons = checked_int(n_electrons, "n_electrons", 0)
         order = _canonical_order(n_qubits, x, z)
         if sort:
             x, z, weights, order = x[order], z[order], weights[order], slice(None)
@@ -164,7 +190,8 @@ class QubitHamiltonian:
                              "is below the prune threshold or not finite")
         for array in (x, z, weights):
             array.flags.writeable = False
-        for name, value in zip(("n_qubits", "x", "z", "weights"), (n_qubits, x, z, weights)):
+        for name, value in zip(("n_qubits", "x", "z", "weights", "n_electrons"),
+                               (n_qubits, x, z, weights, n_electrons)):
             object.__setattr__(self, name, value)  # the dataclass is frozen
 
     @cached_property
@@ -174,7 +201,8 @@ class QubitHamiltonian:
                      zip(self.weights.tolist(), self.x.tolist(), self.z.tolist()))
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, QubitHamiltonian) and self.n_qubits == other.n_qubits
+        return (isinstance(other, QubitHamiltonian)
+                and (self.n_qubits, self.n_electrons) == (other.n_qubits, other.n_electrons)
                 and all(np.array_equal(a, b) for a, b in zip(
                     (self.x, self.z, self.weights), (other.x, other.z, other.weights))))
 

@@ -13,7 +13,6 @@ update in its order, so both give the same bits.
 from __future__ import annotations
 
 import copy
-import operator
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 
@@ -21,7 +20,7 @@ import numpy as np
 
 from .exceptions import ShapeError
 from .paulis import (COEFF_PRUNE_THRESHOLD, CompiledOperator, QubitHamiltonian, check_allocation,
-                     real_if_exact)
+                     checked_int, real_if_exact)
 
 MAX_QUBITS = 24  # 2**24 complex amplitudes = 256 MiB; hard memory guard
 # seeds are hashed as uint64; a caller's seed stays below 2**63 so that the
@@ -191,14 +190,6 @@ def prepare_hf(n_qubits: int, occupied) -> Statevector:
     return Statevector(n_qubits, np.ones(1), index).on_register()
 
 
-def sector_labels(n_qubits: int) -> np.ndarray:
-    """Per basis index, N_alpha * (n_qubits // 2 + 1) + N_beta: its set even and odd qubits."""
-    index = np.arange(1 << n_qubits, dtype=np.uint32)
-    alpha = sum(1 << q for q in range(0, n_qubits, 2))
-    n_alpha, n_beta = (np.bitwise_count(index & m).astype(np.int16) for m in (alpha, alpha << 1))
-    return n_alpha * (n_qubits // 2 + 1) + n_beta
-
-
 def sector_states(n_qubits: int, index: int) -> np.ndarray:
     """The ascending basis states with the (N_alpha, N_beta) of basis state ``index``.
 
@@ -305,19 +296,6 @@ def expectation(state: Statevector, hamiltonian: QubitHamiltonian | CompiledOper
     if abs(value.imag) > 1e-10:
         raise ShapeError(f"expectation has imaginary part {value.imag:.3e}")
     return float(value.real)
-
-
-def checked_int(value, name: str, least: int) -> int:
-    """``value`` as an int if it is an integer (not a bool) >= ``least``, else a ShapeError."""
-    try:
-        if isinstance(value, bool):
-            raise TypeError
-        value = operator.index(value)
-    except TypeError:
-        raise ShapeError(f"{name} must be an integer, got {value!r}") from None
-    if value < least:
-        raise ShapeError(f"{name} must be >= {least}, got {value}")
-    return value
 
 
 def checked_seed(value) -> int:

@@ -184,8 +184,10 @@ def load_manifest(doc: dict, base_dir: str = ".") -> ScanManifest:
 
 
 def _number(value, name: str) -> float:
-    """``float(value)``, or a ManifestError naming the manifest key."""
+    """``float(value)`` of a number (not a bool), else a ManifestError naming the key."""
     try:
+        if isinstance(value, bool):
+            raise TypeError
         return float(value)
     except (TypeError, ValueError):
         raise ManifestError(f"{name} must be a number, got {value!r}") from None
@@ -252,7 +254,7 @@ def run_single_point(
     """
     hamiltonian = jordan_wigner(build_second_quantized(integrals))
     n_qubits = hamiltonian.n_qubits
-    occupied = set(range(integrals.n_electrons))
+    occupied = set(range(hamiltonian.n_electrons))
     if ansatz == "uccsd":
         circuit = build_uccsd(n_qubits, occupied)
     else:
@@ -262,7 +264,7 @@ def run_single_point(
         hamiltonian, circuit, occupied, optimizer,
         mode=mode, shots=shots, n_restarts=restarts, groups=groups,
     )
-    fci = ground_state_energy(hamiltonian, n_electrons=integrals.n_electrons)
+    fci = ground_state_energy(hamiltonian)
     return SinglePointResult(
         vqe=vqe,
         e_fci=fci.energy,

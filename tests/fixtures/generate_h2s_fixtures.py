@@ -82,7 +82,7 @@ def calibrate(integrals: MolecularIntegrals, target: float) -> MolecularIntegral
     reduced = freeze_core(integrals, spec)
     hamiltonian = jordan_wigner(build_second_quantized(reduced))
     assert hamiltonian.n_qubits == 8
-    e0 = ground_state_energy(hamiltonian, n_electrons=reduced.n_electrons).energy
+    e0 = ground_state_energy(hamiltonian).energy
     return replace(integrals, constant_energy=integrals.constant_energy + target - e0)
 
 

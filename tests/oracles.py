@@ -6,6 +6,7 @@ from occupation-number sign bookkeeping, and FCI energies from
 Slater-Condon rules over explicit determinants.
 """
 
+import functools
 import itertools
 import math
 
@@ -72,8 +73,9 @@ def commutes_qubitwise(a, b) -> bool:
     return (a.x_mask ^ b.x_mask) & both == 0 and (a.z_mask ^ b.z_mask) & both == 0
 
 
-def hamiltonian_from_term_dict(n_qubits: int, coeffs: dict):
-    """A QubitHamiltonian from {(x_mask, z_mask): weight}, one PauliString per term.
+def hamiltonian_from_term_dict(n_qubits: int, coeffs: dict, n_electrons=None):
+    """A QubitHamiltonian from {(x_mask, z_mask): weight}, one PauliString per term,
+    carrying ``n_electrons``.
 
     Weights below the prune threshold are dropped (a non-finite one is kept,
     so the constructor refuses it) and the rest sorted by letter string,
@@ -83,7 +85,8 @@ def hamiltonian_from_term_dict(n_qubits: int, coeffs: dict):
 
     kept = [(float(w), PauliString(n_qubits, x, z)) for (x, z), w in coeffs.items()
             if not abs(w) < COEFF_PRUNE_THRESHOLD]
-    return QubitHamiltonian(n_qubits, sorted(kept, key=lambda term: term[1].to_letters()))
+    return QubitHamiltonian(n_qubits, sorted(kept, key=lambda term: term[1].to_letters()),
+                            n_electrons)
 
 
 def hamiltonian_matrix(hamiltonian) -> np.ndarray:
@@ -139,20 +142,23 @@ def eigenvector_sector(amplitudes: np.ndarray) -> tuple[int, int] | None:
     return sectors.pop() if len(sectors) == 1 else None
 
 
-def ground_state_every_block(hamiltonian):
-    """Lowest eigenvalue of each (N_alpha, N_beta) block of the Kronecker
-    matrix, with every block solved: the reference for the bound-ordered
-    Fock-space solve of ``exactdiag.ground_state_energy``.
+@functools.cache
+def sector_labels(n_qubits: int) -> np.ndarray:
+    """The (N_alpha, N_beta) of every basis state, one row each, by :func:`spin_counts`."""
+    return np.array([spin_counts(n_qubits, b) for b in range(1 << n_qubits)]).reshape(-1, 2)
 
-    Returns (energy, sector, {sector: energy}); the first lowest block in
-    (N_alpha, N_beta) order wins.
-    """
-    n = hamiltonian.n_qubits
-    matrix = hamiltonian_matrix(hamiltonian)
-    energies = {sector: sector_energy(matrix, *sector)
-                for sector in sorted({spin_counts(n, b) for b in range(1 << n)})}
-    sector = min(energies, key=energies.get)
-    return energies[sector], sector, energies
+
+def lowest_energy_of_every_block(hamiltonian) -> dict:
+    """{(N_alpha, N_beta): lowest eigenvalue} of every block of a Hamiltonian that
+    conserves both, each block compiled on its states and solved by dense ``eigh``,
+    in label order: the Fock-space spectrum where the Kronecker matrix is too large
+    (the 12-qubit fixture's largest block holds 400 states, its register 4096)."""
+    labels, energies = sector_labels(hamiltonian.n_qubits), {}
+    for sector in sorted(set(map(tuple, labels.tolist()))):
+        block = hamiltonian.compile(np.flatnonzero((labels == sector).all(axis=1)))
+        assert block.leak < 1e-12, f"the Hamiltonian joins {sector} to another block"
+        energies[sector] = float(np.linalg.eigvalsh(block.dense())[0])
+    return energies
 
 
 def annihilation_matrices(n_modes: int, sparse: bool = False) -> list:
@@ -605,12 +611,10 @@ def restrict_by_remap(circuit, states):
 
 
 def sector_states_by_labels(n_qubits: int, index: int) -> np.ndarray:
-    """The basis states whose sector label equals that of ``index``, found by
+    """The basis states whose (N_alpha, N_beta) equals that of ``index``, found by
     labelling the whole register: the reference for ``simulator.sector_states``."""
-    from vqechem.simulator import sector_labels
-
     labels = sector_labels(n_qubits)
-    return np.flatnonzero(labels == labels[index])
+    return np.flatnonzero((labels == labels[index]).all(axis=1))
 
 
 def full_register_objective(hamiltonian, circuit, hf_occupied):

@@ -104,7 +104,7 @@ def test_criterion_1_h2_end_to_end():
     config = OptimizerConfig(kind="simplex", max_iterations=500,
                              convergence_threshold=1e-10, seed=0)
     result = run_vqe(hamiltonian, circuit, {0, 1}, config, mode="exact", n_restarts=5)
-    fci = ground_state_energy(hamiltonian, n_electrons=integrals.n_electrons).energy
+    fci = ground_state_energy(hamiltonian).energy
     elapsed = time.monotonic() - start
 
     error_ha = abs(result.final_energy - fci)
@@ -141,7 +141,7 @@ def test_criterion_2_h2_pes_and_equilibrium():
     for r in grid:
         integrals = h2_integrals(float(r))
         h = jordan_wigner(build_second_quantized(integrals))
-        grid_energies.append(ground_state_energy(h, n_electrons=integrals.n_electrons).energy)
+        grid_energies.append(ground_state_energy(h).energy)
     r_oracle = float(grid[int(np.argmin(grid_energies))])
 
     dist_to_paper = max(0.0, PAPER_H2_RE_RANGE[0] - r_e, r_e - PAPER_H2_RE_RANGE[1])
@@ -300,7 +300,7 @@ def test_criterion_5_property_suite(fixture_dir):
 
     integrals = h2_integrals(0.74)
     hamiltonian = jordan_wigner(build_second_quantized(integrals))
-    fci = ground_state_energy(hamiltonian, n_electrons=integrals.n_electrons).energy
+    fci = ground_state_energy(hamiltonian).energy
 
     def anticommutation():
         ops = annihilation_matrices(5)

@@ -128,7 +128,9 @@ def test_non_finite_constant_energy_exits_2_with_one_line(tmp_path, capsys, h2_i
     ({"atoms": [{"symbol": "H", "xyz_bohr": [0.0, 0.0]}, H2_GEOMETRY["atoms"][1]]}, "3 numbers"),
     ({"charge": 0.5}, "charge"),
     ({"charge": True}, "charge"),
-], ids=["two-coordinates", "fractional-charge", "boolean-charge"])
+    ({"atoms": [{"symbol": "H", "xyz_bohr": [0, 0, True]}, H2_GEOMETRY["atoms"][1]]},
+     "3 numbers"),
+], ids=["two-coordinates", "fractional-charge", "boolean-charge", "boolean-coordinate"])
 def test_malformed_geometry_exits_2_with_one_line(tmp_path, capsys, change, key):
     geometry = write_json(tmp_path / "geometry.json", {**H2_GEOMETRY, **change})
     assert main(["fci", "--geometry", geometry]) == 2
@@ -369,6 +371,7 @@ def test_one_point_manifest_then_fit_errors(tmp_path, capsys):
         (lambda doc: doc["optimizer"].update(convergence_threshold=float("nan")),
          "convergence_threshold"),
         (lambda doc: doc["optimizer"].update(simplex_xtol=float("inf")), "simplex_xtol"),
+        (lambda doc: doc["points"][0].update(coordinate=True), "coordinate"),
     ],
     ids=["unknown-optimizer-key", "point-without-label", "zero-restarts", "zero-shots",
          "negative-reps", "non-integer-freeze", "non-numeric-coordinate",
@@ -378,7 +381,7 @@ def test_one_point_manifest_then_fit_errors(tmp_path, capsys):
          "fractional-restarts", "boolean-seed", "fractional-max-iterations",
          "fractional-spsa-window", "zero-spsa-window", "boolean-freeze",
          "dropped-spsa-gain", "duplicate-freeze", "boolean-max-iterations",
-         "nan-threshold", "infinite-xtol"],
+         "nan-threshold", "infinite-xtol", "boolean-coordinate"],
 )
 def test_malformed_manifest_rejected_up_front(tmp_path, capsys, corrupt, key):
     manifest = small_manifest(tmp_path)

@@ -9,13 +9,12 @@ from hypothesis import strategies as st
 
 from oracles import (
     eigenvector_sector,
-    ground_state_every_block,
     hamiltonian_from_term_dict,
     hamiltonian_matrix,
     sector_energy,
-    spin_counts,
 )
 from vqechem import exactdiag, paulis
+from vqechem.ansatz import build_uccsd
 from vqechem.exactdiag import ground_state_energy
 from vqechem.exceptions import EigensolverConvergenceError, ShapeError
 from vqechem.fcidump import parse_fcidump
@@ -23,7 +22,8 @@ from vqechem.fermions import build_second_quantized, jordan_wigner
 from vqechem.integrals import MolecularIntegrals
 from vqechem.paulis import PauliString, QubitHamiltonian
 from vqechem.simulator import Statevector, expectation, sector_states
-from vqechem.workflows import h3_exchange_point, hydrogen_geometry, integrals_from_geometry
+from vqechem.workflows import (ScanPoint, h3_exchange_point, hydrogen_geometry,
+                               integrals_for_point, integrals_from_geometry)
 
 
 def h2s_twelve_qubits(fixture_dir) -> QubitHamiltonian:
@@ -32,12 +32,17 @@ def h2s_twelve_qubits(fixture_dir) -> QubitHamiltonian:
         return jordan_wigner(build_second_quantized(parse_fcidump(fh.read())))
 
 
-def ham(n, letter_weights):
+def ham(n, letter_weights, n_electrons=None):
     coeffs = {}
     for letters, w in letter_weights.items():
         p = PauliString.from_letters(letters)
         coeffs[(p.x_mask, p.z_mask)] = w
-    return hamiltonian_from_term_dict(n, coeffs)
+    return hamiltonian_from_term_dict(n, coeffs, n_electrons)
+
+
+def counted(h: QubitHamiltonian, n_electrons: int) -> QubitHamiltonian:
+    """``h``'s strings, carrying ``n_electrons``."""
+    return QubitHamiltonian.from_arrays(h.n_qubits, h.x, h.z, h.weights, n_electrons)
 
 
 def test_identity_hamiltonian_acts_trivially():
@@ -71,14 +76,18 @@ def test_apply_shape_mismatch():
 
 
 def test_ground_single_z():
-    result = ground_state_energy(ham(1, {"Z": 1.0}))
+    # one electron on one qubit: the sector (1, 0) is the state |1>
+    h = ham(1, {"Z": 1.0}, n_electrons=1)
+    result = ground_state_energy(h)
     assert result.energy == pytest.approx(-1.0, abs=1e-12)
+    assert result.energy == pytest.approx(sector_energy(hamiltonian_matrix(h), 1, 0), abs=1e-12)
 
 
 def test_ground_xx_plus_zz_vs_dense(monkeypatch):
-    # on alpha qubits 0 and 2, XX + YY hops one electron, so (N_alpha, N_beta) is kept
-    h = ham(3, {"XIX": 1.0, "YIY": 1.0, "ZIZ": 1.0})
-    expected = np.linalg.eigvalsh(hamiltonian_matrix(h))[0]
+    # on alpha qubits 0 and 2, XX + YY hops one electron, so (N_alpha, N_beta) is
+    # kept: the one-electron sector (1, 0) holds |001> and |100>
+    h = ham(3, {"XIX": 1.0, "YIY": 1.0, "ZIZ": 1.0}, n_electrons=1)
+    expected = sector_energy(hamiltonian_matrix(h), 1, 0)
     for cutoff in (exactdiag.DENSE_CUTOFF_DIM, 0):  # dense, then Davidson
         monkeypatch.setattr(exactdiag, "DENSE_CUTOFF_DIM", cutoff)
         result = ground_state_energy(h)
@@ -93,8 +102,8 @@ def test_h2_fci_against_published_value(h2_hamiltonian_074):
 
 
 def test_davidson_matches_dense_crosscheck(monkeypatch):
-    for n_orbitals in (2, 3, 4):
-        h = random_conserving_hamiltonian(n_orbitals, 12)
+    for n_orbitals in (2, 3, 4):  # half filling, the largest sector
+        h = random_conserving_hamiltonian(n_orbitals, 12, n_orbitals)
         dense = ground_state_energy(h)
         with monkeypatch.context() as patch:
             patch.setattr(exactdiag, "DENSE_CUTOFF_DIM", 0)
@@ -124,11 +133,11 @@ def test_eigenvector_residual(h2_hamiltonian_074):
 
 def test_iteration_limit_error_carries_best_estimate(h2_hamiltonian_074, monkeypatch):
     # the 4-state (1, 1) block's ground state lies outside the two start vectors
-    exact = ground_state_energy(h2_hamiltonian_074, n_electrons=2).energy
+    exact = ground_state_energy(h2_hamiltonian_074).energy
     monkeypatch.setattr(exactdiag, "DENSE_CUTOFF_DIM", 0)
     monkeypatch.setattr(exactdiag, "DAVIDSON_MAX_PRODUCTS", 2)
     with pytest.raises(EigensolverConvergenceError, match="after 2 products") as err:
-        ground_state_energy(h2_hamiltonian_074, n_electrons=2)
+        ground_state_energy(h2_hamiltonian_074)
     assert exact < err.value.best_energy < exact + 0.1
 
 
@@ -182,11 +191,16 @@ def test_dense_matrix_matches_oracle(h2_hamiltonian_074):
 
 
 def test_memory_guard_refuses_before_allocating(monkeypatch):
-    # 24 qubits pass the qubit limit, but the search's 512 MiB of labels, the
-    # largest sector's 215 MiB form and 313 MiB of Davidson vectors, and the
-    # eigenvector's 256 MiB register copy exceed the cap together; the guard
+    # 24 qubits and 12 electrons pass the qubit limit, but the 853776-state
+    # (6, 6) sector's form of Z on every qubit and a hop between each pair of
+    # same-spin neighbours (23 x-masks, 1.2 GiB), 313 MiB of Davidson vectors
+    # and the eigenvector's 256 MiB register copy exceed the cap; the guard
     # must refuse from the masks alone
-    h = QubitHamiltonian(24, ((1.0, PauliString(24, 0, 1)),))
+    x, z = [0] * 24, [1 << q for q in range(24)]
+    for q in range(22):  # X Z X and Y Z Y on qubits q, q + 1, q + 2
+        hop = 1 << q | 1 << q + 2
+        x, z = x + [hop, hop], z + [2 << q, hop | 2 << q]
+    h = QubitHamiltonian.from_arrays(24, x, z, [1.0] * 24 + [0.5] * 44, 12)
     tracemalloc.start()
     try:
         with pytest.raises(ShapeError, match="GiB"):
@@ -210,20 +224,16 @@ def test_full_h2s_fixture_solves_under_the_guard(fixture_dir):
 
 def test_sector_solve_fits_under_a_cap_the_full_form_exceeds(fixture_dir, monkeypatch):
     # the cap is the 12-qubit fixture's full compiled form alone: the (4, 4)
-    # sector's form and Davidson workspace fit under it, and so does the
-    # Fock-space search, which ranks the blocks from the strings and holds
-    # one block's form at a time
+    # sector's form and Davidson workspace fit under it
     h = h2s_twelve_qubits(fixture_dir)
-    uncapped = ground_state_energy(h).energy
     monkeypatch.setattr(paulis, "MAX_ALLOCATION_BYTES", h.compiled_bytes())
-    result = ground_state_energy(h, n_electrons=8)
+    result = ground_state_energy(h)
     assert eigenvector_sector(result.eigenvector.amplitudes) == (4, 4)
     assert result.residual_norm < 1e-9
-    assert ground_state_energy(h).energy == uncapped
-    # X on qubit 0 makes every block leak: the search refuses the first block
-    # it compiles, and never compiles the register's form
+    # X on qubit 0 makes the sector leak: the solve refuses it, and never
+    # compiles the register's form
     leaking = QubitHamiltonian.from_arrays(12, np.append(h.x, 1), np.append(h.z, 0),
-                                           np.append(h.weights, 1e-3))
+                                           np.append(h.weights, 1e-3), h.n_electrons)
     tracemalloc.start()
     try:
         with pytest.raises(ShapeError, match="does not conserve"):
@@ -240,21 +250,22 @@ def test_sector_solve_counts_its_form_and_workspace_but_no_register_labels(
     # Davidson in 2 * 24 real vectors, and the (1, 1) sector 36, solved dense.
     # Either sector's states are listed without labelling the 4096 register
     # states, and the eigenvector's complex register copy is counted too
-    h = h2s_twelve_qubits(fixture_dir)
-    copy = 16 << h.n_qubits
+    twelve = h2s_twelve_qubits(fixture_dir)
+    copy = 16 << twelve.n_qubits
     for electrons, dim, method, workspace in (
             (8, 225, "davidson", 2 * exactdiag.DAVIDSON_SUBSPACE * 225 * 8),
             (2, 36, "dense", 36 * 36 * 48)):
+        h = counted(twelve, electrons)
         needed = h.compiled_bytes(dim) + workspace + copy
         monkeypatch.setattr(paulis, "MAX_ALLOCATION_BYTES", needed)
-        result = ground_state_energy(h, n_electrons=electrons)
+        result = ground_state_energy(h)
         assert len(result.eigenvector.amplitudes) == 1 << h.n_qubits
         monkeypatch.setattr(paulis, "MAX_ALLOCATION_BYTES", needed - 1)
         tracemalloc.start()
         try:
             with pytest.raises(ShapeError, match=f"{method} solve of a {dim}-state block "
                                                  "on 12 qubits"):
-                ground_state_energy(h, n_electrons=electrons)
+                ground_state_energy(h)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -270,7 +281,7 @@ def test_sixteen_qubit_chain_solves_its_sector_by_davidson_in_small_memory():
     assert h.n_qubits == 16
     tracemalloc.start()
     try:
-        result = ground_state_energy(h, n_electrons=8)
+        result = ground_state_energy(h)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -280,15 +291,17 @@ def test_sixteen_qubit_chain_solves_its_sector_by_davidson_in_small_memory():
     assert peak < 256 << 20
 
 
-def random_conserving_hamiltonian(n_orbitals: int, seed: int) -> QubitHamiltonian:
-    """JW image of random real integrals: conserves N_alpha and N_beta."""
+def random_conserving_hamiltonian(n_orbitals: int, seed: int,
+                                  n_electrons: int) -> QubitHamiltonian:
+    """JW image of random real integrals with ``n_electrons``: conserves N_alpha and N_beta."""
     rng = np.random.default_rng(seed)
     h = rng.normal(0.0, 1.0, (n_orbitals, n_orbitals))
     g = np.zeros((n_orbitals,) * 4)
     for _ in range(3):
         f = rng.normal(0.0, 0.5, (n_orbitals, n_orbitals))
         g += np.einsum("pq,rs->pqrs", f + f.T, f + f.T) / 4.0
-    integrals = MolecularIntegrals(n_orbitals, 0, float(rng.normal()), (h + h.T) / 2.0, g)
+    integrals = MolecularIntegrals(n_orbitals, n_electrons, float(rng.normal()),
+                                   (h + h.T) / 2.0, g)
     return jordan_wigner(build_second_quantized(integrals))
 
 
@@ -297,16 +310,12 @@ def random_conserving_hamiltonian(n_orbitals: int, seed: int) -> QubitHamiltonia
        st.integers(0, 2**32 - 1))
 def test_sector_solve_matches_dense_sector_oracle(shape, seed):
     n_orbitals, n_electrons = shape
-    h = random_conserving_hamiltonian(n_orbitals, seed)
+    h = random_conserving_hamiltonian(n_orbitals, seed, n_electrons)
     sector = ((n_electrons + 1) // 2, n_electrons // 2)
-    matrix = hamiltonian_matrix(h)
-    solved = ground_state_energy(h, n_electrons=n_electrons)
+    solved = ground_state_energy(h)
     assert eigenvector_sector(solved.eigenvector.amplitudes) == sector
-    assert abs(solved.energy - sector_energy(matrix, *sector)) < 1e-10
+    assert abs(solved.energy - sector_energy(hamiltonian_matrix(h), *sector)) < 1e-10
     assert solved.residual_norm < 1e-9
-    unrestricted = ground_state_energy(h)
-    assert abs(unrestricted.energy - np.linalg.eigvalsh(matrix)[0]) < 1e-10
-    assert unrestricted.energy <= solved.energy + 1e-12
 
 
 def triplet_hamiltonian(n_orbitals: int, seed: int) -> QubitHamiltonian:
@@ -331,7 +340,7 @@ def with_imaginary_hop(h: QubitHamiltonian) -> QubitHamiltonian:
     terms = dict(zip(zip(h.x.tolist(), h.z.tolist()), h.weights.tolist()))
     for key, weight in (((0b101, 0b110), 0.3), ((0b101, 0b011), -0.3)):
         terms[key] = terms.get(key, 0.0) + weight
-    return hamiltonian_from_term_dict(h.n_qubits, terms)
+    return hamiltonian_from_term_dict(h.n_qubits, terms, h.n_electrons)
 
 
 @settings(max_examples=20)
@@ -339,7 +348,7 @@ def with_imaginary_hop(h: QubitHamiltonian) -> QubitHamiltonian:
        st.sampled_from(["real", "complex", "triplet"]))
 def test_davidson_matches_dense_eigh_on_every_sector(n_orbitals, seed, kind):
     h = (triplet_hamiltonian(n_orbitals, seed) if kind == "triplet"
-         else random_conserving_hamiltonian(n_orbitals, seed))
+         else random_conserving_hamiltonian(n_orbitals, seed, 2))
     if kind == "complex":
         h = with_imaginary_hop(h)
     n, matrix = h.n_qubits, hamiltonian_matrix(h)
@@ -351,145 +360,18 @@ def test_davidson_matches_dense_eigh_on_every_sector(n_orbitals, seed, kind):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(exactdiag, "DENSE_CUTOFF_DIM", 0)
         for n_electrons in range(n + 1):
-            solved = ground_state_energy(h, n_electrons=n_electrons)
+            solved = ground_state_energy(counted(h, n_electrons))
             sector = ((n_electrons + 1) // 2, n_electrons // 2)
             assert abs(solved.energy - sector_energy(matrix, *sector)) < 1e-10
             assert solved.residual_norm < 1e-9
             assert np.linalg.norm(solved.eigenvector.amplitudes) == pytest.approx(1.0, abs=1e-12)
 
 
-@settings(max_examples=30)
-@given(st.integers(2, 4), st.integers(0, 2**32 - 1))
-def test_bound_ordered_solve_matches_every_block_oracle(n_orbitals, seed):
-    h = random_conserving_hamiltonian(n_orbitals, seed)
-    solved = ground_state_energy(h)
-    energy, _, energies = ground_state_every_block(h)
-    assert abs(solved.energy - energy) < 1e-10
-    assert solved.residual_norm < 1e-9
-    # the winner is the oracle's lowest block, or one that ties it (a spin multiplet)
-    lowest = {sector for sector, e in energies.items() if e - energy < 1e-10}
-    assert eigenvector_sector(solved.eigenvector.amplitudes) in lowest
-    # each string bound lies at or below the lowest eigenvalue of its block,
-    # compiled on its own states; the Kronecker oracle's sums round
-    # differently, by ~1e-16
-    n, blocks = h.n_qubits, exactdiag._blocks(h.n_qubits)
-    for bound, states in zip(exactdiag._bounds(h, blocks), blocks):
-        assert bound <= np.linalg.eigvalsh(h.compile(states).dense())[0]
-        assert bound <= energies[spin_counts(n, int(states[0]))] + 1e-12
-
-
-@settings(max_examples=20, deadline=None)
-@given(st.integers(1, 4), st.integers(0, 2**32 - 1), st.sampled_from([1e-3, 1.0]), st.data())
-def test_string_bounds_lie_below_every_gershgorin_disc(n_orbitals, seed, weight, data):
-    # each string bound lies below every Gershgorin disc of its block's states
-    # in the whole Kronecker matrix, on a conserving Hamiltonian and with a
-    # sector-mixing string added, up to the ~1e-16 by which the two round
-    h = random_conserving_hamiltonian(n_orbitals, seed)
-    n, blocks = h.n_qubits, exactdiag._blocks(h.n_qubits)
-    terms = dict(zip(zip(h.x.tolist(), h.z.tolist()), h.weights.tolist()))
-    key = (data.draw(st.integers(1, (1 << n) - 1)), data.draw(st.integers(0, (1 << n) - 1)))
-    terms[key] = terms.get(key, 0.0) + weight
-    for h in (h, hamiltonian_from_term_dict(n, terms)):
-        matrix = hamiltonian_matrix(h)
-        discs = matrix.diagonal().real - (np.abs(matrix).sum(axis=1) - np.abs(matrix.diagonal()))
-        for bound, states in zip(exactdiag._bounds(h, blocks), blocks):
-            assert bound <= discs[states].min() + 1e-12
-
-
-def test_a_tight_bound_does_not_skip_a_tie_for_the_lowest_energy():
-    # (0, 1) is the block [[d, a], [a, d]] on qubits 1 and 3: its Gershgorin
-    # bound d - a is its exact lowest eigenvalue, and eigh rounds one ulp
-    # below it. The one state of (0, 2) has that rounded energy exactly and a
-    # lower bound, so it is visited first; (0, 1) must still be solved, and
-    # wins the tie as the earlier label
-    a, beta, alpha = 0.21683888340542526, 0.33333121587657605, 0.44175065757928866
-    h = ham(4, {"IIII": 3.2164139840448684, "IZIZ": beta, "ZIII": -1.0, "IIZI": -1.0,
-                "IXIX": a / 2, "IYIY": a / 2, "IZII": alpha, "IIIZ": alpha})
-    solved = ground_state_energy(h)
-    energy, sector, _ = ground_state_every_block(h)
-    assert eigenvector_sector(solved.eigenvector.amplitudes) == sector == (0, 1)
-    assert abs(solved.energy - energy) < 1e-10
-    # one set qubit, alpha (1, 0) or beta (0, 1), ties exactly, bounds
-    # included: the earlier label, visited first, keeps the tie
-    solved = ground_state_energy(ham(2, {"ZZ": 0.5}))
-    assert eigenvector_sector(solved.eigenvector.amplitudes) == (0, 1)
-
-
-def test_near_ties_go_to_the_earliest_label_within_the_margin_of_the_lowest():
-    # diagonal blocks (0, 0), (0, 1) and (1, 0) at E, E - 0.8t and E - 1.6t,
-    # t = TIE_MARGIN (1 + E), visited from the lowest up: only (0, 1) lies
-    # within t of the lowest, and wins as the earlier label, though (0, 0)
-    # lies within t of (0, 1)
-    e = 1e4
-    t = exactdiag.TIE_MARGIN * (1 + e)
-    energies = np.array([e, e - 1.6 * t, e - 0.8 * t, e + 1.0])  # states 0, alpha, beta, both
-    signs = np.array([[(-1) ** (b & m).bit_count() for m in range(4)] for b in range(4)])
-    h = hamiltonian_from_term_dict(2, {(0, m): w for m, w in enumerate(signs @ energies / 4)})
-    assert eigenvector_sector(ground_state_energy(h).eigenvector.amplitudes) == (0, 1)
-
-
-def test_fock_space_solve_skips_the_blocks_its_bounds_rule_out(fixture_dir, monkeypatch):
-    # 49 blocks on the 12-qubit fixture, ranked by their string bounds: 19 are
-    # compiled and solved, each solve right after its compile, before a string
-    # bound clears the best energy. The register's form is never compiled
-    h = h2s_twelve_qubits(fixture_dir)
-    compile_, solve, events = QubitHamiltonian.compile, exactdiag._solve_block, []
-
-    def counted_compile(self, states=None):
-        events.append(("compile", None if states is None else len(states)))
-        return compile_(self, states)
-
-    def counted_solve(block):
-        events.append(("solve", block.dim))
-        return solve(block)
-
-    monkeypatch.setattr(QubitHamiltonian, "compile", counted_compile)
-    monkeypatch.setattr(exactdiag, "_solve_block", counted_solve)
-    tracemalloc.start()
-    try:
-        result = ground_state_energy(h)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert eigenvector_sector(result.eigenvector.amplitudes) == (4, 4)
-    compiles = [size for kind, size in events if kind == "compile"]
-    solves = [k for k, (kind, _) in enumerate(events) if kind == "solve"]
-    assert None not in compiles and len(compiles) == 19
-    assert len(solves) == 19
-    assert all(events[k - 1] == ("compile", events[k][1]) for k in solves)
-    assert peak < h.compiled_bytes()
-
-
-def test_coupling_between_blocks_the_bounds_rule_out_needs_no_register_solve(monkeypatch):
-    # X_0 times the projector onto qubits 1-3 occupied joins |0111> (1, 2) and
-    # |1111> (2, 2), and nothing else; every occupied qubit costs 2, so the
-    # empty state's block (0, 0), at -4, clears every other bound, and the
-    # leaking blocks are never compiled
-    projector = {letters: 1 / 8 * (-1) ** letters.count("Z")
-                 for letters in ("X" + "".join(p) for p in itertools.product("IZ", repeat=3))}
-    h = ham(4, {"ZIII": -1.0, "IZII": -1.0, "IIZI": -1.0, "IIIZ": -1.0,
-                "XZXI": 0.15, "YZYI": 0.15, **projector})
-    solve, dims = exactdiag._solve_block, []
-
-    def counted(block):
-        dims.append(block.dim)
-        return solve(block)
-
-    monkeypatch.setattr(exactdiag, "_solve_block", counted)
-    solved = ground_state_energy(h)
-    assert dims == [1]
-    assert eigenvector_sector(solved.eigenvector.amplitudes) == (0, 0)
-    assert abs(solved.energy - np.linalg.eigvalsh(hamiltonian_matrix(h))[0]) < 1e-10
-    # the coupled blocks leak, so a solve of their sector is refused
-    with pytest.raises(ShapeError, match="conserve"):
-        ground_state_energy(h, n_electrons=4)
-
-
 @pytest.mark.parametrize("method", ["dense", "davidson"])
 def test_eigenvector_lies_in_its_sector(h2_hamiltonian_074, method, monkeypatch):
     if method == "davidson":
         monkeypatch.setattr(exactdiag, "DENSE_CUTOFF_DIM", 0)
-    result = ground_state_energy(h2_hamiltonian_074, n_electrons=2)
+    result = ground_state_energy(h2_hamiltonian_074)
     amplitudes = result.eigenvector.amplitudes
     # (1, 1): one of qubits 0, 2 and one of qubits 1, 3
     outside = [b for b in range(16) if (b & 0b0101).bit_count() != 1 or (b & 0b1010).bit_count() != 1]
@@ -504,43 +386,60 @@ def test_charged_h3_solves_its_own_sector(charge, energy):
     integrals, _ = integrals_from_geometry({**geometry, "charge": charge})
     h = jordan_wigner(build_second_quantized(integrals))
     sector = ((integrals.n_electrons + 1) // 2, integrals.n_electrons // 2)
-    result = ground_state_energy(h, n_electrons=integrals.n_electrons)
+    result = ground_state_energy(h)
     assert eigenvector_sector(result.eigenvector.amplitudes) == sector
     assert abs(result.energy - sector_energy(hamiltonian_matrix(h), *sector)) < 1e-10
     assert abs(result.energy - energy) < 1e-6
-    # the Fock-space minimum is neutral H3, far below either ion
-    assert ground_state_energy(h).energy < energy - 0.29
-
-
-def test_h3_doublet_goes_to_the_earlier_label_at_every_exchange_point():
-    # the doublet lies in (1, 2) and (2, 1), whose energies agree up to the
-    # eigensolver's last bits: the earlier label wins whatever the rounding
-    for s in np.linspace(-1.0, 1.0, 9):
-        integrals, _ = integrals_from_geometry(h3_exchange_point("p", float(s))["geometry"])
-        result = ground_state_energy(jordan_wigner(build_second_quantized(integrals)))
-        assert eigenvector_sector(result.eigenvector.amplitudes) == (1, 2)
 
 
 def test_empty_hamiltonian_has_zero_energy():
-    for n_electrons in (None, 1):
-        result = ground_state_energy(QubitHamiltonian(2, ()), n_electrons)
-        assert result.energy == 0.0 and result.residual_norm == 0.0
+    result = ground_state_energy(QubitHamiltonian(2, (), n_electrons=1))
+    assert result.energy == 0.0 and result.residual_norm == 0.0
 
 
 def test_sector_refused_when_the_operator_mixes_sectors():
-    h = ham(2, {"XI": 1.0, "ZZ": 0.5})  # X on qubit 0 changes N_alpha
-    for n_electrons in (None, 1):
-        with pytest.raises(ShapeError, match="conserve"):
-            ground_state_energy(h, n_electrons)
+    h = ham(2, {"XI": 1.0, "ZZ": 0.5}, n_electrons=1)  # X on qubit 0 changes N_alpha
+    with pytest.raises(ShapeError, match="conserve"):
+        ground_state_energy(h)
+
+
+def test_hamiltonian_without_an_electron_count_is_refused(h2_hamiltonian_074):
+    # built by hand, stripped of its count, or a gate generator
+    h = h2_hamiltonian_074
+    generator = build_uccsd(4, {0, 1}).gates[0].generator
+    for uncounted in (ham(1, {"Z": 1.0}), QubitHamiltonian.from_arrays(4, h.x, h.z, h.weights),
+                      generator):
+        assert uncounted.n_electrons is None
+        with pytest.raises(ShapeError, match="no electron count"):
+            ground_state_energy(uncounted)
+
+
+@pytest.mark.parametrize("freeze, expected", [
+    ((0, 1), -396.2481000000003), ((), -396.2483978284475)], ids=["8q", "12q"])
+def test_molecular_hamiltonian_solves_its_own_count_as_fci_pins_it(fixture_dir, freeze,
+                                                                    expected):
+    # the call the benchmark makes, with no count passed: the 8-electron energies
+    # that ``fci --json`` prints for the nonrel_eq fixture, frozen core and full
+    path = os.path.join(fixture_dir, "h2s_sto3g_nonrel_eq.fcidump")
+    integrals = integrals_for_point(ScanPoint("eq", 0.0, fcidump_path=path), freeze)
+    result = ground_state_energy(jordan_wigner(build_second_quantized(integrals)))
+    assert result.energy == expected
+    assert eigenvector_sector(result.eigenvector.amplitudes) == (4 - len(freeze),) * 2
 
 
 @pytest.mark.parametrize("n_electrons", [2.5, True, "2"])
 def test_electron_count_must_be_an_integer(h2_hamiltonian_074, n_electrons):
+    h = h2_hamiltonian_074
     with pytest.raises(ShapeError, match="n_electrons must be an integer"):
-        ground_state_energy(h2_hamiltonian_074, n_electrons=n_electrons)
+        QubitHamiltonian.from_arrays(4, h.x, h.z, h.weights, n_electrons)
+    with pytest.raises(ShapeError, match="n_electrons must be an integer"):
+        QubitHamiltonian(4, h.terms, n_electrons)
 
 
 def test_electron_count_outside_the_register_refused(h2_hamiltonian_074):
+    h = h2_hamiltonian_074
     for n_electrons in (-1, 5):
         with pytest.raises(ShapeError, match="spin orbitals"):
-            ground_state_energy(h2_hamiltonian_074, n_electrons=n_electrons)
+            QubitHamiltonian.from_arrays(4, h.x, h.z, h.weights, n_electrons)
+        with pytest.raises(ShapeError, match="spin orbitals"):
+            QubitHamiltonian(4, h.terms, n_electrons)

@@ -144,16 +144,28 @@ def test_jw_preserves_spectrum(n_spatial, seed):
 
 
 def test_jw_preserves_spectrum_10_qubits():
-    """Largest register: fermionic-matrix oracle against the block solver."""
+    """Largest register: the fermionic matrix's block of the integrals' electron
+    count, by the number operator, against the sector solver."""
     from vqechem.exactdiag import ground_state_energy
 
     integrals = random_integrals(5, seed=3)
     op = build_second_quantized(integrals)
     qubit = jordan_wigner(op)
     assert qubit.n_qubits == 10
-    low_f = np.linalg.eigvalsh(fermion_operator_matrix(op))[0]
+    number = fermion_operator_matrix(number_operator(10)).diagonal().real
+    block = np.flatnonzero(np.abs(number - integrals.n_electrons) < 1e-9)
+    low_f = np.linalg.eigvalsh(fermion_operator_matrix(op)[np.ix_(block, block)])[0]
     low_q = ground_state_energy(qubit).energy
     assert abs(low_f - low_q) < 1e-10
+
+
+@pytest.mark.parametrize("n_spatial, n_electrons", [(1, 0), (2, 3), (3, 6)])
+def test_jordan_wigner_carries_the_integrals_electron_count(n_spatial, n_electrons):
+    integrals = random_integrals(n_spatial, seed=n_spatial, n_electrons=n_electrons)
+    op = build_second_quantized(integrals)
+    assert op.n_electrons == jordan_wigner(op).n_electrons == integrals.n_electrons
+    # operators that are not a molecule's carry none
+    assert number_operator(2).n_electrons is jordan_wigner(number_operator(2)).n_electrons is None
 
 
 def test_particle_number_symmetry():

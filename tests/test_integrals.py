@@ -163,7 +163,7 @@ def test_fci_matches_sto3g_reference(r_angstrom, reference, tolerance):
 
     integrals, _ = h2_mo_integrals(r_angstrom * ANGSTROM_TO_BOHR)
     hamiltonian = jordan_wigner(build_second_quantized(integrals))
-    energy = ground_state_energy(hamiltonian, n_electrons=integrals.n_electrons).energy
+    energy = ground_state_energy(hamiltonian).energy
     assert abs(energy - reference) < tolerance
 
 

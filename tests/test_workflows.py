@@ -139,7 +139,7 @@ def test_h2s_fixture_pair_reports_published_shift(fixture_dir):
         point = ScanPoint(stem, 0.0, fcidump_path=os.path.join(fixture_dir, stem + ".fcidump"))
         integrals = integrals_for_point(point, freeze=(0, 1))
         hamiltonian = jordan_wigner(build_second_quantized(integrals))
-        return ground_state_energy(hamiltonian, n_electrons=integrals.n_electrons).energy
+        return ground_state_energy(hamiltonian).energy
 
     nonrel = [("eq", fci("h2s_sto3g_nonrel_eq")), ("stretch", fci("h2s_sto3g_nonrel_stretch"))]
     rel = [("eq", fci("h2s_sto3g_rel_eq")), ("stretch", fci("h2s_sto3g_rel_stretch"))]
@@ -162,7 +162,7 @@ def test_h2s_electronic_relativistic_shift(fixture_dir):
         integrals = integrals_for_point(point)
         assert (integrals.n_spatial_orbitals, integrals.n_electrons) == (6, 8)
         hamiltonian = jordan_wigner(build_second_quantized(integrals))
-        energy = ground_state_energy(hamiltonian, n_electrons=8).energy
+        energy = ground_state_energy(hamiltonian).energy
         return energy - integrals.constant_energy
 
     eq, stretch = (electronic(f"h2s_sto3g_rel_{g}") - electronic(f"h2s_sto3g_nonrel_{g}")
