@@ -22,8 +22,8 @@ point = h2_point("0.74", 0.74)
 integrals = integrals_for_point(ScanPoint("0.74", 0.74, geometry=point["geometry"]))
 hamiltonian = jordan_wigner(build_second_quantized(integrals))
 fci = ground_state_energy(hamiltonian).energy
-circuit = build_uccsd(hamiltonian.n_qubits, {0, 1})
-objective = exact_energy_objective(hamiltonian, circuit, {0, 1})
+circuit = build_uccsd(hamiltonian.n_qubits, range(hamiltonian.n_electrons))
+objective = exact_energy_objective(hamiltonian, circuit)
 
 print(f"H2/UCCSD, {circuit.n_parameters} parameters, FCI = {fci:.8f} Ha\n")
 print(f"{'seed':>4} {'SPSA final':>14} {'evals':>6} {'simplex final':>16} {'evals':>6}")

@@ -137,13 +137,12 @@ def ground_state_energy(hamiltonian: QubitHamiltonian) -> GroundStateResult:
     ``RESIDUAL_TOLERANCE`` after ``DAVIDSON_MAX_PRODUCTS`` products, carrying
     the best estimate.
     """
-    n, n_electrons = hamiltonian.n_qubits, hamiltonian.n_electrons
+    n = hamiltonian.n_qubits
     if n > MAX_QUBITS:
         raise ShapeError(f"{n} qubits exceeds the {MAX_QUBITS}-qubit limit")
-    if n_electrons is None:
-        raise ShapeError("Hamiltonian carries no electron count, so it has no sector to solve")
-    _check_bytes(hamiltonian, _sector_size(n, n_electrons))
-    states = sector_states(n, (1 << n_electrons) - 1)
+    reference = hamiltonian.hf_index()
+    _check_bytes(hamiltonian, _sector_size(n, hamiltonian.n_electrons))
+    states = sector_states(n, reference)
     block = hamiltonian.compile(states)
     if block.leak > COEFF_PRUNE_THRESHOLD:  # H joins this block to another
         raise ShapeError("Hamiltonian does not conserve (N_alpha, N_beta): it joins "

@@ -55,6 +55,12 @@ class Molecule:
                 raise ShapeError(f"nuclear charge {z} < 1 for {symbol}")
             if not np.all(np.isfinite(xyz)):
                 raise ShapeError(f"non-finite position for {symbol}")
+        for i in range(len(self.atoms)):
+            for j in range(i + 1, len(self.atoms)):
+                r = math.dist(self.atoms[i][2], self.atoms[j][2])  # a Python float: no warning
+                if not math.isfinite(r * r):
+                    raise ShapeError(f"atoms {i} and {j} are {r:.3g} Bohr apart: "
+                                     "their squared separation overflows")
 
     @classmethod
     def from_geometry_dict(cls, doc: dict) -> Molecule:

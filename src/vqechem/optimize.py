@@ -17,8 +17,8 @@ import numpy as np
 from .exceptions import OptimizerDivergedError, ShapeError
 from .measurement import estimate_energy_sampled, group_commuting, group_tables
 from .paulis import QubitHamiltonian, check_allocation
-from .simulator import (SEED_LIMIT, Circuit, Statevector, apply_circuit, basis_index, checked_int,
-                        checked_seed, expectation, prepare_hf, sector_states)
+from .simulator import (SEED_LIMIT, Circuit, Statevector, apply_circuit, checked_int, checked_seed,
+                        expectation, sector_states)
 
 # SPSA gain schedule a_k = SPSA_A/(SPSA_BIG_A+k+1)^SPSA_ALPHA and
 # c_k = SPSA_C/(k+1)^SPSA_GAMMA: Spall's standard exponents and stability
@@ -236,15 +236,18 @@ def minimize(objective, theta0, config: OptimizerConfig) -> VqeResult:
     return simplex_minimize(objective, theta0, config)
 
 
-def _start(circuit: Circuit, hf_occupied) -> tuple[Circuit, Statevector]:
-    """(the circuit as it runs, the state it starts from): ry and cz gates on the
-    register from ``prepare_hf``, pauli_rot gates restricted to the Hartree-Fock
-    (N_alpha, N_beta) sector from its real basis vector. A rotation that leaves the
-    sector, or a mix of both kinds, is refused."""
-    n = circuit.n_qubits
+def _start(hamiltonian: QubitHamiltonian, circuit: Circuit) -> tuple[Circuit, Statevector]:
+    """(the circuit as it runs, the state it starts from), both from the Hamiltonian's
+    Hartree-Fock reference ``hamiltonian.hf_index()``: ry and cz gates on the register
+    from its basis vector, pauli_rot gates restricted to its (N_alpha, N_beta) sector
+    from its real basis vector. A Hamiltonian without an electron count, a circuit on
+    other qubits, a rotation that leaves the sector, or a mix of both kinds is refused."""
+    n = hamiltonian.n_qubits
+    if circuit.n_qubits != n:
+        raise ShapeError("circuit and Hamiltonian qubit counts differ")
+    hf_index = hamiltonian.hf_index()
     if circuit.gates and all(g.kind != "pauli_rot" for g in circuit.gates):
-        return circuit, prepare_hf(n, hf_occupied)
-    hf_index = basis_index(n, hf_occupied)
+        return circuit, Statevector(n, np.ones(1), np.array([hf_index])).on_register()
     states = sector_states(n, hf_index)
     sector = circuit.restrict(states)
     if sector is None:
@@ -253,24 +256,19 @@ def _start(circuit: Circuit, hf_occupied) -> tuple[Circuit, Statevector]:
     return sector, Statevector(n, (states == hf_index).astype(float), states)
 
 
-def exact_energy_objective(
-    hamiltonian: QubitHamiltonian, circuit: Circuit, hf_occupied
-):
-    """theta -> <psi(theta)|H|psi(theta)> with exact statevector evaluation.
+def exact_energy_objective(hamiltonian: QubitHamiltonian, circuit: Circuit):
+    """theta -> exact <psi(theta)|H|psi(theta)> from the Hamiltonian's Hartree-Fock state.
 
     Rotations run on the Hartree-Fock sector, their tables and H compiled there,
     real when the data are (<psi|PHP|psi> = <psi|H|psi>). The gate tables it runs
     and the form are checked against the allocation cap together, before compiling.
     """
-    n = hamiltonian.n_qubits
-    if circuit.n_qubits != n:
-        raise ShapeError("circuit and Hamiltonian qubit counts differ")
-    circuit, reference = _start(circuit, hf_occupied)
+    circuit, reference = _start(hamiltonian, circuit)
     tables = sum(a.nbytes for t in circuit.tables or () for a in t if isinstance(a, np.ndarray))
     states = reference.states
     check_allocation(tables + hamiltonian.compiled_bytes(None if states is None else len(states)),
                      f"gate tables and compiled form of {len(hamiltonian.x_masks())} "
-                     f"x-masks on {n} qubits")
+                     f"x-masks on {hamiltonian.n_qubits} qubits")
     operator = hamiltonian.compile(states)
 
     def objective(theta):
@@ -280,19 +278,20 @@ def exact_energy_objective(
 
 
 def sampled_energy_objective(
-    hamiltonian: QubitHamiltonian, circuit: Circuit, hf_occupied, shots: int, seed: int,
-    groups,
+    hamiltonian: QubitHamiltonian, circuit: Circuit, shots: int, seed: int, groups=None,
 ):
-    """Objective backed by measurement-group sampling.
+    """Objective backed by measurement-group sampling from the Hamiltonian's Hartree-Fock state.
 
     Every evaluation draws fresh shots from a deterministic per-call seed,
     so a full optimization is reproducible for a fixed base seed: call k
-    uses ``seed + 100003 k``, folded below 2**63. The groups' parity tables
-    are built once here and live as long as the objective. A sector state is
-    measured on the register.
+    uses ``seed + 100003 k``, folded below 2**63. ``groups`` (by default
+    ``group_commuting(hamiltonian)``) have their parity tables built once
+    here. A sector state is measured on the register.
     """
     seed = checked_seed(seed)
-    circuit, reference = _start(circuit, hf_occupied)
+    circuit, reference = _start(hamiltonian, circuit)
+    if groups is None:
+        groups = group_commuting(hamiltonian)
     tables = group_tables(hamiltonian, groups)
     counter = [0]
 
@@ -308,38 +307,30 @@ def sampled_energy_objective(
 def run_vqe(
     hamiltonian: QubitHamiltonian,
     circuit: Circuit,
-    hf_occupied,
     config: OptimizerConfig,
     mode: str = "exact",
     shots: int = 1024,
     n_restarts: int = 5,
     groups=None,
 ) -> VqeResult:
-    """Full variational loop over a Hartree-Fock reference.
+    """Full variational loop from the Hamiltonian's Hartree-Fock state (``_start``).
 
     Restarts rerun the optimizer from small seeded perturbations of the
     zero start (restart 0 starts exactly at zero) to dodge local minima;
     the best result is returned with all restart results retained.
     Sampled mode measures ``groups``, by default ``group_commuting(hamiltonian)``.
     """
-    if circuit.n_qubits != hamiltonian.n_qubits:
-        raise ShapeError("circuit and Hamiltonian qubit counts differ")
+    n_restarts = checked_int(n_restarts, "n_restarts", 1)
     if mode == "exact":
-        objective = exact_energy_objective(hamiltonian, circuit, hf_occupied)
+        objective = exact_energy_objective(hamiltonian, circuit)
     elif mode == "sampled":
-        if groups is None:
-            groups = group_commuting(hamiltonian)
-        objective = sampled_energy_objective(
-            hamiltonian, circuit, hf_occupied, shots, config.seed, groups
-        )
+        objective = sampled_energy_objective(hamiltonian, circuit, shots, config.seed, groups)
     else:
         raise ShapeError(f"unknown mode {mode!r}")
 
     d = circuit.n_parameters
     if d == 0:
         return _zero_dim_result(objective)
-    if n_restarts < 1:
-        raise ShapeError("n_restarts must be >= 1")
 
     results = []
     for restart in range(n_restarts):

@@ -124,8 +124,8 @@ class QubitHamiltonian:
     Hamiltonians always serialize identically. ``terms`` is a view of the
     same strings as (weight, :class:`PauliString`) pairs, built on first use.
     ``n_electrons`` is the electron count of a molecular Hamiltonian (0 to
-    ``n_qubits``), the sector its exact solve takes; None for a Hamiltonian
-    built by hand or a gate generator.
+    ``n_qubits``), whose sector the exact solve and VQE take; None for a
+    Hamiltonian built by hand or a gate generator.
     """
 
     n_qubits: int
@@ -209,6 +209,13 @@ class QubitHamiltonian:
     @property
     def n_terms(self) -> int:
         return len(self.weights)
+
+    def hf_index(self) -> int:
+        """Basis index of the Hartree-Fock reference (the lowest ``n_electrons`` spin
+        orbitals), where the exact solve and VQE start; refused without a count."""
+        if self.n_electrons is None:
+            raise ShapeError("Hamiltonian carries no electron count, so it has no sector to solve")
+        return (1 << self.n_electrons) - 1
 
     def x_masks(self) -> list[int]:
         """The distinct x-masks, ascending: the rows of the compiled form."""

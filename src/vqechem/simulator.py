@@ -175,18 +175,13 @@ class Circuit:
         return sector
 
 
-def basis_index(n_qubits: int, occupied) -> int:
-    """Index of the computational basis state with 1s at the occupied qubit positions."""
+def prepare_hf(n_qubits: int, occupied) -> Statevector:
+    """Register basis state with 1s at the occupied qubits, its size checked first."""
     occupied = set(occupied)
     for q in occupied:
         if not 0 <= q < n_qubits:
             raise ShapeError(f"occupied index {q} outside register of {n_qubits}")
-    return sum(1 << q for q in occupied)
-
-
-def prepare_hf(n_qubits: int, occupied) -> Statevector:
-    """Register basis state with 1s at the occupied qubits, its size checked first."""
-    index = np.array([basis_index(n_qubits, occupied)])
+    index = np.array([sum(1 << q for q in occupied)])
     return Statevector(n_qubits, np.ones(1), index).on_register()
 
 

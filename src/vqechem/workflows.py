@@ -24,6 +24,7 @@ from .exceptions import (
     FcidumpError,
     FitBracketError,
     ManifestError,
+    ShapeError,
     VqeChemError,
 )
 from .fcidump import parse_fcidump
@@ -252,16 +253,17 @@ def run_single_point(
     The FCI energy is the lowest state with the integrals' electron count.
     The Hamiltonian is grouped once; sampled mode measures those groups.
     """
+    if ansatz not in ("uccsd", "hardware"):
+        raise ShapeError(f"unknown ansatz {ansatz!r}")
     hamiltonian = jordan_wigner(build_second_quantized(integrals))
     n_qubits = hamiltonian.n_qubits
-    occupied = set(range(hamiltonian.n_electrons))
     if ansatz == "uccsd":
-        circuit = build_uccsd(n_qubits, occupied)
+        circuit = build_uccsd(n_qubits, range(hamiltonian.n_electrons))
     else:
         circuit = build_hardware_efficient(n_qubits, reps)
     groups = group_commuting(hamiltonian)
     vqe = run_vqe(
-        hamiltonian, circuit, occupied, optimizer,
+        hamiltonian, circuit, optimizer,
         mode=mode, shots=shots, n_restarts=restarts, groups=groups,
     )
     fci = ground_state_energy(hamiltonian)

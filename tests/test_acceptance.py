@@ -103,7 +103,7 @@ def test_criterion_1_h2_end_to_end():
     circuit = build_uccsd(hamiltonian.n_qubits, {0, 1})
     config = OptimizerConfig(kind="simplex", max_iterations=500,
                              convergence_threshold=1e-10, seed=0)
-    result = run_vqe(hamiltonian, circuit, {0, 1}, config, mode="exact", n_restarts=5)
+    result = run_vqe(hamiltonian, circuit, config, mode="exact", n_restarts=5)
     fci = ground_state_energy(hamiltonian).energy
     elapsed = time.monotonic() - start
 
@@ -348,7 +348,7 @@ def test_criterion_5_property_suite(fixture_dir):
         for kind in ("simplex", "spsa"):
             config = OptimizerConfig(kind=kind, max_iterations=120,
                                      convergence_threshold=1e-9, seed=4)
-            result = run_vqe(hamiltonian, circuit, {0, 1}, config,
+            result = run_vqe(hamiltonian, circuit, config,
                              mode="exact", n_restarts=2)
             for restart in result.restart_results:
                 assert all(e >= fci - 1e-9 for e in restart.energy_trace)
@@ -447,7 +447,7 @@ def test_criterion_6_optimizer_contrast():
     hamiltonian = jordan_wigner(build_second_quantized(integrals))
 
     uccsd = build_uccsd(4, {0, 1})
-    objective = exact_energy_objective(hamiltonian, uccsd, {0, 1})
+    objective = exact_energy_objective(hamiltonian, uccsd)
     spsa_finals, simplex_finals = [], []
     for seed in range(10):
         theta0 = np.random.default_rng((99, seed)).normal(0.0, 0.05, uccsd.n_parameters)
@@ -465,7 +465,7 @@ def test_criterion_6_optimizer_contrast():
     spread_simplex = float(np.std(simplex_finals))
 
     hardware = build_hardware_efficient(4, 2)
-    objective_hw = exact_energy_objective(hamiltonian, hardware, {0, 1})
+    objective_hw = exact_energy_objective(hamiltonian, hardware)
     spsa_cost, simplex_cost = [], []
     for seed in range(10):
         theta0 = np.random.default_rng((99, seed)).normal(0.0, 0.05, hardware.n_parameters)

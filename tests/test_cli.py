@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -138,6 +139,21 @@ def test_malformed_geometry_exits_2_with_one_line(tmp_path, capsys, change, key)
     assert len(err.splitlines()) == 1 and key in err
 
 
+def test_atoms_too_far_apart_exit_2_with_one_line_and_no_warning(tmp_path, capsys):
+    # the squared separation of 1e300 Bohr overflows; it is refused before any
+    # integral arithmetic warns
+    far = {"symbol": "H", "xyz_bohr": [0.0, 0.0, 1e300]}
+    geometry = write_json(tmp_path / "geometry.json",
+                          {**H2_GEOMETRY, "atoms": [H2_GEOMETRY["atoms"][0], far]})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["fci", "--geometry", geometry]) == 2
+    assert caught == []
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["error: atoms 0 and 1 are 1e+300 Bohr apart: "
+                                "their squared separation overflows"]
+
+
 @pytest.mark.parametrize("command, flag, out", [
     ("scan", "--manifest", True),
     ("fcidump-gen", "--geometry", True),
@@ -175,7 +191,8 @@ def test_input_that_is_not_utf8_exits_2_with_one_line(tmp_path, capsys, command,
 
 def test_scan_records_an_fcidump_that_is_not_utf8_as_a_failed_point(tmp_path, capsys):
     (tmp_path / "bad.fcidump").write_bytes(b"\xff &FCI NORB=2,NELEC=2,\n")
-    doc = json.loads(open(small_manifest(tmp_path)).read())
+    with open(small_manifest(tmp_path), encoding="utf-8") as fh:
+        doc = json.load(fh)
     doc["points"] = [{"label": "bad", "coordinate": 0.0, "fcidump": "bad.fcidump"},
                      h2_point("0.74", 0.74)]
     manifest = write_json(tmp_path / "manifest.json", doc)

@@ -23,3 +23,15 @@ def test_demo_runs(tmp_path, demo):
 
 def test_demos_found():
     assert DEMOS
+
+
+def test_readme_library_quickstart_runs(capsys):
+    # the README's quickstart block, run as written, so its calls follow the library
+    readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
+    section = text.split("## Library quickstart", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md quickstart", "exec"), {})
+    e_vqe, e_fci = (float(word) for word in capsys.readouterr().out.split())
+    assert e_fci - 1e-9 <= e_vqe < e_fci + 1.6e-3

@@ -61,7 +61,7 @@ def toy_two_qubit_hamiltonian():
     for letters, w in {"ZI": 0.6, "IZ": 0.4, "XX": 0.3, "ZZ": -0.2}.items():
         p = PauliString.from_letters(letters)
         coeffs[(p.x_mask, p.z_mask)] = w
-    return hamiltonian_from_term_dict(2, coeffs)
+    return hamiltonian_from_term_dict(2, coeffs, n_electrons=0)
 
 
 def test_spsa_toy_hamiltonian_median_error(monkeypatch):
@@ -71,7 +71,7 @@ def test_spsa_toy_hamiltonian_median_error(monkeypatch):
     h = toy_two_qubit_hamiltonian()
     exact = np.linalg.eigvalsh(hamiltonian_matrix(h))[0]  # XX joins (0, 0) and (1, 1)
     circuit = build_hardware_efficient(2, 1)
-    objective = exact_energy_objective(h, circuit, set())
+    objective = exact_energy_objective(h, circuit)
     finals = []
     for seed in range(10):
         # random start per seed; the all-zero point is a symmetry saddle
@@ -119,7 +119,7 @@ def test_simplex_h2_uccsd_reaches_fci(h2_hamiltonian_074):
     from vqechem.optimize import exact_energy_objective
 
     circuit = build_uccsd(4, {0, 1})
-    objective = exact_energy_objective(h2_hamiltonian_074, circuit, {0, 1})
+    objective = exact_energy_objective(h2_hamiltonian_074, circuit)
     config = OptimizerConfig(kind="simplex", max_iterations=600,
                              convergence_threshold=1e-12, seed=0)
     result = simplex_minimize(objective, np.zeros(3), config)
@@ -167,7 +167,7 @@ def test_simplex_matches_list_oracle_on_uccsd(molecules):
     for name in ("H2", "H3"):
         hamiltonian, occupied = molecules[name]
         circuit = build_uccsd(hamiltonian.n_qubits, occupied)
-        objective = optimize.exact_energy_objective(hamiltonian, circuit, occupied)
+        objective = optimize.exact_energy_objective(hamiltonian, circuit)
         theta0 = np.random.default_rng(5).normal(0.0, 0.1, circuit.n_parameters)
         assert_same_result(simplex_minimize(objective, theta0, config),
                            simplex_minimize_lists(objective, theta0, config))
@@ -178,7 +178,7 @@ def test_zero_parameter_circuit_returns_hf_energy(h2_hamiltonian_074):
 
     circuit = Circuit(4, ())
     config = OptimizerConfig(kind="simplex")
-    result = run_vqe(h2_hamiltonian_074, circuit, {0, 1}, config, n_restarts=1)
+    result = run_vqe(h2_hamiltonian_074, circuit, config, n_restarts=1)
     hf_energy = expectation(prepare_hf(4, {0, 1}), h2_hamiltonian_074)
     assert result.final_energy == pytest.approx(hf_energy, abs=1e-12)
     assert result.n_function_evaluations == 1
@@ -188,7 +188,7 @@ def test_run_vqe_h2_chemical_accuracy(h2_integrals_074, h2_hamiltonian_074):
     circuit = build_uccsd(4, {0, 1})
     config = OptimizerConfig(kind="simplex", max_iterations=500,
                              convergence_threshold=1e-10, seed=0)
-    result = run_vqe(h2_hamiltonian_074, circuit, {0, 1}, config,
+    result = run_vqe(h2_hamiltonian_074, circuit, config,
                      mode="exact", n_restarts=2)
     exact = ground_state_energy(h2_hamiltonian_074).energy
     assert abs(result.final_energy - exact) < 1.6e-3
@@ -203,7 +203,7 @@ def test_optimizer_stochastic_spread_exceeds_simplex(h2_hamiltonian_074):
     from vqechem.optimize import exact_energy_objective
 
     circuit = build_uccsd(4, {0, 1})
-    objective = exact_energy_objective(h2_hamiltonian_074, circuit, {0, 1})
+    objective = exact_energy_objective(h2_hamiltonian_074, circuit)
     spsa_finals, simplex_finals = [], []
     for seed in range(10):
         theta0 = np.random.default_rng((99, seed)).normal(0.0, 0.05, circuit.n_parameters)
@@ -226,7 +226,7 @@ def test_simplex_costs_more_per_unit_reduction(h2_hamiltonian_074):
     from vqechem.optimize import exact_energy_objective
 
     circuit = build_hardware_efficient(4, 2)
-    objective = exact_energy_objective(h2_hamiltonian_074, circuit, {0, 1})
+    objective = exact_energy_objective(h2_hamiltonian_074, circuit)
     spsa_cost, simplex_cost = [], []
     for seed in range(6):
         theta0 = np.random.default_rng((99, seed)).normal(0.0, 0.05, circuit.n_parameters)
@@ -251,7 +251,7 @@ def test_variational_bound_over_full_traces(h2_hamiltonian_074):
     circuit = build_uccsd(4, {0, 1})
     config = OptimizerConfig(kind="spsa", max_iterations=150,
                              convergence_threshold=1e-9, seed=3)
-    result = run_vqe(h2_hamiltonian_074, circuit, {0, 1}, config,
+    result = run_vqe(h2_hamiltonian_074, circuit, config,
                      mode="exact", n_restarts=2)
     for restart in result.restart_results:
         for energy in restart.energy_trace:
@@ -262,9 +262,9 @@ def test_run_vqe_seeded_determinism(h2_hamiltonian_074):
     circuit = build_uccsd(4, {0, 1})
     config = OptimizerConfig(kind="spsa", max_iterations=80,
                              convergence_threshold=1e-9, seed=5)
-    a = run_vqe(h2_hamiltonian_074, circuit, {0, 1}, config, mode="sampled",
+    a = run_vqe(h2_hamiltonian_074, circuit, config, mode="sampled",
                 shots=300, n_restarts=2)
-    b = run_vqe(h2_hamiltonian_074, circuit, {0, 1}, config, mode="sampled",
+    b = run_vqe(h2_hamiltonian_074, circuit, config, mode="sampled",
                 shots=300, n_restarts=2)
     assert a.energy_trace == b.energy_trace
     assert a.final_energy == b.final_energy
@@ -274,7 +274,7 @@ def test_best_so_far_monotone(h2_hamiltonian_074):
     circuit = build_uccsd(4, {0, 1})
     config = OptimizerConfig(kind="spsa", max_iterations=100,
                              convergence_threshold=1e-9, seed=2)
-    result = run_vqe(h2_hamiltonian_074, circuit, {0, 1}, config, n_restarts=1)
+    result = run_vqe(h2_hamiltonian_074, circuit, config, n_restarts=1)
     best = result.best_so_far()
     assert all(b2 <= b1 for b1, b2 in zip(best, best[1:]))
     assert result.final_energy == pytest.approx(min(result.energy_trace), abs=1e-12)
@@ -311,7 +311,7 @@ def test_seeds_derived_from_the_largest_seed_fold_below_2_63(h2_hamiltonian_074)
     groups = group_commuting(h2_hamiltonian_074)
     seed = 2**63 - 1
     objective = optimize.sampled_energy_objective(
-        h2_hamiltonian_074, circuit, {0, 1}, 64, seed, groups)
+        h2_hamiltonian_074, circuit, 64, seed, groups)
     theta = np.full(circuit.n_parameters, 0.3)
     state = simulator.apply_circuit(simulator.prepare_hf(4, {0, 1}), circuit, theta)
     for call_seed in (seed, (seed + 100003) % 2**63):
@@ -319,10 +319,10 @@ def test_seeds_derived_from_the_largest_seed_fold_below_2_63(h2_hamiltonian_074)
             state, h2_hamiltonian_074, groups, 64, call_seed).energy
     with pytest.raises(ShapeError, match="seed"):
         optimize.sampled_energy_objective(
-            h2_hamiltonian_074, circuit, {0, 1}, 64, 2**63, groups)
+            h2_hamiltonian_074, circuit, 64, 2**63, groups)
     # restart 1 runs with seed 0
     config = OptimizerConfig(kind="spsa", max_iterations=3, seed=seed)
-    result = run_vqe(h2_hamiltonian_074, circuit, {0, 1}, config, mode="sampled", shots=64,
+    result = run_vqe(h2_hamiltonian_074, circuit, config, mode="sampled", shots=64,
                      n_restarts=2)
     assert len(result.restart_results) == 2
 
@@ -346,7 +346,7 @@ def uccsd_objectives(molecules):
     out = {}
     for name, (hamiltonian, occupied) in molecules.items():
         circuit = build_uccsd(hamiltonian.n_qubits, occupied)
-        out[name] = (optimize.exact_energy_objective(hamiltonian, circuit, occupied),
+        out[name] = (optimize.exact_energy_objective(hamiltonian, circuit),
                      full_register_objective(hamiltonian, circuit, occupied),
                      circuit.n_parameters)
     return out
@@ -379,7 +379,7 @@ def test_uccsd_objective_runs_on_the_hf_sector_in_real_arithmetic(molecules, nam
     n, n_electrons = hamiltonian.n_qubits, len(occupied)
     circuit = build_uccsd(n, occupied)
     seen = evaluated_states(monkeypatch)
-    objective = optimize.exact_energy_objective(hamiltonian, circuit, occupied)
+    objective = optimize.exact_energy_objective(hamiltonian, circuit)
     theta = np.random.default_rng(4).normal(0.0, 0.5, circuit.n_parameters)
     assert objective(theta) == pytest.approx(
         full_register_objective(hamiltonian, circuit, occupied)(theta), abs=1e-12)
@@ -408,14 +408,14 @@ def test_rotation_objective_runs_on_the_sector_or_is_refused(
     circuit = Circuit(4, uccsd.gates + (extra,), n_parameters=uccsd.n_parameters)
     if not on_sector:
         groups = group_commuting(h2_hamiltonian_074)
-        for build in (lambda: optimize.exact_energy_objective(h2_hamiltonian_074, circuit, {0, 1}),
+        for build in (lambda: optimize.exact_energy_objective(h2_hamiltonian_074, circuit),
                       lambda: optimize.sampled_energy_objective(
-                          h2_hamiltonian_074, circuit, {0, 1}, 64, 0, groups)):
+                          h2_hamiltonian_074, circuit, 64, 0, groups)):
             with pytest.raises(ShapeError, match="leave the Hartree-Fock"):
                 build()
         return
     seen = evaluated_states(monkeypatch)
-    objective = optimize.exact_energy_objective(h2_hamiltonian_074, circuit, {0, 1})
+    objective = optimize.exact_energy_objective(h2_hamiltonian_074, circuit)
     reference = full_register_objective(h2_hamiltonian_074, circuit, {0, 1})
     for seed in range(5):
         theta = np.random.default_rng(seed).uniform(-2.0, 2.0, circuit.n_parameters)
@@ -431,7 +431,7 @@ def test_sampled_uccsd_objective_measures_its_sector_state_on_the_register(
     circuit = build_uccsd(n, occupied)
     groups = group_commuting(hamiltonian)
     seen = evaluated_states(monkeypatch)
-    objective = optimize.sampled_energy_objective(hamiltonian, circuit, occupied, 64, 11, groups)
+    objective = optimize.sampled_energy_objective(hamiltonian, circuit, 64, 11, groups)
     theta = np.random.default_rng(6).normal(0.0, 0.5, circuit.n_parameters)
     register = apply_circuit_per_gate(prepare_hf(n, occupied).amplitudes, circuit, theta)
     expected = estimate_energy_sampled(Statevector(n, register), hamiltonian, groups, 64, 11)
@@ -444,7 +444,7 @@ def test_zero_gate_objective_is_the_hf_energy_on_the_sector(molecules, monkeypat
     hamiltonian, occupied = molecules["H3"]
     circuit = Circuit(hamiltonian.n_qubits, ())
     seen = evaluated_states(monkeypatch)
-    energy = optimize.exact_energy_objective(hamiltonian, circuit, occupied)(np.zeros(0))
+    energy = optimize.exact_energy_objective(hamiltonian, circuit)(np.zeros(0))
     assert energy == full_register_objective(hamiltonian, circuit, occupied)(np.zeros(0))
     assert seen[0].shape == (9,) and seen[0].dtype == np.float64
 
@@ -453,7 +453,7 @@ def test_zero_gate_objective_is_the_hf_energy_on_the_sector(molecules, monkeypat
 def test_hardware_efficient_objective_is_bit_identical_to_the_register_loop(
         h2_hamiltonian_074, reps):
     circuit = build_hardware_efficient(4, reps)
-    objective = optimize.exact_energy_objective(h2_hamiltonian_074, circuit, {0, 1})
+    objective = optimize.exact_energy_objective(h2_hamiltonian_074, circuit)
     reference = full_register_objective(h2_hamiltonian_074, circuit, {0, 1})
     rng = np.random.default_rng(reps)
     for _ in range(20):
@@ -472,7 +472,7 @@ def test_sixteen_qubit_uccsd_objective_builds_tables_on_its_sector_only():
     try:
         circuit = build_uccsd(16, range(8))
         _, built = tracemalloc.get_traced_memory()
-        objective = optimize.exact_energy_objective(hamiltonian, circuit, range(8))
+        objective = optimize.exact_energy_objective(hamiltonian, circuit)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -497,7 +497,7 @@ def test_sixteen_qubit_chain_register_form_passes_the_objective_guard(monkeypatc
 
     monkeypatch.setattr(QubitHamiltonian, "compile", stop)
     with pytest.raises(RuntimeError, match="compile on None"):
-        optimize.exact_energy_objective(hamiltonian, build_hardware_efficient(16, 1), range(8))
+        optimize.exact_energy_objective(hamiltonian, build_hardware_efficient(16, 1))
 
 
 def test_sector_objective_builds_no_register_reference():
@@ -505,10 +505,11 @@ def test_sector_objective_builds_no_register_reference():
     # vector alone would be 16 MiB
     n = 20
     hamiltonian = QubitHamiltonian(n, ((0.5, PauliString.from_letters("ZZ" + "I" * (n - 2))),
-                                       (0.25, PauliString.from_letters("I" * (n - 1) + "Z"))))
+                                       (0.25, PauliString.from_letters("I" * (n - 1) + "Z"))),
+                                   n_electrons=10)
     tracemalloc.start()
     try:
-        objective = optimize.exact_energy_objective(hamiltonian, Circuit(n, ()), range(10))
+        objective = optimize.exact_energy_objective(hamiltonian, Circuit(n, ()))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -533,7 +534,64 @@ def test_objective_checks_tables_and_compiled_form_together(h2_hamiltonian_074, 
     per_state = 24 * len(strings) + 17 * max(strings.values()) + 32 + 34
     needed = tables + per_state * 4 + (8 << 4) + 4096
     monkeypatch.setattr(paulis, "MAX_ALLOCATION_BYTES", needed)
-    optimize.exact_energy_objective(h2_hamiltonian_074, circuit, {0, 1})
+    optimize.exact_energy_objective(h2_hamiltonian_074, circuit)
     monkeypatch.setattr(paulis, "MAX_ALLOCATION_BYTES", needed - 1)
     with pytest.raises(ShapeError, match="gate tables and compiled form of 2 x-masks on 4 qubits"):
-        optimize.exact_energy_objective(h2_hamiltonian_074, circuit, {0, 1})
+        optimize.exact_energy_objective(h2_hamiltonian_074, circuit)
+
+
+# --- the Hartree-Fock reference comes from the Hamiltonian's electron count
+
+def refuse_compiles(monkeypatch):
+    def refused(self, states=None):
+        raise AssertionError("compiled before the inputs were checked")
+
+    monkeypatch.setattr(QubitHamiltonian, "compile", refused)
+    monkeypatch.setattr(optimize, "group_tables", refused)
+
+
+def test_a_hamiltonian_without_an_electron_count_is_refused_before_compiling(
+        h2_hamiltonian_074, monkeypatch):
+    countless = QubitHamiltonian(4, h2_hamiltonian_074.terms)
+    groups = group_commuting(countless)
+    with pytest.raises(ShapeError) as oracle:
+        ground_state_energy(countless)
+    refuse_compiles(monkeypatch)
+    circuits = (build_uccsd(4, {0, 1}), build_hardware_efficient(4, 1))
+    for circuit in circuits:
+        for build in (lambda: optimize.exact_energy_objective(countless, circuit),
+                      lambda: optimize.sampled_energy_objective(countless, circuit, 64, 0, groups),
+                      lambda: run_vqe(countless, circuit, OptimizerConfig()),
+                      lambda: run_vqe(countless, circuit, OptimizerConfig(), mode="sampled")):
+            with pytest.raises(ShapeError) as refused:
+                build()
+            assert str(refused.value) == str(oracle.value)
+
+
+@pytest.mark.parametrize("n_restarts", [1.5, "2", True, 0])
+def test_run_vqe_checks_n_restarts_before_building_the_objective(
+        h2_hamiltonian_074, monkeypatch, n_restarts):
+    refuse_compiles(monkeypatch)
+    with pytest.raises(ShapeError, match="n_restarts"):
+        run_vqe(h2_hamiltonian_074, build_uccsd(4, {0, 1}), OptimizerConfig(),
+                n_restarts=n_restarts)
+
+
+@pytest.mark.parametrize("name", ["H2", "H3", "H2S"])
+def test_exact_objective_and_oracle_run_on_the_same_states(molecules, name, monkeypatch):
+    hamiltonian, occupied = molecules[name]
+    compiled = []
+    original = QubitHamiltonian.compile
+
+    def recording(self, states=None):
+        if self is hamiltonian:  # not a gate generator
+            compiled.append(states)
+        return original(self, states)
+
+    monkeypatch.setattr(QubitHamiltonian, "compile", recording)
+    optimize.exact_energy_objective(hamiltonian, build_uccsd(hamiltonian.n_qubits, occupied))
+    ground_state_energy(hamiltonian)
+    objective_states, oracle_states = compiled
+    assert np.array_equal(objective_states, oracle_states)
+    reference = sum(1 << q for q in occupied)
+    assert hamiltonian.hf_index() == reference and reference in objective_states

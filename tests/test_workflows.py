@@ -8,6 +8,7 @@ from vqechem.exceptions import (
     CurveAlignmentError,
     FitBracketError,
     ManifestError,
+    ShapeError,
 )
 from vqechem.optimize import OptimizerConfig
 from vqechem import workflows
@@ -191,6 +192,15 @@ def test_sampled_point_groups_once(monkeypatch):
         workflows.jordan_wigner(workflows.build_second_quantized(integrals))))
 
 
+@pytest.mark.parametrize("ansatz", ["UCCSD", "hea", ""])
+def test_single_point_refuses_an_unknown_ansatz(ansatz, monkeypatch):
+    # refused before the Hamiltonian is built, not run as the hardware-efficient ansatz
+    monkeypatch.setattr(workflows, "jordan_wigner", None)
+    integrals = integrals_for_point(ScanPoint("h2", 0.74, geometry=h2_point("h2", 0.74)["geometry"]))
+    with pytest.raises(ShapeError, match=f"unknown ansatz {ansatz!r}"):
+        run_single_point(integrals, ansatz=ansatz)
+
+
 def test_charged_point_reports_its_own_sector_fci():
     # the H3 cation at the reactant end: 2 electrons, not the neutral minimum
     point = h3_exchange_point("cation", -1.0)
@@ -362,7 +372,7 @@ def test_spsa_trace_has_larger_total_variation():
     integrals = integrals_for_point(ScanPoint("0.74", 0.74, geometry=point["geometry"]))
     hamiltonian = jordan_wigner(build_second_quantized(integrals))
     circuit = build_uccsd(4, {0, 1})
-    objective = exact_energy_objective(hamiltonian, circuit, {0, 1})
+    objective = exact_energy_objective(hamiltonian, circuit)
 
     def total_variation(trace):
         return float(sum(abs(b - a) for a, b in zip(trace, trace[1:])))
