@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 
 from .exactdiag import ground_state_energy
 from .exceptions import ManifestError, VqeChemError
@@ -19,7 +20,7 @@ from .fcidump import write_fcidump
 from .fermions import build_second_quantized, jordan_wigner
 from .optimize import OptimizerConfig
 from .workflows import (
-    ScanPoint,
+    ScanManifest,
     activation_energy,
     compare_curves,
     dissociation_energy,
@@ -28,8 +29,8 @@ from .workflows import (
     integrals_from_geometry,
     load_manifest,
     parse_scan_csv,
+    run_point,
     run_scan,
-    run_single_point,
     scan_csv,
     trace_csv,
 )
@@ -59,53 +60,42 @@ def _emit(summary: dict, as_json: bool) -> None:
 def _single_point_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--geometry", help="geometry JSON path")
     parser.add_argument("--fcidump", help="FCIDUMP path")
-    parser.add_argument("--freeze", nargs="*", type=int, default=[],
+    parser.add_argument("--freeze", nargs="*", type=int, default=argparse.SUPPRESS,
                         help="spatial orbitals to freeze")
 
 
-def _point_from_args(args) -> ScanPoint:
-    if (args.geometry is None) == (args.fcidump is None):
-        raise VqeChemError("provide exactly one of --geometry or --fcidump")
-    if args.geometry is not None:
-        return ScanPoint("point", 0.0, geometry=_read_json(args.geometry))
-    return ScanPoint("point", 0.0, fcidump_path=args.fcidump)
-
-
 def _vqe_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--ansatz", choices=["hardware", "uccsd"], default="uccsd")
-    parser.add_argument("--reps", type=int, default=1)
-    parser.add_argument("--optimizer", choices=["spsa", "simplex"], default="simplex")
-    parser.add_argument("--mode", choices=["exact", "sampled"], default="exact")
-    parser.add_argument("--shots", type=int, default=1024)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--restarts", type=int, default=5)
-    parser.add_argument("--max-iterations", type=int, default=200)
-    parser.add_argument("--threshold", type=float, default=1e-4,
+    # a flag left out stays out of the namespace, so its setting keeps the
+    # ScanManifest (or OptimizerConfig) default; dest names the field it sets
+    unset = argparse.SUPPRESS
+    parser.add_argument("--ansatz", choices=["hardware", "uccsd"], default=unset)
+    parser.add_argument("--reps", type=int, default=unset)
+    parser.add_argument("--optimizer", dest="kind", choices=["spsa", "simplex"], default=unset)
+    parser.add_argument("--mode", choices=["exact", "sampled"], default=unset)
+    parser.add_argument("--shots", type=int, default=unset)
+    parser.add_argument("--seed", type=int, default=unset)
+    parser.add_argument("--restarts", type=int, default=unset)
+    parser.add_argument("--max-iterations", type=int, default=unset)
+    parser.add_argument("--threshold", dest="convergence_threshold", metavar="THRESHOLD",
+                        type=float, default=unset,
                         help="optimizer convergence threshold in Hartree")
 
 
-def _optimizer_from_args(args) -> OptimizerConfig:
-    return OptimizerConfig(
-        kind=args.optimizer,
-        max_iterations=args.max_iterations,
-        convergence_threshold=args.threshold,
-        seed=args.seed,
-    )
+def _manifest_from_args(args) -> ScanManifest:
+    """A one-point manifest of the flags given, loaded as a manifest file is."""
+    if (args.geometry is None) == (args.fcidump is None):
+        raise VqeChemError("provide exactly one of --geometry or --fcidump")
+    point = ({"geometry": _read_json(args.geometry)} if args.fcidump is None
+             else {"fcidump": args.fcidump})
+    given = vars(args)
+    doc = {f.name: given[f.name] for f in fields(ScanManifest) if f.name in given}
+    doc["optimizer"] = {f.name: given[f.name] for f in fields(OptimizerConfig) if f.name in given}
+    return load_manifest({**doc, "points": [{"label": "point", **point}]}, base_dir="")
 
 
 def _run_point_from_args(args):
-    point = _point_from_args(args)
-    integrals = integrals_for_point(point, tuple(args.freeze))
-    optimizer = _optimizer_from_args(args)
-    return run_single_point(
-        integrals,
-        ansatz=args.ansatz,
-        reps=args.reps,
-        optimizer=optimizer,
-        mode=args.mode,
-        shots=args.shots,
-        restarts=args.restarts,
-    )
+    manifest = _manifest_from_args(args)
+    return run_point(manifest, manifest.points[0], manifest.seed)
 
 
 def cmd_fcidump_gen(args) -> int:
@@ -145,8 +135,8 @@ def cmd_vqe(args) -> int:
 
 
 def cmd_fci(args) -> int:
-    point = _point_from_args(args)
-    integrals = integrals_for_point(point, tuple(args.freeze))
+    manifest = _manifest_from_args(args)
+    integrals = integrals_for_point(manifest.points[0], manifest.freeze)
     hamiltonian = jordan_wigner(build_second_quantized(integrals))
     ground = ground_state_energy(hamiltonian)
     _emit(
@@ -323,10 +313,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except VqeChemError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (VqeChemError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,4 +1,4 @@
-"""Exception types raised across the package."""
+"""Exception types raised across the package, and the check of a JSON object's keys."""
 
 
 class VqeChemError(Exception):
@@ -73,3 +73,14 @@ class CurveAlignmentError(VqeChemError):
 
 class ManifestError(VqeChemError):
     """Scan manifest is malformed or inconsistent."""
+
+
+def checked_object(doc, known, name: str, error=ManifestError) -> dict:
+    """``doc`` if it is a JSON object whose keys are all in ``known``; else ``error``,
+    one line naming ``name`` and any unknown keys."""
+    if not isinstance(doc, dict):
+        raise error(f"{name} must be an object, got {type(doc).__name__}")
+    unknown = doc.keys() - set(known)
+    if unknown:
+        raise error(f"{name} has unknown keys {sorted(unknown, key=str)}")
+    return doc

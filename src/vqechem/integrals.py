@@ -20,6 +20,7 @@ from .exceptions import (
     ShapeError,
     SingularGeometryError,
     UnsupportedElementError,
+    checked_object,
 )
 
 ELEMENT_Z = {
@@ -68,11 +69,15 @@ class Molecule:
 
         Schema: ``{"atoms": [{"symbol": str, "xyz_bohr": [x, y, z]}, ...],
         "charge": int}`` with positions in Bohr; a position of other than 3
-        numbers, or a charge that is not an integer, raises (a bool is neither).
+        numbers, a charge that is not an integer (a bool is neither), or an
+        unknown key raises.
         """
         atoms = []
         try:
-            for entry in doc["atoms"]:
+            checked_object(doc, ("atoms", "charge"), "malformed geometry: the geometry", ShapeError)
+            for n, entry in enumerate(doc["atoms"]):
+                checked_object(entry, ("symbol", "xyz_bohr"), f"malformed geometry: atom {n}",
+                               ShapeError)
                 symbol = entry["symbol"]
                 if symbol not in ELEMENT_Z:
                     raise UnsupportedElementError(f"unknown element symbol {symbol!r}")
@@ -251,8 +256,10 @@ def compute_ao_integrals(molecule: Molecule) -> AOIntegrals:
     # takes the operations and rounding of the closed-form loop (Szabo &
     # Ostlund, ch. 3), so the arrays equal the loop's bit for bit: np.vecdot
     # rounds a 3-vector dot as np.dot does, exp and ** stay in Python's math,
-    # and every sum runs in loop order
+    # and every sum runs in loop order. Positions are taken in atom 0's frame, so
+    # a product centre far from the origin is not rounded off its nuclei
     r = np.array([xyz for _, _, xyz in molecule.atoms], dtype=float)
+    r = r - r[0]
     n_ao = len(r)
     p = np.add.outer(exps, exps).ravel()
     mu = np.multiply.outer(exps, exps).ravel() / p

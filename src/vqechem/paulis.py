@@ -273,7 +273,8 @@ class QubitHamiltonian:
         x_masks, bounds, _, runs, z, weights = self._rows
         check_allocation(self.compiled_bytes(None if states is None else len(states)),
                          f"compiled form of {len(x_masks)} x-masks on {self.n_qubits} qubits")
-        if states is None:  # the register's states are their own local indices
+        register = states is None
+        if register:  # the register's states are their own local indices
             states = local = np.arange(1 << self.n_qubits)
         else:
             states, local = np.asarray(states), np.full(1 << self.n_qubits, -1)
@@ -309,7 +310,8 @@ class QubitHamiltonian:
             del diagonals, partners, kept, picked  # before the next run's
         for array in (targets, sources, values):
             array.resize(stored, refcheck=False)  # in place: no view of them is left
-        return CompiledOperator(self.n_qubits, targets, sources, values, n_states, leak)
+        return CompiledOperator(self.n_qubits, targets, sources, values, n_states, leak,
+                                None if register else states)
 
 
 def _bit_parity(values: np.ndarray) -> np.ndarray:
@@ -336,7 +338,8 @@ class CompiledOperator:
 
     A form on a subset of the basis states (:meth:`QubitHamiltonian.compile`)
     has local indices, dimension ``dim``, and in ``leak`` the largest entry it
-    dropped for leaving the subset: 0 on a block of H.
+    dropped for leaving the subset: 0 on a block of H. ``states`` are the basis
+    states it was compiled on, None for the register.
     """
 
     n_qubits: int
@@ -345,6 +348,7 @@ class CompiledOperator:
     values: np.ndarray  # (entries,) matrix entries
     dim: int
     leak: float = 0.0
+    states: np.ndarray | None = None
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         """H @ vec: one gather, one product and one scatter-add, no matrix. ``np.bincount``

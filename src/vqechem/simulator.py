@@ -221,6 +221,13 @@ def update_qubit(stack: np.ndarray, qubit: int, rows, matrix: np.ndarray) -> Non
     pairs[rows] = out
 
 
+def _check_same_states(states, other, what: str) -> None:
+    """Refuse two objects on different basis states (None: the register); the same
+    array object passes without a comparison."""
+    if states is not other and not np.array_equal(states, other):
+        raise ShapeError(f"{what} act on different basis states")
+
+
 def apply_circuit(state: Statevector, circuit: Circuit, parameters=()) -> Statevector:
     """Run the circuit on a state, resolving parameter slots from ``parameters``: ry
     and cz gates on a register state, the rotations of a circuit restricted to a
@@ -233,8 +240,7 @@ def apply_circuit(state: Statevector, circuit: Circuit, parameters=()) -> Statev
     calls cost more than its scalar arithmetic."""
     if circuit.n_qubits != state.n_qubits:
         raise ShapeError("circuit and state qubit counts differ")
-    if circuit.states is not state.states and not np.array_equal(circuit.states, state.states):
-        raise ShapeError("circuit and state act on different basis states")
+    _check_same_states(circuit.states, state.states, "circuit and state")
     try:  # a float64 array passes as it is; other real arrays are converted
         parameters = np.asarray(parameters)
         if parameters.dtype != np.float64:
@@ -280,13 +286,14 @@ def expectation(state: Statevector, hamiltonian: QubitHamiltonian | CompiledOper
     """<psi|H|psi> from the compiled form's entries; no dense matrix is built.
 
     Pass ``hamiltonian.compile(state.states)`` to evaluate many states against
-    one form; a plain Hamiltonian is compiled on the state's basis states for
-    this call only.
+    one form (a form compiled on other basis states is refused, as a circuit is);
+    a plain Hamiltonian is compiled on the state's basis states for this call only.
     """
     if hamiltonian.n_qubits != state.n_qubits:
         raise ShapeError("Hamiltonian and state qubit counts differ")
     if isinstance(hamiltonian, QubitHamiltonian):
         hamiltonian = hamiltonian.compile(state.states)
+    _check_same_states(hamiltonian.states, state.states, "Hamiltonian form and state")
     value = hamiltonian.expectation(state.amplitudes)
     if abs(value.imag) > 1e-10:
         raise ShapeError(f"expectation has imaginary part {value.imag:.3e}")

@@ -11,6 +11,7 @@ and reorderable.
 
 from __future__ import annotations
 
+import os
 import zlib
 from dataclasses import dataclass, fields, replace
 
@@ -26,6 +27,7 @@ from .exceptions import (
     ManifestError,
     ShapeError,
     VqeChemError,
+    checked_object,
 )
 from .fcidump import parse_fcidump
 from .fermions import build_second_quantized, jordan_wigner
@@ -60,8 +62,11 @@ class ScanPoint:
 
 @dataclass(frozen=True)
 class ScanManifest:
-    label: str
-    points: tuple
+    """The settings every point of a scan runs with: their one set of defaults and
+    checks. A value of the wrong type or out of range raises ManifestError."""
+
+    label: str = "scan"
+    points: tuple = ()
     coordinate_unit: str = "angstrom"
     ansatz: str = "uccsd"
     reps: int = 1
@@ -80,15 +85,18 @@ class ScanManifest:
             raise ManifestError(f"unknown coordinate unit {self.coordinate_unit!r}")
         if self.ansatz not in ("uccsd", "hardware"):
             raise ManifestError(f"unknown ansatz {self.ansatz!r}")
+        if not isinstance(self.optimizer, OptimizerConfig):
+            raise ManifestError(f"optimizer must be an OptimizerConfig, got {self.optimizer!r}")
         if self.mode not in ("exact", "sampled"):
             raise ManifestError(f"unknown mode {self.mode!r}")
-        for name, least in (("restarts", 1), ("shots", 1), ("reps", 0)):
-            if getattr(self, name) < least:
-                raise ManifestError(f"{name} must be >= {least}, got {getattr(self, name)}")
+        for name, least in (("reps", 0), ("shots", 1), ("seed", None), ("restarts", 1)):
+            value = _integer(getattr(self, name), name)
+            if least is not None and value < least:
+                raise ManifestError(f"{name} must be >= {least}, got {value}")
         for i in self.freeze:
             _integer(i, "freeze entry")
         if len(set(self.freeze)) != len(self.freeze):
-            raise ManifestError(f"freeze entries must be distinct, got {list(self.freeze)}")
+            raise ManifestError(f"freeze has a repeated orbital index: {list(self.freeze)}")
 
 
 @dataclass(frozen=True)
@@ -116,86 +124,54 @@ class SinglePointResult:
 
 
 def load_manifest(doc: dict, base_dir: str = ".") -> ScanManifest:
-    """Build a manifest from its JSON document.
+    """The manifest of a JSON document whose keys are :class:`ScanManifest` fields.
 
-    Schema::
-
-        {"label": str, "coordinate_unit": "angstrom"|"bohr",
-         "ansatz": "uccsd"|"hardware", "reps": int,
-         "optimizer": {"kind": "simplex"|"spsa", "max_iterations": int,
-                       "convergence_threshold": float, ...},
-         "mode": "exact"|"sampled", "shots": int, "seed": int,
-         "restarts": int, "freeze": [int, ...],
-         "points": [{"label": str, "coordinate": float,
-                     "geometry": {"atoms": [{"symbol", "xyz_bohr"}], "charge": int}}
-                    | {"label": str, "coordinate": float, "fcidump": "path"}]}
-
-    FCIDUMP paths are resolved relative to ``base_dir``.
+    Only the keys given go to :class:`ScanManifest`, which holds the defaults and
+    checks the values. ``optimizer`` holds :class:`OptimizerConfig` fields, and each
+    of ``points`` a ``label``, a ``coordinate`` and one of ``geometry`` or
+    ``fcidump`` (a path relative to ``base_dir``). Any other key is refused here; a
+    geometry is read, and refused, when its point runs.
     """
-    import os
+    settings = dict(checked_object(doc, [f.name for f in fields(ScanManifest)], "manifest"))
+    for key in ("points", "freeze"):
+        if key in settings and not isinstance(settings[key], list):
+            raise ManifestError(f"{key} must be a list, got {type(settings[key]).__name__}")
+    if "label" in settings:
+        settings["label"] = str(settings["label"])
+    if "points" in settings:
+        settings["points"] = tuple(_scan_point(n, entry, base_dir)
+                                   for n, entry in enumerate(settings["points"]))
+    if "freeze" in settings:
+        settings["freeze"] = tuple(settings["freeze"])
+    if "optimizer" in settings:
+        options = checked_object(settings["optimizer"], [f.name for f in fields(OptimizerConfig)],
+                                 "optimizer")
+        try:
+            settings["optimizer"] = OptimizerConfig(**options)
+        except TypeError as exc:  # a value of the wrong type, e.g. a string where a number goes
+            raise ManifestError(f"bad optimizer value in {options}: {exc}") from None
+    return ScanManifest(**settings)
 
-    if not isinstance(doc, dict):
-        raise ManifestError("manifest must be a JSON object")
-    entries = doc.get("points", [])
-    if not isinstance(entries, list):
-        raise ManifestError(f"points must be a list, got {type(entries).__name__}")
-    points = []
-    for n, entry in enumerate(entries):
-        if not isinstance(entry, dict):
-            raise ManifestError(f"point {n} must be an object, got {type(entry).__name__}")
-        if "label" not in entry:
-            raise ManifestError(f"point {n} has no label")
-        fcidump_path = entry.get("fcidump")
-        if fcidump_path is not None:
-            fcidump_path = os.path.join(base_dir, fcidump_path)
-        points.append(
-            ScanPoint(
-                label=str(entry["label"]),
-                coordinate=_number(entry.get("coordinate", 0.0), f"point {n} coordinate"),
-                geometry=entry.get("geometry"),
-                fcidump_path=fcidump_path,
-            )
-        )
-    options = doc.get("optimizer", {})
-    if not isinstance(options, dict):
-        raise ManifestError(f"optimizer must be an object, got {type(options).__name__}")
-    unknown = set(options) - {f.name for f in fields(OptimizerConfig)}
-    if unknown:
-        raise ManifestError(f"unknown optimizer keys: {sorted(unknown)}")
-    try:
-        optimizer = OptimizerConfig(**options)
-    except TypeError as exc:  # a value of the wrong type, e.g. a string where a number goes
-        raise ManifestError(f"bad optimizer value in {options}: {exc}") from None
-    freeze = doc.get("freeze", [])
-    if not isinstance(freeze, list):
-        raise ManifestError(f"freeze must be a list, got {type(freeze).__name__}")
-    return ScanManifest(
-        label=str(doc.get("label", "scan")),
-        points=tuple(points),
-        coordinate_unit=doc.get("coordinate_unit", "angstrom"),
-        ansatz=doc.get("ansatz", "uccsd"),
-        reps=_integer(doc.get("reps", 1), "reps"),
-        optimizer=optimizer,
-        mode=doc.get("mode", "exact"),
-        shots=_integer(doc.get("shots", 1024), "shots"),
-        seed=_integer(doc.get("seed", 0), "seed"),
-        restarts=_integer(doc.get("restarts", 5), "restarts"),
-        freeze=tuple(freeze),
+
+def _scan_point(n: int, entry, base_dir: str) -> ScanPoint:
+    """Point ``n`` of a manifest document, its FCIDUMP path joined to ``base_dir``."""
+    entry = checked_object(entry, ("label", "coordinate", "geometry", "fcidump"), f"point {n}")
+    if "label" not in entry:
+        raise ManifestError(f"point {n} has no label")
+    coordinate = entry.get("coordinate", 0.0)
+    if isinstance(coordinate, bool) or not isinstance(coordinate, (int, float)):
+        raise ManifestError(f"point {n} coordinate must be a number, got {coordinate!r}")
+    fcidump_path = entry.get("fcidump")
+    return ScanPoint(
+        label=str(entry["label"]),
+        coordinate=float(coordinate),
+        geometry=entry.get("geometry"),
+        fcidump_path=None if fcidump_path is None else os.path.join(base_dir, fcidump_path),
     )
 
 
-def _number(value, name: str) -> float:
-    """``float(value)`` of a number (not a bool), else a ManifestError naming the key."""
-    try:
-        if isinstance(value, bool):
-            raise TypeError
-        return float(value)
-    except (TypeError, ValueError):
-        raise ManifestError(f"{name} must be a number, got {value!r}") from None
-
-
 def _integer(value, name: str) -> int:
-    """``value`` if it is a JSON integer (not a bool), else a ManifestError."""
+    """``value`` if it is an integer (not a bool), else a ManifestError."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ManifestError(f"{name} must be an integer, got {value!r}")
     return value
@@ -276,8 +252,23 @@ def run_single_point(
     )
 
 
+def run_point(manifest: ScanManifest, point: ScanPoint, seed: int) -> SinglePointResult:
+    """One point run with the manifest's settings, its optimizer seeded with ``seed``."""
+    integrals = integrals_for_point(point, manifest.freeze)
+    return run_single_point(
+        integrals,
+        ansatz=manifest.ansatz,
+        reps=manifest.reps,
+        optimizer=replace(manifest.optimizer, seed=seed),
+        mode=manifest.mode,
+        shots=manifest.shots,
+        restarts=manifest.restarts,
+    )
+
+
 def run_scan(manifest: ScanManifest):
-    """Run every manifest point; returns (pes_points, errors).
+    """Run every manifest point, each seeded with ``point_seed(manifest.seed, label)``;
+    returns (pes_points, errors).
 
     A failing point is recorded as (label, message) and the scan continues;
     if every point fails a ManifestError is raised.
@@ -286,17 +277,7 @@ def run_scan(manifest: ScanManifest):
     errors = []
     for point in manifest.points:
         try:
-            integrals = integrals_for_point(point, manifest.freeze)
-            optimizer = replace(manifest.optimizer, seed=point_seed(manifest.seed, point.label))
-            result = run_single_point(
-                integrals,
-                ansatz=manifest.ansatz,
-                reps=manifest.reps,
-                optimizer=optimizer,
-                mode=manifest.mode,
-                shots=manifest.shots,
-                restarts=manifest.restarts,
-            )
+            result = run_point(manifest, point, point_seed(manifest.seed, point.label))
             points.append(
                 PesPoint(
                     geometry_label=point.label,

@@ -131,12 +131,36 @@ def test_non_finite_constant_energy_exits_2_with_one_line(tmp_path, capsys, h2_i
     ({"charge": True}, "charge"),
     ({"atoms": [{"symbol": "H", "xyz_bohr": [0, 0, True]}, H2_GEOMETRY["atoms"][1]]},
      "3 numbers"),
-], ids=["two-coordinates", "fractional-charge", "boolean-charge", "boolean-coordinate"])
+    ({"charg": 1}, "the geometry has unknown keys ['charg']"),
+    ({"atoms": [H2_GEOMETRY["atoms"][0], {"symbol": "H", "xyz": [0.0, 0.0, 1.4]}]},
+     "atom 1 has unknown keys ['xyz']"),
+], ids=["two-coordinates", "fractional-charge", "boolean-charge", "boolean-coordinate",
+        "unknown-geometry-key", "unknown-atom-key"])
 def test_malformed_geometry_exits_2_with_one_line(tmp_path, capsys, change, key):
     geometry = write_json(tmp_path / "geometry.json", {**H2_GEOMETRY, **change})
     assert main(["fci", "--geometry", geometry]) == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and key in err
+
+
+@pytest.mark.parametrize("command", ["vqe", "trace"])
+@pytest.mark.parametrize("flags, key", [
+    (["--shots", "0"], "shots must be >= 1, got 0"),
+    (["--reps", "-1"], "reps must be >= 0, got -1"),
+    (["--restarts", "0"], "restarts must be >= 1, got 0"),
+    (["--freeze", "0", "0"], "freeze has a repeated orbital index"),
+], ids=["zero-shots", "negative-reps", "zero-restarts", "repeated-freeze"])
+def test_run_flags_get_the_manifest_checks(tmp_path, capsys, command, flags, key):
+    # these values used to run (or fail a point later) from the command line,
+    # while the same values in a manifest exit 2
+    geometry = write_json(tmp_path / "h2.json", H2_GEOMETRY)
+    out = tmp_path / "trace.csv"
+    argv = [command, "--geometry", geometry, *flags]
+    assert main(argv + (["--out", str(out)] if command == "trace" else [])) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and key in err
+    assert not out.exists()
 
 
 def test_atoms_too_far_apart_exit_2_with_one_line_and_no_warning(tmp_path, capsys):
@@ -389,6 +413,9 @@ def test_one_point_manifest_then_fit_errors(tmp_path, capsys):
          "convergence_threshold"),
         (lambda doc: doc["optimizer"].update(simplex_xtol=float("inf")), "simplex_xtol"),
         (lambda doc: doc["points"][0].update(coordinate=True), "coordinate"),
+        (lambda doc: doc.update(restart=1), "manifest has unknown keys ['restart']"),
+        (lambda doc: doc["points"][0].update(fcidmp="h2.fcidump"),
+         "point 0 has unknown keys ['fcidmp']"),
     ],
     ids=["unknown-optimizer-key", "point-without-label", "zero-restarts", "zero-shots",
          "negative-reps", "non-integer-freeze", "non-numeric-coordinate",
@@ -398,7 +425,8 @@ def test_one_point_manifest_then_fit_errors(tmp_path, capsys):
          "fractional-restarts", "boolean-seed", "fractional-max-iterations",
          "fractional-spsa-window", "zero-spsa-window", "boolean-freeze",
          "dropped-spsa-gain", "duplicate-freeze", "boolean-max-iterations",
-         "nan-threshold", "infinite-xtol", "boolean-coordinate"],
+         "nan-threshold", "infinite-xtol", "boolean-coordinate", "unknown-manifest-key",
+         "unknown-point-key"],
 )
 def test_malformed_manifest_rejected_up_front(tmp_path, capsys, corrupt, key):
     manifest = small_manifest(tmp_path)

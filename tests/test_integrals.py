@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -28,6 +30,7 @@ from vqechem.integrals import (
     boys_f0,
     compute_ao_integrals,
     freeze_core,
+    nuclear_repulsion,
     run_rhf,
     transform_to_mo,
 )
@@ -112,11 +115,32 @@ atom_positions = st.lists(
 @settings(max_examples=15)
 @given(atom_positions)
 def test_ao_integrals_match_closed_form_loop(positions):
+    # the integrals are taken in atom 0's frame, so the loop runs on the molecule
+    # moved there; the nuclear repulsion is that of the molecule as given
     xyz = np.array(positions)
     gaps = np.linalg.norm(xyz[:, None] - xyz, axis=-1)[np.triu_indices(len(xyz), 1)]
     assume(np.all(gaps > COINCIDENT_ATOM_TOLERANCE))
     molecule = Molecule(tuple(("H", 1, r) for r in xyz), len(xyz))
-    assert_same_integrals(compute_ao_integrals(molecule), ao_integrals_loop(molecule))
+    reference = ao_integrals_loop(Molecule(tuple(("H", 1, r - xyz[0]) for r in xyz), len(xyz)))
+    assert_same_integrals(compute_ao_integrals(molecule),
+                          replace(reference, e_nuc=nuclear_repulsion(molecule)))
+
+
+@pytest.mark.parametrize("z", [1e20, 1e100, 1e300])
+def test_lone_atom_far_from_the_origin_keeps_its_integrals(z):
+    # on absolute coordinates the Gaussian product centres were rounded off the
+    # nucleus by about z * 1e-16 Bohr: the atom's energy read -0.31542 Ha at 1e20
+    def lone_atom(z):
+        return compute_ao_integrals(Molecule((("H", 1, np.array([0.0, 0.0, z])),), 1))
+
+    assert_same_integrals(lone_atom(z), lone_atom(0.0))
+
+
+def test_translated_molecule_keeps_its_integrals():
+    # an offset that every coordinate and difference holds exactly
+    xyz = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.5], [0.25, 0.0, 3.0]])
+    molecules = [Molecule(tuple(("H", 1, r + offset) for r in xyz), 3) for offset in (0.0, 1024.0)]
+    assert_same_integrals(*(compute_ao_integrals(m) for m in molecules))
 
 
 @pytest.mark.parametrize(
@@ -314,8 +338,13 @@ def test_geometry_dict_roundtrip():
         {"charge": 0},
         {"atoms": [{"symbol": "H"}]},
         {"atoms": [{"symbol": "H", "xyz_bohr": [0, 0, 0]}], "charge": "two"},
+        {"atoms": [{"symbol": "H", "xyz_bohr": [0, 0, 0]}], "charg": 1},
+        {"atoms": [{"symbol": "H", "xyz_bohr": [0, 0, 0], "mass": 1.0}]},
+        {"atoms": ["H"]},
+        ["atoms"],
     ],
-    ids=["no-atoms", "no-position", "bad-charge"],
+    ids=["no-atoms", "no-position", "bad-charge", "unknown-key", "unknown-atom-key",
+         "atom-not-an-object", "not-an-object"],
 )
 def test_malformed_geometry_dict_raises_package_error(doc):
     with pytest.raises(ShapeError, match="malformed geometry"):

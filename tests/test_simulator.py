@@ -20,7 +20,7 @@ from oracles import (
 from vqechem import simulator
 from vqechem.ansatz import _excitation_gates, build_hardware_efficient, build_uccsd
 from vqechem.exceptions import ShapeError
-from vqechem.fermions import jordan_wigner
+from vqechem.fermions import build_second_quantized, jordan_wigner
 from vqechem.paulis import PauliString, QubitHamiltonian
 from vqechem.simulator import (
     Circuit,
@@ -33,6 +33,7 @@ from vqechem.simulator import (
     sector_states,
     seed_words,
 )
+from vqechem.workflows import h3_exchange_point, integrals_from_geometry
 
 
 def random_state(n, seed):
@@ -321,6 +322,23 @@ def test_expectation_size_mismatch():
     h = random_hamiltonian(3, 4, 0)
     with pytest.raises(ShapeError):
         expectation(random_state(2, 0), h)
+
+
+def test_expectation_refuses_a_form_compiled_on_other_states():
+    # H3 at its symmetric point: the (2, 1) and (1, 1) sectors hold 9 states each,
+    # so the form's dimension fits a (1, 1) state; applied anyway, it read
+    # -1.52953 Ha against the state's true -1.19916 Ha
+    integrals, _ = integrals_from_geometry(h3_exchange_point("0", 0.0)["geometry"])
+    h = jordan_wigner(build_second_quantized(integrals))
+    form = h.compile(sector_states(6, h.hf_index()))
+    other = sector_states(6, 0b11)
+    assert len(other) == form.dim == 9
+    state = Statevector(6, (other == 0b11).astype(float), other)
+    assert expectation(state, h) == pytest.approx(-1.19916, abs=1e-5)
+    with pytest.raises(ShapeError, match="different basis states"):
+        expectation(state, form)
+    with pytest.raises(ShapeError, match="different basis states"):
+        expectation(state.on_register(), form)
 
 
 def test_sample_basis_state_deterministic_outcome():

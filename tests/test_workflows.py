@@ -15,6 +15,7 @@ from vqechem import workflows
 from vqechem.units import HARTREE_TO_KCALMOL
 from vqechem.workflows import (
     PesPoint,
+    ScanManifest,
     ScanPoint,
     activation_energy,
     compare_curves,
@@ -339,6 +340,35 @@ def test_manifest_rejects_duplicate_labels():
     doc = h2_manifest_doc([0.74, 0.74])
     with pytest.raises(ManifestError):
         load_manifest(doc)
+
+
+def test_manifest_keys_left_out_keep_the_defaults():
+    assert load_manifest({}) == ScanManifest()
+    manifest = load_manifest({"reps": 2, "optimizer": {"max_iterations": 7}})
+    assert manifest == ScanManifest(reps=2, optimizer=OptimizerConfig(max_iterations=7))
+
+
+@pytest.mark.parametrize("settings, key", [
+    ({"seed": "7"}, "seed"),
+    ({"restarts": 1.5}, "restarts"),
+    ({"shots": 0}, "shots"),
+    ({"reps": True}, "reps"),
+    ({"optimizer": {"kind": "spsa"}}, "optimizer"),
+    ({"freeze": (0, 0)}, "freeze"),
+], ids=["string-seed", "fractional-restarts", "zero-shots", "boolean-reps",
+        "optimizer-not-a-config", "repeated-freeze"])
+def test_library_built_manifest_is_checked(settings, key):
+    with pytest.raises(ManifestError, match=key):
+        ScanManifest(**settings)
+
+
+def test_scan_records_an_unknown_geometry_key_as_a_failed_point():
+    doc = h2_manifest_doc([0.70, 0.74])
+    doc["points"][0]["geometry"]["charg"] = 1
+    points, errors = run_scan(load_manifest(doc))
+    assert [p.geometry_label for p in points] == ["0.740"]
+    assert errors == [("0.700", "ShapeError: malformed geometry: the geometry has unknown "
+                                "keys ['charg']")]
 
 
 def test_point_seed_stable_under_label():
