@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ShapeError
+from .exceptions import ShapeError, checked_int
 from .fermions import FermionOperator, jordan_wigner_expansions
 from .paulis import QubitHamiltonian
 from .simulator import Circuit, Gate
@@ -28,7 +28,7 @@ class ExcitationSet:
 
 
 def build_hardware_efficient(n_qubits: int, reps: int) -> Circuit:
-    """RotY layer, then ``reps`` blocks of [linear CZ chain, RotY layer].
+    """RotY layer, then ``reps`` (an integer >= 0) blocks of [linear CZ chain, RotY layer].
 
     Parameter count is (reps + 1) * n_qubits. CZ entanglers act on
     computational basis states by phase only, so the all-zero parameter
@@ -36,8 +36,7 @@ def build_hardware_efficient(n_qubits: int, reps: int) -> Circuit:
     """
     if n_qubits < 2:
         raise ShapeError("hardware-efficient ansatz needs at least 2 qubits")
-    if reps < 0:
-        raise ShapeError("reps must be nonnegative")
+    reps = checked_int(reps, "reps", 0)
     gates = []
     slot = 0
     for q in range(n_qubits):
@@ -53,12 +52,12 @@ def build_hardware_efficient(n_qubits: int, reps: int) -> Circuit:
 
 
 def enumerate_excitations(n_spin_orbitals: int, occupied) -> ExcitationSet:
-    """All spin-conserving excitations from occupied into virtual orbitals.
+    """All spin-conserving excitations from occupied (integer) into virtual orbitals.
 
     Ordering is lexicographic, so circuits built from the result are
     deterministic. Spin of orbital p is p % 2 (interleaved convention).
     """
-    occupied = sorted(set(occupied))
+    occupied = sorted({checked_int(p, "occupied orbital") for p in occupied})
     if not occupied:
         raise ShapeError("occupied set must be nonempty")
     for p in occupied:

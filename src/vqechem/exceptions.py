@@ -1,4 +1,8 @@
-"""Exception types raised across the package, and the check of a JSON object's keys."""
+"""Exception types raised across the package, and the checks of values read from outside."""
+
+import operator
+import sys
+from numbers import Real
 
 
 class VqeChemError(Exception):
@@ -84,3 +88,24 @@ def checked_object(doc, known, name: str, error=ManifestError) -> dict:
     if unknown:
         raise error(f"{name} has unknown keys {sorted(unknown, key=str)}")
     return doc
+
+
+def checked_int(value, name: str, least: int | None = None, error=ShapeError) -> int:
+    """``value`` as an int if ``operator.index`` takes it (numpy integers pass, a bool
+    does not) and it is at least ``least`` when given; else ``error``, naming ``name``."""
+    try:
+        value = operator.index(None if isinstance(value, bool) else value)  # None: refused
+    except TypeError:
+        raise error(f"{name} must be an integer, got {value!r}") from None
+    if least is not None and value < least:
+        raise error(f"{name} must be >= {least}, got {value}")
+    return value
+
+
+def checked_real(value, name: str, error=ShapeError) -> float:
+    """``value`` as a float if it is a finite real number (a ``numbers.Real``; a bool
+    or a string is not one); else ``error``, naming ``name``."""
+    finite = isinstance(value, Real) and abs(value) <= sys.float_info.max  # nan compares False
+    if isinstance(value, bool) or not finite:
+        raise error(f"{name} must be a finite number, got {value!r}")
+    return float(value)

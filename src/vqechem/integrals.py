@@ -20,7 +20,9 @@ from .exceptions import (
     ShapeError,
     SingularGeometryError,
     UnsupportedElementError,
+    checked_int,
     checked_object,
+    checked_real,
 )
 
 ELEMENT_Z = {
@@ -49,8 +51,7 @@ class Molecule:
     n_electrons: int
 
     def __post_init__(self):
-        if self.n_electrons < 0:
-            raise ShapeError("n_electrons must be nonnegative")
+        checked_int(self.n_electrons, "n_electrons", 0)
         for symbol, z, xyz in self.atoms:
             if z < 1:
                 raise ShapeError(f"nuclear charge {z} < 1 for {symbol}")
@@ -69,8 +70,8 @@ class Molecule:
 
         Schema: ``{"atoms": [{"symbol": str, "xyz_bohr": [x, y, z]}, ...],
         "charge": int}`` with positions in Bohr; a position of other than 3
-        numbers, a charge that is not an integer (a bool is neither), or an
-        unknown key raises.
+        finite numbers (a bool or a string is not one), a charge that is not an
+        integer (a bool is not one), or an unknown key raises ShapeError.
         """
         atoms = []
         try:
@@ -82,16 +83,15 @@ class Molecule:
                 if symbol not in ELEMENT_Z:
                     raise UnsupportedElementError(f"unknown element symbol {symbol!r}")
                 position = entry["xyz_bohr"]
-                xyz = np.asarray(position, dtype=float)
-                if xyz.shape != (3,) or any(isinstance(c, bool) for c in position):
+                try:  # TypeError: not a list; ValueError: not 3 entries
+                    x, y, z = (checked_real(c, "position entry") for c in position)
+                except (ShapeError, TypeError, ValueError):
                     raise ShapeError(f"malformed geometry: position of {symbol} must be "
-                                     f"3 numbers, got {position!r}")
-                atoms.append((symbol, ELEMENT_Z[symbol], xyz))
-            charge = doc.get("charge", 0)
+                                     f"3 numbers, got {position!r}") from None
+                atoms.append((symbol, ELEMENT_Z[symbol], np.array([x, y, z])))
+            charge = checked_int(doc.get("charge", 0), "malformed geometry: charge")
         except (KeyError, TypeError, ValueError) as exc:
             raise ShapeError(f"malformed geometry: {type(exc).__name__}: {exc}") from None
-        if isinstance(charge, bool) or not isinstance(charge, int):
-            raise ShapeError(f"malformed geometry: charge must be an integer, got {charge!r}")
         n_electrons = sum(z for _, z, _ in atoms) - charge
         return cls(tuple(atoms), n_electrons)
 

@@ -7,9 +7,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ShapeError
+from .exceptions import ShapeError, checked_int
 from .paulis import PauliString, QubitHamiltonian, letter_strings, sign_table
-from .simulator import (Statevector, check_allocation, checked_int, checked_seed, sample_counts,
+from .simulator import (Statevector, check_allocation, checked_seed, sample_counts,
                         seed_words, update_qubit)
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)

@@ -14,11 +14,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .exceptions import OptimizerDivergedError, ShapeError
+from .exceptions import OptimizerDivergedError, ShapeError, checked_int, checked_real
 from .measurement import estimate_energy_sampled, group_commuting, group_tables
 from .paulis import QubitHamiltonian, check_allocation
-from .simulator import (SEED_LIMIT, Circuit, Statevector, apply_circuit, checked_int, checked_seed,
-                        expectation, sector_states)
+from .simulator import (SEED_LIMIT, Circuit, Statevector, apply_circuit, checked_seed, expectation,
+                        sector_states)
 
 # SPSA gain schedule a_k = SPSA_A/(SPSA_BIG_A+k+1)^SPSA_ALPHA and
 # c_k = SPSA_C/(k+1)^SPSA_GAMMA: Spall's standard exponents and stability
@@ -37,8 +37,8 @@ class OptimizerConfig:
 
     ``spsa_window`` is the trailing number of SPSA iterations over which the
     best energy must improve by ``convergence_threshold``; ``simplex_xtol``
-    bounds the simplex diameter at convergence. The SPSA gains
-    (``SPSA_*``) and the initial simplex step (``SIMPLEX_STEP``) are fixed.
+    bounds the simplex diameter at convergence. A bad value raises ShapeError.
+    The SPSA gains (``SPSA_*``) and the initial simplex step (``SIMPLEX_STEP``) are fixed.
     """
 
     kind: str = "simplex"
@@ -53,9 +53,8 @@ class OptimizerConfig:
             raise ShapeError(f"unknown optimizer kind {self.kind!r}")
         checked_int(self.max_iterations, "max_iterations", 1)
         for name in ("convergence_threshold", "simplex_xtol"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ShapeError(f"{name} must be finite and positive, got {value!r}")
+            if checked_real(getattr(self, name), name) <= 0:
+                raise ShapeError(f"{name} must be positive, got {getattr(self, name)!r}")
         checked_seed(self.seed)
         checked_int(self.spsa_window, "spsa_window", 1)
 

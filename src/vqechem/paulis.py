@@ -13,15 +13,13 @@ Conventions, fixed repo-wide:
 
 from __future__ import annotations
 
-import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from numbers import Real
 
 import numpy as np
 
-from .exceptions import ShapeError
+from .exceptions import ShapeError, checked_int
 
 COEFF_PRUNE_THRESHOLD = 1e-12
 # 1 GiB: cap on one compiled form, or the tables and workspace of one
@@ -69,19 +67,6 @@ class PauliString:
         return self.to_letters()
 
 
-def checked_int(value, name: str, least: int) -> int:
-    """``value`` as an int if it is an integer (not a bool) >= ``least``, else a ShapeError."""
-    try:
-        if isinstance(value, bool):
-            raise TypeError
-        value = operator.index(value)
-    except TypeError:
-        raise ShapeError(f"{name} must be an integer, got {value!r}") from None
-    if value < least:
-        raise ShapeError(f"{name} must be >= {least}, got {value}")
-    return value
-
-
 def check_allocation(needed: int, what: str) -> None:
     """Refuse ``what`` when its ``needed`` bytes exceed ``MAX_ALLOCATION_BYTES``."""
     if needed > MAX_ALLOCATION_BYTES:
@@ -118,7 +103,7 @@ class QubitHamiltonian:
     """Weighted sum of Pauli strings with real coefficients, stored as arrays.
 
     String k is ``x[k]``, ``z[k]`` (int64 masks) with weight ``weights[k]``
-    (float64); the arrays are read-only. :meth:`from_arrays` stores the
+    (float64); the arrays are read-only. Both constructors store the
     strings in canonical order: by the base-4 number with one digit per
     qubit, I=0, X=1, Y=2, Z=3, qubit 0 most significant, so equal
     Hamiltonians always serialize identically. ``terms`` is a view of the
@@ -135,13 +120,13 @@ class QubitHamiltonian:
     n_electrons: int | None
 
     def __init__(self, n_qubits: int, terms=(), n_electrons: int | None = None):
-        """From (weight, :class:`PauliString`) pairs, stored in the given order."""
+        """From (weight, :class:`PauliString`) pairs, sorted into canonical order as
+        :meth:`from_arrays` sorts, so equal sums compare equal in any given order."""
         terms = tuple(terms)
         if any(p.n_qubits != n_qubits for _, p in terms):
             raise ShapeError("term qubit count differs from Hamiltonian")
         x, z = np.array([(p.x_mask, p.z_mask) for _, p in terms], dtype=np.int64).reshape(-1, 2).T
-        self._store(n_qubits, x, z, np.array([w for w, _ in terms], dtype=float), n_electrons,
-                    sort=False)
+        self._store(n_qubits, x, z, np.array([w for w, _ in terms], dtype=float), n_electrons)
 
     @classmethod
     def from_arrays(cls, n_qubits: int, x, z, weights,
@@ -155,32 +140,31 @@ class QubitHamiltonian:
                              "are not one length")
         kept = ~(np.abs(weights) < COEFF_PRUNE_THRESHOLD)
         hamiltonian = cls.__new__(cls)
-        hamiltonian._store(n_qubits, x[kept], z[kept], weights[kept], n_electrons, sort=True)
+        hamiltonian._store(n_qubits, x[kept], z[kept], weights[kept], n_electrons)
         return hamiltonian
 
-    def _store(self, n_qubits: int, x, z, weights, n_electrons, sort: bool) -> None:
-        """Validate the strings and the count and keep them, the strings sorted into
-        canonical order if ``sort``."""
+    def _store(self, n_qubits: int, x, z, weights, n_electrons) -> None:
+        """Sort the strings into canonical order, validate them and the count, and keep
+        them."""
         if not 0 <= n_qubits <= 62:
             raise ShapeError(f"{n_qubits} qubits: masks of 0..62 qubits fit int64")
         if n_electrons is not None:
-            if isinstance(n_electrons, Real) and not 0 <= n_electrons <= n_qubits:
+            n_electrons = checked_int(n_electrons, "n_electrons")
+            if not 0 <= n_electrons <= n_qubits:
                 raise ShapeError(f"{n_electrons} electrons do not fit in {n_qubits} spin orbitals")
-            n_electrons = checked_int(n_electrons, "n_electrons", 0)
         order = _canonical_order(n_qubits, x, z)
-        if sort:
-            x, z, weights, order = x[order], z[order], weights[order], slice(None)
+        x, z, weights = x[order], z[order], weights[order]
         outside = np.flatnonzero((x | z) >> n_qubits)
         if outside.size:
             k = outside[0]
             raise ShapeError(f"masks do not fit in {n_qubits} qubits: "
                              f"x={int(x[k]):#x} z={int(z[k]):#x}")
-        sx, sz = x[order], z[order]  # equal strings are adjacent in canonical order
-        repeated = np.flatnonzero((sx[1:] == sx[:-1]) & (sz[1:] == sz[:-1]))
+        # equal strings are adjacent in canonical order
+        repeated = np.flatnonzero((x[1:] == x[:-1]) & (z[1:] == z[:-1]))
         if repeated.size:
             k = repeated[0]
             raise ShapeError("duplicate Pauli string "
-                             f"{PauliString(n_qubits, int(sx[k]), int(sz[k]))}")
+                             f"{PauliString(n_qubits, int(x[k]), int(z[k]))}")
         size = np.abs(weights)
         bad = np.flatnonzero(~((COEFF_PRUNE_THRESHOLD <= size) & (size < np.inf)))
         if bad.size:

@@ -18,9 +18,9 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .exceptions import ShapeError
+from .exceptions import ShapeError, checked_int
 from .paulis import (COEFF_PRUNE_THRESHOLD, CompiledOperator, QubitHamiltonian, check_allocation,
-                     checked_int, real_if_exact)
+                     real_if_exact)
 
 MAX_QUBITS = 24  # 2**24 complex amplitudes = 256 MiB; hard memory guard
 # seeds are hashed as uint64; a caller's seed stays below 2**63 so that the
@@ -177,7 +177,7 @@ class Circuit:
 
 def prepare_hf(n_qubits: int, occupied) -> Statevector:
     """Register basis state with 1s at the occupied qubits, its size checked first."""
-    occupied = set(occupied)
+    occupied = {checked_int(q, "occupied index") for q in occupied}
     for q in occupied:
         if not 0 <= q < n_qubits:
             raise ShapeError(f"occupied index {q} outside register of {n_qubits}")

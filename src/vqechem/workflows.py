@@ -27,7 +27,9 @@ from .exceptions import (
     ManifestError,
     ShapeError,
     VqeChemError,
+    checked_int,
     checked_object,
+    checked_real,
 )
 from .fcidump import parse_fcidump
 from .fermions import build_second_quantized, jordan_wigner
@@ -90,11 +92,9 @@ class ScanManifest:
         if self.mode not in ("exact", "sampled"):
             raise ManifestError(f"unknown mode {self.mode!r}")
         for name, least in (("reps", 0), ("shots", 1), ("seed", None), ("restarts", 1)):
-            value = _integer(getattr(self, name), name)
-            if least is not None and value < least:
-                raise ManifestError(f"{name} must be >= {least}, got {value}")
+            checked_int(getattr(self, name), name, least, ManifestError)
         for i in self.freeze:
-            _integer(i, "freeze entry")
+            checked_int(i, "freeze entry", error=ManifestError)
         if len(set(self.freeze)) != len(self.freeze):
             raise ManifestError(f"freeze has a repeated orbital index: {list(self.freeze)}")
 
@@ -129,8 +129,8 @@ def load_manifest(doc: dict, base_dir: str = ".") -> ScanManifest:
     Only the keys given go to :class:`ScanManifest`, which holds the defaults and
     checks the values. ``optimizer`` holds :class:`OptimizerConfig` fields, and each
     of ``points`` a ``label``, a ``coordinate`` and one of ``geometry`` or
-    ``fcidump`` (a path relative to ``base_dir``). Any other key is refused here; a
-    geometry is read, and refused, when its point runs.
+    ``fcidump`` (a path relative to ``base_dir``). Any other key or a bad value, the
+    optimizer's too, raises ManifestError; a geometry is read when its point runs.
     """
     settings = dict(checked_object(doc, [f.name for f in fields(ScanManifest)], "manifest"))
     for key in ("points", "freeze"):
@@ -148,8 +148,8 @@ def load_manifest(doc: dict, base_dir: str = ".") -> ScanManifest:
                                  "optimizer")
         try:
             settings["optimizer"] = OptimizerConfig(**options)
-        except TypeError as exc:  # a value of the wrong type, e.g. a string where a number goes
-            raise ManifestError(f"bad optimizer value in {options}: {exc}") from None
+        except ShapeError as exc:
+            raise ManifestError(f"bad optimizer value: {exc}") from None
     return ScanManifest(**settings)
 
 
@@ -158,23 +158,14 @@ def _scan_point(n: int, entry, base_dir: str) -> ScanPoint:
     entry = checked_object(entry, ("label", "coordinate", "geometry", "fcidump"), f"point {n}")
     if "label" not in entry:
         raise ManifestError(f"point {n} has no label")
-    coordinate = entry.get("coordinate", 0.0)
-    if isinstance(coordinate, bool) or not isinstance(coordinate, (int, float)):
-        raise ManifestError(f"point {n} coordinate must be a number, got {coordinate!r}")
     fcidump_path = entry.get("fcidump")
     return ScanPoint(
         label=str(entry["label"]),
-        coordinate=float(coordinate),
+        coordinate=checked_real(entry.get("coordinate", 0.0), f"point {n} coordinate",
+                                ManifestError),
         geometry=entry.get("geometry"),
         fcidump_path=None if fcidump_path is None else os.path.join(base_dir, fcidump_path),
     )
-
-
-def _integer(value, name: str) -> int:
-    """``value`` if it is an integer (not a bool), else a ManifestError."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ManifestError(f"{name} must be an integer, got {value!r}")
-    return value
 
 
 def point_seed(base_seed: int, label: str) -> int:

@@ -78,15 +78,13 @@ def hamiltonian_from_term_dict(n_qubits: int, coeffs: dict, n_electrons=None):
     carrying ``n_electrons``.
 
     Weights below the prune threshold are dropped (a non-finite one is kept,
-    so the constructor refuses it) and the rest sorted by letter string,
-    I < X < Y < Z as their character codes are: the canonical order.
+    so the constructor refuses it); the constructor sorts the rest.
     """
     from vqechem.paulis import COEFF_PRUNE_THRESHOLD, PauliString, QubitHamiltonian
 
     kept = [(float(w), PauliString(n_qubits, x, z)) for (x, z), w in coeffs.items()
             if not abs(w) < COEFF_PRUNE_THRESHOLD]
-    return QubitHamiltonian(n_qubits, sorted(kept, key=lambda term: term[1].to_letters()),
-                            n_electrons)
+    return QubitHamiltonian(n_qubits, kept, n_electrons)
 
 
 def hamiltonian_matrix(hamiltonian) -> np.ndarray:

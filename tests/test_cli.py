@@ -131,11 +131,13 @@ def test_non_finite_constant_energy_exits_2_with_one_line(tmp_path, capsys, h2_i
     ({"charge": True}, "charge"),
     ({"atoms": [{"symbol": "H", "xyz_bohr": [0, 0, True]}, H2_GEOMETRY["atoms"][1]]},
      "3 numbers"),
+    ({"atoms": [H2_GEOMETRY["atoms"][0], {"symbol": "H", "xyz_bohr": [0, 0, "1.4"]}]},
+     "3 numbers"),
     ({"charg": 1}, "the geometry has unknown keys ['charg']"),
     ({"atoms": [H2_GEOMETRY["atoms"][0], {"symbol": "H", "xyz": [0.0, 0.0, 1.4]}]},
      "atom 1 has unknown keys ['xyz']"),
 ], ids=["two-coordinates", "fractional-charge", "boolean-charge", "boolean-coordinate",
-        "unknown-geometry-key", "unknown-atom-key"])
+        "string-coordinate", "unknown-geometry-key", "unknown-atom-key"])
 def test_malformed_geometry_exits_2_with_one_line(tmp_path, capsys, change, key):
     geometry = write_json(tmp_path / "geometry.json", {**H2_GEOMETRY, **change})
     assert main(["fci", "--geometry", geometry]) == 2
@@ -413,6 +415,10 @@ def test_one_point_manifest_then_fit_errors(tmp_path, capsys):
          "convergence_threshold"),
         (lambda doc: doc["optimizer"].update(simplex_xtol=float("inf")), "simplex_xtol"),
         (lambda doc: doc["points"][0].update(coordinate=True), "coordinate"),
+        (lambda doc: doc["optimizer"].update(convergence_threshold=True),
+         "convergence_threshold"),
+        (lambda doc: doc["optimizer"].update(simplex_xtol=True), "simplex_xtol"),
+        (lambda doc: doc["points"][0].update(coordinate=float("nan")), "coordinate"),
         (lambda doc: doc.update(restart=1), "manifest has unknown keys ['restart']"),
         (lambda doc: doc["points"][0].update(fcidmp="h2.fcidump"),
          "point 0 has unknown keys ['fcidmp']"),
@@ -425,8 +431,8 @@ def test_one_point_manifest_then_fit_errors(tmp_path, capsys):
          "fractional-restarts", "boolean-seed", "fractional-max-iterations",
          "fractional-spsa-window", "zero-spsa-window", "boolean-freeze",
          "dropped-spsa-gain", "duplicate-freeze", "boolean-max-iterations",
-         "nan-threshold", "infinite-xtol", "boolean-coordinate", "unknown-manifest-key",
-         "unknown-point-key"],
+         "nan-threshold", "infinite-xtol", "boolean-coordinate", "boolean-threshold",
+         "boolean-xtol", "nan-coordinate", "unknown-manifest-key", "unknown-point-key"],
 )
 def test_malformed_manifest_rejected_up_front(tmp_path, capsys, corrupt, key):
     manifest = small_manifest(tmp_path)

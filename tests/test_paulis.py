@@ -144,6 +144,17 @@ def test_terms_sorted_by_letter_string(case):
         keys, key=lambda key: PauliString(n, *key).to_letters())
 
 
+def test_pair_order_does_not_change_the_hamiltonian():
+    # the pairs were stored in the order given, so these three compared unequal
+    zi, xx, iz = (0.5, P("ZI")), (0.25, P("XX")), (-0.75, P("IZ"))
+    first, second = QubitHamiltonian(2, (zi, xx, iz)), QubitHamiltonian(2, (iz, zi, xx))
+    arrays = QubitHamiltonian.from_arrays(2, [p.x_mask for _, p in (iz, xx, zi)],
+                                          [p.z_mask for _, p in (iz, xx, zi)], [-0.75, 0.25, 0.5])
+    assert first == second == arrays
+    assert [str(p) for _, p in first.terms] == ["IZ", "XX", "ZI"]
+    assert group_commuting(first) == group_commuting(second) == group_commuting(arrays)
+
+
 @st.composite
 def pauli_sums(draw):
     """(n, {(x_mask, z_mask): weight}) on 1-24 qubits; some weights fall below the

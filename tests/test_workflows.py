@@ -362,6 +362,14 @@ def test_library_built_manifest_is_checked(settings, key):
         ScanManifest(**settings)
 
 
+@pytest.mark.parametrize("options", [{"max_iterations": "many"}, {"convergence_threshold": "x"}],
+                         ids=["string-max-iterations", "string-threshold"])
+def test_a_bad_optimizer_value_raises_manifest_error(options):
+    # the first raised ShapeError and the second ManifestError
+    with pytest.raises(ManifestError, match="bad optimizer value: " + next(iter(options))):
+        load_manifest({"optimizer": options})
+
+
 def test_scan_records_an_unknown_geometry_key_as_a_failed_point():
     doc = h2_manifest_doc([0.70, 0.74])
     doc["points"][0]["geometry"]["charg"] = 1
