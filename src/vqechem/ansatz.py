@@ -8,6 +8,7 @@ orbital index doubles as a qubit index after Jordan-Wigner mapping.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -114,7 +115,14 @@ def build_uccsd(n_spin_orbitals: int, occupied) -> Circuit:
     One first-order step in enumeration order; one gate and one amplitude
     per excitation. The circuit conserves particle number exactly because
     each gate is the exact exponential of its number-conserving generator.
+    The same arguments return the last build, so a scan shares one circuit.
     """
+    return _build_uccsd(checked_int(n_spin_orbitals, "n_spin_orbitals"),
+                        tuple(sorted({checked_int(p, "occupied orbital") for p in occupied})))
+
+
+@lru_cache(maxsize=1)
+def _build_uccsd(n_spin_orbitals: int, occupied: tuple) -> Circuit:
     excitations = enumerate_excitations(n_spin_orbitals, occupied)
     moves = [((i,), (a,)) for i, a in excitations.singles]
     moves += [((i, j), (a, b)) for i, j, a, b in excitations.doubles]

@@ -244,15 +244,16 @@ def _start(hamiltonian: QubitHamiltonian, circuit: Circuit) -> tuple[Circuit, St
     n = hamiltonian.n_qubits
     if circuit.n_qubits != n:
         raise ShapeError("circuit and Hamiltonian qubit counts differ")
-    hf_index = hamiltonian.hf_index()
+    hf = hamiltonian.hf_index()
     if circuit.gates and all(g.kind != "pauli_rot" for g in circuit.gates):
-        return circuit, Statevector(n, np.ones(1), np.array([hf_index])).on_register()
-    states = sector_states(n, hf_index)
-    sector = circuit.restrict(states)
+        return circuit, Statevector(n, np.ones(1), np.array([hf])).on_register()
+    if circuit.last_sector[0] != hf:  # kept for the next call; the dataclass is frozen
+        object.__setattr__(circuit, "last_sector", (hf, circuit.restrict(sector_states(n, hf))))
+    sector = circuit.last_sector[1]
     if sector is None:
         raise ShapeError("circuit mixes pauli_rot with ry or cz gates, or its rotations "
                          "leave the Hartree-Fock (N_alpha, N_beta) sector")
-    return sector, Statevector(n, (states == hf_index).astype(float), states)
+    return sector, Statevector(n, (sector.states == hf).astype(float), sector.states)
 
 
 def exact_energy_objective(hamiltonian: QubitHamiltonian, circuit: Circuit):

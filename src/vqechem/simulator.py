@@ -6,13 +6,12 @@ rotations on the basis states a circuit is restricted to (one (N_alpha,
 N_beta) sector, or all); they use the analytic cos/sin update rather than matrix
 exponentials, so a single rotation carries no approximation error. A small
 real sector circuit runs its rotations on Python floats, where numpy's cost
-per call would outweigh the arithmetic, with the operations of the array
-update in its order, so both give the same bits.
+per call would outweigh the arithmetic, turning each pair of rows (c, c ^ x)
+by its own 2x2 rotation with the array update's operations: the same bits.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 
@@ -29,10 +28,10 @@ SEED_LIMIT = 1 << 63
 
 GATE_KINDS = ("ry", "cz", "pauli_rot")
 # a real sector circuit whose rotations move at most this many rows each, on
-# average, runs on Python floats (Circuit.kernel). One rotation, min of 5 timings,
-# arrays against floats: 6.4 / 2.7 us at 4 rows (H3), 5.7 / 4.0 at 13 (8 qubits),
-# 5.3 / 6.4 at 28 (10 qubits), 5.0 / 9.7 at 47 (12 qubits); they cross near 20
-SCALAR_MAX_ROWS = 20
+# average, runs on Python floats (Circuit.kernel). One UCCSD rotation's loop, min of 7,
+# arrays against row pairs: 2.55 / 0.33 us at 4 rows (H3), 2.53 / 0.80 at 13 (8 qubits),
+# 2.51 / 1.58 at 28 (10), 2.52 / 2.46 at 47 (12), 2.85 / 3.62 at 69; they cross near 48
+SCALAR_MAX_ROWS = 48
 _ONE = np.ones(1)  # the factor of a bound angle, after the parameters
 
 
@@ -99,11 +98,13 @@ class Circuit:
     gates: tuple
     n_parameters: int = 0
     # set by restrict alone: the basis states a sector circuit runs on, its rotation
-    # tables there and, for a small real one, their (row, partner, phase) triples as
-    # Python numbers; None for a register circuit of ry and cz gates
+    # tables there and, for a small real one, their row pairs as Python numbers; None
+    # for a register circuit of ry and cz gates
     states: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     tables: tuple | None = field(default=None, init=False, repr=False, compare=False)
     kernel: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    # set by optimize._start: (Hartree-Fock index, this circuit restricted to its sector)
+    last_sector: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         used = set()
@@ -141,8 +142,9 @@ class Circuit:
         and H^3 = H makes exp(-i a/2 H) set psi[rows] to cos(a/2) psi[rows] + sin(a/2) *
         phase * psi[partner] on the targets of its entries of size 1 (a full slice when
         all states are), with partner their sources and phase = -i times their values,
-        real where it can be. Real tables of at most ``SCALAR_MAX_ROWS`` rows per
-        rotation, on average, also give the circuit its ``kernel``."""
+        real where it can be. Real tables of at most ``SCALAR_MAX_ROWS`` rows per rotation,
+        on average, also give the circuit its ``kernel``: per rotation, (r, p, phase[r],
+        phase[p]) for each rows r < p that are each other's partner (H is Hermitian)."""
         if any(g.kind != "pauli_rot" for g in self.gates):
             return None
         # 32 B of rows, partner and phase per state and rotation; each compile()
@@ -163,15 +165,17 @@ class Circuit:
                 rows = slice(None)
             tables.append((rows, compiled.sources[moved],
                            real_if_exact(-1j * compiled.values[moved])))
-        sector = copy.copy(self)
+        sector = Circuit(self.n_qubits, self.gates, self.n_parameters)  # nothing of self's sector
         object.__setattr__(sector, "tables", tuple(tables))  # the dataclass is frozen
         object.__setattr__(sector, "states", states)
         if (all(phase.dtype == np.float64 for _, _, phase in tables)
                 and sum(len(partner) for _, partner, _ in tables) <= SCALAR_MAX_ROWS * len(tables)):
             index = np.arange(len(states))
-            kernel = tuple(tuple(zip(index[rows].tolist(), partner.tolist(), phase.tolist()))
-                           for rows, partner, phase in tables)
-            object.__setattr__(sector, "kernel", kernel)
+            entries = [dict(zip(zip(index[rows].tolist(), partner.tolist()), phase.tolist()))
+                       for rows, partner, phase in tables]
+            if all(r != p and (p, r) in e for e in entries for r, p in e):  # else the array loop
+                object.__setattr__(sector, "kernel", tuple(
+                    tuple((r, p, f, e[p, r]) for (r, p), f in e.items() if r < p) for e in entries))
         return sector
 
 
@@ -234,10 +238,10 @@ def apply_circuit(state: Statevector, circuit: Circuit, parameters=()) -> Statev
     sector state's states on it. Real stays real.
 
     A real state runs a sector circuit's ``kernel``, if it has one, on a list of Python
-    floats: each rotation computes c * a[row] + s * (phase * a[partner]) for all its
-    rows, then stores them, the operations of the array update in its order, so the
-    amplitudes are bit-identical to it. Below about 20 rows a rotation's seven array
-    calls cost more than its scalar arithmetic."""
+    floats: each rotation sets a[r] = c * x + s * (phase_r * y) and a[p] = c * y + s *
+    (phase_p * x) for each of its row pairs, from the old x = a[r] and y = a[p]: the
+    array update's operations, so the amplitudes are bit-identical to it. Below about 48
+    rows a rotation's seven array calls cost more than its scalar arithmetic."""
     if circuit.n_qubits != state.n_qubits:
         raise ShapeError("circuit and state qubit counts differ")
     _check_same_states(circuit.states, state.states, "circuit and state")
@@ -270,10 +274,11 @@ def apply_circuit(state: Statevector, circuit: Circuit, parameters=()) -> Statev
         return Statevector(state.n_qubits, amplitudes)
     if circuit.kernel is not None and state.amplitudes.dtype == np.float64:
         a = state.amplitudes.tolist()
-        for triples, c, s in zip(circuit.kernel, cos, sin):
-            for row, value in [(row, c * a[row] + s * (phase * a[partner]))
-                               for row, partner, phase in triples]:
-                a[row] = value
+        for pairs, c, s in zip(circuit.kernel, cos, sin):
+            for r, p, phase_r, phase_p in pairs:
+                x, y = a[r], a[p]
+                a[r] = c * x + s * (phase_r * y)
+                a[p] = c * y + s * (phase_p * x)
         return Statevector(state.n_qubits, np.array(a), state.states)
     phases = [phase for _, _, phase in circuit.tables]
     amplitudes = state.amplitudes.astype(np.result_type(state.amplitudes, *phases), copy=True)

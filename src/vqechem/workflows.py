@@ -60,6 +60,11 @@ class ScanPoint:
             raise ManifestError(
                 f"point {self.label!r} needs exactly one of geometry or fcidump"
             )
+        if not isinstance(self.fcidump_path, (str, type(None))):
+            raise ManifestError(f"point {self.label!r} fcidump must be a path string, "
+                                f"got {self.fcidump_path!r}")
+        object.__setattr__(self, "coordinate", checked_real(  # the dataclass is frozen
+            self.coordinate, f"point {self.label!r} coordinate", ManifestError))
 
 
 @dataclass(frozen=True)
@@ -158,14 +163,9 @@ def _scan_point(n: int, entry, base_dir: str) -> ScanPoint:
     entry = checked_object(entry, ("label", "coordinate", "geometry", "fcidump"), f"point {n}")
     if "label" not in entry:
         raise ManifestError(f"point {n} has no label")
-    fcidump_path = entry.get("fcidump")
-    return ScanPoint(
-        label=str(entry["label"]),
-        coordinate=checked_real(entry.get("coordinate", 0.0), f"point {n} coordinate",
-                                ManifestError),
-        geometry=entry.get("geometry"),
-        fcidump_path=None if fcidump_path is None else os.path.join(base_dir, fcidump_path),
-    )
+    path = entry.get("fcidump")  # ScanPoint refuses one that is not a string
+    return ScanPoint(str(entry["label"]), entry.get("coordinate", 0.0), entry.get("geometry"),
+                     os.path.join(base_dir, path) if isinstance(path, str) else path)
 
 
 def point_seed(base_seed: int, label: str) -> int:

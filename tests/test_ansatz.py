@@ -13,6 +13,7 @@ from oracles import (
     pauli_matrix,
     pauli_multiply,
 )
+from vqechem import ansatz
 from vqechem.ansatz import (
     _excitation_gates,
     _excitation_generators,
@@ -51,6 +52,19 @@ def test_hardware_efficient_zero_parameters_fix_reference():
     hf = prepare_hf(4, {0, 1})
     out = apply_circuit(hf, circuit, np.zeros(circuit.n_parameters))
     assert abs(abs(np.vdot(hf.amplitudes, out.amplitudes)) - 1.0) < 1e-12
+
+
+def test_uccsd_keeps_its_last_build_for_the_same_arguments_alone():
+    # equal arguments, in any order or integer type, return the last build; other
+    # arguments make a circuit equal, gate for gate, to an uncached build
+    h3 = build_uccsd(6, range(3))
+    assert build_uccsd(6, [2, 0, 1, 1]) is h3 and build_uccsd(6, {np.int64(0), 1, 2}) is h3
+    h2 = build_uccsd(4, {0, 1})
+    fresh = ansatz._build_uccsd.__wrapped__(4, (0, 1))
+    assert h2 is not fresh and h2.n_parameters == fresh.n_parameters == 3
+    assert len(h2.gates) == len(fresh.gates) and all(
+        a == b for a, b in zip(h2.gates, fresh.gates, strict=True))
+    assert build_uccsd(6, range(3)) is not h3 and build_uccsd(6, range(3)) == h3
 
 
 def test_enumerate_smallest_case():

@@ -8,7 +8,7 @@ from vqechem.exceptions import ManifestError, ShapeError, checked_int, checked_r
 from vqechem.integrals import Molecule
 from vqechem.optimize import OptimizerConfig
 from vqechem.simulator import prepare_hf
-from vqechem.workflows import ScanManifest, load_manifest
+from vqechem.workflows import ScanManifest, ScanPoint, load_manifest
 
 
 def h2_geometry(charge=0, z=1.4) -> dict:
@@ -31,6 +31,7 @@ INTEGER_SITES = {
     "molecule-electrons": (lambda v: Molecule((), v), ShapeError),
     "hardware-reps": (lambda v: build_hardware_efficient(4, v), ShapeError),
     "uccsd-occupied": (lambda v: build_uccsd(4, [0, v]), ShapeError),
+    "uccsd-size": (lambda v: build_uccsd(v, [0]), ShapeError),
     "hf-occupied": (lambda v: prepare_hf(4, [0, v]), ShapeError),
 }
 # every real number read from outside
@@ -44,6 +45,7 @@ REAL_SITES = {
     "optimizer-threshold": (lambda v: OptimizerConfig(convergence_threshold=v), ShapeError),
     "optimizer-xtol": (lambda v: OptimizerConfig(simplex_xtol=v), ShapeError),
     "geometry-position": (lambda v: Molecule.from_geometry_dict(h2_geometry(z=v)), ShapeError),
+    "scan-point-coordinate": (lambda v: ScanPoint("a", v, geometry={}), ManifestError),
 }
 VALUES = {"true": True, "fraction": 1.5, "string": "2", "int64": np.int64(2)}
 CASES = ([(site, name, name == "int64") for site in INTEGER_SITES for name in VALUES]

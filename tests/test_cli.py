@@ -422,6 +422,7 @@ def test_one_point_manifest_then_fit_errors(tmp_path, capsys):
         (lambda doc: doc.update(restart=1), "manifest has unknown keys ['restart']"),
         (lambda doc: doc["points"][0].update(fcidmp="h2.fcidump"),
          "point 0 has unknown keys ['fcidmp']"),
+        (lambda doc: doc.update(points=[{"label": "a", "fcidump": 5}]), "fcidump"),
     ],
     ids=["unknown-optimizer-key", "point-without-label", "zero-restarts", "zero-shots",
          "negative-reps", "non-integer-freeze", "non-numeric-coordinate",
@@ -432,7 +433,8 @@ def test_one_point_manifest_then_fit_errors(tmp_path, capsys):
          "fractional-spsa-window", "zero-spsa-window", "boolean-freeze",
          "dropped-spsa-gain", "duplicate-freeze", "boolean-max-iterations",
          "nan-threshold", "infinite-xtol", "boolean-coordinate", "boolean-threshold",
-         "boolean-xtol", "nan-coordinate", "unknown-manifest-key", "unknown-point-key"],
+         "boolean-xtol", "nan-coordinate", "unknown-manifest-key", "unknown-point-key",
+         "non-string-fcidump"],
 )
 def test_malformed_manifest_rejected_up_front(tmp_path, capsys, corrupt, key):
     manifest = small_manifest(tmp_path)

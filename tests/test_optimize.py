@@ -30,7 +30,7 @@ from vqechem.fcidump import parse_fcidump
 from vqechem.fermions import build_second_quantized, jordan_wigner
 from vqechem.integrals import ActiveSpaceSpec, freeze_core
 from vqechem.paulis import PauliString, QubitHamiltonian
-from vqechem.simulator import Circuit, Gate, Statevector, prepare_hf
+from vqechem.simulator import Circuit, Gate, Statevector, prepare_hf, sector_states
 from vqechem.workflows import h3_exchange_point, hydrogen_geometry, integrals_from_geometry
 
 
@@ -447,6 +447,34 @@ def test_zero_gate_objective_is_the_hf_energy_on_the_sector(molecules, monkeypat
     energy = optimize.exact_energy_objective(hamiltonian, circuit)(np.zeros(0))
     assert energy == full_register_objective(hamiltonian, circuit, occupied)(np.zeros(0))
     assert seen[0].shape == (9,) and seen[0].dtype == np.float64
+
+
+def test_a_circuit_keeps_one_restriction_and_restricts_again_for_another_count(
+        molecules, monkeypatch):
+    # the circuit keeps its last sector: the same electron count reuses it, another
+    # count restricts it again, and every energy is that of a fresh circuit
+    neutral, occupied = molecules["H3"]
+    cation = QubitHamiltonian.from_arrays(6, neutral.x, neutral.z, neutral.weights,
+                                          n_electrons=2)
+    uccsd = build_uccsd(6, occupied)
+    theta = np.random.default_rng(2).normal(0.0, 0.5, uccsd.n_parameters)
+    fresh = {h.n_electrons: optimize.exact_energy_objective(
+        h, Circuit(6, uccsd.gates, uccsd.n_parameters))(theta) for h in (neutral, cation)}
+    circuit = Circuit(6, uccsd.gates, uccsd.n_parameters)
+    restricted = []
+    restrict = Circuit.restrict
+
+    def counted(self, states):
+        restricted.append(states)
+        return restrict(self, states)
+
+    monkeypatch.setattr(Circuit, "restrict", counted)
+    for hamiltonian in (neutral, neutral, cation, neutral):
+        energy = optimize.exact_energy_objective(hamiltonian, circuit)(theta)
+        assert energy == fresh[hamiltonian.n_electrons]
+    assert [s.tolist() for s in restricted] == [
+        sector_states(6, index).tolist() for index in (0b111, 0b11, 0b111)]
+    assert circuit.last_sector[0] == 0b111 and circuit.last_sector[1].states is restricted[-1]
 
 
 @pytest.mark.parametrize("reps", [0, 1, 2])

@@ -566,6 +566,69 @@ def test_scalar_kernel_is_bit_identical_to_the_array_loop(n, data):
     assert np.array_equal(scalar, array)
 
 
+@pytest.mark.parametrize("n, n_electrons, scalar", [(10, 6, True), (12, 8, True), (12, 7, False)])
+def test_kernel_cutoff_counts_the_mean_rows_of_a_rotation(n, n_electrons, scalar):
+    # UCCSD on the HF sector moves 27.6, 47.0 and 68.6 rows per rotation on average:
+    # the last is above SCALAR_MAX_ROWS; a cutoff one below the mean's ceiling keeps
+    # the array loop, and both loops give the same bits
+    circuit = build_uccsd(n, range(n_electrons))
+    states = sector_states(n, (1 << n_electrons) - 1)
+    sector = circuit.restrict(states)
+    rows = sum(len(partner) for _, partner, _ in sector.tables)
+    assert (sector.kernel is not None) == scalar == (
+        rows <= simulator.SCALAR_MAX_ROWS * len(circuit.gates))
+    ceiling = -(-rows // len(circuit.gates))
+    for cutoff in (ceiling - 1, ceiling):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(simulator, "SCALAR_MAX_ROWS", cutoff)
+            assert (circuit.restrict(states).kernel is None) == (cutoff < ceiling)
+    rng = np.random.default_rng(n_electrons)
+    amplitudes = rng.standard_normal(len(states))
+    state = Statevector(n, amplitudes / np.linalg.norm(amplitudes), states)
+    array, scalar = run_both_kernels(circuit, state, rng.uniform(-3.0, 3.0, circuit.n_parameters))
+    assert np.array_equal(scalar, array)
+
+
+def test_kernel_turns_each_row_pair_once():
+    # every moved row is in exactly one pair, with its partner and both phases
+    circuit = build_uccsd(6, range(3))
+    sector = circuit.restrict(sector_states(6, 0b111))
+    for (rows, partner, phase), pairs in zip(sector.tables, sector.kernel):
+        rows = np.arange(len(sector.states))[rows]
+        entries = dict(zip(zip(rows.tolist(), partner.tolist()), phase.tolist()))
+        assert sorted(q for r, p, _, _ in pairs for q in (r, p)) == sorted(rows.tolist())
+        assert all(r < p and (f, g) == (entries[r, p], entries[p, r]) for r, p, f, g in pairs)
+
+
+def test_rows_that_do_not_pair_get_no_kernel(monkeypatch):
+    # a Hermitian generator's rows always pair; a form that lost its first entry
+    # leaves that row's partner unpaired, so the circuit keeps the array loop
+    circuit = build_uccsd(4, {0, 1})
+    states = sector_states(4, 0b0011)
+    assert circuit.restrict(states).kernel is not None
+    compile_form = QubitHamiltonian.compile
+
+    def lossy(self, states=None):
+        form = compile_form(self, states)
+        return replace(form, targets=form.targets[1:], sources=form.sources[1:],
+                       values=form.values[1:])
+
+    monkeypatch.setattr(QubitHamiltonian, "compile", lossy)
+    sector = circuit.restrict(states)
+    assert sector is not None and sector.kernel is None
+
+
+def test_a_restricted_circuit_restricts_afresh(monkeypatch):
+    # restricting a sector circuit again keeps nothing of its first sector: with
+    # the array loop forced, no kernel of the 9-state sector is left on the register
+    sector = build_uccsd(6, range(3)).restrict(sector_states(6, 0b111))
+    assert sector.kernel is not None
+    monkeypatch.setattr(simulator, "SCALAR_MAX_ROWS", -1)
+    register = sector.restrict(np.arange(64))
+    assert register.kernel is None and register.last_sector == (None, None)
+    assert len(register.states) == 64 and register.gates == sector.gates
+
+
 def test_scalar_kernel_runs_rotations_of_no_row_and_of_every_row():
     # on 4 qubits with one alpha electron and no beta one, alpha 0 -> 2 moves
     # both states and beta 1 -> 3 moves none

@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from vqechem.exceptions import (
     ShapeError,
 )
 from vqechem.optimize import OptimizerConfig
-from vqechem import workflows
+from vqechem import ansatz, workflows
+from vqechem.simulator import Circuit
 from vqechem.units import HARTREE_TO_KCALMOL
 from vqechem.workflows import (
     PesPoint,
@@ -273,6 +275,35 @@ def test_exact_scan_csv_pinned():
     assert digest == "dcc051126c37d1ed5ab1124dae8f99c8104720285dfac83ad4acfee702f7aeb1"
 
 
+def test_a_scan_builds_its_uccsd_circuit_and_sector_tables_once(monkeypatch):
+    # three H3 points share one circuit and its one restriction to their sector;
+    # their CSV is that of each point run alone on a circuit of its own
+    doc = {
+        "label": "h3", "ansatz": "uccsd", "mode": "exact",
+        "optimizer": {"kind": "simplex", "max_iterations": 200}, "seed": 5, "restarts": 1,
+        "points": [h3_exchange_point(f"{s:+.2f}", s) for s in (-1.0, 0.0, 1.0)],
+    }
+    manifest = load_manifest(doc)
+    solo = []
+    for point in manifest.points:
+        ansatz._build_uccsd.cache_clear()
+        solo += run_scan(replace(manifest, points=(point,)))[0]
+    counts = {"builds": 0, "restricts": 0}
+
+    def counted(name, function):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return function(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(ansatz, "_excitation_gates", counted("builds", ansatz._excitation_gates))
+    monkeypatch.setattr(Circuit, "restrict", counted("restricts", Circuit.restrict))
+    ansatz._build_uccsd.cache_clear()
+    points, errors = run_scan(manifest)
+    assert errors == [] and counts == {"builds": 1, "restricts": 1}
+    assert scan_csv(points) == scan_csv(solo)
+
+
 def test_scan_points_are_order_independent():
     doc_fwd = h2_manifest_doc([0.70, 0.78])
     doc_rev = h2_manifest_doc([0.78, 0.70])
@@ -377,6 +408,18 @@ def test_scan_records_an_unknown_geometry_key_as_a_failed_point():
     assert [p.geometry_label for p in points] == ["0.740"]
     assert errors == [("0.700", "ShapeError: malformed geometry: the geometry has unknown "
                                 "keys ['charg']")]
+
+
+def test_scan_point_checks_its_coordinate_and_fcidump_path():
+    # a NaN coordinate built in Python was scanned and written to the CSV, which
+    # fit then refused; a non-string path reached os.path.join as a TypeError
+    geometry = h2_point("a", 0.74)["geometry"]
+    with pytest.raises(ManifestError, match="point 'a' coordinate must be a finite number"):
+        run_scan(ScanManifest(points=(ScanPoint("a", float("nan"), geometry=geometry),)))
+    with pytest.raises(ManifestError, match="point 'a' fcidump must be a path string, got 5"):
+        load_manifest({"points": [{"label": "a", "fcidump": 5}]})
+    point = ScanPoint("a", np.int64(1), geometry=geometry)
+    assert type(point.coordinate) is float and point.coordinate == 1.0
 
 
 def test_point_seed_stable_under_label():
