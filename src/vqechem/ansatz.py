@@ -35,8 +35,7 @@ def build_hardware_efficient(n_qubits: int, reps: int) -> Circuit:
     computational basis states by phase only, so the all-zero parameter
     vector fixes any reference determinant (up to global phase).
     """
-    if n_qubits < 2:
-        raise ShapeError("hardware-efficient ansatz needs at least 2 qubits")
+    n_qubits = checked_int(n_qubits, "n_qubits", 2)  # the CZ chain needs two
     reps = checked_int(reps, "reps", 0)
     gates = []
     slot = 0

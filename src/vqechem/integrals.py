@@ -34,6 +34,8 @@ ELEMENT_Z = {
 SCF_DENSITY_TOLERANCE = 1e-8
 SCF_MAX_ITERATIONS = 200
 COINCIDENT_ATOM_TOLERANCE = 1e-6  # Bohr
+# a far atom's own integrals equalled atom 0's to the last bit at 2100 separations of 1e5-1e9
+MAX_SEPARATION = 1e8  # Bohr; not at 2.4e9, as its product centres round off it by r * 1e-16
 
 
 @dataclass(frozen=True)
@@ -60,9 +62,9 @@ class Molecule:
         for i in range(len(self.atoms)):
             for j in range(i + 1, len(self.atoms)):
                 r = math.dist(self.atoms[i][2], self.atoms[j][2])  # a Python float: no warning
-                if not math.isfinite(r * r):
-                    raise ShapeError(f"atoms {i} and {j} are {r:.3g} Bohr apart: "
-                                     "their squared separation overflows")
+                if not r <= MAX_SEPARATION:
+                    raise ShapeError(f"atoms {i} and {j} are {r:.3g} Bohr apart, "
+                                     f"above the {MAX_SEPARATION:.0e} Bohr limit")
 
     @classmethod
     def from_geometry_dict(cls, doc: dict) -> Molecule:

@@ -3,8 +3,8 @@
 Two derivative-free minimizers: SPSA (stochastic, two-sided simultaneous
 perturbations) and a Nelder-Mead simplex filling the deterministic role.
 Both record a per-iteration energy trace and are bit-reproducible for a
-fixed seed. The objectives run Pauli rotations (UCCSD) on the Hartree-Fock
-(N_alpha, N_beta) sector and ry and cz gates on the register.
+fixed seed. The objectives run a circuit on the Hartree-Fock (N_alpha, N_beta)
+sector if every gate keeps it (UCCSD), else on the register (hardware-efficient).
 """
 
 from __future__ import annotations
@@ -236,40 +236,38 @@ def minimize(objective, theta0, config: OptimizerConfig) -> VqeResult:
 
 
 def _start(hamiltonian: QubitHamiltonian, circuit: Circuit) -> tuple[Circuit, Statevector]:
-    """(the circuit as it runs, the state it starts from), both from the Hamiltonian's
-    Hartree-Fock reference ``hamiltonian.hf_index()``: ry and cz gates on the register
-    from its basis vector, pauli_rot gates restricted to its (N_alpha, N_beta) sector
-    from its real basis vector. A Hamiltonian without an electron count, a circuit on
-    other qubits, a rotation that leaves the sector, or a mix of both kinds is refused."""
+    """(the circuit as it runs, the state it starts from) at the Hamiltonian's Hartree-Fock
+    reference ``hamiltonian.hf_index()``: on its (N_alpha, N_beta) sector from its real basis
+    vector if every gate keeps the sector, else on the register from its complex one. A
+    Hamiltonian without an electron count or a circuit on other qubits is refused."""
     n = hamiltonian.n_qubits
     if circuit.n_qubits != n:
         raise ShapeError("circuit and Hamiltonian qubit counts differ")
     hf = hamiltonian.hf_index()
-    if circuit.gates and all(g.kind != "pauli_rot" for g in circuit.gates):
-        return circuit, Statevector(n, np.ones(1), np.array([hf])).on_register()
+    reference = Statevector(n, np.ones(1), np.array([hf]))  # the qubit limit, before any table
     if circuit.last_sector[0] != hf:  # kept for the next call; the dataclass is frozen
-        object.__setattr__(circuit, "last_sector", (hf, circuit.restrict(sector_states(n, hf))))
-    sector = circuit.last_sector[1]
-    if sector is None:
-        raise ShapeError("circuit mixes pauli_rot with ry or cz gates, or its rotations "
-                         "leave the Hartree-Fock (N_alpha, N_beta) sector")
-    return sector, Statevector(n, (sector.states == hf).astype(float), sector.states)
+        restricted = circuit.restrict(sector_states(n, hf)) or circuit.restrict()
+        object.__setattr__(circuit, "last_sector", (hf, restricted))
+    restricted = circuit.last_sector[1]
+    if restricted.states is None:
+        return restricted, reference.on_register()
+    return restricted, Statevector(n, (restricted.states == hf).astype(float), restricted.states)
 
 
 def exact_energy_objective(hamiltonian: QubitHamiltonian, circuit: Circuit):
     """theta -> exact <psi(theta)|H|psi(theta)> from the Hamiltonian's Hartree-Fock state.
 
-    Rotations run on the Hartree-Fock sector, their tables and H compiled there,
-    real when the data are (<psi|PHP|psi> = <psi|H|psi>). The gate tables it runs
-    and the form are checked against the allocation cap together, before compiling.
+    A circuit that keeps the Hartree-Fock sector runs there, its tables and H compiled
+    there, real when the data are (<psi|PHP|psi> = <psi|H|psi>), any other on the register.
+    The bytes of its tables (each once) and the form are checked together, before compiling.
     """
     circuit, reference = _start(hamiltonian, circuit)
-    tables = sum(a.nbytes for t in circuit.tables or () for a in t if isinstance(a, np.ndarray))
-    states = reference.states
-    check_allocation(tables + hamiltonian.compiled_bytes(None if states is None else len(states)),
+    held = {id(a): a.nbytes for t in circuit.tables for a in t if isinstance(a, np.ndarray)}
+    n_states = None if reference.states is None else len(reference.states)
+    check_allocation(sum(held.values()) + hamiltonian.compiled_bytes(n_states),
                      f"gate tables and compiled form of {len(hamiltonian.x_masks())} "
                      f"x-masks on {hamiltonian.n_qubits} qubits")
-    operator = hamiltonian.compile(states)
+    operator = hamiltonian.compile(reference.states)
 
     def objective(theta):
         return expectation(apply_circuit(reference, circuit, theta), operator)

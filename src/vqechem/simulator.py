@@ -1,13 +1,13 @@
 """Exact statevector simulation of parameterized circuits.
 
 Amplitudes are indexed little-endian: qubit ``j`` is bit ``j`` of the
-basis-state index. ry and cz gates act on all 2**n amplitudes, Pauli
-rotations on the basis states a circuit is restricted to (one (N_alpha,
-N_beta) sector, or all); they use the analytic cos/sin update rather than matrix
-exponentials, so a single rotation carries no approximation error. A small
-real sector circuit runs its rotations on Python floats, where numpy's cost
-per call would outweigh the arithmetic, turning each pair of rows (c, c ^ x)
-by its own 2x2 rotation with the array update's operations: the same bits.
+basis-state index. Every gate, ry, cz or Pauli rotation, runs as one table on
+the basis states a circuit is restricted to (one (N_alpha, N_beta) sector, or
+the register), by the analytic cos/sin update rather than a matrix exponential,
+so a single gate carries no approximation error. A small real sector circuit
+runs its rotations on Python floats, where numpy's cost per call would outweigh
+the arithmetic, turning each pair of rows (c, c ^ x) by its own 2x2 rotation
+with the array update's operations: the same bits.
 """
 
 from __future__ import annotations
@@ -97,13 +97,12 @@ class Circuit:
     n_qubits: int
     gates: tuple
     n_parameters: int = 0
-    # set by restrict alone: the basis states a sector circuit runs on, its rotation
-    # tables there and, for a small real one, their row pairs as Python numbers; None
-    # for a register circuit of ry and cz gates
+    # set by restrict alone (tables None before): the basis states it runs on (None: the
+    # register), its gate tables there and, if small and real, their row pairs
     states: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     tables: tuple | None = field(default=None, init=False, repr=False, compare=False)
     kernel: tuple | None = field(default=None, init=False, repr=False, compare=False)
-    # set by optimize._start: (Hartree-Fock index, this circuit restricted to its sector)
+    # set by optimize._start: (Hartree-Fock index, this circuit restricted as it runs)
     last_sector: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -128,49 +127,41 @@ class Circuit:
     @cached_property
     def angle_slots(self) -> tuple:
         """(per gate, the index of its parameter, or ``n_parameters`` for a bound
-        angle; per gate, its angle): a gate turns by angle * [*parameters, 1][slot]."""
-        slots = [self.n_parameters if g.slot is None else g.slot for g in self.gates]
-        angles = [g.angle for g in self.gates]
+        angle; per gate, its angle): a gate turns by angle * [*parameters, 1][slot], a cz by
+        2 pi (``restrict``)."""
+        slots = [self.n_parameters if g.slot is None or g.kind == "cz" else g.slot
+                 for g in self.gates]
+        angles = [2 * np.pi if g.kind == "cz" else g.angle for g in self.gates]
         return np.array(slots, dtype=np.intp), np.array(angles, dtype=float)
 
-    def restrict(self, states: np.ndarray) -> Circuit | None:
-        """This circuit on the ascending basis ``states`` (all 2**n_qubits for the whole
-        register), one (rows, partner, phase) table per rotation; None unless every gate
-        is a pauli_rot whose rows in ``states`` all have their partner there.
+    def restrict(self, states: np.ndarray | None = None) -> Circuit | None:
+        """This circuit on the ascending basis ``states`` (None: the register), one (rows,
+        partner, phase) table per gate; None if a row a gate moves has its partner outside.
 
-        A generator compiles on ``states`` to H = X^x D, entries (c, c ^ x, D[c ^ x]),
-        and H^3 = H makes exp(-i a/2 H) set psi[rows] to cos(a/2) psi[rows] + sin(a/2) *
-        phase * psi[partner] on the targets of its entries of size 1 (a full slice when
-        all states are), with partner their sources and phase = -i times their values,
-        real where it can be. Real tables of at most ``SCALAR_MAX_ROWS`` rows per rotation,
-        on average, also give the circuit its ``kernel``: per rotation, (r, p, phase[r],
-        phase[p]) for each rows r < p that are each other's partner (H is Hermitian)."""
-        if any(g.kind != "pauli_rot" for g in self.gates):
-            return None
-        # 32 B of rows, partner and phase per state and rotation; each compile()
-        # checks its own workspace
-        check_allocation(32 * len(self.gates) * len(states),
+        A pauli_rot's generator compiles on ``states`` to H = X^x D, entries (c, c ^ x,
+        D[c ^ x]), and H^3 = H makes exp(-i a/2 H) set psi[rows] to cos(a/2) psi[rows] +
+        sin(a/2) * phase * psi[partner] on the targets of its entries of size 1 (a full
+        slice if all states are), partner their sources, phase -i times their values (real
+        where it can be). An ry on qubit q turns about Y_q: partner c ^ 2**q, phase -1 where
+        bit q is clear, else +1. A cz is exp(-i pi P) = 1 - 2P, P the projector on the rows
+        with both its bits set: partner the row, phase 0 as sin pi = 0, and cos pi = -1.
+        Real tables of at most ``SCALAR_MAX_ROWS`` rows per gate, on average, give the
+        ``kernel``: per rotation, (r, p, phase[r], phase[p]) for each partner pair r < p."""
+        dim = 1 << self.n_qubits if states is None else len(states)
+        # bytes per state the tables hold, checked before any is built: at most 32 per rotation
+        # (rows, partner, complex phase), 16 per ry (partner, phase), 16 per row a cz negates
+        size = {"pauli_rot": 32, "ry": 16, "cz": 4 if states is None else 16}
+        check_allocation(dim * sum(size[g.kind] for g in self.gates),
                          f"gate tables of {len(self.gates)} rotations on {self.n_qubits} qubits")
-        tables = []
-        for gate in self.gates:
-            compiled = gate.generator.compile(states)
-            if compiled.leak > COEFF_PRUNE_THRESHOLD:
-                return None
-            size = np.abs(compiled.values)
-            if not np.all((size < 1e-12) | (np.abs(size - 1.0) < 1e-12)):
-                raise ShapeError("generator is not a two-level rotation: |diagonal| not in {0, 1}")
-            moved = size > 0.5
-            rows = compiled.targets[moved]
-            if rows.size == len(states):
-                rows = slice(None)
-            tables.append((rows, compiled.sources[moved],
-                           real_if_exact(-1j * compiled.values[moved])))
+        tables = [_gate_table(gate, states, dim) for gate in self.gates]
+        if any(table is None for table in tables):
+            return None
         sector = Circuit(self.n_qubits, self.gates, self.n_parameters)  # nothing of self's sector
         object.__setattr__(sector, "tables", tuple(tables))  # the dataclass is frozen
         object.__setattr__(sector, "states", states)
         if (all(phase.dtype == np.float64 for _, _, phase in tables)
                 and sum(len(partner) for _, partner, _ in tables) <= SCALAR_MAX_ROWS * len(tables)):
-            index = np.arange(len(states))
+            index = np.arange(dim)
             entries = [dict(zip(zip(index[rows].tolist(), partner.tolist()), phase.tolist()))
                        for rows, partner, phase in tables]
             if all(r != p and (p, r) in e for e in entries for r, p in e):  # else the array loop
@@ -179,8 +170,33 @@ class Circuit:
         return sector
 
 
+def _gate_table(gate: Gate, states: np.ndarray | None, dim: int) -> tuple | None:
+    """``restrict``'s table of one gate on ``states`` (None: the register), or None."""
+    if gate.kind == "pauli_rot":
+        compiled = gate.generator.compile(states)
+        if compiled.leak > COEFF_PRUNE_THRESHOLD:
+            return None
+        size = np.abs(compiled.values)
+        if not np.all((size < 1e-12) | (np.abs(size - 1.0) < 1e-12)):
+            raise ShapeError("generator is not a two-level rotation: |diagonal| not in {0, 1}")
+        moved = size > 0.5
+        rows = compiled.targets[moved]
+        return (slice(None) if rows.size == dim else rows, compiled.sources[moved],
+                real_if_exact(-1j * compiled.values[moved]))
+    index, mask = np.arange(dim) if states is None else states, sum(1 << q for q in gate.qubits)
+    if gate.kind == "cz":
+        rows = np.flatnonzero(index & mask == mask)
+        return rows, rows, np.zeros(len(rows))
+    flipped = index ^ mask  # ry
+    partner = flipped if states is None else np.searchsorted(states, flipped)
+    if np.array_equal(index.take(partner, mode="clip"), flipped):
+        return slice(None), partner, np.where(index & mask, 1.0, -1.0)
+    return None
+
+
 def prepare_hf(n_qubits: int, occupied) -> Statevector:
     """Register basis state with 1s at the occupied qubits, its size checked first."""
+    n_qubits = checked_int(n_qubits, "n_qubits")
     occupied = {checked_int(q, "occupied index") for q in occupied}
     for q in occupied:
         if not 0 <= q < n_qubits:
@@ -233,9 +249,9 @@ def _check_same_states(states, other, what: str) -> None:
 
 
 def apply_circuit(state: Statevector, circuit: Circuit, parameters=()) -> Statevector:
-    """Run the circuit on a state, resolving parameter slots from ``parameters``: ry
-    and cz gates on a register state, the rotations of a circuit restricted to a
-    sector state's states on it. Real stays real.
+    """Run the circuit on a state, resolving parameter slots from ``parameters``: a
+    circuit restricted to the state's basis states runs its tables on it, and one not
+    restricted is restricted to the register for a register state. Real stays real.
 
     A real state runs a sector circuit's ``kernel``, if it has one, on a list of Python
     floats: each rotation sets a[r] = c * x + s * (phase_r * y) and a[p] = c * y + s *
@@ -245,6 +261,7 @@ def apply_circuit(state: Statevector, circuit: Circuit, parameters=()) -> Statev
     if circuit.n_qubits != state.n_qubits:
         raise ShapeError("circuit and state qubit counts differ")
     _check_same_states(circuit.states, state.states, "circuit and state")
+    circuit = circuit.restrict() if circuit.tables is None else circuit  # on the register
     try:  # a float64 array passes as it is; other real arrays are converted
         parameters = np.asarray(parameters)
         if parameters.dtype != np.float64:
@@ -252,26 +269,10 @@ def apply_circuit(state: Statevector, circuit: Circuit, parameters=()) -> Statev
     except (TypeError, ValueError):  # complex, non-numeric or ragged
         raise ShapeError(f"parameters must be real numbers, got {parameters!r}") from None
     if parameters.shape != (circuit.n_parameters,):
-        raise ShapeError(
-            f"expected {circuit.n_parameters} parameters, got {parameters.shape}"
-        )
+        raise ShapeError(f"expected {circuit.n_parameters} parameters, got {parameters.shape}")
     slots, angles = circuit.angle_slots
     half = 0.5 * (angles * np.concatenate((parameters, _ONE))[slots])
     cos, sin = np.cos(half).tolist(), np.sin(half).tolist()
-    if circuit.tables is None:  # the register: ry and cz gates
-        if any(g.kind == "pauli_rot" for g in circuit.gates):
-            raise ShapeError("pauli_rot gates run on a sector: restrict the circuit first")
-        amplitudes = state.amplitudes.copy()
-        for gate, c, s in zip(circuit.gates, cos, sin):
-            if gate.kind == "ry":
-                update_qubit(amplitudes.reshape(1, -1), gate.qubits[0], 0,
-                             np.array([[c, -s], [s, c]]))
-            else:  # cz: negate where both bits are set, through a view whose axes 1, 3 are hi, lo
-                lo, hi = sorted(gate.qubits)
-                shape = (-1, 2, 1 << (hi - lo - 1), 2, 1 << lo)
-                both = amplitudes.reshape(shape, copy=False)[:, 1, :, 1, :]
-                np.negative(both, out=both)
-        return Statevector(state.n_qubits, amplitudes)
     if circuit.kernel is not None and state.amplitudes.dtype == np.float64:
         a = state.amplitudes.tolist()
         for pairs, c, s in zip(circuit.kernel, cos, sin):

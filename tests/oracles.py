@@ -590,7 +590,8 @@ def restrict_by_remap(circuit, states):
     """The circuit's ``register_tables`` on the ascending basis ``states``, mapped to
     local indices through a 2**n array and real where they can be; None unless
     every gate is a pauli_rot whose rows in ``states`` all have their partner
-    there: the reference for the tables ``Circuit.restrict`` compiles on states."""
+    there: the reference for the rotation tables ``Circuit.restrict`` compiles on
+    states (its ry and cz tables are checked against Y_q and by sign)."""
     from vqechem.paulis import real_if_exact
 
     local = np.full(1 << circuit.n_qubits, -1)

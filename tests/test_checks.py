@@ -29,9 +29,11 @@ INTEGER_SITES = {
     "optimizer-spsa-window": (lambda v: OptimizerConfig(spsa_window=v), ShapeError),
     "geometry-charge": (lambda v: Molecule.from_geometry_dict(h2_geometry(charge=v)), ShapeError),
     "molecule-electrons": (lambda v: Molecule((), v), ShapeError),
+    "hardware-size": (lambda v: build_hardware_efficient(v, 1), ShapeError),
     "hardware-reps": (lambda v: build_hardware_efficient(4, v), ShapeError),
     "uccsd-occupied": (lambda v: build_uccsd(4, [0, v]), ShapeError),
     "uccsd-size": (lambda v: build_uccsd(v, [0]), ShapeError),
+    "hf-size": (lambda v: prepare_hf(v, [0]), ShapeError),
     "hf-occupied": (lambda v: prepare_hf(4, [0, v]), ShapeError),
 }
 # every real number read from outside

@@ -166,18 +166,21 @@ def test_run_flags_get_the_manifest_checks(tmp_path, capsys, command, flags, key
 
 
 def test_atoms_too_far_apart_exit_2_with_one_line_and_no_warning(tmp_path, capsys):
-    # the squared separation of 1e300 Bohr overflows; it is refused before any
-    # integral arithmetic warns
-    far = {"symbol": "H", "xyz_bohr": [0.0, 0.0, 1e300]}
-    geometry = write_json(tmp_path / "geometry.json",
-                          {**H2_GEOMETRY, "atoms": [H2_GEOMETRY["atoms"][0], far]})
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert main(["fci", "--geometry", geometry]) == 2
-    assert caught == []
-    err = capsys.readouterr().err
-    assert err.splitlines() == ["error: atoms 0 and 1 are 1e+300 Bohr apart: "
-                                "their squared separation overflows"]
+    # beyond the separation bound the far atom's product centres round off its nucleus:
+    # 1e152 Bohr gave e_fci -0.15856 Ha with exit 0, 1e154 numpy overflow warnings, and
+    # 1e300 overflows the squared separation; each is refused before any integral
+    for z, shown in ((3.16e19, "3.16e+19"), (1e152, "1e+152"), (1e154, "1e+154"),
+                     (1e300, "1e+300")):
+        far = {"symbol": "H", "xyz_bohr": [0.0, 0.0, z]}
+        geometry = write_json(tmp_path / "geometry.json",
+                              {**H2_GEOMETRY, "atoms": [H2_GEOMETRY["atoms"][0], far]})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["fci", "--geometry", geometry]) == 2
+        assert caught == []
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"error: atoms 0 and 1 are {shown} Bohr apart, "
+                                    "above the 1e+08 Bohr limit"]
 
 
 @pytest.mark.parametrize("command, flag, out", [
@@ -316,7 +319,8 @@ def test_nan_threshold_exits_2_with_one_line(tmp_path, capsys):
 
 def test_oversized_compiled_form_exits_2_before_allocating(tmp_path, capsys):
     # H9+ chain: 18 qubits, 821 x-masks, a 5.5 GiB compiled form; the
-    # hardware-efficient circuit has no rotation tables to trip their guard
+    # hardware-efficient circuit's register tables (about 160 MiB) pass their own
+    # guard, and the objective's guard on tables and form refuses them together
     doc = {"atoms": [{"symbol": "H", "xyz_bohr": [0.0, 0.0, 1.8 * i]} for i in range(9)],
            "charge": 1}
     geometry = write_json(tmp_path / "h9.json", doc)

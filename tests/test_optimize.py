@@ -399,28 +399,30 @@ def single_string(n, letters):
     (replace(_excitation_gates(4, [((0,), (3,))])[0], slot=None, angle=0.8), False),
     # a diagonal rotation keeps the sector but its phases are imaginary
     (Gate("pauli_rot", (), angle=0.4, generator=single_string(4, "ZIZI")), True),
-    # ry and cz gates run on the register, rotations on the sector: mixed, they run nowhere
+    # an ry gate flips one qubit: mixed with the rotations, it leaves the sector
     (Gate("ry", (0,), angle=0.4), False),
 ])
 def test_rotation_objective_runs_on_the_sector_or_is_refused(
         h2_hamiltonian_074, extra, on_sector, monkeypatch):
+    # a circuit the Hartree-Fock sector refuses, since one of its gates leaves it, runs
+    # on the whole register from the complex reference vector, both objectives alike
     uccsd = build_uccsd(4, {0, 1})
     circuit = Circuit(4, uccsd.gates + (extra,), n_parameters=uccsd.n_parameters)
-    if not on_sector:
-        groups = group_commuting(h2_hamiltonian_074)
-        for build in (lambda: optimize.exact_energy_objective(h2_hamiltonian_074, circuit),
-                      lambda: optimize.sampled_energy_objective(
-                          h2_hamiltonian_074, circuit, 64, 0, groups)):
-            with pytest.raises(ShapeError, match="leave the Hartree-Fock"):
-                build()
-        return
+    assert (circuit.restrict(sector_states(4, 0b0011)) is not None) == on_sector
     seen = evaluated_states(monkeypatch)
     objective = optimize.exact_energy_objective(h2_hamiltonian_074, circuit)
     reference = full_register_objective(h2_hamiltonian_074, circuit, {0, 1})
     for seed in range(5):
         theta = np.random.default_rng(seed).uniform(-2.0, 2.0, circuit.n_parameters)
         assert abs(objective(theta) - reference(theta)) <= 1e-12
-    assert seen[0].shape == (4,) and seen[0].dtype == np.complex128
+    assert seen[0].shape == ((4,) if on_sector else (16,)) and seen[0].dtype == np.complex128
+    if not on_sector:
+        groups = group_commuting(h2_hamiltonian_074)
+        sampled = optimize.sampled_energy_objective(h2_hamiltonian_074, circuit, 64, 0, groups)
+        register = apply_circuit_per_gate(prepare_hf(4, {0, 1}).amplitudes, circuit, theta)
+        expected = estimate_energy_sampled(Statevector(4, register), h2_hamiltonian_074,
+                                           groups, 64, 0)
+        assert sampled(theta) == expected.energy
 
 
 @pytest.mark.parametrize("name", ["H2", "H3"])
@@ -526,6 +528,21 @@ def test_sixteen_qubit_chain_register_form_passes_the_objective_guard(monkeypatc
     monkeypatch.setattr(QubitHamiltonian, "compile", stop)
     with pytest.raises(RuntimeError, match="compile on None"):
         optimize.exact_energy_objective(hamiltonian, build_hardware_efficient(16, 1))
+
+
+def test_twenty_qubit_hardware_objective_passes_the_table_guard():
+    # 59 gates (reps 1) on the 20-qubit register: its tables hold 16 B per state for
+    # each of the 40 ry gates and 16 B per negated row (a quarter) for each of the 19
+    # cz gates, 0.70 GiB; a 32 B per state and gate estimate (1.8 GiB) would refuse
+    # this objective
+    n = 20
+    hamiltonian = QubitHamiltonian(n, ((0.5, PauliString.from_letters("ZZ" + "I" * (n - 2))),
+                                       (0.25, PauliString.from_letters("I" * (n - 1) + "Z"))),
+                                   n_electrons=10)
+    circuit = build_hardware_efficient(n, 1)
+    assert len(circuit.gates) == 59
+    objective = optimize.exact_energy_objective(hamiltonian, circuit)
+    assert objective(np.zeros(circuit.n_parameters)) == 0.75
 
 
 def test_sector_objective_builds_no_register_reference():

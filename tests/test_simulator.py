@@ -9,6 +9,7 @@ from scipy.linalg import expm
 from oracles import (
     apply_circuit_per_gate,
     circuit_unitary,
+    full_register_objective,
     hamiltonian_from_term_dict,
     hamiltonian_matrix,
     number_operator,
@@ -56,9 +57,9 @@ def single(p):
     return QubitHamiltonian(p.n_qubits, ((1.0, p),))
 
 
-# the two circuits a state runs: ry and cz gates on the register, Pauli
-# rotations on the basis states a circuit is restricted to
-CIRCUIT_KINDS = (("ry", "cz"), ("pauli_rot",))
+# the gate sets a circuit is drawn from: the hardware-efficient gates, Pauli
+# rotations, and all three mixed; each runs as tables on its basis states
+CIRCUIT_KINDS = (("ry", "cz"), ("pauli_rot",), ("ry", "cz", "pauli_rot"))
 
 
 def random_circuit(n, n_gates, n_params, seed, kinds):
@@ -85,8 +86,9 @@ def random_circuit(n, n_gates, n_params, seed, kinds):
 
 
 def run_on_every_state(state, circuit, parameters=()):
-    """``apply_circuit`` on a register state: a rotation circuit restricted to
-    all 2**n basis states, on the state listed on them."""
+    """``apply_circuit`` on a register state: a circuit with a Pauli rotation
+    restricted to all 2**n basis states, on the state listed on them; one of ry
+    and cz gates alone on the register."""
     if not any(g.kind == "pauli_rot" for g in circuit.gates):
         return apply_circuit(state, circuit, parameters)
     every = np.arange(1 << state.n_qubits)
@@ -642,11 +644,51 @@ def test_scalar_kernel_runs_rotations_of_no_row_and_of_every_row():
     assert np.array_equal(scalar, array) and not np.array_equal(scalar, state.amplitudes)
 
 
-def test_register_state_refuses_a_rotation_circuit():
+def test_register_state_runs_a_rotation_circuit_on_its_register_tables(h2_hamiltonian_074):
+    # a circuit not restricted runs on a register state through its tables on the
+    # register, made for the call; the circuit itself stays unrestricted
     circuit = build_uccsd(4, {0, 1})
-    with pytest.raises(ShapeError, match="restrict the circuit"):
-        apply_circuit(prepare_hf(4, {0, 1}), circuit, np.zeros(circuit.n_parameters))
+    objective = full_register_objective(h2_hamiltonian_074, circuit, {0, 1})
+    for seed in range(3):
+        theta = np.random.default_rng(seed).uniform(-2.0, 2.0, circuit.n_parameters)
+        reference = prepare_hf(4, {0, 1})
+        out = apply_circuit(reference, circuit, theta)
+        per_gate = apply_circuit_per_gate(reference.amplitudes, circuit, theta)
+        assert out.states is None and np.array_equal(out.amplitudes, per_gate)
+        assert expectation(out, h2_hamiltonian_074) == pytest.approx(objective(theta), abs=1e-12)
     assert circuit.tables is None and circuit.states is None
+    register = circuit.restrict()
+    assert register.states is None and len(register.tables) == 3
+
+
+@pytest.mark.parametrize("n", [2, 6])
+def test_ry_tables_are_those_of_the_rotation_about_its_y_string(n):
+    # RY(a) = exp(-i a/2 Y): the same rows, partners and real phases -1/+1, on the
+    # register and on all 2**n states listed, whatever the ry's angle
+    for states in (None, np.arange(1 << n)):
+        for q in range(n):
+            y = single(PauliString(n, 1 << q, 1 << q))
+            rotation = Circuit(n, (Gate("pauli_rot", (), generator=y),)).restrict(states)
+            ry = Circuit(n, (Gate("ry", (q,), angle=0.3), Gate("ry", (q,)))).restrict(states)
+            rows, partner, phase = ry.tables[0]
+            ref_rows, ref_partner, ref_phase = rotation.tables[0]
+            assert rows == ref_rows == slice(None) and np.array_equal(partner, ref_partner)
+            assert phase.dtype == ref_phase.dtype == np.float64 and np.array_equal(phase, ref_phase)
+            assert all(np.array_equal(a, b) for a, b in zip(ry.tables[0][1:], ry.tables[1][1:]))
+            assert np.array_equal(ry.tables[0][2], np.where(np.arange(1 << n) >> q & 1, 1.0, -1.0))
+
+
+def test_cz_keeps_a_sector_that_an_ry_leaves():
+    # a cz flips signs only, so its table on a sector is its rows with both bits set
+    states = sector_states(6, 0b111)
+    sector = Circuit(6, (Gate("cz", (0, 3)), Gate("cz", (3, 0)))).restrict(states)
+    rows, partner, phase = sector.tables[0]
+    assert np.array_equal(sector.tables[1][0], rows) and rows is partner and not phase.any()
+    assert np.array_equal(states[rows], states[states & 0b1001 == 0b1001])
+    assert Circuit(6, (Gate("ry", (0,)),)).restrict(states) is None
+    amplitudes = np.random.default_rng(0).standard_normal(len(states))
+    out = apply_circuit(Statevector(6, amplitudes, states), sector).amplitudes
+    assert np.array_equal(out, amplitudes)  # two flips of the same rows
 
 
 def test_sector_state_needs_the_circuit_restricted_to_its_states():
