@@ -65,9 +65,7 @@ def enumerate_excitations(n_spin_orbitals: int, occupied) -> ExcitationSet:
             raise ShapeError(f"occupied orbital {p} outside 0..{n_spin_orbitals - 1}")
     virtual = [p for p in range(n_spin_orbitals) if p not in set(occupied)]
 
-    singles = tuple(
-        (i, a) for i in occupied for a in virtual if i % 2 == a % 2
-    )
+    singles = tuple((i, a) for i in occupied for a in virtual if i % 2 == a % 2)
     doubles = []
     for ii, i in enumerate(occupied):
         for j in occupied[ii + 1:]:
@@ -101,8 +99,7 @@ def _excitation_gates(n_modes: int, moves, first_slot: int = 0) -> list[Gate]:
         large = np.flatnonzero(np.abs(coeffs.real) > JW_REAL_RESIDUE_TOLERANCE)
         if large.size:
             raise ShapeError(
-                f"excitation generator mapped to non-imaginary coefficient {coeffs[large[0]]}"
-            )
+                f"excitation generator mapped to non-imaginary coefficient {coeffs[large[0]]}")
         generator = QubitHamiltonian.from_arrays(n_modes, x, z, coeffs.imag)
         gates.append(Gate("pauli_rot", (), slot=slot, angle=-2.0, generator=generator))
     return gates

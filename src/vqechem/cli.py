@@ -218,9 +218,7 @@ def cmd_barrier(args) -> int:
 def cmd_compare(args) -> int:
     labels_a, _, energies_a = _curve_columns(args.curve_a, args.column)
     labels_b, _, energies_b = _curve_columns(args.curve_b, args.column)
-    comparison = compare_curves(
-        list(zip(labels_a, energies_a)), list(zip(labels_b, energies_b))
-    )
+    comparison = compare_curves(list(zip(labels_a, energies_a)), list(zip(labels_b, energies_b)))
     if args.out:
         _write_text(args.out, comparison.to_csv())
     _emit(

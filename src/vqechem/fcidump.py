@@ -112,13 +112,8 @@ def parse_fcidump(text: str) -> MolecularIntegrals:
             ):
                 g[p, q, r, s] = value
 
-    return MolecularIntegrals(
-        n_spatial_orbitals=n_orb,
-        n_electrons=n_elec,
-        constant_energy=constant,
-        h=h,
-        g=g,
-    )
+    return MolecularIntegrals(n_spatial_orbitals=n_orb, n_electrons=n_elec,
+                              constant_energy=constant, h=h, g=g)
 
 
 def write_fcidump(integrals: MolecularIntegrals) -> str:

@@ -179,9 +179,7 @@ class ActiveSpaceSpec:
 
 
 def _load_sto3g_shell(symbol: str):
-    data = json.loads(
-        resources.files("vqechem.data").joinpath("sto3g_h.json").read_text()
-    )
+    data = json.loads(resources.files("vqechem.data").joinpath("sto3g_h.json").read_text())
     try:
         shells = data["elements"][symbol]["shells"]
     except KeyError:
@@ -224,9 +222,7 @@ def nuclear_repulsion(molecule: Molecule) -> float:
         for j in range(i + 1, len(atoms)):
             r = float(np.linalg.norm(atoms[i][2] - atoms[j][2]))
             if r < COINCIDENT_ATOM_TOLERANCE:
-                raise SingularGeometryError(
-                    f"atoms {i} and {j} coincide (separation {r:.2e} Bohr)"
-                )
+                raise SingularGeometryError(f"atoms {i} and {j} coincide (separation {r:.2e} Bohr)")
             e += atoms[i][1] * atoms[j][1] / r
     return e
 
@@ -242,8 +238,7 @@ def compute_ao_integrals(molecule: Molecule) -> AOIntegrals:
     for symbol, z, _ in molecule.atoms:
         if symbol != "H" or z != 1:
             raise UnsupportedElementError(
-                f"integral generation supports hydrogen only, got {symbol} (Z={z})"
-            )
+                f"integral generation supports hydrogen only, got {symbol} (Z={z})")
     if not molecule.atoms:
         raise ShapeError("molecule has no atoms")
 

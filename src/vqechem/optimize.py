@@ -246,7 +246,7 @@ def _start(hamiltonian: QubitHamiltonian, circuit: Circuit) -> tuple[Circuit, St
     hf = hamiltonian.hf_index()
     reference = Statevector(n, np.ones(1), np.array([hf]))  # the qubit limit, before any table
     if circuit.last_sector[0] != hf:  # kept for the next call; the dataclass is frozen
-        restricted = circuit.restrict(sector_states(n, hf)) or circuit.restrict()
+        restricted = circuit.restrict(sector_states(n, hf)) or circuit.register
         object.__setattr__(circuit, "last_sector", (hf, restricted))
     restricted = circuit.last_sector[1]
     if restricted.states is None:
@@ -259,12 +259,12 @@ def exact_energy_objective(hamiltonian: QubitHamiltonian, circuit: Circuit):
 
     A circuit that keeps the Hartree-Fock sector runs there, its tables and H compiled
     there, real when the data are (<psi|PHP|psi> = <psi|H|psi>), any other on the register.
-    The bytes of its tables (each once) and the form are checked together, before compiling.
+    The bytes of its tables and the form are checked together, before compiling.
     """
     circuit, reference = _start(hamiltonian, circuit)
-    held = {id(a): a.nbytes for t in circuit.tables for a in t if isinstance(a, np.ndarray)}
+    held = sum(a.nbytes for t in circuit.tables for a in t if isinstance(a, np.ndarray))
     n_states = None if reference.states is None else len(reference.states)
-    check_allocation(sum(held.values()) + hamiltonian.compiled_bytes(n_states),
+    check_allocation(held + hamiltonian.compiled_bytes(n_states),
                      f"gate tables and compiled form of {len(hamiltonian.x_masks())} "
                      f"x-masks on {hamiltonian.n_qubits} qubits")
     operator = hamiltonian.compile(reference.states)

@@ -39,10 +39,8 @@ class PauliString:
     def __post_init__(self):
         limit = 1 << self.n_qubits
         if not (0 <= self.x_mask < limit and 0 <= self.z_mask < limit):
-            raise ShapeError(
-                f"masks do not fit in {self.n_qubits} qubits: "
-                f"x={self.x_mask:#x} z={self.z_mask:#x}"
-            )
+            raise ShapeError(f"masks do not fit in {self.n_qubits} qubits: "
+                             f"x={self.x_mask:#x} z={self.z_mask:#x}")
 
     @classmethod
     def from_letters(cls, letters: str) -> PauliString:

@@ -90,6 +90,10 @@ class Gate:
             raise ShapeError("gate qubits must be distinct")
         if self.kind == "pauli_rot" and not isinstance(self.generator, QubitHamiltonian):
             raise ShapeError("pauli_rot gate requires a QubitHamiltonian generator")
+        if self.kind == "cz":  # exp(-i pi P) = 1 - 2P, P the projector on both bits set
+            if self.slot is not None:
+                raise ShapeError("a cz gate takes no parameter slot")
+            object.__setattr__(self, "angle", 2 * np.pi)  # the dataclass is frozen
 
 
 @dataclass(frozen=True)
@@ -98,7 +102,7 @@ class Circuit:
     gates: tuple
     n_parameters: int = 0
     # set by restrict alone (tables None before): the basis states it runs on (None: the
-    # register), its gate tables there and, if small and real, their row pairs
+    # register), its gate tables there and, for a small real sector, their row pairs
     states: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     tables: tuple | None = field(default=None, init=False, repr=False, compare=False)
     kernel: tuple | None = field(default=None, init=False, repr=False, compare=False)
@@ -127,46 +131,55 @@ class Circuit:
     @cached_property
     def angle_slots(self) -> tuple:
         """(per gate, the index of its parameter, or ``n_parameters`` for a bound
-        angle; per gate, its angle): a gate turns by angle * [*parameters, 1][slot], a cz by
-        2 pi (``restrict``)."""
-        slots = [self.n_parameters if g.slot is None or g.kind == "cz" else g.slot
-                 for g in self.gates]
-        angles = [2 * np.pi if g.kind == "cz" else g.angle for g in self.gates]
+        angle; per gate, its angle): a gate turns by angle * [*parameters, 1][slot]."""
+        slots = [self.n_parameters if g.slot is None else g.slot for g in self.gates]
+        angles = [g.angle for g in self.gates]
         return np.array(slots, dtype=np.intp), np.array(angles, dtype=float)
 
-    def restrict(self, states: np.ndarray | None = None) -> Circuit | None:
-        """This circuit on the ascending basis ``states`` (None: the register), one (rows,
-        partner, phase) table per gate; None if a row a gate moves has its partner outside.
+    @cached_property
+    def register(self) -> Circuit:
+        """This circuit restricted to the register, built on first use and kept."""
+        return self.restrict()
 
-        A pauli_rot's generator compiles on ``states`` to H = X^x D, entries (c, c ^ x,
-        D[c ^ x]), and H^3 = H makes exp(-i a/2 H) set psi[rows] to cos(a/2) psi[rows] +
-        sin(a/2) * phase * psi[partner] on the targets of its entries of size 1 (a full
-        slice if all states are), partner their sources, phase -i times their values (real
-        where it can be). An ry on qubit q turns about Y_q: partner c ^ 2**q, phase -1 where
-        bit q is clear, else +1. A cz is exp(-i pi P) = 1 - 2P, P the projector on the rows
-        with both its bits set: partner the row, phase 0 as sin pi = 0, and cos pi = -1.
-        Real tables of at most ``SCALAR_MAX_ROWS`` rows per gate, on average, give the
-        ``kernel``: per rotation, (r, p, phase[r], phase[p]) for each partner pair r < p."""
+    def restrict(self, states: np.ndarray | None = None) -> Circuit | None:
+        """This circuit on the ascending basis ``states`` (None: the register), one (shape,
+        rows, partner, phase) table per gate: psi[rows] = cos(a/2) psi[rows] + sin(a/2) *
+        phase * psi[partner] on psi viewed as ``shape``; None if a gate moves a row to a
+        partner outside (an ry is asked first). A pauli_rot's generator compiles on ``states``
+        to H = X^x D, entries (c, c ^ x, D[c ^ x]), and H^3 = H makes exp(-i a/2 H) move the
+        targets of its entries of size 1, partner their sources, phase -i times their values.
+        An ry on qubit q turns about Y_q: partner c ^ 2**q, phase -1 where bit q is clear,
+        else +1; a cz by 2 pi about its rows with both bits set, phase 0. On the register
+        an ry or cz is a view whose axes of length 2 are its bits. Real sector tables of at
+        most ``SCALAR_MAX_ROWS`` rows per gate, on average, give the ``kernel``: per gate,
+        (r, p, phase[r], phase[p]) for each partner pair r <= p."""
         dim = 1 << self.n_qubits if states is None else len(states)
-        # bytes per state the tables hold, checked before any is built: at most 32 per rotation
-        # (rows, partner, complex phase), 16 per ry (partner, phase), 16 per row a cz negates
-        size = {"pauli_rot": 32, "ry": 16, "cz": 4 if states is None else 16}
-        check_allocation(dim * sum(size[g.kind] for g in self.gates),
-                         f"gate tables of {len(self.gates)} rotations on {self.n_qubits} qubits")
-        tables = [_gate_table(gate, states, dim) for gate in self.gates]
-        if any(table is None for table in tables):
+        if states is not None and not all(
+                np.isin(states ^ (1 << g.qubits[0]), states, assume_unique=True).all()
+                for g in self.gates if g.kind == "ry"):
             return None
+        # bytes per state the tables hold, checked before any is built: 32 per pauli_rot
+        # (rows, partner, complex phase), 16 per ry or cz on states (partner or rows, phase)
+        size = sum(32 if g.kind == "pauli_rot" else 0 if states is None else 16
+                   for g in self.gates)
+        check_allocation(dim * size,
+                         f"gate tables of {len(self.gates)} rotations on {self.n_qubits} qubits")
+        tables = []
+        for gate in self.gates:
+            tables.append(_gate_table(gate, states, dim))
+            if tables[-1] is None:
+                return None
         sector = Circuit(self.n_qubits, self.gates, self.n_parameters)  # nothing of self's sector
         object.__setattr__(sector, "tables", tuple(tables))  # the dataclass is frozen
         object.__setattr__(sector, "states", states)
-        if (all(phase.dtype == np.float64 for _, _, phase in tables)
-                and sum(len(partner) for _, partner, _ in tables) <= SCALAR_MAX_ROWS * len(tables)):
+        if (states is not None and all(phase.dtype == np.float64 for *_, phase in tables)
+                and sum(len(partner) for *_, partner, _ in tables) <= SCALAR_MAX_ROWS * len(tables)):
             index = np.arange(dim)
             entries = [dict(zip(zip(index[rows].tolist(), partner.tolist()), phase.tolist()))
-                       for rows, partner, phase in tables]
-            if all(r != p and (p, r) in e for e in entries for r, p in e):  # else the array loop
+                       for _, rows, partner, phase in tables]
+            if all((p, r) in e for e in entries for r, p in e):  # else the array loop
                 object.__setattr__(sector, "kernel", tuple(
-                    tuple((r, p, f, e[p, r]) for (r, p), f in e.items() if r < p) for e in entries))
+                    tuple((r, p, f, e[p, r]) for (r, p), f in e.items() if r <= p) for e in entries))
         return sector
 
 
@@ -181,17 +194,22 @@ def _gate_table(gate: Gate, states: np.ndarray | None, dim: int) -> tuple | None
             raise ShapeError("generator is not a two-level rotation: |diagonal| not in {0, 1}")
         moved = size > 0.5
         rows = compiled.targets[moved]
-        return (slice(None) if rows.size == dim else rows, compiled.sources[moved],
+        return ((dim,), slice(None) if rows.size == dim else rows, compiled.sources[moved],
                 real_if_exact(-1j * compiled.values[moved]))
-    index, mask = np.arange(dim) if states is None else states, sum(1 << q for q in gate.qubits)
+    if states is None and gate.kind == "ry":  # axis 1 is bit q; reversed, the partners
+        q, every = gate.qubits[0], slice(None)
+        flip = (every, slice(None, None, -1))
+        return (dim >> (q + 1), 2, 1 << q), every, flip, np.array([[-1.0], [1.0]])
+    if states is None:  # cz: axes 1 and 3 are its high and low bits
+        lo, hi = sorted(gate.qubits)
+        both = (slice(None), 1, slice(None), 1)
+        return (dim >> (hi + 1), 2, 1 << (hi - lo - 1), 2, 1 << lo), both, both, np.zeros(1)
+    mask = sum(1 << q for q in gate.qubits)
     if gate.kind == "cz":
-        rows = np.flatnonzero(index & mask == mask)
-        return rows, rows, np.zeros(len(rows))
-    flipped = index ^ mask  # ry
-    partner = flipped if states is None else np.searchsorted(states, flipped)
-    if np.array_equal(index.take(partner, mode="clip"), flipped):
-        return slice(None), partner, np.where(index & mask, 1.0, -1.0)
-    return None
+        rows = np.flatnonzero(states & mask == mask)
+        return (dim,), rows, rows, np.zeros(len(rows))
+    partner = np.searchsorted(states, states ^ mask)  # ry, which keeps the states
+    return (dim,), slice(None), partner, np.where(states & mask, 1.0, -1.0)
 
 
 def prepare_hf(n_qubits: int, occupied) -> Statevector:
@@ -249,19 +267,16 @@ def _check_same_states(states, other, what: str) -> None:
 
 
 def apply_circuit(state: Statevector, circuit: Circuit, parameters=()) -> Statevector:
-    """Run the circuit on a state, resolving parameter slots from ``parameters``: a
-    circuit restricted to the state's basis states runs its tables on it, and one not
-    restricted is restricted to the register for a register state. Real stays real.
-
-    A real state runs a sector circuit's ``kernel``, if it has one, on a list of Python
-    floats: each rotation sets a[r] = c * x + s * (phase_r * y) and a[p] = c * y + s *
-    (phase_p * x) for each of its row pairs, from the old x = a[r] and y = a[p]: the
-    array update's operations, so the amplitudes are bit-identical to it. Below about 48
-    rows a rotation's seven array calls cost more than its scalar arithmetic."""
+    """Run the circuit on a state, resolving parameter slots from ``parameters``: the
+    tables of a circuit restricted to the state's basis states, or of ``circuit.register``
+    for a register state. Real stays real. A real state runs a sector circuit's ``kernel``,
+    if it has one, on Python floats: per gate, a[r] = c * x + s * (phase_r * y) and a[p] =
+    c * y + s * (phase_p * x) for each row pair, from the old x = a[r] and y = a[p]: the
+    array update's operations, the same bits, without its calls' cost below about 48 rows."""
     if circuit.n_qubits != state.n_qubits:
         raise ShapeError("circuit and state qubit counts differ")
     _check_same_states(circuit.states, state.states, "circuit and state")
-    circuit = circuit.restrict() if circuit.tables is None else circuit  # on the register
+    circuit = circuit.register if circuit.tables is None else circuit
     try:  # a float64 array passes as it is; other real arrays are converted
         parameters = np.asarray(parameters)
         if parameters.dtype != np.float64:
@@ -281,10 +296,11 @@ def apply_circuit(state: Statevector, circuit: Circuit, parameters=()) -> Statev
                 a[r] = c * x + s * (phase_r * y)
                 a[p] = c * y + s * (phase_p * x)
         return Statevector(state.n_qubits, np.array(a), state.states)
-    phases = [phase for _, _, phase in circuit.tables]
+    phases = [phase for *_, phase in circuit.tables]
     amplitudes = state.amplitudes.astype(np.result_type(state.amplitudes, *phases), copy=True)
-    for (rows, partner, phase), c, s in zip(circuit.tables, cos, sin):
-        amplitudes[rows] = c * amplitudes[rows] + s * (phase * amplitudes[partner])
+    for (shape, rows, partner, phase), c, s in zip(circuit.tables, cos, sin):
+        view = amplitudes.reshape(shape)  # a view: the copy above is contiguous
+        view[rows] = c * view[rows] + s * (phase * view[partner])
     return Statevector(state.n_qubits, amplitudes, state.states)
 
 

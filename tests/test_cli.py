@@ -319,8 +319,8 @@ def test_nan_threshold_exits_2_with_one_line(tmp_path, capsys):
 
 def test_oversized_compiled_form_exits_2_before_allocating(tmp_path, capsys):
     # H9+ chain: 18 qubits, 821 x-masks, a 5.5 GiB compiled form; the
-    # hardware-efficient circuit's register tables (about 160 MiB) pass their own
-    # guard, and the objective's guard on tables and form refuses them together
+    # hardware-efficient circuit's ry and cz gates run on views of the register and
+    # hold no table of a row each; the objective's guard on tables and form refuses it
     doc = {"atoms": [{"symbol": "H", "xyz_bohr": [0.0, 0.0, 1.8 * i]} for i in range(9)],
            "charge": 1}
     geometry = write_json(tmp_path / "h9.json", doc)

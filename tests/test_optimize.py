@@ -531,17 +531,23 @@ def test_sixteen_qubit_chain_register_form_passes_the_objective_guard(monkeypatc
 
 
 def test_twenty_qubit_hardware_objective_passes_the_table_guard():
-    # 59 gates (reps 1) on the 20-qubit register: its tables hold 16 B per state for
-    # each of the 40 ry gates and 16 B per negated row (a quarter) for each of the 19
-    # cz gates, 0.70 GiB; a 32 B per state and gate estimate (1.8 GiB) would refuse
-    # this objective
+    # 59 gates (reps 1) on the 20-qubit register: its 40 ry and 19 cz gates run on
+    # views of the register and hold no table of a row each, so the objective holds
+    # little more than its 124 MiB compiled form; a 32 B per state and gate estimate
+    # (1.8 GiB) would refuse it, and tables of a row each would take 0.7 GiB
     n = 20
     hamiltonian = QubitHamiltonian(n, ((0.5, PauliString.from_letters("ZZ" + "I" * (n - 2))),
                                        (0.25, PauliString.from_letters("I" * (n - 1) + "Z"))),
                                    n_electrons=10)
     circuit = build_hardware_efficient(n, 1)
     assert len(circuit.gates) == 59
-    objective = optimize.exact_energy_objective(hamiltonian, circuit)
+    tracemalloc.start()
+    try:
+        objective = optimize.exact_energy_objective(hamiltonian, circuit)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 28
     assert objective(np.zeros(circuit.n_parameters)) == 0.75
 
 

@@ -482,8 +482,8 @@ def assert_tables_equal(tables, reference, dim):
     if tables is None:
         return
     assert len(tables) == len(reference)
-    for (rows, partner, phase), (ref_rows, ref_partner, ref_phase) in zip(tables, reference):
-        assert np.array_equal(np.arange(dim)[rows], ref_rows)
+    for (shape, rows, partner, phase), (ref_rows, ref_partner, ref_phase) in zip(tables, reference):
+        assert shape == (dim,) and np.array_equal(np.arange(dim)[rows], ref_rows)
         assert np.array_equal(partner, ref_partner)
         assert phase.dtype == ref_phase.dtype and np.array_equal(phase, ref_phase)
 
@@ -576,7 +576,7 @@ def test_kernel_cutoff_counts_the_mean_rows_of_a_rotation(n, n_electrons, scalar
     circuit = build_uccsd(n, range(n_electrons))
     states = sector_states(n, (1 << n_electrons) - 1)
     sector = circuit.restrict(states)
-    rows = sum(len(partner) for _, partner, _ in sector.tables)
+    rows = sum(len(partner) for *_, partner, _ in sector.tables)
     assert (sector.kernel is not None) == scalar == (
         rows <= simulator.SCALAR_MAX_ROWS * len(circuit.gates))
     ceiling = -(-rows // len(circuit.gates))
@@ -595,7 +595,7 @@ def test_kernel_turns_each_row_pair_once():
     # every moved row is in exactly one pair, with its partner and both phases
     circuit = build_uccsd(6, range(3))
     sector = circuit.restrict(sector_states(6, 0b111))
-    for (rows, partner, phase), pairs in zip(sector.tables, sector.kernel):
+    for (_, rows, partner, phase), pairs in zip(sector.tables, sector.kernel):
         rows = np.arange(len(sector.states))[rows]
         entries = dict(zip(zip(rows.tolist(), partner.tolist()), phase.tolist()))
         assert sorted(q for r, p, _, _ in pairs for q in (r, p)) == sorted(rows.tolist())
@@ -638,7 +638,7 @@ def test_scalar_kernel_runs_rotations_of_no_row_and_of_every_row():
     circuit = Circuit(4, tuple(replace(g, slot=None, angle=a) for g, a in zip(gates, (0.7, -1.3))))
     states = sector_states(4, 0b0001)
     sector = circuit.restrict(states)
-    assert sector.tables[0][0] == slice(None) and sector.tables[1][0].size == 0
+    assert sector.tables[0][1] == slice(None) and sector.tables[1][1].size == 0
     state = Statevector(4, np.array([0.6, 0.8]), states)
     array, scalar = run_both_kernels(circuit, state, ())
     assert np.array_equal(scalar, array) and not np.array_equal(scalar, state.amplitudes)
@@ -661,34 +661,73 @@ def test_register_state_runs_a_rotation_circuit_on_its_register_tables(h2_hamilt
     assert register.states is None and len(register.tables) == 3
 
 
+def flat_table(table):
+    """A (shape, rows, partner, phase) table as flat arrays: its moved rows, in
+    order, their partners and their phases."""
+    shape, rows, partner, phase = table
+    index = np.arange(np.prod(shape, dtype=int)).reshape(shape)
+    moved = index[rows]
+    return moved.ravel(), index[partner].ravel(), np.broadcast_to(phase, moved.shape).ravel()
+
+
 @pytest.mark.parametrize("n", [2, 6])
 def test_ry_tables_are_those_of_the_rotation_about_its_y_string(n):
-    # RY(a) = exp(-i a/2 Y): the same rows, partners and real phases -1/+1, on the
-    # register and on all 2**n states listed, whatever the ry's angle
+    # RY(a) = exp(-i a/2 Y): the same rows, partners and real phases -1/+1, on all
+    # 2**n states listed and, read through its view, on the register, whatever the
+    # ry's angle; on the register it holds no array of a row each
     for states in (None, np.arange(1 << n)):
         for q in range(n):
             y = single(PauliString(n, 1 << q, 1 << q))
             rotation = Circuit(n, (Gate("pauli_rot", (), generator=y),)).restrict(states)
+            ref_rows, ref_partner, ref_phase = flat_table(rotation.tables[0])
+            assert np.array_equal(ref_phase, np.where(np.arange(1 << n) >> q & 1, 1.0, -1.0))
             ry = Circuit(n, (Gate("ry", (q,), angle=0.3), Gate("ry", (q,)))).restrict(states)
-            rows, partner, phase = ry.tables[0]
-            ref_rows, ref_partner, ref_phase = rotation.tables[0]
-            assert rows == ref_rows == slice(None) and np.array_equal(partner, ref_partner)
-            assert phase.dtype == ref_phase.dtype == np.float64 and np.array_equal(phase, ref_phase)
-            assert all(np.array_equal(a, b) for a, b in zip(ry.tables[0][1:], ry.tables[1][1:]))
-            assert np.array_equal(ry.tables[0][2], np.where(np.arange(1 << n) >> q & 1, 1.0, -1.0))
+            for table in ry.tables:
+                rows, partner, phase = flat_table(table)
+                assert np.array_equal(rows, ref_rows) and np.array_equal(partner, ref_partner)
+                assert phase.dtype == ref_phase.dtype and np.array_equal(phase, ref_phase)
+                held = [a.size for a in table if isinstance(a, np.ndarray)]
+                assert states is not None or max(held) == 2
 
 
 def test_cz_keeps_a_sector_that_an_ry_leaves():
-    # a cz flips signs only, so its table on a sector is its rows with both bits set
+    # a cz flips signs only, so its table on a sector is its rows with both bits set,
+    # and on the register a view of those rows
     states = sector_states(6, 0b111)
-    sector = Circuit(6, (Gate("cz", (0, 3)), Gate("cz", (3, 0)))).restrict(states)
-    rows, partner, phase = sector.tables[0]
-    assert np.array_equal(sector.tables[1][0], rows) and rows is partner and not phase.any()
+    circuit = Circuit(6, (Gate("cz", (0, 3)), Gate("cz", (3, 0))))
+    sector = circuit.restrict(states)
+    shape, rows, partner, phase = sector.tables[0]
+    assert np.array_equal(sector.tables[1][1], rows) and rows is partner and not phase.any()
     assert np.array_equal(states[rows], states[states & 0b1001 == 0b1001])
+    rows, partner, phase = flat_table(circuit.register.tables[0])
+    assert np.array_equal(rows, np.flatnonzero(np.arange(64) & 0b1001 == 0b1001))
+    assert np.array_equal(partner, rows) and not phase.any() and circuit.gates[0].angle == 2 * np.pi
     assert Circuit(6, (Gate("ry", (0,)),)).restrict(states) is None
-    amplitudes = np.random.default_rng(0).standard_normal(len(states))
-    out = apply_circuit(Statevector(6, amplitudes, states), sector).amplitudes
-    assert np.array_equal(out, amplitudes)  # two flips of the same rows
+    state = Statevector(6, np.random.default_rng(0).standard_normal(len(states)), states)
+    array, scalar = run_both_kernels(circuit, state, ())
+    assert np.array_equal(array, scalar) and np.array_equal(array, state.amplitudes)
+
+
+def test_cz_takes_no_parameter_slot():
+    with pytest.raises(ShapeError, match="no parameter slot"):
+        Gate("cz", (0, 1), slot=0)
+
+
+def test_hardware_efficient_register_tables_hold_no_array_of_a_row_each():
+    # at the 24-qubit limit every ry and cz runs on a view of the register, kept on
+    # the circuit, and the (6, 6) sector, which the first ry leaves, is refused before
+    # its guard counts 16 B per state and gate (2.2 GiB for these 165 gates)
+    circuit = build_hardware_efficient(24, 3)
+    states = sector_states(24, (1 << 12) - 1)
+    tracemalloc.start()
+    try:
+        register = circuit.register
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert register.states is None and len(register.tables) == len(circuit.gates) == 165
+    assert peak < 1 << 20 and circuit.register is register
+    assert circuit.restrict(states) is None
 
 
 def test_sector_state_needs_the_circuit_restricted_to_its_states():
