@@ -238,8 +238,9 @@ def minimize(objective, theta0, config: OptimizerConfig) -> VqeResult:
 def _start(hamiltonian: QubitHamiltonian, circuit: Circuit) -> tuple[Circuit, Statevector]:
     """(the circuit as it runs, the state it starts from) at the Hamiltonian's Hartree-Fock
     reference ``hamiltonian.hf_index()``: on its (N_alpha, N_beta) sector from its real basis
-    vector if every gate keeps the sector, else on the register from its complex one. A
-    Hamiltonian without an electron count or a circuit on other qubits is refused."""
+    vector if every gate is a Pauli rotation that keeps the sector, else (an ry or cz among
+    them) on the register from its complex one. A Hamiltonian without an electron count or a
+    circuit on other qubits is refused."""
     n = hamiltonian.n_qubits
     if circuit.n_qubits != n:
         raise ShapeError("circuit and Hamiltonian qubit counts differ")

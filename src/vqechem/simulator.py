@@ -1,9 +1,9 @@
 """Exact statevector simulation of parameterized circuits.
 
 Amplitudes are indexed little-endian: qubit ``j`` is bit ``j`` of the
-basis-state index. Every gate, ry, cz or Pauli rotation, runs as one table on
-the basis states a circuit is restricted to (one (N_alpha, N_beta) sector, or
-the register), by the analytic cos/sin update rather than a matrix exponential,
+basis-state index. Every gate runs as one table: a Pauli rotation on the basis
+states a circuit is restricted to (one (N_alpha, N_beta) sector, or the register),
+an ry or cz on the register, by the analytic cos/sin update, not an exponential,
 so a single gate carries no approximation error. A small real sector circuit
 runs its rotations on Python floats, where numpy's cost per call would outweigh
 the arithmetic, turning each pair of rows (c, c ^ x) by its own 2x2 rotation
@@ -145,23 +145,19 @@ class Circuit:
         """This circuit on the ascending basis ``states`` (None: the register), one (shape,
         rows, partner, phase) table per gate: psi[rows] = cos(a/2) psi[rows] + sin(a/2) *
         phase * psi[partner] on psi viewed as ``shape``; None if a gate moves a row to a
-        partner outside (an ry is asked first). A pauli_rot's generator compiles on ``states``
-        to H = X^x D, entries (c, c ^ x, D[c ^ x]), and H^3 = H makes exp(-i a/2 H) move the
-        targets of its entries of size 1, partner their sources, phase -i times their values.
-        An ry on qubit q turns about Y_q: partner c ^ 2**q, phase -1 where bit q is clear,
-        else +1; a cz by 2 pi about its rows with both bits set, phase 0. On the register
-        an ry or cz is a view whose axes of length 2 are its bits. Real sector tables of at
-        most ``SCALAR_MAX_ROWS`` rows per gate, on average, give the ``kernel``: per gate,
-        (r, p, phase[r], phase[p]) for each partner pair r <= p."""
+        partner outside, or if ``states`` are given and any gate is an ry or cz. A pauli_rot's
+        generator compiles on ``states`` to H = X^x D, entries (c, c ^ x, D[c ^ x]), and H^3 =
+        H makes exp(-i a/2 H) move the targets of its entries of size 1, partner their
+        sources, phase -i times their values. An ry on qubit q turns about Y_q (partner c ^
+        2**q, phase -1 where bit q is clear, else +1), a cz by 2 pi about its rows with both
+        bits set (phase 0), each as a view of the register whose axes of length 2 are its
+        bits. Real sector tables of at most ``SCALAR_MAX_ROWS`` rows per gate, on average,
+        give the ``kernel``: per gate, (r, p, phase[r], phase[p]) for each partner pair r <= p."""
+        if states is not None and any(g.kind != "pauli_rot" for g in self.gates):
+            return None  # an ry leaves every sector, and no ansatz puts a cz by rotations
         dim = 1 << self.n_qubits if states is None else len(states)
-        if states is not None and not all(
-                np.isin(states ^ (1 << g.qubits[0]), states, assume_unique=True).all()
-                for g in self.gates if g.kind == "ry"):
-            return None
-        # bytes per state the tables hold, checked before any is built: 32 per pauli_rot
-        # (rows, partner, complex phase), 16 per ry or cz on states (partner or rows, phase)
-        size = sum(32 if g.kind == "pauli_rot" else 0 if states is None else 16
-                   for g in self.gates)
+        # checked before any table is built: 32 B per state and pauli_rot, views none
+        size = 32 * sum(g.kind == "pauli_rot" for g in self.gates)
         check_allocation(dim * size,
                          f"gate tables of {len(self.gates)} rotations on {self.n_qubits} qubits")
         tables = []
@@ -196,20 +192,13 @@ def _gate_table(gate: Gate, states: np.ndarray | None, dim: int) -> tuple | None
         rows = compiled.targets[moved]
         return ((dim,), slice(None) if rows.size == dim else rows, compiled.sources[moved],
                 real_if_exact(-1j * compiled.values[moved]))
-    if states is None and gate.kind == "ry":  # axis 1 is bit q; reversed, the partners
+    if gate.kind == "ry":  # on the register: axis 1 is bit q; reversed, the partners
         q, every = gate.qubits[0], slice(None)
         flip = (every, slice(None, None, -1))
         return (dim >> (q + 1), 2, 1 << q), every, flip, np.array([[-1.0], [1.0]])
-    if states is None:  # cz: axes 1 and 3 are its high and low bits
-        lo, hi = sorted(gate.qubits)
-        both = (slice(None), 1, slice(None), 1)
-        return (dim >> (hi + 1), 2, 1 << (hi - lo - 1), 2, 1 << lo), both, both, np.zeros(1)
-    mask = sum(1 << q for q in gate.qubits)
-    if gate.kind == "cz":
-        rows = np.flatnonzero(states & mask == mask)
-        return (dim,), rows, rows, np.zeros(len(rows))
-    partner = np.searchsorted(states, states ^ mask)  # ry, which keeps the states
-    return (dim,), slice(None), partner, np.where(states & mask, 1.0, -1.0)
+    lo, hi = sorted(gate.qubits)  # cz on the register: axes 1 and 3 are its high and low bits
+    both = (slice(None), 1, slice(None), 1)
+    return (dim >> (hi + 1), 2, 1 << (hi - lo - 1), 2, 1 << lo), both, both, np.zeros(1)
 
 
 def prepare_hf(n_qubits: int, occupied) -> Statevector:

@@ -12,6 +12,7 @@ and reorderable.
 from __future__ import annotations
 
 import os
+import warnings
 import zlib
 from dataclasses import dataclass, fields, replace
 
@@ -56,10 +57,10 @@ class ScanPoint:
     fcidump_path: str | None = None
 
     def __post_init__(self):
+        if "," in self.label or not self.label.isprintable():  # a line break or a surrogate
+            raise ManifestError(f"point label {self.label!r} holds a comma or a non-printable")
         if (self.geometry is None) == (self.fcidump_path is None):
-            raise ManifestError(
-                f"point {self.label!r} needs exactly one of geometry or fcidump"
-            )
+            raise ManifestError(f"point {self.label!r} needs exactly one of geometry or fcidump")
         if not isinstance(self.fcidump_path, (str, type(None))):
             raise ManifestError(f"point {self.label!r} fcidump must be a path string, "
                                 f"got {self.fcidump_path!r}")
@@ -321,30 +322,52 @@ def parse_scan_csv(text: str):
     return points
 
 
+def _curve_arrays(coords, energies, error, at_least=0):
+    """``coords`` and ``energies`` as 1-D float arrays of one length, at least ``at_least``
+    points, finite, sorted stably by coordinate; other input raises ``error``."""
+    coords, energies = np.asarray(coords, dtype=float), np.asarray(energies, dtype=float)
+    if coords.shape != energies.shape or coords.ndim != 1:
+        raise error("coordinate and energy arrays must match")
+    if len(coords) < at_least:
+        raise error(f"need at least {at_least} points, got {len(coords)}")
+    if not (np.isfinite(coords).all() and np.isfinite(energies).all()):
+        raise error("coordinates and energies must be finite")
+    order = np.argsort(coords, kind="stable")
+    return coords[order], energies[order]
+
+
 def _fit_window(coords, energies, pivot):
     """The (at most) 5 samples nearest the pivot, in coordinate order; a window
     that repeats a coordinate raises, as it leaves the cubic underdetermined."""
-    order = np.argsort(np.abs(coords - coords[pivot]), kind="stable")
-    chosen = np.sort(order[:5])
-    if (np.diff(coords[chosen]) == 0).any():
-        raise FitBracketError(f"fit window repeats a coordinate: {coords[chosen].tolist()}")
+    with np.errstate(over="ignore"):  # a span past the float range is inf; its fit fails
+        order = np.argsort(np.abs(coords - coords[pivot]), kind="stable")
+        chosen = np.sort(order[:5])
+        if (np.diff(coords[chosen]) == 0).any():
+            raise FitBracketError(f"fit window repeats a coordinate: {coords[chosen].tolist()}")
     return coords[chosen], energies[chosen]
 
 
 def _cubic_stationary(x, y, pivot_coord, want_minimum):
-    """Stationary point of a least-squares cubic with the requested curvature."""
-    center = float(np.mean(x))
-    coeffs = np.polyfit(x - center, y, 3)
-    deriv = np.polyder(coeffs)
-    curvature = np.polyder(deriv)
-    candidates = []
-    for root in np.roots(deriv):
-        if abs(root.imag) > 1e-10:
-            continue
-        r = float(root.real)
-        curv = float(np.polyval(curvature, r))
-        if (curv > 0) == want_minimum and (x - center).min() - 1e-9 <= r <= (x - center).max() + 1e-9:
-            candidates.append((r + center, float(np.polyval(coeffs, r))))
+    """Stationary point of a least-squares cubic with the requested curvature, or a
+    FitBracketError: none is interior, or the fit overflows, loses rank or finds no roots."""
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"), warnings.catch_warnings():
+            warnings.simplefilter("error", np.exceptions.RankWarning)
+            center = float(np.mean(x))
+            span = x - center
+            coeffs = np.polyfit(span, y, 3)
+            deriv = np.polyder(coeffs)
+            curvature = np.polyder(deriv)
+            candidates = []
+            for root in np.roots(deriv):
+                if abs(root.imag) > 1e-10:
+                    continue
+                r = float(root.real)
+                curv = float(np.polyval(curvature, r))
+                if (curv > 0) == want_minimum and span.min() - 1e-9 <= r <= span.max() + 1e-9:
+                    candidates.append((r + center, float(np.polyval(coeffs, r))))
+    except (FloatingPointError, np.exceptions.RankWarning, np.linalg.LinAlgError) as exc:
+        raise FitBracketError(f"cubic fit is ill-conditioned: {exc}") from None
     if not candidates:
         kind = "minimum" if want_minimum else "maximum"
         raise FitBracketError(f"cubic fit has no interior {kind}")
@@ -357,14 +380,7 @@ def fit_equilibrium(coords, energies):
 
     Requires at least 4 points and a discrete interior minimum.
     """
-    coords = np.asarray(coords, dtype=float)
-    energies = np.asarray(energies, dtype=float)
-    if coords.shape != energies.shape or coords.ndim != 1:
-        raise FitBracketError("coordinate and energy arrays must match")
-    if len(coords) < 4:
-        raise FitBracketError(f"need at least 4 points, got {len(coords)}")
-    order = np.argsort(coords, kind="stable")
-    coords, energies = coords[order], energies[order]
+    coords, energies = _curve_arrays(coords, energies, FitBracketError, 4)
     k = int(np.argmin(energies))
     if k == 0 or k == len(coords) - 1:
         raise FitBracketError("discrete minimum sits on the scan boundary")
@@ -374,9 +390,8 @@ def fit_equilibrium(coords, energies):
 
 def dissociation_energy(coords, energies) -> float:
     """(E at the largest coordinate - fitted E_min) in kcal/mol."""
-    coords = np.asarray(coords, dtype=float)
-    energies = np.asarray(energies, dtype=float)
-    if energies.max() - energies.min() < 1e-12:
+    coords, energies = _curve_arrays(coords, energies, FitBracketError)
+    if len(energies) and energies.max() - energies.min() < 1e-12:
         return 0.0
     _, e_min = fit_equilibrium(coords, energies)
     e_asymptote = float(energies[np.argmax(coords)])
@@ -390,20 +405,15 @@ def activation_energy(coords, energies) -> float:
     the fitted minimum on the lower-coordinate side when that minimum is
     interior, else the raw end-point energy (an asymptotic reactant).
     """
-    coords = np.asarray(coords, dtype=float)
-    energies = np.asarray(energies, dtype=float)
-    if len(coords) < 4:
-        raise BarrierError(f"need at least 4 points, got {len(coords)}")
-    order = np.argsort(coords, kind="stable")
-    coords, energies = coords[order], energies[order]
+    coords, energies = _curve_arrays(coords, energies, BarrierError, 4)
     k = int(np.argmax(energies))
     if k == 0 or k == len(coords) - 1:
         raise BarrierError("no interior maximum along the scan")
     x, y = _fit_window(coords, energies, k)
     try:
         _, e_saddle = _cubic_stationary(x, y, coords[k], want_minimum=False)
-    except FitBracketError:
-        raise BarrierError("cubic fit near the discrete maximum has no interior maximum")
+    except FitBracketError as exc:  # no interior maximum, or an ill-conditioned fit
+        raise BarrierError(f"near the discrete maximum, {exc}") from None
 
     left_energies = energies[: k + 1]
     m = int(np.argmin(left_energies))

@@ -320,14 +320,12 @@ def test_criterion_5_property_suite(fixture_dir):
 
     def particle_number():
         # on every basis state, so that N could leave 2
-        from test_simulator import run_on_every_state
-
         circuit = build_uccsd(4, {0, 1})
         n_op = jordan_wigner(number_operator(4))
         hf = prepare_hf(4, {0, 1})
         rng = np.random.default_rng(1)
         for _ in range(50):
-            state = run_on_every_state(hf, circuit, rng.uniform(-1.5, 1.5, 3))
+            state = apply_circuit(hf, circuit, rng.uniform(-1.5, 1.5, 3))
             mean = expectation(state, n_op)
             second = float(
                 np.real(

@@ -24,7 +24,6 @@ from vqechem.ansatz import (
 from vqechem.exceptions import ShapeError
 from vqechem.fermions import jordan_wigner
 from vqechem.paulis import PauliString
-from test_simulator import run_on_every_state
 from vqechem.simulator import (
     MAX_QUBITS,
     Circuit,
@@ -107,7 +106,7 @@ def test_uccsd_h2_parameter_count():
 def test_uccsd_zero_angles_identity_on_reference():
     circuit = build_uccsd(4, {0, 1})
     hf = prepare_hf(4, {0, 1})
-    out = run_on_every_state(hf, circuit, np.zeros(3))
+    out = apply_circuit(hf, circuit, np.zeros(3))
     assert np.abs(out.amplitudes - hf.amplitudes).max() < 1e-12
 
 
@@ -163,7 +162,7 @@ def test_excitation_gate_matches_dense_exponential(excitation, theta, seed):
     rng = np.random.default_rng(seed)
     amps = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
     state = Statevector(n, amps / np.linalg.norm(amps))
-    fused = run_on_every_state(state, circuit, [theta]).amplitudes
+    fused = apply_circuit(state, circuit, [theta]).amplitudes
     assert np.abs(fused - expm(theta * m) @ state.amplitudes).max() < 1e-12
 
 
@@ -208,7 +207,7 @@ def test_uccsd_particle_number_exactly_conserved():
     rng = np.random.default_rng(42)
     for _ in range(50):
         theta = rng.uniform(-1.5, 1.5, circuit.n_parameters)
-        state = run_on_every_state(hf, circuit, theta)
+        state = apply_circuit(hf, circuit, theta)
         mean_n = expectation(state, number)
         var_n = expectation(state, number_sq) - mean_n**2
         assert abs(mean_n - len(occupied)) < 1e-10

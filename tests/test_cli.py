@@ -427,6 +427,12 @@ def test_one_point_manifest_then_fit_errors(tmp_path, capsys):
         (lambda doc: doc["points"][0].update(fcidmp="h2.fcidump"),
          "point 0 has unknown keys ['fcidmp']"),
         (lambda doc: doc.update(points=[{"label": "a", "fcidump": 5}]), "fcidump"),
+        # written to the scan CSV, a comma or line break would split its row, and a lone
+        # surrogate cannot be encoded for the point's seed
+        (lambda doc: doc["points"][0].update(label="a,b"), "label 'a,b'"),
+        (lambda doc: doc["points"][0].update(label="c\nd"), "label 'c\\nd'"),
+        (lambda doc: doc["points"][0].update(label="e\u2028f"), "label 'e\\u2028f'"),
+        (lambda doc: doc["points"][0].update(label="\ud800"), "label '\\ud800'"),
     ],
     ids=["unknown-optimizer-key", "point-without-label", "zero-restarts", "zero-shots",
          "negative-reps", "non-integer-freeze", "non-numeric-coordinate",
@@ -438,7 +444,8 @@ def test_one_point_manifest_then_fit_errors(tmp_path, capsys):
          "dropped-spsa-gain", "duplicate-freeze", "boolean-max-iterations",
          "nan-threshold", "infinite-xtol", "boolean-coordinate", "boolean-threshold",
          "boolean-xtol", "nan-coordinate", "unknown-manifest-key", "unknown-point-key",
-         "non-string-fcidump"],
+         "non-string-fcidump", "comma-label", "newline-label",
+         "line-separator-label", "surrogate-label"],
 )
 def test_malformed_manifest_rejected_up_front(tmp_path, capsys, corrupt, key):
     manifest = small_manifest(tmp_path)
@@ -517,6 +524,30 @@ def test_repeated_coordinates_exit_2_with_one_line(tmp_path, capsys, command, en
     assert main([command, "--curve", str(curve)]) == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "repeats a coordinate" in err
+
+
+@pytest.mark.parametrize("command", ["fit", "barrier"])
+@pytest.mark.parametrize("coords, energies", [
+    ([1e200, 2e200, 3e200, 4e200, 5e200], [1.0, 0.5, 0.0, 0.5, 1.0]),
+    ([0.5, 1.0, 1.5, 2.0, 2.5], [1e307, -1e307, -1.5e307, 1e307, 1.7e308]),
+    ([0.5, 1e-300, 2e-300, 3e-300, 4e-300], [1.0, 0.5, 0.0, 0.5, 1.0]),
+    ([-1.5e308, -1e308, 0.0, 1e308, 1.5e308], [1.0, 0.6, 0.5, 0.0, 1.0]),
+], ids=["huge-coordinates", "huge-energies", "tiny-coordinates", "huge-span"])
+def test_ill_conditioned_fit_window_exits_2_with_one_line_and_no_warning(
+        tmp_path, capfd, command, coords, energies):
+    # the cubic fit overflows, fails in np.roots or loses rank, or the window's distances
+    # overflow: each was a traceback, LAPACK lines or a warning; a barrier scan runs the
+    # well upside down
+    sign = 1.0 if command == "fit" else -1.0
+    curve = tmp_path / "curve.csv"
+    curve.write_text(scan_csv([PesPoint(f"p{i}", r, sign * e, sign * e, 0.0, 5, 2)
+                               for i, (r, e) in enumerate(zip(coords, energies))]))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([command, "--curve", str(curve)]) == 2
+    assert caught == []
+    out, err = capfd.readouterr()
+    assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 def test_scan_outputs_byte_identical(tmp_path):

@@ -401,11 +401,13 @@ def single_string(n, letters):
     (Gate("pauli_rot", (), angle=0.4, generator=single_string(4, "ZIZI")), True),
     # an ry gate flips one qubit: mixed with the rotations, it leaves the sector
     (Gate("ry", (0,), angle=0.4), False),
+    # a cz keeps the sector, but it runs on the register alone
+    (Gate("cz", (0, 1)), False),
 ])
 def test_rotation_objective_runs_on_the_sector_or_is_refused(
         h2_hamiltonian_074, extra, on_sector, monkeypatch):
-    # a circuit the Hartree-Fock sector refuses, since one of its gates leaves it, runs
-    # on the whole register from the complex reference vector, both objectives alike
+    # a circuit the Hartree-Fock sector refuses, since one of its gates leaves it or is a
+    # cz, runs on the whole register from the complex reference vector, both objectives alike
     uccsd = build_uccsd(4, {0, 1})
     circuit = Circuit(4, uccsd.gates + (extra,), n_parameters=uccsd.n_parameters)
     assert (circuit.restrict(sector_states(4, 0b0011)) is not None) == on_sector

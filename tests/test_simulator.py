@@ -85,18 +85,6 @@ def random_circuit(n, n_gates, n_params, seed, kinds):
     return Circuit(n, tuple(gates), n_parameters=n_params)
 
 
-def run_on_every_state(state, circuit, parameters=()):
-    """``apply_circuit`` on a register state: a circuit with a Pauli rotation
-    restricted to all 2**n basis states, on the state listed on them; one of ry
-    and cz gates alone on the register."""
-    if not any(g.kind == "pauli_rot" for g in circuit.gates):
-        return apply_circuit(state, circuit, parameters)
-    every = np.arange(1 << state.n_qubits)
-    out = apply_circuit(Statevector(state.n_qubits, state.amplitudes, every),
-                        circuit.restrict(every), parameters)
-    return Statevector(out.n_qubits, out.amplitudes)
-
-
 def test_prepare_hf_empty():
     state = prepare_hf(4, set())
     assert state.amplitudes[0] == 1.0
@@ -154,7 +142,7 @@ def test_random_circuit_matches_dense_unitary(seed):
     state = random_state(n, seed + 100)
     for kinds in CIRCUIT_KINDS:
         circuit = random_circuit(n, 12, 3, seed, kinds)
-        fast = run_on_every_state(state, circuit, params)
+        fast = apply_circuit(state, circuit, params)
         dense = circuit_unitary(circuit, params) @ state.amplitudes
         assert np.abs(fast.amplitudes - dense).max() < 1e-10
         assert abs(fast.norm() - 1.0) < 1e-10
@@ -168,7 +156,7 @@ def test_norm_preserved_gate_by_gate():
         for gate in circuit.gates:
             if gate.slot is not None:
                 continue
-            amps2 = run_on_every_state(Statevector(n, amps), Circuit(n, (gate,))).amplitudes
+            amps2 = apply_circuit(Statevector(n, amps), Circuit(n, (gate,))).amplitudes
             assert abs(np.linalg.norm(amps2) - 1.0) < 1e-10
             amps = amps2
 
@@ -177,7 +165,7 @@ def test_pauli_rotation_zero_angle_identity():
     p = single(PauliString.from_letters("XZY"))
     circuit = Circuit(3, (Gate("pauli_rot", (), angle=0.0, generator=p),))
     state = random_state(3, 2)
-    out = run_on_every_state(state, circuit)
+    out = apply_circuit(state, circuit)
     assert np.abs(out.amplitudes - state.amplitudes).max() < 1e-12
 
 
@@ -187,7 +175,7 @@ def test_pauli_rotation_roundtrip():
     forward = Circuit(3, (Gate("pauli_rot", (), angle=theta, generator=p),))
     backward = Circuit(3, (Gate("pauli_rot", (), angle=-theta, generator=p),))
     state = random_state(3, 3)
-    out = run_on_every_state(run_on_every_state(state, forward), backward)
+    out = apply_circuit(apply_circuit(state, forward), backward)
     assert np.abs(out.amplitudes - state.amplitudes).max() < 1e-12
 
 
@@ -203,8 +191,8 @@ def test_pauli_rotation_half_angle_composition():
         ),
     )
     state = random_state(2, 4)
-    one = run_on_every_state(state, whole)
-    two = run_on_every_state(state, halves)
+    one = apply_circuit(state, whole)
+    two = apply_circuit(state, halves)
     assert np.abs(one.amplitudes - two.amplitudes).max() < 1e-12
 
 
@@ -219,7 +207,7 @@ def test_precomputed_rotation_matches_dense_exponential(masks, theta, seed):
     p = PauliString(n, x, z)
     circuit = Circuit(n, (Gate("pauli_rot", (), angle=theta, generator=single(p)),))
     state = random_state(n, seed)
-    fast = run_on_every_state(state, circuit).amplitudes
+    fast = apply_circuit(state, circuit).amplitudes
     dense = expm(-0.5j * theta * pauli_matrix(p.to_letters())) @ state.amplitudes
     assert np.abs(fast - dense).max() < 1e-12
 
@@ -383,7 +371,7 @@ def test_one_cos_call_per_circuit_is_bit_identical_to_the_gate_loop(n, seed):
                    else build_hardware_efficient(2, 2))
         params = np.random.default_rng(seed).normal(0.0, 3.0, circuit.n_parameters)
         state = random_state(circuit.n_qubits, seed)
-        fast = run_on_every_state(state, circuit, params).amplitudes
+        fast = apply_circuit(state, circuit, params).amplitudes
         assert np.array_equal(fast, apply_circuit_per_gate(state.amplitudes, circuit, params))
 
 
@@ -457,7 +445,7 @@ def test_restricted_circuit_matches_the_register_on_its_sector(n, occupied):
     rng = np.random.default_rng(n)
     for _ in range(5):
         theta = rng.uniform(-3.0, 3.0, circuit.n_parameters)
-        full = run_on_every_state(prepare_hf(n, occupied), circuit, theta).amplitudes
+        full = apply_circuit(prepare_hf(n, occupied), circuit, theta).amplitudes
         reference = Statevector(n, (hf == states).astype(float), states)
         local = apply_circuit(reference, sector, theta)
         assert local.amplitudes.dtype == np.float64 and np.array_equal(local.states, states)
@@ -672,40 +660,40 @@ def flat_table(table):
 
 @pytest.mark.parametrize("n", [2, 6])
 def test_ry_tables_are_those_of_the_rotation_about_its_y_string(n):
-    # RY(a) = exp(-i a/2 Y): the same rows, partners and real phases -1/+1, on all
-    # 2**n states listed and, read through its view, on the register, whatever the
-    # ry's angle; on the register it holds no array of a row each
-    for states in (None, np.arange(1 << n)):
-        for q in range(n):
-            y = single(PauliString(n, 1 << q, 1 << q))
-            rotation = Circuit(n, (Gate("pauli_rot", (), generator=y),)).restrict(states)
-            ref_rows, ref_partner, ref_phase = flat_table(rotation.tables[0])
-            assert np.array_equal(ref_phase, np.where(np.arange(1 << n) >> q & 1, 1.0, -1.0))
-            ry = Circuit(n, (Gate("ry", (q,), angle=0.3), Gate("ry", (q,)))).restrict(states)
-            for table in ry.tables:
-                rows, partner, phase = flat_table(table)
-                assert np.array_equal(rows, ref_rows) and np.array_equal(partner, ref_partner)
-                assert phase.dtype == ref_phase.dtype and np.array_equal(phase, ref_phase)
-                held = [a.size for a in table if isinstance(a, np.ndarray)]
-                assert states is not None or max(held) == 2
+    # RY(a) = exp(-i a/2 Y): read through its view of the register, the same rows,
+    # partners and real phases -1/+1, whatever the ry's angle; it holds no array of a
+    # row each
+    for q in range(n):
+        y = single(PauliString(n, 1 << q, 1 << q))
+        rotation = Circuit(n, (Gate("pauli_rot", (), generator=y),)).restrict()
+        ref_rows, ref_partner, ref_phase = flat_table(rotation.tables[0])
+        assert np.array_equal(ref_phase, np.where(np.arange(1 << n) >> q & 1, 1.0, -1.0))
+        ry = Circuit(n, (Gate("ry", (q,), angle=0.3), Gate("ry", (q,)))).restrict()
+        for table in ry.tables:
+            rows, partner, phase = flat_table(table)
+            assert np.array_equal(rows, ref_rows) and np.array_equal(partner, ref_partner)
+            assert phase.dtype == ref_phase.dtype and np.array_equal(phase, ref_phase)
+            assert max(a.size for a in table if isinstance(a, np.ndarray)) == 2
 
 
-def test_cz_keeps_a_sector_that_an_ry_leaves():
-    # a cz flips signs only, so its table on a sector is its rows with both bits set,
-    # and on the register a view of those rows
+def test_cz_runs_on_the_register_alone(monkeypatch):
+    # a cz flips signs only, yet given states it restricts to nothing, as an ry does,
+    # before any table is built; on the register its table is a view of the rows with
+    # both bits set
     states = sector_states(6, 0b111)
     circuit = Circuit(6, (Gate("cz", (0, 3)), Gate("cz", (3, 0))))
-    sector = circuit.restrict(states)
-    shape, rows, partner, phase = sector.tables[0]
-    assert np.array_equal(sector.tables[1][1], rows) and rows is partner and not phase.any()
-    assert np.array_equal(states[rows], states[states & 0b1001 == 0b1001])
-    rows, partner, phase = flat_table(circuit.register.tables[0])
-    assert np.array_equal(rows, np.flatnonzero(np.arange(64) & 0b1001 == 0b1001))
-    assert np.array_equal(partner, rows) and not phase.any() and circuit.gates[0].angle == 2 * np.pi
-    assert Circuit(6, (Gate("ry", (0,)),)).restrict(states) is None
-    state = Statevector(6, np.random.default_rng(0).standard_normal(len(states)), states)
-    array, scalar = run_both_kernels(circuit, state, ())
-    assert np.array_equal(array, scalar) and np.array_equal(array, state.amplitudes)
+    uccsd = build_uccsd(6, range(3))
+    mixed = Circuit(6, uccsd.gates + (Gate("ry", (0,)),), n_parameters=uccsd.n_parameters)
+    with monkeypatch.context() as patch:
+        patch.setattr(simulator, "_gate_table", None)
+        patch.setattr(simulator, "check_allocation", None)
+        for refused in (circuit, mixed):
+            assert refused.restrict(states) is None and refused.restrict(np.arange(64)) is None
+    for table in circuit.register.tables:
+        rows, partner, phase = flat_table(table)
+        assert np.array_equal(rows, np.flatnonzero(np.arange(64) & 0b1001 == 0b1001))
+        assert np.array_equal(partner, rows) and not phase.any()
+    assert circuit.gates[0].angle == 2 * np.pi
 
 
 def test_cz_takes_no_parameter_slot():

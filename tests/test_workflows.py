@@ -112,6 +112,31 @@ def test_activation_energy_monotone_curve_rejected():
         activation_energy(coords, [0.0, 0.1, 0.2, 0.3, 0.4])
 
 
+WELL = ([0.5, 0.6, 0.7, 0.8, 0.9], [1.0, 0.5, 0.2, 0.5, 1.0])
+PEAK = (WELL[0], [-e for e in WELL[1]])
+
+
+@pytest.mark.parametrize("function, curve, error", [
+    (fit_equilibrium, WELL, FitBracketError),
+    (dissociation_energy, WELL, FitBracketError),
+    (activation_energy, PEAK, BarrierError),
+])
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda c, e: (c, e[:-1]), "must match"),  # one energy short
+    (lambda c, e: ([c, c], [e, e]), "must match"),  # 2-D
+    (lambda c, e: (c, e[:2] + [float("nan")] + e[3:]), "finite"),
+    (lambda c, e: (c[:-1] + [float("inf")], e), "finite"),
+    (lambda c, e: (c[:3], e[:3]), "need at least 4 points, got 3"),
+], ids=["short-energies", "two-dimensional", "nan-energy", "infinite-coordinate",
+        "three-points"])
+def test_curve_functions_refuse_bad_arrays_with_their_own_error(function, curve, error,
+                                                                corrupt, message):
+    # activation_energy raised IndexError on short energies and counted the rows of 2-D
+    # input, and a NaN energy gave numpy's LinAlgError in all three
+    with pytest.raises(error, match=message):
+        function(*corrupt(*curve))
+
+
 def test_compare_identical_curves_all_zero():
     curve = [("a", -1.0), ("b", -0.9)]
     report = compare_curves(curve, curve)
