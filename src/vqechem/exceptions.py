@@ -24,10 +24,6 @@ class SingularGeometryError(VqeChemError):
 class ScfConvergenceError(VqeChemError):
     """SCF failed to converge within the iteration cap."""
 
-    def __init__(self, message, last_energy=None):
-        super().__init__(message)
-        self.last_energy = last_energy
-
 
 class FcidumpError(VqeChemError):
     """Malformed FCIDUMP content."""
@@ -36,7 +32,6 @@ class FcidumpError(VqeChemError):
         if line_number is not None:
             message = f"line {line_number}: {message}"
         super().__init__(message)
-        self.line_number = line_number
 
 
 class ActiveSpaceError(VqeChemError):
@@ -72,7 +67,8 @@ class BarrierError(VqeChemError):
 
 
 class CurveAlignmentError(VqeChemError):
-    """Two curves to be compared do not share point labels."""
+    """Two curves to be compared do not share point labels, or their pointwise
+    shifts are not finite."""
 
 
 class ManifestError(VqeChemError):

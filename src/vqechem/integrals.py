@@ -7,10 +7,8 @@ integrals are stored in chemist notation (pq|rs) everywhere.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from importlib import resources
 
 import numpy as np
 
@@ -36,6 +34,12 @@ SCF_MAX_ITERATIONS = 200
 COINCIDENT_ATOM_TOLERANCE = 1e-6  # Bohr
 # a far atom's own integrals equalled atom 0's to the last bit at 2100 separations of 1e5-1e9
 MAX_SEPARATION = 1e8  # Bohr; not at 2.4e9, as its product centres round off it by r * 1e-16
+# far above any molecule's integrals, and far enough below the float range that sums
+# and squares of the Hamiltonian's coefficients stay finite
+MAX_INTEGRAL = 1e100  # Hartree
+# hydrogen 1s STO-3G (Slater zeta 1.24): Hehre, Stewart & Pople, J. Chem. Phys. 51, 2657 (1969)
+STO3G_H_EXPONENTS = (3.425250914, 0.6239137298, 0.168855404)
+STO3G_H_COEFFICIENTS = (0.1543289673, 0.5353281423, 0.4446345422)
 
 
 @dataclass(frozen=True)
@@ -143,6 +147,11 @@ class MolecularIntegrals:
         if not (np.isfinite(self.constant_energy) and np.all(np.isfinite(self.h))
                 and np.all(np.isfinite(self.g))):
             raise ShapeError("non-finite constant energy or integral values")
+        largest = max(abs(self.constant_energy), np.abs(self.h).max(initial=0.0),
+                      np.abs(self.g).max(initial=0.0))
+        if largest > MAX_INTEGRAL:
+            raise ShapeError(f"constant energy or integral value {largest:.3g} above the "
+                             f"{MAX_INTEGRAL:.0e} Hartree limit")
         if not np.allclose(self.h, self.h.T, atol=1e-10):
             raise ShapeError("one-body integrals not symmetric")
 
@@ -176,17 +185,6 @@ class ActiveSpaceSpec:
             raise ActiveSpaceError("frozen_spatial must be sorted")
         if tuple(sorted(self.active_spatial)) != tuple(self.active_spatial):
             raise ActiveSpaceError("active_spatial must be sorted")
-
-
-def _load_sto3g_shell(symbol: str):
-    data = json.loads(resources.files("vqechem.data").joinpath("sto3g_h.json").read_text())
-    try:
-        shells = data["elements"][symbol]["shells"]
-    except KeyError:
-        raise UnsupportedElementError(
-            f"no built-in basis for element {symbol!r}; only hydrogen is supported"
-        ) from None
-    return shells
 
 
 def boys_f0(x):
@@ -244,9 +242,8 @@ def compute_ao_integrals(molecule: Molecule) -> AOIntegrals:
 
     e_nuc = nuclear_repulsion(molecule)  # also rejects coincident atoms
 
-    shell = _load_sto3g_shell("H")[0]
-    exps = np.asarray(shell["exponents"], dtype=float)
-    raw_coeffs = np.asarray(shell["coefficients"], dtype=float)
+    exps = np.array(STO3G_H_EXPONENTS)
+    raw_coeffs = np.array(STO3G_H_COEFFICIENTS)
 
     # primitive-pair data of every ordered AO pair (a, b), flat index
     # a * n_ao + b, primitive pairs (i, j) in row-major order. Each value
@@ -302,8 +299,8 @@ def run_rhf(ao: AOIntegrals, n_electrons: int) -> RhfResult:
     """Restricted Hartree-Fock by plain Roothaan iteration.
 
     Convergence: successive density matrices differ by < 1e-8 (max-abs).
-    No DIIS or damping; the target systems are small enough that the bare
-    fixed-point iteration converges monotonically.
+    No DIIS or damping, so stretched H2 (14 Bohr and beyond, where the symmetric
+    density is an unstable fixed point) raises ScfConvergenceError.
     """
     if n_electrons % 2 != 0:
         raise ShapeError(f"RHF requires an even electron count, got {n_electrons}")
@@ -349,10 +346,7 @@ def run_rhf(ao: AOIntegrals, n_electrons: int) -> RhfResult:
                 float(energy), eps, c, iteration, True, n_electrons, tuple(trace)
             )
 
-    raise ScfConvergenceError(
-        f"SCF not converged after {SCF_MAX_ITERATIONS} iterations",
-        last_energy=trace[-1],
-    )
+    raise ScfConvergenceError(f"SCF not converged after {SCF_MAX_ITERATIONS} iterations")
 
 
 def transform_to_mo(ao: AOIntegrals, rhf: RhfResult) -> MolecularIntegrals:

@@ -395,7 +395,8 @@ def dissociation_energy(coords, energies) -> float:
         return 0.0
     _, e_min = fit_equilibrium(coords, energies)
     e_asymptote = float(energies[np.argmax(coords)])
-    return (e_asymptote - e_min) * HARTREE_TO_KCALMOL
+    return checked_real((e_asymptote - e_min) * HARTREE_TO_KCALMOL, "well depth",
+                        FitBracketError)
 
 
 def activation_energy(coords, energies) -> float:
@@ -422,7 +423,7 @@ def activation_energy(coords, energies) -> float:
         _, e_reactant = _cubic_stationary(x_min, y_min, coords[m], want_minimum=True)
     else:
         e_reactant = float(left_energies[m])
-    return (e_saddle - e_reactant) * HARTREE_TO_KCALMOL
+    return checked_real((e_saddle - e_reactant) * HARTREE_TO_KCALMOL, "barrier", BarrierError)
 
 
 @dataclass(frozen=True)
@@ -452,12 +453,16 @@ def compare_curves(curve_a, curve_b) -> CurveComparison:
         missing = set(a) ^ set(b)
         raise CurveAlignmentError(f"curves do not share labels: {sorted(missing)}")
     rows = tuple(
-        (label, a[label], b[label], a[label] - b[label]) for label, _ in curve_a
+        (label, a[label], b[label], float(a[label]) - float(b[label])) for label, _ in curve_a
     )
+    if not rows:
+        raise CurveAlignmentError("the curves hold no points")
     deltas = [r[3] for r in rows]
-    return CurveComparison(
-        rows, float(np.mean(deltas)), float(min(deltas)), float(max(deltas))
-    )
+    for label, _, _, delta in rows:  # a difference of finite floats overflows quietly
+        checked_real(delta, f"shift at {label!r}", CurveAlignmentError)
+    with np.errstate(over="ignore"):  # and so can their sum
+        mean = checked_real(float(np.mean(deltas)), "mean shift", CurveAlignmentError)
+    return CurveComparison(rows, mean, float(min(deltas)), float(max(deltas)))
 
 
 def trace_csv(result: VqeResult) -> str:

@@ -754,17 +754,13 @@ def ao_integrals_loop(molecule):
     primitive quartet at a time with scalar Boys calls: the reference that
     ``compute_ao_integrals`` must match bit for bit.
     """
-    from vqechem.integrals import (
-        AOIntegrals,
-        _load_sto3g_shell,
-        _s_primitive_norm,
-        nuclear_repulsion,
-    )
+    from vqechem.integrals import AOIntegrals, _s_primitive_norm, nuclear_repulsion
 
     e_nuc = nuclear_repulsion(molecule)
-    shell = _load_sto3g_shell("H")[0]
-    exps = np.asarray(shell["exponents"], dtype=float)
-    raw_coeffs = np.asarray(shell["coefficients"], dtype=float)
+    # hydrogen 1s STO-3G, written out apart from the package's constants: Hehre,
+    # Stewart & Pople, J. Chem. Phys. 51, 2657 (1969), Slater zeta 1.24
+    exps = np.array([3.425250914, 0.6239137298, 0.168855404])
+    raw_coeffs = np.array([0.1543289673, 0.5353281423, 0.4446345422])
 
     centers = [np.asarray(xyz, dtype=float) for _, _, xyz in molecule.atoms]
     weights = raw_coeffs * np.array([_s_primitive_norm(a) for a in exps])

@@ -1,12 +1,17 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import vqechem
 from vqechem.cli import main
@@ -548,6 +553,190 @@ def test_ill_conditioned_fit_window_exits_2_with_one_line_and_no_warning(
     assert caught == []
     out, err = capfd.readouterr()
     assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def run_cli(argv):
+    """(exit code, stdout, stderr, warnings) of ``main(argv)`` run in process."""
+    out, err = io.StringIO(), io.StringIO()
+    with (warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(out),
+          contextlib.redirect_stderr(err)):
+        warnings.simplefilter("always")
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue(), caught
+
+
+def strict_json(text: str):
+    """``text`` parsed as JSON proper: NaN, Infinity and -Infinity are refused."""
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def curve_csv(rows) -> str:
+    """A scan CSV of (coordinate, energy) rows, the energy in both energy columns."""
+    return scan_csv([PesPoint(f"p{i}", r, e, e, 0.0, 5, 2) for i, (r, e) in enumerate(rows)])
+
+
+# finite energies whose difference overflows: each command printed Infinity or NaN
+# as JSON and exited 0, compare with a numpy RuntimeWarning
+OVERFLOW_COMPARE = ([(1.0, 1.5e308), (2.0, -1.5e308)], [(1.0, -1.5e308), (2.0, 1.5e308)])
+OVERFLOW_BARRIER = list(zip(range(1, 8), [-1e306, 0.0, 5e305, 1e306, 5e305, -2e306, -1.7e308]))
+OVERFLOW_FIT = list(zip(range(1, 6), [1e305, -1e305, -1.5e305, -1e305, 1.7e308]))
+
+
+@pytest.mark.parametrize("command, curves, code", [
+    ("compare", OVERFLOW_COMPARE, 2),
+    ("barrier", (OVERFLOW_BARRIER,), 2),
+    ("fit", (OVERFLOW_FIT,), 0),
+])
+def test_overflowing_energy_difference_prints_no_non_finite_number(tmp_path, command, curves,
+                                                                   code):
+    paths = []
+    for n, rows in enumerate(curves):
+        paths.append(tmp_path / f"curve{n}.csv")
+        paths[-1].write_text(curve_csv(rows))
+    out = tmp_path / "compare.csv"
+    flags = (["--curve-a", str(paths[0]), "--curve-b", str(paths[1]), "--out", str(out)]
+             if command == "compare" else ["--curve", str(paths[0])])
+    exit_code, stdout, stderr, caught = run_cli([command, *flags, "--json"])
+    assert (exit_code, caught) == (code, [])
+    if code == 2:
+        assert stdout == "" and len(stderr.splitlines()) == 1 and "finite" in stderr
+        assert not out.exists()
+    else:  # fit reports the well depth's failure in its summary
+        summary = strict_json(stdout)
+        assert "finite" in summary["dissociation_error"]
+        assert "dissociation_kcal_mol" not in summary
+
+
+def numbers(small, wide: bool):
+    """``small`` floats, or with ``wide`` any float too, the ends of the range likelier."""
+    if not wide:
+        return small
+    return st.one_of(small, st.floats(), st.sampled_from([1.7e308, -1.7e308, 1e-308]))
+
+
+def geometry_docs(wide):
+    atoms = st.lists(st.lists(numbers(st.floats(-4.0, 4.0), wide), min_size=3, max_size=3),
+                     max_size=4)
+    symbols = st.sampled_from(["H", "H", "H", "He"])
+    return st.builds(lambda xyz, symbol, charge: {
+        "atoms": [{"symbol": "H" if n else symbol, "xyz_bohr": p} for n, p in enumerate(xyz)],
+        "charge": charge}, atoms, symbols, st.integers(-2, 2))
+
+
+@st.composite
+def fcidump_texts(draw, wide):
+    n = draw(st.integers(1, 4))
+    orbital = st.integers(1, n)
+    entry = st.one_of(st.tuples(orbital, orbital, orbital, orbital),  # (ij|kl), h_ij, constant
+                      st.tuples(orbital, orbital, st.just(0), st.just(0)), st.just((0, 0, 0, 0)))
+    entries = draw(st.lists(st.tuples(numbers(st.floats(-2.0, 2.0), wide), entry), max_size=12))
+    body = "".join(f"{v!r} {i} {j} {k} {l}\n" for v, (i, j, k, l) in entries)
+    return f" &FCI NORB={n},NELEC={draw(st.integers(1, 2 * n))},MS2=0,\n &END\n{body}"
+
+
+FREEZE = st.just([]) | st.lists(st.integers(-1, 4), max_size=2)
+
+
+def settings_of(wide):
+    """Optional run settings, keyed as in a manifest."""
+    return st.fixed_dictionaries({}, optional={
+        "ansatz": st.sampled_from(["uccsd", "hardware"]),
+        "kind": st.sampled_from(["simplex", "spsa"]),
+        "mode": st.sampled_from(["exact", "sampled"]), "shots": st.integers(1, 64),
+        "reps": st.integers(0, 2), "seed": st.integers(0, 2**63 - 1),
+        "convergence_threshold": numbers(st.floats(1e-9, 1e-3), wide)})
+
+
+@st.composite
+def curve_rows(draw, n, wide, sign=1.0):
+    """``n`` (coordinate, energy) rows, at random or on a parabola of the curvature's
+    ``sign``, whose vertex a fit (+1) or a barrier (-1) can find."""
+    small = numbers(st.floats(-2.0, 2.0), wide)
+    coords = draw(st.lists(numbers(st.floats(0.0, 5.0), wide), min_size=n, max_size=n,
+                           unique=True))
+    if draw(st.booleans()):
+        return list(zip(coords, draw(st.lists(small, min_size=n, max_size=n))))
+    curvature = sign * abs(draw(small))
+    vertex, offset = draw(numbers(st.floats(0.5, 4.5), wide)), draw(small)
+    # Python floats overflow to inf quietly; the CSV reader refuses a non-finite energy
+    return [(x, curvature * (x - vertex) * (x - vertex) + offset) for x in coords]
+
+
+@st.composite
+def cli_cases(draw):
+    """(argv, files): a command line whose ``@name`` arguments name files in one
+    directory, and the text of each of those files. The runs are capped at 5
+    iterations and one restart, so each takes milliseconds."""
+    wide = draw(st.booleans())
+    command = draw(st.sampled_from(["fcidump-gen", "vqe", "fci", "scan", "fit", "barrier",
+                                    "compare", "trace"]))
+    files, argv = {}, [command]
+    if command in ("fit", "barrier", "compare"):
+        n = draw(st.integers(0 if command == "compare" else 3, 7))
+        sign = -1.0 if command == "barrier" else 1.0
+        files["a.csv"] = curve_csv(draw(curve_rows(n, wide, sign)))
+        argv += ["--curve-a", "@a.csv"] if command == "compare" else ["--curve", "@a.csv"]
+        if command == "compare":
+            files["b.csv"] = curve_csv(draw(curve_rows(draw(st.sampled_from([n, n, 2])), wide)))
+            argv += ["--curve-b", "@b.csv", "--out", "@compare.csv"]
+        argv += draw(st.sampled_from([[], ["--column", "e_fci"]]))
+    elif command == "scan":
+        point = st.one_of(st.fixed_dictionaries({"geometry": geometry_docs(wide)}),
+                          st.just({"fcidump": "h.fcidump"}))
+        points = draw(st.lists(point, max_size=2))
+        files["h.fcidump"] = draw(fcidump_texts(wide))
+        run = draw(settings_of(wide))
+        optimizer = {k: run.pop(k) for k in ("kind", "seed", "convergence_threshold")
+                     if k in run}
+        files["m.json"] = json.dumps({
+            **run, "restarts": 1, "freeze": draw(FREEZE),
+            "optimizer": {**optimizer, "max_iterations": draw(st.integers(1, 5))},
+            "points": [{"label": f"p{i}", "coordinate": draw(
+                numbers(st.floats(0.0, 5.0), wide)), **p} for i, p in enumerate(points)]})
+        argv += ["--manifest", "@m.json", "--out", "@scan.csv"]
+    else:
+        source = "geometry" if command == "fcidump-gen" else draw(
+            st.sampled_from(["geometry", "fcidump"]))
+        name = "g.json" if source == "geometry" else "h.fcidump"
+        files[name] = (json.dumps(draw(geometry_docs(wide))) if source == "geometry"
+                       else draw(fcidump_texts(wide)))
+        argv += [f"--{source}", f"@{name}"]
+        if command != "fcidump-gen":
+            argv += ["--freeze", *map(str, draw(FREEZE))]
+        if command in ("vqe", "trace"):
+            flag = {"kind": "optimizer", "convergence_threshold": "threshold"}
+            argv += [f"--{flag.get(k, k)}={v}" for k, v in draw(settings_of(wide)).items()]
+            argv += ["--restarts=1", f"--max-iterations={draw(st.integers(1, 5))}"]
+        if command not in ("vqe", "fci"):
+            argv += ["--out", "@out"]
+    return argv + draw(st.sampled_from([["--json"], []])), files
+
+
+@settings(max_examples=300)
+@given(cli_cases())
+@example((["compare", "--curve-a", "@a.csv", "--curve-b", "@b.csv", "--json"],
+          {"a.csv": curve_csv(OVERFLOW_COMPARE[0]), "b.csv": curve_csv(OVERFLOW_COMPARE[1])}))
+@example((["barrier", "--curve", "@a.csv", "--json"], {"a.csv": curve_csv(OVERFLOW_BARRIER)}))
+@example((["fit", "--curve", "@a.csv", "--json"], {"a.csv": curve_csv(OVERFLOW_FIT)}))
+# printed e_fci -Infinity and residual_norm NaN after three numpy warnings, exit 0
+@example((["fci", "--fcidump", "@h.fcidump", "--json"],
+          {"h.fcidump": " &FCI NORB=1,NELEC=2,MS2=0,\n &END\n-1.7e+308 1 1 0 0\n"}))
+def test_every_command_exits_0_or_2_with_one_line_and_strict_json(case):
+    argv, files = case
+    with tempfile.TemporaryDirectory() as root:
+        for name, text in files.items():
+            with open(os.path.join(root, name), "w", encoding="utf-8") as fh:
+                fh.write(text)
+        code, stdout, stderr, caught = run_cli(
+            [os.path.join(root, a[1:]) if a.startswith("@") else a for a in argv])
+    assert caught == []
+    assert code in (0, 2)
+    if code == 2:
+        assert len(stderr.splitlines()) == 1 and stderr.startswith("error: "), stderr
+    elif "--json" in argv:
+        strict_json(stdout)
 
 
 def test_scan_outputs_byte_identical(tmp_path):

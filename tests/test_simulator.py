@@ -703,8 +703,8 @@ def test_cz_takes_no_parameter_slot():
 
 def test_hardware_efficient_register_tables_hold_no_array_of_a_row_each():
     # at the 24-qubit limit every ry and cz runs on a view of the register, kept on
-    # the circuit, and the (6, 6) sector, which the first ry leaves, is refused before
-    # its guard counts 16 B per state and gate (2.2 GiB for these 165 gates)
+    # the circuit, and the (6, 6) sector, which the first ry leaves, is refused by the
+    # gate kinds alone, before any table is built or counted
     circuit = build_hardware_efficient(24, 3)
     states = sector_states(24, (1 << 12) - 1)
     tracemalloc.start()

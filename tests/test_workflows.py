@@ -116,19 +116,43 @@ WELL = ([0.5, 0.6, 0.7, 0.8, 0.9], [1.0, 0.5, 0.2, 0.5, 1.0])
 PEAK = (WELL[0], [-e for e in WELL[1]])
 
 
-@pytest.mark.parametrize("function, curve, error", [
+CURVE_FUNCTIONS = [
     (fit_equilibrium, WELL, FitBracketError),
     (dissociation_energy, WELL, FitBracketError),
     (activation_energy, PEAK, BarrierError),
+]
+BAD_ARRAYS = [
+    ("short-energies", lambda c, e: (c, e[:-1]), "must match"),
+    ("two-dimensional", lambda c, e: ([c, c], [e, e]), "must match"),
+    ("nan-energy", lambda c, e: (c, e[:2] + [float("nan")] + e[3:]), "finite"),
+    ("infinite-coordinate", lambda c, e: (c[:-1] + [float("inf")], e), "finite"),
+    ("three-points", lambda c, e: (c[:3], e[:3]), "need at least 4 points, got 3"),
+]
+
+
+def as_given(*curve):
+    return curve
+
+
+@pytest.mark.parametrize("function, curve, error, corrupt, message", [
+    pytest.param(function, curve, error, corrupt, message,
+                 id=f"{name}-{function.__name__}-curve{n}-{error.__name__}")
+    for name, corrupt, message in BAD_ARRAYS
+    for n, (function, curve, error) in enumerate(CURVE_FUNCTIONS)
+] + [
+    # finite energies whose difference overflows: the CLI printed Infinity or NaN as JSON
+    pytest.param(dissociation_energy, ([1.0, 2.0, 3.0, 4.0, 5.0],
+                                       [1e305, -1e305, -1.5e305, -1e305, 1.7e308]),
+                 FitBracketError, as_given, "well depth", id="overflowing-well-depth"),
+    pytest.param(activation_energy, ([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0],
+                                     [-1e306, 0.0, 5e305, 1e306, 5e305, -2e306, -1.7e308]),
+                 BarrierError, as_given, "barrier", id="overflowing-barrier"),
+    pytest.param(compare_curves, ([("a", np.float64(1.5e308)), ("b", -1.5e308)],
+                                  [("a", -1.5e308), ("b", 1.5e308)]),
+                 CurveAlignmentError, as_given, "shift at 'a'", id="overflowing-shift"),
+    pytest.param(compare_curves, ([("a", 1e308), ("b", 1e308)], [("a", 0.0), ("b", 0.0)]),
+                 CurveAlignmentError, as_given, "mean shift", id="overflowing-mean-shift"),
 ])
-@pytest.mark.parametrize("corrupt, message", [
-    (lambda c, e: (c, e[:-1]), "must match"),  # one energy short
-    (lambda c, e: ([c, c], [e, e]), "must match"),  # 2-D
-    (lambda c, e: (c, e[:2] + [float("nan")] + e[3:]), "finite"),
-    (lambda c, e: (c[:-1] + [float("inf")], e), "finite"),
-    (lambda c, e: (c[:3], e[:3]), "need at least 4 points, got 3"),
-], ids=["short-energies", "two-dimensional", "nan-energy", "infinite-coordinate",
-        "three-points"])
 def test_curve_functions_refuse_bad_arrays_with_their_own_error(function, curve, error,
                                                                 corrupt, message):
     # activation_energy raised IndexError on short energies and counted the rows of 2-D
