@@ -11,7 +11,6 @@ from .exactdiag import GroundStateResult, ground_state_energy
 from .fcidump import parse_fcidump, write_fcidump
 from .fermions import FermionOperator, build_second_quantized, jordan_wigner
 from .integrals import (
-    ActiveSpaceSpec,
     AOIntegrals,
     MolecularIntegrals,
     Molecule,

@@ -35,7 +35,8 @@ class FcidumpError(VqeChemError):
 
 
 class ActiveSpaceError(VqeChemError):
-    """Invalid frozen/active orbital specification."""
+    """Invalid frozen core: an entry that is not an orbital index, a repeat, an index out of
+    range or not doubly occupied, or a core that leaves no active orbital."""
 
 
 class NonHermitianError(VqeChemError):

@@ -1,4 +1,7 @@
-"""Molecular integrals, restricted Hartree-Fock, and active-space reduction.
+"""Molecular integrals, restricted Hartree-Fock, and the frozen core.
+
+Active-space reduction is the frozen core: ``freeze_core`` folds doubly
+occupied orbitals into the constant energy and keeps every other orbital.
 
 The built-in basis covers hydrogen-only systems with s-type STO-3G
 functions; richer systems enter through FCIDUMP files instead. Two-electron
@@ -120,7 +123,6 @@ class RhfResult:
     orbital_energies: np.ndarray
     mo_coefficients: np.ndarray
     n_iterations: int
-    converged: bool
     n_electrons: int
     energy_trace: tuple = ()
 
@@ -166,25 +168,6 @@ class MolecularIntegrals:
         ):
             if not np.allclose(g, perm, atol=1e-12):
                 raise ShapeError("two-body integrals lack 8-fold symmetry")
-
-
-@dataclass(frozen=True)
-class ActiveSpaceSpec:
-    """Frozen (doubly occupied) and active spatial-orbital index sets."""
-
-    frozen_spatial: tuple
-    active_spatial: tuple
-
-    def __post_init__(self):
-        frozen, active = set(self.frozen_spatial), set(self.active_spatial)
-        if len(frozen) + len(active) != len(self.frozen_spatial) + len(self.active_spatial):
-            raise ActiveSpaceError(f"repeated orbital index in {self}")
-        if frozen & active:
-            raise ActiveSpaceError(f"orbitals {sorted(frozen & active)} both frozen and active")
-        if tuple(sorted(self.frozen_spatial)) != tuple(self.frozen_spatial):
-            raise ActiveSpaceError("frozen_spatial must be sorted")
-        if tuple(sorted(self.active_spatial)) != tuple(self.active_spatial):
-            raise ActiveSpaceError("active_spatial must be sorted")
 
 
 def boys_f0(x):
@@ -325,7 +308,7 @@ def run_rhf(ao: AOIntegrals, n_electrons: int) -> RhfResult:
 
     if n_electrons == 0:
         eps, c = solve_fock(h_core)
-        return RhfResult(ao.e_nuc, eps, c, 0, True, 0, (ao.e_nuc,))
+        return RhfResult(ao.e_nuc, eps, c, 0, 0, (ao.e_nuc,))
 
     n_occ = n_electrons // 2
     eps, c = solve_fock(h_core)  # core guess
@@ -342,17 +325,13 @@ def run_rhf(ao: AOIntegrals, n_electrons: int) -> RhfResult:
         if delta < SCF_DENSITY_TOLERANCE:
             _, energy = fock_and_energy(density)
             trace.append(float(energy))
-            return RhfResult(
-                float(energy), eps, c, iteration, True, n_electrons, tuple(trace)
-            )
+            return RhfResult(float(energy), eps, c, iteration, n_electrons, tuple(trace))
 
     raise ScfConvergenceError(f"SCF not converged after {SCF_MAX_ITERATIONS} iterations")
 
 
 def transform_to_mo(ao: AOIntegrals, rhf: RhfResult) -> MolecularIntegrals:
     """Four-index transform of the AO integrals into the MO basis."""
-    if not rhf.converged:
-        raise ShapeError("RHF result not converged")
     c = rhf.mo_coefficients
     if c.shape[0] != ao.n_ao:
         raise ShapeError("MO coefficient rows do not match AO count")
@@ -367,17 +346,22 @@ def transform_to_mo(ao: AOIntegrals, rhf: RhfResult) -> MolecularIntegrals:
     )
 
 
-def freeze_core(integrals: MolecularIntegrals, spec: ActiveSpaceSpec) -> MolecularIntegrals:
-    """Fold doubly occupied core orbitals into an effective active-space problem.
+def freeze_core(integrals: MolecularIntegrals, frozen) -> MolecularIntegrals:
+    """Fold the doubly occupied core orbitals ``frozen`` into the constant; every
+    other orbital stays active, in ascending order. No virtual orbital is dropped.
 
     The core energy 2*sum_i h_ii + sum_ij [2(ii|jj) - (ij|ji)] moves into
     the constant, and the active one-body matrix picks up the standard
-    closed-shell contraction h'_pq = h_pq + sum_i [2(pq|ii) - (pi|iq)].
+    closed-shell contraction h'_pq = h_pq + sum_i [2(pq|ii) - (pi|iq)], both
+    summed over the core in ascending order. An empty core returns ``integrals``.
     """
+    frozen = sorted(checked_int(i, "frozen orbital", error=ActiveSpaceError) for i in frozen)
+    if len(set(frozen)) < len(frozen):
+        raise ActiveSpaceError(f"repeated orbital index in the frozen core {frozen}")
+    if not frozen:
+        return integrals
     n = integrals.n_spatial_orbitals
-    frozen = list(spec.frozen_spatial)
-    active = list(spec.active_spatial)
-    for idx in frozen + active:
+    for idx in frozen:
         if not 0 <= idx < n:
             raise ActiveSpaceError(f"orbital index {idx} outside 0..{n - 1}")
     n_occ = integrals.n_electrons // 2
@@ -386,11 +370,9 @@ def freeze_core(integrals: MolecularIntegrals, spec: ActiveSpaceSpec) -> Molecul
             raise ActiveSpaceError(
                 f"frozen orbital {idx} is not doubly occupied in the reference"
             )
+    active = [i for i in range(n) if i not in frozen]
     if not active:
         raise ActiveSpaceError("active space is empty")
-
-    if not frozen and active == list(range(n)):
-        return integrals
 
     h, g = integrals.h, integrals.g
     e_core = 0.0

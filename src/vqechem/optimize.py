@@ -247,7 +247,8 @@ def _start(hamiltonian: QubitHamiltonian, circuit: Circuit) -> tuple[Circuit, St
     hf = hamiltonian.hf_index()
     reference = Statevector(n, np.ones(1), np.array([hf]))  # the qubit limit, before any table
     if circuit.last_sector[0] != hf:  # kept for the next call; the dataclass is frozen
-        restricted = circuit.restrict(sector_states(n, hf)) or circuit.register
+        keeps = all(g.kind == "pauli_rot" for g in circuit.gates)  # restrict refuses ry, cz
+        restricted = keeps and circuit.restrict(sector_states(n, hf)) or circuit.register
         object.__setattr__(circuit, "last_sector", (hf, restricted))
     restricted = circuit.last_sector[1]
     if restricted.states is None:

@@ -35,7 +35,6 @@ from .exceptions import (
 from .fcidump import parse_fcidump
 from .fermions import build_second_quantized, jordan_wigner
 from .integrals import (
-    ActiveSpaceSpec,
     Molecule,
     MolecularIntegrals,
     RhfResult,
@@ -200,11 +199,7 @@ def integrals_for_point(point: ScanPoint, freeze: tuple = ()) -> MolecularIntegr
                 raise FcidumpError(f"{point.fcidump_path} is not UTF-8 text: {exc}") from None
     else:
         integrals, _ = integrals_from_geometry(point.geometry)
-    if freeze:
-        n = integrals.n_spatial_orbitals
-        active = tuple(i for i in range(n) if i not in set(freeze))
-        integrals = freeze_core(integrals, ActiveSpaceSpec(tuple(sorted(freeze)), active))
-    return integrals
+    return freeze_core(integrals, freeze)
 
 
 def run_single_point(

@@ -26,7 +26,7 @@ import numpy as np
 from vqechem.exactdiag import ground_state_energy
 from vqechem.fcidump import write_fcidump
 from vqechem.fermions import build_second_quantized, jordan_wigner
-from vqechem.integrals import ActiveSpaceSpec, MolecularIntegrals, freeze_core
+from vqechem.integrals import MolecularIntegrals, freeze_core
 
 N_ORB = 6
 N_ELEC = 8
@@ -78,8 +78,7 @@ def synthetic_integrals(relativistic: bool, stretched: bool) -> MolecularIntegra
 
 
 def calibrate(integrals: MolecularIntegrals, target: float) -> MolecularIntegrals:
-    spec = ActiveSpaceSpec(FROZEN, tuple(i for i in range(N_ORB) if i not in FROZEN))
-    reduced = freeze_core(integrals, spec)
+    reduced = freeze_core(integrals, FROZEN)
     hamiltonian = jordan_wigner(build_second_quantized(reduced))
     assert hamiltonian.n_qubits == 8
     e0 = ground_state_energy(hamiltonian).energy

@@ -354,9 +354,9 @@ def test_criterion_5_property_suite(fixture_dir):
     def grouping_invariants():
         with open(os.path.join(fixture_dir, "h2s_sto3g_rel_eq.fcidump")) as fh:
             fixture = parse_fcidump(fh.read())
-        from vqechem.integrals import ActiveSpaceSpec, freeze_core
+        from vqechem.integrals import freeze_core
 
-        reduced = freeze_core(fixture, ActiveSpaceSpec((0, 1), (2, 3, 4, 5)))
+        reduced = freeze_core(fixture, (0, 1))
         for h in (hamiltonian, jordan_wigner(build_second_quantized(reduced))):
             groups = group_commuting(h)
             covered = sorted(i for g in groups for i in g.term_indices)
@@ -412,12 +412,12 @@ def test_criterion_5_property_suite(fixture_dir):
 
     def frozen_core_equivalence():
         from test_integrals import random_molecular_integrals
-        from vqechem.integrals import ActiveSpaceSpec, freeze_core
+        from vqechem.integrals import freeze_core
 
         for seed in range(20):
             n = 3 if seed % 2 == 0 else 4
             full = random_molecular_integrals(n, 1000 + seed, n_electrons=4)
-            reduced = freeze_core(full, ActiveSpaceSpec((0,), tuple(range(1, n))))
+            reduced = freeze_core(full, (0,))
             projected = determinant_fci(full, 4, require_doubly_occupied=(0,))
             assert abs(projected - determinant_fci(reduced, 2)) < 1e-9
 

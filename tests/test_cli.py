@@ -102,6 +102,16 @@ def test_fci_repeated_freeze_exits_2_with_one_line(fixture_dir, capsys):
     assert err.startswith("error: ") and "repeated orbital index" in err
 
 
+def test_fci_freezing_every_orbital_exits_2_with_one_line(tmp_path, capsys):
+    from test_integrals import ONE_ORBITAL_FCIDUMP
+
+    path = tmp_path / "one.fcidump"
+    path.write_text(ONE_ORBITAL_FCIDUMP)
+    assert main(["fci", "--fcidump", str(path), "--freeze", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: active space is empty\n"
+
+
 def test_negative_electron_count_exits_2_with_one_line(tmp_path, capsys, h2_integrals_074):
     # NELEC=-2 used to parse, and vqe then failed on an empty occupied set
     text = write_fcidump(h2_integrals_074).replace("NELEC=2,", "NELEC=-2,")

@@ -1,5 +1,6 @@
 """The bundled H2S FCIDUMP fixtures: reproducible, and physical in their sector."""
 
+import hashlib
 import importlib.util
 import os
 
@@ -46,6 +47,25 @@ def test_fock_space_minimum_holds_nelec_electrons(stem, freeze):
     reference = ((n_electrons + 1) // 2, n_electrons // 2)
     assert min(energies, key=energies.get) == reference
     assert abs(energies[reference] - ground_state_energy(hamiltonian).energy) < 1e-10
+
+
+# sha256 of h, g and the constant of each fixture's (0, 1) frozen core, as bytes: the
+# order of the core sums moves their last bits, which no printed energy shows
+FROZEN_CORE_DIGESTS = {
+    "h2s_sto3g_nonrel_eq": "65934497db966f8ec6f8e3c03a4f19b1cc8a6925fd3586f87d94cb53f3f90959",
+    "h2s_sto3g_nonrel_stretch": "5af729be4610ef25dfb0f5f742ebe16c8eaed03ec20bdece10cc09d0ddbff5b9",
+    "h2s_sto3g_rel_eq": "5404623fa05ba77524d3ae980492a579acf9f1ba23643da669b51140ec866710",
+    "h2s_sto3g_rel_stretch": "e47593c657f203b468d96e430f2422b08842df946c81c89df171d8ec23ca7e9e",
+}
+
+
+@pytest.mark.parametrize("freeze", [(0, 1), (1, 0)], ids=["ascending", "descending"])
+@pytest.mark.parametrize("stem", STEMS)
+def test_frozen_core_integrals_are_pinned_bit_for_bit(stem, freeze):
+    path = os.path.join(FIXTURE_DIR, stem + ".fcidump")
+    x = integrals_for_point(ScanPoint(stem, 0.0, fcidump_path=path), freeze)
+    data = x.h.tobytes() + x.g.tobytes() + np.float64(x.constant_energy).tobytes()
+    assert hashlib.sha256(data).hexdigest() == FROZEN_CORE_DIGESTS[stem]
 
 
 @pytest.mark.parametrize("geometry", ["eq", "stretch"])

@@ -28,7 +28,7 @@ from vqechem.optimize import (
 )
 from vqechem.fcidump import parse_fcidump
 from vqechem.fermions import build_second_quantized, jordan_wigner
-from vqechem.integrals import ActiveSpaceSpec, freeze_core
+from vqechem.integrals import freeze_core
 from vqechem.paulis import PauliString, QubitHamiltonian
 from vqechem.simulator import Circuit, Gate, Statevector, prepare_hf, sector_states
 from vqechem.workflows import h3_exchange_point, hydrogen_geometry, integrals_from_geometry
@@ -334,7 +334,7 @@ def molecules(h2_integrals_074, fixture_dir):
     """(Hamiltonian, occupied) of H2 (4 qubits), H3 (6) and frozen-core H2S (8)."""
     h3, _ = integrals_from_geometry(h3_exchange_point("0", 0.0)["geometry"])
     with open(os.path.join(fixture_dir, "h2s_sto3g_nonrel_eq.fcidump"), encoding="utf-8") as fh:
-        h2s = freeze_core(parse_fcidump(fh.read()), ActiveSpaceSpec((0, 1), (2, 3, 4, 5)))
+        h2s = freeze_core(parse_fcidump(fh.read()), (0, 1))
     return {name: (jordan_wigner(build_second_quantized(integrals)),
                    set(range(integrals.n_electrons)))
             for name, integrals in (("H2", h2_integrals_074), ("H3", h3), ("H2S", h2s))}
@@ -491,6 +491,25 @@ def test_hardware_efficient_objective_is_bit_identical_to_the_register_loop(
     for _ in range(20):
         theta = rng.uniform(-4.0, 4.0, circuit.n_parameters)
         assert objective(theta) == reference(theta)
+
+
+def test_only_a_rotation_circuit_builds_its_sector_states(h2_hamiltonian_074, monkeypatch):
+    # an ry or cz runs on the register alone, so a hardware-efficient objective builds
+    # no sector basis only to drop it; a UCCSD circuit builds its sector's once
+    calls = []
+
+    def counted(n_qubits, index):
+        calls.append(index)
+        return sector_states(n_qubits, index)
+
+    monkeypatch.setattr(optimize, "sector_states", counted)
+    groups = group_commuting(h2_hamiltonian_074)
+    optimize.exact_energy_objective(h2_hamiltonian_074, build_hardware_efficient(4, 1))
+    optimize.sampled_energy_objective(h2_hamiltonian_074, build_hardware_efficient(4, 1),
+                                      64, 0, groups)
+    assert calls == []
+    optimize.exact_energy_objective(h2_hamiltonian_074, build_uccsd(4, {0, 1}))
+    assert calls == [0b0011]
 
 
 def test_sixteen_qubit_uccsd_objective_builds_tables_on_its_sector_only():
